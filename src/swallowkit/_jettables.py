@@ -109,13 +109,15 @@ def shift_v_pairs(order: int):
 
 
 @lru_cache(maxsize=None)
-def axis_indices(order: int):
-    """Indices of the pure-u coefficients c_{i,0}, i = 0..order."""
-    return np.asarray([index_of(i, 0) for i in range(order + 1)], dtype=np.int32)
+def series_mul_pairs(n: int):
+    """Index pairs (ia, ib), ia + ib < n, ordered by ia: the terms of the
+    product of two univariate series truncated to n coefficients."""
+    ia = [i for i in range(n) for _ in range(n - i)]
+    ib = [j for i in range(n) for j in range(n - i)]
+    return np.asarray(ia, dtype=np.int32), np.asarray(ib, dtype=np.int32)
 
 
 @lru_cache(maxsize=None)
-def truncate_map(order_from: int, order_to: int):
-    """Indices selecting the coefficients of the lower-order jet."""
-    assert order_to <= order_from
-    return np.arange(term_count(order_to), dtype=np.int32)
+def axis_indices(order: int):
+    """Indices of the pure-u coefficients c_{i,0}, i = 0..order."""
+    return np.asarray([index_of(i, 0) for i in range(order + 1)], dtype=np.int32)

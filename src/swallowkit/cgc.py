@@ -49,10 +49,6 @@ class RadialProfile:
     Fs: np.ndarray
     Fps: np.ndarray
 
-    def _locate(self, r):
-        i = np.searchsorted(self.rs, r)
-        return int(np.clip(i - 1, 0, len(self.rs) - 2))
-
     def F(self, r):
         r = np.asarray(r, dtype=float)
         i = np.clip(np.searchsorted(self.rs, r) - 1, 0, len(self.rs) - 2)
@@ -227,11 +223,6 @@ class FundamentalForms:
     def principal(self, u, v):
         w = np.asarray(self.omega.jet(u, v, 0).value())
         return np.exp(-w) * np.cosh(w), np.exp(-w) * np.sinh(w)
-
-    def printed_principal(self, u, v):
-        """The cosh u / sinh u diagnostic variant of the curvature formulas."""
-        w = np.asarray(self.omega.jet(u, v, 0).value())
-        return np.exp(-2 * w) * np.cosh(u), np.exp(-2 * w) * np.sinh(u)
 
     def gauss_residual(self, u, v):
         j = self.omega.jet(u, v, 2)

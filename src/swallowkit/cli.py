@@ -3,7 +3,7 @@
 Subcommands: classify, invariants, cusp (factor/classify/normalize), build,
 deform, mesh, cgc, frenet, bench.  Inputs are germ-spec JSON documents
 (see germspec); outputs are deterministic JSON reports, OBJ meshes and CSV
-tables.  SWALLOWKIT_THREADS caps internal parallelism.
+tables.
 
 Exit codes: 0 success / certificate passed; 1 certificate failed;
 2 malformed input; 3 domain error; 4 deformation precondition mismatch.
@@ -264,8 +264,7 @@ def main(argv=None):
     p = argparse.ArgumentParser(
         prog="swallowkit",
         description="Swallowtail germs: classification, invariants, certified "
-                    "deformations and the constant-curvature pipeline. "
-                    "SWALLOWKIT_THREADS caps parallel certificate evaluation.")
+                    "deformations and the constant-curvature pipeline.")
     p.add_argument("--tol-sign", type=float, default=fr.SIGN_TOL,
                    help="tolerance band for sign invariants (default %(default)g)")
     p.add_argument("--tol-residual", type=float, default=1e-7,

@@ -14,12 +14,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .fields import JetFn, Scaled, pjet, vjet
 from .frontal import sgn
-from .jets import Expr, Jet2, JetError, compose2, jet_sqrt, p1_invert, parse
-from .metric import cross, det3, dot
+from ._jettables import index_of
+from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
+from .metric import det3, dot
 
 
 class CurveError(ValueError):
@@ -72,12 +72,16 @@ class _XiFromGamma:
         self.curve, self.k = curve, k
 
     def jet(self, u, v, order, memo=None):
-        gj = pjet(self.curve.gamma[self.k], u, 0.0, order + 2).axis_part()
-        gp = gj.du()
-        if u == 0.0:
+        gp = pjet(self.curve.gamma[self.k], u, 0.0, order + 2).axis_part().du()
+        if np.ndim(u) == 0 and u == 0.0:
             return gp.divide_by_u()
-        uj = Jet2.variable("u", u, order + 1, ())
-        return (gp / uj).truncate(order)
+        # an array u may hold the point 0: divide elsewhere, then splice it in
+        at0 = np.asarray(u) == 0.0
+        uj = Jet2.variable("u", np.where(at0, 1.0, u), order + 1, np.shape(u))
+        out = (gp / uj).truncate(order)
+        if at0.any():
+            out.c[:, at0] = self.jet(0.0, v, order).c[:, None]
+        return out
 
 
 def factor_cusp(curve: CurveGerm) -> CuspFactorization:
@@ -124,6 +128,19 @@ def mirror_properties(fact: CuspFactorization):
 # Half-arclength normalization
 # ---------------------------------------------------------------------------
 
+# Gauss-Legendre nodes and weights on [-1, 1]: every piece of phi is one
+# application of this rule to an interval no longer than half a table panel
+# or one panel.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+
+def _bounded_put(cache, key, value):
+    """Store in a provider cache, cleared past 256 entries (as MapGerm._cache)."""
+    if len(cache) > 256:
+        cache.clear()
+    cache[key] = value
+
+
 class HalfArclength:
     """Reparametrization u = sgn(t) sqrt(2 phi(t)), phi(t) = int_0^t s|xi(s)| ds.
 
@@ -131,7 +148,20 @@ class HalfArclength:
     xi(t(u))/|xi(t(u))|.  Exposes jets of t(u), of the reparametrized curve
     and unit field, and of the speed |xi(t(u))| used to rescale transverse
     data.
+
+    phi is tabulated at the nodes i*h of a grid on [-1.5, 1.5] (h = 0.002),
+    cumulated outward from 0, each panel integrated by an 8-point
+    Gauss-Legendre rule; the speed at all the nodes of all the panels comes
+    from one array-valued jet call.  phi(t) at any t is the table value at
+    the nearest node plus the same rule over [node, t], so phi is smooth to
+    rounding across panels.  Past +-1.5 the table doubles in whole panels.
+    t(u) is one vectorized Newton iteration on phi(t) = u^2/2, seeded by
+    interpolating the table and clamped to the side of sign(u); a scalar u
+    goes through it as a one-element array.  Every method taking u or t
+    also takes an array of them (one jet per point).
     """
+
+    T, PANELS = 1.5, 750          # half-width of the table and panels per side
 
     def __init__(self, curve: CurveGerm, xi=None):
         self.curve = curve
@@ -140,148 +170,171 @@ class HalfArclength:
         xi0 = np.array([c.value() for c in xj])
         if np.linalg.norm(xi0) < 1e-10:
             raise CurveError("gamma''(0) = 0: half-arclength parameter undefined")
-        from scipy.integrate import quad
-        self._phi_cache = {}
-        self._quad = quad
-        # dense cumulative table of phi on [-T, T]: seeds for the fast
-        # root solve below; exact values come from short local quadratures
-        self._T = 1.5
-        self._tgrid = np.linspace(-self._T, self._T, 1501)
-        integ = np.array([s * self._speed_at(s) for s in self._tgrid])
-        half = np.cumsum((integ[1:] + integ[:-1]) / 2.0) * (self._tgrid[1] - self._tgrid[0])
-        cum = np.concatenate([[0.0], half])
-        i0 = len(self._tgrid) // 2
-        self._phitab = cum - cum[i0]
-
-        def phi(t):
-            t = float(t)
-            if t not in self._phi_cache:
-                i = int(np.clip(np.searchsorted(self._tgrid, t), 1, len(self._tgrid) - 1))
-                near = self._tgrid[i] if abs(self._tgrid[i] - t) < abs(self._tgrid[i - 1] - t) \
-                    else self._tgrid[i - 1]
-                base = self._phitab[int(round((near + self._T) / (self._tgrid[1] - self._tgrid[0])))]
-                val, _ = quad(lambda s: s * self._speed_at(s), near, t, limit=100)
-                self._phi_cache[t] = base + val
-            return self._phi_cache[t]
-
-        self._phi = phi
+        self._h = self.T / self.PANELS
+        # cumulative phi at the nodes 0, h, 2h, ... and 0, -h, -2h, ...
+        self._cum = {1.0: np.zeros(1), -1.0: np.zeros(1)}
+        self._extend(self.PANELS)
         self._jet_cache = {}
         self._t_cache = {}
 
-    def _speed_at(self, t):
-        xj = self.fact.jets(t, 0)
-        return math.sqrt(sum(c.value() ** 2 for c in xj))
+    def _speed(self, t):
+        """|xi(t)| at an array of points, from one jet call."""
+        x, y, z = (c.value() for c in self.fact.jets(t, 0))
+        return np.sqrt(x * x + y * y + z * z)
 
-    def _speed_jet(self, t, order):
-        key = ("sp", float(t))
-        hit = self._jet_cache.get(key)
-        if hit is not None and hit.order >= order:
-            return hit.truncate(order)
-        xj = self.fact.jets(t, order)
-        out = jet_sqrt(dot(xj, xj))
-        self._jet_cache[key] = out
-        return out
+    def _rule(self, a, b):
+        """Gauss-Legendre rule for int_a^b s|xi(s)| ds, elementwise over arrays."""
+        half, mid = 0.5 * (b - a), 0.5 * (a + b)
+        s = mid + half * _GL_X.reshape((-1,) + (1,) * np.ndim(a))
+        f = s * self._speed(s)
+        acc = _GL_W[0] * f[0]
+        for k in range(1, len(_GL_W)):
+            acc = acc + _GL_W[k] * f[k]
+        return half * acc
+
+    def _extend(self, n):
+        """Grow the table to at least n panels per side, doubling each time, so
+        that its values never depend on the order of the calls."""
+        have = len(self._cum[1.0]) - 1
+        if n <= have:
+            return
+        new = have or n
+        while have + new < n:
+            new *= 2
+        i = np.arange(have, have + new)
+        ends = np.concatenate([i, -i]) * self._h, np.concatenate([i + 1, -(i + 1)]) * self._h
+        panels = self._rule(*ends)
+        for side, p in ((1.0, panels[:new]), (-1.0, panels[new:])):
+            cum = self._cum[side]
+            self._cum[side] = np.concatenate([cum, cum[-1] + np.cumsum(p)])
+
+    def phi(self, t):
+        """phi(t) = int_0^t s|xi(s)| ds, elementwise over an array of t."""
+        t = np.asarray(t, dtype=float)
+        i = np.rint(t / self._h).astype(int)
+        self._extend(int(np.max(np.abs(i), initial=0)))
+        base = np.where(i >= 0, self._cum[1.0][np.abs(i)], self._cum[-1.0][np.abs(i)])
+        return base + self._rule(i * self._h, t)
 
     def u_of_t(self, t):
-        return math.copysign(math.sqrt(max(2.0 * self._phi(t), 0.0)), t)
+        return math.copysign(math.sqrt(max(2.0 * float(self.phi(t)), 0.0)), t)
 
-    def t_of_u(self, u):
-        if u == 0.0:
-            return 0.0
-        if u in self._t_cache:
-            return self._t_cache[u]
-        s = 1.0 if u > 0 else -1.0
-        # seed from the cumulative table (phi is monotone in |t| on each
-        # side of 0), then Newton on phi(t) = u^2/2 with phi' = t |xi(t)|,
-        # clamped to the side carrying the sign of u
+    def _invert(self, u):
+        """t(u) for a 1-D array u: Newton on phi(t) = u^2/2 with phi' = t|xi(t)|.
+
+        Each entry stops on its own step size, so its result does not depend
+        on the rest of the array."""
         target = 0.5 * u * u
-        i0 = len(self._tgrid) // 2
-        if s > 0:
-            tv, pv = self._tgrid[i0:], self._phitab[i0:]
-        else:
-            tv, pv = self._tgrid[i0::-1], self._phitab[i0::-1]
-        idx = int(np.searchsorted(pv, target))
-        t = float(tv[min(idx, len(tv) - 1)])
-        if t == 0.0:
-            t = s * 1e-8
+        side = np.where(u > 0, 1.0, -1.0)
+        t = np.zeros_like(u)
+        n = self.PANELS + 1          # seeds from [-1.5, 1.5] only, however far the table grew
+        for sd in (1.0, -1.0):
+            on = (side == sd) & (u != 0.0)
+            nodes = sd * self._h * np.arange(n)
+            t[on] = np.interp(np.abs(u[on]), np.sqrt(2.0 * self._cum[sd][:n]), nodes)
+        active = np.flatnonzero(u != 0.0)
         for _ in range(60):
-            g = self._phi(t) - target
-            gp = t * self._speed_at(t)
-            if gp == 0.0:
+            if not active.size:
                 break
-            step = g / gp
-            t -= step
-            if t * s <= 0.0:
-                t = s * 1e-12
-            if abs(step) < 1e-14 * (1 + abs(t)):
-                break
-        self._t_cache[u] = t
+            ta, sa = t[active], side[active]
+            g = self.phi(ta) - target[active]
+            gp = ta * self._speed(ta)
+            step = np.divide(g, gp, out=np.zeros_like(g), where=gp != 0.0)
+            ta = ta - step
+            ta = np.where(ta * sa <= 0.0, sa * 1e-12, ta)
+            t[active] = ta
+            active = active[np.abs(step) >= 1e-14 * (1 + np.abs(ta))]
         return t
 
+    def t_of_u(self, u):
+        if np.ndim(u) != 0:
+            return self._invert(np.asarray(u, dtype=float))
+        u = float(u)
+        if u not in self._t_cache:
+            _bounded_put(self._t_cache, u, float(self._invert(np.array([u]))[0]))
+        return self._t_cache[u]
+
+    def _cached(self, tag, x, order, compute):
+        """Jets at x memoised per (tag, x) and reused at lower orders; an
+        array x is keyed by its bytes."""
+        key = (tag, float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float).tobytes())
+        hit = self._jet_cache.get(key)
+        if hit is not None and hit[0] >= order:
+            out = hit[1]
+            return tuple(c.truncate(order) for c in out) if isinstance(out, tuple) \
+                else out.truncate(order)
+        out = compute()
+        _bounded_put(self._jet_cache, key, (order, out))
+        return out
+
+    def _speed_jet(self, t, order):
+        def compute():
+            xj = self.fact.jets(t, order)
+            return jet_sqrt(dot(xj, xj))
+        return self._cached("sp", t, order, compute)
+
     def _u_series(self, t0, order):
-        """Taylor coefficients of u(t0 + s) about s = 0, length order+1."""
+        """Taylor coefficients of u(t0 + s) about s = 0, shape (order+1,) + shape(t0)."""
+        shape = np.shape(t0)
+        at0 = np.asarray(t0) == 0.0
+        if shape and at0.any():
+            # the node t = 0 goes through the scalar branch below
+            ser = np.zeros((order + 1,) + shape)
+            if not at0.all():
+                ser[:, ~at0] = self._u_series(np.asarray(t0)[~at0], order)
+            ser[:, at0] = self._u_series(0.0, order)[:, None]
+            return ser
         K = order + 2
         sp = self._speed_jet(t0, K)
-        tj = Jet2.variable("u", t0, K, ())
+        tj = Jet2.variable("u", t0, K, shape)
         integrand = tj * sp                       # t |xi(t)|
-        phi = Jet2.constant(self._phi(t0), K + 1, ())
-        from ._jettables import index_of
+        phi = Jet2.constant(self.phi(t0), K + 1, shape)
         for i in range(integrand.order + 1):
             phi.c[index_of(i + 1, 0)] = integrand.c[index_of(i, 0)] / (i + 1)
-        if t0 != 0.0:
-            uj = jet_sqrt(2.0 * phi)
-            if t0 < 0:
-                uj = -uj
+        if shape or t0 != 0.0:
+            uj = jet_sqrt(2.0 * phi) * np.sign(t0)
         else:
             psi = phi.divide_by_u().divide_by_u()   # phi / t^2
             tvar = Jet2.variable("u", 0.0, psi.order, ())
             uj = tvar * jet_sqrt(2.0 * psi)
-        ser = np.zeros(order + 1)
+        ser = np.zeros((order + 1,) + shape)
         for i in range(min(order, uj.order) + 1):
             ser[i] = uj.c[index_of(i, 0)]
         return ser
 
     def t_jet(self, u0, order):
         """Jet2 (u-only) of t(u) at u0."""
-        key = ("tj", float(u0))
-        hit = self._jet_cache.get(key)
-        if hit is not None and hit.order >= order:
-            return hit.truncate(order)
-        t0 = self.t_of_u(u0)
-        us = self._u_series(t0, order + 1)
-        us[0] = 0.0                                # shift: series of u(t0+s) - u0
-        tser = p1_invert(us[: order + 2])
-        out = Jet2.constant(t0, order, ())
-        from ._jettables import index_of
-        for i in range(1, order + 1):
-            out.c[index_of(i, 0)] = tser[i]
-        self._jet_cache[key] = out
-        return out
+        def compute():
+            t0 = self.t_of_u(u0)
+            us = self._u_series(t0, order + 1)
+            us[0] = 0.0                            # shift: series of u(t0+s) - u0
+            tser = p1_invert(us[: order + 2])
+            out = Jet2.constant(t0, order, np.shape(t0))
+            for i in range(1, order + 1):
+                out.c[index_of(i, 0)] = tser[i]
+            return out
+        return self._cached("tj", u0, order, compute)
 
     def gamma_hat(self):
         def comp(k):
             def fn(u, v, order):
                 tj = self.t_jet(u, order)
                 gj = pjet(self.curve.gamma[k], tj.value(), 0.0, order)
-                vj = Jet2.constant(0.0, order, ())
+                vj = Jet2.constant(0.0, order, np.shape(u))
                 return compose2(gj.c, order, tj, vj)
             return JetFn(fn)
         return tuple(comp(k) for k in range(3))
 
     def xi_hat_jets(self, u, order):
         """All three components of the unit field at u, cached."""
-        key = ("xh", float(u))
-        hit = self._jet_cache.get(key)
-        if hit is not None and hit[0].order >= order:
-            return tuple(c.truncate(order) for c in hit)
-        tj = self.t_jet(u, order)
-        xj = vjet(self.fact.xi, tj.value(), 0.0, order)
-        zero = Jet2.constant(0.0, order, ())
-        all_c = [compose2(xj[m].c, order, tj, zero) for m in range(3)]
-        nrm = jet_sqrt(dot(all_c, all_c))
-        out = tuple(c / nrm for c in all_c)
-        self._jet_cache[key] = out
-        return out
+        def compute():
+            tj = self.t_jet(u, order)
+            xj = vjet(self.fact.xi, tj.value(), 0.0, order)
+            zero = Jet2.constant(0.0, order, np.shape(u))
+            all_c = [compose2(xj[m].c, order, tj, zero) for m in range(3)]
+            nrm = jet_sqrt(dot(all_c, all_c))
+            return tuple(c / nrm for c in all_c)
+        return self._cached("xh", u, order, compute)
 
     def xi_hat(self):
         """Unit factorization field in the new parameter."""
@@ -296,7 +349,7 @@ class HalfArclength:
         def fn(u, v, order):
             tj = self.t_jet(u, order)
             sp = self._speed_jet(tj.value(), order)
-            return compose2(sp.c, order, tj, Jet2.constant(0.0, order, ()))
+            return compose2(sp.c, order, tj, Jet2.constant(0.0, order, np.shape(u)))
         return JetFn(fn)
 
 
@@ -418,7 +471,6 @@ class FrenetPath:
         T0, N0, B0, G0, G20 = Y[0:3], Y[3:6], Y[6:9], Y[9:12], Y[12:15]
         kj = pjet(self.data.kappa, u0, 0.0, order)
         tj = pjet(self.data.tau, u0, 0.0, order)
-        from ._jettables import index_of
         kser = np.array([kj.c[index_of(i, 0)] for i in range(order + 1)])
         tser = np.array([tj.c[index_of(i, 0)] for i in range(order + 1)])
         T = np.zeros((order + 1, 3))
@@ -449,7 +501,6 @@ class FrenetPath:
             def fn(u, v, order):
                 T, _, _, _, _ = path.series(u, order)
                 out = Jet2.constant(0.0, order, ())
-                from ._jettables import index_of
                 for i in range(order + 1):
                     out.c[index_of(i, 0)] = T[i][k]
                 return out
@@ -464,23 +515,8 @@ class FrenetPath:
             def fn(u, v, order):
                 _, _, _, _, G2 = path.series(u, order)
                 out = Jet2.constant(0.0, order, ())
-                from ._jettables import index_of
                 for i in range(order + 1):
                     out.c[index_of(i, 0)] = G2[i][k]
-                return out
-            return JetFn(fn)
-        return tuple(comp(k) for k in range(3))
-
-    def gamma_providers(self):
-        path = self
-
-        def comp(k):
-            def fn(u, v, order):
-                _, _, _, G, _ = path.series(u, order)
-                out = Jet2.constant(0.0, order, ())
-                from ._jettables import index_of
-                for i in range(order + 1):
-                    out.c[index_of(i, 0)] = G[i][k]
                 return out
             return JetFn(fn)
         return tuple(comp(k) for k in range(3))

@@ -11,7 +11,6 @@ sampled, and the report says so.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,22 +75,6 @@ class Certificate:
         }
 
 
-def _thread_cap():
-    try:
-        return max(1, int(os.environ.get("SWALLOWKIT_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _pmap(fn, items):
-    cap = _thread_cap()
-    if cap <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=cap) as ex:
-        return list(ex.map(fn, items))
-
-
 def _build_any(data, a):
     if isinstance(data, AsymptoticData):
         return build_asymptotic(data, a=a, require_swallowtail=False)
@@ -109,8 +92,7 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
     failures = []
     per_t = []
 
-    def check_one(args):
-        si, stage, t = args
+    def check_one(stage, t):
         data = stage.generator(float(t))
         germ = _build_any(data, family.a)
         rep = fr.classify(germ)
@@ -146,10 +128,11 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
                             f"{track_kext_sign}: {ks}")
         return entry, errs
 
-    jobs = [(si, stage, t) for si, stage in enumerate(family.stages) for t in ts]
-    for entry, errs in _pmap(check_one, jobs):
-        per_t.append(entry)
-        failures.extend(errs)
+    for stage in family.stages:
+        for t in ts:
+            entry, errs = check_one(stage, t)
+            per_t.append(entry)
+            failures.extend(errs)
 
     # sign constancy: within every stage always; across the chain for the
     # stronger predicates (stage boundaries of a mixed chain may interpose
@@ -332,11 +315,16 @@ class XiInterpolation:
     Curvature is mixed linearly, torsion through kappa^2 tau (so the
     genericity determinant det(xi, xi', xi'') mixes linearly), and the
     initial frames ride a geodesic in the rotation group so the endpoint
-    curves are reproduced exactly.  Values of kappa and tau are tabulated
-    on the integration grid once per family; jets at the (few) sample
-    points go through the exact providers.  Those endpoint (kappa, tau)
-    jets do not depend on t, so they are memoised per endpoint field and
-    shared by every interpolated path.
+    curves are reproduced exactly: path(0) and path(1) integrate the
+    endpoint fields themselves.
+
+    The values of kappa and tau at every point the fixed-step RK4 touches
+    (the half-step grid) are tabulated once per family, by one
+    array-valued curvature_torsion_of call per endpoint field.  Jets at
+    the (few) sample points off that grid go through the exact providers
+    at scalar u; those endpoint (kappa, tau) jets do not depend on t, so
+    they are memoised per endpoint field and shared by every interpolated
+    path.
     """
 
     def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):
@@ -364,11 +352,9 @@ class XiInterpolation:
         self._ktab = np.zeros((2, n))
         self._k2ttab = np.zeros((2, n))
         for i, xi in enumerate(self.xi):
-            for j, u in enumerate(self._unodes):
-                k, tau = curvature_torsion_of(xi, float(u), 0)
-                kv, tv = k.value(), tau.value()
-                self._ktab[i, j] = kv
-                self._k2ttab[i, j] = kv * kv * tv
+            k, tau = curvature_torsion_of(xi, self._unodes, 0)
+            self._ktab[i] = k.value()
+            self._k2ttab[i] = k.value() * k.value() * tau.value()
 
     def _node_index(self, u):
         h = self._unodes[1] - self._unodes[0]
@@ -424,10 +410,6 @@ class XiInterpolation:
     def path(self, t) -> FrenetPath:
         key = round(float(t), 12)
         if key not in self._paths:
-            if key == 0.0:
-                return None
-            if key == 1.0:
-                return None
             kp, tp = self.kappa_tau(t)
             frame0 = self._R1 @ _rotation_exp(t * self._w)
             fd = FrenetData(kappa=kp, tau=tp, frame0=frame0, step=self.step)

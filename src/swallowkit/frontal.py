@@ -29,8 +29,12 @@ SIGN_TOL = 1e-9
 ORDER = 6
 
 
-def sgn(x, scale=1.0, tol=SIGN_TOL):
-    """Sign with a tolerance band: |x| <= tol*(1+scale) counts as zero."""
+def sgn(x, scale=1.0, tol=None):
+    """Sign with a tolerance band: |x| <= tol*(1+scale) counts as zero.
+
+    tol defaults to SIGN_TOL as it is when called (the CLI's --tol-sign)."""
+    if tol is None:
+        tol = SIGN_TOL
     if abs(x) <= tol * (1.0 + abs(scale)):
         return 0
     return 1 if x > 0 else -1

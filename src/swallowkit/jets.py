@@ -197,7 +197,6 @@ class Jet2:
 
     def divide_by_u(self, tol=1e-9):
         """Jet of f/u for f vanishing on the v-axis; result has order-1."""
-        mono = tables.monomials(self.order)
         vaxis = np.asarray([tables.index_of(0, j) for j in range(self.order + 1)], dtype=np.int32)
         scale = np.max(np.abs(self.c), axis=0)
         if np.any(np.abs(self.c[vaxis]) > tol * (1.0 + scale)):
@@ -325,28 +324,30 @@ def compose2(gc, order_g, U: Jet2, V: Jet2) -> Jet2:
 # Univariate series helpers (truncated power series as plain arrays)
 # ---------------------------------------------------------------------------
 
+# A series is an array whose first axis holds the coefficients; any further
+# (trailing) axes are a batch of independent series, one per point.  The
+# operands of a helper carry the same batch shape.
+
 def p1_mul(a, b):
-    n = len(a)
-    out = np.zeros(n)
-    for k in range(n):
-        out[k] = np.dot(a[: k + 1], b[k::-1])
+    ia, ib = tables.series_mul_pairs(len(a))
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    np.add.at(out, ia + ib, a[ia] * b[ib])
     return out
 
 
 def p1_div(a, b):
-    n = len(a)
-    if b[0] == 0:
+    if np.any(b[0] == 0):
         raise JetError("series division by zero constant term")
-    out = np.zeros(n)
-    for k in range(n):
-        out[k] = (a[k] - np.dot(out[:k], b[k:0:-1])) / b[0]
+    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
+    for k in range(len(a)):
+        out[k] = (a[k] - (out[:k] * b[k:0:-1]).sum(axis=0)) / b[0]
     return out
 
 
 def p1_compose(g, h):
     """Series of g(h(t)); requires h[0] = 0, g given about that value."""
     n = len(g)
-    res = np.zeros(n)
+    res = np.zeros(np.broadcast_shapes(g.shape, h.shape))
     res[0] = g[n - 1]
     for k in range(n - 2, -1, -1):
         res = p1_mul(res, h)
@@ -355,20 +356,21 @@ def p1_compose(g, h):
 
 
 def p1_derivative(a):
-    out = np.zeros(len(a))
-    out[:-1] = a[1:] * np.arange(1, len(a))
+    out = np.zeros_like(a)
+    k = np.arange(1, len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
+    out[:-1] = a[1:] * k
     return out
 
 
 def p1_invert(f):
     """Series reversion: g with f(g(y)) = y + O(y^n); needs f[0]=0, f[1]!=0."""
     n = len(f)
-    if f[0] != 0.0:
+    if np.any(f[0] != 0.0):
         raise JetError("series reversion requires zero constant term")
-    if f[1] == 0.0:
+    if np.any(f[1] == 0.0):
         raise JetError("series not invertible: vanishing linear term")
     fp = p1_derivative(f)
-    g = np.zeros(n)
+    g = np.zeros_like(f)
     g[1] = 1.0 / f[1]
     for _ in range(max(1, math.ceil(math.log2(max(n, 2))) + 1)):
         err = p1_compose(f, g)
@@ -601,12 +603,23 @@ ONE = Const(1.0)
 # ---------------------------------------------------------------------------
 
 _NUM_START = set("0123456789.")
+MAX_NESTING = 100      # parentheses and function calls; keeps the recursion bounded
 
 
 class _Scanner:
     def __init__(self, source: str):
         self.src = source
         self.pos = 0
+        self.depth = 0
+
+    def nested(self, parse_inner):
+        """Parse an expression one level of nesting deeper."""
+        if self.depth >= MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", self.pos)
+        self.depth += 1
+        e = parse_inner(self)
+        self.depth -= 1
+        return e
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -723,7 +736,7 @@ def _parse_base(sc: _Scanner) -> Expr:
         raise ParseError("unexpected end of input", pos)
     if ch == "(":
         sc.pos += 1
-        e = _parse_expr(sc)
+        e = sc.nested(_parse_expr)
         if sc.peek() != ")":
             raise ParseError("expected ')'", sc.pos)
         sc.pos += 1
@@ -738,7 +751,7 @@ def _parse_base(sc: _Scanner) -> Expr:
             if sc.peek() != "(":
                 raise ParseError(f"expected '(' after {name}", sc.pos)
             sc.pos += 1
-            arg = _parse_expr(sc)
+            arg = sc.nested(_parse_expr)
             if sc.peek() != ")":
                 raise ParseError("expected ')'", sc.pos)
             sc.pos += 1

@@ -48,10 +48,6 @@ def vscale(s, A):
     return (s * A[0], s * A[1], s * A[2])
 
 
-def norm_sq(A):
-    return dot(A, A)
-
-
 class DomainError(ValueError):
     """Point outside the model domain (1 + a|p|^2 <= 0)."""
 
@@ -150,10 +146,6 @@ def christoffels(sf: SpaceForm, p):
             for j in range(3):
                 G[k, i, j] = ((k == i) * sg[j] + (k == j) * sg[i] - (i == j) * sg[k])
     return G
-
-
-def jconst(x, order, shape=()):
-    return Jet2.constant(x, order, shape)
 
 
 def vconst(p, order, shape=()):

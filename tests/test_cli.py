@@ -57,6 +57,33 @@ def test_malformed_json_exit_2(specs, capsys):
     assert code == 2
 
 
+def test_tol_sign_flag_changes_verdict(tmp_path, capsys, monkeypatch):
+    """A raw sigma_g_S of 2e-5 is a sign at the default band and zero in a
+    band of 1e-3."""
+    from swallowkit import frontal
+    monkeypatch.setattr(frontal, "SIGN_TOL", frontal.SIGN_TOL)   # restored after
+    spec = tmp_path / "small.json"
+    spec.write_text(json.dumps({"kind": "swallowtail-data", "xi": ["2", "3*u", "0"],
+                                "b": ["0", "0", "0.00001"], "a": 0.0}))
+    code, out = run(capsys, "classify", str(spec))
+    assert code == 0
+    assert json.loads(out)["sigma_g_S"] == 1
+    code, out = run(capsys, "--tol-sign", "1e-3", "classify", str(spec))
+    assert code == 0
+    assert json.loads(out)["sigma_g_S"] == 0
+
+
+def test_deeply_nested_expression_exit_2(tmp_path, capsys):
+    spec = tmp_path / "deep.json"
+    spec.write_text(json.dumps({"kind": "swallowtail-data",
+                                "xi": ["(" * 3000 + "2" + ")" * 3000, "3*u", "0"],
+                                "b": ["0", "0", "1"], "a": 0.0}))
+    code = main(["classify", str(spec)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "nested" in err and "Traceback" not in err
+
+
 def test_invariants_includes_discriminants(specs, capsys):
     code, out = run(capsys, "invariants", str(specs / "fplus.json"))
     assert code == 0

@@ -148,3 +148,93 @@ def test_frenet_unit_speed():
         xj = [c for c in (path.series(u, 1)[0])]
         # first row is T(u): unit
         assert np.linalg.norm(path.series(u, 0)[0][0]) == pytest.approx(1.0, abs=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# Half-arclength: Gauss-Legendre phi table and vectorized t(u)
+# ---------------------------------------------------------------------------
+
+_C, _S = np.cos(0.4), np.sin(0.4)
+_XI_FIELDS = {
+    "rotated": (f"{_C} - {_S}*u", f"{_S} + {_C}*u", "1.5*u^2"),
+    "exp": ("exp(u)", "u", "1"),
+}
+
+
+def _half_arclength(name):
+    from swallowkit.builder import gamma_from_xi
+    from swallowkit.curves import HalfArclength
+    xi = tuple(parse(c) for c in _XI_FIELDS[name])
+    curve = CurveGerm.__new__(CurveGerm)
+    curve.gamma = gamma_from_xi(xi)
+    return HalfArclength(curve, xi=xi), xi
+
+
+@pytest.mark.parametrize("name", sorted(_XI_FIELDS))
+def test_half_arclength_inverts_phi(name):
+    """phi(t(u)) = u^2/2, with phi from a tight adaptive quadrature."""
+    import warnings
+    from scipy.integrate import quad
+    H, xi = _half_arclength(name)
+
+    def integrand(s):
+        return s * np.sqrt(sum(c.jet(s, 0.0, 0).value() ** 2 for c in xi))
+
+    us = np.linspace(-0.3, 0.3, 50)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")      # quad reports its roundoff floor
+        for u, t in zip(us, H.t_of_u(us)):
+            phi, _ = quad(integrand, 0.0, t, epsabs=1e-17, epsrel=1e-14, limit=200)
+            assert abs(phi - 0.5 * u * u) < 1e-13, (u, t)
+
+
+def test_half_arclength_phi_continuous_across_panels():
+    H, _ = _half_arclength("rotated")
+    mids = (np.arange(-450, 450) + 0.5) * H._h        # includes 0.051, 0.251, 0.901
+    jump = np.abs(H.phi(np.nextafter(mids, np.inf)) - H.phi(np.nextafter(mids, -np.inf)))
+    assert jump.max() < 1e-14
+
+
+@pytest.mark.parametrize("name", sorted(_XI_FIELDS))
+def test_half_arclength_array_matches_scalar_bitwise(name):
+    """Array and scalar t(u) agree bit for bit, whichever comes first, also
+    past the end of the initial table (|u| = 2.5)."""
+    us = np.concatenate([np.linspace(-0.3, 0.3, 601), [1e-9, -1e-9, 2.5, -2.5]])
+    H, _ = _half_arclength(name)
+    ts = H.t_of_u(us)
+    scalar = np.array([H.t_of_u(float(u)) for u in us])
+    np.testing.assert_array_equal(ts, scalar)
+    H2, _ = _half_arclength(name)
+    scalar2 = np.array([H2.t_of_u(float(u)) for u in us[::-1]])[::-1]
+    np.testing.assert_array_equal(H2.t_of_u(us), scalar2)
+    np.testing.assert_array_equal(scalar2, scalar)
+    assert H.t_of_u(0.0) == 0.0 and ts[300] == 0.0
+
+
+def test_half_arclength_kappa_tau_table_matches_scalar():
+    """One array call of curvature_torsion_of on the unit field equals the
+    per-node scalar calls, the node u = 0 included."""
+    H, _ = _half_arclength("rotated")
+    xh = H.xi_hat()
+    us = np.linspace(-0.3, 0.3, 61)
+    k, tau = curvature_torsion_of(xh, us, 0)
+    for j, u in enumerate(us):
+        ks, ts = curvature_torsion_of(xh, float(u), 0)
+        assert abs(k.value()[j] - ks.value()) < 1e-12
+        assert abs(tau.value()[j] - ts.value()) < 1e-12
+
+
+def test_normalize_half_arclength_array_u():
+    """The unit field of a curve factored through _XiFromGamma, at an array
+    of u holding 0, equals its scalar jets point by point."""
+    norm, fact, H = normalize_half_arclength(CurveGerm(gamma=("u^2", "u^3", "0")))
+    us = np.array([-0.1, -0.01, 0.0, 0.01, 0.1])
+    xa = fact.jets(us, 2)
+    nrm = np.sqrt(sum(j.value() ** 2 for j in xa))
+    np.testing.assert_allclose(nrm, 1.0, atol=1e-12)
+    for i, u in enumerate(us):
+        for ja, js in zip(xa, fact.jets(float(u), 2)):
+            np.testing.assert_allclose(ja.c[:, i], js.c, atol=1e-12)
+    gp = np.array([j.partial(1, 0) for j in norm.jets(us, 1)])
+    np.testing.assert_allclose(gp[:, [0, 1, 3, 4]] / us[[0, 1, 3, 4]],
+                               np.array([j.value() for j in xa])[:, [0, 1, 3, 4]], atol=1e-7)

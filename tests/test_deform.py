@@ -154,6 +154,20 @@ def test_xi_interpolation_memo_shared_by_threads():
             np.testing.assert_array_equal(t, ref[u][1])
 
 
+def test_xi_interpolation_endpoint_paths():
+    """path(0) and path(1) are integrated like any other t and reproduce the
+    endpoint unit fields at the integration nodes to RK4 accuracy."""
+    from swallowkit.fields import vjet
+    interp = _helix_interp()
+    for t, xi in ((0.0, interp.xi[0]), (1.0, interp.xi[1])):
+        path = interp.path(t)
+        assert path is not None
+        for u in np.linspace(-0.3, 0.3, 13):
+            T = path.frame(float(u))[0]
+            ref = np.array([j.value() for j in vjet(xi, float(u), 0.0, 0)])
+            assert np.abs(T - ref).max() < 1e-9, (t, u)
+
+
 def test_theorem_A_sign_mismatch_rejected(d217):
     other = SwallowtailData(xi=("1", "u", "u^2"), b=("0", "0", "0-0.5"))  # sigma_g < 0
     with pytest.raises(dm.DeformError, match="mismatch"):

@@ -22,6 +22,7 @@ def test_parse_basic_trees():
     ("2*", 2),
     ("sin(u", 5),
     ("(u+v", 4),
+    ("(" * 101 + "u" + ")" * 101, 101),      # nested past jets.MAX_NESTING
 ])
 def test_parse_errors_carry_offsets(source, offset):
     with pytest.raises(ParseError) as err:
@@ -223,6 +224,25 @@ def test_grid_evaluation_matches_pointwise():
         for j in (0, 4):
             js = e.jet(uu[i, j], vv[i, j], 2)
             assert jg.coeff(1, 1)[i, j] == pytest.approx(js.coeff(1, 1), abs=1e-14)
+
+
+def test_series_helpers_batch_matches_columns():
+    """p1_* with a trailing batch axis equal the 1-D calls column by column."""
+    rng = np.random.default_rng(7)
+    a, b = rng.uniform(0.5, 1.5, (9, 5)), rng.uniform(0.5, 1.5, (9, 5))
+    f = a.copy()
+    f[0] = 0.0
+    batched = {"mul": jets.p1_mul(a, b), "div": jets.p1_div(a, b),
+               "compose": jets.p1_compose(a, f), "invert": jets.p1_invert(f)}
+    for k in range(5):
+        cols = {"mul": jets.p1_mul(a[:, k], b[:, k]), "div": jets.p1_div(a[:, k], b[:, k]),
+                "compose": jets.p1_compose(a[:, k], f[:, k]), "invert": jets.p1_invert(f[:, k])}
+        for name, col in cols.items():
+            np.testing.assert_allclose(batched[name][:, k], col, rtol=1e-12, err_msg=name)
+    # the reversion inverts: f(g(y)) = y
+    y = np.zeros_like(f)
+    y[1] = 1.0
+    np.testing.assert_allclose(jets.p1_compose(f, batched["invert"]), y, atol=1e-10)
 
 
 def test_backends_agree():
