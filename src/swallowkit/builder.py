@@ -17,6 +17,7 @@ curvature limit at the origin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.integrate import quad
@@ -251,15 +252,48 @@ def normal_on_axis(data):
 # Inverse problems: extract data, convert to asymptotic form
 # ---------------------------------------------------------------------------
 
-class _AxisRestriction:
-    """gamma(u) = f(u, 0) of a germ, as a provider."""
+def _xi_jet(germ, k, u, v, order):
+    """xi(u) = gamma'(u) / u of the germ's axis curve gamma(u) = f(u, 0)."""
+    gj = germ.fjet(u, 0.0, order + 2)[k].axis_part()
+    gp = gj.du()
+    if u == 0.0:
+        return gp.divide_by_u()
+    uj = Jet2.variable("u", u, order + 1, ())
+    return (gp / uj).truncate(order)
 
-    def __init__(self, germ, k):
-        self.germ = germ
-        self.k = k
 
-    def jet(self, u, v, order, memo=None):
-        return self.germ.fjet(u, 0.0, order)[self.k].axis_part()
+def _alpha_jet(germ, xi, u, v, order):
+    """alpha(u) with a(u, 0) = alpha(u) xi(u)."""
+    Fj = germ.fjet(u, 0.0, order + 2)
+    a_axis = tuple((c - c.axis_part()).divide_by_v().axis_part() for c in Fj)
+    xj = _vjet(xi, u, 0.0, order + 1)
+    num = dot(a_axis, xj)
+    den = dot(xj, xj)
+    return (num / den).truncate(order)
+
+
+def _b_jet(germ, alpha, k, u, w, order):
+    """b in the normalized coordinates (v replaced by v alpha(u))."""
+    K = order + 3
+    aj = _pjet(alpha, u, 0.0, K)
+    a_here = aj.value()
+    v_here = w / a_here
+    Fj = germ.fjet(u, v_here, K)[k]
+    # b~(u, v) = (a(u,v) - a(u,0)) / v with a = (f - gamma)/v
+    if v_here == 0.0:
+        a_full = (Fj - Fj.axis_part()).divide_by_v()
+        btilde = (a_full - a_full.axis_part()).divide_by_v()
+    else:
+        vj = Jet2.variable("v", v_here, K, ())
+        a_full = (Fj - Fj.axis_part()) / vj
+        btilde = (a_full - a_full.axis_part()) / vj
+    # compose with v = w / alpha(u): U = u-var, V = w-var / alpha
+    o = btilde.order
+    uj = Jet2.variable("u", u, o, ())
+    wj = Jet2.variable("v", w, o, ())
+    Vin = wj / aj.truncate(o)
+    out = compose2(btilde.c, o, uj, Vin)
+    return (out / (aj.truncate(out.order) * aj.truncate(out.order))).truncate(order)
 
 
 def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
@@ -277,9 +311,6 @@ def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
     if np.linalg.norm(fu0) > 1e-8 * (1 + np.linalg.norm(fv0)):
         raise BuildError("origin is not of the second kind in these coordinates")
 
-    # gamma' must vanish at 0 and the axis must be singular
-    gamma_j = tuple(c.axis_part() for c in F0)
-    xi0 = np.array([c.partial(2, 0) / 2 for c in gamma_j])  # gamma''(0)/2... xi(0) = gamma''(0)
     # consistency: a(u,0) parallel to xi at samples
     for uu in (-0.1, -0.05, 0.05, 0.1):
         Fj = germ.fjet(uu, 0.0, 3)
@@ -290,73 +321,59 @@ def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
             raise BuildError(f"not admissible: f_v(u,0) not parallel to xi(u) at u={uu}"
                              f" (residual {np.linalg.norm(c):.3g})")
 
-    class Xi:
-        def __init__(self, germ, k):
-            self.germ, self.k = germ, k
-
-        def jet(self, u, v, order, memo=None):
-            gj = self.germ.fjet(u, 0.0, order + 2)[self.k].axis_part()
-            gp = gj.du()
-            if u == 0.0:
-                return gp.divide_by_u()
-            uj = Jet2.variable("u", u, order + 1, ())
-            return (gp / uj).truncate(order)
-
-    xi = tuple(Xi(germ, k) for k in range(3))
-
-    class Alpha:
-        """alpha(u) with a(u, 0) = alpha(u) xi(u)."""
-
-        def __init__(self, germ, xi):
-            self.germ, self.xi = germ, xi
-
-        def jet(self, u, v, order, memo=None):
-            Fj = self.germ.fjet(u, 0.0, order + 2)
-            a_axis = tuple((c - c.axis_part()).divide_by_v().axis_part() for c in Fj)
-            xj = _vjet(self.xi, u, 0.0, order + 1)
-            num = dot(a_axis, xj)
-            den = dot(xj, xj)
-            return (num / den).truncate(order)
-
-    alpha = Alpha(germ, xi)
+    xi = tuple(JetFn(partial(_xi_jet, germ, k)) for k in range(3))
+    alpha = JetFn(partial(_alpha_jet, germ, xi))
     a0val = _pjet(alpha, 0.0, 0.0, 0).value()
     if abs(a0val) < 1e-10:
         raise BuildError("degenerate extraction: alpha(0) = 0")
-
-    class Bfield:
-        """b in the normalized coordinates (v replaced by v alpha(u))."""
-
-        def __init__(self, germ, xi, alpha, k):
-            self.germ, self.xi, self.alpha, self.k = germ, xi, alpha, k
-
-        def jet(self, u, w, order, memo=None):
-            K = order + 3
-            aj = _pjet(self.alpha, u, 0.0, K)
-            a_here = aj.value()
-            v_here = w / a_here
-            Fj = self.germ.fjet(u, v_here, K)[self.k]
-            # b~(u, v) = (a(u,v) - a(u,0)) / v with a = (f - gamma)/v
-            if v_here == 0.0:
-                a_full = (Fj - Fj.axis_part()).divide_by_v()
-                btilde = (a_full - a_full.axis_part()).divide_by_v()
-            else:
-                vj = Jet2.variable("v", v_here, K, ())
-                a_full = (Fj - Fj.axis_part()) / vj
-                btilde = (a_full - a_full.axis_part()) / vj
-            # compose with v = w / alpha(u): U = u-var, V = w-var / alpha
-            o = btilde.order
-            uj = Jet2.variable("u", u, o, ())
-            wj = Jet2.variable("v", w, o, ())
-            Vin = wj / aj.truncate(o)
-            out = compose2(btilde.c, o, uj, Vin)
-            return (out / (aj.truncate(out.order) * aj.truncate(out.order))).truncate(order)
-
-    b = tuple(Bfield(germ, xi, alpha, k) for k in range(3))
+    b = tuple(JetFn(partial(_b_jet, germ, alpha, k)) for k in range(3))
     d = SwallowtailData.__new__(SwallowtailData)
     d.xi = xi
     d.b = b
     d.gamma = None
     return d
+
+
+def _r_jet(data, gamma, p, q, k, u, w, order):
+    """r(u, w) = (f(u, v(w)) - gamma - w xi - w^2 q xi') / w^3."""
+    K = order + 4
+    pj = _pjet(p, u, 0.0, K)
+    pval = pj.value()
+    # v solving v + v^2 p(u) = w
+    if w == 0.0:
+        v0 = 0.0
+    else:
+        v0 = w
+        for _ in range(60):
+            g = v0 + v0 * v0 * pval - w
+            gp = 1 + 2 * v0 * pval
+            v0 -= g / gp
+    uj = Jet2.variable("u", u, K, ())
+    wj = Jet2.variable("v", w, K, ())
+    # jets of v(u, w): Newton on jets for W(u, v) = v + v^2 p(u)
+    Vj = Jet2.constant(v0, K, ())
+    for _ in range(6):
+        Wv = Vj + Vj * Vj * pj
+        dW = 1.0 + 2.0 * Vj * pj
+        Vj = Vj - (Wv - wj) / dW
+    xj = _vjet(data.xi, u, 0.0, K)
+    dxj = tuple(c.du() for c in _vjet(data.xi, u, 0.0, K + 1))
+    g = _pjet(gamma[k], u, 0.0, K)
+    # f(u, v(w)) assembled from the data, with b composed through v(w)
+    bj = _pjet(data.b[k], u, v0, K)
+    bj = compose2(bj.c, K, uj.truncate(K), Vj.truncate(K))
+    f = g.truncate(bj.order) + Vj.truncate(bj.order) * xj[k].truncate(bj.order) \
+        + Vj.truncate(bj.order) * Vj.truncate(bj.order) * bj
+    qj = _pjet(q, u, 0.0, K)
+    o = f.order
+    core = (f - g.truncate(o) - wj.truncate(o) * xj[k].truncate(o)
+            - wj.truncate(o) * wj.truncate(o) * qj.truncate(o) * dxj[k].truncate(o))
+    for _ in range(3):
+        if w == 0.0:
+            core = core.divide_by_v(tol=1e-7)
+        else:
+            core = core / wj.truncate(core.order)
+    return core.truncate(order)
 
 
 def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0, 0.05, 0.1),
@@ -396,54 +413,8 @@ def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0,
     q = coef("q")
     p = coef("p")
 
-    class R:
-        """r(u, w) = (f(u, v(w)) - gamma - w xi - w^2 q xi') / w^3."""
-
-        def __init__(self, data, p, q, k):
-            self.data, self.p, self.q, self.k = data, p, q, k
-            self.gamma = gamma_from_xi(data.xi)
-
-        def jet(self, u, w, order, memo=None):
-            K = order + 4
-            pj = _pjet(self.p, u, 0.0, K)
-            pval = pj.value()
-            # v solving v + v^2 p(u) = w
-            if w == 0.0:
-                v0 = 0.0
-            else:
-                v0 = w
-                for _ in range(60):
-                    g = v0 + v0 * v0 * pval - w
-                    gp = 1 + 2 * v0 * pval
-                    v0 -= g / gp
-            uj = Jet2.variable("u", u, K, ())
-            wj = Jet2.variable("v", w, K, ())
-            # jets of v(u, w): Newton on jets for W(u, v) = v + v^2 p(u)
-            Vj = Jet2.constant(v0, K, ())
-            for _ in range(6):
-                Wv = Vj + Vj * Vj * pj
-                dW = 1.0 + 2.0 * Vj * pj
-                Vj = Vj - (Wv - wj) / dW
-            xj = _vjet(self.data.xi, u, 0.0, K)
-            dxj = tuple(c.du() for c in _vjet(self.data.xi, u, 0.0, K + 1))
-            g = _pjet(self.gamma[self.k], u, 0.0, K)
-            # f(u, v(w)) assembled from the data, with b composed through v(w)
-            bj = _pjet(self.data.b[self.k], u, v0, K)
-            bj = compose2(bj.c, K, uj.truncate(K), Vj.truncate(K))
-            f = g.truncate(bj.order) + Vj.truncate(bj.order) * xj[self.k].truncate(bj.order) \
-                + Vj.truncate(bj.order) * Vj.truncate(bj.order) * bj
-            qj = _pjet(self.q, u, 0.0, K)
-            o = f.order
-            core = (f - g.truncate(o) - wj.truncate(o) * xj[self.k].truncate(o)
-                    - wj.truncate(o) * wj.truncate(o) * qj.truncate(o) * dxj[self.k].truncate(o))
-            for _ in range(3):
-                if w == 0.0:
-                    core = core.divide_by_v(tol=1e-7)
-                else:
-                    core = core / wj.truncate(core.order)
-            return core.truncate(order)
-
-    r = tuple(R(data, p, q, k) for k in range(3))
+    gamma = gamma_from_xi(data.xi)
+    r = tuple(JetFn(partial(_r_jet, data, gamma, p, q, k)) for k in range(3))
     out = AsymptoticData.__new__(AsymptoticData)
     out.xi = data.xi
     out.q = q
@@ -456,6 +427,16 @@ def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0,
 # Existence along a prescribed cusp
 # ---------------------------------------------------------------------------
 
+class _NegFlip:
+    """Provider of -f(-u, v)."""
+
+    def __init__(self, base):
+        self.base = FlipU(base)
+
+    def jet(self, u, v, order, memo=None):
+        return -self.base.jet(u, v, order)
+
+
 def flip_data(data):
     """Data of the germ composed with (u, v) -> (-u, -v); flips sigma0_S."""
     g = getattr(data, "gamma", None) or gamma_from_xi(data.xi)
@@ -465,15 +446,7 @@ def flip_data(data):
         d = AsymptoticData.__new__(AsymptoticData)
         d.xi = tuple(FlipU(c) for c in data.xi)
         d.gamma = gflip
-
-        class NegFlip:
-            def __init__(self, base):
-                self.base = FlipU(base)
-
-            def jet(self, u, v, order, memo=None):
-                return -self.base.jet(u, v, order)
-
-        d.q = NegFlip(data.q)
+        d.q = _NegFlip(data.q)
         d.r = tuple(FlipU(c) for c in data.r)
         return d
     d = SwallowtailData.__new__(SwallowtailData)

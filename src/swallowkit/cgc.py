@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._jettables import index_of
-from .fields import JetFn
+from .fields import BoundedCache, JetFn
 from .frontal import MapGerm, classify
 from .jets import Jet2, jet_cosh, jet_exp, jet_sinh, jet_sqrt, p1_mul
 from .metric import SpaceForm
@@ -194,7 +194,6 @@ class OmegaField:
         if order >= 2:
             Fpp = -Fp / r - np.sinh(2 * F) / 2
             ru, rv = rj.c[index_of(1, 0)], rj.c[index_of(0, 1)]
-            out.c[index_of(2, 0)] = (Fpp * ru * ru + Fp * 2 * rj.c[index_of(2, 0)]) / 2 * 1.0
             out.c[index_of(2, 0)] = 0.5 * Fpp * ru * ru + Fp * rj.c[index_of(2, 0)]
             out.c[index_of(0, 2)] = 0.5 * Fpp * rv * rv + Fp * rj.c[index_of(0, 2)]
             out.c[index_of(1, 1)] = Fpp * ru * rv + Fp * rj.c[index_of(1, 1)]
@@ -367,21 +366,6 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
         k2 = rhs(u + h / 2, state + h / 2 * k1)
         k3 = rhs(u + h / 2, state + h / 2 * k2)
         k4 = rhs(u + h, state + h * k3)
-        return state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    def rk4_v(u, v, state, h):
-        def rhs(vv, st):
-            j = om.jet(u, vv, 1)
-            w = np.asarray(j.value())
-            wu = np.asarray(j.partial(1, 0))
-            wv = np.asarray(j.partial(0, 1))
-            E = np.exp(2 * w)
-            N = np.exp(w) * np.sinh(w)
-            return _gw_rhs_v(st, w, wu, wv, N, E)
-        k1 = rhs(v, state)
-        k2 = rhs(v + h / 2, state + h / 2 * k1)
-        k3 = rhs(v + h / 2, state + h / 2 * k2)
-        k4 = rhs(v + h, state + h * k3)
         return state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     # spine along v = base[1] through the base point, with substeps
@@ -586,12 +570,13 @@ class ParallelGerm:
         self.om = omega
         self.base = base
         self.step = step
-        self._states = {}
+        self._states = BoundedCache()
+        self._jets = BoundedCache()
 
     def _state_at(self, u, v):
-        key = (float(u), float(v))
-        if key in self._states:
-            return self._states[key]
+        return self._states.value((float(u), float(v)), lambda: self._integrate_to(u, v))
+
+    def _integrate_to(self, u, v):
         w0 = float(np.asarray(self.om.jet(*self.base, 0).value()))
         st = np.stack([np.zeros(3),
                        math.exp(w0) * np.array([1.0, 0.0, 0.0]),
@@ -640,11 +625,15 @@ class ParallelGerm:
                         k4 = rhs(uu, cur + h, st + h * k3)
                         st = st + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
                         cur += h
-        self._states[key] = st
         return st
 
     def jets(self, u, v, order):
-        """2-D jets of (f, fu, fv, nu) at (u, v) by prolongation."""
+        """2-D jets of (f, fu, fv, nu) at (u, v) by prolongation, memoised
+        per (u, v, order): the three components of the germ read them."""
+        return self._jets.value((float(u), float(v), order),
+                                lambda: self._prolong(u, v, order))
+
+    def _prolong(self, u, v, order):
         st = self._state_at(u, v)
         wj = self.om.jet(u, v, order + 1)
         E = jet_exp(2.0 * wj)

@@ -267,8 +267,6 @@ def main(argv=None):
                     "deformations and the constant-curvature pipeline.")
     p.add_argument("--tol-sign", type=float, default=fr.SIGN_TOL,
                    help="tolerance band for sign invariants (default %(default)g)")
-    p.add_argument("--tol-residual", type=float, default=1e-7,
-                   help="residual tolerance for identity checks (default %(default)g)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("classify", help="classification report at a point")

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import JetFn, Scaled, pjet, vjet
+from .fields import BoundedCache, JetFn, Scaled, pjet, vjet
 from .frontal import sgn
 from ._jettables import index_of
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
@@ -134,13 +134,6 @@ def mirror_properties(fact: CuspFactorization):
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
-def _bounded_put(cache, key, value):
-    """Store in a provider cache, cleared past 256 entries (as MapGerm._cache)."""
-    if len(cache) > 256:
-        cache.clear()
-    cache[key] = value
-
-
 class HalfArclength:
     """Reparametrization u = sgn(t) sqrt(2 phi(t)), phi(t) = int_0^t s|xi(s)| ds.
 
@@ -158,7 +151,8 @@ class HalfArclength:
     t(u) is one vectorized Newton iteration on phi(t) = u^2/2, seeded by
     interpolating the table and clamped to the side of sign(u); a scalar u
     goes through it as a one-element array.  Every method taking u or t
-    also takes an array of them (one jet per point).
+    also takes an array of them (one jet per point).  t(u) and the jets are
+    memoised in BoundedCaches; an array is keyed by its bytes.
     """
 
     T, PANELS = 1.5, 750          # half-width of the table and panels per side
@@ -174,8 +168,8 @@ class HalfArclength:
         # cumulative phi at the nodes 0, h, 2h, ... and 0, -h, -2h, ...
         self._cum = {1.0: np.zeros(1), -1.0: np.zeros(1)}
         self._extend(self.PANELS)
-        self._jet_cache = {}
-        self._t_cache = {}
+        self._jet_cache = BoundedCache()
+        self._t_cache = BoundedCache()
 
     def _speed(self, t):
         """|xi(t)| at an array of points, from one jet call."""
@@ -250,22 +244,12 @@ class HalfArclength:
         if np.ndim(u) != 0:
             return self._invert(np.asarray(u, dtype=float))
         u = float(u)
-        if u not in self._t_cache:
-            _bounded_put(self._t_cache, u, float(self._invert(np.array([u]))[0]))
-        return self._t_cache[u]
+        return self._t_cache.value(u, lambda: float(self._invert(np.array([u]))[0]))
 
     def _cached(self, tag, x, order, compute):
-        """Jets at x memoised per (tag, x) and reused at lower orders; an
-        array x is keyed by its bytes."""
         key = (tag, float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float).tobytes())
-        hit = self._jet_cache.get(key)
-        if hit is not None and hit[0] >= order:
-            out = hit[1]
-            return tuple(c.truncate(order) for c in out) if isinstance(out, tuple) \
-                else out.truncate(order)
-        out = compute()
-        _bounded_put(self._jet_cache, key, (order, out))
-        return out
+        out = self._jet_cache.jets(key, order)
+        return self._jet_cache.put_jets(key, order, compute()) if out is None else out
 
     def _speed_jet(self, t, order):
         def compute():
@@ -316,10 +300,12 @@ class HalfArclength:
         return self._cached("tj", u0, order, compute)
 
     def gamma_hat(self):
+        t_jet, gamma = self.t_jet, self.curve.gamma
+
         def comp(k):
             def fn(u, v, order):
-                tj = self.t_jet(u, order)
-                gj = pjet(self.curve.gamma[k], tj.value(), 0.0, order)
+                tj = t_jet(u, order)
+                gj = pjet(gamma[k], tj.value(), 0.0, order)
                 vj = Jet2.constant(0.0, order, np.shape(u))
                 return compose2(gj.c, order, tj, vj)
             return JetFn(fn)
@@ -338,17 +324,21 @@ class HalfArclength:
 
     def xi_hat(self):
         """Unit factorization field in the new parameter."""
+        xi_hat_jets = self.xi_hat_jets
+
         def comp(k):
             def fn(u, v, order):
-                return self.xi_hat_jets(u, order)[k]
+                return xi_hat_jets(u, order)[k]
             return JetFn(fn)
         return tuple(comp(k) for k in range(3))
 
     def speed(self):
         """Provider of |xi(t(u))| (the transverse rescaling factor)."""
+        t_jet, speed_jet = self.t_jet, self._speed_jet
+
         def fn(u, v, order):
-            tj = self.t_jet(u, order)
-            sp = self._speed_jet(tj.value(), order)
+            tj = t_jet(u, order)
+            sp = speed_jet(tj.value(), order)
             return compose2(sp.c, order, tj, Jet2.constant(0.0, order, np.shape(u)))
         return JetFn(fn)
 
@@ -403,7 +393,11 @@ def _gram_schmidt(Y):
 
 
 class FrenetPath:
-    """Integrated frame and curve on an interval around 0."""
+    """Integrated frame and curve on an interval around 0.
+
+    The Taylor series at a point are memoised per (u, order): the three
+    components of xi_providers and of cusp_curve_providers read the same
+    series."""
 
     def __init__(self, data: FrenetData, interval=(-1.0, 1.0), gamma0=(0.0, 0.0, 0.0),
                  reorthonormalize=True):
@@ -430,6 +424,7 @@ class FrenetPath:
                 u = u + step
                 self._nodes[round(u, 12)] = Y
         self.us = np.array(sorted(self._nodes))
+        self._series = BoundedCache()
 
     def _rk4(self, u, Y, h):
         f = lambda uu, YY: _frenet_rhs(uu, YY, self.data.kappa, self.data.tau)
@@ -466,7 +461,11 @@ class FrenetPath:
         return self.state(u)[9:12]
 
     def series(self, u0, order):
-        """Taylor series of (T, N, B, Gamma, int u T) at u0 from the Frenet relations."""
+        """Taylor series of (T, N, B, Gamma, int u T) at u0 from the Frenet
+        relations; shared arrays, never written into."""
+        return self._series.value((float(u0), order), lambda: self._series_at(u0, order))
+
+    def _series_at(self, u0, order):
         Y = self.state(u0)
         T0, N0, B0, G0, G20 = Y[0:3], Y[3:6], Y[6:9], Y[9:12], Y[12:15]
         kj = pjet(self.data.kappa, u0, 0.0, order)

@@ -20,7 +20,7 @@ from .builder import (AsymptoticData, BuildError, SwallowtailData, build,
                       build_asymptotic, discriminants, flip_data)
 from .curves import (CurveGerm, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of, integrate_frenet)
-from .fields import JetFn, Scaled, pjet, vjet
+from .fields import BoundedCache, JetFn, Scaled, pjet, vjet
 from .frontal import sgn
 from .jets import Jet2, compose2, jet_sqrt
 from .metric import cross, det3, dot
@@ -192,15 +192,16 @@ class _UnitXiData:
         self.H = HalfArclength(self.curve, xi=data.xi)
         self.xi = self.H.xi_hat()
         self.speed = self.H.speed()
+        t_jet, speed, b = self.H.t_jet, self.speed, data.b
 
         def bcomp(k):
             def fn(u, w, order):
                 K = order + 2
-                tj = self.H.t_jet(u, K)
-                Sj = pjet(self.speed, u, 0.0, K)
+                tj = t_jet(u, K)
+                Sj = pjet(speed, u, 0.0, K)
                 wj = Jet2.variable("v", w, K, ())
                 Vin = wj / Sj
-                bj = pjet(self.data.b[k], tj.value(), w / Sj.value(), K)
+                bj = pjet(b[k], tj.value(), w / Sj.value(), K)
                 out = compose2(bj.c, K, tj, Vin)
                 o = out.order
                 return (out / (Sj.truncate(o) * Sj.truncate(o))).truncate(order)
@@ -291,6 +292,20 @@ def _normal_field(xi):
 # The xi-interpolation stage shared by Theorems A and D
 # ---------------------------------------------------------------------------
 
+def _node_index(unodes, u):
+    """Index of u in the uniform grid unodes, or None off the grid."""
+    j = (u - unodes[0]) / (unodes[1] - unodes[0])
+    jr = round(j)
+    if abs(j - jr) < 1e-9 and 0 <= jr < len(unodes):
+        return int(jr)
+    return None
+
+
+def _kappa_tau_provider(xi):
+    """Provider of the (kappa, tau) jets of a unit field, as a pair."""
+    return JetFn(lambda u, v, order: curvature_torsion_of(xi, u, order))
+
+
 def _rotation_log(R):
     tr = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
     th = math.acos(tr)
@@ -323,8 +338,12 @@ class XiInterpolation:
     array-valued curvature_torsion_of call per endpoint field.  Jets at
     the (few) sample points off that grid go through the exact providers
     at scalar u; those endpoint (kappa, tau) jets do not depend on t, so
-    they are memoised per endpoint field and shared by every interpolated
-    path.
+    they come from one memoised provider per endpoint field, shared by
+    every interpolated path, and each path's kappa and tau providers
+    memoise their own jets per point as well.  The paths are memoised per
+    t.  The kappa and tau providers hold the tables and the endpoint memo,
+    not the interpolation, so a dropped family is freed by reference
+    counting.
     """
 
     def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):
@@ -343,8 +362,8 @@ class XiInterpolation:
         R1, R2 = self._frames
         self._w = _rotation_log(R1.T @ R2)
         self._R1 = R1
-        self._paths = {}
-        self._kt = {}
+        self._paths = BoundedCache()
+        self._kt = tuple(_kappa_tau_provider(xi) for xi in self.xi)
         # kappa/tau value tables at half-step resolution (every point the
         # fixed-step RK4 integrator touches)
         n = int(round((interval[1] - interval[0]) / (step / 2.0))) + 1
@@ -356,51 +375,28 @@ class XiInterpolation:
             self._ktab[i] = k.value()
             self._k2ttab[i] = k.value() * k.value() * tau.value()
 
-    def _node_index(self, u):
-        h = self._unodes[1] - self._unodes[0]
-        j = (u - self._unodes[0]) / h
-        jr = round(j)
-        if abs(j - jr) < 1e-9 and 0 <= jr < len(self._unodes):
-            return int(jr)
-        return None
-
-    def _endpoint_kt(self, i, u, order):
-        """(kappa, tau) jets of endpoint field i at u, memoised (bounded as
-        MapGerm._cache).  Callers only combine them into new jets: the cached
-        jets are never mutated, so a racing worker at worst recomputes one."""
-        if np.ndim(u) != 0:
-            return curvature_torsion_of(self.xi[i], u, order)
-        key = (i, float(u), order)
-        hit = self._kt.get(key)
-        if hit is None:
-            hit = curvature_torsion_of(self.xi[i], u, order)
-            if len(self._kt) > 256:
-                self._kt.clear()
-            self._kt[key] = hit
-        return hit
-
     def kappa_tau(self, t):
-        interp = self
+        unodes, ktab, k2ttab, (kt1, kt2) = self._unodes, self._ktab, self._k2ttab, self._kt
 
         def kfn(u, v, order):
             if order == 0 and np.ndim(u) == 0:
-                j = interp._node_index(float(u))
+                j = _node_index(unodes, float(u))
                 if j is not None:
-                    val = (1.0 - t) * interp._ktab[0, j] + t * interp._ktab[1, j]
+                    val = (1.0 - t) * ktab[0, j] + t * ktab[1, j]
                     return Jet2.constant(val, 0, ())
-            k1, _ = interp._endpoint_kt(0, u, order)
-            k2, _ = interp._endpoint_kt(1, u, order)
+            k1, _ = kt1.jet(u, 0.0, order)
+            k2, _ = kt2.jet(u, 0.0, order)
             return (1.0 - t) * k1 + t * k2
 
         def tfn(u, v, order):
             if order == 0 and np.ndim(u) == 0:
-                j = interp._node_index(float(u))
+                j = _node_index(unodes, float(u))
                 if j is not None:
-                    kv = (1.0 - t) * interp._ktab[0, j] + t * interp._ktab[1, j]
-                    num = (1.0 - t) * interp._k2ttab[0, j] + t * interp._k2ttab[1, j]
+                    kv = (1.0 - t) * ktab[0, j] + t * ktab[1, j]
+                    num = (1.0 - t) * k2ttab[0, j] + t * k2ttab[1, j]
                     return Jet2.constant(num / (kv * kv), 0, ())
-            k1, t1 = interp._endpoint_kt(0, u, order)
-            k2, t2 = interp._endpoint_kt(1, u, order)
+            k1, t1 = kt1.jet(u, 0.0, order)
+            k2, t2 = kt2.jet(u, 0.0, order)
             kt = (1.0 - t) * k1 + t * k2
             num = (1.0 - t) * k1 * k1 * t1 + t * k2 * k2 * t2
             return num / (kt * kt)
@@ -408,13 +404,12 @@ class XiInterpolation:
         return JetFn(kfn), JetFn(tfn)
 
     def path(self, t) -> FrenetPath:
-        key = round(float(t), 12)
-        if key not in self._paths:
+        def integrate():
             kp, tp = self.kappa_tau(t)
             frame0 = self._R1 @ _rotation_exp(t * self._w)
             fd = FrenetData(kappa=kp, tau=tp, frame0=frame0, step=self.step)
-            self._paths[key] = integrate_frenet(fd, interval=self.interval)
-        return self._paths[key]
+            return integrate_frenet(fd, interval=self.interval)
+        return self._paths.value(round(float(t), 12), integrate)
 
     def xi_t(self, t):
         """Providers of the interpolated unit field at parameter t."""

@@ -3,6 +3,14 @@
 Anything with a .jet(u, v, order) method can serve as a germ component or
 a data field; expressions are the parseable case, these wrappers cover
 derivatives, pullbacks, quadrature-backed primitives and ad-hoc formulas.
+
+Provider contract: jet(u, v, order) is a pure function of (u, v, order),
+and the jets it returns may be shared (with its memo and with every other
+caller), so callers never write into the .c of a jet they were given; they
+build a new jet instead.  Composite providers, whose jet assembles a new
+jet from other providers, are JetFns, which memoise their jets per scalar
+point in a BoundedCache; thin wrappers that only rescale, flip or
+differentiate a base provider (Scaled, FlipU, DU) are not cached.
 """
 
 from __future__ import annotations
@@ -12,6 +20,58 @@ from scipy.integrate import quad
 
 from .jets import Expr, Jet2
 from ._jettables import index_of, monomials
+
+
+CACHE_BOUND = 256
+_MISS = object()
+
+
+def _truncate(out, order):
+    return tuple(c.truncate(order) for c in out) if isinstance(out, tuple) \
+        else out.truncate(order)
+
+
+class BoundedCache:
+    """The one cache policy of the providers: a dict cleared, whole, once it
+    holds more than CACHE_BOUND entries.
+
+    value() memoises a plain value per key.  put_jets() stores a jet, or a
+    tuple of jets, computed at some order; jets() answers that order and
+    every lower one by truncation, which is exact because a Taylor
+    coefficient of degree k depends only on coefficients of degree <= k.
+    A racing thread at worst recomputes an entry.
+    """
+
+    __slots__ = ("_d",)
+
+    def __init__(self):
+        self._d = {}
+
+    def __len__(self):
+        return len(self._d)
+
+    def _put(self, key, item):
+        if len(self._d) > CACHE_BOUND:
+            self._d.clear()
+        self._d[key] = item
+
+    def value(self, key, compute):
+        out = self._d.get(key, _MISS)
+        if out is _MISS:
+            out = compute()
+            self._put(key, out)
+        return out
+
+    def jets(self, key, order):
+        """The jets at key truncated to order, or None if not computed to it."""
+        hit = self._d.get(key)
+        if hit is not None and hit[0] >= order:
+            return _truncate(hit[1], order)
+        return None
+
+    def put_jets(self, key, order, jets):
+        self._put(key, (order, jets))
+        return jets
 
 
 def pjet(p, u, v, order):
@@ -24,13 +84,22 @@ def vjet(vec, u, v, order):
 
 
 class JetFn:
-    """Wraps a function (u, v, order) -> Jet2."""
+    """Composite provider: wraps a function (u, v, order) -> Jet2 (or a
+    tuple of jets) that assembles jets from other providers, and memoises
+    it per scalar point (u, v); array u or v bypass the memo."""
 
     def __init__(self, fn):
         self._fn = fn
+        self._memo = BoundedCache()
 
     def jet(self, u, v, order, memo=None):
-        return self._fn(u, v, order)
+        if np.ndim(u) or np.ndim(v):
+            return self._fn(u, v, order)
+        key = (float(u), float(v))
+        out = self._memo.jets(key, order)
+        if out is None:
+            out = self._memo.put_jets(key, order, self._fn(u, v, order))
+        return out
 
 
 class DU:
@@ -85,14 +154,12 @@ class CurveIntegral:
 
     def __init__(self, g):
         self.g = g
-        self._cache = {}
+        self._cache = BoundedCache()
 
     def _value(self, u):
-        u = float(u)
-        if u not in self._cache:
-            val, _ = quad(lambda t: t * pjet(self.g, t, 0.0, 0).value(), 0.0, u, limit=200)
-            self._cache[u] = val
-        return self._cache[u]
+        g = self.g
+        return self._cache.value(float(u), lambda: quad(
+            lambda t: t * pjet(g, t, 0.0, 0).value(), 0.0, float(u), limit=200)[0])
 
     def jet(self, u, v, order, memo=None):
         if np.ndim(u) != 0:

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metric as mt
+from .fields import BoundedCache
 from .jets import Expr, Jet2, JetError, compose2, parse
 from .metric import SpaceForm, cross, det3, dot, vadd, vscale, vsub
 
@@ -57,7 +58,7 @@ class MapGerm:
         self.p0 = (float(p0[0]), float(p0[1]))
         self.exprs = exprs
         self.data = data
-        self._cache = {}
+        self._cache = BoundedCache()
 
     @staticmethod
     def from_exprs(exprs, sf=SpaceForm(0.0), p0=(0.0, 0.0), data=None):
@@ -65,21 +66,17 @@ class MapGerm:
         return MapGerm(comps, sf=sf, p0=p0, exprs=comps, data=data)
 
     def fjet(self, u, v, order=ORDER):
-        if np.ndim(u) == 0:
-            key = (float(u), float(v))
-            hit = self._cache.get(key)
-            if hit is not None and hit[0].order >= order:
-                return tuple(c.truncate(order) for c in hit)
-            memo = {}
-            out = tuple(c.jet(u, v, order, memo) if isinstance(c, Expr) else c.jet(u, v, order)
-                        for c in self._components)
-            if len(self._cache) > 256:
-                self._cache.clear()
-            self._cache[key] = out
-            return out
+        key = (float(u), float(v)) if np.ndim(u) == 0 else None
+        if key is not None:
+            out = self._cache.jets(key, order)
+            if out is not None:
+                return out
         memo = {}
-        return tuple(c.jet(u, v, order, memo) if isinstance(c, Expr) else c.jet(u, v, order)
-                     for c in self._components)
+        out = tuple(c.jet(u, v, order, memo) if isinstance(c, Expr) else c.jet(u, v, order)
+                    for c in self._components)
+        if key is not None:
+            self._cache.put_jets(key, order, out)
+        return out
 
     def value(self, u, v):
         return np.array([j.value() for j in self.fjet(u, v, order=0)])
@@ -584,13 +581,18 @@ def fundamental_forms(germ: MapGerm, at, order=3):
 
 
 def gaussian_curvature(germ: MapGerm, at):
-    """(K, K_ext) at a regular point; K = a + K_ext by the Gauss equation."""
+    """(K, K_ext) at a regular point.
+
+    The model metric w^-2 g_E, w = 1 + a|p|^2, has constant sectional
+    curvature 4a (at the origin Hess(-ln w) = -2a I, and each of the two
+    directions of a plane contributes 2a), so the Gauss equation gives
+    K = 4a + K_ext."""
     E, F, G, L, M, N = fundamental_forms(germ, at)
     den = E * G - F * F
     if den == 0.0:
         raise ClassificationError(f"singular point at {at}")
     K_ext = (L * N - M * M) / den
-    return germ.sf.a + K_ext, K_ext
+    return 4.0 * germ.sf.a + K_ext, K_ext
 
 
 def mean_curvature(germ: MapGerm, at):

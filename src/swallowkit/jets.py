@@ -603,7 +603,11 @@ ONE = Const(1.0)
 # ---------------------------------------------------------------------------
 
 _NUM_START = set("0123456789.")
-MAX_NESTING = 100      # parentheses and function calls; keeps the recursion bounded
+# Bound on the enclosing parentheses plus the depth of the tree below: it
+# keeps the parser's recursion and every recursive walk of a parsed tree
+# (jet, fold, diff, to_source, hashing) bounded.  A chain of n binary
+# operators builds a tree n levels deep, so it counts as n levels.
+MAX_NESTING = 100
 
 
 class _Scanner:
@@ -612,14 +616,23 @@ class _Scanner:
         self.pos = 0
         self.depth = 0
 
+    def _too_deep(self):
+        return ParseError(f"expression nested deeper than {MAX_NESTING} levels", self.pos)
+
     def nested(self, parse_inner):
         """Parse an expression one level of nesting deeper."""
         if self.depth >= MAX_NESTING:
-            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", self.pos)
+            raise self._too_deep()
         self.depth += 1
-        e = parse_inner(self)
+        out = parse_inner(self)
         self.depth -= 1
-        return e
+        return out
+
+    def node(self, depth):
+        """Depth of a new node over subtrees at most `depth` deep."""
+        if self.depth + depth + 1 > MAX_NESTING:
+            raise self._too_deep()
+        return depth + 1
 
     def skip_ws(self):
         while self.pos < len(self.src) and self.src[self.pos].isspace():
@@ -679,83 +692,76 @@ class _Scanner:
 def parse(source: str) -> Expr:
     """Parse an expression in u, v; raises ParseError with a byte offset."""
     sc = _Scanner(source)
-    e = _parse_expr(sc)
+    e, _ = _parse_expr(sc)
     sc.skip_ws()
     if sc.pos != len(sc.src):
         raise ParseError(f"unexpected {sc.src[sc.pos]!r}", sc.pos)
     return e
 
 
-def _parse_expr(sc: _Scanner) -> Expr:
-    ch = sc.peek()
-    negate = False
-    if ch in "+-":
-        negate = ch == "-"
+# Each _parse_* returns (tree, depth of the tree).
+
+def _parse_chain(sc: _Scanner, operand, ops, first=None):
+    """first-or-operand (op operand)* as a left-deep tree; ops maps "+" etc.
+    to node classes."""
+    e, d = first or operand(sc)
+    while sc.peek() in ops:
+        node = ops[sc.src[sc.pos]]
         sc.pos += 1
-    e = _parse_term(sc)
-    if negate:
-        e = Neg(e)
-    while True:
-        ch = sc.peek()
-        if ch == "+":
-            sc.pos += 1
-            e = Add(e, _parse_term(sc))
-        elif ch == "-":
-            sc.pos += 1
-            e = Sub(e, _parse_term(sc))
-        else:
-            return e
+        rhs, dr = operand(sc)
+        e, d = node(e, rhs), sc.node(max(d, dr))
+    return e, d
 
 
-def _parse_term(sc: _Scanner) -> Expr:
-    e = _parse_factor(sc)
-    while True:
-        ch = sc.peek()
-        if ch == "*":
-            sc.pos += 1
-            e = Mul(e, _parse_factor(sc))
-        elif ch == "/":
-            sc.pos += 1
-            e = Div(e, _parse_factor(sc))
-        else:
-            return e
+def _parse_expr(sc: _Scanner):
+    ch = sc.peek()
+    if ch in ("+", "-"):
+        sc.pos += 1
+    e, d = _parse_term(sc)
+    if ch == "-":
+        e, d = Neg(e), sc.node(d)
+    return _parse_chain(sc, _parse_term, {"+": Add, "-": Sub}, (e, d))
 
 
-def _parse_factor(sc: _Scanner) -> Expr:
-    e = _parse_base(sc)
+def _parse_term(sc: _Scanner):
+    return _parse_chain(sc, _parse_factor, {"*": Mul, "/": Div})
+
+
+def _parse_factor(sc: _Scanner):
+    e, d = _parse_base(sc)
     if sc.peek() == "^":
         sc.pos += 1
-        e = Pow(e, sc.integer())
-    return e
+        e, d = Pow(e, sc.integer()), sc.node(d)
+    return e, d
 
 
-def _parse_base(sc: _Scanner) -> Expr:
+def _parse_base(sc: _Scanner):
     ch = sc.peek()
     pos = sc.pos
     if ch == "":
         raise ParseError("unexpected end of input", pos)
     if ch == "(":
         sc.pos += 1
-        e = sc.nested(_parse_expr)
+        out = sc.nested(_parse_expr)
         if sc.peek() != ")":
             raise ParseError("expected ')'", sc.pos)
         sc.pos += 1
-        return e
+        return out
     if ch in _NUM_START:
-        return Const(sc.number())
+        return Const(sc.number()), 0
     if ch.isalpha():
         name, start = sc.ident()
         if name in ("u", "v"):
-            return Var(name)
+            return Var(name), 0
         if name in FUNCTIONS:
             if sc.peek() != "(":
                 raise ParseError(f"expected '(' after {name}", sc.pos)
             sc.pos += 1
-            arg = sc.nested(_parse_expr)
+            arg, d = sc.nested(_parse_expr)
             if sc.peek() != ")":
                 raise ParseError("expected ')'", sc.pos)
             sc.pos += 1
-            return Func(name, arg)
+            return Func(name, arg), sc.node(d)
         raise ParseError(f"unknown identifier {name!r}", start)
     raise ParseError(f"unexpected {ch!r}", pos)
 

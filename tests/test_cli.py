@@ -84,6 +84,19 @@ def test_deeply_nested_expression_exit_2(tmp_path, capsys):
     assert "nested" in err and "Traceback" not in err
 
 
+def test_long_flat_sum_exit_2(tmp_path, capsys):
+    """A sum builds a tree as deep as it is long; past jets.MAX_NESTING
+    terms it is refused as input, not left to overflow the recursion."""
+    spec = tmp_path / "long.json"
+    spec.write_text(json.dumps({"kind": "swallowtail-data",
+                                "xi": ["2" + "+0*u" * 3000, "3*u", "0"],
+                                "b": ["0", "0", "1"], "a": 0.0}))
+    code = main(["classify", str(spec)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "nested" in err and "Traceback" not in err
+
+
 def test_invariants_includes_discriminants(specs, capsys):
     code, out = run(capsys, "invariants", str(specs / "fplus.json"))
     assert code == 0

@@ -321,11 +321,57 @@ def test_K_relation_between_models_at_origin_limit(fplus):
     assert vals[2] == pytest.approx(vals[1], rel=1e-4)
 
 
-def test_K_a_minus_K_ext_is_a(ex217):
+def _brioschi_K(E, F, G, u, v, h=1e-4):
+    """Intrinsic curvature of E du^2 + 2F du dv + G dv^2 at (u, v) by the
+    Brioschi formula, with central differences for the derivatives."""
+    def du(f):
+        return (f(u + h, v) - f(u - h, v)) / (2 * h)
+
+    def dv(f):
+        return (f(u, v + h) - f(u, v - h)) / (2 * h)
+
+    def duu(f):
+        return (f(u + h, v) - 2 * f(u, v) + f(u - h, v)) / h ** 2
+
+    def dvv(f):
+        return (f(u, v + h) - 2 * f(u, v) + f(u, v - h)) / h ** 2
+
+    def duv(f):
+        return (f(u + h, v + h) - f(u + h, v - h) - f(u - h, v + h)
+                + f(u - h, v - h)) / (4 * h ** 2)
+
+    e, f, g = E(u, v), F(u, v), G(u, v)
+    A = np.array([[-dvv(E) / 2 + duv(F) - duu(G) / 2, du(E) / 2, du(F) - dv(E) / 2],
+                  [dv(F) - du(G) / 2, e, f],
+                  [dv(G) / 2, f, g]])
+    B = np.array([[0.0, dv(E) / 2, du(G) / 2],
+                  [dv(E) / 2, e, f],
+                  [du(G) / 2, f, g]])
+    return (np.linalg.det(A) - np.linalg.det(B)) / (e * g - f * f) ** 2
+
+
+def test_K_matches_brioschi_intrinsic_curvature(ex217):
+    """K is the intrinsic curvature of the induced metric: for ex217,
+    (u^2+2v, u^3+3uv, v^2) in the model metric w^-2 g_E, w = 1 + a|p|^2,
+    and K - K_ext is the sectional curvature 4a of the model."""
+    u0, v0 = 0.05, 0.07
     for a in (-1.0, 0.5, 2.0):
-        germ = build(ex217.data, a=a)
-        K, Kext = fr.gaussian_curvature(germ, (0.05, 0.07))
-        assert K - Kext == pytest.approx(a, abs=1e-12)
+        def w2(u, v):
+            p = np.array([u * u + 2 * v, u ** 3 + 3 * u * v, v * v])
+            return (1.0 + a * np.dot(p, p)) ** 2
+
+        def fu(u, v):
+            return np.array([2 * u, 3 * u * u + 3 * v, 0.0])
+
+        def fv(u, v):
+            return np.array([2.0, 3 * u, 2 * v])
+
+        K_int = _brioschi_K(lambda u, v: np.dot(fu(u, v), fu(u, v)) / w2(u, v),
+                            lambda u, v: np.dot(fu(u, v), fv(u, v)) / w2(u, v),
+                            lambda u, v: np.dot(fv(u, v), fv(u, v)) / w2(u, v), u0, v0)
+        K, Kext = fr.gaussian_curvature(build(ex217.data, a=a), (u0, v0))
+        assert K == pytest.approx(K_int, rel=1e-4)
+        assert K - Kext == pytest.approx(4 * a, abs=1e-12)
 
 
 # -- Theorem C as a property ---------------------------------------------------

@@ -30,6 +30,18 @@ def test_parse_errors_carry_offsets(source, offset):
     assert err.value.offset == offset
 
 
+def test_flat_sum_depth_bound():
+    """A 50-term sum parses to the jet of its value; a chain longer than
+    jets.MAX_NESTING is a ParseError."""
+    from swallowkit.jets import MAX_NESTING
+    terms = [f"{k}*u^{k % 4}*v" for k in range(1, 51)]
+    got = parse(" + ".join(terms)).jet(0.3, -0.2, 4)
+    want = sum(parse(t).jet(0.3, -0.2, 4).c for t in terms)
+    np.testing.assert_allclose(got.c, want, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ParseError, match="nested deeper"):
+        parse("u" + "*u" * (MAX_NESTING + 1))
+
+
 def test_unknown_identifier():
     with pytest.raises(ParseError, match="unknown identifier 'w'"):
         parse("w + 1")
