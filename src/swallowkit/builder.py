@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.integrate import quad
 
 from .frontal import MapGerm, sgn
 from .jets import (Expr, Jet2, JetError, as_expr, compose2, diff, fold,
@@ -36,7 +35,8 @@ class BuildError(ValueError):
 # Jet providers
 # ---------------------------------------------------------------------------
 
-from .fields import CurveIntegral, DU, FlipU, JetFn, Scaled, pjet as _pjet, vjet as _vjet
+from .fields import (CurveIntegral, DU, FlipU, JetFn, Scaled, over_u, pjet as _pjet,
+                     vjet as _vjet)
 
 
 def gamma_from_xi(xi):
@@ -252,14 +252,15 @@ def normal_on_axis(data):
 # Inverse problems: extract data, convert to asymptotic form
 # ---------------------------------------------------------------------------
 
+def _gamma_jet(germ, k, f00_k, u, v, order):
+    """gamma(u) = f(u, 0) - f(0, 0), the germ's own axis curve.  It reads f at
+    the order _xi_jet reads, so that build evaluates f(u, 0) once for both."""
+    return germ.fjet(u, 0.0, order + 2)[k].axis_part().truncate(order) - f00_k
+
+
 def _xi_jet(germ, k, u, v, order):
     """xi(u) = gamma'(u) / u of the germ's axis curve gamma(u) = f(u, 0)."""
-    gj = germ.fjet(u, 0.0, order + 2)[k].axis_part()
-    gp = gj.du()
-    if u == 0.0:
-        return gp.divide_by_u()
-    uj = Jet2.variable("u", u, order + 1, ())
-    return (gp / uj).truncate(order)
+    return over_u(germ.fjet(u, 0.0, order + 2)[k].axis_part().du(), u)
 
 
 def _alpha_jet(germ, xi, u, v, order):
@@ -301,7 +302,9 @@ def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
 
     Requires the germ to be in admissible form (singular set = u-axis).
     The v-coefficient field a(u,0) must be parallel to xi(u); the residual
-    of that projection is the admissibility diagnostic.
+    of that projection is the admissibility diagnostic.  gamma is carried,
+    not integrated: it is the germ's own axis curve f(u, 0) - f(0, 0), whose
+    jets are truncations of those _xi_jet reads.
     """
     F0 = germ.fjet(0.0, 0.0, order + 2)
     fu0 = np.array([c.du().value() for c in F0])
@@ -327,15 +330,17 @@ def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
     if abs(a0val) < 1e-10:
         raise BuildError("degenerate extraction: alpha(0) = 0")
     b = tuple(JetFn(partial(_b_jet, germ, alpha, k)) for k in range(3))
+    f00 = [c.value() for c in F0]
     d = SwallowtailData.__new__(SwallowtailData)
     d.xi = xi
     d.b = b
-    d.gamma = None
+    d.gamma = tuple(JetFn(partial(_gamma_jet, germ, k, f00[k])) for k in range(3))
     return d
 
 
-def _r_jet(data, gamma, p, q, k, u, w, order):
-    """r(u, w) = (f(u, v(w)) - gamma - w xi - w^2 q xi') / w^3."""
+def _r_jet(data, p, q, k, u, w, order):
+    """r(u, w) = (f(u, v(w)) - gamma - w xi - w^2 q xi') / w^3, with
+    f - gamma = v xi + v^2 b, so gamma is never evaluated."""
     K = order + 4
     pj = _pjet(p, u, 0.0, K)
     pval = pj.value()
@@ -358,15 +363,13 @@ def _r_jet(data, gamma, p, q, k, u, w, order):
         Vj = Vj - (Wv - wj) / dW
     xj = _vjet(data.xi, u, 0.0, K)
     dxj = tuple(c.du() for c in _vjet(data.xi, u, 0.0, K + 1))
-    g = _pjet(gamma[k], u, 0.0, K)
-    # f(u, v(w)) assembled from the data, with b composed through v(w)
+    # f(u, v(w)) - gamma(u) assembled from the data, with b composed through v(w)
     bj = _pjet(data.b[k], u, v0, K)
     bj = compose2(bj.c, K, uj.truncate(K), Vj.truncate(K))
-    f = g.truncate(bj.order) + Vj.truncate(bj.order) * xj[k].truncate(bj.order) \
-        + Vj.truncate(bj.order) * Vj.truncate(bj.order) * bj
+    o = bj.order
+    Vo = Vj.truncate(o)
     qj = _pjet(q, u, 0.0, K)
-    o = f.order
-    core = (f - g.truncate(o) - wj.truncate(o) * xj[k].truncate(o)
+    core = (Vo * xj[k].truncate(o) + Vo * Vo * bj - wj.truncate(o) * xj[k].truncate(o)
             - wj.truncate(o) * wj.truncate(o) * qj.truncate(o) * dxj[k].truncate(o))
     for _ in range(3):
         if w == 0.0:
@@ -413,8 +416,7 @@ def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0,
     q = coef("q")
     p = coef("p")
 
-    gamma = gamma_from_xi(data.xi)
-    r = tuple(JetFn(partial(_r_jet, data, gamma, p, q, k)) for k in range(3))
+    r = tuple(JetFn(partial(_r_jet, data, p, q, k)) for k in range(3))
     out = AsymptoticData.__new__(AsymptoticData)
     out.xi = data.xi
     out.q = q

@@ -299,7 +299,7 @@ def main(argv=None):
     q = sub.add_parser("mesh", help="sample a germ to OBJ + curvature CSV")
     q.add_argument("spec")
     q.add_argument("--domain", required=True, help="u0,u1,v0,v1")
-    q.add_argument("--res", required=True, help="m,n quads")
+    q.add_argument("--res", required=True, help="m,n grid cells")
     q.add_argument("--out", required=True)
     q.set_defaults(fn=cmd_mesh)
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import BoundedCache, JetFn, Scaled, pjet, vjet
+from .fields import BoundedCache, JetFn, Scaled, gauss_legendre, over_u, pjet, vjet
 from .frontal import sgn
 from ._jettables import index_of
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
@@ -72,16 +72,7 @@ class _XiFromGamma:
         self.curve, self.k = curve, k
 
     def jet(self, u, v, order, memo=None):
-        gp = pjet(self.curve.gamma[self.k], u, 0.0, order + 2).axis_part().du()
-        if np.ndim(u) == 0 and u == 0.0:
-            return gp.divide_by_u()
-        # an array u may hold the point 0: divide elsewhere, then splice it in
-        at0 = np.asarray(u) == 0.0
-        uj = Jet2.variable("u", np.where(at0, 1.0, u), order + 1, np.shape(u))
-        out = (gp / uj).truncate(order)
-        if at0.any():
-            out.c[:, at0] = self.jet(0.0, v, order).c[:, None]
-        return out
+        return over_u(pjet(self.curve.gamma[self.k], u, 0.0, order + 2).axis_part().du(), u)
 
 
 def factor_cusp(curve: CurveGerm) -> CuspFactorization:
@@ -128,12 +119,6 @@ def mirror_properties(fact: CuspFactorization):
 # Half-arclength normalization
 # ---------------------------------------------------------------------------
 
-# Gauss-Legendre nodes and weights on [-1, 1]: every piece of phi is one
-# application of this rule to an interval no longer than half a table panel
-# or one panel.
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
-
-
 class HalfArclength:
     """Reparametrization u = sgn(t) sqrt(2 phi(t)), phi(t) = int_0^t s|xi(s)| ds.
 
@@ -177,14 +162,10 @@ class HalfArclength:
         return np.sqrt(x * x + y * y + z * z)
 
     def _rule(self, a, b):
-        """Gauss-Legendre rule for int_a^b s|xi(s)| ds, elementwise over arrays."""
-        half, mid = 0.5 * (b - a), 0.5 * (a + b)
-        s = mid + half * _GL_X.reshape((-1,) + (1,) * np.ndim(a))
-        f = s * self._speed(s)
-        acc = _GL_W[0] * f[0]
-        for k in range(1, len(_GL_W)):
-            acc = acc + _GL_W[k] * f[k]
-        return half * acc
+        """Gauss-Legendre rule for int_a^b s|xi(s)| ds, elementwise over arrays;
+        every piece of phi is one application of it to an interval no longer
+        than one panel."""
+        return gauss_legendre(lambda s: s * self._speed(s), a, b)
 
     def _extend(self, n):
         """Grow the table to at least n panels per side, doubling each time, so

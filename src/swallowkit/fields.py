@@ -2,7 +2,8 @@
 
 Anything with a .jet(u, v, order) method can serve as a germ component or
 a data field; expressions are the parseable case, these wrappers cover
-derivatives, pullbacks, quadrature-backed primitives and ad-hoc formulas.
+derivatives, pullbacks, primitives of u*g(u) by a fixed Gauss-Legendre rule
+and ad-hoc formulas.
 
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
@@ -16,7 +17,6 @@ differentiate a base provider (Scaled, FlipU, DU) are not cached.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 from .jets import Expr, Jet2
 from ._jettables import index_of, monomials
@@ -24,6 +24,39 @@ from ._jettables import index_of, monomials
 
 CACHE_BOUND = 256
 _MISS = object()
+
+# Gauss-Legendre nodes and weights on [-1, 1]: every integral of the package
+# is this rule applied panel by panel.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
+
+
+def gauss_legendre(f, a, b):
+    """8-point Gauss-Legendre rule for int_a^b f, elementwise over arrays a, b.
+
+    f takes the array of nodes, of shape (8,) + shape(a), and returns its
+    values at them; the weights are summed in a fixed order, so each entry
+    depends only on its own a, b."""
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    s = mid + half * _GL_X.reshape((-1,) + (1,) * np.ndim(a))
+    fs = f(s)
+    acc = _GL_W[0] * fs[0]
+    for k in range(1, len(_GL_W)):
+        acc = acc + _GL_W[k] * fs[k]
+    return half * acc
+
+
+def over_u(gp, u):
+    """Jet of g(u)/u at u, one order below the u-only jet gp of g at u, for
+    g vanishing at u = 0.  u may be an array: its points u = 0 go through
+    divide_by_u and are spliced in."""
+    if np.ndim(u) == 0 and u == 0.0:
+        return gp.divide_by_u()
+    at0 = np.asarray(u) == 0.0
+    uj = Jet2.variable("u", np.where(at0, 1.0, u), gp.order, np.shape(u))
+    out = (gp / uj).truncate(gp.order - 1)
+    if at0.any():
+        out.c[:, at0] = Jet2(gp.order, gp.c[:, at0]).divide_by_u().c
+    return out
 
 
 def _truncate(out, order):
@@ -150,24 +183,46 @@ class ComposeU:
 
 
 class CurveIntegral:
-    """Primitive of u*g(u) vanishing at u = 0, jets from the integrand."""
+    """Primitive of u*g(u) vanishing at u = 0, jets from the integrand.
+
+    The value at u is the 8-point Gauss-Legendre rule on panels of width
+    PANEL laid from 0 toward u, the last one ending at u, with the integrand
+    at all the nodes from one array jet call.  An array u is integrated in
+    the same call, its shorter runs of panels padded with empty ones at u,
+    so each entry equals the scalar result; scalar values are memoised."""
+
+    PANEL = 0.125
 
     def __init__(self, g):
         self.g = g
         self._cache = BoundedCache()
 
+    def _integrand(self, s):
+        return s * pjet(self.g, s.ravel(), 0.0, 0).value().reshape(s.shape)
+
+    def _integrate(self, u):
+        """int_0^u t g(t) dt for a 1-D array u."""
+        out = np.zeros_like(u)
+        on = u != 0.0
+        if on.any():
+            r, side = np.abs(u[on]), np.sign(u[on])
+            j = np.arange(int(np.ceil(r / self.PANEL).max())).reshape(-1, 1)
+            panels = gauss_legendre(self._integrand, side * np.minimum(j * self.PANEL, r),
+                                    side * np.minimum((j + 1) * self.PANEL, r))
+            acc = panels[0]
+            for p in panels[1:]:
+                acc = acc + p
+            out[on] = acc
+        return out
+
     def _value(self, u):
-        g = self.g
-        return self._cache.value(float(u), lambda: quad(
-            lambda t: t * pjet(g, t, 0.0, 0).value(), 0.0, float(u), limit=200)[0])
+        if np.ndim(u) != 0:
+            return self._integrate(np.asarray(u, dtype=float).ravel()).reshape(np.shape(u))
+        u = float(u)
+        return self._cache.value(u, lambda: float(self._integrate(np.array([u]))[0]))
 
     def jet(self, u, v, order, memo=None):
-        if np.ndim(u) != 0:
-            vals = np.vectorize(self._value)(u)
-            out = Jet2.constant(0.0, order, np.shape(u))
-            out.c[0] = vals
-        else:
-            out = Jet2.constant(self._value(u), order, ())
+        out = Jet2.constant(self._value(u), order, np.shape(u))
         if order >= 1:
             uj = Jet2.variable("u", u, order - 1, np.shape(u))
             integ = uj * pjet(self.g, u, v, order - 1)

@@ -274,3 +274,54 @@ def test_roundtrip_invariants_random():
         d2, d3 = discriminants(extract_data(g)), discriminants(extract_data(g2))
         assert np.sign(d2.D0) == np.sign(d3.D0)
         count += 1
+
+
+def _flipped_exp_data():
+    """Data whose xi is a provider, not an expression: its gamma is integrated."""
+    from swallowkit.fields import FlipU
+    from swallowkit.jets import parse
+    return SwallowtailData(xi=tuple(FlipU(parse(c)) for c in ("exp(u)", "u", "1")),
+                           b=("0", "0", "1"))
+
+
+@pytest.mark.parametrize("source", ["expr", "provider"])
+def test_extracted_gamma_is_the_integrated_gamma(source):
+    """The axis curve carried by extract_data equals the primitive of u xi
+    integrated from the extracted xi, values and jets to order 3."""
+    from swallowkit.builder import gamma_from_xi
+    data = (SwallowtailData(xi=("exp(u)", "2 + sin(u)", "u"), b=("0.5", "0", "1 + u"))
+            if source == "expr" else _flipped_exp_data())
+    d = extract_data(build(data))
+    integrated = gamma_from_xi(d.xi)
+    for u in (-0.3, -0.05, 0.0, 0.1, 0.25):
+        for carried, ref in zip(d.gamma, integrated):
+            np.testing.assert_allclose(carried.jet(u, 0.0, 3).c, ref.jet(u, 0.0, 3).c,
+                                       rtol=0, atol=1e-12)
+
+
+def test_extraction_roundtrip_integrates_nothing(monkeypatch):
+    """build -> extract -> build twice constructs no CurveIntegral: every
+    extracted gamma is carried from the germ below."""
+    from swallowkit import fields
+    germ = build(_flipped_exp_data())       # its own gamma is integrated
+
+    def refuse(self, g):
+        raise AssertionError("CurveIntegral constructed on the extraction path")
+
+    monkeypatch.setattr(fields.CurveIntegral, "__init__", refuse)
+    r0 = classify(germ)
+    g2 = build(extract_data(build(extract_data(germ))))
+    r2 = classify(g2)
+    assert r2.is_swallowtail
+    assert (r2.sigma0_S, r2.sigma_g_S) == (r0.sigma0_S, r0.sigma_g_S)
+
+
+def test_convert_to_asymptotic_recovers_r():
+    """(xi, q xi' + v r) converts back to r = (u^2, -2u, 1), jets to order 3."""
+    ad = AsymptoticData(xi=("1", "u", "u^2"), q="0", r=("u^2", "0-2*u", "1"))
+    out = convert_to_asymptotic_form(ad.as_general())
+    for u in (0.0, 0.1, -0.1):
+        for w in (0.0, 0.05):
+            for r, ref in zip(out.r, ad.r):
+                np.testing.assert_allclose(r.jet(u, w, 3).c, ref.jet(u, w, 3).c,
+                                           rtol=0, atol=1e-9)

@@ -1,13 +1,14 @@
 """Per-point memos of the composite jet providers and their bounded cache."""
 
 import gc
+import warnings
 
 import numpy as np
 import pytest
 
 from swallowkit import deform as dm
 from swallowkit.builder import AsymptoticData, SwallowtailData, build
-from swallowkit.fields import CACHE_BOUND, BoundedCache, JetFn
+from swallowkit.fields import CACHE_BOUND, BoundedCache, CurveIntegral, JetFn
 from swallowkit.frontal import classify
 from swallowkit.jets import jet_sqrt, parse
 
@@ -107,6 +108,75 @@ def test_dropped_families_are_freed_by_reference_counting():
     gc.disable()
     try:
         _certify_a_and_d()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+_INTEGRANDS = {"exp": "exp(u)", "sin": "2 + sin(3*u)"}
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+def test_curve_integral_matches_adaptive_quadrature(name):
+    """The fixed Gauss-Legendre rule gives int_0^u t g(t) dt to 1e-13 at
+    |u| <= 1.5, against a tight adaptive quadrature."""
+    from scipy.integrate import quad
+    g = parse(_INTEGRANDS[name])
+    ci = CurveIntegral(g)
+    for u in np.linspace(-1.5, 1.5, 13):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # quad reports its roundoff floor
+            ref, _ = quad(lambda t: t * g.jet(t, 0.0, 0).value(), 0.0, u,
+                          epsabs=1e-17, epsrel=1e-14, limit=200)
+        assert abs(ci.jet(float(u), 0.0, 0).value() - ref) < 1e-13
+
+
+_US = np.array([-0.7, -0.1, 0.0, 0.05, 0.3, 1.2])
+
+
+def _assert_array_matches_scalar(make, order=3):
+    """make() gives a fresh provider; its jets over _US equal, bit for bit,
+    the jets of another fresh one taken point by point."""
+    arr = make().jet(_US, 0.0, order)
+    one = make()
+    for i, u in enumerate(_US):
+        np.testing.assert_array_equal(arr.c[:, i], one.jet(float(u), 0.0, order).c)
+
+
+def _extracted_germ():
+    return build(SwallowtailData(xi=("exp(u)", "2 + sin(u)", "u"), b=("0.5", "0", "1 + u")))
+
+
+@pytest.mark.parametrize("name", sorted(_INTEGRANDS))
+def test_curve_integral_array_matches_scalar_bitwise(name):
+    _assert_array_matches_scalar(lambda: CurveIntegral(parse(_INTEGRANDS[name])))
+
+
+def test_extracted_xi_array_matches_scalar_bitwise():
+    """The extracted xi = gamma'/u at an array u, u = 0 among the points, and
+    the primitive of u xi integrated from it, equal their scalar results."""
+    from functools import partial
+    from swallowkit.builder import _xi_jet
+    for k in range(3):
+        _assert_array_matches_scalar(lambda: JetFn(partial(_xi_jet, _extracted_germ(), k)))
+    _assert_array_matches_scalar(
+        lambda: CurveIntegral(JetFn(partial(_xi_jet, _extracted_germ(), 0))))
+
+
+def _classify_extracted_twice():
+    from swallowkit.builder import extract_data
+    germ = build(extract_data(build(extract_data(_extracted_germ()))))
+    assert classify(germ).is_swallowtail
+
+
+def test_dropped_extracted_germs_are_freed_by_reference_counting():
+    """A germ built from data extracted twice, classified and dropped, leaves
+    no reference cycle behind."""
+    _classify_extracted_twice()
+    gc.collect()
+    gc.disable()
+    try:
+        _classify_extracted_twice()
         assert gc.collect() == 0
     finally:
         gc.enable()

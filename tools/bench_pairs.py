@@ -1,0 +1,95 @@
+"""Paired benchmark runs of two source checkouts, summarised into a BENCH file.
+
+    python3 tools/bench_pairs.py --base DIR --head DIR --workload W
+                                 --seeds 11-20 --out BENCH_<n>.json
+
+For each seed it runs the unmodified ``perfbench/run.py --workload W --seed S
+--seconds 10`` once in each checkout, alternating which side runs first, and
+reads the JSON object on the last line of its output.  It then merges into
+--out, under the workload's name, every run and, per end-to-end metric of
+BENCHMARK.json, each side's median and quartiles and the pairs the head won
+(ties count for neither).  The file also records the commit of each checkout
+and the host.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+import numpy
+
+
+def _run(root, workload, seed, seconds):
+    out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                          "--seed", str(seed), "--seconds", str(seconds)],
+                         cwd=root, capture_output=True, text=True, timeout=3600)
+    if not out.stdout.strip():
+        raise RuntimeError(f"{root}: perfbench printed no result\n{out.stderr[-2000:]}")
+    res = json.loads(out.stdout.strip().splitlines()[-1])
+    res["exit"] = out.returncode
+    return res
+
+
+def _commit(root):
+    out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
+    return out.stdout.strip() or None
+
+
+def _quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else xs * 3
+    return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="checkout of the parent commit")
+    p.add_argument("--head", required=True, help="checkout of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--seeds", required=True, help="first-last, inclusive")
+    p.add_argument("--out", required=True)
+    args = p.parse_args(argv)
+
+    bench = json.load(open(os.path.join(args.head, "BENCHMARK.json")))
+    first, last = (int(s) for s in args.seeds.split("-"))
+    runs = {"base": [], "head": []}
+    for i, seed in enumerate(range(first, last + 1)):
+        order = ("base", "head") if i % 2 == 0 else ("head", "base")
+        for side in order:
+            res = _run(getattr(args, side), args.workload, seed, bench["run_seconds"])
+            res["seed"] = seed
+            runs[side].append(res)
+            print(f"{args.workload} seed {seed} {side}: "
+                  f"{ {k: round(m['value'], 4) for k, m in res.get('metrics', {}).items()} }",
+                  file=sys.stderr)
+
+    summary = {}
+    for m in bench["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        vals = {side: [r["metrics"][name]["value"] for r in runs[side]] for side in runs}
+        won = sum((h < b) if lower else (h > b) for b, h in zip(vals["base"], vals["head"]))
+        summary[name] = {"unit": m["unit"], "better": m["better"],
+                         "base": _quartiles(vals["base"]), "head": _quartiles(vals["head"]),
+                         "head_won": won, "pairs": len(vals["base"])}
+
+    doc = json.load(open(args.out)) if os.path.exists(args.out) else {}
+    doc["base_commit"], doc["head_commit"] = _commit(args.base), _commit(args.head)
+    doc["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
+                   "python": platform.python_version(), "numpy": numpy.__version__,
+                   "system": platform.platform()}
+    doc.setdefault("workloads", {})[args.workload] = {
+        "seeds": [first, last], "run_seconds": bench["run_seconds"],
+        "metrics": summary, "runs": runs}
+    with open(args.out, "w") as f:
+        json.dump(doc, f, indent=1, sort_keys=True)
+        f.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
