@@ -2,7 +2,7 @@
 
 Representation formulas, sign invariants and classification, certified
 deformation families, and the constant-curvature pipeline, built on a
-truncated-Taylor jet engine with a compiled core and a numpy fallback.
+truncated-Taylor jet engine whose kernels are numpy index-table operations.
 """
 
 from .builder import (AsymptoticData, BuildError, SwallowtailData, build,

@@ -47,27 +47,33 @@ def mul_triples(order: int):
 
 @lru_cache(maxsize=None)
 def div_tables(order: int):
-    """Structure for the graded triangular solve of c*b = a.
+    """Structure for the graded triangular solve of c*b = a, by total degree.
 
-    For each output slot o (in storage order), lists pairs (ic, ib) with
-    monomial(ic) + monomial(ib) = monomial(o) and ib != 0, used as
-    c[o] = (a[o] - sum c[ic]*b[ib]) / b[0].
-    Returned as flat int32 arrays (offsets, c_idx, b_idx).
+    Output slot o = (i, j) is c[o] = (a[o] - sum c[ic]*b[ib]) / b[0] over the
+    pairs (ic, ib) with monomial(ic) + monomial(ib) = (i, j) and ib != 0.
+    Each such ic has degree < i + j, so all slots of one degree are solved
+    together from the lower degrees.  Returns, for d = 1..order, a tuple
+    (s0, s1, c_idx, b_idx, seg, edges): the slots s0..s1-1 of degree d, the
+    pairs of those slots in slot order, the slot of each pair counted from
+    s0, and the offset of each slot's first pair (plus the end).
     """
     mono = monomials(order)
-    pos = {m: k for k, m in enumerate(mono)}
-    offsets = [0]
-    c_idx, b_idx = [], []
-    for (i, j) in mono:
-        for ib, (p, q) in enumerate(mono):
-            if ib == 0 or p > i or q > j:
-                continue
-            c_idx.append(pos[(i - p, j - q)])
-            b_idx.append(ib)
-        offsets.append(len(c_idx))
-    return (np.asarray(offsets, dtype=np.int32),
-            np.asarray(c_idx, dtype=np.int32),
-            np.asarray(b_idx, dtype=np.int32))
+    out = []
+    for d in range(1, order + 1):
+        s0, s1 = term_count(d - 1), term_count(d)
+        c_idx, b_idx, seg, edges = [], [], [], [0]
+        for r, (i, j) in enumerate(mono[s0:s1]):
+            for ib in range(1, s1):
+                p, q = mono[ib]
+                if p <= i and q <= j:
+                    c_idx.append(index_of(i - p, j - q))
+                    b_idx.append(ib)
+                    seg.append(r)
+            edges.append(len(c_idx))
+        out.append((s0, s1, np.asarray(c_idx, dtype=np.intp),
+                    np.asarray(b_idx, dtype=np.intp),
+                    np.asarray(seg, dtype=np.intp), tuple(edges)))
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -109,6 +115,17 @@ def shift_v_pairs(order: int):
 
 
 @lru_cache(maxsize=None)
+def shift_u_pairs(order: int):
+    """Pairs (src, dst) implementing division of a jet vanishing on the
+    v-axis by u: the pairs of du_pairs without their factors.
+
+    Coefficient c_{i+1,j} of f becomes c_{i,j} of f/u; the result has order-1.
+    """
+    src, dst, _ = du_pairs(order)
+    return src, dst
+
+
+@lru_cache(maxsize=None)
 def series_mul_pairs(n: int):
     """Index pairs (ia, ib), ia + ib < n, ordered by ia: the terms of the
     product of two univariate series truncated to n coefficients."""
@@ -121,3 +138,9 @@ def series_mul_pairs(n: int):
 def axis_indices(order: int):
     """Indices of the pure-u coefficients c_{i,0}, i = 0..order."""
     return np.asarray([index_of(i, 0) for i in range(order + 1)], dtype=np.int32)
+
+
+@lru_cache(maxsize=None)
+def v_axis_indices(order: int):
+    """Indices of the pure-v coefficients c_{0,j}, j = 0..order."""
+    return np.asarray([index_of(0, j) for j in range(order + 1)], dtype=np.int32)

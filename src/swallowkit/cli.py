@@ -1,7 +1,7 @@
 """Command-line surface.
 
 Subcommands: classify, invariants, cusp (factor/classify/normalize), build,
-deform, mesh, cgc, frenet, bench.  Inputs are germ-spec JSON documents
+deform, mesh, cgc, frenet.  Inputs are germ-spec JSON documents
 (see germspec); outputs are deterministic JSON reports, OBJ meshes and CSV
 tables.
 
@@ -254,12 +254,6 @@ def cmd_frenet(args):
     return 0
 
 
-def cmd_bench(args):
-    from .bench import run_benchmark
-    run_benchmark(repeats=args.repeats)
-    return 0
-
-
 def main(argv=None):
     p = argparse.ArgumentParser(
         prog="swallowkit",
@@ -317,10 +311,6 @@ def main(argv=None):
     q.add_argument("--samples", type=int, default=41)
     q.add_argument("--out")
     q.set_defaults(fn=cmd_frenet)
-
-    q = sub.add_parser("bench", help="compare compiled and fallback jet kernels")
-    q.add_argument("--repeats", type=int, default=5)
-    q.set_defaults(fn=cmd_bench)
 
     args = p.parse_args(argv)
     fr.SIGN_TOL = args.tol_sign

@@ -6,28 +6,18 @@ point, and all partials up to order K are read off the coefficients.
 Coefficient c_{ij} of a Jet2 equals (1/i!j!) d^{i+j}f/du^i dv^j.
 
 Coefficients may be scalars or numpy arrays (one jet per grid node), so
-grid sweeps vectorize for free.  Scalar jets route through the compiled
-kernel when the extension built; set SWALLOWKIT_PURE_PYTHON=1 to force
-the numpy fallback.
+grid sweeps vectorize for free.  The two hot kernels, the truncated
+product and the graded division, are numpy index-table operations defined
+next to Jet2; there is no other backend.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-from . import _jetcore_py
 from . import _jettables as tables
-
-if os.environ.get("SWALLOWKIT_PURE_PYTHON"):
-    _fastcore = None
-else:
-    try:
-        from . import _jetcore as _fastcore
-    except ImportError:
-        _fastcore = None
 
 DEFAULT_ORDER = 4
 
@@ -45,15 +35,42 @@ class ParseError(ValueError):
 
 
 def backend_name() -> str:
-    return "compiled" if _fastcore is not None else "python"
+    # perfbench/run.py records this name with every result.
+    return "python"
 
 
 # ---------------------------------------------------------------------------
 # Jet arithmetic
 # ---------------------------------------------------------------------------
 
-def _is_scalar_coeffs(c) -> bool:
-    return c.ndim == 1 and c.dtype == np.float64
+def _jet_mul(a, b, order):
+    """Coefficients of the truncated product of coefficient arrays a, b."""
+    ia, ib, io = tables.mul_triples(order)
+    if a.ndim == 1:
+        return np.bincount(io, a[ia] * b[ib], minlength=tables.term_count(order))
+    out = np.zeros_like(a)
+    np.add.at(out, io, a[ia] * b[ib])
+    return out
+
+
+def _jet_div(a, b, order):
+    """Coefficients c of a / b: the graded triangular solve of c*b = a.
+
+    The slots of total degree d depend only on lower degrees, so each degree
+    is one vectorised step (Griewank & Walther, Evaluating Derivatives, 2008,
+    ch. 13).  A batch sums each slot's products as one np.sum over axis 0.
+    """
+    out = np.empty_like(a)
+    b0 = b[0]
+    out[0] = a[0] / b0
+    for s0, s1, c_idx, b_idx, seg, edges in tables.div_tables(order):
+        prod = out[c_idx] * b[b_idx]
+        if a.ndim == 1:
+            acc = np.bincount(seg, prod, minlength=s1 - s0)
+        else:
+            acc = np.stack([prod[lo:hi].sum(axis=0) for lo, hi in zip(edges, edges[1:])])
+        out[s0:s1] = (a[s0:s1] - acc) / b0
+    return out
 
 
 class Jet2:
@@ -127,9 +144,7 @@ class Jet2:
     def __mul__(self, other):
         if isinstance(other, Jet2):
             a, b = _align(self, other)
-            if _fastcore is not None and _is_scalar_coeffs(a.c) and _is_scalar_coeffs(b.c):
-                return Jet2(a.order, _fastcore.jet_mul(a.c, b.c, a.order))
-            return Jet2(a.order, _jetcore_py.jet_mul(a.c, b.c, a.order))
+            return Jet2(a.order, _jet_mul(a.c, b.c, a.order))
         return Jet2(self.order, self.c * other)
 
     __rmul__ = __mul__
@@ -139,9 +154,7 @@ class Jet2:
             a, b = _align(self, other)
             if np.any(b.c[0] == 0.0):
                 raise JetError("division by jet with zero constant term")
-            if _fastcore is not None and _is_scalar_coeffs(a.c) and _is_scalar_coeffs(b.c):
-                return Jet2(a.order, _fastcore.jet_div(a.c, b.c, a.order))
-            return Jet2(a.order, _jetcore_py.jet_div(a.c, b.c, a.order))
+            return Jet2(a.order, _jet_div(a.c, b.c, a.order))
         return Jet2(self.order, self.c / other)
 
     def __rtruediv__(self, other):
@@ -197,21 +210,20 @@ class Jet2:
 
     def divide_by_u(self, tol=1e-9):
         """Jet of f/u for f vanishing on the v-axis; result has order-1."""
-        vaxis = np.asarray([tables.index_of(0, j) for j in range(self.order + 1)], dtype=np.int32)
+        vaxis = tables.v_axis_indices(self.order)
         scale = np.max(np.abs(self.c), axis=0)
         if np.any(np.abs(self.c[vaxis]) > tol * (1.0 + scale)):
             raise JetError("jet does not vanish on the v-axis")
+        src, dst = tables.shift_u_pairs(self.order)
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])
-        for (i, j) in tables.monomials(self.order - 1):
-            c[tables.index_of(i, j)] = self.c[tables.index_of(i + 1, j)]
+        c[dst] = self.c[src]
         return Jet2(self.order - 1, c)
 
     def axis_part(self):
         """Jet of (u, v) -> f(u, 0): coefficients with j > 0 dropped."""
-        c = self.c.copy()
-        for (i, j) in tables.monomials(self.order):
-            if j > 0:
-                c[tables.index_of(i, j)] = 0.0
+        axis = tables.axis_indices(self.order)
+        c = np.zeros_like(self.c)
+        c[axis] = self.c[axis]
         return Jet2(self.order, c)
 
     def __repr__(self):

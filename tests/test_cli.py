@@ -55,6 +55,12 @@ def test_classify_218_not_swallowtail(specs, capsys):
 def test_malformed_json_exit_2(specs, capsys):
     code, _ = run(capsys, "classify", str(specs / "bad.json"))
     assert code == 2
+    # an unknown command is rejected by argparse: exit 2, no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bench'" in err and "Traceback" not in err
 
 
 def test_tol_sign_flag_changes_verdict(tmp_path, capsys, monkeypatch):

@@ -217,6 +217,21 @@ def test_divide_by_v_values():
     assert j.value() == pytest.approx(1.3)
     with pytest.raises(JetError, match="vanish"):
         parse("u").jet(0.2, 0.0, 3).divide_by_v()
+    # divide_by_u and axis_part equal their per-monomial definitions bit for
+    # bit, on scalar and on array coefficients
+    from swallowkit._jettables import index_of, monomials
+    rng = np.random.default_rng(2)
+    for c in (rng.standard_normal(21), rng.standard_normal((21, 4))):
+        c[[index_of(0, j) for j in range(6)]] = 0.0       # vanishes on the v-axis
+        j = Jet2(5, c)
+        by_u, axis = np.zeros_like(c[:15]), c.copy()
+        for (i, k) in monomials(4):
+            by_u[index_of(i, k)] = c[index_of(i + 1, k)]
+        for (i, k) in monomials(5):
+            if k > 0:
+                axis[index_of(i, k)] = 0.0
+        assert np.array_equal(j.divide_by_u().c, by_u)
+        assert np.array_equal(j.axis_part().c, axis)
 
 
 def test_lambda_ratio_on_built_germ(ex217):
@@ -257,21 +272,44 @@ def test_series_helpers_batch_matches_columns():
     np.testing.assert_allclose(jets.p1_compose(f, batched["invert"]), y, atol=1e-10)
 
 
-def test_backends_agree():
-    from swallowkit import _jetcore_py
-    try:
-        from swallowkit import _jetcore
-    except ImportError:
-        pytest.skip("compiled backend not built")
+def _naive_mul(a, b, order):
+    """Truncated product by a double loop over the monomials."""
+    from swallowkit._jettables import index_of, monomials
+    out = np.zeros_like(a)
+    for (i1, j1) in monomials(order):
+        for (i2, j2) in monomials(order):
+            if i1 + i2 + j1 + j2 <= order:
+                out[index_of(i1 + i2, j1 + j2)] += a[index_of(i1, j1)] * b[index_of(i2, j2)]
+    return out
+
+
+def _naive_div(a, b, order):
+    """a / b by the triangular recurrence, one coefficient slot at a time."""
+    from swallowkit._jettables import index_of, monomials
+    out = np.zeros_like(a)
+    for (i, j) in monomials(order):
+        acc = a[index_of(i, j)]
+        for (p, q) in monomials(order):
+            if (p, q) != (0, 0) and p <= i and q <= j:
+                acc = acc - out[index_of(i - p, j - q)] * b[index_of(p, q)]
+        out[index_of(i, j)] = acc / b[0]
+    return out
+
+
+def test_kernels_match_naive_recurrences():
+    """Jet2 * and / against the definitions, at orders 0-12, on scalar
+    coefficients and on a batch of 16: the product bit for bit, the
+    quotient to 1e-14 relative."""
     rng = np.random.default_rng(11)
-    for order in (2, 4, 6):
+    for order in range(13):
         T = (order + 1) * (order + 2) // 2
-        a, b = rng.standard_normal(T), rng.standard_normal(T)
-        b[0] += 3.0
-        assert np.max(np.abs(_jetcore.jet_mul(a, b, order)
-                             - _jetcore_py.jet_mul(a, b, order))) < 1e-12
-        assert np.max(np.abs(_jetcore.jet_div(a, b, order)
-                             - _jetcore_py.jet_div(a, b, order))) < 1e-12
+        for shape in ((T,), (T, 16)):
+            a, b = rng.standard_normal(shape), rng.standard_normal(shape)
+            b[0] += 3.0
+            prod = (Jet2(order, a) * Jet2(order, b)).c
+            assert np.array_equal(prod, _naive_mul(a, b, order)), (order, shape)
+            quot, ref = (Jet2(order, a) / Jet2(order, b)).c, _naive_div(a, b, order)
+            assert np.max(np.abs(quot - ref)) <= 1e-14 * np.max(np.abs(ref)), (order, shape)
 
 
 def test_symbolic_diff_closed():
