@@ -58,7 +58,8 @@ def _jet_div(a, b, order):
 
     The slots of total degree d depend only on lower degrees, so each degree
     is one vectorised step (Griewank & Walther, Evaluating Derivatives, 2008,
-    ch. 13).  A batch sums each slot's products as one np.sum over axis 0.
+    ch. 13).  A batch sums each slot's products with np.sum over axis 0,
+    which adds them in sequence and stays fast on wide batches.
     """
     out = np.empty_like(a)
     b0 = b[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from swallowkit import jets
+from swallowkit._jettables import index_of, monomials
 from swallowkit.jets import Jet2, JetError, ParseError, diff, parse, to_source
 
 
@@ -194,14 +195,7 @@ def test_leibniz_exact():
         a = Jet2(4, rng.standard_normal(15))
         b = Jet2(4, rng.standard_normal(15))
         tab = (a * b).c
-        # manual truncated convolution in the same graded order
-        from swallowkit._jettables import index_of, monomials
-        ref = np.zeros(15)
-        for (i1, j1) in monomials(4):
-            for (i2, j2) in monomials(4):
-                if i1 + i2 + j1 + j2 <= 4:
-                    ref[index_of(i1 + i2, j1 + j2)] += (
-                        a.c[index_of(i1, j1)] * b.c[index_of(i2, j2)])
+        ref = _naive_mul(a.c, b.c, 4)
         assert np.max(np.abs(tab - ref)) < 1e-12
 
 
@@ -219,7 +213,6 @@ def test_divide_by_v_values():
         parse("u").jet(0.2, 0.0, 3).divide_by_v()
     # divide_by_u and axis_part equal their per-monomial definitions bit for
     # bit, on scalar and on array coefficients
-    from swallowkit._jettables import index_of, monomials
     rng = np.random.default_rng(2)
     for c in (rng.standard_normal(21), rng.standard_normal((21, 4))):
         c[[index_of(0, j) for j in range(6)]] = 0.0       # vanishes on the v-axis
@@ -274,7 +267,6 @@ def test_series_helpers_batch_matches_columns():
 
 def _naive_mul(a, b, order):
     """Truncated product by a double loop over the monomials."""
-    from swallowkit._jettables import index_of, monomials
     out = np.zeros_like(a)
     for (i1, j1) in monomials(order):
         for (i2, j2) in monomials(order):
@@ -285,7 +277,6 @@ def _naive_mul(a, b, order):
 
 def _naive_div(a, b, order):
     """a / b by the triangular recurrence, one coefficient slot at a time."""
-    from swallowkit._jettables import index_of, monomials
     out = np.zeros_like(a)
     for (i, j) in monomials(order):
         acc = a[index_of(i, j)]
