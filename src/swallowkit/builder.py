@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .frontal import MapGerm, sgn
-from .jets import (Expr, Jet2, JetError, as_expr, compose2, diff, fold,
-                   integrate_u_times, parse)
+from .jets import (Expr, Jet2, as_expr, compose2, diff, fold, integrate_u_times,
+                   parse)
 from .metric import SpaceForm, cross, det3, dot
 
 
@@ -74,6 +74,13 @@ class SwallowtailData:
         if np.linalg.norm(x0) < 1e-12:
             raise BuildError("xi(0) = 0: not a cusp direction field")
 
+    @classmethod
+    def of(cls, xi, b, gamma=None):
+        """Data from the package's own providers: no parsing, no xi(0) check."""
+        d = cls.__new__(cls)
+        d.xi, d.b, d.gamma = tuple(xi), tuple(b), gamma
+        return d
+
     def xi_jets(self, u, order):
         return _vjet(self.xi, u, 0.0, order)
 
@@ -97,6 +104,13 @@ class AsymptoticData:
         if np.linalg.norm(x0) < 1e-12:
             raise BuildError("xi(0) = 0: not a cusp direction field")
 
+    @classmethod
+    def of(cls, xi, q, r, gamma=None):
+        """Data from the package's own providers: no parsing, no xi(0) check."""
+        d = cls.__new__(cls)
+        d.xi, d.q, d.r, d.gamma = tuple(xi), q, tuple(r), gamma
+        return d
+
     def xi_jets(self, u, order):
         return _vjet(self.xi, u, 0.0, order)
 
@@ -117,11 +131,7 @@ class AsymptoticData:
             b = tuple(fold(Add(Mul(self.q, dxi[k]), Mul(VV, self.r[k]))) for k in range(3))
         else:
             b = tuple(bk(k) for k in range(3))
-        d = SwallowtailData.__new__(SwallowtailData)
-        d.xi = self.xi
-        d.b = b
-        d.gamma = getattr(self, "gamma", None)
-        return d
+        return SwallowtailData.of(self.xi, b, self.gamma)
 
 
 def _derivative(comp):
@@ -136,7 +146,7 @@ def _derivative(comp):
 
 def build(data: SwallowtailData, a: float = 0.0) -> MapGerm:
     """Germ gamma + v xi + v^2 b in the space form of parameter a."""
-    gamma = getattr(data, "gamma", None) or gamma_from_xi(data.xi)
+    gamma = data.gamma or gamma_from_xi(data.xi)
     sf = SpaceForm(a)
     if all(isinstance(c, Expr) for c in (*gamma, *data.xi, *data.b)):
         from .jets import Add, Mul, Pow, V as VV
@@ -331,11 +341,8 @@ def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
         raise BuildError("degenerate extraction: alpha(0) = 0")
     b = tuple(JetFn(partial(_b_jet, germ, alpha, k)) for k in range(3))
     f00 = [c.value() for c in F0]
-    d = SwallowtailData.__new__(SwallowtailData)
-    d.xi = xi
-    d.b = b
-    d.gamma = tuple(JetFn(partial(_gamma_jet, germ, k, f00[k])) for k in range(3))
-    return d
+    return SwallowtailData.of(xi, b, tuple(JetFn(partial(_gamma_jet, germ, k, f00[k]))
+                                           for k in range(3)))
 
 
 def _r_jet(data, p, q, k, u, w, order):
@@ -417,12 +424,7 @@ def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0,
     p = coef("p")
 
     r = tuple(JetFn(partial(_r_jet, data, p, q, k)) for k in range(3))
-    out = AsymptoticData.__new__(AsymptoticData)
-    out.xi = data.xi
-    out.q = q
-    out.r = r
-    out.gamma = getattr(data, "gamma", None)
-    return out
+    return AsymptoticData.of(data.xi, q, r, data.gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -441,21 +443,13 @@ class _NegFlip:
 
 def flip_data(data):
     """Data of the germ composed with (u, v) -> (-u, -v); flips sigma0_S."""
-    g = getattr(data, "gamma", None) or gamma_from_xi(data.xi)
+    g = data.gamma or gamma_from_xi(data.xi)
     # the primitive of u xi(-u) vanishing at 0 is gamma(-u)
     gflip = tuple(FlipU(c) for c in g)
+    xi = tuple(FlipU(c) for c in data.xi)
     if isinstance(data, AsymptoticData):
-        d = AsymptoticData.__new__(AsymptoticData)
-        d.xi = tuple(FlipU(c) for c in data.xi)
-        d.gamma = gflip
-        d.q = _NegFlip(data.q)
-        d.r = tuple(FlipU(c) for c in data.r)
-        return d
-    d = SwallowtailData.__new__(SwallowtailData)
-    d.xi = tuple(FlipU(c) for c in data.xi)
-    d.b = tuple(FlipU(c) for c in data.b)
-    d.gamma = gflip
-    return d
+        return AsymptoticData.of(xi, _NegFlip(data.q), tuple(FlipU(c) for c in data.r), gflip)
+    return SwallowtailData.of(xi, tuple(FlipU(c) for c in data.b), gflip)
 
 
 def scale_vec(c, vec):
@@ -467,6 +461,17 @@ def scale_vec(c, vec):
         else:
             out.append(Scaled(comp, c))
     return tuple(out)
+
+
+def normal_field(xi):
+    """Providers of xi x xi' for a cusp direction field xi."""
+    def comp(k):
+        def fn(u, v, order):
+            xj = _vjet(xi, u, 0.0, order + 1)
+            dx = tuple(c.du() for c in xj)
+            return cross(tuple(c.truncate(order) for c in xj), dx)[k]
+        return JetFn(fn)
+    return tuple(comp(k) for k in range(3))
 
 
 def exists_swallowtail_along(xi, want_sigma_g: int, tail_sign=None) -> SwallowtailData:
@@ -493,34 +498,18 @@ def exists_swallowtail_along(xi, want_sigma_g: int, tail_sign=None) -> Swallowta
     ddxi = tuple(_derivative(_derivative(c)) for c in xi)
     if generic:
         if want_sigma_g == 0:
-            return _raw_data(xi, _zero_vec())
-        b = scale_vec(0.25 * want_sigma_g, ddxi)
-        return _raw_data(xi, b)
+            return SwallowtailData.of(xi, _zero_vec())
+        return SwallowtailData.of(xi, scale_vec(0.25 * want_sigma_g, ddxi))
     if want_sigma_g == 0:
         raise BuildError("no asymptotic swallowtails along a non-generic space-cusp")
     if tail_sign is not None and tail_sign > 0:
         raise BuildError("swallowtails along a non-generic cusp always have a "
                          "negatively curved tail part")
 
-    def nk(k):
-        def fn(u, v, order):
-            xj = _vjet(xi, u, 0.0, order + 1)
-            dx = tuple(c.du() for c in xj)
-            return cross(tuple(c.truncate(order) for c in xj), dx)[k]
-        return JetFn(fn)
-
-    b = scale_vec(0.5 * want_sigma_g, tuple(nk(k) for k in range(3)))
-    return _raw_data(xi, b)
+    return SwallowtailData.of(xi, scale_vec(0.5 * want_sigma_g, normal_field(xi)))
 
 
 def _zero_vec():
     from .jets import ZERO
     return (ZERO, ZERO, ZERO)
 
-
-def _raw_data(xi, b, gamma=None):
-    d = SwallowtailData.__new__(SwallowtailData)
-    d.xi = tuple(xi)
-    d.b = tuple(b)
-    d.gamma = gamma
-    return d

@@ -19,14 +19,14 @@ curvature derivatives at (0, 1) are the classical swallowtail test values
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._jettables import index_of
-from .fields import BoundedCache, JetFn
-from .frontal import MapGerm, classify
-from .jets import Jet2, jet_cosh, jet_exp, jet_sinh, jet_sqrt, p1_mul
+from .fields import BoundedCache, JetFn, rk4_step
+from .frontal import MapGerm
+from .jets import Jet2, _apply_series, jet_cosh, jet_exp, jet_sinh, jet_sqrt, p1_compose, p1_mul
 from .metric import SpaceForm
 
 
@@ -93,14 +93,7 @@ class RadialProfile:
 
     def jet(self, rjet: Jet2) -> Jet2:
         """F composed with a jet of r (chain rule through the series)."""
-        ser = self.series(rjet.value(), rjet.order)
-        rhat = Jet2(rjet.order, rjet.c.copy())
-        rhat.c[0] = np.zeros_like(rhat.c[0])
-        out = Jet2.constant(ser[-1], rjet.order, rjet.c.shape[1:])
-        for k in range(len(ser) - 2, -1, -1):
-            out = out * rhat
-            out.c[0] = out.c[0] + ser[k]
-        return out
+        return _apply_series(self.series(rjet.value(), rjet.order), rjet)
 
     def residual(self, r):
         """Defect of the computed solution against the equation.
@@ -126,14 +119,8 @@ def _sinh_series(a, order):
     s0, c0 = math.sinh(a[0]), math.cosh(a[0])
     ahat = a.copy()
     ahat[0] = 0.0
-    out = np.zeros(order + 1)
     coeffs = [(s0 if n % 2 == 0 else c0) / math.factorial(n) for n in range(order + 1)]
-    res = np.zeros(order + 1)
-    res[0] = coeffs[-1]
-    for k in range(order - 1, -1, -1):
-        res = p1_mul(res, ahat)
-        res[0] += coeffs[k]
-    return res
+    return p1_compose(np.array(coeffs), ahat)
 
 
 def solve_radial_ode(domain=(0.5, 1.6), step=1e-4, blowup=50.0) -> RadialProfile:
@@ -147,11 +134,7 @@ def solve_radial_ode(domain=(0.5, 1.6), step=1e-4, blowup=50.0) -> RadialProfile
         r, y = 1.0, np.array([0.0, 1.0])
         while (r_end - r) * sign > 1e-14:
             h = sign * min(step, abs(r_end - r))
-            k1 = _ode_rhs(r, y)
-            k2 = _ode_rhs(r + h / 2, y + h / 2 * k1)
-            k3 = _ode_rhs(r + h / 2, y + h / 2 * k2)
-            k4 = _ode_rhs(r + h, y + h * k3)
-            y = y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+            y = rk4_step(_ode_rhs, r, y, h)
             r = r + h
             if abs(y[0]) > blowup:
                 raise CgcError(f"profile blow-up at r = {r}")
@@ -208,16 +191,6 @@ class OmegaField:
 @dataclass
 class FundamentalForms:
     omega: OmegaField
-
-    # integrable data (cosh omega / sinh omega): used for reconstruction
-    def EFG(self, u, v):
-        w = np.asarray(self.omega.jet(u, v, 0).value())
-        E = np.exp(2 * w)
-        return E, 0.0 * E, E
-
-    def LMN(self, u, v):
-        w = np.asarray(self.omega.jet(u, v, 0).value())
-        return np.exp(w) * np.cosh(w), 0.0 * w, np.exp(w) * np.sinh(w)
 
     def principal(self, u, v):
         w = np.asarray(self.omega.jet(u, v, 0).value())
@@ -332,6 +305,21 @@ def _gw_rhs_v(state, w, wu, wv, N, E):
     return np.stack([f * 0 + fv, fuv, fvv, nuv])
 
 
+def _sweep(f, xs, i0, y0, nsub=4):
+    """States at every node of xs, marched by RK4 from y0 at xs[i0] out to
+    both ends, nsub steps per interval."""
+    out = [None] * len(xs)
+    out[i0] = y0
+    for end, d in ((len(xs) - 1, 1), (0, -1)):
+        y = y0
+        for i in range(i0, end, d):
+            h = (xs[i + d] - xs[i]) / nsub
+            for k in range(nsub):
+                y = rk4_step(f, xs[i] + k * h, y, h)
+            out[i + d] = y
+    return out
+
+
 def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
                         res=(201, 201), base=(0.0, 1.0), guard=1e-5) -> SurfaceGrid:
     """Integrate the frame equations over the grid.
@@ -351,24 +339,8 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
 
     om = forms.omega
 
-    def coeffs(u, v):
-        j = om.jet(u, v, 1)
-        w = np.asarray(j.value())
-        return w, np.asarray(j.partial(1, 0)), np.asarray(j.partial(0, 1))
-
-    def rk4_u(u, v, state, h):
-        def rhs(uu, st):
-            w, wu, wv = coeffs(uu, v)
-            E = np.exp(2 * w)
-            L = np.exp(w) * np.cosh(w)
-            return _gw_rhs_u(st, w, wu, wv, L, E)
-        k1 = rhs(u, state)
-        k2 = rhs(u + h / 2, state + h / 2 * k1)
-        k3 = rhs(u + h / 2, state + h / 2 * k2)
-        k4 = rhs(u + h, state + h * k3)
-        return state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    # spine along v = base[1] through the base point, with substeps
+    # spine along v = base[1] through the base point, then every column from
+    # it at once, vectorized over u: states (4, 3, nu) of (f, fu, fv, nu)
     bi = int(np.argmin(np.abs(vs - base[1])))
     vspine = vs[bi]
     w0 = float(np.asarray(om.jet(base[0], vspine, 0).value()))
@@ -376,71 +348,26 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
                        np.exp(w0) * np.array([1.0, 0.0, 0.0]),
                        np.exp(w0) * np.array([0.0, 1.0, 0.0]),
                        np.array([0.0, 0.0, 1.0])])
-    spine = {}
     b0 = int(np.argmin(np.abs(us - base[0])))
-    nsub = 4
-    st = state0.copy()
-    spine[b0] = st.copy()
-    for i in range(b0, nu_ - 1):
-        h = (us[i + 1] - us[i]) / nsub
-        for k in range(nsub):
-            st = rk4_u(us[i] + k * h, vspine, st, h)
-        spine[i + 1] = st.copy()
-    st = state0.copy()
-    for i in range(b0, 0, -1):
-        h = (us[i - 1] - us[i]) / nsub
-        for k in range(nsub):
-            st = rk4_u(us[i] + k * h, vspine, st, h)
-        spine[i - 1] = st.copy()
 
-    # all columns at once, vectorized over u
-    S = np.stack([spine[i] for i in range(nu_)])      # (nu, 4, 3)
-    Sv = np.transpose(S, (1, 2, 0))                    # (4, 3, nu)
-    F = np.zeros((nu_, nv_, 3))
-    FU = np.zeros((nu_, nv_, 3))
-    FV = np.zeros((nu_, nv_, 3))
-    NUF = np.zeros((nu_, nv_, 3))
+    def rhs_u(u, st):
+        j = om.jet(u, vspine, 1)
+        w = np.asarray(j.value())
+        E = np.exp(2 * w)
+        L = np.exp(w) * np.cosh(w)
+        return _gw_rhs_u(st, w, np.asarray(j.partial(1, 0)), np.asarray(j.partial(0, 1)), L, E)
 
-    def put(j, state):
-        F[:, j] = state[0].T
-        FU[:, j] = state[1].T
-        FV[:, j] = state[2].T
-        NUF[:, j] = state[3].T
+    def rhs_v(v, st):
+        j = om.jet(us, np.full_like(us, v), 1)
+        w = np.asarray(j.value())
+        E = np.exp(2 * w)
+        N = np.exp(w) * np.sinh(w)
+        return _gw_rhs_v(st, w, np.asarray(j.partial(1, 0)), np.asarray(j.partial(0, 1)), N, E)
 
-    def rk4_v_vec(v, state, h):
-        def rhs(vv, st):
-            j = om.jet(us, np.full_like(us, vv), 1)
-            w = np.asarray(j.value())
-            wu = np.asarray(j.partial(1, 0))
-            wv = np.asarray(j.partial(0, 1))
-            E = np.exp(2 * w)
-            N = np.exp(w) * np.sinh(w)
-            f, fu, fv, nu = st
-            fuv = wv * fu + wu * fv
-            fvv = -wu * fu + wv * fv + N * nu
-            nuv = -(N / E) * fv
-            return np.stack([fv, fuv, fvv, nuv])
-        k1 = rhs(v, state)
-        k2 = rhs(v + h / 2, state + h / 2 * k1)
-        k3 = rhs(v + h / 2, state + h / 2 * k2)
-        k4 = rhs(v + h, state + h * k3)
-        return state + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-
-    put(bi, Sv)
-    st = Sv.copy()
-    for j in range(bi, nv_ - 1):
-        h = (vs[j + 1] - vs[j]) / nsub
-        for k in range(nsub):
-            st = rk4_v_vec(vs[j] + k * h, st, h)
-        put(j + 1, st)
-    st = Sv.copy()
-    for j in range(bi, 0, -1):
-        h = (vs[j - 1] - vs[j]) / nsub
-        for k in range(nsub):
-            st = rk4_v_vec(vs[j] + k * h, st, h)
-        put(j - 1, st)
-
-    return SurfaceGrid(us=us, vs=vs, f=F, fu=FU, fv=FV, nu=NUF, forms=forms)
+    spine = np.stack(_sweep(rhs_u, us, b0, state0), axis=-1)
+    cols = _sweep(rhs_v, vs, bi, spine)
+    f, fu, fv, nu = np.stack([c.transpose(0, 2, 1) for c in cols], axis=2)
+    return SurfaceGrid(us=us, vs=vs, f=f, fu=fu, fv=fv, nu=nu, forms=forms)
 
 
 def roundtrip_residuals(grid: SurfaceGrid):
@@ -582,49 +509,28 @@ class ParallelGerm:
                        math.exp(w0) * np.array([1.0, 0.0, 0.0]),
                        math.exp(w0) * np.array([0.0, 1.0, 0.0]),
                        np.array([0.0, 0.0, 1.0])])
-        # march u then v with small RK4 steps
-        def rhs_u(uu, vv, s):
+
+        def coeffs(uu, vv):
             j = self.om.jet(uu, vv, 1)
             wq = float(np.asarray(j.value()))
-            wu, wv = j.partial(1, 0), j.partial(0, 1)
-            E = math.exp(2 * wq)
-            L = math.exp(wq) * math.cosh(wq)
-            return _gw_rhs_u(s, wq, wu, wv, L, E)
+            return wq, j.partial(1, 0), j.partial(0, 1), math.exp(2 * wq)
 
-        def rhs_v(uu, vv, s):
-            j = self.om.jet(uu, vv, 1)
-            wq = float(np.asarray(j.value()))
-            wu, wv = j.partial(1, 0), j.partial(0, 1)
-            E = math.exp(2 * wq)
-            N = math.exp(wq) * math.sinh(wq)
-            return _gw_rhs_v(s, wq, wu, wv, N, E)
+        def rhs_u(uu, s):
+            wq, wu, wv, E = coeffs(uu, self.base[1])
+            return _gw_rhs_u(s, wq, wu, wv, math.exp(wq) * math.cosh(wq), E)
 
-        for target, fixed, rhs, axis in ((u, self.base[1], rhs_u, 0),
-                                         (v, None, rhs_v, 1)):
-            if axis == 0:
-                cur, end, vv = self.base[0], u, self.base[1]
-                if abs(end - cur) > 0:
-                    n = max(1, int(math.ceil(abs(end - cur) / self.step)))
-                    h = (end - cur) / n
-                    for _ in range(n):
-                        k1 = rhs(cur, vv, st)
-                        k2 = rhs(cur + h / 2, vv, st + h / 2 * k1)
-                        k3 = rhs(cur + h / 2, vv, st + h / 2 * k2)
-                        k4 = rhs(cur + h, vv, st + h * k3)
-                        st = st + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                        cur += h
-            else:
-                cur, end, uu = self.base[1], v, u
-                if abs(end - cur) > 0:
-                    n = max(1, int(math.ceil(abs(end - cur) / self.step)))
-                    h = (end - cur) / n
-                    for _ in range(n):
-                        k1 = rhs(uu, cur, st)
-                        k2 = rhs(uu, cur + h / 2, st + h / 2 * k1)
-                        k3 = rhs(uu, cur + h / 2, st + h / 2 * k2)
-                        k4 = rhs(uu, cur + h, st + h * k3)
-                        st = st + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
-                        cur += h
+        def rhs_v(vv, s):
+            wq, wu, wv, E = coeffs(u, vv)
+            return _gw_rhs_v(s, wq, wu, wv, math.exp(wq) * math.sinh(wq), E)
+
+        # march u along v = base[1], then v, with small RK4 steps
+        for rhs, cur, end in ((rhs_u, self.base[0], u), (rhs_v, self.base[1], v)):
+            if abs(end - cur) > 0:
+                n = max(1, int(math.ceil(abs(end - cur) / self.step)))
+                h = (end - cur) / n
+                for _ in range(n):
+                    st = rk4_step(rhs, cur, st, h)
+                    cur += h
         return st
 
     def jets(self, u, v, order):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import BoundedCache, JetFn, Scaled, gauss_legendre, over_u, pjet, vjet
+from .fields import BoundedCache, JetFn, Scaled, gauss_legendre, over_u, pjet, rk4_step, vjet
 from .frontal import sgn
 from ._jettables import index_of
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
@@ -191,9 +191,6 @@ class HalfArclength:
         base = np.where(i >= 0, self._cum[1.0][np.abs(i)], self._cum[-1.0][np.abs(i)])
         return base + self._rule(i * self._h, t)
 
-    def u_of_t(self, t):
-        return math.copysign(math.sqrt(max(2.0 * float(self.phi(t)), 0.0)), t)
-
     def _invert(self, u):
         """t(u) for a 1-D array u: Newton on phi(t) = u^2/2 with phi' = t|xi(t)|.
 
@@ -327,9 +324,7 @@ class HalfArclength:
 def normalize_half_arclength(curve: CurveGerm):
     """Reparametrized curve with unit factorization field; also returns it."""
     H = HalfArclength(curve)
-    out = CurveGerm.__new__(CurveGerm)
-    out.gamma = H.gamma_hat()
-    return out, CuspFactorization(xi=H.xi_hat()), H
+    return CurveGerm(H.gamma_hat()), CuspFactorization(xi=H.xi_hat()), H
 
 
 # ---------------------------------------------------------------------------
@@ -408,15 +403,13 @@ class FrenetPath:
         self._series = BoundedCache()
 
     def _rk4(self, u, Y, h):
-        f = lambda uu, YY: _frenet_rhs(uu, YY, self.data.kappa, self.data.tau)
-        k1 = f(u, Y)
-        k2 = f(u + h / 2, Y + h / 2 * k1)
-        k3 = f(u + h / 2, Y + h / 2 * k2)
-        k4 = f(u + h, Y + h * k3)
-        kval = pjet(self.data.kappa, u + h / 2, 0.0, 0).value()
+        """One RK4 step, refused where kappa at its midpoint is not positive."""
+        kappa, tau = self.data.kappa, self.data.tau
+        Y = rk4_step(lambda uu, YY: _frenet_rhs(uu, YY, kappa, tau), u, Y, h)
+        kval = pjet(kappa, u + h / 2, 0.0, 0).value()
         if kval <= 0.0:
             raise CurveError(f"kappa({u + h / 2}) = {kval} <= 0")
-        return Y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        return Y
 
     def state(self, u):
         """Frame+curve at u, integrating a fractional step from the grid."""

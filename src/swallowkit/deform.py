@@ -16,13 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frontal as fr
-from .builder import (AsymptoticData, BuildError, SwallowtailData, build,
-                      build_asymptotic, discriminants, flip_data)
+from .builder import (AsymptoticData, SwallowtailData, build, build_asymptotic,
+                      discriminants, flip_data, normal_field)
 from .curves import (CurveGerm, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of, integrate_frenet)
 from .fields import BoundedCache, JetFn, Scaled, pjet, vjet
 from .frontal import sgn
-from .jets import Jet2, compose2, jet_sqrt
+from .jets import Jet2, compose2
 from .metric import cross, det3, dot
 
 
@@ -167,16 +167,6 @@ def data_signs(data, a=0.0):
     return rep.sigma0_S, rep.sigma_g_S, rep
 
 
-def normalize_positive(data, a=0.0):
-    """Flip (u,v) -> (-u,-v) when needed so that sigma0_S = +1."""
-    s0, sg, rep = data_signs(data, a)
-    if s0 == 0:
-        raise DeformError("endpoint is not a swallowtail (sigma0_S = 0)")
-    if s0 > 0:
-        return data, False
-    return flip_data(data), True
-
-
 class _UnitXiData:
     """Half-arclength normalization of SwallowtailData: unit xi, rescaled b.
 
@@ -187,8 +177,7 @@ class _UnitXiData:
     def __init__(self, data: SwallowtailData):
         from .builder import gamma_from_xi
         self.data = data
-        self.curve = CurveGerm.__new__(CurveGerm)
-        self.curve.gamma = getattr(data, "gamma", None) or gamma_from_xi(data.xi)
+        self.curve = CurveGerm(data.gamma or gamma_from_xi(data.xi))
         self.H = HalfArclength(self.curve, xi=data.xi)
         self.xi = self.H.xi_hat()
         self.speed = self.H.speed()
@@ -211,28 +200,7 @@ class _UnitXiData:
         self.gamma = self.H.gamma_hat()
 
     def as_data(self):
-        d = SwallowtailData.__new__(SwallowtailData)
-        d.xi = self.xi
-        d.b = self.b
-        d.gamma = self.gamma
-        return d
-
-
-def _data_with(xi, b, gamma=None):
-    d = SwallowtailData.__new__(SwallowtailData)
-    d.xi = tuple(xi)
-    d.b = tuple(b)
-    d.gamma = gamma
-    return d
-
-
-def _asym_with(xi, q, r, gamma=None):
-    d = AsymptoticData.__new__(AsymptoticData)
-    d.xi = tuple(xi)
-    d.q = q
-    d.r = r
-    d.gamma = gamma
-    return d
+        return SwallowtailData.of(self.xi, self.b, self.gamma)
 
 
 def _tangential_part(xi, b):
@@ -275,17 +243,6 @@ def _combine(*weighted):
             out = j if out is None else out + j
         return out
     return JetFn(fn)
-
-
-def _normal_field(xi):
-    """xi x xi' as providers."""
-    def comp(k):
-        def fn(u, v, order):
-            xj = vjet(xi, u, 0.0, order + 1)
-            dx = tuple(c.du() for c in xj)
-            return cross(tuple(c.truncate(order) for c in xj), dx)[k]
-        return JetFn(fn)
-    return tuple(comp(k) for k in range(3))
 
 
 # ---------------------------------------------------------------------------
@@ -463,11 +420,11 @@ def deform_theorem_A(d1: SwallowtailData, d2: SwallowtailData, a: float = 0.0):
 
     def gen_stage1(t):
         b = tuple(_combine((1.0, e1.b[k]), (-t, tang1[k])) for k in range(3))
-        return _data_with(e1.xi, b, gamma=e1.gamma)
+        return SwallowtailData.of(e1.xi, b, gamma=e1.gamma)
 
     def gen_stage3(t):
         b = tuple(_combine((1.0, e2.b[k]), (-(1.0 - t), tang2[k])) for k in range(3))
-        return _data_with(e2.xi, b, gamma=e2.gamma)
+        return SwallowtailData.of(e2.xi, b, gamma=e2.gamma)
 
     interp = XiInterpolation(e1.xi, e2.xi, gammas=(e1.gamma, e2.gamma))
     x31 = _x3_field(e1.xi, e1.b)
@@ -475,15 +432,15 @@ def deform_theorem_A(d1: SwallowtailData, d2: SwallowtailData, a: float = 0.0):
 
     def gen_stage2(t):
         xi_t = interp.xi_t(t)
-        n = _normal_field(xi_t)
+        n = normal_field(xi_t)
         m = _mix(x31, x32, t)
 
         def comp(k):
             def fn(u, v, order):
                 return pjet(m, u, v, order) * pjet(n[k], u, v, order)
             return JetFn(fn)
-        return _data_with(xi_t, tuple(comp(k) for k in range(3)),
-                          gamma=interp.gamma_t(t))
+        return SwallowtailData.of(xi_t, tuple(comp(k) for k in range(3)),
+                                  gamma=interp.gamma_t(t))
 
     fam = DeformationFamily(
         recipe="TheoremA",
@@ -516,8 +473,7 @@ def deform_flip_sigma_S(d: SwallowtailData, a: float = 0.0):
 
     def gen(tau):
         t = 1.0 - 2.0 * tau        # runs from +1 to -1
-        return _data_with(d.xi, tuple(Scaled(c, t) for c in d.b),
-                          gamma=getattr(d, "gamma", None))
+        return SwallowtailData.of(d.xi, tuple(Scaled(c, t) for c in d.b), gamma=d.gamma)
 
     return DeformationFamily(recipe="LemmaS686a", stages=[Stage("b-scale", gen)], a=a)
 
@@ -544,7 +500,7 @@ def deform_make_generic(d: SwallowtailData, a: float = 0.0):
 
     def gen(t):
         b = tuple(_combine((1.0 - t, d.b[k]), (0.25 * s0 * t, ddxi[k])) for k in range(3))
-        return _data_with(d.xi, b, gamma=getattr(d, "gamma", None))
+        return SwallowtailData.of(d.xi, b, gamma=d.gamma)
 
     return DeformationFamily(recipe="LemmaS686b", stages=[Stage("b-to-generic", gen)], a=a)
 
@@ -626,20 +582,19 @@ def deform_lemma_3_7(d: AsymptoticData, a: float = 0.0):
     s = sgn(Dqr0, disc.scale)
     if s == 0:
         raise DeformError("Dqr(o) = 0: curvature sign not determined")
-    n = _normal_field(d.xi)
+    n = normal_field(d.xi)
 
-    g0 = getattr(d, "gamma", None)
     if s > 0:
         def gen(t):
             q = Scaled(d.q, 1.0 - t)
             r = tuple(_combine((1.0 - t, d.r[k]), (t, n[k])) for k in range(3))
-            return _asym_with(d.xi, q, r, gamma=g0)
+            return AsymptoticData.of(d.xi, q, r, gamma=d.gamma)
         name = "to-positive-normal-form"
     else:
         def gen(t):
             q = Scaled(d.q, math.sqrt(max(0.0, 1.0 - t)))
             r = tuple(_combine((1.0 - t, d.r[k]), (-t, n[k])) for k in range(3))
-            return _asym_with(d.xi, q, r, gamma=g0)
+            return AsymptoticData.of(d.xi, q, r, gamma=d.gamma)
         name = "to-negative-normal-form"
 
     fam = DeformationFamily(recipe="Lemma3.7",
@@ -683,16 +638,16 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
     if curved and preserve_sign:
         famL1 = deform_lemma_3_7(d1, a)
         famL2 = deform_lemma_3_7(d2, a)
-        n1 = _UnitXiData(_data_with(d1.xi, _normal_field(d1.xi)))
-        n2 = _UnitXiData(_data_with(d2.xi, _normal_field(d2.xi)))
+        n1 = _UnitXiData(SwallowtailData.of(d1.xi, normal_field(d1.xi)))
+        n2 = _UnitXiData(SwallowtailData.of(d2.xi, normal_field(d2.xi)))
         interp = XiInterpolation(n1.xi, n2.xi, gammas=(n1.gamma, n2.gamma))
 
         def gen_mid(t):
             xi_t = interp.xi_t(t)
-            n = _normal_field(xi_t)
-            return _asym_with(xi_t, Scaled(d1.q, 0.0),
-                              tuple(Scaled(c, float(k1)) for c in n),
-                              gamma=interp.gamma_t(t))
+            n = normal_field(xi_t)
+            return AsymptoticData.of(xi_t, Scaled(d1.q, 0.0),
+                                     tuple(Scaled(c, float(k1)) for c in n),
+                                     gamma=interp.gamma_t(t))
 
         stages = [famL1.stages[0],
                   Stage("xi-interpolation", gen_mid, asymptotic=True),
@@ -704,22 +659,21 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
 
     # general asymptotic route: scale (q, r) away, interpolate developables
     def gen_scale1(t):
-        return _asym_with(d1.xi, Scaled(d1.q, 1.0 - t),
-                          tuple(Scaled(c, 1.0 - t) for c in d1.r),
-                          gamma=getattr(d1, "gamma", None))
+        return AsymptoticData.of(d1.xi, Scaled(d1.q, 1.0 - t),
+                                 tuple(Scaled(c, 1.0 - t) for c in d1.r), gamma=d1.gamma)
 
     def gen_scale2(t):
-        return _asym_with(d2.xi, Scaled(d2.q, t), tuple(Scaled(c, t) for c in d2.r),
-                          gamma=getattr(d2, "gamma", None))
+        return AsymptoticData.of(d2.xi, Scaled(d2.q, t), tuple(Scaled(c, t) for c in d2.r),
+                                 gamma=d2.gamma)
 
-    n1 = _UnitXiData(_data_with(d1.xi, _normal_field(d1.xi)))
-    n2 = _UnitXiData(_data_with(d2.xi, _normal_field(d2.xi)))
+    n1 = _UnitXiData(SwallowtailData.of(d1.xi, normal_field(d1.xi)))
+    n2 = _UnitXiData(SwallowtailData.of(d2.xi, normal_field(d2.xi)))
     interp = XiInterpolation(n1.xi, n2.xi, gammas=(n1.gamma, n2.gamma))
 
     def gen_mid(t):
         xi_t = interp.xi_t(t)
-        return _asym_with(xi_t, Scaled(d1.q, 0.0), tuple(Scaled(c, 0.0) for c in d1.r),
-                          gamma=interp.gamma_t(t))
+        return AsymptoticData.of(xi_t, Scaled(d1.q, 0.0), tuple(Scaled(c, 0.0) for c in d1.r),
+                                 gamma=interp.gamma_t(t))
 
     stages = [Stage("scale-away-1", gen_scale1, asymptotic=True),
               Stage("developable-interpolation", gen_mid, asymptotic=True),

@@ -3,7 +3,9 @@
 Anything with a .jet(u, v, order) method can serve as a germ component or
 a data field; expressions are the parseable case, these wrappers cover
 derivatives, pullbacks, primitives of u*g(u) by a fixed Gauss-Legendre rule
-and ad-hoc formulas.
+and ad-hoc formulas.  The package's two numeric rules live here too: every
+integral is gauss_legendre and every ODE (Frenet frames, the radial profile,
+the frame equations of the cgc surface) is marched by rk4_step.
 
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Expr, Jet2
+from .jets import Jet2
 from ._jettables import index_of, monomials
 
 
@@ -43,6 +45,19 @@ def gauss_legendre(f, a, b):
     for k in range(1, len(_GL_W)):
         acc = acc + _GL_W[k] * fs[k]
     return half * acc
+
+
+def rk4_step(f, x, y, h):
+    """One classical Runge-Kutta step of y' = f(x, y) from x to x + h.
+
+    y may be an array of any shape.  The step's own arithmetic is
+    elementwise, so when f acts on a batch of states column by column, the
+    batch steps bit for bit as its columns would one by one."""
+    k1 = f(x, y)
+    k2 = f(x + h / 2, y + h / 2 * k1)
+    k3 = f(x + h / 2, y + h / 2 * k2)
+    k4 = f(x + h, y + h * k3)
+    return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
 def over_u(gp, u):

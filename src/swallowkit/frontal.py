@@ -24,7 +24,7 @@ import numpy as np
 from . import metric as mt
 from .fields import BoundedCache
 from .jets import Expr, Jet2, JetError, compose2, parse
-from .metric import SpaceForm, cross, det3, dot, vadd, vscale, vsub
+from .metric import SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
 ORDER = 6
@@ -98,10 +98,6 @@ class _ReparamGerm(MapGerm):
         return tuple(compose2(fj.c, order + 1, Uj, Vj).truncate(order) for fj in F)
 
 
-def germ_jets(germ: MapGerm, u, v, order=ORDER):
-    return germ.fjet(u, v, order)
-
-
 # ---------------------------------------------------------------------------
 # Normal field and lambda
 # ---------------------------------------------------------------------------
@@ -154,16 +150,6 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER):
                     tuple(c.truncate(order + 1) for c in Fu),
                     tuple(c.truncate(order + 1) for c in Fv),
                     nt).truncate(order)
-
-
-def unit_normal_jets(germ: MapGerm, u, v, order=ORDER):
-    """Jet of the oriented unit normal nu = nu~/|nu~|_g."""
-    nt = normal_jets(germ, u, v, order)
-    F = germ.fjet(u, v, order)
-    nn = mt.norm_g(germ.sf, F, nt)
-    if np.any(np.asarray(nn.value()) == 0.0):
-        raise ClassificationError("normal field vanishes: map is not a frontal here")
-    return tuple(c / nn for c in nt)
 
 
 def _covariant(germ_sf, F, dirF, X, dirX):
@@ -593,11 +579,6 @@ def gaussian_curvature(germ: MapGerm, at):
         raise ClassificationError(f"singular point at {at}")
     K_ext = (L * N - M * M) / den
     return 4.0 * germ.sf.a + K_ext, K_ext
-
-
-def mean_curvature(germ: MapGerm, at):
-    E, F, G, L, M, N = fundamental_forms(germ, at)
-    return (E * N - 2 * F * M + G * L) / (2 * (E * G - F * F))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2, JetError, jet_sqrt
+from .jets import Jet2, jet_sqrt
 
 
 # -- generic 3-vector algebra (entries: floats, arrays, or jets) -------------
@@ -34,14 +34,6 @@ def cross(A, B):
 
 def det3(A, B, C):
     return dot(A, cross(B, C))
-
-
-def vadd(A, B):
-    return (A[0] + B[0], A[1] + B[1], A[2] + B[2])
-
-
-def vsub(A, B):
-    return (A[0] - B[0], A[1] - B[1], A[2] - B[2])
 
 
 def vscale(s, A):

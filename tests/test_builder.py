@@ -110,11 +110,8 @@ def test_eq_nongeneric_sign_identity():
     from swallowkit.jets import poly_to_expr
     for _ in range(20):
         xi = tuple(poly_to_expr(rng.uniform(-1, 1, 3)) for _ in range(3))
-        data = SwallowtailData.__new__(SwallowtailData)
-        data.xi = xi
         from swallowkit.jets import ZERO
-        data.b = (ZERO, ZERO, ZERO)
-        data.gamma = None
+        data = SwallowtailData.of(xi, (ZERO, ZERO, ZERO))
         disc = discriminants(data)
         assert disc.D0 == pytest.approx(disc.psi0, abs=1e-12)
 
@@ -207,10 +204,7 @@ def test_convert_to_asymptotic_constants():
             return 3.0 * xj[k].truncate(order) + 5.0 * dx[k].truncate(order)
         return JetFn(fn)
 
-    data = SwallowtailData.__new__(SwallowtailData)
-    data.xi = xi
-    data.b = tuple(bk(k) for k in range(3))
-    data.gamma = None
+    data = SwallowtailData.of(xi, tuple(bk(k) for k in range(3)))
     out = convert_to_asymptotic_form(data)
     for u in (0.0, 0.1, -0.1):
         assert pjet(out.q, u, 0.0, 0).value() == pytest.approx(5.0, abs=1e-10)

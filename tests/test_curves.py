@@ -76,8 +76,7 @@ def test_classification_parametrization_invariant():
         a2 = rng.uniform(-0.5, 0.5)
         phi = Add(Mul(Const(a1), UVAR), Mul(Const(a2), Pow(UVAR, 2)))
         re_gamma = tuple(ComposeU(g, phi) for g in gamma)
-        curve = CurveGerm.__new__(CurveGerm)
-        curve.gamma = re_gamma
+        curve = CurveGerm(re_gamma)
         re_cls = classify_cusp(factor_cusp(curve))
         if base.indeterminate or re_cls.indeterminate:
             continue
@@ -165,8 +164,7 @@ def _half_arclength(name):
     from swallowkit.builder import gamma_from_xi
     from swallowkit.curves import HalfArclength
     xi = tuple(parse(c) for c in _XI_FIELDS[name])
-    curve = CurveGerm.__new__(CurveGerm)
-    curve.gamma = gamma_from_xi(xi)
+    curve = CurveGerm(gamma_from_xi(xi))
     return HalfArclength(curve, xi=xi), xi
 
 

@@ -31,12 +31,7 @@ def rotated_asym(theta, q, rscale):
             return rscale * cross(tuple(x.truncate(order) for x in xj), dx)[k]
         return JetFn(fn)
 
-    d = AsymptoticData.__new__(AsymptoticData)
-    d.xi = xiE
-    d.q = parse(q)
-    d.r = tuple(nk(k) for k in range(3))
-    d.gamma = None
-    return d
+    return AsymptoticData.of(xiE, parse(q), tuple(nk(k) for k in range(3)))
 
 
 @pytest.fixture(scope="module")
@@ -319,8 +314,7 @@ def test_endpoint_pointwise_fidelity(d217):
     from swallowkit.builder import gamma_from_xi
     d_flip = flip_data(d217)
     g_raw = build(d_flip)
-    curve = CurveGerm.__new__(CurveGerm)
-    curve.gamma = d_flip.gamma
+    curve = CurveGerm(d_flip.gamma)
     H = HalfArclength(curve, xi=d_flip.xi)
     from swallowkit.fields import pjet
     for u in np.linspace(-0.2, 0.2, 11):

@@ -1,4 +1,5 @@
-"""Per-point memos of the composite jet providers and their bounded cache."""
+"""Per-point memos of the composite jet providers and their bounded cache,
+and the package's RK4 step."""
 
 import gc
 import warnings
@@ -8,7 +9,7 @@ import pytest
 
 from swallowkit import deform as dm
 from swallowkit.builder import AsymptoticData, SwallowtailData, build
-from swallowkit.fields import CACHE_BOUND, BoundedCache, CurveIntegral, JetFn
+from swallowkit.fields import CACHE_BOUND, BoundedCache, CurveIntegral, JetFn, rk4_step
 from swallowkit.frontal import classify
 from swallowkit.jets import jet_sqrt, parse
 
@@ -180,3 +181,26 @@ def test_dropped_extracted_germs_are_freed_by_reference_counting():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_rk4_step_is_fourth_order():
+    """y'' = -y as the 2-vector (y, y') over [0, 1]: halving h divides the
+    error by about 2^4; a batch of states steps bit for bit as its columns."""
+    def osc(x, y):
+        return np.stack([y[1], -y[0]])
+
+    def error(n):
+        y, h = np.array([1.0, 0.0]), 1.0 / n
+        for i in range(n):
+            y = rk4_step(osc, i * h, y, h)
+        return np.abs(y - [np.cos(1.0), -np.sin(1.0)]).max()
+
+    assert 14.0 <= error(10) / error(20) <= 18.0
+
+    def duffing(x, y):
+        return np.stack([y[1], -y[0] * y[0] * y[0] + 0.3 * x * y[1]])
+
+    batch = np.random.default_rng(5).uniform(-1, 1, (2, 5))
+    stepped = rk4_step(duffing, 0.2, batch, 0.05)
+    for j in range(5):
+        np.testing.assert_array_equal(stepped[:, j], rk4_step(duffing, 0.2, batch[:, j], 0.05))
