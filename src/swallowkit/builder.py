@@ -22,8 +22,8 @@ from functools import partial
 import numpy as np
 
 from .frontal import MapGerm, sgn
-from .jets import (Expr, Jet2, as_expr, compose2, diff, fold, integrate_u_times,
-                   parse)
+from .jets import (ZERO, Add, Const, Expr, Jet2, Mul, Pow, V, as_expr, compose2, diff, fold,
+                   integrate_u_times, parse)
 from .metric import SpaceForm, cross, det3, dot
 
 
@@ -35,8 +35,8 @@ class BuildError(ValueError):
 # Jet providers
 # ---------------------------------------------------------------------------
 
-from .fields import (CurveIntegral, DU, FlipU, JetFn, Scaled, over_u, pjet as _pjet,
-                     vjet as _vjet)
+from .fields import (CurveIntegral, DU, FlipU, JetFn, Scaled, components, cusp_frame,
+                     over_u, over_v, pjet as _pjet, vjet as _vjet, xi_frame)
 
 
 def gamma_from_xi(xi):
@@ -84,9 +84,6 @@ class SwallowtailData:
     def xi_jets(self, u, order):
         return _vjet(self.xi, u, 0.0, order)
 
-    def b_jets(self, u, v, order):
-        return _vjet(self.b, u, v, order)
-
 
 @dataclass
 class AsymptoticData:
@@ -127,8 +124,7 @@ class AsymptoticData:
             return JetFn(fn)
 
         if all(isinstance(c, Expr) for c in (*self.xi, self.q, *self.r)):
-            from .jets import Mul, Add, V as VV
-            b = tuple(fold(Add(Mul(self.q, dxi[k]), Mul(VV, self.r[k]))) for k in range(3))
+            b = tuple(fold(Add(Mul(self.q, dxi[k]), Mul(V, self.r[k]))) for k in range(3))
         else:
             b = tuple(bk(k) for k in range(3))
         return SwallowtailData.of(self.xi, b, self.gamma)
@@ -144,21 +140,24 @@ def _derivative(comp):
 # Construction
 # ---------------------------------------------------------------------------
 
-def build(data: SwallowtailData, a: float = 0.0) -> MapGerm:
-    """Germ gamma + v xi + v^2 b in the space form of parameter a."""
-    gamma = data.gamma or gamma_from_xi(data.xi)
+def build(data, a: float = 0.0) -> MapGerm:
+    """Germ gamma + v xi + v^2 b in the space form of parameter a.
+
+    AsymptoticData is built as its general form (b = q xi' + v r); the germ
+    carries the data it was given."""
+    gen = data.as_general() if isinstance(data, AsymptoticData) else data
+    gamma = gen.gamma or gamma_from_xi(gen.xi)
     sf = SpaceForm(a)
-    if all(isinstance(c, Expr) for c in (*gamma, *data.xi, *data.b)):
-        from .jets import Add, Mul, Pow, V as VV
-        comps = tuple(fold(Add(Add(gamma[k], Mul(VV, data.xi[k])),
-                               Mul(Pow(VV, 2), data.b[k]))) for k in range(3))
+    if all(isinstance(c, Expr) for c in (*gamma, *gen.xi, *gen.b)):
+        comps = tuple(fold(Add(Add(gamma[k], Mul(V, gen.xi[k])),
+                               Mul(Pow(V, 2), gen.b[k]))) for k in range(3))
         return MapGerm.from_exprs(comps, sf=sf, data=data)
 
     def comp(k):
         def fn(u, v, order):
             vj = Jet2.variable("v", v, order, np.shape(u))
-            return (_pjet(gamma[k], u, v, order) + vj * _pjet(data.xi[k], u, v, order)
-                    + vj * vj * _pjet(data.b[k], u, v, order))
+            return (_pjet(gamma[k], u, v, order) + vj * _pjet(gen.xi[k], u, v, order)
+                    + vj * vj * _pjet(gen.b[k], u, v, order))
         return JetFn(fn)
 
     return MapGerm(tuple(comp(k) for k in range(3)), sf=sf, data=data)
@@ -172,9 +171,7 @@ def build_asymptotic(data: AsymptoticData, a: float = 0.0,
         raise BuildError(
             "non-generic cusp direction: no asymptotic swallowtail exists along it "
             f"(det(xi, xi', xi'')(0) = {disc.psi0:.3g})")
-    germ = build(data.as_general(), a=a)
-    germ.data = data
-    return germ
+    return build(data, a=a)
 
 
 # ---------------------------------------------------------------------------
@@ -194,16 +191,8 @@ class Discriminants:
         return sgn(self.D0, self.scale), sgn(self.D1, self.scale)
 
 
-def _xi_frame(data, u=0.0, order=3):
-    xj = data.xi_jets(u, order)
-    xi = np.array([c.value() for c in xj])
-    xip = np.array([c.partial(1, 0) for c in xj])
-    xipp = np.array([c.partial(2, 0) for c in xj])
-    return xi, xip, xipp
-
-
 def discriminants(data) -> Discriminants:
-    xi, xip, xipp = _xi_frame(data)
+    xi, xip, xipp = xi_frame(data.xi, 0.0, 3)
     psi0 = float(np.linalg.det(np.stack([xi, xip, xipp], axis=1)))
     scale = max(np.linalg.norm(xi) * np.linalg.norm(xip), 1e-6) ** 1.5
     if isinstance(data, AsymptoticData):
@@ -220,7 +209,7 @@ def discriminants(data) -> Discriminants:
     Dqr = None
     if general is not None:
         def Dqr(u, data=data):
-            xi_u, xip_u, xipp_u = _xi_frame(data, u)
+            xi_u, xip_u, xipp_u = xi_frame(data.xi, u, 3)
             q_u = _pjet(data.q, u, 0.0, 0).value()
             r_u = np.array([_pjet(c, u, 0.0, 0).value() for c in data.r])
             det_r = float(np.linalg.det(np.stack([xi_u, xip_u, r_u], axis=1)))
@@ -229,12 +218,8 @@ def discriminants(data) -> Discriminants:
 
     def delta(u, data=data):
         nt = normal_on_axis(data)
-        nj = _vjet(nt, u, 0.0, 2)
-        n0 = np.array([c.value() for c in nj])
-        n1 = np.array([c.partial(1, 0) for c in nj])
-        xj = data.xi_jets(u, 2)
-        x0 = np.array([c.value() for c in xj])
-        return float(np.dot(n1, np.cross(n0, x0)))
+        n0, n1, _ = xi_frame(nt, u, 2)
+        return float(np.dot(n1, np.cross(n0, xi_frame(data.xi, u, 2)[0])))
 
     return Discriminants(D0=D0, D1=D1, psi0=psi0, scale=scale, Dqr=Dqr, delta=delta)
 
@@ -243,19 +228,14 @@ def normal_on_axis(data):
     """Provider of nu~(u, 0) = xi x xi' - 2u (xi x b(.,0)) from the data."""
     gen = data.as_general() if isinstance(data, AsymptoticData) else data
 
-    def comp(k):
-        def fn(u, v, order):
-            xj = gen.xi_jets(u, order + 1)
-            dx = tuple(c.du() for c in xj)
-            bj = tuple(c.axis_part() for c in gen.b_jets(u, 0.0, order))
-            xj = tuple(c.truncate(order) for c in xj)
-            uj = Jet2.variable("u", u, order, np.shape(u))
-            c1 = cross(xj, dx)
-            c2 = cross(xj, bj)
-            return c1[k] - 2.0 * uj * c2[k]
-        return JetFn(fn)
+    def fn(u, v, order):
+        xj, _, n = cusp_frame(gen.xi, u, order)
+        bj = tuple(c.axis_part() for c in _vjet(gen.b, u, 0.0, order))
+        uj = Jet2.variable("u", u, order, np.shape(u))
+        c2 = cross(xj, bj)
+        return tuple(n[k] - 2.0 * uj * c2[k] for k in range(3))
 
-    return tuple(comp(k) for k in range(3))
+    return components(fn)
 
 
 # ---------------------------------------------------------------------------
@@ -289,15 +269,13 @@ def _b_jet(germ, alpha, k, u, w, order):
     aj = _pjet(alpha, u, 0.0, K)
     a_here = aj.value()
     v_here = w / a_here
-    Fj = germ.fjet(u, v_here, K)[k]
-    # b~(u, v) = (a(u,v) - a(u,0)) / v with a = (f - gamma)/v
-    if v_here == 0.0:
-        a_full = (Fj - Fj.axis_part()).divide_by_v()
-        btilde = (a_full - a_full.axis_part()).divide_by_v()
-    else:
-        vj = Jet2.variable("v", v_here, K, ())
-        a_full = (Fj - Fj.axis_part()) / vj
-        btilde = (a_full - a_full.axis_part()) / vj
+    # b~(u, v) = (a(u,v) - a(u,0)) / v with a = (f - gamma)/v; gamma(u) and
+    # a(u, 0) are u-only, read from the jet at (u, 0)
+    F0 = germ.fjet(u, 0.0, K)[k]
+    gamma = F0.axis_part()
+    a0 = over_v(F0 - gamma, 0.0)
+    a_full = a0 if v_here == 0.0 else over_v(germ.fjet(u, v_here, K)[k] - gamma, v_here)
+    btilde = over_v(a_full - a0.axis_part(), v_here)
     # compose with v = w / alpha(u): U = u-var, V = w-var / alpha
     o = btilde.order
     uj = Jet2.variable("u", u, o, ())
@@ -379,10 +357,7 @@ def _r_jet(data, p, q, k, u, w, order):
     core = (Vo * xj[k].truncate(o) + Vo * Vo * bj - wj.truncate(o) * xj[k].truncate(o)
             - wj.truncate(o) * wj.truncate(o) * qj.truncate(o) * dxj[k].truncate(o))
     for _ in range(3):
-        if w == 0.0:
-            core = core.divide_by_v(tol=1e-7)
-        else:
-            core = core / wj.truncate(core.order)
+        core = over_v(core, w, tol=1e-7)
     return core.truncate(order)
 
 
@@ -396,9 +371,7 @@ def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0,
     """
     worst_u, worst = None, 0.0
     for uu in samples:
-        xj = data.xi_jets(uu, 1)
-        xi = np.array([c.value() for c in xj])
-        xip = np.array([c.partial(1, 0) for c in xj])
+        xi, xip = xi_frame(data.xi, uu, 1)
         b0 = np.array([c.value() for c in _vjet(data.b, uu, 0.0, 0)])
         n = np.cross(xi, xip)
         resid = abs(np.dot(b0, n)) / (np.linalg.norm(n) * (1 + np.linalg.norm(b0)))
@@ -409,11 +382,8 @@ def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0,
 
     def coef(which):
         def fn(u, v, order):
-            xj = data.xi_jets(u, order + 1)
-            dx = tuple(c.du() for c in xj)
-            xj = tuple(c.truncate(order) for c in xj)
+            xj, dx, n = cusp_frame(data.xi, u, order)
             bj = tuple(c.axis_part() for c in _vjet(data.b, u, 0.0, order))
-            n = cross(xj, dx)
             den = det3(xj, dx, n)
             if which == "q":
                 return det3(xj, bj, n) / den
@@ -431,16 +401,6 @@ def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0,
 # Existence along a prescribed cusp
 # ---------------------------------------------------------------------------
 
-class _NegFlip:
-    """Provider of -f(-u, v)."""
-
-    def __init__(self, base):
-        self.base = FlipU(base)
-
-    def jet(self, u, v, order, memo=None):
-        return -self.base.jet(u, v, order)
-
-
 def flip_data(data):
     """Data of the germ composed with (u, v) -> (-u, -v); flips sigma0_S."""
     g = data.gamma or gamma_from_xi(data.xi)
@@ -448,7 +408,8 @@ def flip_data(data):
     gflip = tuple(FlipU(c) for c in g)
     xi = tuple(FlipU(c) for c in data.xi)
     if isinstance(data, AsymptoticData):
-        return AsymptoticData.of(xi, _NegFlip(data.q), tuple(FlipU(c) for c in data.r), gflip)
+        return AsymptoticData.of(xi, Scaled(FlipU(data.q), -1.0),
+                                 tuple(FlipU(c) for c in data.r), gflip)
     return SwallowtailData.of(xi, tuple(FlipU(c) for c in data.b), gflip)
 
 
@@ -456,7 +417,6 @@ def scale_vec(c, vec):
     out = []
     for comp in vec:
         if isinstance(comp, Expr):
-            from .jets import Const, Mul
             out.append(fold(Mul(Const(c), comp)))
         else:
             out.append(Scaled(comp, c))
@@ -465,13 +425,7 @@ def scale_vec(c, vec):
 
 def normal_field(xi):
     """Providers of xi x xi' for a cusp direction field xi."""
-    def comp(k):
-        def fn(u, v, order):
-            xj = _vjet(xi, u, 0.0, order + 1)
-            dx = tuple(c.du() for c in xj)
-            return cross(tuple(c.truncate(order) for c in xj), dx)[k]
-        return JetFn(fn)
-    return tuple(comp(k) for k in range(3))
+    return components(lambda u, v, order: cusp_frame(xi, u, order)[2])
 
 
 def exists_swallowtail_along(xi, want_sigma_g: int, tail_sign=None) -> SwallowtailData:
@@ -484,8 +438,7 @@ def exists_swallowtail_along(xi, want_sigma_g: int, tail_sign=None) -> Swallowta
     rejected.
     """
     xi = _parse_vec(xi)
-    probe = SwallowtailData(xi=xi, b=(0.0, 0.0, 0.0))
-    xi0, xip0, xipp0 = _xi_frame(probe)
+    xi0, xip0, xipp0 = xi_frame(xi, 0.0, 3)
     if np.linalg.norm(np.cross(xi0, xip0)) < 1e-12:
         raise BuildError("not a space-cusp direction field: xi(0) x xi'(0) = 0")
     psi = float(np.linalg.det(np.stack([xi0, xip0, xipp0], axis=1)))
@@ -498,7 +451,7 @@ def exists_swallowtail_along(xi, want_sigma_g: int, tail_sign=None) -> Swallowta
     ddxi = tuple(_derivative(_derivative(c)) for c in xi)
     if generic:
         if want_sigma_g == 0:
-            return SwallowtailData.of(xi, _zero_vec())
+            return SwallowtailData.of(xi, (ZERO, ZERO, ZERO))
         return SwallowtailData.of(xi, scale_vec(0.25 * want_sigma_g, ddxi))
     if want_sigma_g == 0:
         raise BuildError("no asymptotic swallowtails along a non-generic space-cusp")
@@ -507,9 +460,3 @@ def exists_swallowtail_along(xi, want_sigma_g: int, tail_sign=None) -> Swallowta
                          "negatively curved tail part")
 
     return SwallowtailData.of(xi, scale_vec(0.5 * want_sigma_g, normal_field(xi)))
-
-
-def _zero_vec():
-    from .jets import ZERO
-    return (ZERO, ZERO, ZERO)
-

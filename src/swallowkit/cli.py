@@ -12,6 +12,7 @@ Exit codes: 0 success / certificate passed; 1 certificate failed;
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -30,6 +31,17 @@ def _emit(obj):
     sys.stdout.write(gs.dumps(obj) + "\n")
 
 
+def _numbers(text, n, what, cast=float):
+    """The n comma-separated finite numbers of a flag value."""
+    try:
+        out = tuple(cast(x) for x in text.split(","))
+    except ValueError as exc:
+        raise gs.SpecError(f"bad {what} {text!r}: {exc}") from exc
+    if len(out) != n or not all(math.isfinite(x) for x in out):
+        raise gs.SpecError(f"{what} needs {n} comma-separated finite numbers, got {text!r}")
+    return out
+
+
 def _load_germ(path):
     kind, obj = gs.load_file(path)
     if kind != "germ":
@@ -45,9 +57,8 @@ def _load_curve(path):
 
 
 def cmd_classify(args):
-    germ = _load_germ(args.spec)
-    at = tuple(float(x) for x in args.at.split(","))
-    rep = fr.classify(germ, at=at)
+    at = _numbers(args.at, 2, "--at u,v")
+    rep = fr.classify(_load_germ(args.spec), at=at)
     _emit(rep.to_dict())
     return 0
 
@@ -94,11 +105,7 @@ def cmd_cusp(args):
 
 def cmd_build(args):
     data, a = gs.load_data_file(args.spec)
-    if isinstance(data, AsymptoticData):
-        from .builder import build_asymptotic
-        germ = build_asymptotic(data, a=a, require_swallowtail=False)
-    else:
-        germ = build(data, a=a)
+    germ = build(data, a=a)
     rep = fr.classify(germ)
     out = {"report": rep.to_dict()}
     if germ.exprs is not None:
@@ -117,6 +124,8 @@ def cmd_build(args):
 
 
 def cmd_deform(args):
+    if args.steps < 2:
+        raise gs.SpecError(f"--steps must be at least 2, got {args.steps}")
     d1, a1 = gs.load_data_file(args.spec1)
     d2, a2 = gs.load_data_file(args.spec2)
     a = a1
@@ -147,12 +156,9 @@ def cmd_deform(args):
 
 
 def cmd_mesh(args):
+    u0, u1, v0, v1 = _numbers(args.domain, 4, "--domain u0,u1,v0,v1")
+    m, n = _numbers(args.res, 2, "--res m,n", int)
     germ = _load_germ(args.spec)
-    try:
-        u0, u1, v0, v1 = (float(x) for x in args.domain.split(","))
-        m, n = (int(x) for x in args.res.split(","))
-    except ValueError as exc:
-        raise gs.SpecError(f"bad domain/res: {exc}") from exc
     if m < 1 or n < 1:
         raise gs.SpecError(f"resolution must be positive, got {m},{n}")
     us = np.linspace(u0, u1, m + 1)
@@ -191,10 +197,10 @@ def cmd_mesh(args):
 
 
 def cmd_cgc(args):
-    m, n = (int(x) for x in args.grid.split(","))
+    m, n = _numbers(args.grid, 2, "--grid m,n", int)
     if m < 9 or n < 9:
         raise gs.SpecError("cgc grid must be at least 9x9")
-    window = tuple(float(x) for x in args.window.split(","))
+    window = _numbers(args.window, 4, "--window u0,u1,v0,v1")
     prof = cgcmod.solve_radial_ode()
     om = cgcmod.OmegaField(prof)
     forms = cgcmod.FundamentalForms(om)
@@ -228,7 +234,9 @@ def cmd_cgc(args):
 
 
 def cmd_frenet(args):
-    a, b = (float(x) for x in args.interval.split(","))
+    a, b = _numbers(args.interval, 2, "--interval a,b")
+    if not (args.step > 0 and math.isfinite(args.step)):
+        raise gs.SpecError(f"--step must be a positive number, got {args.step}")
     fd = cv.FrenetData(kappa=args.kappa, tau=args.tau, step=args.step)
     path = cv.integrate_frenet(fd, interval=(a, b))
     rows = []

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import BoundedCache, JetFn, Scaled, gauss_legendre, over_u, pjet, rk4_step, vjet
+from .fields import (BoundedCache, JetFn, Scaled, components, gauss_legendre, over_u, pjet,
+                     rk4_step, vjet, xi_frame)
 from .frontal import sgn
-from ._jettables import index_of
+from ._jettables import index_of, term_count
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
 from .metric import det3, dot
 
@@ -51,12 +52,6 @@ class CuspFactorization:
     def jets(self, u, order):
         return vjet(self.xi, u, 0.0, order)
 
-    def frame0(self):
-        xj = self.jets(0.0, 2)
-        return (np.array([c.value() for c in xj]),
-                np.array([c.partial(1, 0) for c in xj]),
-                np.array([c.partial(2, 0) for c in xj]))
-
 
 @dataclass
 class CuspClass:
@@ -86,7 +81,7 @@ def factor_cusp(curve: CurveGerm) -> CuspFactorization:
 
 
 def classify_cusp(fact: CuspFactorization, tol=1e-9) -> CuspClass:
-    xi0, xi1, xi2 = fact.frame0()
+    xi0, xi1, xi2 = xi_frame(fact.xi, 0.0, 2)
     cr = np.cross(xi0, xi1)
     cross_norm = float(np.linalg.norm(cr))
     scale_a = np.linalg.norm(xi0) * np.linalg.norm(xi1)
@@ -145,9 +140,7 @@ class HalfArclength:
     def __init__(self, curve: CurveGerm, xi=None):
         self.curve = curve
         self.fact = CuspFactorization(xi=tuple(xi)) if xi is not None else factor_cusp(curve)
-        xj = self.fact.jets(0.0, 1)
-        xi0 = np.array([c.value() for c in xj])
-        if np.linalg.norm(xi0) < 1e-10:
+        if np.linalg.norm(xi_frame(self.fact.xi, 0.0, 1)[0]) < 1e-10:
             raise CurveError("gamma''(0) = 0: half-arclength parameter undefined")
         self._h = self.T / self.PANELS
         # cumulative phi at the nodes 0, h, 2h, ... and 0, -h, -2h, ...
@@ -303,12 +296,7 @@ class HalfArclength:
     def xi_hat(self):
         """Unit factorization field in the new parameter."""
         xi_hat_jets = self.xi_hat_jets
-
-        def comp(k):
-            def fn(u, v, order):
-                return xi_hat_jets(u, order)[k]
-            return JetFn(fn)
-        return tuple(comp(k) for k in range(3))
+        return components(lambda u, v, order: xi_hat_jets(u, order))
 
     def speed(self):
         """Provider of |xi(t(u))| (the transverse rescaling factor)."""
@@ -466,33 +454,23 @@ class FrenetPath:
             G2[n + 1] = ut / (n + 1)
         return T, N, B, G, G2
 
+    def _providers(self, which):
+        """Three providers of the u-only jets of entry `which` of the series."""
+        series = self.series
+
+        def fn(u, v, order):
+            c = np.zeros((3, term_count(order)))
+            c[:, [index_of(i, 0) for i in range(order + 1)]] = series(u, order)[which].T
+            return tuple(Jet2(order, ck) for ck in c)
+        return components(fn)
+
     def xi_providers(self):
         """Unit tangent field T(u) = dGamma/du as three jet providers."""
-        path = self
-
-        def comp(k):
-            def fn(u, v, order):
-                T, _, _, _, _ = path.series(u, order)
-                out = Jet2.constant(0.0, order, ())
-                for i in range(order + 1):
-                    out.c[index_of(i, 0)] = T[i][k]
-                return out
-            return JetFn(fn)
-        return tuple(comp(k) for k in range(3))
+        return self._providers(0)
 
     def cusp_curve_providers(self):
         """Providers of int_0^u w T(w) dw (the cusp curve of the field T)."""
-        path = self
-
-        def comp(k):
-            def fn(u, v, order):
-                _, _, _, _, G2 = path.series(u, order)
-                out = Jet2.constant(0.0, order, ())
-                for i in range(order + 1):
-                    out.c[index_of(i, 0)] = G2[i][k]
-                return out
-            return JetFn(fn)
-        return tuple(comp(k) for k in range(3))
+        return self._providers(4)
 
 
 def integrate_frenet(data: FrenetData, interval=(-1.0, 1.0), gamma0=(0.0, 0.0, 0.0)) -> FrenetPath:

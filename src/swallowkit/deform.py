@@ -16,14 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frontal as fr
-from .builder import (AsymptoticData, SwallowtailData, build, build_asymptotic,
-                      discriminants, flip_data, normal_field)
+from .builder import (AsymptoticData, SwallowtailData, build, discriminants, flip_data,
+                      normal_field)
 from .curves import (CurveGerm, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of, integrate_frenet)
-from .fields import BoundedCache, JetFn, Scaled, pjet, vjet
+from .fields import (BoundedCache, JetFn, Scaled, components, cusp_frame, pjet, vjet,
+                     xi_frame)
 from .frontal import sgn
 from .jets import Jet2, compose2
-from .metric import cross, det3, dot
+from .metric import det3, dot
 
 
 class DeformError(ValueError):
@@ -75,12 +76,6 @@ class Certificate:
         }
 
 
-def _build_any(data, a):
-    if isinstance(data, AsymptoticData):
-        return build_asymptotic(data, a=a, require_swallowtail=False)
-    return build(data, a=a)
-
-
 def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRID,
             track_kext_sign: int | None = None) -> Certificate:
     """Sample every stage of the family and check the class predicate.
@@ -88,13 +83,15 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
     predicate: 'swallowtail' | 'generic_swallowtail' | 'asymptotic_swallowtail'.
     track_kext_sign: required sign of K_ext at the probe points (Theorem D).
     """
+    if steps < 2:
+        raise ValueError(f"certify needs at least 2 t-samples per stage, got {steps}")
     ts = np.linspace(0.0, 1.0, steps)
     failures = []
     per_t = []
 
     def check_one(stage, t):
         data = stage.generator(float(t))
-        germ = _build_any(data, family.a)
+        germ = build(data, family.a)
         rep = fr.classify(germ)
         entry = {
             "stage": stage.name, "t": float(t),
@@ -163,7 +160,7 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
 
 def data_signs(data, a=0.0):
     """(sigma0_S, sigma_g_S) of the built germ."""
-    rep = fr.classify(_build_any(data, a))
+    rep = fr.classify(build(data, a))
     return rep.sigma0_S, rep.sigma_g_S, rep
 
 
@@ -203,36 +200,16 @@ class _UnitXiData:
         return SwallowtailData.of(self.xi, self.b, self.gamma)
 
 
-def _tangential_part(xi, b):
-    """b minus its xi x xi' component: the part stripped in stage 1."""
-    def comp(k):
-        def fn(u, v, order):
-            xj = vjet(xi, u, 0.0, order + 1)
-            dx = tuple(c.du() for c in xj)
-            xj = tuple(c.truncate(order) for c in xj)
-            n = cross(xj, dx)
-            bj = vjet(b, u, v, order)
-            x3 = det3(xj, dx, bj) / dot(n, n)
-            return bj[k] - x3 * n[k]
-        return JetFn(fn)
-    return tuple(comp(k) for k in range(3))
-
-
-def _x3_field(xi, b):
+def _normal_split(xi, b):
+    """Providers (x3, tangential part) of b = x3 xi x xi' + tangential part:
+    Theorem A interpolates x3 and strips the tangential part."""
     def fn(u, v, order):
-        xj = vjet(xi, u, 0.0, order + 1)
-        dx = tuple(c.du() for c in xj)
-        xj = tuple(c.truncate(order) for c in xj)
-        n = cross(xj, dx)
+        xj, dx, n = cusp_frame(xi, u, order)
         bj = vjet(b, u, v, order)
-        return det3(xj, dx, bj) / dot(n, n)
-    return JetFn(fn)
-
-
-def _mix(p1, p2, t):
-    def fn(u, v, order):
-        return (1.0 - t) * pjet(p1, u, v, order) + t * pjet(p2, u, v, order)
-    return JetFn(fn)
+        x3 = det3(xj, dx, bj) / dot(n, n)
+        return (x3, *(bj[k] - x3 * n[k] for k in range(3)))
+    x3, *tang = components(fn, 4)
+    return x3, tang
 
 
 def _combine(*weighted):
@@ -310,9 +287,7 @@ class XiInterpolation:
         self.step = step
         self._frames = []
         for xi in self.xi:
-            xj = vjet(xi, 0.0, 0.0, 1)
-            T = np.array([c.value() for c in xj])
-            dx = np.array([c.partial(1, 0) for c in xj])
+            T, dx = xi_frame(xi, 0.0, 1)
             N = dx / np.linalg.norm(dx)
             B = np.cross(T, N)
             self._frames.append(np.stack([T, N, B]))
@@ -385,11 +360,7 @@ class XiInterpolation:
         return self.path(t).cusp_curve_providers()
 
     def genericity_at0(self, t):
-        xj = vjet(self.xi_t(t), 0.0, 0.0, 2)
-        xi = np.array([c.value() for c in xj])
-        dx = np.array([c.partial(1, 0) for c in xj])
-        ddx = np.array([c.partial(2, 0) for c in xj])
-        return float(np.linalg.det(np.stack([xi, dx, ddx], axis=1)))
+        return float(np.linalg.det(np.stack(xi_frame(self.xi_t(t), 0.0, 2), axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +386,8 @@ def deform_theorem_A(d1: SwallowtailData, d2: SwallowtailData, a: float = 0.0):
     e1, e2 = n1.as_data(), n2.as_data()
     notes.append("endpoints reparametrized to unit cusp fields (half-arclength)")
 
-    tang1 = _tangential_part(e1.xi, e1.b)
-    tang2 = _tangential_part(e2.xi, e2.b)
+    x31, tang1 = _normal_split(e1.xi, e1.b)
+    x32, tang2 = _normal_split(e2.xi, e2.b)
 
     def gen_stage1(t):
         b = tuple(_combine((1.0, e1.b[k]), (-t, tang1[k])) for k in range(3))
@@ -427,20 +398,16 @@ def deform_theorem_A(d1: SwallowtailData, d2: SwallowtailData, a: float = 0.0):
         return SwallowtailData.of(e2.xi, b, gamma=e2.gamma)
 
     interp = XiInterpolation(e1.xi, e2.xi, gammas=(e1.gamma, e2.gamma))
-    x31 = _x3_field(e1.xi, e1.b)
-    x32 = _x3_field(e2.xi, e2.b)
 
     def gen_stage2(t):
         xi_t = interp.xi_t(t)
         n = normal_field(xi_t)
-        m = _mix(x31, x32, t)
+        m = _combine((1.0 - t, x31), (t, x32))
 
-        def comp(k):
-            def fn(u, v, order):
-                return pjet(m, u, v, order) * pjet(n[k], u, v, order)
-            return JetFn(fn)
-        return SwallowtailData.of(xi_t, tuple(comp(k) for k in range(3)),
-                                  gamma=interp.gamma_t(t))
+        def fn(u, v, order):
+            mj = pjet(m, u, v, order)
+            return tuple(mj * c for c in vjet(n, u, v, order))
+        return SwallowtailData.of(xi_t, components(fn), gamma=interp.gamma_t(t))
 
     fam = DeformationFamily(
         recipe="TheoremA",

@@ -7,6 +7,13 @@ and ad-hoc formulas.  The package's two numeric rules live here too: every
 integral is gauss_legendre and every ODE (Frenet frames, the radial profile,
 the frame equations of the cgc surface) is marched by rk4_step.
 
+The constructions every germ gamma + v xi + v^2 b is written in are shared
+from here as well: cusp_frame gives the jets of the moving frame
+(xi, xi', xi x xi') of a cusp direction field and xi_frame the values
+(xi, xi', xi'') at a point; over_u and over_v divide a jet by u or v
+through the singular axes; components splits one provider of a vector
+into its component providers, so the vector is built once per point.
+
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
 caller), so callers never write into the .c of a jet they were given; they
@@ -22,6 +29,7 @@ import numpy as np
 
 from .jets import Jet2
 from ._jettables import index_of, monomials
+from .metric import cross
 
 
 CACHE_BOUND = 256
@@ -71,6 +79,21 @@ def over_u(gp, u):
     out = (gp / uj).truncate(gp.order - 1)
     if at0.any():
         out.c[:, at0] = Jet2(gp.order, gp.c[:, at0]).divide_by_u().c
+    return out
+
+
+def over_v(g, v, tol=1e-9):
+    """Jet of g/v at (u, v), one order below g, for g vanishing on the u-axis
+    v = 0: there through divide_by_v(tol), elsewhere by dividing by the
+    v-jet.  v may be an array: its points v = 0 are spliced in."""
+    if np.ndim(v) == 0 and v == 0.0:
+        return g.divide_by_v(tol)
+    shape = g.c.shape[1:]
+    at0 = np.broadcast_to(np.asarray(v) == 0.0, shape)
+    vj = Jet2.variable("v", np.where(at0, 1.0, v), g.order, shape)
+    out = (g / vj).truncate(g.order - 1)
+    if at0.any():
+        out.c[:, at0] = Jet2(g.order, g.c[:, at0]).divide_by_v(tol).c
     return out
 
 
@@ -131,6 +154,24 @@ def vjet(vec, u, v, order):
     return tuple(pjet(c, u, v, order) for c in vec)
 
 
+def xi_frame(xi, u, order):
+    """Values (xi, xi', xi'') at u of a direction field, read from its jets of
+    the given order; order 1 gives (xi, xi') only.  The order is the caller's,
+    because a memoised provider answers a lower order by truncating the jet it
+    computed at a higher one."""
+    xj = vjet(xi, u, 0.0, order)
+    return tuple(np.array([c.partial(i, 0) for c in xj]) for i in range(min(order, 2) + 1))
+
+
+def cusp_frame(xi, u, order):
+    """Jets at (u, 0) of the cusp frame (xi, xi', xi x xi') of a direction
+    field xi, all of the given order."""
+    xj = vjet(xi, u, 0.0, order + 1)
+    dx = tuple(c.du() for c in xj)
+    xj = tuple(c.truncate(order) for c in xj)
+    return xj, dx, cross(xj, dx)
+
+
 class JetFn:
     """Composite provider: wraps a function (u, v, order) -> Jet2 (or a
     tuple of jets) that assembles jets from other providers, and memoises
@@ -148,6 +189,26 @@ class JetFn:
         if out is None:
             out = self._memo.put_jets(key, order, self._fn(u, v, order))
         return out
+
+
+class _Component:
+    """Entry k of the vector a JetFn returns."""
+
+    __slots__ = ("whole", "k")
+
+    def __init__(self, whole, k):
+        self.whole, self.k = whole, k
+
+    def jet(self, u, v, order, memo=None):
+        return self.whole.jet(u, v, order)[self.k]
+
+
+def components(fn, n=3):
+    """The n component providers of one JetFn fn(u, v, order) -> tuple of n
+    jets: the vector is assembled and memoised once per point, each component
+    reads its entry."""
+    whole = JetFn(fn)
+    return tuple(_Component(whole, k) for k in range(n))
 
 
 class DU:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import metric as mt
-from .fields import BoundedCache
+from .fields import BoundedCache, over_v
 from .jets import Expr, Jet2, JetError, compose2, parse
 from .metric import SpaceForm, cross, dot
 
@@ -113,10 +113,7 @@ def normal_jets(germ: MapGerm, u, v, order=ORDER):
     Fu = tuple(c.du() for c in F)
     Fv = tuple(c.dv() for c in F)
     n = mt.cross_g(germ.sf, tuple(c.truncate(order + 1) for c in F), Fv, Fu)
-    if v == 0.0 and np.ndim(u) == 0:
-        return tuple(c.divide_by_v() for c in n)
-    vj = Jet2.variable("v", v, order + 1, np.shape(u))
-    return tuple(c / vj for c in n)
+    return tuple(over_v(c, v) for c in n)
 
 
 def lambda_jet(germ: MapGerm, u, v, order=ORDER):
@@ -141,11 +138,8 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER):
         from .jets import jet_sqrt
         nn = jet_sqrt(mt.inner_g(germ.sf, Ftr, n, n))
         nt = tuple((c / nn).truncate(order + 1) for c in n)
-    elif v == 0.0 and np.ndim(u) == 0:
-        nt = tuple(c.divide_by_v() for c in n)
     else:
-        vj = Jet2.variable("v", v, order + 2, np.shape(u))
-        nt = tuple(c / vj for c in n)
+        nt = tuple(over_v(c, v) for c in n)
     return mt.det_g(germ.sf, tuple(c.truncate(order + 1) for c in Ftr),
                     tuple(c.truncate(order + 1) for c in Fu),
                     tuple(c.truncate(order + 1) for c in Fv),

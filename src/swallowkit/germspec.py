@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 
-from .builder import AsymptoticData, SwallowtailData, build, build_asymptotic
+from .builder import AsymptoticData, SwallowtailData, build
 from .curves import CurveGerm
 from .frontal import MapGerm
 from .jets import ParseError
@@ -33,24 +33,51 @@ def _expr_list(doc, key, n=3):
     return tuple(str(e) for e in doc[key])
 
 
-def load(doc):
-    """Returns ('germ', MapGerm) or ('curve', CurveGerm)."""
+def _kind(doc):
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecError("germ spec must be an object with a 'kind' field")
-    kind = doc["kind"]
-    a = float(doc.get("a", 0.0))
+    return doc["kind"]
+
+
+def _curvature(doc):
+    """The model parameter a of a document: a finite number, 0 by default."""
+    try:
+        a = float(doc.get("a", 0.0))
+    except (TypeError, ValueError):
+        a = math.nan
+    if not math.isfinite(a):
+        raise SpecError(f"field 'a' must be a finite number, got {doc.get('a')!r}")
+    return a
+
+
+def load_data(doc):
+    """Data object (not a built germ) of a swallowtail-data or asymptotic-data
+    document."""
+    kind = _kind(doc)
     try:
         if kind == "swallowtail-data":
             data = SwallowtailData(xi=_expr_list(doc, "xi"), b=_expr_list(doc, "b"))
-            return "germ", build(data, a=a)
-        if kind == "asymptotic-data":
+        elif kind == "asymptotic-data":
             if "q" not in doc:
                 raise SpecError("asymptotic-data needs a 'q' expression")
             data = AsymptoticData(xi=_expr_list(doc, "xi"), q=str(doc["q"]),
                                   r=_expr_list(doc, "r"))
-            return "germ", build_asymptotic(data, a=a, require_swallowtail=False)
+        else:
+            raise SpecError(f"deformations need data documents, got kind {kind!r}")
+    except ParseError as exc:
+        raise SpecError(f"bad expression: {exc}") from exc
+    return data
+
+
+def load(doc):
+    """Returns ('germ', MapGerm) or ('curve', CurveGerm)."""
+    kind = _kind(doc)
+    try:
+        if kind in ("swallowtail-data", "asymptotic-data"):
+            return "germ", build(load_data(doc), a=_curvature(doc))
         if kind == "raw-germ":
-            return "germ", MapGerm.from_exprs(_expr_list(doc, "f"), sf=SpaceForm(a))
+            return "germ", MapGerm.from_exprs(_expr_list(doc, "f"),
+                                              sf=SpaceForm(_curvature(doc)))
         if kind == "curve":
             return "curve", CurveGerm(gamma=_expr_list(doc, "gamma"))
     except ParseError as exc:
@@ -58,33 +85,21 @@ def load(doc):
     raise SpecError(f"unknown kind {kind!r}")
 
 
-def load_file(path):
+def _read(path):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
         raise SpecError(f"cannot read germ spec {path}: {exc}") from exc
-    return load(doc)
 
 
-def load_data(doc):
-    """Data object (not a built germ) for the deformation commands."""
-    kind = doc.get("kind")
-    if kind == "swallowtail-data":
-        return SwallowtailData(xi=_expr_list(doc, "xi"), b=_expr_list(doc, "b"))
-    if kind == "asymptotic-data":
-        return AsymptoticData(xi=_expr_list(doc, "xi"), q=str(doc["q"]),
-                              r=_expr_list(doc, "r"))
-    raise SpecError(f"deformations need data documents, got kind {kind!r}")
+def load_file(path):
+    return load(_read(path))
 
 
 def load_data_file(path):
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise SpecError(f"cannot read germ spec {path}: {exc}") from exc
-    return load_data(doc), float(doc.get("a", 0.0))
+    doc = _read(path)
+    return load_data(doc), _curvature(doc)
 
 
 # ---------------------------------------------------------------------------

@@ -677,7 +677,10 @@ class _Scanner:
                     q += 1
                 p = q
         self.pos = p
-        return float(s[start:p])
+        x = float(s[start:p])
+        if not math.isfinite(x):
+            raise ParseError("number out of range", start)
+        return x
 
     def ident(self):
         start = self.pos
@@ -869,6 +872,13 @@ def diff(e: Expr, var: str) -> Expr:
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
+def _folded(x):
+    """A folded constant; one out of float range is a domain error."""
+    if not math.isfinite(x):
+        raise JetError(f"constant expression out of range ({x})")
+    return Const(x)
+
+
 def fold(e: Expr) -> Expr:
     """Constant folding and trivial identities; no other simplification."""
     if isinstance(e, (Const, Var)):
@@ -881,20 +891,24 @@ def fold(e: Expr) -> Expr:
     if isinstance(e, Pow):
         a = fold(e.a)
         if isinstance(a, Const):
-            return Const(a.value ** e.n)
+            try:
+                return _folded(a.value ** e.n)
+            except (OverflowError, ZeroDivisionError):
+                return _folded(math.inf)
         if e.n == 1:
             return a
         return Pow(a, e.n)
     if isinstance(e, Func):
         a = fold(e.a)
         if isinstance(a, Const):
-            return Const(float(getattr(np, e.name)(a.value)))
+            with np.errstate(over="ignore", invalid="ignore"):
+                return _folded(float(getattr(np, e.name)(a.value)))
         return Func(e.name, a)
     a, b = fold(e.a), fold(e.b)
     ca, cb = isinstance(a, Const), isinstance(b, Const)
     if isinstance(e, Add):
         if ca and cb:
-            return Const(a.value + b.value)
+            return _folded(a.value + b.value)
         if ca and a.value == 0:
             return b
         if cb and b.value == 0:
@@ -902,13 +916,13 @@ def fold(e: Expr) -> Expr:
         return Add(a, b)
     if isinstance(e, Sub):
         if ca and cb:
-            return Const(a.value - b.value)
+            return _folded(a.value - b.value)
         if cb and b.value == 0:
             return a
         return Sub(a, b)
     if isinstance(e, Mul):
         if ca and cb:
-            return Const(a.value * b.value)
+            return _folded(a.value * b.value)
         if (ca and a.value == 0) or (cb and b.value == 0):
             return ZERO
         if ca and a.value == 1:
@@ -920,7 +934,7 @@ def fold(e: Expr) -> Expr:
         if cb and b.value == 1:
             return a
         if ca and cb and b.value != 0:
-            return Const(a.value / b.value)
+            return _folded(a.value / b.value)
         if ca and a.value == 0:
             return ZERO
         return Div(a, b)

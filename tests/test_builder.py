@@ -155,6 +155,18 @@ def test_extract_data_roundtrip(ex217):
     assert np.sign(d1.D1) == np.sign(d2.D1)
 
 
+def test_extracted_germ_matches_off_the_axis():
+    """With a(u, 0) = xi(u) (alpha = 1) the rebuilt germ is the germ itself,
+    in value and in K_ext, away from the singular axis too: b subtracts
+    gamma(u) = f(u, 0), not f(u, v)."""
+    g = build(SwallowtailData(xi=("2+u", "3*u", "u^2"), b=("u*v", "1+v", "u")))
+    h = build(extract_data(g))
+    for p in ((0.0, 0.05), (0.05, 0.03), (-0.04, -0.06)):
+        assert np.abs(g.value(*p) - h.value(*p)).max() < 1e-12
+        assert fr.gaussian_curvature(h, p)[1] == pytest.approx(
+            fr.gaussian_curvature(g, p)[1], rel=1e-9)
+
+
 def test_extract_data_standard_swallowtail():
     germ = MapGerm.from_exprs((
         "0-6*u^2-v", "2*u^3+(0-6*u^2-v)*u", "3*u^4+(0-6*u^2-v)*u^2"))

@@ -6,7 +6,7 @@ import pytest
 from swallowkit.curves import (CurveError, CurveGerm, FrenetData, classify_cusp,
                                curvature_torsion_of, factor_cusp, integrate_frenet,
                                mirror_properties, normalize_half_arclength)
-from swallowkit.fields import ComposeU
+from swallowkit.fields import ComposeU, xi_frame
 from swallowkit.jets import parse
 
 
@@ -14,7 +14,7 @@ def test_factor_cusp_planar():
     f = factor_cusp(CurveGerm(gamma=("u^2", "u^3", "0")))
     xj = f.jets(0.5, 1)
     assert [j.value() for j in xj] == pytest.approx([2.0, 1.5, 0.0])
-    xi0, xi1, _ = f.frame0()
+    xi0, xi1, _ = xi_frame(f.xi, 0.0, 2)
     assert xi0 == pytest.approx([2, 0, 0])
     assert xi1 == pytest.approx([0, 3, 0])
 

@@ -1,8 +1,10 @@
-"""Every module-level import of the package is used by its module.
+"""Every module-level import of the package is used by its module, and
+every module-level _private function or class is used by the package.
 
 No linter ships with the package, so this parses each module and fails on
-an imported name that the module never references.  __init__.py is left
-out: its imports are the public re-exports.
+an imported name that the module never references, or on a private helper
+that no module of the package references.  __init__.py is left out of the
+import check: its imports are the public re-exports.
 """
 
 import ast
@@ -36,3 +38,35 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def dead_private_helpers(sources):
+    """(module, name) of each module-level _private function or class of the
+    modules {name: source} that none of them references."""
+    defined, used = [], set()
+    for mod, src in sources.items():
+        tree = ast.parse(src)
+        defined += [(mod, node.name) for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.startswith("__")]
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name):
+                used.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                used.add(n.attr)
+            elif isinstance(n, ast.alias):
+                used.add(n.name)
+    return sorted(d for d in defined if d[1] not in used)
+
+
+def test_checker_sees_a_dead_helper():
+    sources = {"a": "def _dead():\n    pass\n\n\ndef _used():\n    pass\n\n\n"
+                    "class _Gone:\n    pass\n",
+               "b": "from .a import _used\n\n\ndef f(m):\n    return _used(), m._kept\n\n\n"
+                    "def _kept():\n    pass\n"}
+    assert dead_private_helpers(sources) == [("a", "_Gone"), ("a", "_dead")]
+
+
+def test_no_dead_private_helpers():
+    sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert dead_private_helpers(sources) == []
