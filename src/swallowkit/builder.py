@@ -21,6 +21,8 @@ from functools import partial
 
 import numpy as np
 
+from .fields import (CurveIntegral, DU, FlipU, JetFn, Scaled, components, cusp_frame,
+                     over_u, over_v, pjet as _pjet, vjet as _vjet, xi_frame)
 from .frontal import MapGerm, sgn
 from .jets import (ZERO, Add, Const, Expr, Jet2, Mul, Pow, V, as_expr, compose2, diff, fold,
                    integrate_u_times, parse)
@@ -34,9 +36,6 @@ class BuildError(ValueError):
 # ---------------------------------------------------------------------------
 # Jet providers
 # ---------------------------------------------------------------------------
-
-from .fields import (CurveIntegral, DU, FlipU, JetFn, Scaled, components, cusp_frame,
-                     over_u, over_v, pjet as _pjet, vjet as _vjet, xi_frame)
 
 
 def gamma_from_xi(xi):

@@ -23,7 +23,7 @@ from . import deform as dm
 from . import frontal as fr
 from . import germspec as gs
 from .builder import AsymptoticData, BuildError, SwallowtailData, build, discriminants
-from .jets import JetError, ParseError
+from .jets import JetError, ParseError, to_source
 from .metric import DomainError
 
 
@@ -109,7 +109,6 @@ def cmd_build(args):
     rep = fr.classify(germ)
     out = {"report": rep.to_dict()}
     if germ.exprs is not None:
-        from .jets import to_source
         out["f"] = [to_source(e) for e in germ.exprs]
     disc = discriminants(data)
     out["discriminants"] = {"D0": disc.D0, "D1": disc.D1, "det_xi": disc.psi0}

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (BoundedCache, JetFn, Scaled, components, gauss_legendre, over_u, pjet,
-                     rk4_step, vjet, xi_frame)
+from .fields import (BoundedCache, FlipU, JetFn, Scaled, components, gauss_legendre, over_u,
+                     pjet, rk4_step, vjet, xi_frame)
 from .frontal import sgn
 from ._jettables import index_of, term_count
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
@@ -100,7 +100,6 @@ def classify_cusp(fact: CuspFactorization, tol=1e-9) -> CuspClass:
 
 def mirror_properties(fact: CuspFactorization):
     """Classes of the u-reversed and negated curves; handedness must flip."""
-    from .fields import FlipU
     rev = CuspFactorization(xi=tuple(FlipU(c) for c in fact.xi))
     neg = CuspFactorization(xi=tuple(Scaled(c, -1.0) for c in fact.xi))
     return {

@@ -16,14 +16,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frontal as fr
-from .builder import (AsymptoticData, SwallowtailData, build, discriminants, flip_data,
-                      normal_field)
+from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discriminants,
+                      flip_data, gamma_from_xi, normal_field)
 from .curves import (CurveGerm, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of, integrate_frenet)
 from .fields import (BoundedCache, JetFn, Scaled, components, cusp_frame, pjet, vjet,
                      xi_frame)
 from .frontal import sgn
-from .jets import Jet2, compose2
+from .jets import Jet2, compose2, parse
 from .metric import det3, dot
 
 
@@ -172,7 +172,6 @@ class _UnitXiData:
     """
 
     def __init__(self, data: SwallowtailData):
-        from .builder import gamma_from_xi
         self.data = data
         self.curve = CurveGerm(data.gamma or gamma_from_xi(data.xi))
         self.H = HalfArclength(self.curve, xi=data.xi)
@@ -462,7 +461,6 @@ def deform_make_generic(d: SwallowtailData, a: float = 0.0):
     if sgn(disc.psi0, disc.scale) != s0:
         raise DeformError("impossible seed: a non-generic swallowtail needs "
                           "sign(det(xi, xi', xi'')(0)) = sigma0_S")
-    from .builder import _derivative
     ddxi = tuple(_derivative(_derivative(c)) for c in d.xi)
 
     def gen(t):
@@ -601,13 +599,13 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
                           "sign preservation impossible")
     if preserve_sign is None:
         preserve_sign = curved
+    n1 = _UnitXiData(SwallowtailData.of(d1.xi, normal_field(d1.xi)))
+    n2 = _UnitXiData(SwallowtailData.of(d2.xi, normal_field(d2.xi)))
+    interp = XiInterpolation(n1.xi, n2.xi, gammas=(n1.gamma, n2.gamma))
 
     if curved and preserve_sign:
         famL1 = deform_lemma_3_7(d1, a)
         famL2 = deform_lemma_3_7(d2, a)
-        n1 = _UnitXiData(SwallowtailData.of(d1.xi, normal_field(d1.xi)))
-        n2 = _UnitXiData(SwallowtailData.of(d2.xi, normal_field(d2.xi)))
-        interp = XiInterpolation(n1.xi, n2.xi, gammas=(n1.gamma, n2.gamma))
 
         def gen_mid(t):
             xi_t = interp.xi_t(t)
@@ -633,10 +631,6 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
         return AsymptoticData.of(d2.xi, Scaled(d2.q, t), tuple(Scaled(c, t) for c in d2.r),
                                  gamma=d2.gamma)
 
-    n1 = _UnitXiData(SwallowtailData.of(d1.xi, normal_field(d1.xi)))
-    n2 = _UnitXiData(SwallowtailData.of(d2.xi, normal_field(d2.xi)))
-    interp = XiInterpolation(n1.xi, n2.xi, gammas=(n1.gamma, n2.gamma))
-
     def gen_mid(t):
         xi_t = interp.xi_t(t)
         return AsymptoticData.of(xi_t, Scaled(d1.q, 0.0), tuple(Scaled(c, 0.0) for c in d1.r),
@@ -661,11 +655,10 @@ def coordinate_homotopy(U, V, box=0.1, samples=9):
     admissibility inequalities are verified on a sample grid for each t
     and the result reports per-t pass/fail.
     """
-    from .jets import parse as _parse
     if isinstance(U, str):
-        U = _parse(U)
+        U = parse(U)
     if isinstance(V, str):
-        V = _parse(V)
+        V = parse(V)
     j0 = U.jet(0.0, 0.0, 1)
     if abs(j0.value()) > 1e-12:
         raise DeformError("u(0,0) != 0")

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet2
+from .jets import Jet2, compose2
 from ._jettables import index_of, monomials
 from .metric import cross
 
@@ -251,7 +251,6 @@ class ComposeU:
         self.base, self.phi = base, phi
 
     def jet(self, u, v, order, memo=None):
-        from .jets import compose2
         ph = pjet(self.phi, u, 0.0, order)
         inner = pjet(self.base, ph.value(), v, order)
         vj = Jet2.variable("v", v, order, np.shape(u))

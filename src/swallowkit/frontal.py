@@ -17,13 +17,15 @@ are reported as 0 with the raw value attached, never guessed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import metric as mt
-from .fields import BoundedCache, over_v
-from .jets import Expr, Jet2, JetError, compose2, parse
+from ._jettables import index_of, monomials
+from .fields import JetFn, over_v
+from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, p1_div, p1_mul, parse
 from .metric import SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
@@ -58,7 +60,8 @@ class MapGerm:
         self.p0 = (float(p0[0]), float(p0[1]))
         self.exprs = exprs
         self.data = data
-        self._cache = BoundedCache()
+        # over a module function, not a bound method: no reference cycle
+        self._jets = JetFn(partial(_component_jets, self._components))
 
     @staticmethod
     def from_exprs(exprs, sf=SpaceForm(0.0), p0=(0.0, 0.0), data=None):
@@ -66,17 +69,7 @@ class MapGerm:
         return MapGerm(comps, sf=sf, p0=p0, exprs=comps, data=data)
 
     def fjet(self, u, v, order=ORDER):
-        key = (float(u), float(v)) if np.ndim(u) == 0 else None
-        if key is not None:
-            out = self._cache.jets(key, order)
-            if out is not None:
-                return out
-        memo = {}
-        out = tuple(c.jet(u, v, order, memo) if isinstance(c, Expr) else c.jet(u, v, order)
-                    for c in self._components)
-        if key is not None:
-            self._cache.put_jets(key, order, out)
-        return out
+        return self._jets.jet(u, v, order)
 
     def value(self, u, v):
         return np.array([j.value() for j in self.fjet(u, v, order=0)])
@@ -84,6 +77,13 @@ class MapGerm:
     def reparam(self, change, p0=(0.0, 0.0)):
         """Germ composed with a coordinate change (jets of (U, V) at a point)."""
         return _ReparamGerm(self, change, p0)
+
+
+def _component_jets(components, u, v, order):
+    """Jets of the components at (u, v); expressions share one memo."""
+    memo = {}
+    return tuple(c.jet(u, v, order, memo) if isinstance(c, Expr) else c.jet(u, v, order)
+                 for c in components)
 
 
 class _ReparamGerm(MapGerm):
@@ -135,7 +135,6 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER):
     Ftr = tuple(c.truncate(order + 2) for c in F)
     n = mt.cross_g(germ.sf, Ftr, Fu, Fv)
     if mode == "unit":
-        from .jets import jet_sqrt
         nn = jet_sqrt(mt.inner_g(germ.sf, Ftr, n, n))
         nt = tuple((c / nn).truncate(order + 1) for c in n)
     else:
@@ -144,10 +143,6 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER):
                     tuple(c.truncate(order + 1) for c in Fu),
                     tuple(c.truncate(order + 1) for c in Fv),
                     nt).truncate(order)
-
-
-def _covariant(germ_sf, F, dirF, X, dirX):
-    return mt.covariant_derivative(germ_sf, F, dirF, X, dirX)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +183,6 @@ def _eps_field_jets(germ: MapGerm, u, order):
     E = dot(fu, fu)
     Fg = dot(fu, fv)
     norm = (Fg * Fg + E * E)
-    from .jets import jet_sqrt
     nrm = jet_sqrt(norm)
     alpha = Fg / nrm
     eps = -E / nrm
@@ -218,32 +212,12 @@ class SingularityReport:
     mu_C: float = float("nan")
     null_vector: tuple = (0.0, 0.0)
     lambda_v: float = float("nan")
-    raw: dict = field(default_factory=dict)
     orientation: str = "negative-frame"   # det_g(f_uv, f_v, nu)(o) < 0
+    raw: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
     def to_dict(self):
-        d = {
-            "at": list(self.at),
-            "a": self.a,
-            "is_frontal": self.is_frontal,
-            "is_nondegenerate": self.is_nondegenerate,
-            "kind": self.kind,
-            "is_wavefront": self.is_wavefront,
-            "is_swallowtail": self.is_swallowtail,
-            "is_generalized_swallowtail": self.is_generalized_swallowtail,
-            "is_cuspidal_edge": self.is_cuspidal_edge,
-            "sigma0_S": self.sigma0_S,
-            "sigma_g_S": self.sigma_g_S,
-            "kappa_nu": self.kappa_nu,
-            "mu_C": self.mu_C,
-            "null_vector": list(self.null_vector),
-            "lambda_v": self.lambda_v,
-            "orientation": self.orientation,
-            "raw": dict(self.raw),
-            "notes": list(self.notes),
-        }
-        return d
+        return asdict(self)
 
 
 def _second_kind_data(germ: MapGerm, order=ORDER):
@@ -258,10 +232,10 @@ def _second_kind_data(germ: MapGerm, order=ORDER):
     nn = mt.norm_g(sf, Ftr, nt)
     nu = tuple(c / nn for c in nt)
     # covariant derivatives at the origin of the germ
-    nu_u = _covariant(sf, Ftr, fu, nu, tuple(c.du() for c in nu))
-    nu_v = _covariant(sf, Ftr, fv, nu, tuple(c.dv() for c in nu))
-    fvv = _covariant(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
-    fuv_cov = _covariant(sf, Ftr, fu, fv, tuple(c.du() for c in fv))
+    nu_u = mt.covariant_derivative(sf, Ftr, fu, nu, tuple(c.du() for c in nu))
+    nu_v = mt.covariant_derivative(sf, Ftr, fv, nu, tuple(c.dv() for c in nu))
+    fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
+    fuv_cov = mt.covariant_derivative(sf, Ftr, fu, fv, tuple(c.du() for c in fv))
     return {
         "F": Ftr, "fu": fu, "fv": fv, "fuv": fuv_cov, "fuv_plain": fuv,
         "nu": nu, "nu_u": nu_u, "nu_v": nu_v, "fvv": fvv, "ntilde": nt,
@@ -318,6 +292,8 @@ def classify(germ: MapGerm, at=(0.0, 0.0), order=ORDER, neighborhood=0.05) -> Si
     rep = SingularityReport(at=at, a=germ.sf.a)
 
     F = germ.fjet(at[0], at[1], 3)
+    if not all(np.isfinite(c.c).all() for c in F):
+        raise ClassificationError(f"the jets of the germ at {at} are not finite")
     fu = _vals(tuple(c.du() for c in F))
     fv = _vals(tuple(c.dv() for c in F))
     n = np.cross(fu, fv)
@@ -428,7 +404,8 @@ def sigma0_C(germ: MapGerm, u, order=ORDER):
                    for k in range(3))
         dfz = tuple(alpha.truncate(o) * fu[k].truncate(o) + eps.truncate(o) * fv[k].truncate(o)
                     for k in range(3))
-        return _covariant(sf, tuple(c.truncate(o) for c in F), dfz, tuple(c.truncate(o) for c in X), zX)
+        return mt.covariant_derivative(sf, tuple(c.truncate(o) for c in F), dfz,
+                                       tuple(c.truncate(o) for c in X), zX)
 
     fz = tuple(alpha * fu[k] + eps * fv[k] for k in range(3))
     fzz = cov_zeta(fz)
@@ -445,8 +422,8 @@ def sigma_g_C(germ: MapGerm, u, order=4):
     Ftr = tuple(c.truncate(order) for c in F)
     fu = tuple(c.du().truncate(order) for c in F)
     fv = tuple(c.dv().truncate(order) for c in F)
-    fvv = _covariant(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
-    fuu = _covariant(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
+    fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
+    fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
     det = mt.det_g(sf, Ftr, fu, fuu, fvv).value()
     scale = (np.linalg.norm(_vals(fu)) * np.linalg.norm(_vals(fuu)) * np.linalg.norm(_vals(fvv)))
     return sgn(det, scale), det
@@ -465,8 +442,8 @@ def epsilon_identity_residual(germ: MapGerm, u, order=ORDER):
     Ftr = tuple(c.truncate(order) for c in F)
     fu = tuple(c.du().truncate(order) for c in F)
     fv = tuple(c.dv().truncate(order) for c in F)
-    fuu = _covariant(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
-    fvv = _covariant(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
+    fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
+    fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
     nt = normal_jets(germ, u, 0.0, order - 1)
     lhs = mt.inner_g(sf, tuple(c.truncate(order - 1) for c in Ftr),
                      tuple(c.truncate(order - 1) for c in fuu), nt).value()
@@ -545,12 +522,11 @@ def fundamental_forms(germ: MapGerm, at, order=3):
     scale = mt.inner_g(sf, Ftr, fu, fu).value() * mt.inner_g(sf, Ftr, fv, fv).value()
     if np.any(np.asarray(nsq.value()) <= 1e-18 * (1.0 + np.asarray(scale))):
         raise ClassificationError(f"singular point at {at}")
-    from .jets import jet_sqrt
     nn = jet_sqrt(nsq)
     nu = tuple(c / nn for c in n)
-    fuu = _covariant(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
-    fuv = _covariant(sf, Ftr, fu, fv, tuple(c.du() for c in fv))
-    fvv = _covariant(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
+    fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
+    fuv = mt.covariant_derivative(sf, Ftr, fu, fv, tuple(c.du() for c in fv))
+    fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
     E = mt.inner_g(sf, Ftr, fu, fu).value()
     Fi = mt.inner_g(sf, Ftr, fu, fv).value()
     G = mt.inner_g(sf, Ftr, fv, fv).value()
@@ -648,7 +624,6 @@ def make_admissible(germ: MapGerm, at, order=ORDER):
                        float(base[0]) + float(T[0]) * sj + float(Nv[0]) * cjv,
                        float(base[1]) + float(T[1]) * sj + float(Nv[1]) * cjv)
         # implicit series c(s) with psi(s, c(s)) = 0 by Newton on 1-D series
-        from .jets import p1_div
         psi_c = psi.dv()
         cser = np.zeros(K + 1)
         for _ in range(max(2, math.ceil(math.log2(K + 1)) + 1)):
@@ -658,12 +633,7 @@ def make_admissible(germ: MapGerm, at, order=ORDER):
         # assemble (U, V) jets at (s0, t0)
         s = Jet2.variable("u", 0.0, o, ())
         t = Jet2.variable("v", t0, o, ())
-        top = min(len(cser) - 1, o)
-        cj = Jet2.constant(cser[top], o, ())
-        for k in range(top - 1, -1, -1):
-            cj = cj * s
-            cj.c[0] = cj.c[0] + cser[k]
-        offs = t + cj
+        offs = t + _apply_series(cser[:o + 1], s)
         Uj = float(base[0]) + float(T[0]) * s + float(Nv[0]) * offs
         Vj = float(base[1]) + float(T[1]) * s + float(Nv[1]) * offs
         return Uj, Vj
@@ -679,8 +649,6 @@ def _pad(a, n):
 def _eval_series_in_v(jet: Jet2, vser):
     """1-D series in s of jet(s, c(s)) for a series c with c[0] = 0."""
     K = jet.order
-    from ._jettables import index_of, monomials
-    from .jets import p1_mul
     out = np.zeros(K + 1)
     vpow = [np.zeros(K + 1)]
     vpow[0][0] = 1.0

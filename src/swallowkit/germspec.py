@@ -16,6 +16,8 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
+
 from .builder import AsymptoticData, SwallowtailData, build
 from .curves import CurveGerm
 from .frontal import MapGerm
@@ -126,18 +128,14 @@ def _fmt(x):
         return "{" + items + "}"
     if isinstance(x, (list, tuple)):
         return "[" + ", ".join(_fmt(v) for v in x) + "]"
-    try:
-        import numpy as np
-        if isinstance(x, np.floating):
-            return _fmt(float(x))
-        if isinstance(x, np.integer):
-            return str(int(x))
-        if isinstance(x, np.ndarray):
-            return _fmt(x.tolist())
-        if isinstance(x, np.bool_):
-            return "true" if x else "false"
-    except ImportError:
-        pass
+    if isinstance(x, np.floating):
+        return _fmt(float(x))
+    if isinstance(x, np.integer):
+        return str(int(x))
+    if isinstance(x, np.ndarray):
+        return _fmt(x.tolist())
+    if isinstance(x, np.bool_):
+        return "true" if x else "false"
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 

@@ -9,19 +9,25 @@ Coefficients may be scalars or numpy arrays (one jet per grid node), so
 grid sweeps vectorize for free.  The two hot kernels, the truncated
 product and the graded division, are numpy index-table operations defined
 next to Jet2; there is no other backend.
+
+Expressions are trees of frozen dataclass nodes (Const, Var, Add, Sub, Mul,
+Div, Neg, Pow, Func): they compare and hash by value and cannot be changed.
+Each node class carries its printing precedence PREC, and _FUNCS is the one
+table of elementary functions, giving each its jet and its symbolic
+derivative.  poly2_coeffs reads an expression as a polynomial in (u, v);
+poly_u_coeffs, behind the closed-form integrals, is its u-only projection.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import _jettables as tables
 
 DEFAULT_ORDER = 4
-
-FUNCTIONS = ("sin", "cos", "sinh", "cosh", "exp", "sqrt")
 
 
 class JetError(ValueError):
@@ -300,10 +306,6 @@ def jet_cosh(x: Jet2) -> Jet2:
     return _apply_series(coeffs, x)
 
 
-_JET_FUNCS = {"sin": jet_sin, "cos": jet_cos, "sinh": jet_sinh,
-              "cosh": jet_cosh, "exp": jet_exp, "sqrt": jet_sqrt}
-
-
 def compose2(gc, order_g, U: Jet2, V: Jet2) -> Jet2:
     """Jet of g(U, V) from coefficients gc of g at (U.value, V.value).
 
@@ -397,9 +399,13 @@ def p1_invert(f):
 # ---------------------------------------------------------------------------
 
 class Expr:
-    """Immutable expression tree node; jets via .jet(u, v, order)."""
+    """Immutable expression tree node; jets via .jet(u, v, order).
+
+    PREC is the binding strength to_source prints it with: sums 1, products
+    and negation 2, powers 3, atoms and function calls 4."""
 
     __slots__ = ()
+    PREC = 4
 
     def jet(self, u, v, order=DEFAULT_ORDER, _memo=None):
         if _memo is None:
@@ -456,66 +462,42 @@ def as_expr(x) -> Expr:
     return Const(float(x))
 
 
+@dataclass(frozen=True, repr=False)
 class Const(Expr):
     __slots__ = ("value",)
+    value: float
 
-    def __init__(self, value):
-        object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Const is immutable")
+    def __post_init__(self):
+        object.__setattr__(self, "value", float(self.value))
 
     def _jet(self, u, v, order, memo):
         return Jet2.constant(self.value, order, np.shape(u))
 
-    def __eq__(self, other):
-        return isinstance(other, Const) and self.value == other.value
 
-    def __hash__(self):
-        return hash(("const", self.value))
-
-
+@dataclass(frozen=True, repr=False)
 class Var(Expr):
     __slots__ = ("name",)
+    name: str
 
-    def __init__(self, name):
-        if name not in ("u", "v"):
-            raise ValueError(f"unknown variable {name!r}")
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Var is immutable")
+    def __post_init__(self):
+        if self.name not in ("u", "v"):
+            raise ValueError(f"unknown variable {self.name!r}")
 
     def _jet(self, u, v, order, memo):
         value = u if self.name == "u" else v
         return Jet2.variable(self.name, value, order, np.shape(u))
 
-    def __eq__(self, other):
-        return isinstance(other, Var) and self.name == other.name
 
-    def __hash__(self):
-        return hash(("var", self.name))
-
-
+@dataclass(frozen=True, repr=False)
 class _Binary(Expr):
     __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-
-    def __setattr__(self, *a):
-        raise AttributeError("nodes are immutable")
-
-    def __eq__(self, other):
-        return type(self) is type(other) and self.a == other.a and self.b == other.b
-
-    def __hash__(self):
-        return hash((type(self).__name__, self.a, self.b))
+    a: Expr
+    b: Expr
 
 
 class Add(_Binary):
     __slots__ = ()
+    PREC = 1
 
     def _jet(self, u, v, order, memo):
         return self.a.jet(u, v, order, memo) + self.b.jet(u, v, order, memo)
@@ -523,6 +505,7 @@ class Add(_Binary):
 
 class Sub(_Binary):
     __slots__ = ()
+    PREC = 1
 
     def _jet(self, u, v, order, memo):
         return self.a.jet(u, v, order, memo) - self.b.jet(u, v, order, memo)
@@ -530,6 +513,7 @@ class Sub(_Binary):
 
 class Mul(_Binary):
     __slots__ = ()
+    PREC = 2
 
     def _jet(self, u, v, order, memo):
         return self.a.jet(u, v, order, memo) * self.b.jet(u, v, order, memo)
@@ -537,72 +521,61 @@ class Mul(_Binary):
 
 class Div(_Binary):
     __slots__ = ()
+    PREC = 2
 
     def _jet(self, u, v, order, memo):
         return self.a.jet(u, v, order, memo) / self.b.jet(u, v, order, memo)
 
 
+@dataclass(frozen=True, repr=False)
 class Neg(Expr):
     __slots__ = ("a",)
-
-    def __init__(self, a):
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("nodes are immutable")
+    a: Expr
+    PREC = 2
 
     def _jet(self, u, v, order, memo):
         return -self.a.jet(u, v, order, memo)
 
-    def __eq__(self, other):
-        return isinstance(other, Neg) and self.a == other.a
 
-    def __hash__(self):
-        return hash(("neg", self.a))
-
-
+@dataclass(frozen=True, repr=False)
 class Pow(Expr):
     __slots__ = ("a", "n")
+    a: Expr
+    n: int
+    PREC = 3
 
-    def __init__(self, a, n):
-        if not isinstance(n, int):
+    def __post_init__(self):
+        if not isinstance(self.n, int):
             raise TypeError("exponent must be an integer")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, *a):
-        raise AttributeError("nodes are immutable")
 
     def _jet(self, u, v, order, memo):
         return self.a.jet(u, v, order, memo) ** self.n
 
-    def __eq__(self, other):
-        return isinstance(other, Pow) and self.a == other.a and self.n == other.n
 
-    def __hash__(self):
-        return hash(("pow", self.a, self.n))
-
-
+@dataclass(frozen=True, repr=False)
 class Func(Expr):
     __slots__ = ("name", "a")
+    name: str
+    a: Expr
 
-    def __init__(self, name, a):
-        if name not in FUNCTIONS:
-            raise ValueError(f"unknown function {name!r}")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "a", a)
-
-    def __setattr__(self, *a):
-        raise AttributeError("nodes are immutable")
+    def __post_init__(self):
+        if self.name not in _FUNCS:
+            raise ValueError(f"unknown function {self.name!r}")
 
     def _jet(self, u, v, order, memo):
-        return _JET_FUNCS[self.name](self.a.jet(u, v, order, memo))
+        return _FUNCS[self.name][0](self.a.jet(u, v, order, memo))
 
-    def __eq__(self, other):
-        return isinstance(other, Func) and self.name == other.name and self.a == other.a
 
-    def __hash__(self):
-        return hash(("func", self.name, self.a))
+# Each elementary function: its jet, and its derivative as an expression of
+# its argument (diff applies the chain rule).
+_FUNCS = {
+    "sin": (jet_sin, lambda a: Func("cos", a)),
+    "cos": (jet_cos, lambda a: Neg(Func("sin", a))),
+    "sinh": (jet_sinh, lambda a: Func("cosh", a)),
+    "cosh": (jet_cosh, lambda a: Func("sinh", a)),
+    "exp": (jet_exp, lambda a: Func("exp", a)),
+    "sqrt": (jet_sqrt, lambda a: Div(Const(0.5), Func("sqrt", a))),
+}
 
 
 U = Var("u")
@@ -769,7 +742,7 @@ def _parse_base(sc: _Scanner):
         name, start = sc.ident()
         if name in ("u", "v"):
             return Var(name), 0
-        if name in FUNCTIONS:
+        if name in _FUNCS:
             if sc.peek() != "(":
                 raise ParseError(f"expected '(' after {name}", sc.pos)
             sc.pos += 1
@@ -786,21 +759,6 @@ def _parse_base(sc: _Scanner):
 # Printing (round-trips through parse), differentiation, constant folding
 # ---------------------------------------------------------------------------
 
-_PREC = {"add": 1, "mul": 2, "neg": 2, "pow": 3, "atom": 4}
-
-
-def _prec(e) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC["add"]
-    if isinstance(e, (Mul, Div)):
-        return _PREC["mul"]
-    if isinstance(e, Neg):
-        return _PREC["neg"]
-    if isinstance(e, Pow):
-        return _PREC["pow"]
-    return _PREC["atom"]
-
-
 def _fmt_const(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -813,17 +771,17 @@ def to_source(e: Expr) -> str:
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Add):
-        return f"{to_source(e.a)} + {_wrap(e.b, _PREC['add'], strict=False)}"
+        return f"{to_source(e.a)} + {_wrap(e.b, Add.PREC, strict=False)}"
     if isinstance(e, Sub):
-        return f"{to_source(e.a)} - {_wrap(e.b, _PREC['add'], strict=True)}"
+        return f"{to_source(e.a)} - {_wrap(e.b, Add.PREC, strict=True)}"
     if isinstance(e, Mul):
-        return f"{_wrap(e.a, _PREC['mul'], strict=False)}*{_wrap(e.b, _PREC['mul'], strict=True)}"
+        return f"{_wrap(e.a, Mul.PREC, strict=False)}*{_wrap(e.b, Mul.PREC, strict=True)}"
     if isinstance(e, Div):
-        return f"{_wrap(e.a, _PREC['mul'], strict=False)}/{_wrap(e.b, _PREC['mul'], strict=True)}"
+        return f"{_wrap(e.a, Mul.PREC, strict=False)}/{_wrap(e.b, Mul.PREC, strict=True)}"
     if isinstance(e, Neg):
-        return f"(0 - {_wrap(e.a, _PREC['neg'], strict=True)})"
+        return f"(0 - {_wrap(e.a, Neg.PREC, strict=True)})"
     if isinstance(e, Pow):
-        return f"{_wrap(e.a, _PREC['pow'], strict=True)}^{e.n}"
+        return f"{_wrap(e.a, Pow.PREC, strict=True)}^{e.n}"
     if isinstance(e, Func):
         return f"{e.name}({to_source(e.a)})"
     raise TypeError(f"cannot print {type(e).__name__}")
@@ -831,8 +789,7 @@ def to_source(e: Expr) -> str:
 
 def _wrap(e, outer, strict):
     s = to_source(e)
-    p = _prec(e)
-    if p < outer or (strict and p == outer):
+    if e.PREC < outer or (strict and e.PREC == outer):
         return f"({s})"
     return s
 
@@ -859,16 +816,7 @@ def diff(e: Expr, var: str) -> Expr:
             return ZERO
         return fold(Mul(Mul(Const(e.n), Pow(e.a, e.n - 1)), diff(e.a, var)))
     if isinstance(e, Func):
-        inner = diff(e.a, var)
-        outer = {
-            "sin": lambda a: Func("cos", a),
-            "cos": lambda a: Neg(Func("sin", a)),
-            "sinh": lambda a: Func("cosh", a),
-            "cosh": lambda a: Func("sinh", a),
-            "exp": lambda a: Func("exp", a),
-            "sqrt": lambda a: Div(Const(0.5), Func("sqrt", a)),
-        }[e.name](e.a)
-        return fold(Mul(outer, inner))
+        return fold(Mul(_FUNCS[e.name][1](e.a), diff(e.a, var)))
     raise TypeError(f"cannot differentiate {type(e).__name__}")
 
 
@@ -946,41 +894,15 @@ def fold(e: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 
 def poly_u_coeffs(e: Expr):
-    """Dense coefficients of e as a polynomial in u, or None if not one."""
-    if isinstance(e, Const):
-        return np.array([e.value])
-    if isinstance(e, Var):
-        return np.array([0.0, 1.0]) if e.name == "u" else None
-    if isinstance(e, Neg):
-        a = poly_u_coeffs(e.a)
-        return None if a is None else -a
-    if isinstance(e, (Add, Sub)):
-        a, b = poly_u_coeffs(e.a), poly_u_coeffs(e.b)
-        if a is None or b is None:
-            return None
-        n = max(len(a), len(b))
-        a = np.pad(a, (0, n - len(a)))
-        b = np.pad(b, (0, n - len(b)))
-        return a + b if isinstance(e, Add) else a - b
-    if isinstance(e, Mul):
-        a, b = poly_u_coeffs(e.a), poly_u_coeffs(e.b)
-        if a is None or b is None:
-            return None
-        return np.convolve(a, b)
-    if isinstance(e, Div):
-        a, b = poly_u_coeffs(e.a), poly_u_coeffs(e.b)
-        if a is None or b is None or len(b) != 1 or b[0] == 0:
-            return None
-        return a / b[0]
-    if isinstance(e, Pow):
-        a = poly_u_coeffs(e.a)
-        if a is None or e.n < 0:
-            return None
-        out = np.array([1.0])
-        for _ in range(e.n):
-            out = np.convolve(out, a)
-        return out
-    return None
+    """Dense coefficients of e as a polynomial in u, or None if not one
+    (a power of v is not)."""
+    p = poly2_coeffs(e)
+    if p is None or any(j for _, j in p):
+        return None
+    out = np.zeros(max((i for i, _ in p), default=0) + 1)
+    for (i, _), c in p.items():
+        out[i] = c
+    return out
 
 
 def poly_to_expr(coeffs) -> Expr:

@@ -11,6 +11,9 @@ import time
 
 import numpy as np
 import pytest
+# imported here, not inside criterion 1: its 1 s gate times the
+# classification and the grid, not scipy's first import
+from scipy.spatial import cKDTree
 
 from swallowkit import deform as dm
 from swallowkit import frontal as fr
@@ -42,7 +45,6 @@ def test_criterion_1_standard_form():
     vv = np.linspace(-0.27, 0.27, 4001)
     curve = np.stack([-6 * vv ** 2, vv], axis=1)
     curve = curve[curve[:, 0] >= -0.4]
-    from scipy.spatial import cKDTree
     d1 = cKDTree(curve).query(pts)[0].max()
     d2 = cKDTree(pts).query(curve)[0].max()
     haus = max(d1, d2)

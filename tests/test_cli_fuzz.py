@@ -74,6 +74,9 @@ def test_constant_out_of_range_is_a_domain_error(tmp_path, capsys):
     for i, e in enumerate(("10^400", "0^-2", "(1-1)^-1", "1e308*10")):
         path = _write(tmp_path, f"c{i}.json", dict(SW, b=["0", e, "1"]))
         assert _code("classify", path) == 3, e
+    # never folded (gamma = int u xi has no closed form), so its jets overflow
+    path = _write(tmp_path, "exp.json", dict(SW, xi=["exp(1000)", "3*u", "0"]))
+    assert _code("classify", path) == 3
     assert _code("classify", _write(tmp_path, "lit.json", dict(SW, b=["0", "1e999", "1"]))) == 2
     assert "Traceback" not in capsys.readouterr().err
 

@@ -1,10 +1,13 @@
-"""Every module-level import of the package is used by its module, and
-every module-level _private function or class is used by the package.
+"""Every module-level import of the package is used by its module, every
+module-level _private function or class is used by the package, and no
+function imports a module except where that keeps scipy out of
+`import swallowkit`.
 
 No linter ships with the package, so this parses each module and fails on
-an imported name that the module never references, or on a private helper
-that no module of the package references.  __init__.py is left out of the
-import check: its imports are the public re-exports.
+an imported name that the module never references, on a private helper
+that no module of the package references, or on an import inside a
+function.  __init__.py is left out of the import check: its imports are the
+public re-exports.
 """
 
 import ast
@@ -70,3 +73,36 @@ def test_checker_sees_a_dead_helper():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert dead_private_helpers(sources) == []
+
+
+def function_level_imports(source):
+    """(function, module) of each import inside a function, named by the
+    innermost function that holds it."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if fn is not None and isinstance(child, ast.Import):
+                found.extend((fn, alias.name) for alias in child.names)
+            elif fn is not None and isinstance(child, ast.ImportFrom):
+                found.append((fn, "." * child.level + (child.module or "")))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else fn)
+
+    visit(ast.parse(source), None)
+    return sorted(found)
+
+
+def test_checker_sees_a_function_level_import():
+    src = ("import os\n\n\ndef f():\n    import math\n\n    def g():\n"
+           "        from . import x\n    return g\n\n\nclass C:\n"
+           "    def m(self):\n        from .a import b\n")
+    assert function_level_imports(src) == [("f", "math"), ("g", "."), ("m", ".a")]
+
+
+def test_no_function_level_imports():
+    """The one import left in a function is scipy's, which only
+    self_intersection_side needs."""
+    found = [(p.name,) + imp for p in sorted(SRC.glob("*.py"))
+             for imp in function_level_imports(p.read_text())]
+    assert found == [("frontal.py", "self_intersection_side", "scipy.spatial")]

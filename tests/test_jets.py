@@ -304,13 +304,40 @@ def test_kernels_match_naive_recurrences():
 
 
 def test_symbolic_diff_closed():
-    e = parse("sqrt(1+u^2)*sin(v)")
-    d = diff(e, "u")
-    assert isinstance(d, jets.Expr)
-    j = d.jet(0.3, 0.7, 0)
     h = 1e-6
-    fd = (e(0.3 + h, 0.7) - e(0.3 - h, 0.7)) / (2 * h)
-    assert j.value() == pytest.approx(fd, abs=1e-8)
+    for source in ("sqrt(1+u^2)*sin(v)", "sin(u*v)", "cos(u*v)", "sinh(u*v)",
+                   "cosh(u*v)", "exp(u*v)", "sqrt(1 + u*v)"):
+        e = parse(source)
+        d = diff(e, "u")
+        assert isinstance(d, jets.Expr)
+        j = d.jet(0.3, 0.7, 0)
+        fd = (e(0.3 + h, 0.7) - e(0.3 - h, 0.7)) / (2 * h)
+        assert j.value() == pytest.approx(fd, abs=1e-8), source
+
+
+def test_nodes_are_frozen_values():
+    """Nodes compare and hash by class and fields, and refuse assignment."""
+    source = "sin(u)*v^2 - 3/(1 + u)"
+    e = parse(source)
+    assert e == parse(source) and hash(e) == hash(parse(source))
+    assert jets.Add(jets.U, jets.V) != jets.Sub(jets.U, jets.V)
+    assert jets.Const(2) == jets.Const(2.0) and type(jets.Const(2).value) is float
+    for node, name in ((e, "a"), (jets.U, "name"), (e, "other"), (jets.ONE, "other")):
+        with pytest.raises(AttributeError):
+            setattr(node, name, jets.V)
+    with pytest.raises(ValueError):
+        jets.Var("w")
+    with pytest.raises(ValueError):
+        jets.Func("tan", jets.U)
+    with pytest.raises(TypeError):
+        jets.Pow(jets.U, 2.0)
+
+
+def test_poly_u_coeffs_reads_polynomials_in_u():
+    assert list(jets.poly_u_coeffs(parse("(1 + u)*(3*u - u^2)/2"))) == [0.0, 1.5, 1.0, -0.5]
+    for source in ("u + v", "u*v - 1", "sin(u)", "1/(1 + u)", "u^-1"):
+        assert jets.poly_u_coeffs(parse(source)) is None, source
+    assert to_source(jets.integrate_u_times(parse("2 + 3*u"))) == "u^2 + u^3"
 
 
 def test_sqrt_domain_error():
