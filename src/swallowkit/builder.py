@@ -195,7 +195,6 @@ def discriminants(data) -> Discriminants:
     psi0 = float(np.linalg.det(np.stack([xi, xip, xipp], axis=1)))
     scale = max(np.linalg.norm(xi) * np.linalg.norm(xip), 1e-6) ** 1.5
     if isinstance(data, AsymptoticData):
-        r0 = np.array([_pjet(c, 0.0, 0.0, 0).value() for c in data.r])
         q0 = _pjet(data.q, 0.0, 0.0, 0).value()
         b0 = q0 * xip  # b(o) = q(0) xi'(0) since the v r term vanishes on the axis
         general = data

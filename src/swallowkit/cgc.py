@@ -238,7 +238,6 @@ def check_swallowtail_conditions(forms: FundamentalForms, at=(0.0, 1.0)):
               + math.exp(-2 * w) * math.cosh(u0))
     l1h_v = -2 * wv * math.exp(-2 * w) * math.cosh(u0)
     # integrable variant: l1 = e^{-w} cosh w, (l1)_x = -w_x e^{-2w}
-    wuv = j.partial(1, 1)
     l1_u = -wu * math.exp(-2 * w)
     l1_uu = (-wuu + 2 * wu * wu) * math.exp(-2 * w)
     l1_v = -wv * math.exp(-2 * w)

@@ -125,10 +125,11 @@ def cmd_build(args):
 def cmd_deform(args):
     if args.steps < 2:
         raise gs.SpecError(f"--steps must be at least 2, got {args.steps}")
-    d1, a1 = gs.load_data_file(args.spec1)
+    d1, a = gs.load_data_file(args.spec1)
     d2, a2 = gs.load_data_file(args.spec2)
-    a = a1
     try:
+        if a2 != a:
+            raise dm.DeformError(f"endpoints in different space forms: a = {a:g} and a = {a2:g}")
         if args.recipe == "A":
             if not isinstance(d1, SwallowtailData) or not isinstance(d2, SwallowtailData):
                 raise dm.DeformError("recipe A expects swallowtail-data endpoints")
@@ -320,9 +321,10 @@ def main(argv=None):
     q.set_defaults(fn=cmd_frenet)
 
     args = p.parse_args(argv)
-    fr.SIGN_TOL = args.tol_sign
+    saved_tol, fr.SIGN_TOL = fr.SIGN_TOL, args.tol_sign
     try:
-        return args.fn(args)
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except dm.DeformError as exc:
         print(f"precondition mismatch: {exc}", file=sys.stderr)
         return 4
@@ -333,6 +335,8 @@ def main(argv=None):
     except (gs.SpecError, ParseError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        fr.SIGN_TOL = saved_tol
 
 
 if __name__ == "__main__":

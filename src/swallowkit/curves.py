@@ -333,16 +333,20 @@ class FrenetData:
         self.frame0 = np.asarray(self.frame0, dtype=float)
 
 
-def _frenet_rhs(u, Y, kappa, tau):
+def _frenet_rhs(u, Y, k, t):
+    """d/du of (T, N, B, Gamma, int u T) where the curvature is k and the torsion t."""
     T, N, B = Y[0:3], Y[3:6], Y[6:9]
-    k = pjet(kappa, u, 0.0, 0).value()
-    t = pjet(tau, u, 0.0, 0).value()
     dT = k * N
     dN = -k * T + t * B
     dB = -t * N
     dG = T
     dG2 = u * T          # primitive of u xi(u): the cusp curve
     return np.concatenate([dT, dN, dB, dG, dG2])
+
+
+def _kappa_tau(data, u):
+    """Values of the kappa and tau providers of data at u, a scalar or an array."""
+    return pjet(data.kappa, u, 0.0, 0).value(), pjet(data.tau, u, 0.0, 0).value()
 
 
 def _gram_schmidt(Y):
@@ -358,45 +362,52 @@ def _gram_schmidt(Y):
 class FrenetPath:
     """Integrated frame and curve on an interval around 0.
 
-    The Taylor series at a point are memoised per (u, order): the three
-    components of xi_providers and of cusp_curve_providers read the same
-    series."""
+    The march goes from 0 to each end of the interval by fixed RK4 steps of
+    data.step (the last one shorter), re-orthonormalizing the frame after
+    each.  Its steps are listed first; kappa_tau_at(x) then gives kappa and
+    tau, as arrays, at every abscissa x the march reads (the start, midpoint
+    and end of each step) in one call; kappa > 0 is checked once over those
+    values, and the right-hand side reads them as floats.  The providers
+    data.kappa and data.tau serve the rest: the fractional step of state()
+    off the grid and the series jets.  The Taylor series at a point are
+    memoised per (u, order): the three components of xi_providers and of
+    cusp_curve_providers read the same series."""
 
-    def __init__(self, data: FrenetData, interval=(-1.0, 1.0), gamma0=(0.0, 0.0, 0.0),
-                 reorthonormalize=True):
+    def __init__(self, data: FrenetData, kappa_tau_at, interval=(-1.0, 1.0),
+                 gamma0=(0.0, 0.0, 0.0)):
         self.data = data
         self.interval = interval
         a, b = interval
         if not (a <= 0.0 <= b):
             raise CurveError("integration interval must contain 0")
-        k0 = pjet(data.kappa, 0.5 * (a + b), 0.0, 0).value()
-        self._nodes = {}
+        h = data.step
+        marches = []
+        for sign, end in ((1.0, b), (-1.0, a)):
+            u, steps = 0.0, []
+            for _ in range(int(math.ceil(abs(end) / h))):
+                steps.append((u, sign * min(h, abs(end) - abs(u))))
+                u = u + steps[-1][1]
+            marches.append(steps)
+        xs = [x for steps in marches for u, s in steps for x in (u, u + s / 2, u + s)]
+        k, t = kappa_tau_at(np.array(xs))
+        bad = np.flatnonzero(k <= 0.0)
+        if bad.size:
+            raise CurveError(f"kappa({xs[bad[0]]}) = {k[bad[0]]} <= 0 on the integration interval")
+        table = dict(zip(xs, zip(k.tolist(), t.tolist())))
+
+        def rhs(x, Y):
+            return _frenet_rhs(x, Y, *table[x])
+
         Y0 = np.concatenate([data.frame0[0], data.frame0[1], data.frame0[2],
                              np.asarray(gamma0, dtype=float), np.zeros(3)])
-        self._nodes[0.0] = Y0
-        h = data.step
-        for sign, end in ((1.0, b), (-1.0, a)):
-            Y = Y0.copy()
-            u = 0.0
-            n = int(math.ceil(abs(end) / h))
-            for i in range(n):
-                step = sign * min(h, abs(end) - abs(u))
-                Y = self._rk4(u, Y, step)
-                if reorthonormalize:
-                    Y = _gram_schmidt(Y)
-                u = u + step
-                self._nodes[round(u, 12)] = Y
+        self._nodes = {0.0: Y0}
+        for steps in marches:
+            Y = Y0
+            for u, s in steps:
+                Y = _gram_schmidt(rk4_step(rhs, u, Y, s))
+                self._nodes[round(u + s, 12)] = Y
         self.us = np.array(sorted(self._nodes))
         self._series = BoundedCache()
-
-    def _rk4(self, u, Y, h):
-        """One RK4 step, refused where kappa at its midpoint is not positive."""
-        kappa, tau = self.data.kappa, self.data.tau
-        Y = rk4_step(lambda uu, YY: _frenet_rhs(uu, YY, kappa, tau), u, Y, h)
-        kval = pjet(kappa, u + h / 2, 0.0, 0).value()
-        if kval <= 0.0:
-            raise CurveError(f"kappa({u + h / 2}) = {kval} <= 0")
-        return Y
 
     def state(self, u):
         """Frame+curve at u, integrating a fractional step from the grid."""
@@ -410,8 +421,9 @@ class FrenetPath:
         if idx > 0:
             candidates.append(self.us[idx - 1])
         base = min(candidates, key=lambda x: abs(x - u))
-        Y = self._nodes[round(base, 12)].copy()
-        Y = self._rk4(base, Y, u - base)
+        data = self.data
+        Y = rk4_step(lambda x, YY: _frenet_rhs(x, YY, *_kappa_tau(data, x)),
+                     base, self._nodes[round(base, 12)], u - base)
         return _gram_schmidt(Y)
 
     def frame(self, u):
@@ -473,11 +485,11 @@ class FrenetPath:
 
 
 def integrate_frenet(data: FrenetData, interval=(-1.0, 1.0), gamma0=(0.0, 0.0, 0.0)) -> FrenetPath:
-    """Curve with prescribed curvature (positive) and torsion, unit speed."""
-    for u in np.linspace(interval[0], interval[1], 41):
-        if pjet(data.kappa, float(u), 0.0, 0).value() <= 0.0:
-            raise CurveError(f"kappa({u}) <= 0 on the integration interval")
-    return FrenetPath(data, interval=interval, gamma0=gamma0)
+    """Curve with prescribed curvature (positive) and torsion, unit speed.
+
+    kappa and tau at every abscissa of the march come from one array call
+    of each provider; kappa > 0 is checked once, over those values."""
+    return FrenetPath(data, lambda x: _kappa_tau(data, x), interval, gamma0)
 
 
 def curvature_torsion_of(xi, u, order=3):

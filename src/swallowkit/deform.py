@@ -18,8 +18,7 @@ import numpy as np
 from . import frontal as fr
 from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discriminants,
                       flip_data, gamma_from_xi, normal_field)
-from .curves import (CurveGerm, FrenetData, FrenetPath, HalfArclength,
-                     curvature_torsion_of, integrate_frenet)
+from .curves import CurveGerm, FrenetData, FrenetPath, HalfArclength, curvature_torsion_of
 from .fields import (BoundedCache, JetFn, Scaled, components, cusp_frame, pjet, vjet,
                      xi_frame)
 from .frontal import sgn
@@ -225,15 +224,6 @@ def _combine(*weighted):
 # The xi-interpolation stage shared by Theorems A and D
 # ---------------------------------------------------------------------------
 
-def _node_index(unodes, u):
-    """Index of u in the uniform grid unodes, or None off the grid."""
-    j = (u - unodes[0]) / (unodes[1] - unodes[0])
-    jr = round(j)
-    if abs(j - jr) < 1e-9 and 0 <= jr < len(unodes):
-        return int(jr)
-    return None
-
-
 def _kappa_tau_provider(xi):
     """Provider of the (kappa, tau) jets of a unit field, as a pair."""
     return JetFn(lambda u, v, order: curvature_torsion_of(xi, u, order))
@@ -266,16 +256,19 @@ class XiInterpolation:
     curves are reproduced exactly: path(0) and path(1) integrate the
     endpoint fields themselves.
 
-    The values of kappa and tau at every point the fixed-step RK4 touches
-    (the half-step grid) are tabulated once per family, by one
-    array-valued curvature_torsion_of call per endpoint field.  Jets at
-    the (few) sample points off that grid go through the exact providers
-    at scalar u; those endpoint (kappa, tau) jets do not depend on t, so
-    they come from one memoised provider per endpoint field, shared by
-    every interpolated path, and each path's kappa and tau providers
-    memoise their own jets per point as well.  The paths are memoised per
-    t.  The kappa and tau providers hold the tables and the endpoint memo,
-    not the interpolation, so a dropped family is freed by reference
+    The values of kappa and tau of both endpoint fields at every point the
+    fixed-step RK4 march reads (the half-step grid) are tabulated once per
+    family, by one array-valued curvature_torsion_of call per endpoint
+    field, and these tables feed the march of every path: the path at t
+    reads its kappa and tau there as floats, each abscissa indexed once
+    into the grid, and FrenetPath checks kappa > 0 once over them.  The
+    kappa and tau providers of a path serve the rest, the series jets and
+    the fractional steps off the grid, at scalar u; the endpoint (kappa,
+    tau) jets behind them do not depend on t, so they come from one
+    memoised provider per endpoint field, shared by every interpolated
+    path, and each path's providers memoise their own jets per point as
+    well.  The paths are memoised per t.  Neither a path nor its providers
+    hold the interpolation, so a dropped family is freed by reference
     counting.
     """
 
@@ -307,25 +300,15 @@ class XiInterpolation:
             self._k2ttab[i] = k.value() * k.value() * tau.value()
 
     def kappa_tau(self, t):
-        unodes, ktab, k2ttab, (kt1, kt2) = self._unodes, self._ktab, self._k2ttab, self._kt
+        """Providers of kappa and tau of the path at t."""
+        kt1, kt2 = self._kt
 
         def kfn(u, v, order):
-            if order == 0 and np.ndim(u) == 0:
-                j = _node_index(unodes, float(u))
-                if j is not None:
-                    val = (1.0 - t) * ktab[0, j] + t * ktab[1, j]
-                    return Jet2.constant(val, 0, ())
             k1, _ = kt1.jet(u, 0.0, order)
             k2, _ = kt2.jet(u, 0.0, order)
             return (1.0 - t) * k1 + t * k2
 
         def tfn(u, v, order):
-            if order == 0 and np.ndim(u) == 0:
-                j = _node_index(unodes, float(u))
-                if j is not None:
-                    kv = (1.0 - t) * ktab[0, j] + t * ktab[1, j]
-                    num = (1.0 - t) * k2ttab[0, j] + t * k2ttab[1, j]
-                    return Jet2.constant(num / (kv * kv), 0, ())
             k1, t1 = kt1.jet(u, 0.0, order)
             k2, t2 = kt2.jet(u, 0.0, order)
             kt = (1.0 - t) * k1 + t * k2
@@ -334,12 +317,19 @@ class XiInterpolation:
 
         return JetFn(kfn), JetFn(tfn)
 
+    def _tabulated(self, t, x):
+        """kappa and tau of the path at t at the nodes x, read from the tables."""
+        unodes = self._unodes
+        j = np.rint((x - unodes[0]) / (unodes[1] - unodes[0])).astype(int)
+        k = (1.0 - t) * self._ktab[0, j] + t * self._ktab[1, j]
+        return k, ((1.0 - t) * self._k2ttab[0, j] + t * self._k2ttab[1, j]) / (k * k)
+
     def path(self, t) -> FrenetPath:
         def integrate():
             kp, tp = self.kappa_tau(t)
             frame0 = self._R1 @ _rotation_exp(t * self._w)
             fd = FrenetData(kappa=kp, tau=tp, frame0=frame0, step=self.step)
-            return integrate_frenet(fd, interval=self.interval)
+            return FrenetPath(fd, lambda x: self._tabulated(t, x), interval=self.interval)
         return self._paths.value(round(float(t), 12), integrate)
 
     def xi_t(self, t):

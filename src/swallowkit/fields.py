@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet2, compose2
+from .jets import Jet2
 from ._jettables import index_of, monomials
 from .metric import cross
 
@@ -242,19 +242,6 @@ class FlipU:
             if i % 2:
                 c[index_of(i, jj)] = -c[index_of(i, jj)]
         return Jet2(order, c)
-
-
-class ComposeU:
-    """Provider of f(phi(u), v) for a scalar provider phi of u."""
-
-    def __init__(self, base, phi):
-        self.base, self.phi = base, phi
-
-    def jet(self, u, v, order, memo=None):
-        ph = pjet(self.phi, u, 0.0, order)
-        inner = pjet(self.base, ph.value(), v, order)
-        vj = Jet2.variable("v", v, order, np.shape(u))
-        return compose2(inner.c, order, ph, vj)
 
 
 class CurveIntegral:

@@ -138,7 +138,3 @@ def christoffels(sf: SpaceForm, p):
             for j in range(3):
                 G[k, i, j] = ((k == i) * sg[j] + (k == j) * sg[i] - (i == j) * sg[k])
     return G
-
-
-def vconst(p, order, shape=()):
-    return tuple(Jet2.constant(float(x), order, shape) for x in p)

@@ -79,6 +79,35 @@ def test_tol_sign_flag_changes_verdict(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["sigma_g_S"] == 0
 
 
+def test_tol_sign_flag_holds_for_its_call_only(specs, capsys, monkeypatch):
+    """A later call without --tol-sign decides in the default band again."""
+    from swallowkit import frontal
+    monkeypatch.setattr(frontal, "SIGN_TOL", frontal.SIGN_TOL)   # restored after
+    code, out = run(capsys, "--tol-sign", "10", "classify", str(specs / "ex217.json"))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["sigma0_S"], doc["sigma_g_S"]) == (0, 0)
+    code, out = run(capsys, "classify", str(specs / "ex217.json"))
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["sigma0_S"], doc["sigma_g_S"]) == (-1, 1)
+
+
+def test_overflowing_jets_give_one_stderr_line(tmp_path, capsys):
+    """numpy warns of nothing inside a command: a germ whose jets overflow
+    exits 3 with its one-line error, even where warnings are errors."""
+    import warnings
+    spec = tmp_path / "exp.json"
+    spec.write_text(json.dumps({"kind": "swallowtail-data", "xi": ["exp(1000)", "3*u", "0"],
+                                "b": ["0", "0", "1"], "a": 0.0}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["classify", str(spec)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("domain error:") and err.count("\n") == 1
+
+
 def test_deeply_nested_expression_exit_2(tmp_path, capsys):
     spec = tmp_path / "deep.json"
     spec.write_text(json.dumps({"kind": "swallowtail-data",
@@ -162,6 +191,19 @@ def test_deform_certificate_passes(specs, capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert len(doc["t_grid"]) == 5
+
+
+def test_deform_endpoints_of_different_a_exit_4(specs, capsys, tmp_path):
+    """A pair in two space forms is a precondition mismatch, not a
+    certificate in the first one."""
+    dev = json.loads((specs / "dev.json").read_text())
+    spec2 = tmp_path / "dev_a.json"
+    spec2.write_text(json.dumps(dict(dev, a=0.7)))
+    code, out = run(capsys, "deform", str(specs / "fplus.json"), str(spec2),
+                    "--recipe", "D", "--steps", "5")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["pass"] is False and "a = 0.7" in doc["error"]
 
 
 def test_deterministic_output(specs, capsys):

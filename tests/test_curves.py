@@ -6,8 +6,21 @@ import pytest
 from swallowkit.curves import (CurveError, CurveGerm, FrenetData, classify_cusp,
                                curvature_torsion_of, factor_cusp, integrate_frenet,
                                mirror_properties, normalize_half_arclength)
-from swallowkit.fields import ComposeU, xi_frame
-from swallowkit.jets import parse
+from swallowkit.fields import pjet, xi_frame
+from swallowkit.jets import Jet2, compose2, parse
+
+
+class ComposeU:
+    """Provider of f(phi(u), v) for a scalar provider phi of u."""
+
+    def __init__(self, base, phi):
+        self.base, self.phi = base, phi
+
+    def jet(self, u, v, order, memo=None):
+        ph = pjet(self.phi, u, 0.0, order)
+        inner = pjet(self.base, ph.value(), v, order)
+        vj = Jet2.variable("v", v, order, np.shape(u))
+        return compose2(inner.c, order, ph, vj)
 
 
 def test_factor_cusp_planar():
@@ -137,8 +150,27 @@ def test_frenet_orthonormality_along_path():
 
 
 def test_frenet_requires_positive_curvature():
-    with pytest.raises(CurveError, match="kappa"):
+    with pytest.raises(CurveError, match=r"kappa\(0\.0\) = 0\.0 <= 0"):
         integrate_frenet(FrenetData(kappa="u", tau="0"), interval=(-1, 1))
+
+
+def test_frenet_march_reads_one_array_call_of_each_provider():
+    """kappa and tau at every abscissa of the march come from one array
+    call of each provider; the march itself calls neither."""
+    calls = []
+
+    class Counting:
+        def __init__(self, text):
+            self.expr = parse(text)
+
+        def jet(self, u, v, order, memo=None):
+            calls.append(np.shape(u))
+            return self.expr.jet(u, v, order)
+
+    h, interval = 0.01, (-0.3, 0.5)
+    integrate_frenet(FrenetData(kappa=Counting("2+u"), tau=Counting("u"), step=h), interval)
+    n = 3 * (round(0.3 / h) + round(0.5 / h))        # start, midpoint, end of each step
+    assert calls == [(n,), (n,)]
 
 
 def test_frenet_unit_speed():

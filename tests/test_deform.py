@@ -120,6 +120,26 @@ def test_xi_interpolation_shares_endpoint_jets(monkeypatch):
         np.testing.assert_array_equal(a.c, b.c)
 
 
+def test_xi_interpolation_path_marches_on_the_tables(monkeypatch):
+    """An interpolated path marches on the kappa/tau tables of the family:
+    integrating it evaluates no endpoint curvature, and its kappa and tau
+    providers agree with the tables at the nodes."""
+    from swallowkit.fields import pjet
+    interp = _helix_interp()
+    calls = []
+    real = dm.curvature_torsion_of
+    monkeypatch.setattr(dm, "curvature_torsion_of",
+                        lambda xi, u, order=3: calls.append(u) or real(xi, u, order))
+    path = interp.path(0.3)
+    assert calls == []
+    kp, tp = path.data.kappa, path.data.tau
+    j = np.array([0, 7, 150, 299])
+    k, t = interp._tabulated(0.3, interp._unodes[j])
+    for i, x in enumerate(interp._unodes[j]):
+        assert pjet(kp, float(x), 0.0, 0).value() == pytest.approx(k[i], rel=1e-12)
+        assert pjet(tp, float(x), 0.0, 0).value() == pytest.approx(t[i], rel=1e-12)
+
+
 def test_xi_interpolation_memo_shared_by_threads():
     """Workers sharing the endpoint memo, with more keys than its bound so
     that it clears under them, get the values of a serial computation."""

@@ -1,11 +1,12 @@
 """Every module-level import of the package is used by its module, every
-module-level _private function or class is used by the package, and no
-function imports a module except where that keeps scipy out of
-`import swallowkit`.
+module-level _private function or class is used by the package, every
+local a function assigns is read, and no function imports a module except
+where that keeps scipy out of `import swallowkit`.
 
 No linter ships with the package, so this parses each module and fails on
 an imported name that the module never references, on a private helper
-that no module of the package references, or on an import inside a
+that no module of the package references, on a function-local name that a
+single-target assignment binds and nothing reads, or on an import inside a
 function.  __init__.py is left out of the import check: its imports are the
 public re-exports.
 """
@@ -73,6 +74,52 @@ def test_checker_sees_a_dead_helper():
 def test_no_dead_private_helpers():
     sources = {p.name: p.read_text() for p in SRC.glob("*.py")}
     assert dead_private_helpers(sources) == []
+
+
+def dead_locals(source):
+    """(function, name) of each name a function binds by a single-target
+    assignment `name = ...` and that nothing in the function, its nested
+    functions included, reads; global and nonlocal names are not locals."""
+    found = set()
+
+    def visit(scope):
+        """The names read in scope and the scopes it holds; records the dead
+        locals of scope if it is a function."""
+        bound, read, declared = set(), set(), set()
+        todo = list(ast.iter_child_nodes(scope))
+        while todo:
+            n = todo.pop()
+            if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                read |= visit(n)
+                continue
+            if isinstance(n, ast.Assign) and len(n.targets) == 1 \
+                    and isinstance(n.targets[0], ast.Name):
+                bound.add(n.targets[0].id)
+            elif isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name):
+                read.add(n.target.id)
+            elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                declared.update(n.names)
+            todo.extend(ast.iter_child_nodes(n))
+        if isinstance(scope, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            found.update((scope.name, name) for name in bound - read - declared)
+        return read
+
+    visit(ast.parse(source))
+    return sorted(found)
+
+
+def test_checker_sees_a_dead_local():
+    src = ("def f(x):\n    a = x + 1\n    b, c = x, 2\n    d = e = 3\n    k = 4\n"
+           "    n = 0\n    n += 1\n\n    def g():\n        nonlocal k\n        k = 5\n"
+           "        z = k\n    return g\n")
+    assert dead_locals(src) == [("f", "a"), ("g", "z")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_locals(path):
+    assert dead_locals(path.read_text()) == []
 
 
 def function_level_imports(source):

@@ -23,7 +23,7 @@ def test_domain_check():
 
 
 def _const_vec(p, order=2):
-    return mt.vconst(p, order)
+    return tuple(Jet2.constant(float(x), order, ()) for x in p)
 
 
 def test_cross_g_euclidean_cases():
