@@ -421,8 +421,7 @@ class FrenetPath:
         if idx > 0:
             candidates.append(self.us[idx - 1])
         base = min(candidates, key=lambda x: abs(x - u))
-        data = self.data
-        Y = rk4_step(lambda x, YY: _frenet_rhs(x, YY, *_kappa_tau(data, x)),
+        Y = rk4_step(lambda x, YY: _frenet_rhs(x, YY, *_kappa_tau(self.data, x)),
                      base, self._nodes[round(base, 12)], u - base)
         return _gram_schmidt(Y)
 
