@@ -40,9 +40,9 @@ def mul_triples(order: int):
                 ia.append(a)
                 ib.append(b)
                 io.append(index_of(i1 + i2, j1 + j2))
-    return (np.asarray(ia, dtype=np.int32),
-            np.asarray(ib, dtype=np.int32),
-            np.asarray(io, dtype=np.int32))
+    return (np.asarray(ia, dtype=np.intp),
+            np.asarray(ib, dtype=np.intp),
+            np.asarray(io, dtype=np.intp))
 
 
 @lru_cache(maxsize=None)
@@ -53,15 +53,14 @@ def div_tables(order: int):
     pairs (ic, ib) with monomial(ic) + monomial(ib) = (i, j) and ib != 0.
     Each such ic has degree < i + j, so all slots of one degree are solved
     together from the lower degrees.  Returns, for d = 1..order, a tuple
-    (s0, s1, c_idx, b_idx, seg, edges): the slots s0..s1-1 of degree d, the
-    pairs of those slots in slot order, the slot of each pair counted from
-    s0, and the offset of each slot's first pair (plus the end).
+    (s0, s1, c_idx, b_idx, seg): the slots s0..s1-1 of degree d, the pairs
+    of those slots in slot order, and the slot of each pair counted from s0.
     """
     mono = monomials(order)
     out = []
     for d in range(1, order + 1):
         s0, s1 = term_count(d - 1), term_count(d)
-        c_idx, b_idx, seg, edges = [], [], [], [0]
+        c_idx, b_idx, seg = [], [], []
         for r, (i, j) in enumerate(mono[s0:s1]):
             for ib in range(1, s1):
                 p, q = mono[ib]
@@ -69,10 +68,8 @@ def div_tables(order: int):
                     c_idx.append(index_of(i - p, j - q))
                     b_idx.append(ib)
                     seg.append(r)
-            edges.append(len(c_idx))
         out.append((s0, s1, np.asarray(c_idx, dtype=np.intp),
-                    np.asarray(b_idx, dtype=np.intp),
-                    np.asarray(seg, dtype=np.intp), tuple(edges)))
+                    np.asarray(b_idx, dtype=np.intp), np.asarray(seg, dtype=np.intp)))
     return tuple(out)
 
 

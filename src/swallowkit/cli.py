@@ -180,17 +180,14 @@ def cmd_mesh(args):
                 aa = i * (n + 1) + j + 1
                 bb = (i + 1) * (n + 1) + j + 1
                 out.write(f"f {aa} {bb} {bb + 1} {aa + 1}\n")
+    K, _ = fr.gaussian_curvature(germ, (UU, VV))
     csv_path = args.out.rsplit(".", 1)[0] + ".csv"
     with open(csv_path, "w") as out:
         out.write("u,v,x,y,z,K\n")
         for i in range(m + 1):
             for j in range(n + 1):
-                try:
-                    K, _ = fr.gaussian_curvature(germ, (us[i], vs[j]))
-                except (fr.ClassificationError, JetError):
-                    K = float("nan")
                 x, y, z = P[i, j]
-                out.write(f"{us[i]:.9g},{vs[j]:.9g},{x:.9g},{y:.9g},{z:.9g},{K:.9g}\n")
+                out.write(f"{us[i]:.9g},{vs[j]:.9g},{x:.9g},{y:.9g},{z:.9g},{K[i, j]:.9g}\n")
     _emit({"vertices": (m + 1) * (n + 1), "faces": m * n,
            "obj": args.out, "csv": csv_path})
     return 0

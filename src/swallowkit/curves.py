@@ -366,12 +366,13 @@ class FrenetPath:
     data.step (the last one shorter), re-orthonormalizing the frame after
     each.  Its steps are listed first; kappa_tau_at(x) then gives kappa and
     tau, as arrays, at every abscissa x the march reads (the start, midpoint
-    and end of each step) in one call; kappa > 0 is checked once over those
-    values, and the right-hand side reads them as floats.  The providers
-    data.kappa and data.tau serve the rest: the fractional step of state()
-    off the grid and the series jets.  The Taylor series at a point are
-    memoised per (u, order): the three components of xi_providers and of
-    cusp_curve_providers read the same series."""
+    and end of each step) in one call; kappa > 0 and the finiteness of kappa
+    and tau are checked once over those values, and the right-hand side
+    reads them as floats.  The providers data.kappa and data.tau serve the
+    rest: the fractional step of state() off the grid and the series jets.
+    The Taylor series at a point are memoised per (u, order): the three
+    components of xi_providers and of cusp_curve_providers read the same
+    series."""
 
     def __init__(self, data: FrenetData, kappa_tau_at, interval=(-1.0, 1.0),
                  gamma0=(0.0, 0.0, 0.0)):
@@ -390,9 +391,11 @@ class FrenetPath:
             marches.append(steps)
         xs = [x for steps in marches for u, s in steps for x in (u, u + s / 2, u + s)]
         k, t = kappa_tau_at(np.array(xs))
-        bad = np.flatnonzero(k <= 0.0)
+        bad = np.flatnonzero(~((k > 0.0) & np.isfinite(k) & np.isfinite(t)))
         if bad.size:
-            raise CurveError(f"kappa({xs[bad[0]]}) = {k[bad[0]]} <= 0 on the integration interval")
+            i = bad[0]
+            why = "<= 0" if k[i] <= 0.0 else f"and tau = {t[i]}: not finite"
+            raise CurveError(f"kappa({xs[i]}) = {k[i]} {why} on the integration interval")
         table = dict(zip(xs, zip(k.tolist(), t.tolist())))
 
         def rhs(x, Y):

@@ -21,6 +21,15 @@ build a new jet instead.  Composite providers, whose jet assembles a new
 jet from other providers, are JetFns, which memoise their jets per scalar
 point in a BoundedCache; thin wrappers that only rescale, flip or
 differentiate a base provider (Scaled, FlipU, DU) are not cached.
+
+Array points: u and v may be arrays of one shape, and jet(u, v, order) then
+returns one jet per point, along the trailing axes of .c.  Points on an
+axis are spliced in (over_u, over_v), and every point is computed on its
+own, so its slot holds the bits of the scalar call.  A domain error of the
+jet arithmetic (JetError) still fails the whole call.  The per-point
+failure of frontal.fundamental_forms and gaussian_curvature is NaN: a
+singular point raises ClassificationError when it is the one point asked
+for, and gives NaN in its slot of an array call.
 """
 
 from __future__ import annotations

@@ -510,30 +510,38 @@ def project_to_limiting_tangent_plane(germ: MapGerm, order=ORDER):
 # ---------------------------------------------------------------------------
 
 def fundamental_forms(germ: MapGerm, at, order=3):
-    """(E, F, G, L, M, N) of the germ in its space form at a regular point."""
+    """(E, F, G, L, M, N) of the germ in its space form at a regular point.
+
+    at = (u, v) may hold arrays (one germ.fjet call for all points, points
+    on an axis spliced in by the providers); each point is computed on its
+    own, bit for bit as a scalar call.  A singular point raises
+    ClassificationError when at is a point, and gives NaN in its slots of
+    all six forms when at holds arrays."""
     sf = germ.sf
     u, v = at
     Fj = germ.fjet(u, v, order + 2)
     Ftr = tuple(c.truncate(order) for c in Fj)
     fu = tuple(c.du().truncate(order) for c in Fj)
     fv = tuple(c.dv().truncate(order) for c in Fj)
+    E, Fi, G = (mt.inner_g(sf, Ftr, x, y).value() for x, y in ((fu, fu), (fu, fv), (fv, fv)))
     n = mt.cross_g(sf, Ftr, fu, fv)
     nsq = mt.inner_g(sf, Ftr, n, n)
-    scale = mt.inner_g(sf, Ftr, fu, fu).value() * mt.inner_g(sf, Ftr, fv, fv).value()
-    if np.any(np.asarray(nsq.value()) <= 1e-18 * (1.0 + np.asarray(scale))):
-        raise ClassificationError(f"singular point at {at}")
+    singular = np.asarray(nsq.value() <= 1e-18 * (1.0 + E * G))
+    if singular.any():
+        if singular.ndim == 0:
+            raise ClassificationError(f"singular point at {at}")
+        # a unit constant term carries the singular slots through the sqrt
+        # and the division by |n|; their forms are replaced by NaN below
+        nsq.c[0] = np.where(singular, 1.0, nsq.c[0])
     nn = jet_sqrt(nsq)
     nu = tuple(c / nn for c in n)
     fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
     fuv = mt.covariant_derivative(sf, Ftr, fu, fv, tuple(c.du() for c in fv))
     fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
-    E = mt.inner_g(sf, Ftr, fu, fu).value()
-    Fi = mt.inner_g(sf, Ftr, fu, fv).value()
-    G = mt.inner_g(sf, Ftr, fv, fv).value()
-    L = mt.inner_g(sf, Ftr, fuu, nu).value()
-    M = mt.inner_g(sf, Ftr, fuv, nu).value()
-    N = mt.inner_g(sf, Ftr, fvv, nu).value()
-    return E, Fi, G, L, M, N
+    forms = (E, Fi, G) + tuple(mt.inner_g(sf, Ftr, x, nu).value() for x in (fuu, fuv, fvv))
+    if singular.any():
+        forms = tuple(np.where(singular, np.nan, x) for x in forms)
+    return forms
 
 
 def gaussian_curvature(germ: MapGerm, at):
@@ -542,11 +550,18 @@ def gaussian_curvature(germ: MapGerm, at):
     The model metric w^-2 g_E, w = 1 + a|p|^2, has constant sectional
     curvature 4a (at the origin Hess(-ln w) = -2a I, and each of the two
     directions of a plane contributes 2a), so the Gauss equation gives
-    K = 4a + K_ext."""
+    K = 4a + K_ext.
+
+    at = (u, v) may hold arrays, as for fundamental_forms: then K and K_ext
+    are arrays, NaN at the singular points (where EG - F^2 = 0 too), and a
+    scalar call there raises ClassificationError."""
     E, F, G, L, M, N = fundamental_forms(germ, at)
     den = E * G - F * F
-    if den == 0.0:
-        raise ClassificationError(f"singular point at {at}")
+    if np.ndim(den) == 0:
+        if den == 0.0:
+            raise ClassificationError(f"singular point at {at}")
+    else:
+        den = np.where(den == 0.0, np.nan, den)
     K_ext = (L * N - M * M) / den
     return 4.0 * germ.sf.a + K_ext, K_ext
 

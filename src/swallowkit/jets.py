@@ -49,14 +49,25 @@ def backend_name() -> str:
 # Jet arithmetic
 # ---------------------------------------------------------------------------
 
+def _bin_sum(bins, prod, nbins):
+    """Sums of the rows of prod falling in each of nbins bins.
+
+    The rows are added in order by bincount, from 0.0.  A batch (trailing
+    axes) is one bincount over the bins (bin, column), which runs the same
+    loop over the same rows of each column, so every column of the result
+    is bit for bit its scalar sum, down to the sign of a zero and the
+    payload of a NaN."""
+    if prod.ndim == 1:
+        return np.bincount(bins, prod, minlength=nbins)
+    n = prod[0].size
+    flat = (bins[:, None] * n + np.arange(n)).ravel()
+    return np.bincount(flat, prod.ravel(), minlength=nbins * n).reshape((nbins,) + prod.shape[1:])
+
+
 def _jet_mul(a, b, order):
     """Coefficients of the truncated product of coefficient arrays a, b."""
     ia, ib, io = tables.mul_triples(order)
-    if a.ndim == 1:
-        return np.bincount(io, a[ia] * b[ib], minlength=tables.term_count(order))
-    out = np.zeros_like(a)
-    np.add.at(out, io, a[ia] * b[ib])
-    return out
+    return _bin_sum(io, a[ia] * b[ib], tables.term_count(order))
 
 
 def _jet_div(a, b, order):
@@ -64,18 +75,12 @@ def _jet_div(a, b, order):
 
     The slots of total degree d depend only on lower degrees, so each degree
     is one vectorised step (Griewank & Walther, Evaluating Derivatives, 2008,
-    ch. 13).  A batch sums each slot's products with np.sum over axis 0,
-    which adds them in sequence and stays fast on wide batches.
-    """
+    ch. 13)."""
     out = np.empty_like(a)
     b0 = b[0]
     out[0] = a[0] / b0
-    for s0, s1, c_idx, b_idx, seg, edges in tables.div_tables(order):
-        prod = out[c_idx] * b[b_idx]
-        if a.ndim == 1:
-            acc = np.bincount(seg, prod, minlength=s1 - s0)
-        else:
-            acc = np.stack([prod[lo:hi].sum(axis=0) for lo, hi in zip(edges, edges[1:])])
+    for s0, s1, c_idx, b_idx, seg in tables.div_tables(order):
+        acc = _bin_sum(seg, out[c_idx] * b[b_idx], s1 - s0)
         out[s0:s1] = (a[s0:s1] - acc) / b0
     return out
 

@@ -3,9 +3,13 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
+from swallowkit import frontal as fr
+from swallowkit import germspec as gs
 from swallowkit.cli import main
+from swallowkit.jets import JetError
 
 
 @pytest.fixture()
@@ -223,10 +227,15 @@ def test_frenet_command(capsys, tmp_path):
     assert out.exists()
 
 
+SHEARED_Q1 = {"kind": "raw-germ",
+              "f": ["v", "u^4/4 - u^3/6 - u^2*v + u*v + v^2",
+                    "u*(2*u^4 - u^3 - 8*u^2*v + 4*u*v + 8*v^2)/4"],
+              "a": 0.0}
+
+
 def test_mesh_two_windows_of_the_steep_parabolic_germ(capsys, tmp_path):
     """The q = 1 parabolic germ over its natural window and over the sheared
     (u, w) window that exposes the swallowtail shape."""
-    import numpy as np
     spec1 = tmp_path / "q1.json"
     spec1.write_text(json.dumps({
         "kind": "asymptotic-data", "xi": ["1", "u", "u^2"], "q": "1",
@@ -238,12 +247,7 @@ def test_mesh_two_windows_of_the_steep_parabolic_germ(capsys, tmp_path):
     assert json.loads(out)["vertices"] == 33 * 17
     # sheared coordinates v = w - u^2/2 around the tail
     spec2 = tmp_path / "q1w.json"
-    spec2.write_text(json.dumps({
-        "kind": "raw-germ",
-        "f": ["v",
-              "u^4/4 - u^3/6 - u^2*v + u*v + v^2",
-              "u*(2*u^4 - u^3 - 8*u^2*v + 4*u*v + 8*v^2)/4"],
-        "a": 0.0}))
+    spec2.write_text(json.dumps(SHEARED_Q1))
     code, out = run(capsys, "mesh", str(spec2),
                     "--domain=-0.007,0.01,-0.26,0.35", "--res", "16,16",
                     "--out", str(tmp_path / "small.obj"))
@@ -255,11 +259,70 @@ def test_mesh_two_windows_of_the_steep_parabolic_germ(capsys, tmp_path):
     assert np.all(np.isfinite(vals))
     # the sheared germ is the q=1 germ composed with v = w - u^2/2
     a_doc = json.loads((tmp_path / "q1.json").read_text())
-    from swallowkit import germspec as gs
     _, g1 = gs.load(a_doc)
     _, g2 = gs.load(json.loads(spec2.read_text()))
     for (u, w) in [(0.005, 0.1), (-0.004, -0.2)]:
         assert g2.value(u, w) == pytest.approx(g1.value(u, w - u * u / 2), abs=1e-12)
+
+
+def _mesh_reference(spec, domain, res):
+    """OBJ and CSV text of `mesh` built point by point: scalar positions and
+    one scalar curvature call per vertex, NaN where that call raises."""
+    _, germ = gs.load(spec)
+    (u0, u1, v0, v1), (m, n) = domain, res
+    us, vs = np.linspace(u0, u1, m + 1), np.linspace(v0, v1, n + 1)
+    obj, csv = [], ["u,v,x,y,z,K\n"]
+    for u in us:
+        for v in vs:
+            x, y, z = germ.value(u, v)
+            try:
+                K, _ = fr.gaussian_curvature(germ, (u, v))
+            except (fr.ClassificationError, JetError):
+                K = float("nan")
+            obj.append(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+            csv.append(f"{u:.9g},{v:.9g},{x:.9g},{y:.9g},{z:.9g},{K:.9g}\n")
+    for i in range(m):
+        for j in range(n):
+            aa, bb = i * (n + 1) + j + 1, (i + 1) * (n + 1) + j + 1
+            obj.append(f"f {aa} {bb} {bb + 1} {aa + 1}\n")
+    return "".join(obj), "".join(csv)
+
+
+@pytest.mark.parametrize("spec, domain, res", [
+    ({"kind": "swallowtail-data", "xi": ["2", "3*u", "0"], "b": ["0", "0", "1"], "a": -1.0},
+     (-0.3, 0.3, -0.2, 0.2), (6, 8)),
+    ({"kind": "swallowtail-data", "xi": ["2", "3*u", "0"], "b": ["0", "0", "1"], "a": 0.0},
+     (-0.3, 0.3, -0.2, 0.2), (6, 8)),
+    ({"kind": "swallowtail-data", "xi": ["2", "3*u", "0"], "b": ["0", "0", "1"], "a": 1.0},
+     (-0.3, 0.3, -0.2, 0.2), (6, 8)),
+    (SHEARED_Q1, (-0.007, 0.01, -0.26, 0.35), (16, 16)),
+], ids=["ex217-a-1", "ex217-a0", "ex217-a1", "sheared-q1"])
+def test_mesh_equals_the_scalar_loop(capsys, tmp_path, spec, domain, res):
+    """The mesh K column, computed in one array call, is byte for byte the
+    per-vertex loop, NaN on the singular row v = 0 included."""
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(spec))
+    code, _ = run(capsys, "mesh", str(path), "--domain=" + ",".join(map(repr, domain)),
+                  "--res", "%d,%d" % res, "--out", str(tmp_path / "m.obj"))
+    assert code == 0
+    obj, csv = _mesh_reference(spec, domain, res)
+    assert (tmp_path / "m.obj").read_text() == obj
+    assert (tmp_path / "m.csv").read_text() == csv
+    if spec["kind"] == "swallowtail-data":
+        assert csv.count(",nan\n") == res[0] + 1
+
+
+@pytest.mark.parametrize("kappa, tau", [("1+0*exp(1000*u)", "1"), ("1", "1+0*exp(1000*u)")])
+def test_frenet_rejects_non_finite_kappa_or_tau(capsys, tmp_path, kappa, tau):
+    """kappa or tau NaN at the end of the interval (0*inf past u = 0.71) is a
+    domain error, not a row of nan."""
+    out = tmp_path / "c.csv"
+    code = main(["frenet", "--kappa", kappa, "--tau", tau, "--interval=-1,1",
+                 "--step", "0.01", "--samples", "3", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("domain error: kappa(0.71") and "not finite" in err
+    assert not out.exists()
 
 
 def test_cgc_command(capsys, tmp_path):

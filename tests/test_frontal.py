@@ -1,6 +1,7 @@
 """Classification and invariants on the example corpus."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -204,6 +205,51 @@ def test_unit_sphere_curvature():
         K, Kext = fr.gaussian_curvature(germ, pt)
         assert K == pytest.approx(1.0, abs=1e-8)
         assert K == Kext  # a = 0
+
+
+def _curvature_germs(a):
+    """Swallowtail data (closed form and provider chain), asymptotic data
+    and a raw germ, in the space form of parameter a."""
+    return {
+        "swallowtail": build(SwallowtailData(xi=("2", "3*u", "0"), b=("0", "0", "1")), a=a),
+        "provider": build(SwallowtailData(xi=("2+sin(u)", "3*u", "0"), b=("0", "cos(v)", "1")), a=a),
+        "asymptotic": build(AsymptoticData(xi=("1", "u", "u^2"), q="0",
+                                           r=("u^2", "0-2*u", "1")), a=a),
+        "raw": MapGerm.from_exprs(("u", "2*v^3+u*v", "3*v^4+u*v^2"), sf=SpaceForm(a)),
+    }
+
+
+@pytest.mark.parametrize("a", [-1.0, 0.0, 1.0])
+def test_gaussian_curvature_on_arrays_equals_scalar_calls(a):
+    """One array call gives, point by point, the bits of the scalar call, and
+    NaN exactly where the scalar call raises: the singular axis v = 0 of the
+    built germs, and u = -6 v^2 of the raw one (its point (-0.375, 0.25))."""
+    us = np.array([0.0, -0.375, 0.1, -0.2, 0.3])
+    vs = np.array([0.0, 0.25, -0.2, 0.1, -0.05])
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    for name, germ in _curvature_germs(a).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            K, Kext = fr.gaussian_curvature(germ, (U, V))
+        assert K.shape == Kext.shape == U.shape
+        raised = 0
+        for i, j in np.ndindex(U.shape):
+            try:
+                want = fr.gaussian_curvature(germ, (U[i, j], V[i, j]))
+            except fr.ClassificationError:
+                raised += 1
+                assert np.isnan(K[i, j]) and np.isnan(Kext[i, j]), (name, i, j)
+                continue
+            got = np.array([K[i, j], Kext[i, j]])
+            assert np.array_equal(got.view(np.int64), np.array(want).view(np.int64)), (name, i, j)
+        assert raised == (2 if name == "raw" else len(us)), name
+
+
+def test_gaussian_curvature_raises_at_a_singular_point(ex217):
+    with pytest.raises(fr.ClassificationError, match="singular point"):
+        fr.gaussian_curvature(ex217, (0.1, 0.0))
+    with pytest.raises(fr.ClassificationError, match="singular point"):
+        fr.fundamental_forms(ex217, (0.0, 0.0))
 
 
 def test_parabolic_nonpositive_curvature(parabolic):
