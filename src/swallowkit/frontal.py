@@ -530,8 +530,7 @@ def fundamental_forms(germ: MapGerm, at, order=3):
     if singular.any():
         if singular.ndim == 0:
             raise ClassificationError(f"singular point at {at}")
-        # a unit constant term carries the singular slots through the sqrt
-        # and the division by |n|; their forms are replaced by NaN below
+        # |n|^2 = 1 carries singular slots through sqrt and division; NaN below
         nsq.c[0] = np.where(singular, 1.0, nsq.c[0])
     nn = jet_sqrt(nsq)
     nu = tuple(c / nn for c in n)
@@ -557,11 +556,10 @@ def gaussian_curvature(germ: MapGerm, at):
     scalar call there raises ClassificationError."""
     E, F, G, L, M, N = fundamental_forms(germ, at)
     den = E * G - F * F
-    if np.ndim(den) == 0:
-        if den == 0.0:
-            raise ClassificationError(f"singular point at {at}")
-    else:
+    if np.ndim(den):
         den = np.where(den == 0.0, np.nan, den)
+    elif den == 0.0:
+        raise ClassificationError(f"singular point at {at}")
     K_ext = (L * N - M * M) / den
     return 4.0 * germ.sf.a + K_ext, K_ext
 
