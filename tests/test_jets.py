@@ -318,13 +318,13 @@ def test_batched_kernels_equal_their_columns_bit_for_bit():
                 hit = rng.random(shape) < 0.2
                 x[hit] = rng.choice(special, hit.sum())
             with np.errstate(all="ignore"):
-                batched = {"mul": jets._jet_mul(a, b, order), "div": jets._jet_div(a, b, order)}
-                for k in np.ndindex(shape[1:]):
-                    col = (slice(None),) + k
-                    for name, kernel in (("mul", jets._jet_mul), ("div", jets._jet_div)):
+                for kernel in (jets._jet_mul, jets._jet_div):
+                    batched = kernel(a, b, order)
+                    for k in np.ndindex(shape[1:]):
+                        col = (slice(None),) + k
                         want = kernel(a[col], b[col], order)
-                        assert np.array_equal(batched[name][col].view(np.int64),
-                                              want.view(np.int64)), (name, order, shape, k)
+                        assert np.array_equal(batched[col].view(np.int64), want.view(np.int64)), \
+                            (kernel.__name__, order, shape, k)
 
 
 def test_symbolic_diff_closed():
