@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -161,6 +162,9 @@ def cmd_mesh(args):
     germ = _load_germ(args.spec)
     if m < 1 or n < 1:
         raise gs.SpecError(f"resolution must be positive, got {m},{n}")
+    csv_path = os.path.splitext(args.out)[0] + ".csv"
+    if csv_path == args.out:
+        raise gs.SpecError(f"--out {args.out!r} is also the path of the CSV: give it another extension")
     us = np.linspace(u0, u1, m + 1)
     vs = np.linspace(v0, v1, n + 1)
     UU, VV = np.meshgrid(us, vs, indexing="ij")
@@ -170,18 +174,8 @@ def cmd_mesh(args):
         w = 1.0 + germ.sf.a * np.sum(P * P, axis=-1)
         if np.any(w <= 0):
             raise DomainError("mesh leaves the model domain (1 + a|p|^2 <= 0)")
-    with open(args.out, "w") as out:
-        for i in range(m + 1):
-            for j in range(n + 1):
-                x, y, z = P[i, j]
-                out.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for i in range(m):
-            for j in range(n):
-                aa = i * (n + 1) + j + 1
-                bb = (i + 1) * (n + 1) + j + 1
-                out.write(f"f {aa} {bb} {bb + 1} {aa + 1}\n")
+    cgcmod.write_obj(args.out, P)
     K, _ = fr.gaussian_curvature(germ, (UU, VV))
-    csv_path = args.out.rsplit(".", 1)[0] + ".csv"
     with open(csv_path, "w") as out:
         out.write("u,v,x,y,z,K\n")
         for i in range(m + 1):
@@ -212,8 +206,8 @@ def cmd_cgc(args):
     Kdev = float(np.percentile(np.abs(K[mask] - 1.0), 95))
     rep = fr.classify(cgcmod.ParallelGerm(om).as_germ(), at=(0.0, 1.0))
     out_prefix = args.out_prefix
-    grid.write_obj(out_prefix + "_cmc.obj")
-    par.write_obj(out_prefix + "_k1.obj")
+    cgcmod.write_obj(out_prefix + "_cmc.obj", grid.f)
+    cgcmod.write_obj(out_prefix + "_k1.obj", par.f)
     l1, l2 = forms.principal(*np.meshgrid(grid.us, grid.vs, indexing="ij"))
     Ks, Hs = cgcmod.curvatures_from_samples(grid.f, du, dv)
     grid.write_csv(out_prefix + "_cmc.csv", K=Ks, H=Hs, l1=l1, l2=l2)

@@ -1,10 +1,14 @@
 """Constant-curvature pipeline: profile, forms, reconstruction, parallel."""
 
+import collections
+import math
+
 import numpy as np
 import pytest
 
 from swallowkit import cgc
 from swallowkit import frontal as fr
+from swallowkit.fields import rk4_step
 
 
 @pytest.fixture(scope="module")
@@ -73,6 +77,18 @@ def test_sinh_gordon_identity(omega):
     assert np.max(np.abs(omega.sinh_gordon_residual(uu, vv))) < 1e-7
 
 
+def test_omega_jet_on_arrays_equals_scalar_calls(omega):
+    """An array call is, slot for slot and bit for bit, the scalar call; the
+    batch holds a u = 0 slot, where the radius jet has no u-linear term."""
+    U = np.array([[0.0, 0.1, -0.37], [0.25, 0.0, 0.4]])
+    V = np.array([[1.0, 0.9, 0.7], [1.3, 0.65, 1.1]])
+    for order in range(7):
+        arr = omega.jet(U, V, order).c
+        scalar = np.stack([omega.jet(u, v, order).c for u, v in zip(U.ravel(), V.ravel())],
+                          axis=-1).reshape(arr.shape)
+        assert np.array_equal(arr.view(np.int64), scalar.view(np.int64)), order
+
+
 def test_gauss_codazzi(forms):
     uu, vv = np.meshgrid(np.linspace(-0.5, 0.5, 21), np.linspace(0.6, 1.4, 21),
                          indexing="ij")
@@ -106,6 +122,24 @@ def test_reconstruction_frame_orthogonality(small_grid):
     E = np.exp(2 * np.asarray(om.jet(UU, VV, 0).value()))
     assert np.max(np.abs(dots) / E) < 1e-6
     assert np.max(np.abs(np.sum(small_grid.fu ** 2, axis=2) - E) / E) < 1e-4
+
+
+def test_reconstruction_evaluates_omega_once_per_abscissa(forms, monkeypatch):
+    """RK4 reads x + h/2 twice and ends each step at the next one's x; each
+    abscissa is evaluated once, but for the base abscissa of each of the two
+    sweeps, which starts both of its directions."""
+    keys = []
+    jet = cgc.OmegaField.jet
+
+    def counted(self, u, v, order):
+        keys.append((np.asarray(u).tobytes(), np.asarray(v).tobytes(), order))
+        return jet(self, u, v, order)
+
+    monkeypatch.setattr(cgc.OmegaField, "jet", counted)
+    cgc.reconstruct_surface(forms, window=(-0.1, 0.1, 0.9, 1.1), res=(21, 17))
+    repeated = [n for n in collections.Counter(keys).values() if n > 1]
+    assert repeated == [2, 2]
+    assert len(keys) == len(set(keys)) + 2
 
 
 def test_mean_curvature_is_half(small_grid):
@@ -160,10 +194,51 @@ def test_parallel_germ_classifies_as_swallowtail(omega):
     assert rep.is_wavefront and rep.is_swallowtail
 
 
+def _rk4_frame(omega, base, u, v, step=2e-3):
+    """The frame (f, fu, fv, nu) at (u, v) by RK4 of the frame equations from
+    the base: along v = base[1] to u, then along that u to v."""
+    w0 = float(np.asarray(omega.jet(*base, 0).value()))
+    st = np.stack([np.zeros(3), math.exp(w0) * np.array([1.0, 0.0, 0.0]),
+                   math.exp(w0) * np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])])
+
+    def coeffs(uu, vv):
+        j = omega.jet(uu, vv, 1)
+        wq = float(np.asarray(j.value()))
+        return wq, j.partial(1, 0), j.partial(0, 1), math.exp(2 * wq)
+
+    def rhs_u(uu, s):
+        wq, wu, wv, E = coeffs(uu, base[1])
+        return cgc._gw_rhs_u(s, wq, wu, wv, math.exp(wq) * math.cosh(wq), E)
+
+    def rhs_v(vv, s):
+        wq, wu, wv, E = coeffs(u, vv)
+        return cgc._gw_rhs_v(s, wq, wu, wv, math.exp(wq) * math.sinh(wq), E)
+
+    for rhs, cur, end in ((rhs_u, base[0], u), (rhs_v, base[1], v)):
+        if abs(end - cur) > 0:
+            n = max(1, int(math.ceil(abs(end - cur) / step)))
+            h = (end - cur) / n
+            for _ in range(n):
+                st = rk4_step(rhs, cur, st, h)
+                cur += h
+    return st
+
+
+def test_parallel_germ_states_match_an_rk4_march(omega):
+    """The frame read from the base's Taylor polynomial agrees with an RK4
+    march of the frame equations within 0.1 of the base."""
+    germ = cgc.ParallelGerm(omega)
+    points = [(0.0, 1.0)] + [(r * math.cos(t), 1.0 + r * math.sin(t))
+                             for r in (0.05, 0.1) for t in np.linspace(0, 2 * np.pi, 8, endpoint=False)]
+    for u, v in points:
+        st = np.array([[c.value() for c in row] for row in germ.jets(u, v, 0)])
+        assert np.max(np.abs(st - _rk4_frame(omega, germ.base, u, v))) < 1e-12, (u, v)
+
+
 def test_obj_and_csv_output(small_grid, tmp_path):
     obj = tmp_path / "s.obj"
     csv = tmp_path / "s.csv"
-    small_grid.write_obj(str(obj))
+    cgc.write_obj(str(obj), small_grid.f)
     small_grid.write_csv(str(csv))
     lines = obj.read_text().splitlines()
     nverts = sum(1 for l in lines if l.startswith("v "))

@@ -175,6 +175,28 @@ def test_mesh_command(specs, capsys, tmp_path):
     assert (tmp_path / "m.csv").exists()
 
 
+def test_mesh_csv_sits_beside_the_obj(specs, capsys, tmp_path):
+    """The CSV path replaces the extension of --out, never a dot in a
+    directory name."""
+    (tmp_path / "runs.v2").mkdir()
+    out = tmp_path / "runs.v2" / "mesh"
+    code, text = run(capsys, "mesh", str(specs / "ex217.json"),
+                     "--domain=-0.3,0.3,-0.2,0.2", "--res", "4,3", "--out", str(out))
+    assert code == 0
+    assert json.loads(text)["csv"] == str(out) + ".csv"
+    assert out.read_text().startswith("v ")
+    assert (tmp_path / "runs.v2" / "mesh.csv").read_text().startswith("u,v,x,y,z,K\n")
+    assert not (tmp_path / "runs.csv").exists()
+
+
+def test_mesh_out_that_is_its_own_csv_exit_2(specs, capsys, tmp_path):
+    code = main(["mesh", str(specs / "ex217.json"), "--domain=-0.3,0.3,-0.2,0.2",
+                 "--res", "4,3", "--out", str(tmp_path / "m.csv")])
+    assert code == 2
+    assert "m.csv" in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+
+
 def test_mesh_bad_resolution(specs, capsys, tmp_path):
     code, _ = run(capsys, "mesh", str(specs / "ex217.json"),
                   "--domain=-1,1,-1,1", "--res", "0,5",

@@ -1,0 +1,91 @@
+"""Run a fixed list of CLI calls in two source checkouts and compare their outputs.
+
+    python3 tools/compare_outputs.py --base DIR --head DIR
+
+Each call runs ``python -m swallowkit.cli`` with ``DIR/src`` on the path, in a
+fresh working directory per checkout that holds the same input specs, so the
+output paths that a command prints are the same on both sides.  For every
+call the script prints the exit code and the sha256 of its stdout and of every
+file it wrote, base and head side by side, and exits 1 if any of them differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+SPECS = {
+    "ex217.json": {"kind": "swallowtail-data", "xi": ["2", "3*u", "0"],
+                   "b": ["0", "0", "1"], "a": 0.0},
+    "ex217s.json": {"kind": "swallowtail-data", "xi": ["4", "6*u", "0"],
+                    "b": ["0", "0", "2"], "a": 0.0},
+    "fplus.json": {"kind": "asymptotic-data", "xi": ["1", "u", "u^2"],
+                   "q": "0", "r": ["u^2", "0-2*u", "1"], "a": 0.0},
+    "fplus2.json": {"kind": "asymptotic-data", "xi": ["1", "u", "2*u^2"],
+                    "q": "0", "r": ["u^2", "0-3*u", "1"], "a": 0.0},
+}
+
+CALLS = [
+    ["cgc", "--out-prefix", "cgc"],
+    ["cgc", "--grid", "61,41", "--window=-0.3,0.3,0.8,1.2", "--out-prefix", "small"],
+    ["mesh", "ex217.json", "--domain=-0.3,0.3,-0.2,0.2", "--res=60,60", "--out", "mesh.obj"],
+    ["classify", "ex217.json"],
+    ["classify", "ex217.json", "--at", "0.05,0.03"],
+    ["build", "ex217.json"],
+    ["frenet", "--kappa", "1+u^2", "--tau", "0.5*sin(u)", "--out", "curve.csv"],
+    ["deform", "ex217.json", "ex217s.json", "--recipe", "A"],
+    ["deform", "fplus.json", "fplus2.json", "--recipe", "D"],
+]
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _run_all(root):
+    """{call index: {"exit", "stdout", file name: sha256}} for one checkout."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
+    results = []
+    with tempfile.TemporaryDirectory() as work:
+        for name, doc in SPECS.items():
+            with open(os.path.join(work, name), "w") as fh:
+                json.dump(doc, fh)
+        for argv in CALLS:
+            before = set(os.listdir(work))
+            out = subprocess.run([sys.executable, "-m", "swallowkit.cli", *argv],
+                                 cwd=work, env=env, capture_output=True, timeout=600)
+            res = {"exit": str(out.returncode), "stdout": _sha(out.stdout)}
+            for name in sorted(set(os.listdir(work)) - before):
+                with open(os.path.join(work, name), "rb") as fh:
+                    res[name] = _sha(fh.read())
+                os.remove(os.path.join(work, name))
+            results.append(res)
+    return results
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    p.add_argument("--base", required=True, help="checkout of the parent commit")
+    p.add_argument("--head", required=True, help="checkout of the change")
+    args = p.parse_args(argv)
+
+    base, head = _run_all(args.base), _run_all(args.head)
+    differ = 0
+    for argv_, b, h in zip(CALLS, base, head):
+        print("swallowkit " + " ".join(argv_))
+        for key in sorted(set(b) | set(h), key=lambda k: (k not in ("exit", "stdout"), k)):
+            bv, hv = b.get(key, "-"), h.get(key, "-")
+            mark = "same" if bv == hv else "DIFFERS"
+            differ += bv != hv
+            print(f"  {key:<14} {bv[:16]:<16} {hv[:16]:<16} {mark}")
+    print(f"{differ} difference(s)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
