@@ -18,14 +18,13 @@ curvature derivatives at (0, 1) are the classical swallowtail test values
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._jettables import index_of, monomials
-from .fields import BoundedCache, JetFn, rk4_step
+from .fields import BoundedCache, JetFn, rk4_abscissae, rk4_step
 from .frontal import MapGerm
 from .jets import (Jet2, _apply_series, jet_cosh, jet_exp, jet_sinh, jet_sqrt, p1_compose,
                    p1_derivative, p1_mul)
@@ -192,17 +191,6 @@ class FundamentalForms:
         l1, l2 = self.principal(u, v)
         return K_intrinsic - l1 * l2
 
-    def codazzi_residual(self, u, v):
-        j = self.omega.jet(u, v, 1)
-        w = np.asarray(j.value())
-        wu, wv = j.partial(1, 0), j.partial(0, 1)
-        l1, l2 = _principal(w)
-        dl1_v = wv * (-l1 + l2)
-        dl2_u = wu * (-l2 + l1)
-        r1 = dl1_v - wv * (l2 - l1)
-        r2 = dl2_u - wu * (l1 - l2)
-        return np.maximum(np.abs(r1), np.abs(r2))
-
 
 def check_swallowtail_conditions(forms: FundamentalForms, at=(0.0, 1.0)):
     """Principal-curvature test values at the swallowtail point.
@@ -239,17 +227,20 @@ def check_swallowtail_conditions(forms: FundamentalForms, at=(0.0, 1.0)):
 # Reconstruction by the frame equations
 # ---------------------------------------------------------------------------
 
+def write_rows(out, fmt, table):
+    """Write a (blocks, rows, columns) table to out, each row formatted by the
+    %-format fmt; one string per block, so the file is never held whole."""
+    for block in table:
+        out.write("".join(map(fmt.__mod__, map(tuple, block.tolist()))))
+
+
 def write_obj(path, points):
     """Write an (m, n, 3) grid of points as an OBJ quad mesh, row by row."""
     m, n = points.shape[:2]
+    a = np.arange(1, m * n + 1).reshape(m, n)[:-1, :-1]
     with open(path, "w") as out:
-        for x, y, z in points.reshape(-1, 3):
-            out.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
-        for i in range(m - 1):
-            for j in range(n - 1):
-                a = i * n + j + 1
-                b = (i + 1) * n + j + 1
-                out.write(f"f {a} {b} {b + 1} {a + 1}\n")
+        write_rows(out, "v %.9g %.9g %.9g\n", points)
+        write_rows(out, "f %d %d %d %d\n", np.stack([a, a + n, a + n + 1, a + 1], axis=-1))
 
 
 @dataclass
@@ -263,16 +254,13 @@ class SurfaceGrid:
     forms: FundamentalForms | None = None
 
     def write_csv(self, path, K=None, H=None, l1=None, l2=None):
-        nu_, nv_ = self.f.shape[:2]
+        """One row per grid point, u-major; a column not given is nan."""
+        U, V = np.meshgrid(self.us, self.vs, indexing="ij")
+        cols = [U, V, *np.moveaxis(self.f, -1, 0)]
+        cols += [np.full(U.shape, np.nan) if arr is None else arr for arr in (K, H, l1, l2)]
         with open(path, "w") as out:
             out.write("u,v,x,y,z,K,H,lambda1,lambda2\n")
-            for i in range(nu_):
-                for j in range(nv_):
-                    x, y, z = self.f[i, j]
-                    row = [self.us[i], self.vs[j], x, y, z]
-                    for arr in (K, H, l1, l2):
-                        row.append(arr[i, j] if arr is not None else float("nan"))
-                    out.write(",".join(f"{val:.9g}" for val in row) + "\n")
+            write_rows(out, ",".join(["%.9g"] * 9) + "\n", np.stack(cols, axis=-1))
 
 
 def _omega_terms(j):
@@ -307,27 +295,40 @@ def _gw_rhs_v(state, w, wu, wv, N, E):
     return np.stack([f * 0 + fv, fuv, fvv, nuv])
 
 
-def _sweep(f, xs, i0, y0, nsub=4):
-    """States at every node of xs, marched by RK4 from y0 at xs[i0] out to
-    both ends, nsub steps per interval."""
+def _sweep(rhs, coeffs, xs, i0, y0, nsub=4):
+    """States at every node of xs, marched by RK4 of y' = rhs(y, *coefficients
+    at x) from y0 at xs[i0] out to both ends, nsub steps per interval.
+
+    Each interval lists its steps first; coeffs(x) then gives the
+    coefficients at every abscissa x those steps read, each once, as arrays
+    along the first axis, in one call, and the right-hand side reads that
+    table.  A table per interval, not per sweep, keeps the call small."""
     out = [None] * len(xs)
     out[i0] = y0
     for end, d in ((len(xs) - 1, 1), (0, -1)):
         y = y0
         for i in range(i0, end, d):
             h = (xs[i + d] - xs[i]) / nsub
-            for k in range(nsub):
-                y = rk4_step(f, xs[i] + k * h, y, h)
+            steps = [(xs[i] + k * h, h) for k in range(nsub)]
+            at = rk4_abscissae(steps)
+            table = dict(zip(at, zip(*coeffs(np.array(at)))))
+            for x, s in steps:
+                y = rk4_step(lambda x, st: rhs(st, *table[x]), x, y, s)
             out[i + d] = y
     return out
 
 
 def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
                         res=(201, 201), base=(0.0, 1.0), guard=1e-5) -> SurfaceGrid:
-    """Integrate the frame equations over the grid.
+    """Integrate the frame equations over the grid: along the spine v = base[1]
+    from the base point, then every column from the spine at once, states
+    vectorized over u.  The coefficients (w, w_u, w_v, L or N, E) of each
+    grid interval come from one array call of omega (see _sweep).
 
-    Guard: Gauss and Codazzi residuals are sampled first; reconstruction
-    refuses to run on non-integrable input.
+    Guard: the Gauss residual, which is the sinh-Gordon residual of omega
+    times -e^{-2w}, is sampled first; reconstruction refuses to run on
+    non-integrable input.  Codazzi needs no guard: these forms satisfy it
+    for every omega.
     """
     u0, u1, v0, v1 = window
     nu_, nv_ = res
@@ -336,33 +337,26 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
     gu, gv = np.meshgrid(us[:: max(1, nu_ // 8)], vs[:: max(1, nv_ // 8)], indexing="ij")
     if np.max(np.abs(forms.gauss_residual(gu, gv))) > guard:
         raise CgcError("Gauss equation residual above guard: forms not integrable")
-    if np.max(np.abs(forms.codazzi_residual(gu, gv))) > guard:
-        raise CgcError("Codazzi residual above guard: forms not integrable")
 
     om = forms.omega
 
-    # spine along v = base[1] through the base point, then every column from
-    # it at once, vectorized over u: states (4, 3, nu) of (f, fu, fv, nu)
+    # states (4, 3) on the spine and (4, 3, nu) on the columns, of (f, fu, fv, nu)
     bi = int(np.argmin(np.abs(vs - base[1])))
     vspine = vs[bi]
     b0 = int(np.argmin(np.abs(us - base[0])))
 
-    # the coefficients (w, w_u, w_v, L or N, E) depend on the abscissa only:
-    # an RK4 step reads x + h/2 twice and ends at the next step's x, so the
-    # last two abscissae are all that is worth keeping
-    @functools.lru_cache(maxsize=2)
     def coeffs_u(u):
-        w, wu, wv, E = _omega_terms(om.jet(u, vspine, 1))
+        w, wu, wv, E = _omega_terms(om.jet(u, np.full_like(u, vspine), 1))
         return w, wu, wv, np.exp(w) * np.cosh(w), E
 
-    @functools.lru_cache(maxsize=2)
     def coeffs_v(v):
-        w, wu, wv, E = _omega_terms(om.jet(us, np.full_like(us, v), 1))
+        V, U = np.meshgrid(v, us, indexing="ij")
+        w, wu, wv, E = _omega_terms(om.jet(U, V, 1))
         return w, wu, wv, np.exp(w) * np.sinh(w), E
 
-    spine = np.stack(_sweep(lambda u, st: _gw_rhs_u(st, *coeffs_u(u)), us, b0,
-                            _base_frame(om, base[0], vspine)), axis=-1)
-    cols = _sweep(lambda v, st: _gw_rhs_v(st, *coeffs_v(v)), vs, bi, spine)
+    spine = np.stack(_sweep(_gw_rhs_u, coeffs_u, us, b0, _base_frame(om, base[0], vspine)),
+                     axis=-1)
+    cols = _sweep(_gw_rhs_v, coeffs_v, vs, bi, spine)
     f, fu, fv, nu = np.stack([c.transpose(0, 2, 1) for c in cols], axis=2)
     return SurfaceGrid(us=us, vs=vs, f=f, fu=fu, fv=fv, nu=nu, forms=forms)
 

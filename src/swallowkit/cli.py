@@ -178,10 +178,8 @@ def cmd_mesh(args):
     K, _ = fr.gaussian_curvature(germ, (UU, VV))
     with open(csv_path, "w") as out:
         out.write("u,v,x,y,z,K\n")
-        for i in range(m + 1):
-            for j in range(n + 1):
-                x, y, z = P[i, j]
-                out.write(f"{us[i]:.9g},{vs[j]:.9g},{x:.9g},{y:.9g},{z:.9g},{K[i, j]:.9g}\n")
+        cgcmod.write_rows(out, ",".join(["%.9g"] * 6) + "\n",
+                          np.stack([UU, VV, *np.moveaxis(P, -1, 0), K], axis=-1))
     _emit({"vertices": (m + 1) * (n + 1), "faces": m * n,
            "obj": args.out, "csv": csv_path})
     return 0
@@ -238,8 +236,7 @@ def cmd_frenet(args):
     if args.out:
         with open(args.out, "w") as fh:
             fh.write("u,x,y,z,Tx,Ty,Tz\n")
-            for row in rows:
-                fh.write(",".join(f"{x:.9g}" for x in row) + "\n")
+            cgcmod.write_rows(fh, ",".join(["%.9g"] * 7) + "\n", np.array([rows]))
     k, t = cv.curvature_torsion_of(path.xi_providers(), 0.5 * (a + b))
     T, N, B = path.frame(0.5 * (a + b))
     G = np.stack([T, N, B])

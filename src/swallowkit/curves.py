@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (BoundedCache, FlipU, JetFn, Scaled, components, gauss_legendre, over_u,
-                     pjet, rk4_step, vjet, xi_frame)
+                     pjet, rk4_abscissae, rk4_step, vjet, xi_frame)
 from .frontal import sgn
 from ._jettables import index_of, term_count
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
@@ -366,10 +366,11 @@ class FrenetPath:
     data.step (the last one shorter), re-orthonormalizing the frame after
     each.  Its steps are listed first; kappa_tau_at(x) then gives kappa and
     tau, as arrays, at every abscissa x the march reads (the start, midpoint
-    and end of each step) in one call; kappa > 0 and the finiteness of kappa
-    and tau are checked once over those values, and the right-hand side
-    reads them as floats.  The providers data.kappa and data.tau serve the
-    rest: the fractional step of state() off the grid and the series jets.
+    and end of each step, each once) in one call; kappa > 0 and the
+    finiteness of kappa and tau are checked once over those values, and the
+    right-hand side reads them as floats.  The providers data.kappa and
+    data.tau serve the rest: the fractional step of state() off the grid and
+    the series jets.
     The Taylor series at a point are memoised per (u, order): the three
     components of xi_providers and of cusp_curve_providers read the same
     series."""
@@ -389,7 +390,7 @@ class FrenetPath:
                 steps.append((u, sign * min(h, abs(end) - abs(u))))
                 u = u + steps[-1][1]
             marches.append(steps)
-        xs = [x for steps in marches for u, s in steps for x in (u, u + s / 2, u + s)]
+        xs = rk4_abscissae([step for steps in marches for step in steps])
         k, t = kappa_tau_at(np.array(xs))
         bad = np.flatnonzero(~((k > 0.0) & np.isfinite(k) & np.isfinite(t)))
         if bad.size:

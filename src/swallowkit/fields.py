@@ -77,6 +77,13 @@ def rk4_step(f, x, y, h):
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+def rk4_abscissae(steps):
+    """The distinct abscissae that rk4_step reads over the steps (x, h), in
+    the order it first reads them: x, x + h/2 and x + h, by its own float
+    expressions, so a table keyed by them answers every one of its reads."""
+    return list(dict.fromkeys(a for x, h in steps for a in (x, x + h / 2, x + h)))
+
+
 def over_u(gp, u):
     """Jet of g(u)/u at u, one order below the u-only jet gp of g at u, for
     g vanishing at u = 0.  u may be an array: its points u = 0 go through

@@ -1,6 +1,6 @@
 """Constant-curvature pipeline: profile, forms, reconstruction, parallel."""
 
-import collections
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +9,7 @@ import pytest
 from swallowkit import cgc
 from swallowkit import frontal as fr
 from swallowkit.fields import rk4_step
+from swallowkit.jets import Jet2
 
 
 @pytest.fixture(scope="module")
@@ -90,10 +91,12 @@ def test_omega_jet_on_arrays_equals_scalar_calls(omega):
 
 
 def test_gauss_codazzi(forms):
+    """Gauss holds to the accuracy of omega.  Codazzi holds identically for
+    these forms, for any omega: (e^{-w} cosh w)_v = w_v (l2 - l1), and
+    likewise for l2, so it has nothing to check."""
     uu, vv = np.meshgrid(np.linspace(-0.5, 0.5, 21), np.linspace(0.6, 1.4, 21),
                          indexing="ij")
     assert np.max(np.abs(forms.gauss_residual(uu, vv))) < 1e-5
-    assert np.max(np.abs(forms.codazzi_residual(uu, vv))) < 1e-5
 
 
 def test_swallowtail_conditions(forms):
@@ -124,22 +127,71 @@ def test_reconstruction_frame_orthogonality(small_grid):
     assert np.max(np.abs(np.sum(small_grid.fu ** 2, axis=2) - E) / E) < 1e-4
 
 
+def _reference_march(forms, window, res, base=(0.0, 1.0), nsub=4):
+    """(f, fu, fv, nu) on the grid by RK4 of the frame equations with omega
+    called once per abscissa: a scalar call on the spine v = base[1], one
+    call over the u nodes per v on the columns, memoised by abscissa."""
+    om = forms.omega
+    us = np.linspace(window[0], window[1], res[0])
+    vs = np.linspace(window[2], window[3], res[1])
+    bi = int(np.argmin(np.abs(vs - base[1])))
+    b0 = int(np.argmin(np.abs(us - base[0])))
+    vspine = vs[bi]
+    memo = {}
+
+    def coeffs(x, on_spine):
+        if (x, on_spine) not in memo:
+            if on_spine:
+                w, wu, wv, E = cgc._omega_terms(om.jet(x, vspine, 1))
+                memo[x, on_spine] = w, wu, wv, np.exp(w) * np.cosh(w), E
+            else:
+                w, wu, wv, E = cgc._omega_terms(om.jet(us, np.full_like(us, x), 1))
+                memo[x, on_spine] = w, wu, wv, np.exp(w) * np.sinh(w), E
+        return memo[x, on_spine]
+
+    def march(f, xs, i0, y0):
+        out = [None] * len(xs)
+        out[i0] = y0
+        for end, d in ((len(xs) - 1, 1), (0, -1)):
+            y = y0
+            for i in range(i0, end, d):
+                h = (xs[i + d] - xs[i]) / nsub
+                for k in range(nsub):
+                    y = rk4_step(f, xs[i] + k * h, y, h)
+                out[i + d] = y
+        return out
+
+    spine = np.stack(march(lambda u, st: cgc._gw_rhs_u(st, *coeffs(u, True)), us, b0,
+                           cgc._base_frame(om, base[0], vspine)), axis=-1)
+    cols = march(lambda v, st: cgc._gw_rhs_v(st, *coeffs(v, False)), vs, bi, spine)
+    return np.stack([c.transpose(0, 2, 1) for c in cols], axis=2)
+
+
 def test_reconstruction_evaluates_omega_once_per_abscissa(forms, monkeypatch):
-    """RK4 reads x + h/2 twice and ends each step at the next one's x; each
-    abscissa is evaluated once, but for the base abscissa of each of the two
-    sweeps, which starts both of its directions."""
-    keys = []
+    """One omega call per grid interval of each sweep, every abscissa of the
+    interval's RK4 steps in it once; the grid is bit for bit the march that
+    calls omega once per abscissa.  The base is off centre in u and v, so the
+    two legs of each sweep differ in length."""
+    window, res = (-0.1, 0.2, 0.92, 1.1), (21, 17)
+    calls = []
     jet = cgc.OmegaField.jet
 
     def counted(self, u, v, order):
-        keys.append((np.asarray(u).tobytes(), np.asarray(v).tobytes(), order))
+        if order == 1:      # the frame coefficients; the guard reads orders 0 and 2
+            calls.append((np.array(u), np.array(v)))
         return jet(self, u, v, order)
 
     monkeypatch.setattr(cgc.OmegaField, "jet", counted)
-    cgc.reconstruct_surface(forms, window=(-0.1, 0.1, 0.9, 1.1), res=(21, 17))
-    repeated = [n for n in collections.Counter(keys).values() if n > 1]
-    assert repeated == [2, 2]
-    assert len(keys) == len(set(keys)) + 2
+    grid = cgc.reconstruct_surface(forms, window=window, res=res)
+    monkeypatch.undo()
+    spine = [u for u, v in calls if u.ndim == 1]
+    cols = [v[:, 0] for u, v in calls if u.ndim == 2]
+    assert len(spine) == res[0] - 1 and len(cols) == res[1] - 1
+    assert len(calls) == len(spine) + len(cols)
+    for xs in spine + cols:
+        assert np.unique(xs).size == xs.size
+    for got, want in zip((grid.f, grid.fu, grid.fv, grid.nu), _reference_march(forms, window, res)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_mean_curvature_is_half(small_grid):
@@ -154,13 +206,23 @@ def test_reconstruction_guard():
         def gauss_residual(self, u, v):
             return np.ones_like(np.asarray(u))
 
-        def codazzi_residual(self, u, v):
-            return np.zeros_like(np.asarray(u))
-
     prof = cgc.solve_radial_ode(domain=(0.8, 1.2))
     with pytest.raises(cgc.CgcError, match="Gauss"):
         cgc.reconstruct_surface(Bad(cgc.OmegaField(prof)),
                                 window=(-0.1, 0.1, 0.9, 1.1), res=(21, 21))
+
+
+def test_gauss_guard_refuses_a_non_solution():
+    """omega = u^2 v + 3v solves no sinh-Gordon equation, and the Gauss
+    residual, -e^{-2w} times its sinh-Gordon residual, stops the march."""
+    class Poly:
+        def jet(self, u, v, order):
+            uj = Jet2.variable("u", u, order, np.shape(u))
+            vj = Jet2.variable("v", v, order, np.shape(u))
+            return uj * uj * vj + vj * 3.0
+
+    with pytest.raises(cgc.CgcError, match="Gauss"):
+        cgc.reconstruct_surface(cgc.FundamentalForms(Poly()), res=(7, 7))
 
 
 def test_parallel_surface_constant_curvature(small_grid):
@@ -246,3 +308,60 @@ def test_obj_and_csv_output(small_grid, tmp_path):
     assert nverts == 121 * 121
     assert nfaces == 120 * 120
     assert csv.read_text().splitlines()[0] == "u,v,x,y,z,K,H,lambda1,lambda2"
+
+
+def _write_obj_loop(path, points):
+    """The OBJ writer as a per-value f-string loop."""
+    m, n = points.shape[:2]
+    with open(path, "w") as out:
+        for x, y, z in points.reshape(-1, 3):
+            out.write(f"v {x:.9g} {y:.9g} {z:.9g}\n")
+        for i in range(m - 1):
+            for j in range(n - 1):
+                a = i * n + j + 1
+                b = (i + 1) * n + j + 1
+                out.write(f"f {a} {b} {b + 1} {a + 1}\n")
+
+
+def _write_csv_loop(grid, path, K=None, H=None, l1=None, l2=None):
+    """The grid CSV writer as a per-value f-string loop."""
+    with open(path, "w") as out:
+        out.write("u,v,x,y,z,K,H,lambda1,lambda2\n")
+        for i in range(len(grid.us)):
+            for j in range(len(grid.vs)):
+                x, y, z = grid.f[i, j]
+                row = [grid.us[i], grid.vs[j], x, y, z]
+                for arr in (K, H, l1, l2):
+                    row.append(arr[i, j] if arr is not None else float("nan"))
+                out.write(",".join(f"{val:.9g}" for val in row) + "\n")
+
+
+def test_block_writers_equal_the_per_value_loops(tmp_path):
+    """write_obj and write_csv are byte for byte the per-value loops on a
+    non-square grid holding nan, +-inf, -0.0 and extreme magnitudes."""
+    rng = np.random.default_rng(7)
+    special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300]
+
+    def table(*shape):
+        a = rng.normal(size=shape) * 10.0 ** rng.integers(-12, 12, size=shape)
+        k = min(a.size, len(special))
+        a.reshape(-1)[rng.choice(a.size, k, replace=False)] = special[:k]
+        return a
+
+    m, n = 7, 11
+    f = table(m, n, 3)
+    grid = cgc.SurfaceGrid(us=table(m), vs=table(n), f=f, fu=f, fv=f, nu=f)
+    K, H, l1, l2 = (table(m, n) for _ in range(4))
+
+    def sha(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    new, old = tmp_path / "new", tmp_path / "old"
+    cgc.write_obj(new, f)
+    _write_obj_loop(old, f)
+    assert sha(new) == sha(old)
+    assert old.read_text().count("\nf ") == (m - 1) * (n - 1)
+    for cols in ({"K": K, "H": H, "l1": l1, "l2": l2}, {"H": H, "l2": l2}, {}):
+        grid.write_csv(new, **cols)
+        _write_csv_loop(grid, old, **cols)
+        assert sha(new) == sha(old), sorted(cols)

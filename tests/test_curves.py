@@ -156,7 +156,8 @@ def test_frenet_requires_positive_curvature():
 
 def test_frenet_march_reads_one_array_call_of_each_provider():
     """kappa and tau at every abscissa of the march come from one array
-    call of each provider; the march itself calls neither."""
+    call of each provider, each abscissa once; the march itself calls
+    neither."""
     calls = []
 
     class Counting:
@@ -164,13 +165,15 @@ def test_frenet_march_reads_one_array_call_of_each_provider():
             self.expr = parse(text)
 
         def jet(self, u, v, order, memo=None):
-            calls.append(np.shape(u))
+            calls.append(np.array(u))
             return self.expr.jet(u, v, order)
 
     h, interval = 0.01, (-0.3, 0.5)
     integrate_frenet(FrenetData(kappa=Counting("2+u"), tau=Counting("u"), step=h), interval)
-    n = 3 * (round(0.3 / h) + round(0.5 / h))        # start, midpoint, end of each step
-    assert calls == [(n,), (n,)]
+    # the start and midpoint of each step, the end of each march; 0 starts both
+    n = 2 * (round(0.3 / h) + round(0.5 / h)) + 1
+    assert [c.shape for c in calls] == [(n,), (n,)]
+    assert np.unique(calls[0]).size == n
 
 
 def test_frenet_unit_speed():
