@@ -313,7 +313,7 @@ def _sweep(rhs, coeffs, xs, i0, y0, nsub=4):
             at = rk4_abscissae(steps)
             table = dict(zip(at, zip(*coeffs(np.array(at)))))
             for x, s in steps:
-                y = rk4_step(lambda x, st: rhs(st, *table[x]), x, y, s)
+                y = rk4_step(lambda a, st: rhs(st, *table[a]), x, y, s)
             out[i + d] = y
     return out
 
