@@ -18,6 +18,7 @@ curvature derivatives at (0, 1) are the classical swallowtail test values
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -253,6 +254,17 @@ class SurfaceGrid:
     nu: np.ndarray
     forms: FundamentalForms | None = None
 
+    @functools.cached_property
+    def w(self):
+        """omega on the grid (nu, nv), evaluated once per grid."""
+        U, V = np.meshgrid(self.us, self.vs, indexing="ij")
+        return np.asarray(self.forms.omega.jet(U, V, 0).value())
+
+    @functools.cached_property
+    def principal(self):
+        """The principal curvatures (l1, l2) on the grid, from w."""
+        return _principal(self.w)
+
     def write_csv(self, path, K=None, H=None, l1=None, l2=None):
         """One row per grid point, u-major; a column not given is nan."""
         U, V = np.meshgrid(self.us, self.vs, indexing="ij")
@@ -363,11 +375,8 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
 
 def roundtrip_residuals(grid: SurfaceGrid):
     """Sup-norm of I and II recomputed from the sampled immersion."""
-    om = grid.forms.omega
     us, vs = grid.us, grid.vs
-    UU, VV = np.meshgrid(us, vs, indexing="ij")
-    j = om.jet(UU, VV, 0)
-    w = np.asarray(j.value())
+    w = grid.w
     E_ref = np.exp(2 * w)
     L_ref = np.exp(w) * np.cosh(w)
     N_ref = np.exp(w) * np.sinh(w)
@@ -440,7 +449,7 @@ def mean_curvature_check(grid: SurfaceGrid, n_samples=100, seed=3):
 
 def parallel_surface(grid: SurfaceGrid) -> SurfaceGrid:
     h = grid.f + grid.nu
-    l1, l2 = grid.forms.principal(*np.meshgrid(grid.us, grid.vs, indexing="ij"))
+    l1, l2 = grid.principal
     hu = grid.fu * (1 - l1)[..., None]
     hv = grid.fv * (1 - l2)[..., None]
     return SurfaceGrid(us=grid.us, vs=grid.vs, f=h, fu=hu, fv=hv, nu=grid.nu,
@@ -458,7 +467,7 @@ def parallel_regularity(grid: SurfaceGrid, par: SurfaceGrid, tol=1e-6):
 def parallel_safe_mask(grid: SurfaceGrid, par: SurfaceGrid, margin=0.05, border=4):
     """Regular points a quantified distance from the degeneracy (|1 - l_i| >
     margin), with a border strip excluded for the difference stencils."""
-    l1, l2 = grid.forms.principal(*np.meshgrid(grid.us, grid.vs, indexing="ij"))
+    l1, l2 = grid.principal
     mask = parallel_regularity(grid, par)
     mask &= np.abs(1.0 - l1) > margin
     mask &= np.abs(1.0 - l2) > margin

@@ -206,7 +206,7 @@ def cmd_cgc(args):
     out_prefix = args.out_prefix
     cgcmod.write_obj(out_prefix + "_cmc.obj", grid.f)
     cgcmod.write_obj(out_prefix + "_k1.obj", par.f)
-    l1, l2 = forms.principal(*np.meshgrid(grid.us, grid.vs, indexing="ij"))
+    l1, l2 = grid.principal
     Ks, Hs = cgcmod.curvatures_from_samples(grid.f, du, dv)
     grid.write_csv(out_prefix + "_cmc.csv", K=Ks, H=Hs, l1=l1, l2=l2)
     _emit({

@@ -10,7 +10,9 @@ sampled, and the report says so.
 
 from __future__ import annotations
 
+import functools
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +20,8 @@ import numpy as np
 from . import frontal as fr
 from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discriminants,
                       flip_data, gamma_from_xi, normal_field)
-from .curves import CurveGerm, FrenetData, FrenetPath, HalfArclength, curvature_torsion_of
+from .curves import (CurveGerm, FrenetColumn, FrenetData, FrenetPath, HalfArclength,
+                     curvature_torsion_of)
 from .fields import (BoundedCache, JetFn, Scaled, components, cusp_frame, pjet, vjet,
                      xi_frame)
 from .frontal import sgn
@@ -88,8 +91,7 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
     failures = []
     per_t = []
 
-    def check_one(stage, t):
-        data = stage.generator(float(t))
+    def check_one(stage, t, data):
         germ = build(data, family.a)
         rep = fr.classify(germ)
         entry = {
@@ -125,8 +127,11 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
         return entry, errs
 
     for stage in family.stages:
-        for t in ts:
-            entry, errs = check_one(stage, t)
+        # every t of the stage first: the generators only wire providers
+        # together, and the paths of an interpolation stage then march as one
+        datas = [stage.generator(float(t)) for t in ts]
+        for t, data in zip(ts, datas):
+            entry, errs = check_one(stage, t, data)
             per_t.append(entry)
             failures.extend(errs)
 
@@ -229,6 +234,11 @@ def _kappa_tau_provider(xi):
     return JetFn(lambda u, v, order: curvature_torsion_of(xi, u, order))
 
 
+def _lift(j, shape):
+    """The jet j with a trailing batch axis of the given shape, every column j."""
+    return j if not shape else Jet2(j.order, np.broadcast_to(j.c[..., None], j.c.shape + shape))
+
+
 def _rotation_log(R):
     tr = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
     th = math.acos(tr)
@@ -256,20 +266,28 @@ class XiInterpolation:
     curves are reproduced exactly: path(0) and path(1) integrate the
     endpoint fields themselves.
 
+    The paths march together.  path(t) returns a FrenetColumn and queues t;
+    the first read of any queued column marches every queued t as one
+    FrenetPath batch, with a column per t, and the batch memoises one
+    series per point for all its columns.  A certificate stage asks for the
+    paths of all its t before it reads one, so they make one march.  Each
+    column is bit for bit the path marched alone.  Marched columns are
+    memoised per t.  The queue and the memo change under one lock, so
+    threads reading the columns of a pending batch march it once.
+
     The values of kappa and tau of both endpoint fields at every point the
     fixed-step RK4 march reads (the half-step grid) are tabulated once per
     family, by one array-valued curvature_torsion_of call per endpoint
-    field, and these tables feed the march of every path: the path at t
-    reads its kappa and tau there as floats, each abscissa indexed once
+    field, and these tables feed every march: a batch reads its kappa and
+    tau there as an array with a column per t, each abscissa indexed once
     into the grid, and FrenetPath checks kappa > 0 once over them.  The
-    kappa and tau providers of a path serve the rest, the series jets and
-    the fractional steps off the grid, at scalar u; the endpoint (kappa,
-    tau) jets behind them do not depend on t, so they come from one
-    memoised provider per endpoint field, shared by every interpolated
-    path, and each path's providers memoise their own jets per point as
-    well.  The paths are memoised per t.  Neither a path nor its providers
-    hold the interpolation, so a dropped family is freed by reference
-    counting.
+    kappa and tau providers of a batch serve the rest, the series jets and
+    the fractional steps off the grid, at scalar u, with a trailing t axis;
+    the endpoint (kappa, tau) jets behind them do not depend on t, so they
+    come from one memoised provider per endpoint field, shared by every
+    batch, and each batch's providers memoise their own jets per point as
+    well.  A column holds the interpolation, which holds its batches but no
+    column, so a dropped family is freed by reference counting.
     """
 
     def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):
@@ -286,7 +304,9 @@ class XiInterpolation:
         R1, R2 = self._frames
         self._w = _rotation_log(R1.T @ R2)
         self._R1 = R1
-        self._paths = BoundedCache()
+        self._queued = {}                 # t key -> t, requested and not marched yet
+        self._marched = BoundedCache()    # t key -> (batch, column)
+        self._lock = threading.Lock()     # guards the queue, so that a batch marches once
         self._kt = tuple(_kappa_tau_provider(xi) for xi in self.xi)
         # kappa/tau value tables at half-step resolution (every point the
         # fixed-step RK4 integrator touches)
@@ -300,37 +320,68 @@ class XiInterpolation:
             self._k2ttab[i] = k.value() * k.value() * tau.value()
 
     def kappa_tau(self, t):
-        """Providers of kappa and tau of the path at t."""
+        """Providers of kappa and tau of the path at t, or of the paths at an
+        array of t, whose jets then carry a trailing t axis."""
         kt1, kt2 = self._kt
+        shape = np.shape(t)
+
+        def endpoints(u, order):
+            return [_lift(j, shape) for j in (*kt1.jet(u, 0.0, order), *kt2.jet(u, 0.0, order))]
 
         def kfn(u, v, order):
-            k1, _ = kt1.jet(u, 0.0, order)
-            k2, _ = kt2.jet(u, 0.0, order)
-            return (1.0 - t) * k1 + t * k2
+            k1, _, k2, _ = endpoints(u, order)
+            return k1 * (1.0 - t) + k2 * t
 
         def tfn(u, v, order):
-            k1, t1 = kt1.jet(u, 0.0, order)
-            k2, t2 = kt2.jet(u, 0.0, order)
-            kt = (1.0 - t) * k1 + t * k2
-            num = (1.0 - t) * k1 * k1 * t1 + t * k2 * k2 * t2
+            k1, t1, k2, t2 = endpoints(u, order)
+            kt = k1 * (1.0 - t) + k2 * t
+            num = k1 * (1.0 - t) * k1 * t1 + k2 * t * k2 * t2
             return num / (kt * kt)
 
         return JetFn(kfn), JetFn(tfn)
 
     def _tabulated(self, t, x):
-        """kappa and tau of the path at t at the nodes x, read from the tables."""
+        """kappa and tau of the paths at the array t at the nodes x, read from
+        the tables: arrays (len(x), len(t))."""
         unodes = self._unodes
         j = np.rint((x - unodes[0]) / (unodes[1] - unodes[0])).astype(int)
-        k = (1.0 - t) * self._ktab[0, j] + t * self._ktab[1, j]
-        return k, ((1.0 - t) * self._k2ttab[0, j] + t * self._k2ttab[1, j]) / (k * k)
+        k1, k2 = self._ktab[:, j, None]
+        m1, m2 = self._k2ttab[:, j, None]
+        k = (1.0 - t) * k1 + t * k2
+        return k, ((1.0 - t) * m1 + t * m2) / (k * k)
 
-    def path(self, t) -> FrenetPath:
-        def integrate():
-            kp, tp = self.kappa_tau(t)
-            frame0 = self._R1 @ _rotation_exp(t * self._w)
-            fd = FrenetData(kappa=kp, tau=tp, frame0=frame0, step=self.step)
-            return FrenetPath(fd, lambda x: self._tabulated(t, x), interval=self.interval)
-        return self._paths.value(round(float(t), 12), integrate)
+    def path(self, t) -> FrenetColumn:
+        """The path at t, a column of a batch; t stays queued until a queued
+        column is first read."""
+        key = round(float(t), 12)
+        with self._lock:
+            if self._marched.get(key) is None:
+                self._queued.setdefault(key, float(t))
+        return FrenetColumn(functools.partial(self._locate, key, float(t)))
+
+    def _locate(self, key, t):
+        """(batch, column) of the path at key; the first read of a queued key
+        marches every queued t in one batch."""
+        hit = self._marched.get(key)
+        if hit is None:
+            with self._lock:
+                hit = self._marched.get(key)
+                if hit is None:
+                    self._queued.setdefault(key, t)
+                    batch = self._march(list(self._queued.values()))
+                    for j, k in enumerate(self._queued):
+                        self._marched.put(k, (batch, j))
+                    hit = batch, list(self._queued).index(key)
+                    self._queued.clear()
+        return hit
+
+    def _march(self, ts):
+        """One FrenetPath with a column per t of the list ts."""
+        frame0 = np.stack([self._R1 @ _rotation_exp(t * self._w) for t in ts], axis=-1)
+        ts = np.array(ts)
+        kp, tp = self.kappa_tau(ts)
+        fd = FrenetData(kappa=kp, tau=tp, frame0=frame0, step=self.step)
+        return FrenetPath(fd, lambda x: self._tabulated(ts, x), interval=self.interval)
 
     def xi_t(self, t):
         """Providers of the interpolated unit field at parameter t."""

@@ -154,6 +154,23 @@ def test_frenet_requires_positive_curvature():
         integrate_frenet(FrenetData(kappa="u", tau="0"), interval=(-1, 1))
 
 
+def test_frenet_batch_rejects_nonpositive_kappa_in_any_column():
+    """kappa <= 0 in one column of a batch raises the error of that path
+    marched alone, naming the first bad abscissa."""
+    from swallowkit.curves import FrenetPath
+    with pytest.raises(CurveError) as alone:
+        integrate_frenet(FrenetData(kappa="0.5-u", tau="0"), interval=(-1, 1))
+    assert "<= 0 on the integration interval" in str(alone.value)
+
+    def kappa_tau_at(x):
+        return np.stack([1.0 + 0 * x, 0.5 - x, 2.0 + 0 * x], axis=1), np.zeros((len(x), 3))
+
+    batch = FrenetData(kappa="1", tau="0", frame0=np.repeat(np.eye(3)[..., None], 3, axis=2))
+    with pytest.raises(CurveError) as err:
+        FrenetPath(batch, kappa_tau_at, interval=(-1, 1))
+    assert str(err.value) == str(alone.value)
+
+
 def test_frenet_march_reads_one_array_call_of_each_provider():
     """kappa and tau at every abscissa of the march come from one array
     call of each provider, each abscissa once; the march itself calls

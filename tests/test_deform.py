@@ -131,14 +131,110 @@ def test_xi_interpolation_path_marches_on_the_tables(monkeypatch):
     real = dm.curvature_torsion_of
     monkeypatch.setattr(dm, "curvature_torsion_of",
                         lambda xi, u, order=3: calls.append(u) or real(xi, u, order))
-    path = interp.path(0.3)
+    interp.path(0.3).state(0.0)          # the first read marches the queued t
     assert calls == []
-    kp, tp = path.data.kappa, path.data.tau
+    kp, tp = interp.kappa_tau(0.3)
     j = np.array([0, 7, 150, 299])
-    k, t = interp._tabulated(0.3, interp._unodes[j])
+    k, t = interp._tabulated(np.array([0.3]), interp._unodes[j])
     for i, x in enumerate(interp._unodes[j]):
-        assert pjet(kp, float(x), 0.0, 0).value() == k[i]
-        assert pjet(tp, float(x), 0.0, 0).value() == pytest.approx(t[i], rel=1e-15)
+        assert pjet(kp, float(x), 0.0, 0).value() == k[i, 0]
+        assert pjet(tp, float(x), 0.0, 0).value() == pytest.approx(t[i, 0], rel=1e-15)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_xi_interpolation_batch_columns_equal_lone_marches():
+    """The paths of several t marched as one batch are, column by column,
+    bit for bit the paths marched one t at a time: at the nodes, off the
+    grid, and in the series at an off-grid point for orders 0 to 8."""
+    ts = [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]
+    batched = _helix_interp()
+    cols = [batched.path(t) for t in ts]
+    batch, _ = cols[0]._locate()
+    assert batch.data.frame0.shape == (3, 3, len(ts))
+    lone = _helix_interp()
+    u_off, u0 = 0.0123, -0.0771              # off the grid of step 2e-3
+    for t, col in zip(ts, cols):
+        alone = lone.path(t)
+        assert alone._locate()[0].data.frame0.shape == (3, 3, 1)
+        for u in batch.us:
+            np.testing.assert_array_equal(_bits(col.state(u)), _bits(alone.state(u)))
+        np.testing.assert_array_equal(_bits(col.state(u_off)), _bits(alone.state(u_off)))
+        for order in range(9):
+            for a, b in zip(col.series(u0, order), alone.series(u0, order)):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+    assert cols[-1]._locate()[0] is batch
+
+
+def test_xi_interpolation_pending_batch_read_by_threads(monkeypatch):
+    """Threads reading the columns of one pending batch get the values of a
+    serial reading, and the batch marches once."""
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+    ts = [0.1 * k for k in range(1, 9)]
+    u0 = 0.0123
+
+    def read(col):
+        return col.state(u0), col.series(u0, 4)
+
+    serial = _helix_interp()
+    ref = [read(serial.path(t)) for t in ts]
+    marches = []
+    real = dm.FrenetPath
+    monkeypatch.setattr(dm, "FrenetPath",
+                        lambda data, *a, **kw: marches.append(data) or real(data, *a, **kw))
+    shared = _helix_interp()
+    cols = [shared.path(t) for t in ts]
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as ex:
+            futs = [ex.submit(lambda k: [read(c) for c in cols[k::2] + cols[1 - k::2]], k)
+                    for k in (0, 1, 0, 1)]
+            results = [f.result(timeout=120) for f in futs]
+    finally:
+        sys.setswitchinterval(old)
+    assert [d.frame0.shape for d in marches] == [(3, 3, len(ts))]
+    for k, res in zip((0, 1, 0, 1), results):
+        order = list(range(k, len(ts), 2)) + list(range(1 - k, len(ts), 2))
+        for i, (state, series) in zip(order, res):
+            np.testing.assert_array_equal(_bits(state), _bits(ref[i][0]))
+            for a, b in zip(series, ref[i][1]):
+                np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def test_certify_marches_the_interpolation_stage_once(monkeypatch, d217):
+    """certify asks for every t of a stage before it checks one, so the 19
+    interior t of the xi-interpolation make one batched march; the
+    certificate equals one built a t at a time, each t a batch of one."""
+    marches = []
+    real = dm.FrenetPath
+    monkeypatch.setattr(dm, "FrenetPath", lambda data, *a, **kw:
+                        marches.append(data.frame0.shape[-1]) or real(data, *a, **kw))
+    fam = dm.deform_theorem_A(d217, rotated_scaled_217())
+    batched = dm.certify(fam, "generic_swallowtail", steps=21)
+    assert marches == [19]
+
+    marches.clear()
+    fam = dm.deform_theorem_A(d217, rotated_scaled_217())
+
+    def one_at_a_time(gen):
+        def each(t):
+            data = gen(t)
+            if 0.0 < t < 1.0:                    # march t before the next t is asked for
+                fam.interp.path(t).state(0.0)
+            return data
+        return each
+
+    stage = fam.stages[1]
+    assert stage.name == "xi-interpolation"
+    stage.generator = one_at_a_time(stage.generator)
+    single = dm.certify(fam, "generic_swallowtail", steps=21)
+    assert marches == [1] * 19
+    assert batched.passed
+    assert repr(single.to_dict()) == repr(batched.to_dict())
 
 
 def test_xi_interpolation_memo_shared_by_threads():

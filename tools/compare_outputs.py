@@ -42,6 +42,9 @@ CALLS = [
     ["frenet", "--kappa", "1+u^2", "--tau", "0.5*sin(u)", "--out", "curve.csv"],
     ["deform", "ex217.json", "ex217s.json", "--recipe", "A"],
     ["deform", "fplus.json", "fplus2.json", "--recipe", "D"],
+    # the xi-interpolation marches its 2 and 4 interior t as one batch
+    ["deform", "ex217.json", "ex217s.json", "--recipe", "A", "--steps", "4"],
+    ["deform", "fplus.json", "fplus2.json", "--recipe", "D", "--steps", "6"],
 ]
 
 
