@@ -382,7 +382,7 @@ class FrenetPath:
     start, midpoint and end of each step, each once) in one call; kappa > 0
     and the finiteness of kappa and tau are checked once over the whole
     table, and an error names the first bad abscissa.  The right-hand side
-    reads a row of the table as floats.  Every step is elementwise across
+    reads the table's row at its abscissa.  Every step is elementwise across
     the columns, so a column marches bit for bit as it would alone.  The
     providers serve the rest, for all columns at once: the fractional step
     of state() off the grid and the series jets.
