@@ -477,17 +477,18 @@ class FrenetPath:
 class FrenetColumn:
     """One column of a FrenetPath batch, read as a lone path.
 
-    locate() returns (batch, j); it is called at every read, so a column can
-    stand for a batch that is marched only when it is first read."""
+    path_of() returns the batch; it is called at every read, so a column
+    can stand for a batch that is marched only when one of its columns is
+    first read.  j is the column's index in the batch."""
 
-    __slots__ = ("_locate",)
+    __slots__ = ("path_of", "j")
 
-    def __init__(self, locate):
-        self._locate = locate
+    def __init__(self, path_of, j):
+        self.path_of = path_of
+        self.j = j
 
     def state(self, u):
-        path, j = self._locate()
-        return path.state(u)[:, j]
+        return self.path_of().state(u)[:, self.j]
 
     def frame(self, u):
         Y = self.state(u)
@@ -499,8 +500,7 @@ class FrenetColumn:
     def series(self, u0, order):
         """Taylor series of (T, N, B, Gamma, int u T) at u0, each (order + 1, 3):
         views of the batch's shared series, never written into."""
-        path, j = self._locate()
-        return tuple(s[..., j] for s in path.series(u0, order))
+        return tuple(s[..., self.j] for s in self.path_of().series(u0, order))
 
     def _providers(self, which):
         """Three providers of the u-only jets of entry `which` of the series."""
@@ -528,7 +528,7 @@ def integrate_frenet(data: FrenetData, interval=(-1.0, 1.0), gamma0=(0.0, 0.0, 0
     kappa and tau at every abscissa of the march come from one array call
     of each provider; kappa > 0 is checked once, over those values."""
     path = FrenetPath(data, lambda x: _kappa_tau(data, x), interval, gamma0)
-    return FrenetColumn(lambda: (path, 0))
+    return FrenetColumn(lambda: path, 0)
 
 
 def curvature_torsion_of(xi, u, order=3):

@@ -10,7 +10,6 @@ sampled, and the report says so.
 
 from __future__ import annotations
 
-import functools
 import math
 import threading
 from dataclasses import dataclass, field
@@ -234,12 +233,13 @@ def _kappa_tau_provider(xi):
     return JetFn(lambda u, v, order: curvature_torsion_of(xi, u, order))
 
 
-def _lift(j, shape):
-    """The jet j with a trailing batch axis of the given shape, every column j."""
-    return j if not shape else Jet2(j.order, np.broadcast_to(j.c[..., None], j.c.shape + shape))
+def _lift(j, n):
+    """The jet j with a trailing batch axis of n columns, every column j."""
+    return Jet2(j.order, np.broadcast_to(j.c[..., None], j.c.shape + (n,)))
 
 
 def _rotation_log(R):
+
     tr = np.clip((np.trace(R) - 1.0) / 2.0, -1.0, 1.0)
     th = math.acos(tr)
     if th < 1e-12:
@@ -257,76 +257,38 @@ def _rotation_exp(w):
     return np.eye(3) + math.sin(th) * K + (1 - math.cos(th)) * (K @ K)
 
 
-class XiInterpolation:
-    """Frenet interpolation between two unit cusp-direction fields.
+class _Mixing:
+    """What every batch of paths of an interpolation marches on: the
+    endpoint (kappa, tau) providers, their value tables on the half-step
+    grid, and the geodesic of initial frames.  Batches hold it; it holds no
+    batch, so no reference cycle runs through it."""
 
-    Curvature is mixed linearly, torsion through kappa^2 tau (so the
-    genericity determinant det(xi, xi', xi'') mixes linearly), and the
-    initial frames ride a geodesic in the rotation group so the endpoint
-    curves are reproduced exactly: path(0) and path(1) integrate the
-    endpoint fields themselves.
-
-    The paths march together.  path(t) returns a FrenetColumn and queues t;
-    the first read of any queued column marches every queued t as one
-    FrenetPath batch, with a column per t, and the batch memoises one
-    series per point for all its columns.  A certificate stage asks for the
-    paths of all its t before it reads one, so they make one march.  Each
-    column is bit for bit the path marched alone.  Marched columns are
-    memoised per t.  The queue and the memo change under one lock, so
-    threads reading the columns of a pending batch march it once.
-
-    The values of kappa and tau of both endpoint fields at every point the
-    fixed-step RK4 march reads (the half-step grid) are tabulated once per
-    family, by one array-valued curvature_torsion_of call per endpoint
-    field, and these tables feed every march: a batch reads its kappa and
-    tau there as an array with a column per t, each abscissa indexed once
-    into the grid, and FrenetPath checks kappa > 0 once over them.  The
-    kappa and tau providers of a batch serve the rest, the series jets and
-    the fractional steps off the grid, at scalar u, with a trailing t axis;
-    the endpoint (kappa, tau) jets behind them do not depend on t, so they
-    come from one memoised provider per endpoint field, shared by every
-    batch, and each batch's providers memoise their own jets per point as
-    well.  A column holds the interpolation, which holds its batches but no
-    column, so a dropped family is freed by reference counting.
-    """
-
-    def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):
-        self.xi = (xi1, xi2)
-        self.gammas = gammas
+    def __init__(self, xis, frames, interval, step):
+        R1, R2 = frames
+        self.w = _rotation_log(R1.T @ R2)
+        self.R1 = R1
         self.interval = interval
         self.step = step
-        self._frames = []
-        for xi in self.xi:
-            T, dx = xi_frame(xi, 0.0, 1)
-            N = dx / np.linalg.norm(dx)
-            B = np.cross(T, N)
-            self._frames.append(np.stack([T, N, B]))
-        R1, R2 = self._frames
-        self._w = _rotation_log(R1.T @ R2)
-        self._R1 = R1
-        self._queued = {}                 # t key -> t, requested and not marched yet
-        self._marched = BoundedCache()    # t key -> (batch, column)
-        self._lock = threading.Lock()     # guards the queue, so that a batch marches once
-        self._kt = tuple(_kappa_tau_provider(xi) for xi in self.xi)
+        self.kt = tuple(_kappa_tau_provider(xi) for xi in xis)
         # kappa/tau value tables at half-step resolution (every point the
         # fixed-step RK4 integrator touches)
         n = int(round((interval[1] - interval[0]) / (step / 2.0))) + 1
-        self._unodes = np.linspace(interval[0], interval[1], n)
-        self._ktab = np.zeros((2, n))
-        self._k2ttab = np.zeros((2, n))
-        for i, xi in enumerate(self.xi):
-            k, tau = curvature_torsion_of(xi, self._unodes, 0)
-            self._ktab[i] = k.value()
-            self._k2ttab[i] = k.value() * k.value() * tau.value()
+        self.unodes = np.linspace(interval[0], interval[1], n)
+        self.ktab = np.zeros((2, n))
+        self.k2ttab = np.zeros((2, n))
+        for i, xi in enumerate(xis):
+            k, tau = curvature_torsion_of(xi, self.unodes, 0)
+            self.ktab[i] = k.value()
+            self.k2ttab[i] = k.value() * k.value() * tau.value()
 
     def kappa_tau(self, t):
-        """Providers of kappa and tau of the path at t, or of the paths at an
-        array of t, whose jets then carry a trailing t axis."""
-        kt1, kt2 = self._kt
-        shape = np.shape(t)
+        """Providers of kappa and tau of the paths at the array t: jets
+        with a trailing t axis."""
+        kt1, kt2 = self.kt
+        n = len(t)
 
         def endpoints(u, order):
-            return [_lift(j, shape) for j in (*kt1.jet(u, 0.0, order), *kt2.jet(u, 0.0, order))]
+            return [_lift(j, n) for j in (*kt1.jet(u, 0.0, order), *kt2.jet(u, 0.0, order))]
 
         def kfn(u, v, order):
             k1, _, k2, _ = endpoints(u, order)
@@ -340,48 +302,123 @@ class XiInterpolation:
 
         return JetFn(kfn), JetFn(tfn)
 
-    def _tabulated(self, t, x):
+    def tabulated(self, t, x):
         """kappa and tau of the paths at the array t at the nodes x, read from
         the tables: arrays (len(x), len(t))."""
-        unodes = self._unodes
+        unodes = self.unodes
         j = np.rint((x - unodes[0]) / (unodes[1] - unodes[0])).astype(int)
-        k1, k2 = self._ktab[:, j, None]
-        m1, m2 = self._k2ttab[:, j, None]
+        k1, k2 = self.ktab[:, j, None]
+        m1, m2 = self.k2ttab[:, j, None]
         k = (1.0 - t) * k1 + t * k2
         return k, ((1.0 - t) * m1 + t * m2) / (k * k)
 
-    def path(self, t) -> FrenetColumn:
-        """The path at t, a column of a batch; t stays queued until a queued
-        column is first read."""
-        key = round(float(t), 12)
-        with self._lock:
-            if self._marched.get(key) is None:
-                self._queued.setdefault(key, float(t))
-        return FrenetColumn(functools.partial(self._locate, key, float(t)))
-
-    def _locate(self, key, t):
-        """(batch, column) of the path at key; the first read of a queued key
-        marches every queued t in one batch."""
-        hit = self._marched.get(key)
-        if hit is None:
-            with self._lock:
-                hit = self._marched.get(key)
-                if hit is None:
-                    self._queued.setdefault(key, t)
-                    batch = self._march(list(self._queued.values()))
-                    for j, k in enumerate(self._queued):
-                        self._marched.put(k, (batch, j))
-                    hit = batch, list(self._queued).index(key)
-                    self._queued.clear()
-        return hit
-
-    def _march(self, ts):
+    def march(self, ts):
         """One FrenetPath with a column per t of the list ts."""
-        frame0 = np.stack([self._R1 @ _rotation_exp(t * self._w) for t in ts], axis=-1)
+        frame0 = np.stack([self.R1 @ _rotation_exp(t * self.w) for t in ts], axis=-1)
         ts = np.array(ts)
         kp, tp = self.kappa_tau(ts)
         fd = FrenetData(kappa=kp, tau=tp, frame0=frame0, step=self.step)
-        return FrenetPath(fd, lambda x: self._tabulated(ts, x), interval=self.interval)
+        return FrenetPath(fd, lambda x: self.tabulated(ts, x), interval=self.interval)
+
+
+class _Batch:
+    """The paths at the t asked for since the last march began: one
+    FrenetPath, marched by march(ts) at the first read of any column.  The
+    lock makes the march happen once and closes the batch to new t while
+    and after it runs."""
+
+    __slots__ = ("_march", "_ts", "_path", "_lock")
+
+    def __init__(self, march):
+        self._march = march
+        self._ts = []
+        self._path = None
+        self._lock = threading.Lock()
+
+    def add(self, t):
+        """A FrenetColumn for t, or None once the batch has begun to march."""
+        with self._lock:
+            if self._path is not None:
+                return None
+            self._ts.append(t)
+            return FrenetColumn(self.path, len(self._ts) - 1)
+
+    def path(self):
+        """The marched FrenetPath of the batch."""
+        if self._path is None:
+            with self._lock:
+                if self._path is None:
+                    self._path = self._march(self._ts)
+        return self._path
+
+
+class XiInterpolation:
+    """Frenet interpolation between two unit cusp-direction fields.
+
+    Curvature is mixed linearly, torsion through kappa^2 tau (so the
+    genericity determinant det(xi, xi', xi'') mixes linearly), and the
+    initial frames ride a geodesic in the rotation group so the endpoint
+    curves are reproduced exactly: path(0) and path(1) integrate the
+    endpoint fields themselves.
+
+    The paths march together.  path(t) adds t to the pending batch and
+    returns its FrenetColumn; the first read of any column of that batch
+    marches all its t as one FrenetPath, with a column per t, and the batch
+    memoises one series per point for all its columns.  A path asked for
+    after that starts a new pending batch.  A certificate stage asks for
+    the paths of all its t before it reads one, so they make one march.
+    Each column is bit for bit the path marched alone.  Columns are
+    memoised per t; a column holds its batch, so a column dropped from
+    that memo still reads the batch it was marched in.
+
+    The values of kappa and tau of both endpoint fields at every point the
+    fixed-step RK4 march reads (the half-step grid) are tabulated once per
+    family, by one array-valued curvature_torsion_of call per endpoint
+    field, and these tables feed every march: a batch reads its kappa and
+    tau there as an array with a column per t, each abscissa indexed once
+    into the grid, and FrenetPath checks kappa > 0 once over them.  The
+    kappa and tau providers of a batch serve the rest, the series jets and
+    the fractional steps off the grid, at scalar u, with a trailing t axis;
+    the endpoint (kappa, tau) jets behind them do not depend on t, so they
+    come from one memoised provider per endpoint field, shared by every
+    batch, and each batch's providers memoise their own jets per point as
+    well.  The tables, providers and march live in a _Mixing that the
+    batches hold and that holds no batch, so a dropped family is freed by
+    reference counting.
+    """
+
+    def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):
+        self.xi = (xi1, xi2)
+        self.gammas = gammas
+        self.interval = interval
+        self.step = step
+        frames = []
+        for xi in self.xi:
+            T, dx = xi_frame(xi, 0.0, 1)
+            N = dx / np.linalg.norm(dx)
+            B = np.cross(T, N)
+            frames.append(np.stack([T, N, B]))
+        self._mix = _Mixing(self.xi, frames, interval, step)
+        self._pending = _Batch(self._mix.march)
+        self._columns = BoundedCache()    # t key -> FrenetColumn
+        self._lock = threading.Lock()     # guards the pending batch and the memo
+
+    def kappa_tau(self, t):
+        """Providers of kappa and tau of the paths at the array t: jets
+        with a trailing t axis."""
+        return self._mix.kappa_tau(t)
+
+    def path(self, t) -> FrenetColumn:
+        """The path at t, a column of the batch that t joined."""
+        with self._lock:
+            return self._columns.value(round(float(t), 12), lambda: self._join(float(t)))
+
+    def _join(self, t):
+        col = self._pending.add(t)
+        if col is None:
+            self._pending = _Batch(self._mix.march)
+            col = self._pending.add(t)
+        return col
 
     def xi_t(self, t):
         """Providers of the interpolated unit field at parameter t."""

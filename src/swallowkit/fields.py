@@ -122,8 +122,7 @@ class BoundedCache:
     """The one cache policy of the providers: a dict cleared, whole, once it
     holds more than CACHE_BOUND entries.
 
-    value() memoises a plain value per key; get() and put() read and store
-    one directly.  put_jets() stores a jet, or a
+    value() memoises a plain value per key.  put_jets() stores a jet, or a
     tuple of jets, computed at some order; jets() answers that order and
     every lower one by truncation, which is exact because a Taylor
     coefficient of degree k depends only on coefficients of degree <= k.
@@ -138,11 +137,7 @@ class BoundedCache:
     def __len__(self):
         return len(self._d)
 
-    def get(self, key):
-        """The value at key, or None."""
-        return self._d.get(key)
-
-    def put(self, key, item):
+    def _put(self, key, item):
         if len(self._d) > CACHE_BOUND:
             self._d.clear()
         self._d[key] = item
@@ -151,7 +146,7 @@ class BoundedCache:
         out = self._d.get(key, _MISS)
         if out is _MISS:
             out = compute()
-            self.put(key, out)
+            self._put(key, out)
         return out
 
     def jets(self, key, order):
@@ -162,7 +157,7 @@ class BoundedCache:
         return None
 
     def put_jets(self, key, order, jets):
-        self.put(key, (order, jets))
+        self._put(key, (order, jets))
         return jets
 
 

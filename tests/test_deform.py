@@ -131,14 +131,17 @@ def test_xi_interpolation_path_marches_on_the_tables(monkeypatch):
     real = dm.curvature_torsion_of
     monkeypatch.setattr(dm, "curvature_torsion_of",
                         lambda xi, u, order=3: calls.append(u) or real(xi, u, order))
-    interp.path(0.3).state(0.0)          # the first read marches the queued t
+    path = interp.path(0.3)
+    path.state(0.0)                      # the first read marches the batch
     assert calls == []
-    kp, tp = interp.kappa_tau(0.3)
+    batch = path.path_of()
+    kp, tp = batch.data.kappa, batch.data.tau
+    unodes = interp._mix.unodes
     j = np.array([0, 7, 150, 299])
-    k, t = interp._tabulated(np.array([0.3]), interp._unodes[j])
-    for i, x in enumerate(interp._unodes[j]):
-        assert pjet(kp, float(x), 0.0, 0).value() == k[i, 0]
-        assert pjet(tp, float(x), 0.0, 0).value() == pytest.approx(t[i, 0], rel=1e-15)
+    k, t = interp._mix.tabulated(np.array([0.3]), unodes[j])
+    for i, x in enumerate(unodes[j]):
+        assert pjet(kp, float(x), 0.0, 0).value()[path.j] == k[i, 0]
+        assert pjet(tp, float(x), 0.0, 0).value()[path.j] == pytest.approx(t[i, 0], rel=1e-15)
 
 
 def _bits(a):
@@ -152,20 +155,20 @@ def test_xi_interpolation_batch_columns_equal_lone_marches():
     ts = [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]
     batched = _helix_interp()
     cols = [batched.path(t) for t in ts]
-    batch, _ = cols[0]._locate()
+    batch = cols[0].path_of()
     assert batch.data.frame0.shape == (3, 3, len(ts))
     lone = _helix_interp()
     u_off, u0 = 0.0123, -0.0771              # off the grid of step 2e-3
     for t, col in zip(ts, cols):
         alone = lone.path(t)
-        assert alone._locate()[0].data.frame0.shape == (3, 3, 1)
+        assert alone.path_of().data.frame0.shape == (3, 3, 1)
         for u in batch.us:
             np.testing.assert_array_equal(_bits(col.state(u)), _bits(alone.state(u)))
         np.testing.assert_array_equal(_bits(col.state(u_off)), _bits(alone.state(u_off)))
         for order in range(9):
             for a, b in zip(col.series(u0, order), alone.series(u0, order)):
                 np.testing.assert_array_equal(_bits(a), _bits(b))
-    assert cols[-1]._locate()[0] is batch
+    assert cols[-1].path_of() is batch
 
 
 def test_xi_interpolation_pending_batch_read_by_threads(monkeypatch):
@@ -203,6 +206,26 @@ def test_xi_interpolation_pending_batch_read_by_threads(monkeypatch):
             np.testing.assert_array_equal(_bits(state), _bits(ref[i][0]))
             for a, b in zip(series, ref[i][1]):
                 np.testing.assert_array_equal(_bits(a), _bits(b))
+
+
+def test_xi_interpolation_batch_outlives_the_column_memo(monkeypatch):
+    """A batch of more t than the column memo holds marches once: a column
+    holds its batch, so clearing the memo under a pending batch marches
+    nothing again, and the columns read the values of lone marches."""
+    from swallowkit.fields import CACHE_BOUND
+    marches = []
+    real = dm.FrenetPath
+    monkeypatch.setattr(dm, "FrenetPath", lambda data, *a, **kw:
+                        marches.append(data.frame0.shape[-1]) or real(data, *a, **kw))
+    ts = [(k + 0.5) / (CACHE_BOUND + 20) for k in range(CACHE_BOUND + 20)]
+    interp = _helix_interp()
+    cols = [interp.path(t) for t in ts]
+    u = 0.0123
+    states = [col.state(u) for col in cols]
+    assert marches == [len(ts)]
+    lone = _helix_interp()
+    for t, state in list(zip(ts, states))[::60]:
+        np.testing.assert_array_equal(_bits(state), _bits(lone.path(t).state(u)))
 
 
 def test_certify_marches_the_interpolation_stage_once(monkeypatch, d217):
@@ -246,7 +269,7 @@ def test_xi_interpolation_memo_shared_by_threads():
     us = [0.0005 + 0.002 * k for k in range(300)]     # off-node points
 
     def sweep(interp, order_of_us):
-        kp, tp = interp.kappa_tau(0.4)
+        kp, tp = interp.kappa_tau(np.array([0.4]))
         return {u: (pjet(kp, u, 0.0, 2).c, pjet(tp, u, 0.0, 2).c) for u in order_of_us}
 
     ref = sweep(_helix_interp(), us)
