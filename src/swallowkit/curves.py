@@ -398,7 +398,7 @@ class FrenetPath:
         if not (a <= 0.0 <= b):
             raise CurveError("integration interval must contain 0")
         frame0 = data.frame0 if data.frame0.ndim == 3 else data.frame0[..., None]
-        n = frame0.shape[2]
+        self.n = n = frame0.shape[2]
         h = data.step
         marches = []
         for sign, end in ((1.0, b), (-1.0, a)):
@@ -452,6 +452,15 @@ class FrenetPath:
         relations, each (order + 1, 3, n); shared arrays, never written into."""
         return self._series.value((float(u0), order), lambda: self._series_at(u0, order))
 
+    def series_jets(self, u0, order, which):
+        """Coefficients (3, term_count(order), n) of the u-only jets at u0 of
+        the three components of entry `which` of the series, for every path:
+        0 is the unit tangent T, 4 the cusp curve int_0^u w T(w) dw."""
+        c = np.zeros((3, term_count(order), self.n))
+        c[:, [index_of(i, 0) for i in range(order + 1)]] = np.moveaxis(
+            self.series(u0, order)[which], 0, 1)
+        return c
+
     def _series_at(self, u0, order):
         Y = self.state(u0)
         idx = [index_of(i, 0) for i in range(order + 1)]
@@ -475,20 +484,16 @@ class FrenetPath:
 
 
 class FrenetColumn:
-    """One column of a FrenetPath batch, read as a lone path.
+    """Column j of a FrenetPath batch, read as a lone path."""
 
-    path_of() returns the batch; it is called at every read, so a column
-    can stand for a batch that is marched only when one of its columns is
-    first read.  j is the column's index in the batch."""
+    __slots__ = ("path", "j")
 
-    __slots__ = ("path_of", "j")
-
-    def __init__(self, path_of, j):
-        self.path_of = path_of
+    def __init__(self, path, j):
+        self.path = path
         self.j = j
 
     def state(self, u):
-        return self.path_of().state(u)[:, self.j]
+        return self.path.state(u)[:, self.j]
 
     def frame(self, u):
         Y = self.state(u)
@@ -500,16 +505,14 @@ class FrenetColumn:
     def series(self, u0, order):
         """Taylor series of (T, N, B, Gamma, int u T) at u0, each (order + 1, 3):
         views of the batch's shared series, never written into."""
-        return tuple(s[..., self.j] for s in self.path_of().series(u0, order))
+        return tuple(s[..., self.j] for s in self.path.series(u0, order))
 
     def _providers(self, which):
         """Three providers of the u-only jets of entry `which` of the series."""
-        series = self.series
+        path, j = self.path, self.j
 
         def fn(u, v, order):
-            c = np.zeros((3, term_count(order)))
-            c[:, [index_of(i, 0) for i in range(order + 1)]] = series(u, order)[which].T
-            return tuple(Jet2(order, ck) for ck in c)
+            return tuple(Jet2(order, ck) for ck in path.series_jets(u, order, which)[..., j])
         return components(fn)
 
     def xi_providers(self):
@@ -528,7 +531,7 @@ def integrate_frenet(data: FrenetData, interval=(-1.0, 1.0), gamma0=(0.0, 0.0, 0
     kappa and tau at every abscissa of the march come from one array call
     of each provider; kappa > 0 is checked once, over those values."""
     path = FrenetPath(data, lambda x: _kappa_tau(data, x), interval, gamma0)
-    return FrenetColumn(lambda: path, 0)
+    return FrenetColumn(path, 0)
 
 
 def curvature_torsion_of(xi, u, order=3):

@@ -6,12 +6,17 @@ classify the built germ, and verify the class predicate plus constancy of
 the relevant signs (and of the curvature sign at probe points when sign
 preservation is claimed).  Continuity between samples is not proven, only
 sampled, and the report says so.
+
+A stage generator takes a float t, or the array of a stage's t: then it
+returns one data object whose jets carry a trailing t axis, one slot per t,
+each slot bit for bit the data at that t alone.  certify checks a stage as
+that one batch: one build, one classify, one gaussian_curvature per probe
+and one sigma_g_C per axis sample, each deciding per slot.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,10 +24,10 @@ import numpy as np
 from . import frontal as fr
 from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discriminants,
                       flip_data, gamma_from_xi, normal_field)
+from ._jettables import term_count
 from .curves import (CurveGerm, FrenetColumn, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of)
-from .fields import (BoundedCache, JetFn, Scaled, components, cusp_frame, pjet, vjet,
-                     xi_frame)
+from .fields import JetFn, Scaled, components, cusp_frame, pjet, vjet, xi_frame
 from .frontal import sgn
 from .jets import Jet2, compose2, parse
 from .metric import det3, dot
@@ -40,7 +45,7 @@ AXIS_SAMPLES = (-0.06, -0.02, 0.02, 0.06)
 @dataclass
 class Stage:
     name: str
-    generator: object            # t -> data
+    generator: object            # t (a float, or an array: one slot per t) -> data
     asymptotic: bool = False
 
 
@@ -81,6 +86,8 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
             track_kext_sign: int | None = None) -> Certificate:
     """Sample every stage of the family and check the class predicate.
 
+    Each stage is checked as one batch of its t (see the module docstring),
+    so each per-t entry equals the check of that t alone.
     predicate: 'swallowtail' | 'generic_swallowtail' | 'asymptotic_swallowtail'.
     track_kext_sign: required sign of K_ext at the probe points (Theorem D).
     """
@@ -90,49 +97,40 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
     failures = []
     per_t = []
 
-    def check_one(stage, t, data):
-        germ = build(data, family.a)
-        rep = fr.classify(germ)
-        entry = {
-            "stage": stage.name, "t": float(t),
-            "is_swallowtail": rep.is_swallowtail,
-            "sigma0_S": rep.sigma0_S, "sigma_g_S": rep.sigma_g_S,
-        }
-        errs = []
-        if not rep.is_swallowtail:
-            errs.append(f"{stage.name} t={t:.3f}: not a swallowtail")
-        if predicate == "generic_swallowtail" and rep.sigma_g_S == 0:
-            errs.append(f"{stage.name} t={t:.3f}: sigma_g_S = 0 (not generic)")
-        if predicate == "asymptotic_swallowtail" or stage.asymptotic:
-            worst = 0.0
-            for uu in AXIS_SAMPLES:
-                _, raw = fr.sigma_g_C(germ, uu)
-                worst = max(worst, abs(raw))
-            entry["sigma_g_C_max"] = worst
-            if worst > 1e-7:
-                errs.append(f"{stage.name} t={t:.3f}: sigma_g_C residual {worst:.2e}")
-        if track_kext_sign is not None:
-            ks = []
-            for p in PROBES:
-                try:
-                    _, kext = fr.gaussian_curvature(germ, p)
-                    ks.append(sgn(kext, 1e-6))
-                except fr.ClassificationError:
-                    continue
-            entry["kext_signs"] = ks
-            if any(k != track_kext_sign for k in ks):
-                errs.append(f"{stage.name} t={t:.3f}: K_ext sign strayed from "
-                            f"{track_kext_sign}: {ks}")
-        return entry, errs
-
     for stage in family.stages:
-        # every t of the stage first: the generators only wire providers
-        # together, and the paths of an interpolation stage then march as one
-        datas = [stage.generator(float(t)) for t in ts]
-        for t, data in zip(ts, datas):
-            entry, errs = check_one(stage, t, data)
+        # one batch per stage: a slot per t, every decision taken per slot
+        germ = build(stage.generator(ts), family.a)
+        reps = fr.classify(germ)
+        asymptotic = predicate == "asymptotic_swallowtail" or stage.asymptotic
+        if asymptotic:
+            sigma_g_C = [fr.sigma_g_C(germ, uu) for uu in AXIS_SAMPLES]
+        if track_kext_sign is not None:
+            # NaN in the slots where a probe is a singular point of the germ
+            kexts = [fr.gaussian_curvature(germ, p)[1] for p in PROBES]
+        for i, (t, rep) in enumerate(zip(ts, reps)):
+            entry = {
+                "stage": stage.name, "t": float(t),
+                "is_swallowtail": rep.is_swallowtail,
+                "sigma0_S": rep.sigma0_S, "sigma_g_S": rep.sigma_g_S,
+            }
+            if not rep.is_swallowtail:
+                failures.append(f"{stage.name} t={t:.3f}: not a swallowtail")
+            if predicate == "generic_swallowtail" and rep.sigma_g_S == 0:
+                failures.append(f"{stage.name} t={t:.3f}: sigma_g_S = 0 (not generic)")
+            if asymptotic:
+                worst = 0.0
+                for at_uu in sigma_g_C:
+                    worst = max(worst, abs(at_uu[i][1]))
+                entry["sigma_g_C_max"] = worst
+                if worst > 1e-7:
+                    failures.append(f"{stage.name} t={t:.3f}: sigma_g_C residual {worst:.2e}")
+            if track_kext_sign is not None:
+                ks = [sgn(float(k[i]), 1e-6) for k in kexts if not np.isnan(k[i])]
+                entry["kext_signs"] = ks
+                if any(k != track_kext_sign for k in ks):
+                    failures.append(f"{stage.name} t={t:.3f}: K_ext sign strayed from "
+                                    f"{track_kext_sign}: {ks}")
             per_t.append(entry)
-            failures.extend(errs)
 
     # sign constancy: within every stage always; across the chain for the
     # stronger predicates (stage boundaries of a mixed chain may interpose
@@ -233,9 +231,11 @@ def _kappa_tau_provider(xi):
     return JetFn(lambda u, v, order: curvature_torsion_of(xi, u, order))
 
 
-def _lift(j, n):
-    """The jet j with a trailing batch axis of n columns, every column j."""
-    return Jet2(j.order, np.broadcast_to(j.c[..., None], j.c.shape + (n,)))
+def _initial_frame(xi):
+    """Frenet frame (T, N, B) of a unit field at u = 0, as the rows."""
+    T, dx = xi_frame(xi, 0.0, 1)
+    N = dx / np.linalg.norm(dx)
+    return np.stack([T, N, np.cross(T, N)])
 
 
 def _rotation_log(R):
@@ -257,26 +257,51 @@ def _rotation_exp(w):
     return np.eye(3) + math.sin(th) * K + (1 - math.cos(th)) * (K @ K)
 
 
-class _Mixing:
-    """What every batch of paths of an interpolation marches on: the
-    endpoint (kappa, tau) providers, their value tables on the half-step
-    grid, and the geodesic of initial frames.  Batches hold it; it holds no
-    batch, so no reference cycle runs through it."""
+class XiInterpolation:
+    """Frenet interpolation between two unit cusp-direction fields.
 
-    def __init__(self, xis, frames, interval, step):
-        R1, R2 = frames
-        self.w = _rotation_log(R1.T @ R2)
-        self.R1 = R1
+    Curvature is mixed linearly, torsion through kappa^2 tau (so the
+    genericity determinant det(xi, xi', xi'') mixes linearly), and the
+    initial frames ride a geodesic in the rotation group so the endpoint
+    curves are reproduced exactly: path(0) and path(1) integrate the
+    endpoint fields themselves.
+
+    march(ts) integrates the paths of several t as one FrenetPath, with a
+    column per t, each column bit for bit the path marched alone.
+    fields(t) at the array of a stage's t marches its interior t so, right
+    away; its providers read the batch's series, one per point for all
+    columns, and the slots t = 0 and t = 1 are the endpoint providers,
+    spliced in.
+
+    The values of kappa and tau of both endpoint fields at every point the
+    fixed-step RK4 march reads (the half-step grid) are tabulated once per
+    family, by one array-valued curvature_torsion_of call per endpoint
+    field, and these tables feed every march: a batch reads its kappa and
+    tau there as an array with a column per t, each abscissa indexed once
+    into the grid, and FrenetPath checks kappa > 0 once over them.  The
+    kappa and tau providers of a batch serve the rest, the series jets and
+    the fractional steps off the grid, at scalar u, with a trailing t axis;
+    the endpoint (kappa, tau) jets behind them do not depend on t, so they
+    come from one memoised provider per endpoint field, shared by every
+    batch.
+    """
+
+    def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):
+        self.xi = (xi1, xi2)
+        self.gammas = gammas
         self.interval = interval
         self.step = step
-        self.kt = tuple(_kappa_tau_provider(xi) for xi in xis)
+        R1, R2 = (_initial_frame(xi) for xi in self.xi)
+        self.w = _rotation_log(R1.T @ R2)
+        self.R1 = R1
+        self.kt = tuple(_kappa_tau_provider(xi) for xi in self.xi)
         # kappa/tau value tables at half-step resolution (every point the
         # fixed-step RK4 integrator touches)
         n = int(round((interval[1] - interval[0]) / (step / 2.0))) + 1
         self.unodes = np.linspace(interval[0], interval[1], n)
         self.ktab = np.zeros((2, n))
         self.k2ttab = np.zeros((2, n))
-        for i, xi in enumerate(xis):
+        for i, xi in enumerate(self.xi):
             k, tau = curvature_torsion_of(xi, self.unodes, 0)
             self.ktab[i] = k.value()
             self.k2ttab[i] = k.value() * k.value() * tau.value()
@@ -285,10 +310,9 @@ class _Mixing:
         """Providers of kappa and tau of the paths at the array t: jets
         with a trailing t axis."""
         kt1, kt2 = self.kt
-        n = len(t)
 
         def endpoints(u, order):
-            return [_lift(j, n) for j in (*kt1.jet(u, 0.0, order), *kt2.jet(u, 0.0, order))]
+            return (*kt1.jet(u, 0.0, order), *kt2.jet(u, 0.0, order))
 
         def kfn(u, v, order):
             k1, _, k2, _ = endpoints(u, order)
@@ -313,128 +337,47 @@ class _Mixing:
         return k, ((1.0 - t) * m1 + t * m2) / (k * k)
 
     def march(self, ts):
-        """One FrenetPath with a column per t of the list ts."""
+        """One FrenetPath with a column per t of the sequence ts."""
         frame0 = np.stack([self.R1 @ _rotation_exp(t * self.w) for t in ts], axis=-1)
         ts = np.array(ts)
         kp, tp = self.kappa_tau(ts)
         fd = FrenetData(kappa=kp, tau=tp, frame0=frame0, step=self.step)
         return FrenetPath(fd, lambda x: self.tabulated(ts, x), interval=self.interval)
 
-
-class _Batch:
-    """The paths at the t asked for since the last march began: one
-    FrenetPath, marched by march(ts) at the first read of any column.  The
-    lock makes the march happen once and closes the batch to new t while
-    and after it runs."""
-
-    __slots__ = ("_march", "_ts", "_path", "_lock")
-
-    def __init__(self, march):
-        self._march = march
-        self._ts = []
-        self._path = None
-        self._lock = threading.Lock()
-
-    def add(self, t):
-        """A FrenetColumn for t, or None once the batch has begun to march."""
-        with self._lock:
-            if self._path is not None:
-                return None
-            self._ts.append(t)
-            return FrenetColumn(self.path, len(self._ts) - 1)
-
-    def path(self):
-        """The marched FrenetPath of the batch."""
-        if self._path is None:
-            with self._lock:
-                if self._path is None:
-                    self._path = self._march(self._ts)
-        return self._path
-
-
-class XiInterpolation:
-    """Frenet interpolation between two unit cusp-direction fields.
-
-    Curvature is mixed linearly, torsion through kappa^2 tau (so the
-    genericity determinant det(xi, xi', xi'') mixes linearly), and the
-    initial frames ride a geodesic in the rotation group so the endpoint
-    curves are reproduced exactly: path(0) and path(1) integrate the
-    endpoint fields themselves.
-
-    The paths march together.  path(t) adds t to the pending batch and
-    returns its FrenetColumn; the first read of any column of that batch
-    marches all its t as one FrenetPath, with a column per t, and the batch
-    memoises one series per point for all its columns.  A path asked for
-    after that starts a new pending batch.  A certificate stage asks for
-    the paths of all its t before it reads one, so they make one march.
-    Each column is bit for bit the path marched alone.  Columns are
-    memoised per t; a column holds its batch, so a column dropped from
-    that memo still reads the batch it was marched in.
-
-    The values of kappa and tau of both endpoint fields at every point the
-    fixed-step RK4 march reads (the half-step grid) are tabulated once per
-    family, by one array-valued curvature_torsion_of call per endpoint
-    field, and these tables feed every march: a batch reads its kappa and
-    tau there as an array with a column per t, each abscissa indexed once
-    into the grid, and FrenetPath checks kappa > 0 once over them.  The
-    kappa and tau providers of a batch serve the rest, the series jets and
-    the fractional steps off the grid, at scalar u, with a trailing t axis;
-    the endpoint (kappa, tau) jets behind them do not depend on t, so they
-    come from one memoised provider per endpoint field, shared by every
-    batch, and each batch's providers memoise their own jets per point as
-    well.  The tables, providers and march live in a _Mixing that the
-    batches hold and that holds no batch, so a dropped family is freed by
-    reference counting.
-    """
-
-    def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):
-        self.xi = (xi1, xi2)
-        self.gammas = gammas
-        self.interval = interval
-        self.step = step
-        frames = []
-        for xi in self.xi:
-            T, dx = xi_frame(xi, 0.0, 1)
-            N = dx / np.linalg.norm(dx)
-            B = np.cross(T, N)
-            frames.append(np.stack([T, N, B]))
-        self._mix = _Mixing(self.xi, frames, interval, step)
-        self._pending = _Batch(self._mix.march)
-        self._columns = BoundedCache()    # t key -> FrenetColumn
-        self._lock = threading.Lock()     # guards the pending batch and the memo
-
-    def kappa_tau(self, t):
-        """Providers of kappa and tau of the paths at the array t: jets
-        with a trailing t axis."""
-        return self._mix.kappa_tau(t)
-
     def path(self, t) -> FrenetColumn:
-        """The path at t, a column of the batch that t joined."""
-        with self._lock:
-            return self._columns.value(round(float(t), 12), lambda: self._join(float(t)))
+        """The path at the float t, marched alone: a batch of one."""
+        return FrenetColumn(self.march([float(t)]), 0)
 
-    def _join(self, t):
-        col = self._pending.add(t)
-        if col is None:
-            self._pending = _Batch(self._mix.march)
-            col = self._pending.add(t)
-        return col
+    def fields(self, t):
+        """Providers (xi_t, gamma_t) of the interpolated unit field and of its
+        cusp curve, the primitive of u xi_t: at a float t the endpoint
+        providers at t = 0 and 1 and those of path(t) between; at an array
+        of t, providers whose jets carry a slot per t."""
+        if np.ndim(t) == 0:
+            if float(t) in (0.0, 1.0):
+                return self.xi[int(t)], self.gammas[int(t)]
+            col = self.path(t)
+            return col.xi_providers(), col.cusp_curve_providers()
+        t = np.asarray(t, dtype=float)
+        ends = (t == 0.0, t == 1.0)
+        inner = ~(ends[0] | ends[1])
+        path = self.march(t[inner]) if inner.any() else None
+
+        def spliced(which, endpoint):
+            def fn(u, v, order):
+                c = np.empty((3, term_count(order), len(t)))
+                if path is not None:
+                    c[..., inner] = path.series_jets(u, order, which)
+                for at, p in zip(ends, endpoint):
+                    if at.any():
+                        c[..., at] = np.stack([j.c for j in vjet(p, u, v, order)])[..., None]
+                return tuple(Jet2(order, ck) for ck in c)
+            return components(fn)
+        return spliced(0, self.xi), spliced(4, self.gammas)
 
     def xi_t(self, t):
-        """Providers of the interpolated unit field at parameter t."""
-        if float(t) == 0.0:
-            return self.xi[0]
-        if float(t) == 1.0:
-            return self.xi[1]
-        return self.path(t).xi_providers()
-
-    def gamma_t(self, t):
-        """Primitive of u xi_t: endpoint gammas at t = 0, 1, integrated between."""
-        if float(t) == 0.0:
-            return self.gammas[0]
-        if float(t) == 1.0:
-            return self.gammas[1]
-        return self.path(t).cusp_curve_providers()
+        """Providers of the interpolated unit field at t (see fields)."""
+        return self.fields(t)[0]
 
     def genericity_at0(self, t):
         return float(np.linalg.det(np.stack(xi_frame(self.xi_t(t), 0.0, 2), axis=1)))
@@ -477,14 +420,14 @@ def deform_theorem_A(d1: SwallowtailData, d2: SwallowtailData, a: float = 0.0):
     interp = XiInterpolation(e1.xi, e2.xi, gammas=(e1.gamma, e2.gamma))
 
     def gen_stage2(t):
-        xi_t = interp.xi_t(t)
+        xi_t, gamma_t = interp.fields(t)
         n = normal_field(xi_t)
         m = _combine((1.0 - t, x31), (t, x32))
 
         def fn(u, v, order):
             mj = pjet(m, u, v, order)
             return tuple(mj * c for c in vjet(n, u, v, order))
-        return SwallowtailData.of(xi_t, components(fn), gamma=interp.gamma_t(t))
+        return SwallowtailData.of(xi_t, components(fn), gamma=gamma_t)
 
     fam = DeformationFamily(
         recipe="TheoremA",
@@ -635,7 +578,7 @@ def deform_lemma_3_7(d: AsymptoticData, a: float = 0.0):
         name = "to-positive-normal-form"
     else:
         def gen(t):
-            q = Scaled(d.q, math.sqrt(max(0.0, 1.0 - t)))
+            q = Scaled(d.q, np.sqrt(np.maximum(0.0, 1.0 - t)))
             r = tuple(_combine((1.0 - t, d.r[k]), (-t, n[k])) for k in range(3))
             return AsymptoticData.of(d.xi, q, r, gamma=d.gamma)
         name = "to-negative-normal-form"
@@ -686,11 +629,10 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
         famL2 = deform_lemma_3_7(d2, a)
 
         def gen_mid(t):
-            xi_t = interp.xi_t(t)
+            xi_t, gamma_t = interp.fields(t)
             n = normal_field(xi_t)
             return AsymptoticData.of(xi_t, Scaled(d1.q, 0.0),
-                                     tuple(Scaled(c, float(k1)) for c in n),
-                                     gamma=interp.gamma_t(t))
+                                     tuple(Scaled(c, float(k1)) for c in n), gamma=gamma_t)
 
         stages = [famL1.stages[0],
                   Stage("xi-interpolation", gen_mid, asymptotic=True),
@@ -710,9 +652,9 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
                                  gamma=d2.gamma)
 
     def gen_mid(t):
-        xi_t = interp.xi_t(t)
+        xi_t, gamma_t = interp.fields(t)
         return AsymptoticData.of(xi_t, Scaled(d1.q, 0.0), tuple(Scaled(c, 0.0) for c in d1.r),
-                                 gamma=interp.gamma_t(t))
+                                 gamma=gamma_t)
 
     stages = [Stage("scale-away-1", gen_scale1, asymptotic=True),
               Stage("developable-interpolation", gen_mid, asymptotic=True),

@@ -30,6 +30,19 @@ jet arithmetic (JetError) still fails the whole call.  The per-point
 failure of frontal.fundamental_forms and gaussian_curvature is NaN: a
 singular point raises ClassificationError when it is the one point asked
 for, and gives NaN in its slot of an array call.
+
+Batched data: the providers of a deformation stage's data at the array of
+its t (deform) give, at a scalar point, jets with one trailing batch axis,
+a slot per t, each slot bit for bit the jet of the data at that t alone.
+Batch axes align from the left (jets): a jet or weight without them, such
+as an endpoint field or a float, meets a batched one as if copied into
+every slot, and Scaled and the weights of deform's combinations may be
+arrays over the slots.  The germ checks decide per slot: a domain error
+of the jet arithmetic in classify (over_v, jet_sqrt, a division by a zero
+constant term) fails only its slot, carried as a mask of failed slots
+(jets.slot_errors), and that slot gets the verdict it gets alone.  Inside a
+provider the error still fails the whole call, so no memo keeps a jet with
+failed slots.
 """
 
 from __future__ import annotations

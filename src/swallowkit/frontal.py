@@ -25,7 +25,8 @@ import numpy as np
 from . import metric as mt
 from ._jettables import index_of, monomials
 from .fields import JetFn, over_v
-from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, p1_div, p1_mul, parse
+from .jets import (Expr, Jet2, _apply_series, compose2, jet_sqrt, p1_div, p1_mul, parse, raising,
+                   slot_errors)
 from .metric import SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
@@ -69,7 +70,8 @@ class MapGerm:
         return MapGerm(comps, sf=sf, p0=p0, exprs=comps, data=data)
 
     def fjet(self, u, v, order=ORDER):
-        return self._jets.jet(u, v, order)
+        # the providers memoise their jets, so their domain errors raise
+        return raising(self._jets.jet, u, v, order)
 
     def value(self, u, v):
         return np.array([j.value() for j in self.fjet(u, v, order=0)])
@@ -77,6 +79,11 @@ class MapGerm:
     def reparam(self, change, p0=(0.0, 0.0)):
         """Germ composed with a coordinate change (jets of (U, V) at a point)."""
         return _ReparamGerm(self, change, p0)
+
+
+def _column(germ, j):
+    """Slot j of a batched germ as a lone germ; the germ itself for j None."""
+    return germ if j is None else _ColumnGerm(germ, j)
 
 
 def _component_jets(components, u, v, order):
@@ -98,6 +105,45 @@ class _ReparamGerm(MapGerm):
         return tuple(compose2(fj.c, order + 1, Uj, Vj).truncate(order) for fj in F)
 
 
+class _ColumnGerm(MapGerm):
+    """Slot j of a germ whose jets carry a batch axis, read as a lone germ:
+    its jets are copies of the batch's column j."""
+
+    def __init__(self, base, j):
+        super().__init__(base._components, sf=base.sf, p0=base.p0, data=base.data)
+        self._base = base
+        self._j = j
+
+    def fjet(self, u, v, order=ORDER):
+        return tuple(Jet2(c.order, c.c[..., self._j].copy()) for c in self._base.fjet(u, v, order))
+
+
+# ---------------------------------------------------------------------------
+# Slots: the jets of a germ may carry one trailing batch axis, and every
+# decision below is taken slot by slot, on floats, as for a lone germ
+# ---------------------------------------------------------------------------
+
+def _slots(jets):
+    """Slot keys of jets: [None] without a batch axis, else one per slot."""
+    shape = jets[0].c.shape[1:]
+    return range(shape[0]) if shape else [None]
+
+
+def _slot(x, j):
+    """Slot j of values x read off a germ's jets (x itself for j None): a
+    float, or an array such as a 3-vector."""
+    if j is None:
+        return x
+    x = x[..., j]
+    return float(x) if x.ndim == 0 else x
+
+
+def _per_slot(fn, slots, *values):
+    """fn at the values of a lone germ, or the list of fn at every slot."""
+    out = [fn(*(_slot(x, j) for x in values)) for j in slots]
+    return out[0] if slots == [None] else out
+
+
 # ---------------------------------------------------------------------------
 # Normal field and lambda
 # ---------------------------------------------------------------------------
@@ -116,18 +162,21 @@ def normal_jets(germ: MapGerm, u, v, order=ORDER):
     return tuple(over_v(c, v) for c in n)
 
 
-def lambda_jet(germ: MapGerm, u, v, order=ORDER):
+def lambda_jet(germ: MapGerm, u, v, order=ORDER, mode=None):
     """Jet of the degeneracy function lambda.
 
-    For germs whose singular set is the u-axis this is det_g taken with
-    the forward-oriented field (f_u x_g f_v)/v, which makes
+    For germs whose singular set is the u-axis (mode "axis") this is det_g
+    taken with the forward-oriented field (f_u x_g f_v)/v, which makes
     lambda = v |nu~|_g^2 and lambda_v(o) = |xi(0) x xi'(0)|^2 > 0;
-    away from that structure (immersions, general germs) the unit normal
-    is used instead, so an immersion has |lambda| = |f_u x f_v|_g.
+    away from that structure (immersions, general germs; mode "unit") the
+    unit normal is used instead, so an immersion has |lambda| = |f_u x f_v|_g.
+    Without a mode it is found once per germ, "axis" if every slot's axis
+    is singular.
     """
-    mode = getattr(germ, "_lambda_mode", None)
     if mode is None:
-        mode = "axis" if _axis_is_singular(germ) else "unit"
+        mode = getattr(germ, "_lambda_mode", None)
+    if mode is None:
+        mode = "axis" if np.all(_axis_is_singular(germ)) else "unit"
         germ._lambda_mode = mode
     F = germ.fjet(u, v, order + 3)
     Fu = tuple(c.du() for c in F)
@@ -149,25 +198,35 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER):
 # Null field along the axis
 # ---------------------------------------------------------------------------
 
-def null_kernel(germ: MapGerm, u, order=1):
-    """Kernel direction (alpha, eps) of df at the axis point (u, 0)."""
+def _axis_derivatives(germ, u, order=1):
+    """Values of f_u and f_v at the axis point (u, 0), from jets of order+1."""
     F = germ.fjet(u, 0.0, order + 1)
-    fu = np.array([c.du().value() for c in F])
-    fv = np.array([c.dv().value() for c in F])
-    J = np.stack([fu, fv], axis=1)
-    _, s, vt = np.linalg.svd(J)
+    return _vals(tuple(c.du() for c in F)), _vals(tuple(c.dv() for c in F))
+
+
+def _kernel(fu, fv):
+    """Kernel direction and singular values of the differential [fu fv]."""
+    _, s, vt = np.linalg.svd(np.stack([fu, fv], axis=1))
     if s[0] == 0.0:
         raise ClassificationError("rank-0 differential: corank > 1")
     k = vt[-1]
     return k / np.linalg.norm(k), s
 
 
-def point_kind(germ: MapGerm, u, tol=1e-7):
-    """'regular' | 'first' | 'second' at the axis point (u, 0)."""
-    k, s = null_kernel(germ, u)
+def _kind(k, s, tol=1e-7):
     if s[-1] > tol * (1.0 + s[0]):
         return "regular"
     return "first" if abs(k[1]) > tol else "second"
+
+
+def null_kernel(germ: MapGerm, u, order=1):
+    """Kernel direction (alpha, eps) of df at the axis point (u, 0)."""
+    return _kernel(*_axis_derivatives(germ, u, order))
+
+
+def point_kind(germ: MapGerm, u, tol=1e-7):
+    """'regular' | 'first' | 'second' at the axis point (u, 0)."""
+    return _kind(*null_kernel(germ, u), tol)
 
 
 def _eps_field_jets(germ: MapGerm, u, order):
@@ -246,138 +305,250 @@ def _vals(vec):
     return np.array([c.value() if isinstance(c, Jet2) else c for c in vec])
 
 
+# Each invariant at the origin is its values, read off the jets of a lone
+# germ or of a batch (_..._values), and a decision on the floats of one slot.
+
+def _sigma0_S_values(sf, d):
+    return mt.inner_g(sf, d["F"], d["fuv"], d["nu_u"]).value(), _vals(d["fuv"]), _vals(d["nu_u"])
+
+
+def _sigma0_S(val, fuv, nu_u):
+    return -sgn(val, float(np.linalg.norm(fuv) * np.linalg.norm(nu_u))), -val
+
+
 def sigma0_S(germ: MapGerm, shared=None):
-    """Sign invariant whose non-vanishing detects a swallowtail (o 2nd kind)."""
+    """Sign invariant whose non-vanishing detects a swallowtail (o 2nd kind):
+    (sign, raw value), or a list of them, one per slot of a batched germ."""
     d = shared or _second_kind_data(germ)
-    ip = mt.inner_g(germ.sf, d["F"], d["fuv"], d["nu_u"])
-    val = ip.value()
-    scale = float(np.linalg.norm(_vals(d["fuv"])) * np.linalg.norm(_vals(d["nu_u"])))
-    return -sgn(val, scale), -val
+    return _per_slot(_sigma0_S, _slots(d["F"]), *_sigma0_S_values(germ.sf, d))
+
+
+def _sigma_g_S_values(sf, d):
+    return mt.inner_g(sf, d["F"], d["fvv"], d["nu"]).value(), _vals(d["fvv"])
+
+
+def _sigma_g_S(val, fvv):
+    return sgn(val, float(np.linalg.norm(fvv))), val
 
 
 def sigma_g_S(germ: MapGerm, shared=None):
     """Sign of the limiting-normal-curvature numerator (genericity)."""
     d = shared or _second_kind_data(germ)
-    ip = mt.inner_g(germ.sf, d["F"], d["fvv"], d["nu"])
-    val = ip.value()
-    scale = float(np.linalg.norm(_vals(d["fvv"])))
-    return sgn(val, scale), val
+    return _per_slot(_sigma_g_S, _slots(d["F"]), *_sigma_g_S_values(germ.sf, d))
 
 
-def limiting_normal_curvature(germ: MapGerm, shared=None):
-    d = shared or _second_kind_data(germ)
-    num = mt.inner_g(germ.sf, d["F"], d["fvv"], d["nu"]).value()
-    den = mt.inner_g(germ.sf, d["F"], d["fv"], d["fv"]).value()
+def _kappa_nu_values(sf, d):
+    return (mt.inner_g(sf, d["F"], d["fvv"], d["nu"]).value(),
+            mt.inner_g(sf, d["F"], d["fv"], d["fv"]).value())
+
+
+def _kappa_nu(num, den):
     if den == 0.0:
         raise ClassificationError("f_v vanishes at the origin")
     return num / den
 
 
-def normalized_cuspidal_curvature(germ: MapGerm, shared=None):
-    """mu_C; its sign equals sigma0_S."""
+def limiting_normal_curvature(germ: MapGerm, shared=None):
     d = shared or _second_kind_data(germ)
-    sf = germ.sf
+    return _per_slot(_kappa_nu, _slots(d["F"]), *_kappa_nu_values(germ.sf, d))
+
+
+def _mu_C_values(sf, d):
     fv_norm = mt.norm_g(sf, d["F"], d["fv"]).value()
     num = mt.inner_g(sf, d["F"], d["fuv"], d["nu_u"]).value()
     cr = mt.cross_g(sf, d["F"], d["fuv"], d["fv"])
-    den = mt.norm_g(sf, d["F"], cr).value()
+    return fv_norm, num, mt.norm_g(sf, d["F"], cr).value()
+
+
+def _mu_C(fv_norm, num, den):
     if den == 0.0:
         raise ClassificationError("degenerate: nabla_v f_u(o) x f_v(o) = 0")
     return -(fv_norm ** 3) * num / den
 
 
-def classify(germ: MapGerm, at=(0.0, 0.0), order=ORDER, neighborhood=0.05) -> SingularityReport:
-    """Full singularity report at a point (admissible or general position)."""
-    at = (float(at[0]), float(at[1]))
-    rep = SingularityReport(at=at, a=germ.sf.a)
+def normalized_cuspidal_curvature(germ: MapGerm, shared=None):
+    """mu_C; its sign equals sigma0_S."""
+    d = shared or _second_kind_data(germ)
+    return _per_slot(_mu_C, _slots(d["F"]), *_mu_C_values(germ.sf, d))
 
+
+def _immersive(fu, fv):
+    """Whether f_u and f_v (values at a point) span a plane."""
+    return np.linalg.norm(np.cross(fu, fv)) > 1e-8 * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
+
+
+def classify(germ: MapGerm, at=(0.0, 0.0), order=ORDER, neighborhood=0.05):
+    """Full singularity report at a point (admissible or general position).
+
+    A germ whose jets carry a trailing batch axis (one slot per t of a
+    deformation stage, say) gets a list of reports, one per slot, each
+    equal to the report of that slot's germ checked alone; a lone germ is a
+    batch of one.  The jets are computed once for the batch, and every
+    threshold, SVD, norm and sign is decided per slot.  A slot that leaves
+    the common path (axis singular, origin of the second kind) goes on
+    alone, on its column of the germ: a slot that needs make_admissible, or
+    a first-kind point.  Domain errors of the jet arithmetic are recorded
+    per slot (jets.slot_errors).  An exception that a slot raises alone is
+    raised for the batch, that of the first such slot."""
+    at = (float(at[0]), float(at[1]))
     F = germ.fjet(at[0], at[1], 3)
     if not all(np.isfinite(c.c).all() for c in F):
         raise ClassificationError(f"the jets of the germ at {at} are not finite")
+    slots = _slots(F)
+    reps = {j: SingularityReport(at=at, a=germ.sf.a) for j in slots}
     fu = _vals(tuple(c.du() for c in F))
     fv = _vals(tuple(c.dv() for c in F))
-    n = np.cross(fu, fv)
-    scale = np.linalg.norm(fu) * np.linalg.norm(fv)
-    if np.linalg.norm(n) > 1e-8 * (1.0 + scale):
-        rep.kind = "regular"
-        rep.is_frontal = True
-        rep.is_nondegenerate = True
-        return rep
+    axis, common, errors = None, {}, {}
+    for j, rep in reps.items():
+        if _immersive(_slot(fu, j), _slot(fv, j)):
+            rep.kind = "regular"
+            rep.is_frontal = True
+            rep.is_nondegenerate = True
+            continue
+        if at == (0.0, 0.0):
+            if axis is None:
+                axis = _axis_is_singular(germ)
+            if axis if j is None else axis[j]:
+                common[j] = rep
+                continue
+        try:
+            work = make_admissible(_column(germ, j), at, order=order)
+            exc = _on_axis(work, {None: rep}, order, neighborhood).get(None)
+        except ValueError as e:
+            exc = e
+        if exc is not None:
+            errors[j] = exc
+    if common:
+        errors.update(_on_axis(germ, common, order, neighborhood, mode="axis"))
+    if errors:
+        raise errors[min(errors)]
+    return reps[None] if slots == [None] else list(reps.values())
 
-    work = germ
-    if at != (0.0, 0.0) or not _axis_is_singular(germ):
-        work = make_admissible(germ, at, order=order)
 
-    try:
+def _on_axis(work, reps, order, neighborhood, mode=None):
+    """The rest of classify at the origin of work, a germ whose singular set
+    is the u-axis: fills in reps (slot -> report, for some slots of work)
+    and returns slot -> the exception that slot raises alone."""
+    live, errors = dict(reps), {}
+
+    def drop(j, exc=None):
+        del live[j]
+        if exc is not None:
+            errors[j] = exc
+
+    with slot_errors() as failed:
         nt = normal_jets(work, 0.0, 0.0, order)
-    except JetError as exc:
-        rep.notes.append(f"not admissible / not frontal: {exc}")
-        return rep
-    nt0 = _vals(nt)
-    ntscale = max(np.linalg.norm(_vals(tuple(c.du() for c in work.fjet(0, 0, 3)))), 1.0)
-    rep.is_frontal = np.linalg.norm(nt0) > 1e-9 * ntscale
-    if not rep.is_frontal:
-        rep.notes.append("unnormalized normal vanishes at the point")
-        return rep
+    for j, rep in list(live.items()):
+        exc = failed.get(j)
+        if exc is not None:
+            rep.notes.append(f"not admissible / not frontal: {exc}")
+            drop(j)
+    if live:
+        nt0 = _vals(nt)
+        du0 = _vals(tuple(c.du() for c in work.fjet(0, 0, 3)))
+    for j, rep in list(live.items()):
+        ntscale = max(np.linalg.norm(_slot(du0, j)), 1.0)
+        rep.is_frontal = np.linalg.norm(_slot(nt0, j)) > 1e-9 * ntscale
+        if not rep.is_frontal:
+            rep.notes.append("unnormalized normal vanishes at the point")
+            drop(j)
+    if not live:
+        return errors
 
-    lam = lambda_jet(work, 0.0, 0.0, 2)
-    rep.lambda_v = lam.partial(0, 1)
-    dlam = math.hypot(lam.partial(1, 0), lam.partial(0, 1))
-    rep.is_nondegenerate = dlam > 1e-9 * (1.0 + abs(lam.partial(0, 2)))
-    if not rep.is_nondegenerate:
-        rep.notes.append("degenerate singular point (d lambda = 0); invariants suppressed")
-        return rep
+    with slot_errors() as failed:
+        lam = lambda_jet(work, 0.0, 0.0, 2, mode)
+    l10, l01, l02 = lam.partial(1, 0), lam.partial(0, 1), lam.partial(0, 2)
+    for j, rep in list(live.items()):
+        exc = failed.get(j)
+        if exc is not None:
+            drop(j, exc)
+            continue
+        rep.lambda_v = _slot(l01, j)
+        dlam = math.hypot(_slot(l10, j), _slot(l01, j))
+        rep.is_nondegenerate = dlam > 1e-9 * (1.0 + abs(_slot(l02, j)))
+        if not rep.is_nondegenerate:
+            rep.notes.append("degenerate singular point (d lambda = 0); invariants suppressed")
+            drop(j)
+    if not live:
+        return errors
 
-    k, _ = null_kernel(work, 0.0)
-    rep.null_vector = (float(k[0]), float(k[1]))
-    rep.kind = "first" if abs(k[1]) > 1e-6 else "second"
-
-    if rep.kind == "first":
-        s0c, raw = sigma0_C(work, 0.0)
-        rep.is_cuspidal_edge = s0c != 0
-        rep.is_wavefront = rep.is_cuspidal_edge
-        rep.raw["sigma0_C"] = raw
-        return rep
+    fu, fv = _axis_derivatives(work, 0.0)
+    for j, rep in list(live.items()):
+        try:
+            k, _ = _kernel(_slot(fu, j), _slot(fv, j))
+            rep.null_vector = (float(k[0]), float(k[1]))
+            rep.kind = "first" if abs(k[1]) > 1e-6 else "second"
+            if rep.kind == "second":
+                continue
+            s0c, raw = sigma0_C(_column(work, j), 0.0)
+            rep.is_cuspidal_edge = s0c != 0
+            rep.is_wavefront = rep.is_cuspidal_edge
+            rep.raw["sigma0_C"] = raw
+            drop(j)
+        except ValueError as exc:
+            drop(j, exc)
+    if not live:
+        return errors
 
     # second kind: generalized swallowtail status from nearby axis points
-    nearby = []
-    for uu in (-neighborhood, -neighborhood / 4, neighborhood / 4, neighborhood):
-        nearby.append(point_kind(work, uu))
-    rep.is_generalized_swallowtail = all(km in ("first", "regular") for km in nearby)
+    near = [_axis_derivatives(work, uu)
+            for uu in (-neighborhood, -neighborhood / 4, neighborhood / 4, neighborhood)]
+    for j, rep in list(live.items()):
+        try:
+            kinds = [_kind(*_kernel(_slot(a, j), _slot(b, j))) for a, b in near]
+        except ValueError as exc:
+            drop(j, exc)
+            continue
+        rep.is_generalized_swallowtail = all(km in ("first", "regular") for km in kinds)
 
-    shared = _second_kind_data(work, order=min(order, 4))
-    s0, raw0 = sigma0_S(work, shared)
-    sg, rawg = sigma_g_S(work, shared)
-    rep.sigma0_S = s0
-    rep.sigma_g_S = sg
-    rep.raw["sigma0_S"] = raw0
-    rep.raw["sigma_g_S"] = rawg
-    rep.kappa_nu = limiting_normal_curvature(work, shared)
-    try:
-        rep.mu_C = normalized_cuspidal_curvature(work, shared)
-    except ClassificationError as exc:
-        rep.notes.append(str(exc))
-
+    sf = work.sf
+    with slot_errors() as failed:
+        shared = _second_kind_data(work, order=min(order, 4))
+    s0, sg, kn = (f(sf, shared) for f in (_sigma0_S_values, _sigma_g_S_values, _kappa_nu_values))
+    with slot_errors() as mu_failed:
+        mu = _mu_C_values(sf, shared)
     # wave front: (f, nu) immersive, i.e. the stacked 6x2 differential has rank 2
-    M = np.zeros((6, 2))
-    M[:3, 0] = _vals(shared["fu"])
-    M[:3, 1] = _vals(shared["fv"])
-    M[3:, 0] = _vals(shared["nu_u"])
-    M[3:, 1] = _vals(shared["nu_v"])
-    sv = np.linalg.svd(M, compute_uv=False)
-    rep.is_wavefront = sv[1] > 1e-8 * (1.0 + sv[0])
-    rep.is_swallowtail = bool(rep.is_wavefront and rep.is_generalized_swallowtail)
-    return rep
+    dfs = [_vals(shared[key]) for key in ("fu", "fv", "nu_u", "nu_v")]
+    for j, rep in list(live.items()):
+        try:
+            exc = failed.get(j)
+            if exc is not None:
+                raise exc
+            rep.sigma0_S, rep.raw["sigma0_S"] = _sigma0_S(*(_slot(x, j) for x in s0))
+            rep.sigma_g_S, rep.raw["sigma_g_S"] = _sigma_g_S(*(_slot(x, j) for x in sg))
+            rep.kappa_nu = _kappa_nu(*(_slot(x, j) for x in kn))
+            exc = mu_failed.get(j)
+            if exc is not None:
+                raise exc
+        except ValueError as exc:
+            drop(j, exc)
+            continue
+        try:
+            rep.mu_C = _mu_C(*(_slot(x, j) for x in mu))
+        except ClassificationError as exc:
+            rep.notes.append(str(exc))
+        M = np.zeros((6, 2))
+        M[:3, 0], M[:3, 1], M[3:, 0], M[3:, 1] = (_slot(x, j) for x in dfs)
+        sv = np.linalg.svd(M, compute_uv=False)
+        rep.is_wavefront = sv[1] > 1e-8 * (1.0 + sv[0])
+        rep.is_swallowtail = bool(rep.is_wavefront and rep.is_generalized_swallowtail)
+    return errors
 
 
-def _axis_is_singular(germ: MapGerm, samples=(-0.08, -0.03, 0.0, 0.03, 0.08)) -> bool:
+def _axis_is_singular(germ: MapGerm, samples=(-0.08, -0.03, 0.0, 0.03, 0.08)):
+    """Whether the u-axis is singular at every sample: a bool, or a list of
+    them, one per slot of a batched germ."""
+    out = None
     for uu in samples:
         F = germ.fjet(uu, 0.0, 1)
         fu = _vals(tuple(c.du() for c in F))
         fv = _vals(tuple(c.dv() for c in F))
-        if np.linalg.norm(np.cross(fu, fv)) > 1e-8 * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv)):
-            return False
-    return True
+        slots = _slots(F)
+        sing = [not _immersive(_slot(fu, j), _slot(fv, j)) for j in slots]
+        out = sing if out is None else [a and b for a, b in zip(out, sing)]
+        if not any(out):
+            break
+    return out[0] if slots == [None] else out
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +587,8 @@ def sigma0_C(germ: MapGerm, u, order=ORDER):
 
 
 def sigma_g_C(germ: MapGerm, u, order=4):
-    """Limiting-normal-curvature sign at the first-kind point (u, 0)."""
+    """Limiting-normal-curvature sign at the first-kind point (u, 0):
+    (sign, raw value), or a list of them, one per slot of a batched germ."""
     sf = germ.sf
     F = germ.fjet(u, 0.0, order + 2)
     Ftr = tuple(c.truncate(order) for c in F)
@@ -425,8 +597,11 @@ def sigma_g_C(germ: MapGerm, u, order=4):
     fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
     fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
     det = mt.det_g(sf, Ftr, fu, fuu, fvv).value()
-    scale = (np.linalg.norm(_vals(fu)) * np.linalg.norm(_vals(fuu)) * np.linalg.norm(_vals(fvv)))
-    return sgn(det, scale), det
+    return _per_slot(_sigma_g_C, _slots(F), det, _vals(fu), _vals(fuu), _vals(fvv))
+
+
+def _sigma_g_C(det, fu, fuu, fvv):
+    return sgn(det, np.linalg.norm(fu) * np.linalg.norm(fuu) * np.linalg.norm(fvv)), det
 
 
 def epsilon_identity_residual(germ: MapGerm, u, order=ORDER):

@@ -5,10 +5,18 @@ an expression is evaluated once into a jet of some order K at a base
 point, and all partials up to order K are read off the coefficients.
 Coefficient c_{ij} of a Jet2 equals (1/i!j!) d^{i+j}f/du^i dv^j.
 
-Coefficients may be scalars or numpy arrays (one jet per grid node), so
-grid sweeps vectorize for free.  The two hot kernels, the truncated
-product and the graded division, are numpy index-table operations defined
-next to Jet2; there is no other backend.
+Coefficients may be scalars or numpy arrays (one jet per grid node, or
+per slot of a batch), so grid sweeps and batches vectorize for free.  Batch
+axes are the trailing axes of .c and align from the left: an operand with
+fewer of them (a jet, or an array multiplying a jet) gets trailing axes of
+length 1.  The two hot kernels, the truncated product and the graded
+division, are numpy index-table operations defined next to Jet2; there is
+no other backend.
+
+A domain error (zero denominator, square root of a non-positive constant
+term, division by v of a jet that does not vanish on the axis) raises
+JetError, except inside slot_errors(), where a jet with at most one batch
+axis records it per slot and carries on.
 
 Expressions are trees of frozen dataclass nodes (Const, Var, Add, Sub, Mul,
 Div, Neg, Pow, Func): they compare and hash by value and cannot be changed.
@@ -20,6 +28,8 @@ poly_u_coeffs, behind the closed-form integrals, is its u-only projection.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -49,6 +59,15 @@ def backend_name() -> str:
 # Jet arithmetic
 # ---------------------------------------------------------------------------
 
+# flat (bin, column) indices of _bin_sum, per (id of a bins table, columns),
+# for batches of up to _FLAT_COLUMNS columns, such as the t of a certificate
+# stage, where building them costs as much as the sum; the tables are the
+# lru-cached arrays of _jettables, alive for good.  Wider arrays (grids of
+# points) build theirs per call, a small share of their sum.
+_FLAT_BINS = {}
+_FLAT_COLUMNS = 64
+
+
 def _bin_sum(bins, prod, nbins):
     """Sums of the rows of prod falling in each of nbins bins.
 
@@ -60,8 +79,60 @@ def _bin_sum(bins, prod, nbins):
     if prod.ndim == 1:
         return np.bincount(bins, prod, minlength=nbins)
     n = prod[0].size
-    flat = (bins[:, None] * n + np.arange(n)).ravel()
+    flat = _FLAT_BINS.get((id(bins), n))
+    if flat is None:
+        flat = (bins[:, None] * n + np.arange(n)).ravel()
+        if n <= _FLAT_COLUMNS:
+            _FLAT_BINS[id(bins), n] = flat
     return np.bincount(flat, prod.ravel(), minlength=nbins * n).reshape((nbins,) + prod.shape[1:])
+
+
+# Domain errors recorded per slot: the dict of the innermost slot_errors
+# block, None where errors raise.
+_SLOT_ERRORS = contextvars.ContextVar("slot_errors", default=None)
+
+
+@contextlib.contextmanager
+def slot_errors():
+    """Record domain errors per slot instead of raising them.
+
+    Inside the block, a Jet2 division by a zero constant term, jet_sqrt of
+    a non-positive one and divide_by_v of a jet that does not vanish on the
+    u-axis do not raise for a jet with at most one batch axis.  The block's
+    dict maps each failing slot (None for a jet without batch axis) to the
+    JetError that slot raises alone, the first one it met; the operation
+    goes on with a stand-in in those slots (a constant term of 1, or the
+    plain coefficient shift), so their values mean nothing.  Jets with more
+    batch axes (grids) raise as outside, and so does anything run under
+    raising()."""
+    errors = {}
+    token = _SLOT_ERRORS.set(errors)
+    try:
+        yield errors
+    finally:
+        _SLOT_ERRORS.reset(token)
+
+
+def raising(fn, *args):
+    """fn(*args) with domain errors raised, also inside slot_errors: jet
+    providers run so, since they memoise what they compute."""
+    token = _SLOT_ERRORS.set(None)
+    try:
+        return fn(*args)
+    finally:
+        _SLOT_ERRORS.reset(token)
+
+
+def _domain_error(bad, c, message):
+    """A domain check of coefficients c failed where bad (one entry per
+    slot) is true: raises JetError(message(None)) outside slot_errors or
+    for a grid; inside, records message(j) for each failing slot j (None
+    for a jet without batch axis)."""
+    errors = _SLOT_ERRORS.get()
+    if errors is None or c.ndim > 2:
+        raise JetError(message(None))
+    for j in [int(j) for j in np.flatnonzero(bad)] if c.ndim == 2 else [None]:
+        errors.setdefault(j, JetError(message(j)))
 
 
 def _jet_mul(a, b, order):
@@ -89,6 +160,7 @@ class Jet2:
     """Truncated Taylor expansion at a base point, up to total order K."""
 
     __slots__ = ("order", "c")
+    __array_ufunc__ = None      # ndarray * Jet2 defers to Jet2.__rmul__
 
     def __init__(self, order: int, c):
         self.order = order
@@ -157,15 +229,20 @@ class Jet2:
         if isinstance(other, Jet2):
             a, b = _align(self, other)
             return Jet2(a.order, _jet_mul(a.c, b.c, a.order))
-        return Jet2(self.order, self.c * other)
+        c, w = _lift(self.c, other)
+        return Jet2(self.order, c * w)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             a, b = _align(self, other)
-            if np.any(b.c[0] == 0.0):
-                raise JetError("division by jet with zero constant term")
+            b0 = b.c[0]
+            bad = b0 == 0.0
+            if np.any(bad):
+                _domain_error(bad, b.c, lambda j: "division by jet with zero constant term")
+                b = Jet2(b.order, b.c.copy())
+                b.c[0] = np.where(bad, 1.0, b0)
             return Jet2(a.order, _jet_div(a.c, b.c, a.order))
         return Jet2(self.order, self.c / other)
 
@@ -206,8 +283,12 @@ class Jet2:
         scale = np.max(np.abs(self.c), axis=0)
         bad = np.abs(self.c[axis]) > tol * (1.0 + scale)
         if np.any(bad):
-            worst = float(np.max(np.abs(self.c[axis])))
-            raise JetError(f"jet does not vanish on the u-axis (residual {worst:.3g})")
+            res = np.abs(self.c[axis])
+
+            def message(j):
+                worst = float(np.max(res if j is None else res[:, j]))
+                return f"jet does not vanish on the u-axis (residual {worst:.3g})"
+            _domain_error(np.any(bad, axis=0), self.c, message)
         src, dst = tables.shift_v_pairs(self.order)
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])
         c[dst] = self.c[src]
@@ -246,14 +327,33 @@ def _col(fac, template):
     return fac.reshape(fac.shape + (1,) * (template.ndim - 1))
 
 
+def _lift(c, w):
+    """Coefficients c and an array w with their batch axes aligned from the
+    left: the one with fewer batch axes (w has no coefficient axis) gets
+    trailing axes of length 1."""
+    extra = np.ndim(w) - (c.ndim - 1)
+    if extra > 0:
+        return c.reshape(c.shape + (1,) * extra), w
+    if extra < 0 and np.ndim(w):
+        return c, np.reshape(w, np.shape(w) + (1,) * -extra)
+    return c, w
+
+
 def _align(a: Jet2, b: Jet2):
+    """a and b at their common order, with one shape: batch axes align from
+    the left, and the operand with fewer of them gets trailing axes of
+    length 1 before the shapes broadcast."""
     order = min(a.order, b.order)
     a = a.truncate(order)
     b = b.truncate(order)
     if a.c.shape != b.c.shape:
-        shape = np.broadcast_shapes(a.c.shape, b.c.shape)
-        a = Jet2(order, np.broadcast_to(a.c, shape).copy())
-        b = Jet2(order, np.broadcast_to(b.c, shape).copy())
+        ca, _ = _lift(a.c, b.c[0])
+        cb, _ = _lift(b.c, a.c[0])
+        shape = np.broadcast_shapes(ca.shape, cb.shape)
+        if a.c.shape != shape:
+            a = Jet2(order, ca if ca.shape == shape else np.broadcast_to(ca, shape).copy())
+        if b.c.shape != shape:
+            b = Jet2(order, cb if cb.shape == shape else np.broadcast_to(cb, shape).copy())
     return a, b
 
 
@@ -270,8 +370,10 @@ def _apply_series(coeffs, x: Jet2) -> Jet2:
 
 def jet_sqrt(x: Jet2) -> Jet2:
     a0 = x.c[0]
-    if np.any(a0 <= 0.0):
-        raise JetError("sqrt of jet with non-positive constant term")
+    bad = a0 <= 0.0
+    if np.any(bad):
+        _domain_error(bad, x.c, lambda j: "sqrt of jet with non-positive constant term")
+        a0 = np.where(bad, 1.0, a0)
     coeffs = [np.sqrt(a0)]
     for n in range(1, x.order + 1):
         coeffs.append(coeffs[-1] * (1.5 - n) / (n * a0))

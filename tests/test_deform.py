@@ -132,13 +132,12 @@ def test_xi_interpolation_path_marches_on_the_tables(monkeypatch):
     monkeypatch.setattr(dm, "curvature_torsion_of",
                         lambda xi, u, order=3: calls.append(u) or real(xi, u, order))
     path = interp.path(0.3)
-    path.state(0.0)                      # the first read marches the batch
+    path.state(0.0)
     assert calls == []
-    batch = path.path_of()
-    kp, tp = batch.data.kappa, batch.data.tau
-    unodes = interp._mix.unodes
+    kp, tp = path.path.data.kappa, path.path.data.tau
+    unodes = interp.unodes
     j = np.array([0, 7, 150, 299])
-    k, t = interp._mix.tabulated(np.array([0.3]), unodes[j])
+    k, t = interp.tabulated(np.array([0.3]), unodes[j])
     for i, x in enumerate(unodes[j]):
         assert pjet(kp, float(x), 0.0, 0).value()[path.j] == k[i, 0]
         assert pjet(tp, float(x), 0.0, 0).value()[path.j] == pytest.approx(t[i, 0], rel=1e-15)
@@ -151,113 +150,131 @@ def _bits(a):
 def test_xi_interpolation_batch_columns_equal_lone_marches():
     """The paths of several t marched as one batch are, column by column,
     bit for bit the paths marched one t at a time: at the nodes, off the
-    grid, and in the series at an off-grid point for orders 0 to 8."""
+    grid, and in the series at an off-grid point for orders 0 to 8; and the
+    providers of fields() at an array of t, endpoints included, give in
+    each slot the jets of the providers at that t alone."""
+    from swallowkit.curves import FrenetColumn
+    from swallowkit.fields import vjet
     ts = [0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95]
     batched = _helix_interp()
-    cols = [batched.path(t) for t in ts]
-    batch = cols[0].path_of()
+    batch = batched.march(ts)
     assert batch.data.frame0.shape == (3, 3, len(ts))
     lone = _helix_interp()
     u_off, u0 = 0.0123, -0.0771              # off the grid of step 2e-3
-    for t, col in zip(ts, cols):
-        alone = lone.path(t)
-        assert alone.path_of().data.frame0.shape == (3, 3, 1)
+    for j, t in enumerate(ts):
+        col, alone = FrenetColumn(batch, j), lone.path(t)
+        assert alone.path.data.frame0.shape == (3, 3, 1)
         for u in batch.us:
             np.testing.assert_array_equal(_bits(col.state(u)), _bits(alone.state(u)))
         np.testing.assert_array_equal(_bits(col.state(u_off)), _bits(alone.state(u_off)))
         for order in range(9):
             for a, b in zip(col.series(u0, order), alone.series(u0, order)):
                 np.testing.assert_array_equal(_bits(a), _bits(b))
-    assert cols[-1].path_of() is batch
-
-
-def test_xi_interpolation_pending_batch_read_by_threads(monkeypatch):
-    """Threads reading the columns of one pending batch get the values of a
-    serial reading, and the batch marches once."""
-    import sys
-    from concurrent.futures import ThreadPoolExecutor
-    ts = [0.1 * k for k in range(1, 9)]
-    u0 = 0.0123
-
-    def read(col):
-        return col.state(u0), col.series(u0, 4)
-
-    serial = _helix_interp()
-    ref = [read(serial.path(t)) for t in ts]
-    marches = []
-    real = dm.FrenetPath
-    monkeypatch.setattr(dm, "FrenetPath",
-                        lambda data, *a, **kw: marches.append(data) or real(data, *a, **kw))
-    shared = _helix_interp()
-    cols = [shared.path(t) for t in ts]
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as ex:
-            futs = [ex.submit(lambda k: [read(c) for c in cols[k::2] + cols[1 - k::2]], k)
-                    for k in (0, 1, 0, 1)]
-            results = [f.result(timeout=120) for f in futs]
-    finally:
-        sys.setswitchinterval(old)
-    assert [d.frame0.shape for d in marches] == [(3, 3, len(ts))]
-    for k, res in zip((0, 1, 0, 1), results):
-        order = list(range(k, len(ts), 2)) + list(range(1 - k, len(ts), 2))
-        for i, (state, series) in zip(order, res):
-            np.testing.assert_array_equal(_bits(state), _bits(ref[i][0]))
-            for a, b in zip(series, ref[i][1]):
-                np.testing.assert_array_equal(_bits(a), _bits(b))
-
-
-def test_xi_interpolation_batch_outlives_the_column_memo(monkeypatch):
-    """A batch of more t than the column memo holds marches once: a column
-    holds its batch, so clearing the memo under a pending batch marches
-    nothing again, and the columns read the values of lone marches."""
-    from swallowkit.fields import CACHE_BOUND
-    marches = []
-    real = dm.FrenetPath
-    monkeypatch.setattr(dm, "FrenetPath", lambda data, *a, **kw:
-                        marches.append(data.frame0.shape[-1]) or real(data, *a, **kw))
-    ts = [(k + 0.5) / (CACHE_BOUND + 20) for k in range(CACHE_BOUND + 20)]
+    all_t = np.array([0.0] + ts + [1.0])
     interp = _helix_interp()
-    cols = [interp.path(t) for t in ts]
-    u = 0.0123
-    states = [col.state(u) for col in cols]
-    assert marches == [len(ts)]
-    lone = _helix_interp()
-    for t, state in list(zip(ts, states))[::60]:
-        np.testing.assert_array_equal(_bits(state), _bits(lone.path(t).state(u)))
+    interp.gammas = interp.xi                  # any providers for the endpoint slots
+    spliced = interp.fields(all_t)
+    for j, t in enumerate(all_t):
+        alone = _helix_interp().fields(float(t)) if 0 < t < 1 else (interp.xi[int(t)],) * 2
+        for got, want in zip(spliced, alone):
+            for a, b in zip(vjet(got, u0, 0.0, 5), vjet(want, u0, 0.0, 5)):
+                np.testing.assert_array_equal(_bits(a.c[:, j]), _bits(b.c))
 
 
-def test_certify_marches_the_interpolation_stage_once(monkeypatch, d217):
-    """certify asks for every t of a stage before it checks one, so the 19
-    interior t of the xi-interpolation make one batched march; the
-    certificate equals one built a t at a time, each t a batch of one."""
+def _certify_one_t_at_a_time(family, predicate, steps, track_kext_sign=None):
+    """The per-t entries and failures of a certificate whose every t is
+    generated, built and checked alone, as lone germs (a float t)."""
+    from swallowkit import frontal as fr
+    per_t, failures = [], []
+    for stage in family.stages:
+        for t in np.linspace(0.0, 1.0, steps):
+            germ = build(stage.generator(float(t)), family.a)
+            rep = fr.classify(germ)
+            entry = {"stage": stage.name, "t": float(t), "is_swallowtail": rep.is_swallowtail,
+                     "sigma0_S": rep.sigma0_S, "sigma_g_S": rep.sigma_g_S}
+            if not rep.is_swallowtail:
+                failures.append(f"{stage.name} t={t:.3f}: not a swallowtail")
+            if predicate == "generic_swallowtail" and rep.sigma_g_S == 0:
+                failures.append(f"{stage.name} t={t:.3f}: sigma_g_S = 0 (not generic)")
+            if predicate == "asymptotic_swallowtail" or stage.asymptotic:
+                worst = 0.0
+                for uu in dm.AXIS_SAMPLES:
+                    worst = max(worst, abs(fr.sigma_g_C(germ, uu)[1]))
+                entry["sigma_g_C_max"] = worst
+                if worst > 1e-7:
+                    failures.append(f"{stage.name} t={t:.3f}: sigma_g_C residual {worst:.2e}")
+            if track_kext_sign is not None:
+                ks = []
+                for p in dm.PROBES:
+                    try:
+                        ks.append(fr.sgn(fr.gaussian_curvature(germ, p)[1], 1e-6))
+                    except fr.ClassificationError:
+                        continue
+                entry["kext_signs"] = ks
+                if any(k != track_kext_sign for k in ks):
+                    failures.append(f"{stage.name} t={t:.3f}: K_ext sign strayed from "
+                                    f"{track_kext_sign}: {ks}")
+            per_t.append(entry)
+    return per_t, failures
+
+
+def _recipes(d217, dplus):
+    """(name, family, predicate, steps, tracked sign) for every recipe."""
+    dminus = AsymptoticData(xi=("1", "u", "u^2"), q="0", r=("0-u^2", "2*u", "0-1"))
+    famDp = dm.deform_theorem_D(dplus, rotated_asym(0.4, "0.05", 2.0), preserve_sign=True)
+    famDm = dm.deform_theorem_D(dminus, rotated_asym(0.3, "0.1", -1.5), preserve_sign=True)
+    famDg = dm.deform_theorem_D(
+        AsymptoticData(xi=("1", "u", "u^2"), q="0.1", r=("0", "0", "0")),
+        AsymptoticData(xi=("1", "u", "u^2"), q="0", r=("0", "0", "0")), preserve_sign=False)
+    dflip = SwallowtailData(xi=("1", "u", "u^2"), b=("0", "0", "0-0.5"))
+    famL = dm.deform_lemma_3_7(AsymptoticData(xi=("1", "u", "u^2"), q="0.3",
+                                              r=("0-0.01*u^2", "0.02*u", "0-0.01")))
+    return [
+        ("Theorem A", dm.deform_theorem_A(d217, rotated_scaled_217()), "generic_swallowtail",
+         9, None),
+        ("Theorem D, positive", famDp, "asymptotic_swallowtail", 6, famDp.kext_sign),
+        ("Theorem D, negative", famDm, "asymptotic_swallowtail", 6, famDm.kext_sign),
+        ("Theorem D, scale-away", famDg, "asymptotic_swallowtail", 6, None),
+        ("Prop 2.13", dm.deform_any_swallowtail(dflip, dplus), "swallowtail", 6, None),
+        ("Prop 2.13, reversed", dm.deform_any_swallowtail(dplus, dflip), "swallowtail", 6, None),
+        ("Lemma 3.7", famL, "asymptotic_swallowtail", 11, famL.sign),
+    ]
+
+
+def test_certify_marches_the_interpolation_stage_once(monkeypatch, d217, dplus):
+    """certify checks each stage as one batch of its t: the interior t of
+    the xi-interpolation make one march, and the certificate of every
+    recipe equals, at full repr precision, the one built a t at a time."""
     marches = []
     real = dm.FrenetPath
     monkeypatch.setattr(dm, "FrenetPath", lambda data, *a, **kw:
                         marches.append(data.frame0.shape[-1]) or real(data, *a, **kw))
-    fam = dm.deform_theorem_A(d217, rotated_scaled_217())
-    batched = dm.certify(fam, "generic_swallowtail", steps=21)
-    assert marches == [19]
+    recipes = _recipes(d217, dplus)
+    assert [s.name for s in recipes[4][1].stages] == [       # Lemmas S686a and S686b
+        "0:b-scale", "1:strip-tangential-1", "2:xi-interpolation", "3:restore-tangential-2",
+        "4:b-to-generic-reversed"]
+    for name, fam, predicate, steps, sign in recipes:
+        marches.clear()
+        batched = dm.certify(fam, predicate, steps=steps, track_kext_sign=sign)
+        if name == "Theorem A":
+            assert marches == [7]
+        assert batched.passed, (name, batched.failures)
+        per_t, failures = _certify_one_t_at_a_time(fam, predicate, steps, sign)
+        assert repr(batched.per_t) == repr(per_t), name
+        assert batched.failures[:len(failures)] == failures, name
 
-    marches.clear()
-    fam = dm.deform_theorem_A(d217, rotated_scaled_217())
 
-    def one_at_a_time(gen):
-        def each(t):
-            data = gen(t)
-            if 0.0 < t < 1.0:                    # march t before the next t is asked for
-                fam.interp.path(t).state(0.0)
-            return data
-        return each
-
-    stage = fam.stages[1]
-    assert stage.name == "xi-interpolation"
-    stage.generator = one_at_a_time(stage.generator)
-    single = dm.certify(fam, "generic_swallowtail", steps=21)
-    assert marches == [1] * 19
-    assert batched.passed
-    assert repr(single.to_dict()) == repr(batched.to_dict())
+def test_classify_batch_through_sigma_g_S_zero():
+    """The b-scale stage takes sigma_g_S through 0 at b = 0: its batch gets,
+    slot by slot, the reports of its germs alone."""
+    d = SwallowtailData(xi=("1", "u", "u^2"), b=("0", "0", "0-0.5"))
+    gen = dm.deform_flip_sigma_S(d).stages[0].generator
+    ts = np.linspace(0.0, 1.0, 21)
+    reps = classify(build(gen(ts)))
+    signs = [r.sigma_g_S for r in reps]
+    assert signs[10] == 0 and signs[0] == -signs[-1] != 0
+    for t, rep in zip(ts, reps):
+        assert repr(rep) == repr(classify(build(gen(float(t)))))
 
 
 def test_xi_interpolation_memo_shared_by_threads():

@@ -1,6 +1,7 @@
 """Classification and invariants on the example corpus."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -453,3 +454,62 @@ def test_corollary_Cprime_planarity(ex217, fplus, fminus):
     img = ex217.fjet(np.linspace(-0.3, 0.3, 9), np.zeros(9), 0)
     z = np.asarray(img[2].value())
     assert np.max(np.abs(z)) < 1e-12
+
+
+# -- batched germs -------------------------------------------------------------
+
+class _Stacked:
+    """Provider whose jets stack those of several providers on a trailing
+    slot axis."""
+
+    def __init__(self, parts):
+        self.parts = parts
+
+    def jet(self, u, v, order, memo=None):
+        return fr.Jet2(order, np.stack([p.jet(u, v, order).c for p in self.parts], axis=-1))
+
+
+def _batch_of(germs):
+    return MapGerm(tuple(_Stacked([g._components[k] for g in germs]) for k in range(3)))
+
+
+# germs that take every branch of classify at the origin or at (0.3, 0)
+_BRANCHES = {
+    "swallowtail": ("u^2+2*v", "u^3+3*u*v", "v^2"),
+    "not a front": ("u^2+2*v", "u^3+3*u*v", "2*u*v^2"),
+    "regular": ("u", "v", "u*v"),
+    "cuspidal edge": ("u", "v^2", "v^3"),
+    "needs admissible coordinates": ("u+v", "(u-v)^2", "(u-v)^3"),
+    "cross cap": ("u", "v^2", "u*v"),
+    "normal not divisible by v": ("u", "v^2", "0.000000003*u*v"),
+    "normal vanishes": ("u", "v^3", "v^4"),
+    "corank 2": ("u^2", "v^2", "u*v"),
+}
+
+
+def _alone(germ, at):
+    try:
+        return repr(classify(germ, at=at))
+    except ValueError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("at", [(0.0, 0.0), (0.3, 0.0)])
+def test_classify_batch_equals_its_slots_alone(at):
+    """A batch whose slots take different branches of classify gets, slot by
+    slot, the report of each germ alone; a batch with slots that raise alone
+    raises the error of the first of them."""
+    germs = {name: MapGerm.from_exprs(e) for name, e in _BRANCHES.items()}
+    alone = {name: _alone(g, at) for name, g in germs.items()}
+    ok = [name for name, r in alone.items() if isinstance(r, str)]
+    raising = [name for name in germs if name not in ok]
+    assert raising and len(ok) > 6
+    reps = classify(_batch_of([germs[n] for n in ok]), at=at)
+    assert len(reps) == len(ok)
+    for name, rep in zip(ok, reps):
+        assert repr(rep) == alone[name], name
+    for order in (ok[:3] + raising + ok[3:], raising[::-1] + ok):
+        first = alone[next(n for n in order if n in raising)]
+        with pytest.raises(type(first), match=re.escape(str(first))):
+            classify(_batch_of([germs[n] for n in order]), at=at)
+    assert repr(classify(_batch_of([germs["swallowtail"]]), at=at)[0]) == alone["swallowtail"]

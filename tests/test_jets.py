@@ -1,6 +1,7 @@
 """Jet engine: parser, coefficient pins, finite-difference cross-validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -367,3 +368,72 @@ def test_poly_u_coeffs_reads_polynomials_in_u():
 def test_sqrt_domain_error():
     with pytest.raises(JetError, match="sqrt"):
         parse("sqrt(u)").jet(-1.0, 0.0, 2)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_batch_axes_align_from_the_left():
+    """A jet with fewer batch axes, or an array multiplying a jet, gets
+    trailing axes of length 1: (15,) meets (15, 21) and (15, 4) meets
+    (15, 4, 3), and every slot is bit for bit the operation on that slot
+    alone (int64 views)."""
+    rng = np.random.default_rng(13)
+    T = 15
+    lone = Jet2(4, rng.standard_normal(T))
+    for shape in ((T, 21), (T, 4, 3)):
+        batch = Jet2(4, rng.standard_normal(shape))
+        batch.c[0] += 3.0
+        small = lone if len(shape) == 2 else Jet2(4, rng.standard_normal((T, shape[1])))
+        ops = (lambda a, b: a + b, lambda a, b: a * b, lambda a, b: a / b, lambda a, b: a - b)
+        for op in ops:
+            for a, b in ((small, batch), (batch, small)):
+                got = op(a, b).c
+                assert got.shape == shape
+                for k in np.ndindex(shape[1:]):
+                    want = op(*(Jet2(4, x.c[(slice(None),) + k[:x.c.ndim - 1]])
+                                for x in (a, b))).c
+                    np.testing.assert_array_equal(_bits(got[(slice(None),) + k]), _bits(want))
+    w = rng.standard_normal(21)
+    for got in ((lone * w).c, (w * lone).c):
+        assert got.shape == (T, 21)
+        for j in range(21):
+            np.testing.assert_array_equal(_bits(got[:, j]), _bits((lone * w[j]).c))
+    grid, w4 = Jet2(4, rng.standard_normal((T, 4, 3))), rng.standard_normal(4)
+    got = (grid * w4).c
+    for i, j in np.ndindex(4, 3):
+        np.testing.assert_array_equal(_bits(got[:, i, j]), _bits((Jet2(4, grid.c[:, i, j]) * w4[i]).c))
+
+
+def test_domain_errors_are_recorded_per_slot():
+    """Inside slot_errors a batch fails slot by slot: the failing slots keep
+    the error they raise alone, the others are bit for bit their lone
+    results.  Outside, for grids and under raising(), the batch raises."""
+    rng = np.random.default_rng(14)
+    num = Jet2(3, rng.standard_normal(10))
+    den = Jet2(3, rng.standard_normal((10, 5)))
+    den.c[0] = [1.0, 0.0, 2.0, -1.0, 0.0]
+    on_axis = Jet2(3, rng.standard_normal((10, 5)))
+    on_axis.c[jets.tables.axis_indices(3)[:, None], [0, 2, 4]] = 0.0
+    cases = ((lambda x: num / x, den, {1, 4}),
+             (jets.jet_sqrt, den, {1, 3, 4}),
+             (lambda x: x.divide_by_v(), on_axis, {1, 3}))
+    for fn, x, bad in cases:
+        with pytest.raises(JetError):
+            fn(x)
+        with jets.slot_errors() as errors:
+            got = fn(x)
+        assert set(errors) == bad
+        for j in range(5):
+            col = Jet2(3, x.c[:, j].copy())
+            if j in bad:
+                with pytest.raises(JetError, match=re.escape(str(errors[j]))):
+                    fn(col)
+            else:
+                np.testing.assert_array_equal(_bits(got.c[:, j]), _bits(fn(col).c))
+        grid = Jet2(3, np.repeat(x.c[:, :, None], 2, axis=2))
+        with jets.slot_errors(), pytest.raises(JetError):
+            fn(grid)
+        with jets.slot_errors(), pytest.raises(JetError):
+            jets.raising(fn, x)

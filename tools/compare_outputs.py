@@ -28,6 +28,10 @@ SPECS = {
                    "q": "0", "r": ["u^2", "0-2*u", "1"], "a": 0.0},
     "fplus2.json": {"kind": "asymptotic-data", "xi": ["1", "u", "2*u^2"],
                     "q": "0", "r": ["u^2", "0-3*u", "1"], "a": 0.0},
+    "fminus.json": {"kind": "asymptotic-data", "xi": ["1", "u", "u^2"],
+                    "q": "0", "r": ["0-u^2", "2*u", "0-1"], "a": 0.0},
+    "flipb.json": {"kind": "swallowtail-data", "xi": ["1", "u", "u^2"],
+                   "b": ["0", "0", "0-0.5"], "a": 0.0},
 }
 
 CALLS = [
@@ -45,6 +49,11 @@ CALLS = [
     # the xi-interpolation marches its 2 and 4 interior t as one batch
     ["deform", "ex217.json", "ex217s.json", "--recipe", "A", "--steps", "4"],
     ["deform", "fplus.json", "fplus2.json", "--recipe", "D", "--steps", "6"],
+    # curvature signs differ: the general route, scaling (q, r) away
+    ["deform", "fplus.json", "fminus.json", "--recipe", "D"],
+    # Prop 2.13: the b-scale and b-to-generic stages around Theorem A
+    ["deform", "ex217.json", "fplus.json", "--recipe", "any"],
+    ["deform", "flipb.json", "fplus.json", "--recipe", "any", "--steps", "6"],
 ]
 
 
