@@ -229,8 +229,10 @@ class Jet2:
         if isinstance(other, Jet2):
             a, b = _align(self, other)
             return Jet2(a.order, _jet_mul(a.c, b.c, a.order))
-        c, w = _lift(self.c, other)
-        return Jet2(self.order, c * w)
+        c = self.c
+        if isinstance(other, np.ndarray):
+            c, other = _lift(c, other)
+        return Jet2(self.order, c * other)
 
     __rmul__ = __mul__
 
@@ -331,12 +333,11 @@ def _lift(c, w):
     """Coefficients c and an array w with their batch axes aligned from the
     left: the one with fewer batch axes (w has no coefficient axis) gets
     trailing axes of length 1."""
-    extra = np.ndim(w) - (c.ndim - 1)
-    if extra > 0:
-        return c.reshape(c.shape + (1,) * extra), w
-    if extra < 0 and np.ndim(w):
-        return c, np.reshape(w, np.shape(w) + (1,) * -extra)
-    return c, w
+    if np.ndim(w) == c.ndim - 1:
+        return c, w
+    if w.ndim > c.ndim - 1:
+        return c.reshape(c.shape + (1,) * (w.ndim - c.ndim + 1)), w
+    return c, w.reshape(w.shape + (1,) * (c.ndim - 1 - w.ndim)) if w.ndim else w
 
 
 def _align(a: Jet2, b: Jet2):
