@@ -6,6 +6,7 @@ import pytest
 from swallowkit import deform as dm
 from swallowkit.builder import (AsymptoticData, SwallowtailData, build,
                                 build_asymptotic, discriminants)
+from swallowkit.fields import Scaled
 from swallowkit.frontal import classify
 
 
@@ -262,6 +263,15 @@ def test_certify_marches_the_interpolation_stage_once(monkeypatch, d217, dplus):
         per_t, failures = _certify_one_t_at_a_time(fam, predicate, steps, sign)
         assert repr(batched.per_t) == repr(per_t), name
         assert batched.failures[:len(failures)] == failures, name
+    # b through 0: the signs flip and t = 0.5 is no swallowtail, so it fails
+    wall = dm.DeformationFamily(recipe="wall", stages=[dm.Stage("b-through-0", lambda t: (
+        SwallowtailData.of(d217.xi, tuple(Scaled(c, 1.0 - 2.0 * t) for c in d217.b))),
+        asymptotic=True)])
+    batched = dm.certify(wall, "generic_swallowtail", steps=11, track_kext_sign=1)
+    per_t, failures = _certify_one_t_at_a_time(wall, "generic_swallowtail", 11, 1)
+    assert not batched.passed and failures
+    assert repr(batched.per_t) == repr(per_t)
+    assert batched.failures[:len(failures)] == failures
 
 
 def test_classify_batch_through_sigma_g_S_zero():
