@@ -39,10 +39,10 @@ as an endpoint field or a float, meets a batched one as if copied into
 every slot, and Scaled and the weights of deform's combinations may be
 arrays over the slots.  The germ checks decide per slot: a domain error
 of the jet arithmetic in classify (over_v, jet_sqrt, a division by a zero
-constant term) fails only its slot, carried as a mask of failed slots
-(jets.slot_errors), and that slot gets the verdict it gets alone.  Inside a
-provider the error still fails the whole call, so no memo keeps a jet with
-failed slots.
+constant term) fails only its slot: jets.slot_errors records the failed
+slots with their errors, not NaN, and each gets the verdict it gets alone.
+Inside a provider the error still fails the whole call, so no memo keeps a
+jet with failed slots.
 """
 
 from __future__ import annotations
