@@ -40,79 +40,85 @@ class CgcError(ValueError):
 # Radial ODE
 # ---------------------------------------------------------------------------
 
-def _ode_rhs(r, y):
-    F, Fp = y
-    return np.array([Fp, -Fp / r - math.sinh(2.0 * F) / 2.0])
+PROFILE_ORDER = 12   # degree of the Taylor polynomial of one profile step
+
+
+def profile_series(r0, F0, Fp0, order):
+    """Taylor coefficients of F about r0, along the first axis, from the
+    equation itself, given F(r0) = F0 and F'(r0) = Fp0; r0 may be an array
+    of radii, one series per slot."""
+    r0 = np.asarray(r0)
+    f = np.zeros((order + 1,) + r0.shape)
+    f[0] = F0
+    if order >= 1:
+        f[1] = Fp0
+    # 1/r series at r0
+    inv_r = np.array([(-1.0) ** k / r0 ** (k + 1) for k in range(order + 1)])
+    for n in range(order - 1):
+        # F'' = -F'/r - sinh(2F)/2, matched degree by degree
+        term1 = p1_mul(p1_derivative(f), inv_r)
+        sh = _sinh_series(2.0 * f, order)
+        rhs = -term1[n] - 0.5 * sh[n]
+        f[n + 2] = rhs / ((n + 2) * (n + 1))
+    return f
+
+
+def _horner(c, t):
+    """(p(t), p'(t)) of p(t) = sum_k c[..., k] t^k by Horner, one coefficient
+    row per slot of t."""
+    p, dp = c[..., -1], 0.0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        dp = dp * t + p
+        p = p * t + c[..., k]
+    return p, dp
 
 
 @dataclass
 class RadialProfile:
-    rs: np.ndarray
-    Fs: np.ndarray
-    Fps: np.ndarray
+    """F by dense output of the Taylor steps: between edges[k] and
+    edges[k + 1], F is the polynomial of coefficient row coeffs[k] in
+    r - starts[k], where the step's start starts[k] is its edge nearer r = 1.
+    A radius on an edge is read from the step below it, and one outside the
+    domain from the end step nearer to it."""
+    edges: np.ndarray    # (steps + 1,), ascending
+    starts: np.ndarray   # (steps,)
+    coeffs: np.ndarray   # (steps, PROFILE_ORDER + 1)
+
+    def _dense(self, r):
+        """(F, F') at r, an array of radii or one."""
+        r = np.asarray(r, dtype=float)
+        k = np.clip(np.searchsorted(self.edges, r) - 1, 0, len(self.starts) - 1)
+        return _horner(self.coeffs[k], r - self.starts[k])
 
     def F(self, r):
-        r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(self.rs, r) - 1, 0, len(self.rs) - 2)
-        h = self.rs[i + 1] - self.rs[i]
-        t = (r - self.rs[i]) / h
-        h00 = (1 + 2 * t) * (1 - t) ** 2
-        h10 = t * (1 - t) ** 2
-        h01 = t * t * (3 - 2 * t)
-        h11 = t * t * (t - 1)
-        return (h00 * self.Fs[i] + h10 * h * self.Fps[i]
-                + h01 * self.Fs[i + 1] + h11 * h * self.Fps[i + 1])
+        return self._dense(r)[0]
 
     def Fp(self, r):
-        r = np.asarray(r, dtype=float)
-        i = np.clip(np.searchsorted(self.rs, r) - 1, 0, len(self.rs) - 2)
-        h = self.rs[i + 1] - self.rs[i]
-        t = (r - self.rs[i]) / h
-        d00 = (6 * t * t - 6 * t) / h
-        d10 = 3 * t * t - 4 * t + 1
-        d01 = (6 * t - 6 * t * t) / h
-        d11 = 3 * t * t - 2 * t
-        return (d00 * self.Fs[i] + d10 * self.Fps[i]
-                + d01 * self.Fs[i + 1] + d11 * self.Fps[i + 1])
+        return self._dense(r)[1]
 
     def series(self, r0, order):
-        """Taylor coefficients of F at r0 from the equation itself, along the
-        first axis; r0 may be an array of radii, one series per slot."""
-        r0 = np.asarray(r0)
-        f = np.zeros((order + 1,) + r0.shape)
-        f[0] = self.F(r0)
-        if order >= 1:
-            f[1] = self.Fp(r0)
-        # 1/r series at r0
-        inv_r = np.array([(-1.0) ** k / r0 ** (k + 1) for k in range(order + 1)])
-        for n in range(order - 1):
-            # F'' = -F'/r - sinh(2F)/2, matched degree by degree
-            term1 = p1_mul(p1_derivative(f), inv_r)
-            sh = _sinh_series(2.0 * f, order)
-            rhs = -term1[n] - 0.5 * sh[n]
-            f[n + 2] = rhs / ((n + 2) * (n + 1))
-        return f
+        """Taylor coefficients of F at r0 (profile_series from the dense
+        output), along the first axis; r0 may be an array of radii."""
+        return profile_series(r0, *self._dense(r0), order)
 
     def jet(self, rjet: Jet2) -> Jet2:
         """F composed with a jet of r (chain rule through the series)."""
         return _apply_series(self.series(rjet.value(), rjet.order), rjet)
 
     def residual(self, r):
-        """Defect of the computed solution against the equation.
+        """Defect of the dense output against the equation at the points of
+        the grid of stride 1e-3 nearest r.
 
-        Evaluated at solver nodes with a node-aligned second difference,
-        so only the solution error enters, not interpolation artifacts.
+        F'' is the 5-point second difference of F sampled on that grid, not
+        read from the series, which satisfies the equation by construction;
+        at this stride the 1/h^2 amplification of roundoff stays near 1e-10.
         """
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        # stride the nodes so the second difference is not roundoff-bound:
-        # at the raw step the 1/h^2 amplification of float noise would
-        # already exceed the solution error being measured
-        s = 10
-        i = np.clip(np.searchsorted(self.rs, r), 2 * s, len(self.rs) - 2 * s - 1)
-        h = self.rs[i + s] - self.rs[i]
-        F2 = (-self.Fs[i + 2 * s] + 16 * self.Fs[i + s] - 30 * self.Fs[i]
-              + 16 * self.Fs[i - s] - self.Fs[i - 2 * s]) / (12 * h ** 2)
-        out = F2 + self.Fps[i] / self.rs[i] + np.sinh(2 * self.Fs[i]) / 2
+        h = 1e-3
+        r = np.round(np.atleast_1d(np.asarray(r, dtype=float)) / h) * h
+        Fm2, Fm1, F1, F2 = (self.F(r + k * h) for k in (-2, -1, 1, 2))
+        F0, Fp0 = self._dense(r)
+        out = ((-F2 + 16 * F1 - 30 * F0 + 16 * Fm1 - Fm2) / (12 * h ** 2)
+               + Fp0 / r + np.sinh(2 * F0) / 2)
         return out if out.size > 1 else float(out[0])
 
 
@@ -125,29 +131,39 @@ def _sinh_series(a, order):
     return p1_compose(coeffs, ahat)
 
 
-def solve_radial_ode(domain=(0.5, 1.6), step=1e-4, blowup=50.0) -> RadialProfile:
-    """RK4 solve of the profile equation from r = 1 in both directions."""
+def solve_radial_ode(domain=(0.5, 1.6), step=0.05, blowup=50.0) -> RadialProfile:
+    """Taylor-series solve of the profile equation from r = 1 out to each end
+    of domain (Jorba & Zou, Exp. Math. 14, 2005): steps of length step, the
+    last of each direction shorter, each the degree-PROFILE_ORDER series of
+    the equation at its start (profile_series).  Each step's polynomial is
+    the dense output between its ends (Hairer, Norsett & Wanner, Solving
+    ODEs I, II.6), and F, F' at its end, which start the next step, are its
+    values there: the dense output is continuous bit for bit at every node,
+    and F(1) = 0, F'(1) = 1 exactly."""
     lo, hi = domain
     if lo <= 0.0:
         raise CgcError("domain must not contain r = 0")
-    nodes = {1.0: (0.0, 1.0)}
 
-    def march(r_end, sign):
-        r, y = 1.0, np.array([0.0, 1.0])
-        while (r_end - r) * sign > 1e-14:
-            h = sign * min(step, abs(r_end - r))
-            y = rk4_step(_ode_rhs, r, y, h)
-            r = r + h
-            if abs(y[0]) > blowup:
-                raise CgcError(f"profile blow-up at r = {r}")
-            nodes[round(r, 12)] = (y[0], y[1])
+    def march(end, sign):
+        """(start, end, coefficient row) of each step from 1 out to end."""
+        out, r, F0, Fp0 = [], 1.0, 0.0, 1.0
+        # the slack keeps a span of a whole number of steps, up to rounding,
+        # from ending in a sliver step
+        n = math.ceil((end - 1.0) * sign / step - 1e-9)
+        for k in range(1, n + 1):
+            r1 = end if k == n else 1.0 + sign * k * step
+            c = profile_series(r, F0, Fp0, PROFILE_ORDER)
+            F0, Fp0 = _horner(c, r1 - r)
+            if abs(F0) > blowup:
+                raise CgcError(f"profile blow-up at r = {r1}")
+            out.append((r, r1, c))
+            r = r1
+        return out
 
-    march(hi, +1.0)
-    march(lo, -1.0)
-    rs = np.array(sorted(nodes))
-    Fs = np.array([nodes[r][0] for r in rs])
-    Fps = np.array([nodes[r][1] for r in rs])
-    return RadialProfile(rs=rs, Fs=Fs, Fps=Fps)
+    steps = march(lo, -1.0)[::-1] + march(hi, 1.0)
+    edges = [min(a, b) for a, b, _ in steps] + [max(steps[-1][:2])]
+    return RadialProfile(edges=np.array(edges), starts=np.array([s[0] for s in steps]),
+                         coeffs=np.array([s[2] for s in steps]))
 
 
 # ---------------------------------------------------------------------------

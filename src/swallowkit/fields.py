@@ -4,8 +4,9 @@ Anything with a .jet(u, v, order) method can serve as a germ component or
 a data field; expressions are the parseable case, these wrappers cover
 derivatives, pullbacks, primitives of u*g(u) by a fixed Gauss-Legendre rule
 and ad-hoc formulas.  The package's two numeric rules live here too: every
-integral is gauss_legendre and every ODE (Frenet frames, the radial profile,
-the frame equations of the cgc surface) is marched by rk4_step.
+integral is gauss_legendre, and the Frenet frames and the frame equations of
+the cgc surface are marched by rk4_step (the cgc radial profile steps by its
+own Taylor series instead, see cgc.solve_radial_ode).
 
 The constructions every germ gamma + v xi + v^2 b is written in are shared
 from here as well: cusp_frame gives the jets of the moving frame

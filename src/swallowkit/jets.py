@@ -430,16 +430,16 @@ def compose2(gc, order_g, U: Jet2, V: Jet2) -> Jet2:
     upow = [Jet2.constant(1.0, order, shape)]
     for i in range(1, min(order, order_g) + 1):
         upow.append(upow[-1] * Uh)
+    # one zero test of every coefficient row, over its batch axes; NaN is nonzero
+    nonzero = (gc != 0.0).reshape(len(gc), -1).any(axis=1).tolist()
     for (i, j) in tables.monomials(order_g):
-        g = gc[tables.index_of(i, j)]
-        if np.all(g == 0.0):
+        k = tables.index_of(i, j)
+        if i > order or not nonzero[k]:
             continue
-        term = upow[i] if i <= order else None
-        if term is None:
-            continue
+        term = upow[i]
         for _ in range(j):
             term = term * Vh
-        out = out + term * g
+        out = out + term * gc[k]
     return out
 
 

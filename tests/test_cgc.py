@@ -44,27 +44,56 @@ def test_profile_taylor_at_1(profile):
 
 
 def test_profile_residual(profile):
+    """The dense output sampled on the grid of stride 1e-3 and differenced
+    by a 5-point stencil satisfies the equation: the series is never read."""
     rs = np.linspace(0.6, 1.5, 200)
     assert np.max(np.abs(profile.residual(rs))) < 1e-8
 
 
-def test_profile_step_halving():
-    p1 = cgc.solve_radial_ode(domain=(0.8, 1.2), step=2e-4)
-    p2 = cgc.solve_radial_ode(domain=(0.8, 1.2), step=1e-4)
-    rs = np.linspace(0.82, 1.18, 50)
-    assert np.max(np.abs(p1.F(rs) - p2.F(rs))) < 1e-9
+def _rk4_profile(end, h=1e-4):
+    """(r, F, F') at the nodes of an RK4 march of the profile equation, step
+    h, from r = 1 out to end."""
+    def rhs(r, y):
+        return np.array([y[1], -y[1] / r - math.sinh(2.0 * y[0]) / 2.0])
+    sign = math.copysign(1.0, end - 1.0)
+    y, out = np.array([0.0, 1.0]), []
+    for k in range(round(abs(end - 1.0) / h)):
+        y = rk4_step(rhs, 1.0 + sign * k * h, y, sign * h)
+        out.append((1.0 + sign * (k + 1) * h, *y))
+    return np.array(out)
 
 
-def test_profile_convergence_order():
-    """Observed order of the solver is essentially 4."""
-    ref = cgc.solve_radial_ode(domain=(0.9, 1.1), step=2.5e-5)
-    errs = []
-    for step in (4e-3, 2e-3, 1e-3):
-        p = cgc.solve_radial_ode(domain=(0.9, 1.1), step=step)
-        errs.append(np.max(np.abs(p.F(np.linspace(0.92, 1.08, 21))
-                                  - ref.F(np.linspace(0.92, 1.08, 21)))))
-    order = np.log2(errs[0] / errs[1])
-    assert order > 3.8
+def test_profile_agrees_with_an_rk4_march(profile):
+    """F and F' of the dense output, at 200 nodes of an RK4 march at
+    h = 1e-4 over the whole domain, agree with it to 1e-12."""
+    ref = np.concatenate([_rk4_profile(0.5)[::-1], _rk4_profile(1.6)])
+    ref = ref[np.linspace(0, len(ref) - 1, 200).round().astype(int)]
+    assert ref[0, 0] == pytest.approx(0.5) and ref[-1, 0] == pytest.approx(1.6)
+    assert np.max(np.abs(profile.F(ref[:, 0]) - ref[:, 1])) <= 1e-12
+    assert np.max(np.abs(profile.Fp(ref[:, 0]) - ref[:, 2])) <= 1e-12
+
+
+def test_profile_step_halving(profile):
+    """Halving the Taylor step (0.05 -> 0.025) moves F by at most 1e-13."""
+    half = cgc.solve_radial_ode(step=0.025)
+    rs = np.linspace(0.5, 1.6, 1101)
+    assert np.max(np.abs(profile.F(rs) - half.F(rs))) <= 1e-13
+
+
+def test_profile_dense_output(profile):
+    """At every step node F and F' are, bit for bit, the values the march
+    carried into the next step (its first two coefficients); an array of
+    radii gives the bits of the scalar calls; the default domain takes at
+    most 25 steps."""
+    assert len(profile.starts) <= 25
+    assert profile.edges[0] == 0.5 and profile.edges[-1] == 1.6
+    for k, r in enumerate(profile.starts):
+        assert profile.F(r).view(np.int64) == profile.coeffs[k, 0].view(np.int64), r
+        assert profile.Fp(r).view(np.int64) == profile.coeffs[k, 1].view(np.int64), r
+    rs = np.concatenate([profile.edges, np.linspace(0.45, 1.65, 241)]).reshape(3, -1)
+    for fn in (profile.F, profile.Fp):
+        scalar = np.array([fn(float(r)) for r in rs.ravel()]).reshape(rs.shape)
+        assert np.array_equal(fn(rs).view(np.int64), scalar.view(np.int64))
 
 
 def test_profile_domain_guard():

@@ -406,6 +406,54 @@ def test_batch_axes_align_from_the_left():
         np.testing.assert_array_equal(_bits(got[:, i, j]), _bits((Jet2(4, grid.c[:, i, j]) * w4[i]).c))
 
 
+def _compose2_per_monomial(gc, order_g, U, V):
+    """compose2 as it tested each monomial's coefficient on its own."""
+    order = min(U.order, V.order)
+    Uh = Jet2(order, U.truncate(order).c.copy())
+    Vh = Jet2(order, V.truncate(order).c.copy())
+    Uh.c[0] = np.zeros_like(Uh.c[0])
+    Vh.c[0] = np.zeros_like(Vh.c[0])
+    shape = np.broadcast_shapes(Uh.c.shape[1:], Vh.c.shape[1:])
+    out = Jet2.constant(0.0, order, shape)
+    upow = [Jet2.constant(1.0, order, shape)]
+    for i in range(1, min(order, order_g) + 1):
+        upow.append(upow[-1] * Uh)
+    for (i, j) in monomials(order_g):
+        g = gc[index_of(i, j)]
+        if np.all(g == 0.0) or i > order:
+            continue
+        term = upow[i]
+        for _ in range(j):
+            term = term * Vh
+        out = out + term * g
+    return out
+
+
+def test_compose2_skips_the_terms_the_per_monomial_test_skipped():
+    """compose2's one zero test per call skips the same terms as a test per
+    monomial: lone and batched, with rows of 0.0 and -0.0 (skipped), rows
+    zero in some slots only and rows holding NaN (kept); int64 views."""
+    rng = np.random.default_rng(15)
+    for order_g, order in ((4, 4), (5, 3), (3, 6)):
+        T = (order_g + 1) * (order_g + 2) // 2
+        for batch in ((), (7,), (3, 4)):
+            gc = rng.standard_normal((T,) + batch)
+            gc[1] = 0.0
+            gc[3] = -0.0
+            if batch:
+                gc[4][(0,) * len(batch)] = 0.0
+                gc[5][(1,) * len(batch)] = np.nan
+            else:
+                gc[5] = np.nan
+            terms = (order + 1) * (order + 2) // 2
+            U = Jet2(order, rng.standard_normal(terms))
+            V = Jet2(order, rng.standard_normal((terms,) + batch[:1]))
+            got = jets.compose2(gc, order_g, U, V).c
+            want = _compose2_per_monomial(gc, order_g, U, V).c
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+
+
 def test_domain_errors_are_recorded_per_slot():
     """Inside slot_errors a batch fails slot by slot: the failing slots keep
     the error they raise alone, the others are bit for bit their lone

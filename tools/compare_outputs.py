@@ -7,6 +7,9 @@ fresh working directory per checkout that holds the same input specs, so the
 output paths that a command prints are the same on both sides.  For every
 call the script prints the exit code and the sha256 of its stdout and of every
 file it wrote, base and head side by side, and exits 1 if any of them differ.
+Under an output that differs it also prints how many of its lines and of the
+numbers in them differ, and the largest absolute and relative difference
+between those numbers, matched by their position in the line.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -57,12 +61,42 @@ CALLS = [
 ]
 
 
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
+
+
 def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def numeric_diff(a: bytes, b: bytes):
+    """(lines that differ, numbers that differ in them, largest absolute and
+    largest relative difference between those numbers) of two texts; a line
+    missing on one side counts as differing, and a line whose count of
+    numbers differs enters only the line count.  NaN or inf against a number
+    differs by inf."""
+    la, lb = a.splitlines(), b.splitlines()
+    lines, numbers, dabs, drel = abs(len(la) - len(lb)), 0, 0.0, 0.0
+    for x, y in zip(la, lb):
+        if x == y:
+            continue
+        lines += 1
+        nx, ny = NUMBER.findall(x), NUMBER.findall(y)
+        if len(nx) != len(ny):
+            continue
+        for p, q in zip(map(float, nx), map(float, ny)):
+            if p == q or (p != p and q != q):
+                continue
+            d = abs(p - q)
+            rel = d / max(abs(p), abs(q))
+            if d != d or rel != rel:   # NaN or inf against a number
+                d = rel = float("inf")
+            numbers += 1
+            dabs, drel = max(dabs, d), max(drel, rel)
+    return lines, numbers, dabs, drel
+
+
 def _run_all(root):
-    """{call index: {"exit", "stdout", file name: sha256}} for one checkout."""
+    """{call index: {"exit", "stdout", file name: contents}} for one checkout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
     results = []
     with tempfile.TemporaryDirectory() as work:
@@ -73,10 +107,10 @@ def _run_all(root):
             before = set(os.listdir(work))
             out = subprocess.run([sys.executable, "-m", "swallowkit.cli", *argv],
                                  cwd=work, env=env, capture_output=True, timeout=600)
-            res = {"exit": str(out.returncode), "stdout": _sha(out.stdout)}
+            res = {"exit": str(out.returncode).encode(), "stdout": out.stdout}
             for name in sorted(set(os.listdir(work)) - before):
                 with open(os.path.join(work, name), "rb") as fh:
-                    res[name] = _sha(fh.read())
+                    res[name] = fh.read()
                 os.remove(os.path.join(work, name))
             results.append(res)
     return results
@@ -93,10 +127,15 @@ def main(argv=None) -> int:
     for argv_, b, h in zip(CALLS, base, head):
         print("swallowkit " + " ".join(argv_))
         for key in sorted(set(b) | set(h), key=lambda k: (k not in ("exit", "stdout"), k)):
-            bv, hv = b.get(key, "-"), h.get(key, "-")
-            mark = "same" if bv == hv else "DIFFERS"
+            bv, hv = b.get(key), h.get(key)
+            bs, hs = ("-" if v is None else v.decode() if key == "exit" else _sha(v)[:16]
+                      for v in (bv, hv))
+            print(f"  {key:<14} {bs:<16} {hs:<16} {'same' if bv == hv else 'DIFFERS'}")
             differ += bv != hv
-            print(f"  {key:<14} {bv[:16]:<16} {hv[:16]:<16} {mark}")
+            if bv != hv and bv is not None and hv is not None and key != "exit":
+                lines, numbers, dabs, drel = numeric_diff(bv, hv)
+                print(f"  {'':<14} {lines} line(s) and {numbers} number(s) differ, largest "
+                      f"difference {dabs:.3g} absolute, {drel:.3g} relative")
     print(f"{differ} difference(s)")
     return 1 if differ else 0
 
