@@ -161,6 +161,8 @@ def solve_radial_ode(domain=(0.5, 1.6), step=0.05, blowup=50.0) -> RadialProfile
         return out
 
     steps = march(lo, -1.0)[::-1] + march(hi, 1.0)
+    if not steps:
+        raise CgcError(f"domain {domain} takes no step from r = 1")
     edges = [min(a, b) for a, b, _ in steps] + [max(steps[-1][:2])]
     return RadialProfile(edges=np.array(edges), starts=np.array([s[0] for s in steps]),
                          coeffs=np.array([s[2] for s in steps]))

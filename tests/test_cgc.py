@@ -99,6 +99,9 @@ def test_profile_dense_output(profile):
 def test_profile_domain_guard():
     with pytest.raises(cgc.CgcError, match="r = 0"):
         cgc.solve_radial_ode(domain=(-0.1, 1.2))
+    for domain in ((1.0, 1.0), (1.6, 0.5)):
+        with pytest.raises(cgc.CgcError, match="no step"):
+            cgc.solve_radial_ode(domain=domain)
 
 
 def test_sinh_gordon_identity(omega):
