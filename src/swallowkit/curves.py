@@ -130,8 +130,15 @@ class HalfArclength:
     t(u) is one vectorized Newton iteration on phi(t) = u^2/2, seeded by
     interpolating the table and clamped to the side of sign(u); a scalar u
     goes through it as a one-element array.  Every method taking u or t
-    also takes an array of them (one jet per point).  t(u) and the jets are
-    memoised in BoundedCaches; an array is keyed by its bytes.
+    also takes an array of them (one jet per point).
+
+    The jet of t(u) at u0 is the series reversion (jets.p1_invert) of
+    u(t0 + s) - u0, whose coefficient k comes from the first k of that
+    series only.  So every jet here is truncation-exact: asked at order
+    N + 1 and cut to N, it holds the bits of the call at N, and the
+    BoundedCaches that memoise t(u) and the jets (an array keyed by its
+    bytes) answer a lower order from a higher one with the bits of a
+    direct call.
     """
 
     T, PANELS = 1.5, 750          # half-width of the table and panels per side
@@ -260,9 +267,9 @@ class HalfArclength:
         """Jet2 (u-only) of t(u) at u0."""
         def compute():
             t0 = self.t_of_u(u0)
-            us = self._u_series(t0, order + 1)
+            us = self._u_series(t0, max(order, 1))  # order 0 keeps the domain checks
             us[0] = 0.0                            # shift: series of u(t0+s) - u0
-            tser = p1_invert(us[: order + 2])
+            tser = p1_invert(us)
             out = Jet2.constant(t0, order, np.shape(t0))
             for i in range(1, order + 1):
                 out.c[index_of(i, 0)] = tser[i]
@@ -386,9 +393,11 @@ class FrenetPath:
     the columns, so a column marches bit for bit as it would alone.  The
     providers serve the rest, for all columns at once: the fractional step
     of state() off the grid and the series jets.
-    The Taylor series at a point are memoised per (u, order) for the whole
-    batch: every column, and the three components of its xi and cusp-curve
-    providers, read the same series."""
+    The Taylor series at a point are memoised per u for the whole batch,
+    computed one order above the first request (see series): every column,
+    and the three components of its xi and cusp-curve providers, read the
+    same series, and the pair of orders (N, N + 1) that the cusp frame asks
+    at a point makes one series."""
 
     def __init__(self, data: FrenetData, kappa_tau_at, interval=(-1.0, 1.0),
                  gamma0=(0.0, 0.0, 0.0)):
@@ -449,8 +458,19 @@ class FrenetPath:
 
     def series(self, u0, order):
         """Taylor series of (T, N, B, Gamma, int u T) at u0 from the Frenet
-        relations, each (order + 1, 3, n); shared arrays, never written into."""
-        return self._series.value((float(u0), order), lambda: self._series_at(u0, order))
+        relations, each (order + 1, 3, n); shared arrays, never written into.
+
+        Memoised per u0, one order up: a miss computes order + 1, since the
+        cusp frame reads the series one order above the field and the curve
+        (requests come as (N, N + 1) pairs), and a lower order is a slice of
+        what is stored.  The recurrence and the kappa/tau providers are
+        truncation-exact, so a slice holds the bits of a direct call."""
+        key = float(u0)
+        out = self._series.jets(key, order)
+        if out is None:
+            self._series.put_jets(key, order + 1, self._series_at(key, order + 1))
+            out = self._series.jets(key, order)
+        return out
 
     def series_jets(self, u0, order, which):
         """Coefficients (3, term_count(order), n) of the u-only jets at u0 of

@@ -283,7 +283,11 @@ class XiInterpolation:
     the fractional steps off the grid, at scalar u, with a trailing t axis;
     the endpoint (kappa, tau) jets behind them do not depend on t, so they
     come from one memoised provider per endpoint field, shared by every
-    batch.
+    batch.  A batch computes its series at a point one order above the
+    first request, so the orders (N, N + 1) that the cusp frame asks there
+    make one series and one (kappa, tau) call per endpoint field; that call
+    fills the endpoint unit-field memos to order N + 3, and the slots t = 0
+    and t = 1 read them by exact truncation.
     """
 
     def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):

@@ -128,18 +128,25 @@ def over_v(g, v, tol=1e-9):
 
 
 def _truncate(out, order):
-    return tuple(c.truncate(order) for c in out) if isinstance(out, tuple) \
-        else out.truncate(order)
+    """A jet, a series array (coefficients along its first axis) or a tuple
+    of them, cut to the given order."""
+    if isinstance(out, tuple):
+        return tuple(_truncate(c, order) for c in out)
+    return out[: order + 1] if isinstance(out, np.ndarray) else out.truncate(order)
 
 
 class BoundedCache:
     """The one cache policy of the providers: a dict cleared, whole, once it
     holds more than CACHE_BOUND entries.
 
-    value() memoises a plain value per key.  put_jets() stores a jet, or a
-    tuple of jets, computed at some order; jets() answers that order and
-    every lower one by truncation, which is exact because a Taylor
-    coefficient of degree k depends only on coefficients of degree <= k.
+    value() memoises a plain value per key.  put_jets() stores a jet, a
+    series array or a tuple of them, computed at some order; jets() answers
+    that order and every lower one by truncation.  That is exact: a Taylor
+    coefficient of degree k depends only on coefficients of degree <= k, and
+    the providers compute it by the same steps whatever the order asked
+    (the series reversion included), so a truncated entry holds the bits of
+    a direct call at the lower order; tests/test_deform.py checks this along
+    the half-arclength chain and the Frenet series.
     A racing thread at worst recomputes an entry.
     """
 

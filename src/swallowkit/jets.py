@@ -486,19 +486,37 @@ def p1_derivative(a):
 
 
 def p1_invert(f):
-    """Series reversion: g with f(g(y)) = y + O(y^n); needs f[0]=0, f[1]!=0."""
+    """Series reversion: g with f(g(y)) = y + O(y^n); needs f[0]=0, f[1]!=0.
+
+    Direct reversion (Brent & Kung, J. ACM 25, 1978): with pw[j, k] the
+    coefficient of y^k in g^j, the coefficient k >= 2 of f(g) = y reads
+    g_k = -(sum_{j=2..k} f_j pw[j, k]) / f_1, and pw[j, k] =
+    sum_{i=1..k-1} g_i pw[j-1, k-i] needs g_1 .. g_{k-1} only.  The table
+    is filled one column k at a time, by the same steps whatever n is, so
+    the reversion is truncation-exact: p1_invert(f[:m]) equals
+    p1_invert(f)[:m] bit for bit.  Every sum is a chain of elementwise adds
+    in a fixed order, so each column of a batch is its 1-D call bit for bit.
+    """
     n = len(f)
     if np.any(f[0] != 0.0):
         raise JetError("series reversion requires zero constant term")
     if np.any(f[1] == 0.0):
         raise JetError("series not invertible: vanishing linear term")
-    fp = p1_derivative(f)
-    g = np.zeros_like(f)
+    g = np.zeros(np.shape(f))
     g[1] = 1.0 / f[1]
-    for _ in range(max(1, math.ceil(math.log2(max(n, 2))) + 1)):
-        err = p1_compose(f, g)
-        err[1] -= 1.0
-        g = g - p1_div(err, p1_compose(fp, g))
+    pw = np.zeros((n,) + np.shape(f))
+    pw[1, 1] = g[1]
+    for k in range(2, n):
+        # column k of the powers j = 2..k, from the rows 1..k-1 of earlier columns
+        acc = g[1] * pw[1:k, k - 1]
+        for i in range(2, k):
+            acc = acc + g[i] * pw[1:k, k - i]
+        pw[2:k + 1, k] = acc
+        s = f[2] * pw[2, k]
+        for j in range(3, k + 1):
+            s = s + f[j] * pw[j, k]
+        g[k] = -s / f[1]
+        pw[1, k] = g[k]
     return g
 
 

@@ -96,8 +96,9 @@ def _helix_interp():
 
 
 def test_xi_interpolation_shares_endpoint_jets(monkeypatch):
-    """Off-node endpoint (kappa, tau) jets are computed once and reused by
-    every t; the reused jets equal those of a fresh interpolation."""
+    """Off-node endpoint (kappa, tau) jets are computed once, one order up,
+    and reused by every t and by the next order; the reused jets equal
+    those of a fresh interpolation."""
     from swallowkit.fields import vjet
     interp = _helix_interp()
     fresh_interp = _helix_interp()
@@ -110,15 +111,78 @@ def test_xi_interpolation_shares_endpoint_jets(monkeypatch):
 
     monkeypatch.setattr(dm, "curvature_torsion_of", counting)
     u, order = 0.0123, 3                        # off the kappa/tau table nodes
-    vjet(interp.xi_t(0.3), u, 0.0, order)
-    assert (u, order) in calls
+    xi_03 = interp.xi_t(0.3)
+    vjet(xi_03, u, 0.0, order)
+    assert (u, order + 1) in calls and (u, order) not in calls
     n_first = len(calls)
+    vjet(xi_03, u, 0.0, order + 1)              # the cusp frame's read, one order up
+    assert len(calls) == n_first
     cached = vjet(interp.xi_t(0.7), u, 0.0, order)
     assert len(calls) == n_first
     fresh = vjet(fresh_interp.xi_t(0.7), u, 0.0, order)
     assert len(calls) > n_first
     for a, b in zip(cached, fresh):
         np.testing.assert_array_equal(a.c, b.c)
+
+
+def _fresh_unit_xi(xi=("2", "3*u", "0"), b=("0", "0", "1")):
+    """Half-arclength normalization of the flipped data, with empty memos."""
+    from swallowkit.builder import flip_data
+    return dm._UnitXiData(flip_data(SwallowtailData(xi=xi, b=b)))
+
+
+# off every table node; -0.071168 at orders 2 and 6 and -0.0125 at order 6
+# were not truncation-exact under a Newton series reversion
+_TRUNCATION_POINTS = (-0.071168, -0.0125, 0.0, 0.0123, 0.2)
+
+
+def _assert_truncation_exact(read, orders=range(11)):
+    """read(order) gives, on fresh objects, a list over the points of lists
+    of jets or series arrays; the result at order N + 1 cut to N is the
+    result at N bit for bit."""
+    def cut(x, n):
+        return x[: n + 1] if isinstance(x, np.ndarray) else x.truncate(n).c
+
+    def raw(x):
+        return x if isinstance(x, np.ndarray) else x.c
+    got = {n: read(n) for n in range(orders[0], orders[-1] + 2)}
+    for n in orders:
+        for u, lo, hi in zip(_TRUNCATION_POINTS, got[n], got[n + 1]):
+            for a, b in zip(lo, hi):
+                assert np.array_equal(_bits(cut(b, n)), _bits(raw(a))), (u, n)
+
+
+def test_half_arclength_chain_is_truncation_exact():
+    """t(u), the unit field, the speed and the (kappa, tau) of the unit
+    field: each asked at order N + 1 and cut to N equals the call at N, on
+    fresh objects for each side, for N = 0 to 10."""
+    from swallowkit.curves import curvature_torsion_of
+    from swallowkit.fields import pjet
+    readers = {
+        "t_jet": lambda n, u, o: [n.H.t_jet(u, o)],
+        "xi_hat_jets": lambda n, u, o: list(n.H.xi_hat_jets(u, o)),
+        "speed": lambda n, u, o: [pjet(n.speed, u, 0.0, o)],
+        "curvature_torsion_of": lambda n, u, o: list(curvature_torsion_of(n.xi, u, o)),
+    }
+    for name, r in readers.items():
+        def read(o, r=r):
+            n = _fresh_unit_xi()
+            return [r(n, u, o) for u in _TRUNCATION_POINTS]
+        _assert_truncation_exact(read)
+
+
+def test_frenet_series_is_truncation_exact():
+    """The Frenet series of an interpolation batch between two non-planar
+    unit fields, at order N + 1 cut to N, is the series at N bit for bit,
+    on a fresh interpolation for each side."""
+    c, s = np.cos(0.4), np.sin(0.4)
+
+    def read(o):
+        e1 = _fresh_unit_xi(("1", "u", "u^2"), ("0", "0", "0.25"))
+        e2 = _fresh_unit_xi((f"{c} - {s}*u", f"{s} + {c}*u", "1.5*u^2"), ("0", "0", "0.3"))
+        path = dm.XiInterpolation(e1.xi, e2.xi).march([0.3, 0.6])
+        return [path.series(u, o) for u in _TRUNCATION_POINTS]
+    _assert_truncation_exact(read)
 
 
 def test_xi_interpolation_path_marches_on_the_tables(monkeypatch):
@@ -425,13 +489,25 @@ def test_lemma_3_7_rejects_degenerate():
                                            r=("0", "0", "0")))
 
 
-def test_theorem_D_positive_pair(dplus):
+def test_theorem_D_positive_pair(dplus, monkeypatch):
+    """The certificate passes, and each batch of the xi-interpolation
+    computes its Frenet series once per point for each pair of orders
+    (N, N + 1) asked there: never twice at one order, one run for every
+    two orders asked."""
+    from swallowkit.curves import FrenetPath
+    real_at, real_series, computed, asked = FrenetPath._series_at, FrenetPath.series, [], set()
+    monkeypatch.setattr(FrenetPath, "_series_at", lambda self, u0, order: (
+        computed.append((id(self), u0, order)) or real_at(self, u0, order)))
+    monkeypatch.setattr(FrenetPath, "series", lambda self, u0, order: (
+        asked.add((id(self), float(u0), order)) or real_series(self, u0, order)))
     d2 = rotated_asym(0.4, "0.05", 2.0)
     fam = dm.deform_theorem_D(dplus, d2, preserve_sign=True)
     cert = dm.certify(fam, "asymptotic_swallowtail", steps=9,
                       track_kext_sign=fam.kext_sign)
     assert fam.kext_sign == 1
     assert cert.passed, cert.failures
+    assert computed and len(set(computed)) == len(computed)
+    assert set(computed) <= asked and 2 * len(computed) == len(asked)
 
 
 def test_theorem_D_negative_pair():

@@ -247,8 +247,26 @@ def test_grid_evaluation_matches_pointwise():
             assert jg.coeff(1, 1)[i, j] == pytest.approx(js.coeff(1, 1), abs=1e-14)
 
 
+def _newton_invert(f):
+    """Series reversion by Newton steps on f(g) = y, doubling the correct
+    coefficients each step: a reference for p1_invert."""
+    fp = jets.p1_derivative(f)
+    g = np.zeros_like(f)
+    g[1] = 1.0 / f[1]
+    for _ in range(max(1, math.ceil(math.log2(max(len(f), 2))) + 1)):
+        err = jets.p1_compose(f, g)
+        err[1] -= 1.0
+        g = g - jets.p1_div(err, jets.p1_compose(fp, g))
+    return g
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 def test_series_helpers_batch_matches_columns():
-    """p1_* with a trailing batch axis equal the 1-D calls column by column."""
+    """p1_* with a trailing batch axis equal the 1-D calls column by column;
+    the reversion bit for bit, and within 1e-13 of Newton's."""
     rng = np.random.default_rng(7)
     a, b = rng.uniform(0.5, 1.5, (9, 5)), rng.uniform(0.5, 1.5, (9, 5))
     f = a.copy()
@@ -258,12 +276,25 @@ def test_series_helpers_batch_matches_columns():
     for k in range(5):
         cols = {"mul": jets.p1_mul(a[:, k], b[:, k]), "div": jets.p1_div(a[:, k], b[:, k]),
                 "compose": jets.p1_compose(a[:, k], f[:, k]), "invert": jets.p1_invert(f[:, k])}
+        np.testing.assert_array_equal(_bits(batched["invert"][:, k]), _bits(cols.pop("invert")))
         for name, col in cols.items():
             np.testing.assert_allclose(batched[name][:, k], col, rtol=1e-12, err_msg=name)
     # the reversion inverts: f(g(y)) = y
     y = np.zeros_like(f)
     y[1] = 1.0
     np.testing.assert_allclose(jets.p1_compose(f, batched["invert"]), y, atol=1e-10)
+    np.testing.assert_allclose(batched["invert"], _newton_invert(f), rtol=1e-13, atol=0.0)
+
+
+def test_series_reversion_is_truncation_exact():
+    """The reversion of the first m coefficients is the first m of the
+    whole reversion, bit for bit, for a lone series and for a batch."""
+    rng = np.random.default_rng(19)
+    f = rng.uniform(-1.5, 1.5, (13, 4))
+    f[0] = 0.0
+    for g, ff in ((jets.p1_invert(f), f), (jets.p1_invert(f[:, 2]), f[:, 2])):
+        for m in range(2, 13):
+            np.testing.assert_array_equal(_bits(jets.p1_invert(ff[:m])), _bits(g[:m]))
 
 
 def _naive_mul(a, b, order):

@@ -36,6 +36,7 @@ SPECS = {
                     "q": "0", "r": ["0-u^2", "2*u", "0-1"], "a": 0.0},
     "flipb.json": {"kind": "swallowtail-data", "xi": ["1", "u", "u^2"],
                    "b": ["0", "0", "0-0.5"], "a": 0.0},
+    "cusp3.json": {"kind": "curve", "gamma": ["u^2/2", "u^3/3", "u^4/4"]},
 }
 
 CALLS = [
@@ -48,6 +49,9 @@ CALLS = [
     ["classify", "ex217.json", "--at", "0.05,0.03"],
     ["build", "ex217.json"],
     ["frenet", "--kappa", "1+u^2", "--tau", "0.5*sin(u)", "--out", "curve.csv"],
+    # the half-arclength chain (t(u) by series reversion) outside a certificate
+    ["cusp", "normalize", "cusp3.json"],
+    ["cusp", "classify", "cusp3.json"],
     ["deform", "ex217.json", "ex217s.json", "--recipe", "A"],
     ["deform", "fplus.json", "fplus2.json", "--recipe", "D"],
     # the xi-interpolation marches its 2 and 4 interior t as one batch
