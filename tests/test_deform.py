@@ -136,17 +136,17 @@ def _fresh_unit_xi(xi=("2", "3*u", "0"), b=("0", "0", "1")):
 _TRUNCATION_POINTS = (-0.071168, -0.0125, 0.0, 0.0123, 0.2)
 
 
-def _assert_truncation_exact(read, orders=range(11)):
+def _assert_truncation_exact(read):
     """read(order) gives, on fresh objects, a list over the points of lists
-    of jets or series arrays; the result at order N + 1 cut to N is the
-    result at N bit for bit."""
+    of jets or series arrays; for N = 0 to 10 the result at order N + 1
+    cut to N is the result at N bit for bit."""
     def cut(x, n):
         return x[: n + 1] if isinstance(x, np.ndarray) else x.truncate(n).c
 
     def raw(x):
         return x if isinstance(x, np.ndarray) else x.c
-    got = {n: read(n) for n in range(orders[0], orders[-1] + 2)}
-    for n in orders:
+    got = [read(n) for n in range(12)]
+    for n in range(11):
         for u, lo, hi in zip(_TRUNCATION_POINTS, got[n], got[n + 1]):
             for a, b in zip(lo, hi):
                 assert np.array_equal(_bits(cut(b, n)), _bits(raw(a))), (u, n)
@@ -164,7 +164,7 @@ def test_half_arclength_chain_is_truncation_exact():
         "speed": lambda n, u, o: [pjet(n.speed, u, 0.0, o)],
         "curvature_torsion_of": lambda n, u, o: list(curvature_torsion_of(n.xi, u, o)),
     }
-    for name, r in readers.items():
+    for r in readers.values():
         def read(o, r=r):
             n = _fresh_unit_xi()
             return [r(n, u, o) for u in _TRUNCATION_POINTS]
