@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jettables import index_of, monomials
-from .fields import BoundedCache, JetFn, rk4_abscissae, rk4_step
+from .fields import BoundedCache, DenseOutput, JetFn, horner, rk4_abscissae, rk4_step, step_ends
 from .frontal import MapGerm
 from .jets import (Jet2, _apply_series, jet_cosh, jet_exp, jet_sinh, jet_sqrt, p1_compose,
                    p1_derivative, p1_mul)
@@ -63,43 +63,20 @@ def profile_series(r0, F0, Fp0, order):
     return f
 
 
-def _horner(c, t):
-    """(p(t), p'(t)) of p(t) = sum_k c[..., k] t^k by Horner, one coefficient
-    row per slot of t."""
-    p, dp = c[..., -1], 0.0
-    for k in range(c.shape[-1] - 2, -1, -1):
-        dp = dp * t + p
-        p = p * t + c[..., k]
-    return p, dp
-
-
-@dataclass
-class RadialProfile:
-    """F by dense output of the Taylor steps: between edges[k] and
-    edges[k + 1], F is the polynomial of coefficient row coeffs[k] in
-    r - starts[k], where the step's start starts[k] is its edge nearer r = 1.
-    A radius on an edge is read from the step below it, and one outside the
-    domain from the end step nearer to it."""
-    edges: np.ndarray    # (steps + 1,), ascending
-    starts: np.ndarray   # (steps,)
-    coeffs: np.ndarray   # (steps, PROFILE_ORDER + 1)
-
-    def _dense(self, r):
-        """(F, F') at r, an array of radii or one."""
-        r = np.asarray(r, dtype=float)
-        k = np.clip(np.searchsorted(self.edges, r) - 1, 0, len(self.starts) - 1)
-        return _horner(self.coeffs[k], r - self.starts[k])
+class RadialProfile(DenseOutput):
+    """F by the dense output of the Taylor steps of solve_radial_ode: the
+    coefficient rows are those of F in r - start, and at returns (F, F')."""
 
     def F(self, r):
-        return self._dense(r)[0]
+        return self.at(r)[0]
 
     def Fp(self, r):
-        return self._dense(r)[1]
+        return self.at(r)[1]
 
     def series(self, r0, order):
         """Taylor coefficients of F at r0 (profile_series from the dense
         output), along the first axis; r0 may be an array of radii."""
-        return profile_series(r0, *self._dense(r0), order)
+        return profile_series(r0, *self.at(r0), order)
 
     def jet(self, rjet: Jet2) -> Jet2:
         """F composed with a jet of r (chain rule through the series)."""
@@ -116,7 +93,7 @@ class RadialProfile:
         h = 1e-3
         r = np.round(np.atleast_1d(np.asarray(r, dtype=float)) / h) * h
         Fm2, Fm1, F1, F2 = (self.F(r + k * h) for k in (-2, -1, 1, 2))
-        F0, Fp0 = self._dense(r)
+        F0, Fp0 = self.at(r)
         out = ((-F2 + 16 * F1 - 30 * F0 + 16 * Fm1 - Fm2) / (12 * h ** 2)
                + Fp0 / r + np.sinh(2 * F0) / 2)
         return out if out.size > 1 else float(out[0])
@@ -147,25 +124,19 @@ def solve_radial_ode(domain=(0.5, 1.6), step=0.05, blowup=50.0) -> RadialProfile
     def march(end, sign):
         """(start, end, coefficient row) of each step from 1 out to end."""
         out, r, F0, Fp0 = [], 1.0, 0.0, 1.0
-        # the slack keeps a span of a whole number of steps, up to rounding,
-        # from ending in a sliver step
-        n = math.ceil((end - 1.0) * sign / step - 1e-9)
-        for k in range(1, n + 1):
-            r1 = end if k == n else 1.0 + sign * k * step
+        for r1 in step_ends(1.0, end, sign * step):
             c = profile_series(r, F0, Fp0, PROFILE_ORDER)
-            F0, Fp0 = _horner(c, r1 - r)
+            F0, Fp0 = horner(c, r1 - r)
             if abs(F0) > blowup:
                 raise CgcError(f"profile blow-up at r = {r1}")
             out.append((r, r1, c))
             r = r1
         return out
 
-    steps = march(lo, -1.0)[::-1] + march(hi, 1.0)
-    if not steps:
+    marches = march(lo, -1.0), march(hi, 1.0)
+    if not any(marches):
         raise CgcError(f"domain {domain} takes no step from r = 1")
-    edges = [min(a, b) for a, b, _ in steps] + [max(steps[-1][:2])]
-    return RadialProfile(edges=np.array(edges), starts=np.array([s[0] for s in steps]),
-                         coeffs=np.array([s[2] for s in steps]))
+    return RadialProfile.of_marches(marches)
 
 
 # ---------------------------------------------------------------------------

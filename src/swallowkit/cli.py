@@ -226,6 +226,8 @@ def cmd_frenet(args):
     a, b = _numbers(args.interval, 2, "--interval a,b")
     if not (args.step > 0 and math.isfinite(args.step)):
         raise gs.SpecError(f"--step must be a positive number, got {args.step}")
+    if args.samples < 1:
+        raise gs.SpecError(f"--samples must be an integer >= 1, got {args.samples}")
     fd = cv.FrenetData(kappa=args.kappa, tau=args.tau, step=args.step)
     path = cv.integrate_frenet(fd, interval=(a, b))
     rows = []
@@ -303,7 +305,7 @@ def main(argv=None):
     q.add_argument("--kappa", required=True)
     q.add_argument("--tau", required=True)
     q.add_argument("--interval", default="-1,1")
-    q.add_argument("--step", type=float, default=1e-3)
+    q.add_argument("--step", type=float, default=0.025)
     q.add_argument("--samples", type=int, default=41)
     q.add_argument("--out")
     q.set_defaults(fn=cmd_frenet)

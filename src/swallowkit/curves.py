@@ -10,13 +10,12 @@ handedness.  Both are parametrization-invariant.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fields import (BoundedCache, FlipU, JetFn, Scaled, components, gauss_legendre, over_u,
-                     pjet, rk4_abscissae, rk4_step, vjet, xi_frame)
+from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components,
+                     gauss_legendre, horner, over_u, pjet, step_ends, vjet, xi_frame)
 from .frontal import sgn
 from ._jettables import index_of, term_count
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
@@ -325,12 +324,16 @@ def normalize_half_arclength(curve: CurveGerm):
 # Frenet integration: curve from curvature and torsion
 # ---------------------------------------------------------------------------
 
+FRENET_ORDER = 8    # degree of the Taylor polynomial of one Frenet step
+KAPPA_CHECK = 5e-4  # spacing of the grid on which kappa > 0 and finite tau are checked
+
+
 @dataclass
 class FrenetData:
     kappa: object
     tau: object
     frame0: np.ndarray = field(default_factory=lambda: np.eye(3))
-    step: float = 1e-3
+    step: float = 0.025
 
     def __post_init__(self):
         if isinstance(self.kappa, str):
@@ -340,35 +343,27 @@ class FrenetData:
         self.frame0 = np.asarray(self.frame0, dtype=float)
 
 
-def _frenet_rhs(u, Y, k, t):
-    """d/du of (T, N, B, Gamma, int u T) where the curvature is k and the
-    torsion t; Y is (15, n) with a column per path, k and t are (n,)."""
-    T, N, B = Y[0:3], Y[3:6], Y[6:9]
-    dT = k * N
-    dN = -k * T + t * B
-    dB = -t * N
-    dG = T
-    dG2 = u * T          # primitive of u xi(u): the cusp curve
-    return np.concatenate([dT, dN, dB, dG, dG2])
-
-
-def _kappa_tau(data, u):
-    """Values of the kappa and tau providers of data at u, a scalar or an array."""
-    return pjet(data.kappa, u, 0.0, 0).value(), pjet(data.tau, u, 0.0, 0).value()
-
-
-def _gram_schmidt(Y):
-    """Re-orthonormalize the frame of every column of Y.  The dot products
-    and norms go through np.vecdot along axis 0, which matched np.dot and
-    np.linalg.norm of each lone 3-vector on 50,000 random columns; a sum
-    over axis 0 or norm(axis=0) differs on about a third and a tenth."""
-    T, N, B = Y[0:3].copy(), Y[3:6].copy(), Y[6:9].copy()
-    T /= np.sqrt(np.vecdot(T, T, axis=0))
-    N -= np.vecdot(N, T, axis=0) * T
-    N /= np.sqrt(np.vecdot(N, N, axis=0))
-    B -= np.vecdot(B, T, axis=0) * T + np.vecdot(B, N, axis=0) * N
-    B /= np.sqrt(np.vecdot(B, B, axis=0))
-    return np.concatenate([T, N, B, Y[9:]])
+def _frenet_series(Y, kser, tser, u0, order):
+    """Taylor coefficients (order + 1, 15, ...) at u0 of the state
+    (T, N, B, Gamma, int u T) from the Frenet relations, given the state Y
+    (15, ...) at u0 and the series of kappa and tau there, each with at
+    least order rows (a row per degree, a column per path)."""
+    S = np.zeros((order + 1,) + Y.shape)
+    S[0] = Y
+    T, N, B, G, G2 = (S[:, k:k + 3] for k in range(0, 15, 3))
+    for n in range(order):
+        conv_kN = sum(kser[m] * N[n - m] for m in range(n + 1))
+        conv_kT = sum(kser[m] * T[n - m] for m in range(n + 1))
+        conv_tB = sum(tser[m] * B[n - m] for m in range(n + 1))
+        conv_tN = sum(tser[m] * N[n - m] for m in range(n + 1))
+        T[n + 1] = conv_kN / (n + 1)
+        N[n + 1] = (-conv_kT + conv_tB) / (n + 1)
+        B[n + 1] = -conv_tN / (n + 1)
+        G[n + 1] = T[n] / (n + 1)
+        # d/du (int u T) = u T: coefficients u0 T_n + T_{n-1}
+        ut = u0 * T[n] + (T[n - 1] if n >= 1 else 0.0)
+        G2[n + 1] = ut / (n + 1)
+    return S
 
 
 class FrenetPath:
@@ -378,83 +373,72 @@ class FrenetPath:
     The paths share the interval and the step; each has its own kappa, tau
     and initial frame.  A state is an array (15, n) of (T, N, B, Gamma,
     int u T), data.frame0 is (3, 3, n), and the jets of the providers
-    data.kappa and data.tau carry a trailing axis of n.  A lone path is a
-    batch of one, with frame0 (3, 3) and unbatched jets; FrenetColumn reads
-    one column as a path.
+    data.kappa and data.tau carry a trailing axis of n after the axes of
+    their point.  A lone path is a batch of one, with frame0 (3, 3) and
+    unbatched jets; FrenetColumn reads one column as a path.
 
-    The march goes from 0 to each end of the interval by fixed RK4 steps of
-    data.step (the last one shorter), re-orthonormalizing the frames after
-    each.  Its steps are listed first; kappa_tau_at(x) then gives kappa and
-    tau, as arrays (len(x), n), at every abscissa x the march reads (the
-    start, midpoint and end of each step, each once) in one call; kappa > 0
-    and the finiteness of kappa and tau are checked once over the whole
-    table, and an error names the first bad abscissa.  The right-hand side
-    reads the table's row at its abscissa.  Every step is elementwise across
-    the columns, so a column marches bit for bit as it would alone.  The
-    providers serve the rest, for all columns at once: the fractional step
-    of state() off the grid and the series jets.
-    The Taylor series at a point are memoised per u for the whole batch,
+    The paths are stepped by their own Taylor series (Jorba & Zou, Exp.
+    Math. 14, 2005): from 0 out to each end of the interval by steps of
+    data.step (fields.step_ends, the last one shorter), each the
+    degree-FRENET_ORDER series of the Frenet relations at its start
+    (_frenet_series).  The kappa and tau series at all the step starts come
+    from one array call of each provider.  state(u) is the polynomial of
+    the step that holds u (fields.DenseOutput), continuous bit for bit at
+    every node.  Before the march, kappa > 0 and the finiteness of kappa and
+    tau are checked on a grid of spacing KAPPA_CHECK, both ends included,
+    by one order-0 array call of each provider; it is scanned from 0 out to
+    the right end and then to the left one, and an error names the first
+    bad abscissa.  Every step is elementwise across the columns, so a
+    column steps bit for bit as it would alone.
+    The Taylor series at any point are memoised per u for the whole batch,
     computed one order above the first request (see series): every column,
     and the three components of its xi and cusp-curve providers, read the
     same series, and the pair of orders (N, N + 1) that the cusp frame asks
     at a point makes one series."""
 
-    def __init__(self, data: FrenetData, kappa_tau_at, interval=(-1.0, 1.0),
-                 gamma0=(0.0, 0.0, 0.0)):
+    def __init__(self, data: FrenetData, interval=(-1.0, 1.0)):
         self.data = data
         self.interval = interval
         a, b = interval
         if not (a <= 0.0 <= b):
             raise CurveError("integration interval must contain 0")
+        h = data.step
+        ends = step_ends(0.0, a, -h), step_ends(0.0, b, h)
+        if not any(ends):
+            raise CurveError(f"integration interval {interval} takes no step from u = 0")
+        self._check_kappa_tau(a, b)
         frame0 = data.frame0 if data.frame0.ndim == 3 else data.frame0[..., None]
         self.n = n = frame0.shape[2]
-        h = data.step
+        # the step starts, each once: 0 starts both marches
+        starts = {u: k for k, u in enumerate([0.0] + ends[0][:-1] + ends[1][:-1])}
+        kser, tser = self._kappa_tau_series(np.array(list(starts)), FRENET_ORDER - 1)
+        Y0 = np.concatenate([frame0[0], frame0[1], frame0[2], np.zeros((6, n))])
         marches = []
-        for sign, end in ((1.0, b), (-1.0, a)):
-            u, steps = 0.0, []
-            for _ in range(int(math.ceil(abs(end) / h))):
-                steps.append((u, sign * min(h, abs(end) - abs(u))))
-                u = u + steps[-1][1]
-            marches.append(steps)
-        xs = rk4_abscissae([step for steps in marches for step in steps])
-        k, t = (np.reshape(v, (len(xs), -1)) for v in kappa_tau_at(np.array(xs)))
+        for side in ends:
+            out, u, Y = [], 0.0, Y0
+            for u1 in side:
+                k = starts[u]
+                c = np.moveaxis(_frenet_series(Y, kser[:, k], tser[:, k], u, FRENET_ORDER), 0, -1)
+                Y = horner(c, u1 - u)[0]
+                out.append((u, u1, c))
+                u = u1
+            marches.append(out)
+        self.dense = DenseOutput.of_marches(marches)
+        self._series = BoundedCache()
+
+    def _check_kappa_tau(self, a, b):
+        grid = np.array([0.0] + step_ends(0.0, b, KAPPA_CHECK) + step_ends(0.0, a, -KAPPA_CHECK))
+        k, t = (np.reshape(pjet(p, grid, 0.0, 0).value(), (len(grid), -1))
+                for p in (self.data.kappa, self.data.tau))
         bad = ~((k > 0.0) & np.isfinite(k) & np.isfinite(t))
         if bad.any():
             i, j = np.argwhere(bad)[0]
             why = "<= 0" if k[i, j] <= 0.0 else f"and tau = {t[i, j]}: not finite"
-            raise CurveError(f"kappa({xs[i]}) = {k[i, j]} {why} on the integration interval")
-        table = dict(zip(xs, zip(k, t)))
-
-        def rhs(x, Y):
-            return _frenet_rhs(x, Y, *table[x])
-
-        Y0 = np.concatenate([frame0[0], frame0[1], frame0[2],
-                             np.repeat(np.asarray(gamma0, dtype=float)[:, None], n, axis=1),
-                             np.zeros((3, n))])
-        self._nodes = {0.0: Y0}
-        for steps in marches:
-            Y = Y0
-            for u, s in steps:
-                Y = _gram_schmidt(rk4_step(rhs, u, Y, s))
-                self._nodes[round(u + s, 12)] = Y
-        self.us = np.array(sorted(self._nodes))
-        self._series = BoundedCache()
+            raise CurveError(f"kappa({grid[i]}) = {k[i, j]} {why} on the integration interval")
 
     def state(self, u):
-        """Frames and curves (15, n) at u, integrating a fractional step from the grid."""
-        key = round(u, 12)
-        if key in self._nodes:
-            return self._nodes[key]
-        idx = np.searchsorted(self.us, u)
-        candidates = []
-        if idx < len(self.us):
-            candidates.append(self.us[idx])
-        if idx > 0:
-            candidates.append(self.us[idx - 1])
-        base = min(candidates, key=lambda x: abs(x - u))
-        Y = rk4_step(lambda x, YY: _frenet_rhs(x, YY, *_kappa_tau(self.data, x)),
-                     base, self._nodes[round(base, 12)], u - base)
-        return _gram_schmidt(Y)
+        """Frames and curves (15, n) at u, from the polynomial of its step."""
+        return self.dense.at(u)[0]
 
     def series(self, u0, order):
         """Taylor series of (T, N, B, Gamma, int u T) at u0 from the Frenet
@@ -481,26 +465,17 @@ class FrenetPath:
             self.series(u0, order)[which], 0, 1)
         return c
 
+    def _kappa_tau_series(self, u, order):
+        """Taylor coefficients of kappa and tau at u, a point or an array of
+        them: a row per degree up to order, then the axes of u and a column
+        per path."""
+        rows = [index_of(i, 0) for i in range(order + 1)]
+        return tuple(pjet(p, u, 0.0, order).c[rows].reshape((order + 1,) + np.shape(u) + (-1,))
+                     for p in (self.data.kappa, self.data.tau))
+
     def _series_at(self, u0, order):
-        Y = self.state(u0)
-        idx = [index_of(i, 0) for i in range(order + 1)]
-        kser, tser = (pjet(p, u0, 0.0, order).c[idx].reshape(order + 1, -1)
-                      for p in (self.data.kappa, self.data.tau))
-        T, N, B, G, G2 = np.zeros((5, order + 1) + Y[0:3].shape)
-        T[0], N[0], B[0], G[0], G2[0] = Y[0:3], Y[3:6], Y[6:9], Y[9:12], Y[12:15]
-        for n in range(order):
-            conv_kN = sum(kser[m] * N[n - m] for m in range(n + 1))
-            conv_kT = sum(kser[m] * T[n - m] for m in range(n + 1))
-            conv_tB = sum(tser[m] * B[n - m] for m in range(n + 1))
-            conv_tN = sum(tser[m] * N[n - m] for m in range(n + 1))
-            T[n + 1] = conv_kN / (n + 1)
-            N[n + 1] = (-conv_kT + conv_tB) / (n + 1)
-            B[n + 1] = -conv_tN / (n + 1)
-            G[n + 1] = T[n] / (n + 1)
-            # d/du (int u T) = u T: coefficients u0 T_n + T_{n-1}
-            ut = u0 * T[n] + (T[n - 1] if n >= 1 else 0.0)
-            G2[n + 1] = ut / (n + 1)
-        return T, N, B, G, G2
+        S = _frenet_series(self.state(u0), *self._kappa_tau_series(u0, order), u0, order)
+        return tuple(S[:, k:k + 3] for k in range(0, 15, 3))
 
 
 class FrenetColumn:
@@ -544,14 +519,10 @@ class FrenetColumn:
         return self._providers(4)
 
 
-def integrate_frenet(data: FrenetData, interval=(-1.0, 1.0), gamma0=(0.0, 0.0, 0.0)) -> FrenetColumn:
+def integrate_frenet(data: FrenetData, interval=(-1.0, 1.0)) -> FrenetColumn:
     """Curve with prescribed curvature (positive) and torsion, unit speed:
-    the one column of a batch of one.
-
-    kappa and tau at every abscissa of the march come from one array call
-    of each provider; kappa > 0 is checked once, over those values."""
-    path = FrenetPath(data, lambda x: _kappa_tau(data, x), interval, gamma0)
-    return FrenetColumn(path, 0)
+    the one column of a batch of one (see FrenetPath)."""
+    return FrenetColumn(FrenetPath(data, interval), 0)
 
 
 def curvature_torsion_of(xi, u, order=3):

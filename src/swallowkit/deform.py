@@ -27,7 +27,7 @@ from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discr
 from ._jettables import term_count
 from .curves import (CurveGerm, FrenetColumn, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of)
-from .fields import JetFn, Scaled, components, cusp_frame, pjet, vjet, xi_frame
+from .fields import BoundedCache, JetFn, Scaled, components, cusp_frame, pjet, vjet, xi_frame
 from .frontal import sgn
 from .jets import Jet2, compose2, parse
 from .metric import det3, dot
@@ -226,9 +226,21 @@ def _combine(*weighted):
 # The xi-interpolation stage shared by Theorems A and D
 # ---------------------------------------------------------------------------
 
-def _kappa_tau_provider(xi):
-    """Provider of the (kappa, tau) jets of a unit field, as a pair."""
-    return JetFn(lambda u, v, order: curvature_torsion_of(xi, u, order))
+class _KappaTau:
+    """Provider of the (kappa, tau) jets of a unit field, as a pair, memoised
+    per point: a float u, or an array of them keyed by its bytes, so that
+    the kappa and the tau providers of a batch share every call."""
+
+    def __init__(self, xi):
+        self.xi = xi
+        self._memo = BoundedCache()
+
+    def jet(self, u, v, order, memo=None):
+        key = float(u) if np.ndim(u) == 0 else (np.shape(u), np.asarray(u, dtype=float).tobytes())
+        out = self._memo.jets(key, order)
+        if out is None:
+            out = self._memo.put_jets(key, order, curvature_torsion_of(self.xi, u, order))
+        return out
 
 
 def _initial_frame(xi):
@@ -266,87 +278,62 @@ class XiInterpolation:
     curves are reproduced exactly: path(0) and path(1) integrate the
     endpoint fields themselves.
 
-    march(ts) integrates the paths of several t as one FrenetPath, with a
-    column per t, each column bit for bit the path marched alone.
-    fields(t) at the array of a stage's t marches its interior t so, right
-    away; its providers read the batch's series, one per point for all
+    march(ts) integrates the paths of several t as one FrenetPath on
+    INTERVAL, with a column per t, each column bit for bit the path marched
+    alone.  fields(t) at the array of a stage's t marches its interior t so,
+    right away; its providers read the batch's series, one per point for all
     columns, and the slots t = 0 and t = 1 are the endpoint providers,
     spliced in.
 
-    The values of kappa and tau of both endpoint fields at every point the
-    fixed-step RK4 march reads (the half-step grid) are tabulated once per
-    family, by one array-valued curvature_torsion_of call per endpoint
-    field, and these tables feed every march: a batch reads its kappa and
-    tau there as an array with a column per t, each abscissa indexed once
-    into the grid, and FrenetPath checks kappa > 0 once over them.  The
-    kappa and tau providers of a batch serve the rest, the series jets and
-    the fractional steps off the grid, at scalar u, with a trailing t axis;
-    the endpoint (kappa, tau) jets behind them do not depend on t, so they
-    come from one memoised provider per endpoint field, shared by every
-    batch.  A batch computes its series at a point one order above the
-    first request, so the orders (N, N + 1) that the cusp frame asks there
-    make one series and one (kappa, tau) call per endpoint field; that call
+    The kappa and tau providers of a batch take a float u or an array of
+    them, with the t axis after the axes of u.  The endpoint (kappa, tau)
+    jets behind them do not depend on t, so they come from one memoised
+    provider per endpoint field, shared by every batch: the march's check
+    grid and its step starts make one array call per endpoint field each.
+    A batch computes its series at a point one order above the first
+    request, so the orders (N, N + 1) that the cusp frame asks there make
+    one series and one (kappa, tau) call per endpoint field; that call
     fills the endpoint unit-field memos to order N + 3, and the slots t = 0
     and t = 1 read them by exact truncation.
     """
 
-    def __init__(self, xi1, xi2, interval=(-0.3, 0.3), step=2e-3, gammas=(None, None)):
+    INTERVAL = (-0.3, 0.3)
+
+    def __init__(self, xi1, xi2, gammas=(None, None)):
         self.xi = (xi1, xi2)
         self.gammas = gammas
-        self.interval = interval
-        self.step = step
         R1, R2 = (_initial_frame(xi) for xi in self.xi)
         self.w = _rotation_log(R1.T @ R2)
         self.R1 = R1
-        self.kt = tuple(_kappa_tau_provider(xi) for xi in self.xi)
-        # kappa/tau value tables at half-step resolution (every point the
-        # fixed-step RK4 integrator touches)
-        n = int(round((interval[1] - interval[0]) / (step / 2.0))) + 1
-        self.unodes = np.linspace(interval[0], interval[1], n)
-        self.ktab = np.zeros((2, n))
-        self.k2ttab = np.zeros((2, n))
-        for i, xi in enumerate(self.xi):
-            k, tau = curvature_torsion_of(xi, self.unodes, 0)
-            self.ktab[i] = k.value()
-            self.k2ttab[i] = k.value() * k.value() * tau.value()
+        self.kt = tuple(_KappaTau(xi) for xi in self.xi)
 
     def kappa_tau(self, t):
-        """Providers of kappa and tau of the paths at the array t: jets
-        with a trailing t axis."""
+        """Providers of kappa and tau of the paths at the array t: jets with
+        a t axis after the axes of the point u (batch axes align from the
+        left)."""
         kt1, kt2 = self.kt
 
         def endpoints(u, order):
-            return (*kt1.jet(u, 0.0, order), *kt2.jet(u, 0.0, order))
+            w = np.reshape(t, (1,) * np.ndim(u) + np.shape(t))
+            return (*kt1.jet(u, 0.0, order), *kt2.jet(u, 0.0, order), w)
 
         def kfn(u, v, order):
-            k1, _, k2, _ = endpoints(u, order)
-            return k1 * (1.0 - t) + k2 * t
+            k1, _, k2, _, w = endpoints(u, order)
+            return k1 * (1.0 - w) + k2 * w
 
         def tfn(u, v, order):
-            k1, t1, k2, t2 = endpoints(u, order)
-            kt = k1 * (1.0 - t) + k2 * t
-            num = k1 * (1.0 - t) * k1 * t1 + k2 * t * k2 * t2
+            k1, t1, k2, t2, w = endpoints(u, order)
+            kt = k1 * (1.0 - w) + k2 * w
+            num = k1 * (1.0 - w) * k1 * t1 + k2 * w * k2 * t2
             return num / (kt * kt)
 
         return JetFn(kfn), JetFn(tfn)
 
-    def tabulated(self, t, x):
-        """kappa and tau of the paths at the array t at the nodes x, read from
-        the tables: arrays (len(x), len(t))."""
-        unodes = self.unodes
-        j = np.rint((x - unodes[0]) / (unodes[1] - unodes[0])).astype(int)
-        k1, k2 = self.ktab[:, j, None]
-        m1, m2 = self.k2ttab[:, j, None]
-        k = (1.0 - t) * k1 + t * k2
-        return k, ((1.0 - t) * m1 + t * m2) / (k * k)
-
     def march(self, ts):
         """One FrenetPath with a column per t of the sequence ts."""
         frame0 = np.stack([self.R1 @ _rotation_exp(t * self.w) for t in ts], axis=-1)
-        ts = np.array(ts)
-        kp, tp = self.kappa_tau(ts)
-        fd = FrenetData(kappa=kp, tau=tp, frame0=frame0, step=self.step)
-        return FrenetPath(fd, lambda x: self.tabulated(ts, x), interval=self.interval)
+        kp, tp = self.kappa_tau(np.array(ts))
+        return FrenetPath(FrenetData(kappa=kp, tau=tp, frame0=frame0), interval=self.INTERVAL)
 
     def path(self, t) -> FrenetColumn:
         """The path at the float t, marched alone: a batch of one."""

@@ -3,10 +3,12 @@
 Anything with a .jet(u, v, order) method can serve as a germ component or
 a data field; expressions are the parseable case, these wrappers cover
 derivatives, pullbacks, primitives of u*g(u) by a fixed Gauss-Legendre rule
-and ad-hoc formulas.  The package's two numeric rules live here too: every
-integral is gauss_legendre, and the Frenet frames and the frame equations of
-the cgc surface are marched by rk4_step (the cgc radial profile steps by its
-own Taylor series instead, see cgc.solve_radial_ode).
+and ad-hoc formulas.  The package's numeric rules live here too: every
+integral is gauss_legendre; the cgc radial profile and the Frenet paths are
+stepped by their own Taylor series, each module with its own recurrence, on
+the steps of step_ends, and read between the nodes from the step's
+polynomial (DenseOutput, by horner); the frame equations of the cgc surface
+are marched by rk4_step.
 
 The constructions every germ gamma + v xi + v^2 b is written in are shared
 from here as well: cusp_frame gives the jets of the moving frame
@@ -47,6 +49,9 @@ jet with failed slots.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -96,6 +101,56 @@ def rk4_abscissae(steps):
     the order it first reads them: x, x + h/2 and x + h, by its own float
     expressions, so a table keyed by them answers every one of its reads."""
     return list(dict.fromkeys(a for x, h in steps for a in (x, x + h / 2, x + h)))
+
+
+def step_ends(x0, end, h):
+    """Ends of the steps of length |h| from x0 toward end, h signed by the
+    direction, the last one shorter and ending at end exactly; none when
+    end is not beyond x0 in that direction.  The slack keeps a span of a
+    whole number of steps, up to rounding, from ending in a sliver step."""
+    n = math.ceil((end - x0) / h - 1e-9)
+    return [end if k == n else x0 + k * h for k in range(1, n + 1)]
+
+
+def horner(c, t):
+    """(p(t), p'(t)) of p(t) = sum_k c[..., k] t^k by Horner, one coefficient
+    row per slot of t."""
+    p, dp = c[..., -1], 0.0
+    for k in range(c.shape[-1] - 2, -1, -1):
+        dp = dp * t + p
+        p = p * t + c[..., k]
+    return p, dp
+
+
+@dataclass
+class DenseOutput:
+    """Dense output of Taylor steps (Hairer, Norsett & Wanner, Solving ODEs I,
+    II.6): between edges[k] and edges[k + 1] the solution is the polynomial
+    of coefficient rows coeffs[k] (the coefficient along the last axis) in
+    x - starts[k], where the step's start starts[k] is its edge nearer the
+    initial point.  A step's end value, which starts the next step, is its
+    polynomial there by horner, so the output is continuous bit for bit at
+    every node.  A point on an edge is read from the step below it, and one
+    outside the steps from the end step nearer to it."""
+    edges: np.ndarray    # (steps + 1,), ascending
+    starts: np.ndarray   # (steps,)
+    coeffs: np.ndarray   # (steps, ..., order + 1)
+
+    @classmethod
+    def of_marches(cls, marches):
+        """From the (start, end, coefficient rows) of the steps of two
+        marches out of one initial point, the one toward lower x first."""
+        steps = marches[0][::-1] + marches[1]
+        return cls(edges=np.array([min(a, b) for a, b, _ in steps] + [max(steps[-1][:2])]),
+                   starts=np.array([s[0] for s in steps]),
+                   coeffs=np.array([s[2] for s in steps]))
+
+    def at(self, x):
+        """(value, derivative) at x: one point, or an array of them when the
+        coefficient rows have one axis."""
+        x = np.asarray(x, dtype=float)
+        k = np.clip(np.searchsorted(self.edges, x) - 1, 0, len(self.starts) - 1)
+        return horner(self.coeffs[k], x - self.starts[k])
 
 
 def over_u(gp, u):

@@ -347,6 +347,32 @@ def test_frenet_rejects_non_finite_kappa_or_tau(capsys, tmp_path, kappa, tau):
     assert not out.exists()
 
 
+def test_frenet_rejects_a_kappa_dip_inside_a_step(capsys):
+    """kappa < 0 only on (0.519, 0.521), shorter than one Taylor step."""
+    code = main(["frenet", "--kappa", "(u-0.52)^2-0.000001", "--tau", "1"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("domain error: kappa(0.519") and "<= 0" in err
+
+
+def test_frenet_zero_length_interval_is_a_domain_error(capsys):
+    code = main(["frenet", "--kappa", "1", "--tau", "1", "--interval=0,0"])
+    assert code == 3
+    assert capsys.readouterr().err == (
+        "domain error: integration interval (0.0, 0.0) takes no step from u = 0\n")
+
+
+@pytest.mark.parametrize("samples", ["0", "-1", "1.5", "x"])
+def test_frenet_samples_must_be_a_positive_integer(capsys, samples):
+    argv = ["frenet", "--kappa", "1", "--tau", "1", "--samples", samples]
+    try:
+        code = main(argv)
+    except SystemExit as exc:          # not an integer: argparse's own exit
+        code = exc.code
+    assert code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_cgc_command(capsys, tmp_path):
     code, out = run(capsys, "cgc", "--grid", "41,41",
                     "--window=-0.3,0.3,0.8,1.2",

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from swallowkit.curves import (CurveError, CurveGerm, FrenetData, classify_cusp,
+from swallowkit.curves import (CurveError, CurveGerm, FrenetData, FrenetPath, classify_cusp,
                                curvature_torsion_of, factor_cusp, integrate_frenet,
                                mirror_properties, normalize_half_arclength)
-from swallowkit.fields import pjet, xi_frame
+from swallowkit.deform import XiInterpolation
+from swallowkit.fields import horner, pjet, rk4_step, xi_frame
 from swallowkit.jets import Jet2, compose2, parse
 
 
@@ -154,27 +155,90 @@ def test_frenet_requires_positive_curvature():
         integrate_frenet(FrenetData(kappa="u", tau="0"), interval=(-1, 1))
 
 
+class _Columns:
+    """Provider whose jets carry a trailing axis with a slot per expression."""
+
+    def __init__(self, *texts):
+        self.exprs = [parse(e) for e in texts]
+
+    def jet(self, u, v, order, memo=None):
+        return Jet2(order, np.stack([e.jet(u, v, order).c for e in self.exprs], axis=-1))
+
+
 def test_frenet_batch_rejects_nonpositive_kappa_in_any_column():
     """kappa <= 0 in one column of a batch raises the error of that path
     marched alone, naming the first bad abscissa."""
-    from swallowkit.curves import FrenetPath
     with pytest.raises(CurveError) as alone:
         integrate_frenet(FrenetData(kappa="0.5-u", tau="0"), interval=(-1, 1))
     assert "<= 0 on the integration interval" in str(alone.value)
 
-    def kappa_tau_at(x):
-        return np.stack([1.0 + 0 * x, 0.5 - x, 2.0 + 0 * x], axis=1), np.zeros((len(x), 3))
-
-    batch = FrenetData(kappa="1", tau="0", frame0=np.repeat(np.eye(3)[..., None], 3, axis=2))
+    batch = FrenetData(kappa=_Columns("1", "0.5-u", "2"), tau="0",
+                       frame0=np.repeat(np.eye(3)[..., None], 3, axis=2))
     with pytest.raises(CurveError) as err:
-        FrenetPath(batch, kappa_tau_at, interval=(-1, 1))
+        FrenetPath(batch, interval=(-1, 1))
     assert str(err.value) == str(alone.value)
 
 
-def test_frenet_march_reads_one_array_call_of_each_provider():
-    """kappa and tau at every abscissa of the march come from one array
-    call of each provider, each abscissa once; the march itself calls
-    neither."""
+def _rk4_at_nodes(path, h=1e-3):
+    """The state of path at each node of its Taylor march, by a classical
+    RK4 march of the Frenet equations from 0 with step h (all of them
+    multiples of h), kappa and tau read at every abscissa from one array
+    call of each provider."""
+    a, b = path.interval
+    out = {0.0: path.state(0.0)}
+    for end, sign in ((b, 1.0), (a, -1.0)):
+        m = round(abs(end) / h)
+        xs = sign * 0.5 * h * np.arange(2 * m + 1)
+        k, t = (np.reshape(pjet(p, xs, 0.0, 0).value(), (len(xs), -1))
+                for p in (path.data.kappa, path.data.tau))
+
+        def rhs(x, Y):
+            i = round(2 * abs(x) / h)
+            T, N, B = Y[0:3], Y[3:6], Y[6:9]
+            return np.concatenate([k[i] * N, -k[i] * T + t[i] * B, -t[i] * N, T, x * T])
+        Y = out[0.0]
+        for j in range(m):
+            Y = rk4_step(rhs, sign * j * h, Y, sign * h)
+            out[round(sign * (j + 1) * h, 9)] = Y
+    return [(x, out[round(x, 9)]) for x in path.dense.edges]
+
+
+def _helix_path():
+    return XiInterpolation(tuple(parse(c) for c in ("0.8*cos(u)", "0.8*sin(u)", "0.6")),
+                           tuple(parse(c) for c in ("0.6*cos(u)", "0.6*sin(u)", "0.8"))
+                           ).march([0.2, 0.5, 0.9])
+
+
+def test_frenet_taylor_march_agrees_with_an_rk4_march():
+    """Every node of the Taylor march (order 8, step 0.025) agrees with an
+    RK4 march of step 1e-3 to 1e-10, for the helix interpolation and for
+    kappa = 1 + u^2, tau = 0.5."""
+    paths = [_helix_path(),
+             integrate_frenet(FrenetData(kappa="1+u^2", tau="0.5"), interval=(-1, 1)).path]
+    for path in paths:
+        nodes = _rk4_at_nodes(path)
+        assert len(nodes) == len(path.dense.starts) + 1
+        for x, ref in nodes:
+            assert np.max(np.abs(path.state(x) - ref)) <= 1e-10, x
+
+
+def test_frenet_dense_output_is_bit_continuous_at_every_node():
+    """At each node the polynomials of the two steps that meet there give
+    the same bits, and state() reads one of them."""
+    for path in (_helix_path(), integrate_frenet(FrenetData(kappa="1+u^2", tau="0.5", step=0.02),
+                                                 interval=(-0.4, 0.9)).path):
+        d = path.dense
+        for k in range(len(d.starts) - 1):
+            x = d.edges[k + 1]
+            below, above = (horner(d.coeffs[i], x - d.starts[i])[0] for i in (k, k + 1))
+            assert np.array_equal(below.view(np.int64), above.view(np.int64)), x
+            assert np.array_equal(path.state(x).view(np.int64), below.view(np.int64)), x
+
+
+def test_frenet_step_starts_read_one_array_call_of_each_provider():
+    """The march reads each provider twice: the check grid at order 0, then
+    the kappa and tau series at every step start, each start once, in one
+    array call; the steps themselves call neither."""
     calls = []
 
     class Counting:
@@ -182,15 +246,16 @@ def test_frenet_march_reads_one_array_call_of_each_provider():
             self.expr = parse(text)
 
         def jet(self, u, v, order, memo=None):
-            calls.append(np.array(u))
+            calls.append((np.array(u), order))
             return self.expr.jet(u, v, order)
 
-    h, interval = 0.01, (-0.3, 0.5)
-    integrate_frenet(FrenetData(kappa=Counting("2+u"), tau=Counting("u"), step=h), interval)
-    # the start and midpoint of each step, the end of each march; 0 starts both
-    n = 2 * (round(0.3 / h) + round(0.5 / h)) + 1
-    assert [c.shape for c in calls] == [(n,), (n,)]
-    assert np.unique(calls[0]).size == n
+    path = integrate_frenet(FrenetData(kappa=Counting("2+u"), tau=Counting("u"), step=0.02),
+                            (-0.3, 0.5)).path
+    assert [(np.shape(u), o) for u, o in calls] == [((1601,), 0)] * 2 + [((39,), 7)] * 2
+    assert calls[0][0][0] == 0.0 and calls[0][0][-1] == -0.3 and 0.5 in calls[0][0]
+    starts = calls[2][0]
+    assert np.unique(starts).size == starts.size
+    assert set(starts) == set(path.dense.starts)
 
 
 def test_frenet_unit_speed():

@@ -106,11 +106,12 @@ def test_xi_interpolation_shares_endpoint_jets(monkeypatch):
     calls = []
 
     def counting(xi, u, order=3):
-        calls.append((float(u), order))
+        if np.ndim(u) == 0:                     # not the march's array calls
+            calls.append((float(u), order))
         return real(xi, u, order)
 
     monkeypatch.setattr(dm, "curvature_torsion_of", counting)
-    u, order = 0.0123, 3                        # off the kappa/tau table nodes
+    u, order = 0.0123, 3                        # off the nodes of the march
     xi_03 = interp.xi_t(0.3)
     vjet(xi_03, u, 0.0, order)
     assert (u, order + 1) in calls and (u, order) not in calls
@@ -185,37 +186,14 @@ def test_frenet_series_is_truncation_exact():
     _assert_truncation_exact(read)
 
 
-def test_xi_interpolation_path_marches_on_the_tables(monkeypatch):
-    """An interpolated path marches on the kappa/tau tables of the family:
-    integrating it evaluates no endpoint curvature, and its kappa and tau
-    providers agree with the tables at the nodes: kappa bit for bit, tau
-    to rounding, as the tables form kappa^2 tau in another order."""
-    from swallowkit.fields import pjet
-    interp = _helix_interp()
-    calls = []
-    real = dm.curvature_torsion_of
-    monkeypatch.setattr(dm, "curvature_torsion_of",
-                        lambda xi, u, order=3: calls.append(u) or real(xi, u, order))
-    path = interp.path(0.3)
-    path.state(0.0)
-    assert calls == []
-    kp, tp = path.path.data.kappa, path.path.data.tau
-    unodes = interp.unodes
-    j = np.array([0, 7, 150, 299])
-    k, t = interp.tabulated(np.array([0.3]), unodes[j])
-    for i, x in enumerate(unodes[j]):
-        assert pjet(kp, float(x), 0.0, 0).value()[path.j] == k[i, 0]
-        assert pjet(tp, float(x), 0.0, 0).value()[path.j] == pytest.approx(t[i, 0], rel=1e-15)
-
-
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
 def test_xi_interpolation_batch_columns_equal_lone_marches():
     """The paths of several t marched as one batch are, column by column,
-    bit for bit the paths marched one t at a time: at the nodes, off the
-    grid, and in the series at an off-grid point for orders 0 to 8; and the
+    bit for bit the paths marched one t at a time: at the nodes, off them,
+    and in the series at a point off them for orders 0 to 8; and the
     providers of fields() at an array of t, endpoints included, give in
     each slot the jets of the providers at that t alone."""
     from swallowkit.curves import FrenetColumn
@@ -225,11 +203,11 @@ def test_xi_interpolation_batch_columns_equal_lone_marches():
     batch = batched.march(ts)
     assert batch.data.frame0.shape == (3, 3, len(ts))
     lone = _helix_interp()
-    u_off, u0 = 0.0123, -0.0771              # off the grid of step 2e-3
+    u_off, u0 = 0.0123, -0.0771              # off the nodes of the march
     for j, t in enumerate(ts):
         col, alone = FrenetColumn(batch, j), lone.path(t)
         assert alone.path.data.frame0.shape == (3, 3, 1)
-        for u in batch.us:
+        for u in batch.dense.edges:
             np.testing.assert_array_equal(_bits(col.state(u)), _bits(alone.state(u)))
         np.testing.assert_array_equal(_bits(col.state(u_off)), _bits(alone.state(u_off)))
         for order in range(9):
@@ -382,7 +360,7 @@ def test_xi_interpolation_memo_shared_by_threads():
 
 def test_xi_interpolation_endpoint_paths():
     """path(0) and path(1) are integrated like any other t and reproduce the
-    endpoint unit fields at the integration nodes to RK4 accuracy."""
+    endpoint unit fields along the interval to the accuracy of the march."""
     from swallowkit.fields import vjet
     interp = _helix_interp()
     for t, xi in ((0.0, interp.xi[0]), (1.0, interp.xi[1])):

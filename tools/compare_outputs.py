@@ -49,6 +49,9 @@ CALLS = [
     ["classify", "ex217.json", "--at", "0.05,0.03"],
     ["build", "ex217.json"],
     ["frenet", "--kappa", "1+u^2", "--tau", "0.5*sin(u)", "--out", "curve.csv"],
+    # an asymmetric interval, each side ending in a shorter step
+    ["frenet", "--kappa", "2+u", "--tau", "u", "--interval=-0.4,0.9", "--step", "0.02",
+     "--samples", "17", "--out", "curve2.csv"],
     # the half-arclength chain (t(u) by series reversion) outside a certificate
     ["cusp", "normalize", "cusp3.json"],
     ["cusp", "classify", "cusp3.json"],
