@@ -10,12 +10,14 @@ handedness.  Both are parametrization-invariant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components,
-                     gauss_legendre, horner, over_u, pjet, step_ends, vjet, xi_frame)
+                     gauss_legendre, horner, over_u, pjet, step_count, step_ends, vjet,
+                     xi_frame)
 from .frontal import sgn
 from ._jettables import index_of, term_count
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
@@ -324,8 +326,11 @@ def normalize_half_arclength(curve: CurveGerm):
 # Frenet integration: curve from curvature and torsion
 # ---------------------------------------------------------------------------
 
-FRENET_ORDER = 8    # degree of the Taylor polynomial of one Frenet step
-KAPPA_CHECK = 5e-4  # spacing of the grid on which kappa > 0 and finite tau are checked
+FRENET_ORDER = 8        # degree of the Taylor polynomial of one Frenet step
+FRENET_TOL = 1e-8       # bound on the last two terms of a step's frame series
+FRENET_MAX_STEPS = 100_000  # most steps times columns one march may take
+KAPPA_CHECK = 5e-4      # finest spacing of the kappa/tau check grid
+CHECK_BLOCK = 512       # most check points read by one provider call
 
 
 @dataclass
@@ -366,11 +371,23 @@ def _frenet_series(Y, kser, tser, u0, order):
     return S
 
 
+def _admissible_step(c):
+    """Longest step at which the last two terms (degrees FRENET_ORDER - 1
+    and FRENET_ORDER) of the frame rows T, N, B of the step series c
+    (15, n, FRENET_ORDER + 1) stay within FRENET_TOL, in every column: the
+    step control of Jorba & Zou.  The rows Gamma and int u T are primitives
+    of T and u T, so their truncation follows the frame's.  NaN when a
+    coefficient is not finite."""
+    with np.errstate(divide="ignore"):
+        return np.min([(FRENET_TOL / np.abs(c[:9, :, j]).max()) ** (1.0 / j)
+                       for j in (FRENET_ORDER - 1, FRENET_ORDER)])
+
+
 class FrenetPath:
     """Integrated frames and curves of a batch of n paths on an interval
     around 0, one column per path.
 
-    The paths share the interval and the step; each has its own kappa, tau
+    The paths share the interval and the steps; each has its own kappa, tau
     and initial frame.  A state is an array (15, n) of (T, N, B, Gamma,
     int u T), data.frame0 is (3, 3, n), and the jets of the providers
     data.kappa and data.tau carry a trailing axis of n after the axes of
@@ -378,18 +395,28 @@ class FrenetPath:
     unbatched jets; FrenetColumn reads one column as a path.
 
     The paths are stepped by their own Taylor series (Jorba & Zou, Exp.
-    Math. 14, 2005): from 0 out to each end of the interval by steps of
-    data.step (fields.step_ends, the last one shorter), each the
+    Math. 14, 2005): from 0 out to each end of the interval, each step the
     degree-FRENET_ORDER series of the Frenet relations at its start
-    (_frenet_series).  The kappa and tau series at all the step starts come
-    from one array call of each provider.  state(u) is the polynomial of
-    the step that holds u (fields.DenseOutput), continuous bit for bit at
-    every node.  Before the march, kappa > 0 and the finiteness of kappa and
-    tau are checked on a grid of spacing KAPPA_CHECK, both ends included,
-    by one order-0 array call of each provider; it is scanned from 0 out to
-    the right end and then to the left one, and an error names the first
-    bad abscissa.  Every step is elementwise across the columns, so a
-    column steps bit for bit as it would alone.
+    (_frenet_series).  The steps are those of data.step (fields.step_ends,
+    the last one of each side shorter), except that a step longer than its
+    series admits (_admissible_step) is split into equal steps that it
+    does admit, each split checked again at its own start.  The kappa and
+    tau series at the starts of data.step come from one array call of each
+    provider, and those at the starts a split makes from one more per
+    split.  A march that would take more than FRENET_MAX_STEPS steps times
+    columns, or whose series admit no step, is a CurveError.  state(u) is
+    the polynomial of the step that holds u (fields.DenseOutput),
+    continuous bit for bit at every node.
+
+    Before the march, kappa > 0 and the finiteness of kappa and tau are
+    checked on a grid of spacing max(KAPPA_CHECK, data.step / 50), both ends
+    included, by order-0 array calls of each provider (one per CHECK_BLOCK
+    points); it is scanned from 0 out to the right end and then to the
+    left one, and an error names the first bad abscissa.
+
+    Every step is elementwise across the columns, so a column steps bit for
+    bit as it would alone when the batch takes the steps it takes alone: a
+    split that one column needs splits the step for every column.
     The Taylor series at any point are memoised per u for the whole batch,
     computed one order above the first request (see series): every column,
     and the three components of its xi and cusp-curve providers, read the
@@ -403,38 +430,69 @@ class FrenetPath:
         if not (a <= 0.0 <= b):
             raise CurveError("integration interval must contain 0")
         h = data.step
-        ends = step_ends(0.0, a, -h), step_ends(0.0, b, h)
-        if not any(ends):
-            raise CurveError(f"integration interval {interval} takes no step from u = 0")
-        self._check_kappa_tau(a, b)
         frame0 = data.frame0 if data.frame0.ndim == 3 else data.frame0[..., None]
         self.n = n = frame0.shape[2]
-        # the step starts, each once: 0 starts both marches
-        starts = {u: k for k, u in enumerate([0.0] + ends[0][:-1] + ends[1][:-1])}
-        kser, tser = self._kappa_tau_series(np.array(list(starts)), FRENET_ORDER - 1)
+        count = step_count(0.0, a, -h) + step_count(0.0, b, h)
+        if count == 0:
+            raise CurveError(f"integration interval {interval} takes no step from u = 0")
+        budget = FRENET_MAX_STEPS // n
+        if count > budget:
+            raise CurveError(f"integration interval {interval} takes {count} steps of {h}, "
+                             f"more than {budget}")
+        self._check_kappa_tau(a, b, max(KAPPA_CHECK, h / 50))
         Y0 = np.concatenate([frame0[0], frame0[1], frame0[2], np.zeros((6, n))])
-        marches = []
-        for side in ends:
-            out, u, Y = [], 0.0, Y0
-            for u1 in side:
-                k = starts[u]
-                c = np.moveaxis(_frenet_series(Y, kser[:, k], tser[:, k], u, FRENET_ORDER), 0, -1)
-                Y = horner(c, u1 - u)[0]
-                out.append((u, u1, c))
-                u = u1
-            marches.append(out)
-        self.dense = DenseOutput.of_marches(marches)
+        self.dense = DenseOutput.of_marches(
+            self._march(Y0, (step_ends(0.0, a, -h), step_ends(0.0, b, h)), budget - count))
         self._series = BoundedCache()
 
-    def _check_kappa_tau(self, a, b):
-        grid = np.array([0.0] + step_ends(0.0, b, KAPPA_CHECK) + step_ends(0.0, a, -KAPPA_CHECK))
-        k, t = (np.reshape(pjet(p, grid, 0.0, 0).value(), (len(grid), -1))
-                for p in (self.data.kappa, self.data.tau))
-        bad = ~((k > 0.0) & np.isfinite(k) & np.isfinite(t))
-        if bad.any():
-            i, j = np.argwhere(bad)[0]
-            why = "<= 0" if k[i, j] <= 0.0 else f"and tau = {t[i, j]}: not finite"
-            raise CurveError(f"kappa({grid[i]}) = {k[i, j]} {why} on the integration interval")
+    def _march(self, Y0, ends, budget):
+        """The (start, end, coefficient rows) of each step of the marches from
+        0 out through ends[0] and through ends[1], the steps split where their
+        series ask it, each split taken from budget."""
+        series = {}
+
+        def add_starts(us):
+            kser, tser = self._kappa_tau_series(us, FRENET_ORDER - 1)
+            series.update((x, (kser[:, i], tser[:, i])) for i, x in enumerate(us.tolist()))
+
+        # the series at the step starts, each once: 0 starts both marches
+        add_starts(np.concatenate([[0.0], ends[0][:-1], ends[1][:-1]]))
+        marches = []
+        for side in ends:
+            out, u, Y, todo = [], 0.0, Y0, side.tolist()[::-1]
+            while todo:
+                u1 = todo[-1]
+                c = np.moveaxis(_frenet_series(Y, *series[u], u, FRENET_ORDER), 0, -1)
+                h_ok = _admissible_step(c)
+                if not h_ok > 1e-12 * max(1.0, abs(u)):
+                    raise CurveError(f"the Frenet series at u = {u} admit no Taylor step")
+                m = math.ceil(abs(u1 - u) / h_ok)
+                if m > 1:
+                    budget -= m - 1
+                    if budget < 0:
+                        raise CurveError(f"the Frenet march needs more than "
+                                         f"{FRENET_MAX_STEPS // self.n} steps near u = {u}")
+                    new = u + (u1 - u) * np.arange(1, m) / m
+                    add_starts(new)
+                    todo.extend(new[::-1].tolist())
+                    u1 = todo[-1]
+                Y = horner(c, u1 - u)[0]
+                out.append((u, u1, c))
+                u = todo.pop()
+            marches.append(out)
+        return marches
+
+    def _check_kappa_tau(self, a, b, spacing):
+        grid = np.concatenate([[0.0], step_ends(0.0, b, spacing), step_ends(0.0, a, -spacing)])
+        for lo in range(0, len(grid), CHECK_BLOCK):
+            us = grid[lo:lo + CHECK_BLOCK]
+            k, t = (np.reshape(pjet(p, us, 0.0, 0).value(), (len(us), -1))
+                    for p in (self.data.kappa, self.data.tau))
+            bad = ~((k > 0.0) & np.isfinite(k) & np.isfinite(t))
+            if bad.any():
+                i, j = np.argwhere(bad)[0]
+                why = "<= 0" if k[i, j] <= 0.0 else f"and tau = {t[i, j]}: not finite"
+                raise CurveError(f"kappa({us[i]}) = {k[i, j]} {why} on the integration interval")
 
     def state(self, u):
         """Frames and curves (15, n) at u, from the polynomial of its step."""

@@ -289,7 +289,8 @@ class XiInterpolation:
     them, with the t axis after the axes of u.  The endpoint (kappa, tau)
     jets behind them do not depend on t, so they come from one memoised
     provider per endpoint field, shared by every batch: the march's check
-    grid and its step starts make one array call per endpoint field each.
+    grid and its step starts make one array call per endpoint field each,
+    and a split step (see FrenetPath) one more.
     A batch computes its series at a point one order above the first
     request, so the orders (N, N + 1) that the cusp frame asks there make
     one series and one (kappa, tau) call per endpoint field; that call

@@ -6,7 +6,8 @@ derivatives, pullbacks, primitives of u*g(u) by a fixed Gauss-Legendre rule
 and ad-hoc formulas.  The package's numeric rules live here too: every
 integral is gauss_legendre; the cgc radial profile and the Frenet paths are
 stepped by their own Taylor series, each module with its own recurrence, on
-the steps of step_ends, and read between the nodes from the step's
+the steps of step_ends (the Frenet paths split a step that the last terms
+of its series do not admit), and read between the nodes from the step's
 polynomial (DenseOutput, by horner); the frame equations of the cgc surface
 are marched by rk4_step.
 
@@ -103,13 +104,20 @@ def rk4_abscissae(steps):
     return list(dict.fromkeys(a for x, h in steps for a in (x, x + h / 2, x + h)))
 
 
+def step_count(x0, end, h):
+    """Number of steps of length |h| from x0 toward end (see step_ends)."""
+    return max(0, math.ceil((end - x0) / h - 1e-9))
+
+
 def step_ends(x0, end, h):
     """Ends of the steps of length |h| from x0 toward end, h signed by the
     direction, the last one shorter and ending at end exactly; none when
     end is not beyond x0 in that direction.  The slack keeps a span of a
     whole number of steps, up to rounding, from ending in a sliver step."""
-    n = math.ceil((end - x0) / h - 1e-9)
-    return [end if k == n else x0 + k * h for k in range(1, n + 1)]
+    n = step_count(x0, end, h)
+    out = x0 + np.arange(1, n + 1) * h
+    out[n - 1:] = end
+    return out
 
 
 def horner(c, t):

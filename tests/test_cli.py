@@ -362,6 +362,19 @@ def test_frenet_zero_length_interval_is_a_domain_error(capsys):
         "domain error: integration interval (0.0, 0.0) takes no step from u = 0\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--kappa", "1e6", "--tau", "0"],
+     "the Frenet march needs more than 100000 steps near u = 0.0"),
+    (["--kappa", "1", "--tau", "0", "--step", "1e-9"],
+     "integration interval (-1.0, 1.0) takes 2000000000 steps of 1e-09, more than 100000"),
+])
+def test_frenet_march_beyond_its_step_budget_is_a_domain_error(capsys, argv, message):
+    """A curvature that asks steps of 4e-7, or a --step that lays 2e9, is
+    refused before the march stores its steps."""
+    assert main(["frenet", *argv]) == 3
+    assert capsys.readouterr().err == f"domain error: {message}\n"
+
+
 @pytest.mark.parametrize("samples", ["0", "-1", "1.5", "x"])
 def test_frenet_samples_must_be_a_positive_integer(capsys, samples):
     argv = ["frenet", "--kappa", "1", "--tau", "1", "--samples", samples]

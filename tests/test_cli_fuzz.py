@@ -126,6 +126,8 @@ FLAGS = [
      ["0", "-1", "nan", "inf", "0.05", "1e9"]),
     ("frenet", "--kappa", "1", "--tau", "1", "--step", "0.05", "--interval={v}",
      ["1", "0,1,2", "nan,1", "0.5,1", "x,0", "-0.1,0.1", "0,0"]),
+    ("frenet", "--kappa", "0.001", "--tau", "0", "--interval={v}", "--step", "1",
+     ["-1e3,1e3", "0,1e3", "-1e6,1e6"]),
     ("frenet", "--kappa", "1", "--tau", "1", "--interval=-0.1,0.1", "--samples",
      ["0", "-1", "1", "3"]),
     ("frenet", "--kappa", "{v}", "--tau", "1", "--interval=-0.1,0.1", "--step", "0.05",

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from swallowkit.curves import (CurveError, CurveGerm, FrenetData, FrenetPath, classify_cusp,
-                               curvature_torsion_of, factor_cusp, integrate_frenet,
+from swallowkit.curves import (CHECK_BLOCK, CurveError, CurveGerm, FrenetData, FrenetPath,
+                               classify_cusp, curvature_torsion_of, factor_cusp, integrate_frenet,
                                mirror_properties, normalize_half_arclength)
 from swallowkit.deform import XiInterpolation
 from swallowkit.fields import horner, pjet, rk4_step, xi_frame
@@ -179,13 +179,12 @@ def test_frenet_batch_rejects_nonpositive_kappa_in_any_column():
     assert str(err.value) == str(alone.value)
 
 
-def _rk4_at_nodes(path, h=1e-3):
-    """The state of path at each node of its Taylor march, by a classical
-    RK4 march of the Frenet equations from 0 with step h (all of them
-    multiples of h), kappa and tau read at every abscissa from one array
-    call of each provider."""
+def _rk4_states(path, h):
+    """The states of path at the multiples of h in its interval, by a
+    classical RK4 march of the Frenet equations from 0 with step h, kappa
+    and tau read at every abscissa from one array call of each provider."""
     a, b = path.interval
-    out = {0.0: path.state(0.0)}
+    out = [(0.0, path.state(0.0))]
     for end, sign in ((b, 1.0), (a, -1.0)):
         m = round(abs(end) / h)
         xs = sign * 0.5 * h * np.arange(2 * m + 1)
@@ -196,11 +195,11 @@ def _rk4_at_nodes(path, h=1e-3):
             i = round(2 * abs(x) / h)
             T, N, B = Y[0:3], Y[3:6], Y[6:9]
             return np.concatenate([k[i] * N, -k[i] * T + t[i] * B, -t[i] * N, T, x * T])
-        Y = out[0.0]
+        Y = out[0][1]
         for j in range(m):
             Y = rk4_step(rhs, sign * j * h, Y, sign * h)
-            out[round(sign * (j + 1) * h, 9)] = Y
-    return [(x, out[round(x, 9)]) for x in path.dense.edges]
+            out.append((sign * (j + 1) * h, Y))
+    return out
 
 
 def _helix_path():
@@ -210,16 +209,30 @@ def _helix_path():
 
 
 def test_frenet_taylor_march_agrees_with_an_rk4_march():
-    """Every node of the Taylor march (order 8, step 0.025) agrees with an
-    RK4 march of step 1e-3 to 1e-10, for the helix interpolation and for
-    kappa = 1 + u^2, tau = 0.5."""
+    """The Taylor march (order 8, step 0.025) agrees with an RK4 march at
+    every point of the RK4 grid, every node among them, to 1e-10 at step
+    1e-3 for the helix interpolation and for kappa = 1 + u^2, tau = 0.5."""
     paths = [_helix_path(),
              integrate_frenet(FrenetData(kappa="1+u^2", tau="0.5"), interval=(-1, 1)).path]
     for path in paths:
-        nodes = _rk4_at_nodes(path)
-        assert len(nodes) == len(path.dense.starts) + 1
-        for x, ref in nodes:
+        states = _rk4_states(path, 1e-3)
+        ref_at = {round(x, 9): ref for x, ref in states}
+        for x, ref in states + [(x, ref_at[round(x, 9)]) for x in path.dense.edges]:
             assert np.max(np.abs(path.state(x) - ref)) <= 1e-10, x
+
+
+@pytest.mark.parametrize("kappa, bound", [("1+0.5/(1+10000*u^2)", 2e-9), ("100", 2e-8)])
+def test_frenet_split_steps_agree_with_an_rk4_march(kappa, bound):
+    """Where a step of 0.025 is too long for its series (kappa's series
+    converge only out to 0.01 around 0, or kappa h = 2.5), the march splits
+    it, and agrees with an RK4 march of step 1e-4 at every point of its
+    grid (seen 3.6e-10 and 2.0e-9, the RK4 march's own error for kappa =
+    100; unsplit, the first step of the narrow bump turned the tangent the
+    wrong way)."""
+    path = integrate_frenet(FrenetData(kappa=kappa, tau="0"), interval=(-0.3, 0.3)).path
+    assert len(path.dense.starts) > 24
+    for x, ref in _rk4_states(path, 1e-4):
+        assert np.max(np.abs(path.state(x) - ref)) <= bound, x
 
 
 def test_frenet_dense_output_is_bit_continuous_at_every_node():
@@ -236,9 +249,10 @@ def test_frenet_dense_output_is_bit_continuous_at_every_node():
 
 
 def test_frenet_step_starts_read_one_array_call_of_each_provider():
-    """The march reads each provider twice: the check grid at order 0, then
-    the kappa and tau series at every step start, each start once, in one
-    array call; the steps themselves call neither."""
+    """The march reads the check grid at order 0, both providers a block
+    of at most CHECK_BLOCK points at a time, then the kappa and tau series
+    at every step start, each start once, in one array call of each
+    provider; the steps, none of them split here, call neither."""
     calls = []
 
     class Counting:
@@ -251,9 +265,13 @@ def test_frenet_step_starts_read_one_array_call_of_each_provider():
 
     path = integrate_frenet(FrenetData(kappa=Counting("2+u"), tau=Counting("u"), step=0.02),
                             (-0.3, 0.5)).path
-    assert [(np.shape(u), o) for u, o in calls] == [((1601,), 0)] * 2 + [((39,), 7)] * 2
-    assert calls[0][0][0] == 0.0 and calls[0][0][-1] == -0.3 and 0.5 in calls[0][0]
-    starts = calls[2][0]
+    blocks = [min(CHECK_BLOCK, 1601 - lo) for lo in range(0, 1601, CHECK_BLOCK)]
+    assert [(np.shape(u), o) for u, o in calls] == (
+        [((m,), 0) for m in blocks for _ in range(2)] + [((39,), 7)] * 2)
+    grid = np.concatenate([u for u, _ in calls[:-2:2]])
+    assert np.array_equal(grid, np.concatenate([u for u, _ in calls[1:-2:2]]))
+    assert grid[0] == 0.0 and grid[-1] == -0.3 and 0.5 in grid
+    starts = calls[-1][0]
     assert np.unique(starts).size == starts.size
     assert set(starts) == set(path.dense.starts)
 
