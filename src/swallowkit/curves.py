@@ -330,7 +330,7 @@ FRENET_ORDER = 8        # degree of the Taylor polynomial of one Frenet step
 FRENET_TOL = 1e-8       # bound on the last two terms of a step's frame series
 FRENET_MAX_STEPS = 100_000  # most steps times columns one march may take
 KAPPA_CHECK = 5e-4      # finest spacing of the kappa/tau check grid
-CHECK_BLOCK = 512       # most check points read by one provider call
+CHECK_BLOCK = 1024      # most check points read by one provider call
 
 
 @dataclass
@@ -410,9 +410,10 @@ class FrenetPath:
 
     Before the march, kappa > 0 and the finiteness of kappa and tau are
     checked on a grid of spacing max(KAPPA_CHECK, data.step / 50), both ends
-    included, by order-0 array calls of each provider (one per CHECK_BLOCK
-    points); it is scanned from 0 out to the right end and then to the
-    left one, and an error names the first bad abscissa.
+    included, by order-0 array calls of each provider on equal blocks of at
+    most CHECK_BLOCK points, which bound the memory of the check; it is
+    scanned from 0 out to the right end and then to the left one, and an
+    error names the first bad abscissa.
 
     Every step is elementwise across the columns, so a column steps bit for
     bit as it would alone when the batch takes the steps it takes alone: a
@@ -484,8 +485,7 @@ class FrenetPath:
 
     def _check_kappa_tau(self, a, b, spacing):
         grid = np.concatenate([[0.0], step_ends(0.0, b, spacing), step_ends(0.0, a, -spacing)])
-        for lo in range(0, len(grid), CHECK_BLOCK):
-            us = grid[lo:lo + CHECK_BLOCK]
+        for us in np.array_split(grid, -(-len(grid) // CHECK_BLOCK)):
             k, t = (np.reshape(pjet(p, us, 0.0, 0).value(), (len(us), -1))
                     for p in (self.data.kappa, self.data.tau))
             bad = ~((k > 0.0) & np.isfinite(k) & np.isfinite(t))

@@ -367,10 +367,13 @@ def test_frenet_zero_length_interval_is_a_domain_error(capsys):
      "the Frenet march needs more than 100000 steps near u = 0.0"),
     (["--kappa", "1", "--tau", "0", "--step", "1e-9"],
      "integration interval (-1.0, 1.0) takes 2000000000 steps of 1e-09, more than 100000"),
+    (["--kappa", "1+0*exp(1000*u)", "--tau", "0", "--interval=-1,0.705"],
+     "the Frenet series at u = 0.675 admit no Taylor step"),
 ])
-def test_frenet_march_beyond_its_step_budget_is_a_domain_error(capsys, argv, message):
+def test_frenet_march_it_cannot_take_is_a_domain_error(capsys, argv, message):
     """A curvature that asks steps of 4e-7, or a --step that lays 2e9, is
-    refused before the march stores its steps."""
+    refused before the march stores its steps; so is a step start where
+    kappa is finite but its series is not (0 * inf beyond degree 0)."""
     assert main(["frenet", *argv]) == 3
     assert capsys.readouterr().err == f"domain error: {message}\n"
 

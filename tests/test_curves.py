@@ -249,8 +249,8 @@ def test_frenet_dense_output_is_bit_continuous_at_every_node():
 
 
 def test_frenet_step_starts_read_one_array_call_of_each_provider():
-    """The march reads the check grid at order 0, both providers a block
-    of at most CHECK_BLOCK points at a time, then the kappa and tau series
+    """The march reads the check grid at order 0, both providers an equal
+    block of at most CHECK_BLOCK points at a time, then the kappa and tau series
     at every step start, each start once, in one array call of each
     provider; the steps, none of them split here, call neither."""
     calls = []
@@ -265,7 +265,7 @@ def test_frenet_step_starts_read_one_array_call_of_each_provider():
 
     path = integrate_frenet(FrenetData(kappa=Counting("2+u"), tau=Counting("u"), step=0.02),
                             (-0.3, 0.5)).path
-    blocks = [min(CHECK_BLOCK, 1601 - lo) for lo in range(0, 1601, CHECK_BLOCK)]
+    blocks = [len(b) for b in np.array_split(np.arange(1601), -(-1601 // CHECK_BLOCK))]
     assert [(np.shape(u), o) for u, o in calls] == (
         [((m,), 0) for m in blocks for _ in range(2)] + [((39,), 7)] * 2)
     grid = np.concatenate([u for u, _ in calls[:-2:2]])
