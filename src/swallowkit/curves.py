@@ -397,16 +397,10 @@ class FrenetPath:
     The paths are stepped by their own Taylor series (Jorba & Zou, Exp.
     Math. 14, 2005): from 0 out to each end of the interval, each step the
     degree-FRENET_ORDER series of the Frenet relations at its start
-    (_frenet_series).  The steps are those of data.step (fields.step_ends,
-    the last one of each side shorter), except that a step longer than its
-    series admits (_admissible_step) is split into equal steps that it
-    does admit, each split checked again at its own start.  The kappa and
-    tau series at the starts of data.step come from one array call of each
-    provider, and those at the starts a split makes from one more per
-    split.  A march that would take more than FRENET_MAX_STEPS steps times
-    columns, or whose series admit no step, is a CurveError.  state(u) is
-    the polynomial of the step that holds u (fields.DenseOutput),
-    continuous bit for bit at every node.
+    (_frenet_series), on the steps of data.step (fields.step_ends, the
+    last one of each side shorter) split where their series ask it (see
+    _march).  state(u) is the polynomial of the step that holds u
+    (fields.DenseOutput), continuous bit for bit at every node.
 
     Before the march, kappa > 0 and the finiteness of kappa and tau are
     checked on a grid of spacing max(KAPPA_CHECK, data.step / 50), both ends
@@ -448,8 +442,13 @@ class FrenetPath:
 
     def _march(self, Y0, ends, budget):
         """The (start, end, coefficient rows) of each step of the marches from
-        0 out through ends[0] and through ends[1], the steps split where their
-        series ask it, each split taken from budget."""
+        0 out through ends[0] and through ends[1].  A step longer than its
+        series admits (_admissible_step) is split into equal steps that it
+        does admit, each checked again at its own start.  The kappa and tau
+        series at the starts in ends come from one array call of each
+        provider, and those at the starts of a split from one more.  A
+        split beyond budget steps, or series that admit no step, is a
+        CurveError."""
         series = {}
 
         def add_starts(us):
