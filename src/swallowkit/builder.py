@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .fields import (CurveIntegral, DU, FlipU, JetFn, Scaled, components, cusp_frame,
-                     over_u, over_v, pjet as _pjet, vjet as _vjet, xi_frame)
+                     over_u, over_v, vjet, xi_frame)
 from .frontal import MapGerm, sgn
 from .jets import (ZERO, Add, Const, Expr, Jet2, Mul, Pow, V, as_expr, compose2, diff, fold,
                    integrate_u_times, parse)
@@ -69,7 +69,7 @@ class SwallowtailData:
     def __post_init__(self):
         self.xi = _parse_vec(self.xi)
         self.b = _parse_vec(self.b)
-        x0 = np.array([_pjet(c, 0.0, 0.0, 0).value() for c in self.xi])
+        x0 = np.array([c.jet(0.0, 0.0, 0).value() for c in self.xi])
         if np.linalg.norm(x0) < 1e-12:
             raise BuildError("xi(0) = 0: not a cusp direction field")
 
@@ -81,7 +81,7 @@ class SwallowtailData:
         return d
 
     def xi_jets(self, u, order):
-        return _vjet(self.xi, u, 0.0, order)
+        return vjet(self.xi, u, 0.0, order)
 
 
 @dataclass
@@ -96,7 +96,7 @@ class AsymptoticData:
         self.q = parse(self.q) if isinstance(self.q, str) else (
             as_expr(self.q) if isinstance(self.q, (int, float)) else self.q)
         self.r = _parse_vec(self.r)
-        x0 = np.array([_pjet(c, 0.0, 0.0, 0).value() for c in self.xi])
+        x0 = np.array([c.jet(0.0, 0.0, 0).value() for c in self.xi])
         if np.linalg.norm(x0) < 1e-12:
             raise BuildError("xi(0) = 0: not a cusp direction field")
 
@@ -108,7 +108,7 @@ class AsymptoticData:
         return d
 
     def xi_jets(self, u, order):
-        return _vjet(self.xi, u, 0.0, order)
+        return vjet(self.xi, u, 0.0, order)
 
     def as_general(self) -> SwallowtailData:
         """Same germ as (xi, b) with b = q xi' + v r."""
@@ -118,8 +118,8 @@ class AsymptoticData:
         def bk(k):
             def fn(u, v, order):
                 vj = Jet2.variable("v", v, order, np.shape(u))
-                return (_pjet(q, u, v, order) * _pjet(dxi[k], u, v, order)
-                        + vj * _pjet(r[k], u, v, order))
+                return (q.jet(u, v, order) * dxi[k].jet(u, v, order)
+                        + vj * r[k].jet(u, v, order))
             return JetFn(fn)
 
         if all(isinstance(c, Expr) for c in (*self.xi, self.q, *self.r)):
@@ -155,8 +155,8 @@ def build(data, a: float = 0.0) -> MapGerm:
     def comp(k):
         def fn(u, v, order):
             vj = Jet2.variable("v", v, order, np.shape(u))
-            return (_pjet(gamma[k], u, v, order) + vj * _pjet(gen.xi[k], u, v, order)
-                    + vj * vj * _pjet(gen.b[k], u, v, order))
+            return (gamma[k].jet(u, v, order) + vj * gen.xi[k].jet(u, v, order)
+                    + vj * vj * gen.b[k].jet(u, v, order))
         return JetFn(fn)
 
     return MapGerm(tuple(comp(k) for k in range(3)), sf=sf, data=data)
@@ -195,26 +195,23 @@ def discriminants(data) -> Discriminants:
     psi0 = float(np.linalg.det(np.stack([xi, xip, xipp], axis=1)))
     scale = max(np.linalg.norm(xi) * np.linalg.norm(xip), 1e-6) ** 1.5
     if isinstance(data, AsymptoticData):
-        q0 = _pjet(data.q, 0.0, 0.0, 0).value()
+        q0 = data.q.jet(0.0, 0.0, 0).value()
         b0 = q0 * xip  # b(o) = q(0) xi'(0) since the v r term vanishes on the axis
-        general = data
-    else:
-        b0 = np.array([_pjet(c, 0.0, 0.0, 0).value() for c in data.b])
-        general = None
-    D0 = -float(np.linalg.det(np.stack([xi, xip, -xipp + 2 * b0], axis=1)))
-    D1 = float(np.linalg.det(np.stack([xi, xip, b0], axis=1)))
 
-    Dqr = None
-    if general is not None:
-        def Dqr(u, data=data):
+        def Dqr(u):
             xi_u, xip_u, xipp_u = xi_frame(data.xi, u, 3)
-            q_u = _pjet(data.q, u, 0.0, 0).value()
-            r_u = np.array([_pjet(c, u, 0.0, 0).value() for c in data.r])
+            q_u = data.q.jet(u, 0.0, 0).value()
+            r_u = np.array([c.jet(u, 0.0, 0).value() for c in data.r])
             det_r = float(np.linalg.det(np.stack([xi_u, xip_u, r_u], axis=1)))
             det_x = float(np.linalg.det(np.stack([xi_u, xip_u, xipp_u], axis=1)))
             return (2 * u * q_u - 1.0) ** 2 * (6.0 * det_r - 4.0 * q_u ** 2 * det_x)
+    else:
+        b0 = np.array([c.jet(0.0, 0.0, 0).value() for c in data.b])
+        Dqr = None
+    D0 = -float(np.linalg.det(np.stack([xi, xip, -xipp + 2 * b0], axis=1)))
+    D1 = float(np.linalg.det(np.stack([xi, xip, b0], axis=1)))
 
-    def delta(u, data=data):
+    def delta(u):
         nt = normal_on_axis(data)
         n0, n1, _ = xi_frame(nt, u, 2)
         return float(np.dot(n1, np.cross(n0, xi_frame(data.xi, u, 2)[0])))
@@ -228,7 +225,7 @@ def normal_on_axis(data):
 
     def fn(u, v, order):
         xj, _, n = cusp_frame(gen.xi, u, order)
-        bj = tuple(c.axis_part() for c in _vjet(gen.b, u, 0.0, order))
+        bj = tuple(c.axis_part() for c in vjet(gen.b, u, 0.0, order))
         uj = Jet2.variable("u", u, order, np.shape(u))
         c2 = cross(xj, bj)
         return tuple(n[k] - 2.0 * uj * c2[k] for k in range(3))
@@ -255,7 +252,7 @@ def _alpha_jet(germ, xi, u, v, order):
     """alpha(u) with a(u, 0) = alpha(u) xi(u)."""
     Fj = germ.fjet(u, 0.0, order + 2)
     a_axis = tuple((c - c.axis_part()).divide_by_v().axis_part() for c in Fj)
-    xj = _vjet(xi, u, 0.0, order + 1)
+    xj = vjet(xi, u, 0.0, order + 1)
     num = dot(a_axis, xj)
     den = dot(xj, xj)
     return (num / den).truncate(order)
@@ -264,7 +261,7 @@ def _alpha_jet(germ, xi, u, v, order):
 def _b_jet(germ, alpha, k, u, w, order):
     """b in the normalized coordinates (v replaced by v alpha(u))."""
     K = order + 3
-    aj = _pjet(alpha, u, 0.0, K)
+    aj = alpha.jet(u, 0.0, K)
     a_here = aj.value()
     v_here = w / a_here
     # b~(u, v) = (a(u,v) - a(u,0)) / v with a = (f - gamma)/v; gamma(u) and
@@ -283,7 +280,7 @@ def _b_jet(germ, alpha, k, u, w, order):
     return (out / (aj.truncate(out.order) * aj.truncate(out.order))).truncate(order)
 
 
-def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
+def extract_data(germ: MapGerm) -> SwallowtailData:
     """Recover (xi, b) with germ = gamma + v xi + v^2 b up to v-rescaling.
 
     Requires the germ to be in admissible form (singular set = u-axis).
@@ -292,7 +289,7 @@ def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
     not integrated: it is the germ's own axis curve f(u, 0) - f(0, 0), whose
     jets are truncations of those _xi_jet reads.
     """
-    F0 = germ.fjet(0.0, 0.0, order + 2)
+    F0 = germ.fjet(0.0, 0.0, 8)
     fu0 = np.array([c.du().value() for c in F0])
     fv0 = np.array([c.dv().value() for c in F0])
     if np.linalg.norm(np.cross(fu0, fv0)) > 1e-8 * (1 + np.linalg.norm(fu0) * np.linalg.norm(fv0)):
@@ -306,13 +303,13 @@ def extract_data(germ: MapGerm, order=6, check_tol=1e-7) -> SwallowtailData:
         a0 = np.array([c.dv().value() for c in Fj])
         gp = np.array([c.du().value() for c in Fj]) / uu
         c = np.cross(a0, gp)
-        if np.linalg.norm(c) > check_tol * (1 + np.linalg.norm(a0) * np.linalg.norm(gp)):
+        if np.linalg.norm(c) > 1e-7 * (1 + np.linalg.norm(a0) * np.linalg.norm(gp)):
             raise BuildError(f"not admissible: f_v(u,0) not parallel to xi(u) at u={uu}"
                              f" (residual {np.linalg.norm(c):.3g})")
 
     xi = tuple(JetFn(partial(_xi_jet, germ, k)) for k in range(3))
     alpha = JetFn(partial(_alpha_jet, germ, xi))
-    a0val = _pjet(alpha, 0.0, 0.0, 0).value()
+    a0val = alpha.jet(0.0, 0.0, 0).value()
     if abs(a0val) < 1e-10:
         raise BuildError("degenerate extraction: alpha(0) = 0")
     b = tuple(JetFn(partial(_b_jet, germ, alpha, k)) for k in range(3))
@@ -325,7 +322,7 @@ def _r_jet(data, p, q, k, u, w, order):
     """r(u, w) = (f(u, v(w)) - gamma - w xi - w^2 q xi') / w^3, with
     f - gamma = v xi + v^2 b, so gamma is never evaluated."""
     K = order + 4
-    pj = _pjet(p, u, 0.0, K)
+    pj = p.jet(u, 0.0, K)
     pval = pj.value()
     # v solving v + v^2 p(u) = w
     if w == 0.0:
@@ -344,14 +341,14 @@ def _r_jet(data, p, q, k, u, w, order):
         Wv = Vj + Vj * Vj * pj
         dW = 1.0 + 2.0 * Vj * pj
         Vj = Vj - (Wv - wj) / dW
-    xj = _vjet(data.xi, u, 0.0, K)
-    dxj = tuple(c.du() for c in _vjet(data.xi, u, 0.0, K + 1))
+    xj = vjet(data.xi, u, 0.0, K)
+    dxj = tuple(c.du() for c in vjet(data.xi, u, 0.0, K + 1))
     # f(u, v(w)) - gamma(u) assembled from the data, with b composed through v(w)
-    bj = _pjet(data.b[k], u, v0, K)
+    bj = data.b[k].jet(u, v0, K)
     bj = compose2(bj.c, K, uj.truncate(K), Vj.truncate(K))
     o = bj.order
     Vo = Vj.truncate(o)
-    qj = _pjet(q, u, 0.0, K)
+    qj = q.jet(u, 0.0, K)
     core = (Vo * xj[k].truncate(o) + Vo * Vo * bj - wj.truncate(o) * xj[k].truncate(o)
             - wj.truncate(o) * wj.truncate(o) * qj.truncate(o) * dxj[k].truncate(o))
     for _ in range(3):
@@ -359,8 +356,7 @@ def _r_jet(data, p, q, k, u, w, order):
     return core.truncate(order)
 
 
-def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0, 0.05, 0.1),
-                               tol=1e-8) -> AsymptoticData:
+def convert_to_asymptotic_form(data: SwallowtailData) -> AsymptoticData:
     """Rewrite (xi, b) as (xi, q, r); rejects data violating the span condition.
 
     The condition is b(u, 0) in span{xi(u), xi'(u)} at each sampled u; the
@@ -368,20 +364,20 @@ def convert_to_asymptotic_form(data: SwallowtailData, samples=(-0.1, -0.05, 0.0,
     v -> v + v^2 p(u), leaving the normal form with q and r only.
     """
     worst_u, worst = None, 0.0
-    for uu in samples:
+    for uu in (-0.1, -0.05, 0.0, 0.05, 0.1):
         xi, xip = xi_frame(data.xi, uu, 1)
-        b0 = np.array([c.value() for c in _vjet(data.b, uu, 0.0, 0)])
+        b0 = np.array([c.value() for c in vjet(data.b, uu, 0.0, 0)])
         n = np.cross(xi, xip)
         resid = abs(np.dot(b0, n)) / (np.linalg.norm(n) * (1 + np.linalg.norm(b0)))
         if resid > worst:
             worst, worst_u = resid, uu
-    if worst > tol:
+    if worst > 1e-8:
         raise BuildError(f"b(u,0) leaves span(xi, xi') (worst residual {worst:.3g} at u={worst_u})")
 
     def coef(which):
         def fn(u, v, order):
             xj, dx, n = cusp_frame(data.xi, u, order)
-            bj = tuple(c.axis_part() for c in _vjet(data.b, u, 0.0, order))
+            bj = tuple(c.axis_part() for c in vjet(data.b, u, 0.0, order))
             den = det3(xj, dx, n)
             if which == "q":
                 return det3(xj, bj, n) / den

@@ -36,6 +36,11 @@ class CgcError(ValueError):
     pass
 
 
+# The swallowtail point of the parallel surface: the base point of the
+# reconstruction and of ParallelGerm, and where the test values are read.
+SWALLOWTAIL_POINT = (0.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # Radial ODE
 # ---------------------------------------------------------------------------
@@ -108,7 +113,7 @@ def _sinh_series(a, order):
     return p1_compose(coeffs, ahat)
 
 
-def solve_radial_ode(domain=(0.5, 1.6), step=0.05, blowup=50.0) -> RadialProfile:
+def solve_radial_ode(domain=(0.5, 1.6), step=0.05) -> RadialProfile:
     """Taylor-series solve of the profile equation from r = 1 out to each end
     of domain (Jorba & Zou, Exp. Math. 14, 2005): steps of length step, the
     last of each direction shorter, each the degree-PROFILE_ORDER series of
@@ -127,7 +132,7 @@ def solve_radial_ode(domain=(0.5, 1.6), step=0.05, blowup=50.0) -> RadialProfile
         for r1 in step_ends(1.0, end, sign * step):
             c = profile_series(r, F0, Fp0, PROFILE_ORDER)
             F0, Fp0 = horner(c, r1 - r)
-            if abs(F0) > blowup:
+            if abs(F0) > 50.0:
                 raise CgcError(f"profile blow-up at r = {r1}")
             out.append((r, r1, c))
             r = r1
@@ -182,14 +187,14 @@ class FundamentalForms:
         return K_intrinsic - l1 * l2
 
 
-def check_swallowtail_conditions(forms: FundamentalForms, at=(0.0, 1.0)):
+def check_swallowtail_conditions(forms: FundamentalForms):
     """Principal-curvature test values at the swallowtail point.
 
     Returns both the printed-formula triple (the classical test values
     0, -1, -2) and the derivatives of the integrable principal curvature
     (0, -1, -1); all four non-degeneracy requirements coincide in sign.
     """
-    u0, v0 = at
+    u0, v0 = SWALLOWTAIL_POINT
     j = forms.omega.jet(u0, v0, 3)
     w = float(np.asarray(j.value()))
     wu, wv = j.partial(1, 0), j.partial(0, 1)
@@ -296,9 +301,9 @@ def _gw_rhs_v(state, w, wu, wv, N, E):
     return np.stack([f * 0 + fv, fuv, fvv, nuv])
 
 
-def _sweep(rhs, coeffs, xs, i0, y0, nsub=4):
+def _sweep(rhs, coeffs, xs, i0, y0):
     """States at every node of xs, marched by RK4 of y' = rhs(y, *coefficients
-    at x) from y0 at xs[i0] out to both ends, nsub steps per interval.
+    at x) from y0 at xs[i0] out to both ends, four steps per interval.
 
     Each interval lists its steps first; coeffs(x) then gives the
     coefficients at every abscissa x those steps read, each once, as arrays
@@ -309,8 +314,8 @@ def _sweep(rhs, coeffs, xs, i0, y0, nsub=4):
     for end, d in ((len(xs) - 1, 1), (0, -1)):
         y = y0
         for i in range(i0, end, d):
-            h = (xs[i + d] - xs[i]) / nsub
-            steps = [(xs[i] + k * h, h) for k in range(nsub)]
+            h = (xs[i + d] - xs[i]) / 4
+            steps = [(xs[i] + k * h, h) for k in range(4)]
             at = rk4_abscissae(steps)
             table = dict(zip(at, zip(*coeffs(np.array(at)))))
             for x, s in steps:
@@ -320,10 +325,10 @@ def _sweep(rhs, coeffs, xs, i0, y0, nsub=4):
 
 
 def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
-                        res=(201, 201), base=(0.0, 1.0), guard=1e-5) -> SurfaceGrid:
-    """Integrate the frame equations over the grid: along the spine v = base[1]
-    from the base point, then every column from the spine at once, states
-    vectorized over u.  The coefficients (w, w_u, w_v, L or N, E) of each
+                        res=(201, 201)) -> SurfaceGrid:
+    """Integrate the frame equations over the grid: along the spine from the
+    grid point nearest SWALLOWTAIL_POINT, then every column from the spine
+    at once, states vectorized over u.  The coefficients (w, w_u, w_v, L or N, E) of each
     grid interval come from one array call of omega (see _sweep).
 
     Guard: the Gauss residual, which is the sinh-Gordon residual of omega
@@ -336,15 +341,16 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
     us = np.linspace(u0, u1, nu_)
     vs = np.linspace(v0, v1, nv_)
     gu, gv = np.meshgrid(us[:: max(1, nu_ // 8)], vs[:: max(1, nv_ // 8)], indexing="ij")
-    if np.max(np.abs(forms.gauss_residual(gu, gv))) > guard:
+    if np.max(np.abs(forms.gauss_residual(gu, gv))) > 1e-5:
         raise CgcError("Gauss equation residual above guard: forms not integrable")
 
     om = forms.omega
 
     # states (4, 3) on the spine and (4, 3, nu) on the columns, of (f, fu, fv, nu)
-    bi = int(np.argmin(np.abs(vs - base[1])))
+    bu, bv = SWALLOWTAIL_POINT
+    bi = int(np.argmin(np.abs(vs - bv)))
     vspine = vs[bi]
-    b0 = int(np.argmin(np.abs(us - base[0])))
+    b0 = int(np.argmin(np.abs(us - bu)))
 
     def coeffs_u(u):
         w, wu, wv, E = _omega_terms(om.jet(u, np.full_like(u, vspine), 1))
@@ -355,7 +361,7 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
         w, wu, wv, E = _omega_terms(om.jet(U, V, 1))
         return w, wu, wv, np.exp(w) * np.sinh(w), E
 
-    spine = np.stack(_sweep(_gw_rhs_u, coeffs_u, us, b0, _base_frame(om, base[0], vspine)),
+    spine = np.stack(_sweep(_gw_rhs_u, coeffs_u, us, b0, _base_frame(om, bu, vspine)),
                      axis=-1)
     cols = _sweep(_gw_rhs_v, coeffs_v, vs, bi, spine)
     f, fu, fv, nu = np.stack([c.transpose(0, 2, 1) for c in cols], axis=2)
@@ -418,14 +424,14 @@ def curvatures_from_samples(f, du, dv):
     return K, H
 
 
-def mean_curvature_check(grid: SurfaceGrid, n_samples=100, seed=3):
-    rng = np.random.default_rng(seed)
+def mean_curvature_check(grid: SurfaceGrid):
+    rng = np.random.default_rng(3)
     du = grid.us[1] - grid.us[0]
     dv = grid.vs[1] - grid.vs[0]
     K, H = curvatures_from_samples(grid.f, du, dv)
     nu_, nv_ = grid.f.shape[:2]
     worst = 0.0
-    for _ in range(n_samples):
+    for _ in range(100):
         i = rng.integers(4, nu_ - 4)
         j = rng.integers(4, nv_ - 4)
         worst = max(worst, abs(abs(H[i, j]) - 0.5))
@@ -445,28 +451,29 @@ def parallel_surface(grid: SurfaceGrid) -> SurfaceGrid:
                        forms=grid.forms)
 
 
-def parallel_regularity(grid: SurfaceGrid, par: SurfaceGrid, tol=1e-6):
+def parallel_regularity(grid: SurfaceGrid, par: SurfaceGrid):
     """Rank check of dh on the grid: singular where a principal curvature is 1."""
     n = np.cross(par.fu, par.fv)
     scale = (np.linalg.norm(par.fu, axis=2) * np.linalg.norm(par.fv, axis=2)
              + np.linalg.norm(grid.fu, axis=2) * np.linalg.norm(grid.fv, axis=2))
-    return np.linalg.norm(n, axis=2) > tol * scale
+    return np.linalg.norm(n, axis=2) > 1e-6 * scale
 
 
-def parallel_safe_mask(grid: SurfaceGrid, par: SurfaceGrid, margin=0.05, border=4):
+def parallel_safe_mask(grid: SurfaceGrid, par: SurfaceGrid):
     """Regular points a quantified distance from the degeneracy (|1 - l_i| >
-    margin), with a border strip excluded for the difference stencils."""
+    0.05), with a border strip of 4 points excluded for the difference
+    stencils."""
     l1, l2 = grid.principal
     mask = parallel_regularity(grid, par)
-    mask &= np.abs(1.0 - l1) > margin
-    mask &= np.abs(1.0 - l2) > margin
-    mask[:border, :] = mask[-border:, :] = False
-    mask[:, :border] = mask[:, -border:] = False
+    mask &= np.abs(1.0 - l1) > 0.05
+    mask &= np.abs(1.0 - l2) > 0.05
+    mask[:4, :] = mask[-4:, :] = False
+    mask[:, :4] = mask[:, -4:] = False
     return mask
 
 
 class ParallelGerm:
-    """Jet provider for the parallel surface near the base point (0, 1).
+    """Jet provider for the parallel surface near SWALLOWTAIL_POINT, its base.
 
     The frame (f, fu, fv, nu) at the base is prolonged once, by the jet
     prolongation of the frame equations, to its Taylor polynomial of degree
@@ -479,15 +486,15 @@ class ParallelGerm:
 
     ORDER = 12
 
-    def __init__(self, omega: OmegaField, base=(0.0, 1.0)):
+    def __init__(self, omega: OmegaField):
         self.om = omega
-        self.base = base
-        fields = self._prolong(*base, self.ORDER, _base_frame(omega, *base))
+        fields = self._prolong(*SWALLOWTAIL_POINT, self.ORDER,
+                               _base_frame(omega, *SWALLOWTAIL_POINT))
         self._taylor = np.array([[c.c for c in row] for row in fields])   # (4, 3, terms)
         self._jets = BoundedCache()
 
     def _state_at(self, u, v):
-        du, dv = u - self.base[0], v - self.base[1]
+        du, dv = u - SWALLOWTAIL_POINT[0], v - SWALLOWTAIL_POINT[1]
         return self._taylor @ np.array([du ** i * dv ** j for i, j in monomials(self.ORDER)])
 
     def jets(self, u, v, order):

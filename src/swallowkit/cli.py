@@ -143,7 +143,7 @@ def cmd_deform(args):
             fam = dm.deform_theorem_D(d1, d2, a=a,
                                       preserve_sign=True if args.preserve_sign else None)
             predicate = "asymptotic_swallowtail"
-            track = getattr(fam, "kext_sign", None)
+            track = fam.kext_sign
         else:
             fam = dm.deform_any_swallowtail(d1, d2, a=a)
             predicate = "swallowtail"
@@ -202,7 +202,7 @@ def cmd_cgc(args):
     K, H = cgcmod.curvatures_from_samples(par.f, du, dv)
     mask = cgcmod.parallel_safe_mask(grid, par) & ~np.isnan(K)
     Kdev = float(np.percentile(np.abs(K[mask] - 1.0), 95))
-    rep = fr.classify(cgcmod.ParallelGerm(om).as_germ(), at=(0.0, 1.0))
+    rep = fr.classify(cgcmod.ParallelGerm(om).as_germ(), at=cgcmod.SWALLOWTAIL_POINT)
     out_prefix = args.out_prefix
     cgcmod.write_obj(out_prefix + "_cmc.obj", grid.f)
     cgcmod.write_obj(out_prefix + "_k1.obj", par.f)

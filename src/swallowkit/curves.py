@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components,
-                     gauss_legendre, horner, over_u, pjet, step_count, step_ends, vjet,
+                     gauss_legendre, horner, over_u, step_count, step_ends, vjet,
                      xi_frame)
 from .frontal import sgn
 from ._jettables import index_of, term_count
@@ -67,8 +67,8 @@ class _XiFromGamma:
     def __init__(self, curve, k):
         self.curve, self.k = curve, k
 
-    def jet(self, u, v, order, memo=None):
-        return over_u(pjet(self.curve.gamma[self.k], u, 0.0, order + 2).axis_part().du(), u)
+    def jet(self, u, v, order):
+        return over_u(self.curve.gamma[self.k].jet(u, 0.0, order + 2).axis_part().du(), u)
 
 
 def factor_cusp(curve: CurveGerm) -> CuspFactorization:
@@ -81,7 +81,8 @@ def factor_cusp(curve: CurveGerm) -> CuspFactorization:
     return CuspFactorization(xi=tuple(_XiFromGamma(curve, k) for k in range(3)))
 
 
-def classify_cusp(fact: CuspFactorization, tol=1e-9) -> CuspClass:
+def classify_cusp(fact: CuspFactorization) -> CuspClass:
+    tol = 1e-9
     xi0, xi1, xi2 = xi_frame(fact.xi, 0.0, 2)
     cr = np.cross(xi0, xi1)
     cross_norm = float(np.linalg.norm(cr))
@@ -283,7 +284,7 @@ class HalfArclength:
         def comp(k):
             def fn(u, v, order):
                 tj = t_jet(u, order)
-                gj = pjet(gamma[k], tj.value(), 0.0, order)
+                gj = gamma[k].jet(tj.value(), 0.0, order)
                 vj = Jet2.constant(0.0, order, np.shape(u))
                 return compose2(gj.c, order, tj, vj)
             return JetFn(fn)
@@ -485,7 +486,7 @@ class FrenetPath:
     def _check_kappa_tau(self, a, b, spacing):
         grid = np.concatenate([[0.0], step_ends(0.0, b, spacing), step_ends(0.0, a, -spacing)])
         for us in np.array_split(grid, -(-len(grid) // CHECK_BLOCK)):
-            k, t = (np.reshape(pjet(p, us, 0.0, 0).value(), (len(us), -1))
+            k, t = (np.reshape(p.jet(us, 0.0, 0).value(), (len(us), -1))
                     for p in (self.data.kappa, self.data.tau))
             bad = ~((k > 0.0) & np.isfinite(k) & np.isfinite(t))
             if bad.any():
@@ -527,7 +528,7 @@ class FrenetPath:
         them: a row per degree up to order, then the axes of u and a column
         per path."""
         rows = [index_of(i, 0) for i in range(order + 1)]
-        return tuple(pjet(p, u, 0.0, order).c[rows].reshape((order + 1,) + np.shape(u) + (-1,))
+        return tuple(p.jet(u, 0.0, order).c[rows].reshape((order + 1,) + np.shape(u) + (-1,))
                      for p in (self.data.kappa, self.data.tau))
 
     def _series_at(self, u0, order):

@@ -27,7 +27,7 @@ from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discr
 from ._jettables import term_count
 from .curves import (CurveGerm, FrenetColumn, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of)
-from .fields import BoundedCache, JetFn, Scaled, components, cusp_frame, pjet, vjet, xi_frame
+from .fields import BoundedCache, JetFn, Scaled, components, cusp_frame, vjet, xi_frame
 from .frontal import sgn
 from .jets import Jet2, compose2, parse
 from .metric import det3, dot
@@ -55,6 +55,8 @@ class DeformationFamily:
     stages: list
     a: float = 0.0
     notes: list = field(default_factory=list)
+    kext_sign: int | None = None   # sign of K_ext to track at the probes (Theorem D)
+    interp: object = None          # the XiInterpolation of the xi-interpolation stage
 
     def endpoint(self, which):
         if which == 0:
@@ -184,10 +186,10 @@ class _UnitXiData:
             def fn(u, w, order):
                 K = order + 2
                 tj = t_jet(u, K)
-                Sj = pjet(speed, u, 0.0, K)
+                Sj = speed.jet(u, 0.0, K)
                 wj = Jet2.variable("v", w, K, ())
                 Vin = wj / Sj
-                bj = pjet(b[k], tj.value(), w / Sj.value(), K)
+                bj = b[k].jet(tj.value(), w / Sj.value(), K)
                 out = compose2(bj.c, K, tj, Vin)
                 o = out.order
                 return (out / (Sj.truncate(o) * Sj.truncate(o))).truncate(order)
@@ -216,7 +218,7 @@ def _combine(*weighted):
     def fn(u, v, order):
         out = None
         for w, p in weighted:
-            j = w * pjet(p, u, v, order)
+            j = w * p.jet(u, v, order)
             out = j if out is None else out + j
         return out
     return JetFn(fn)
@@ -235,7 +237,7 @@ class _KappaTau:
         self.xi = xi
         self._memo = BoundedCache()
 
-    def jet(self, u, v, order, memo=None):
+    def jet(self, u, v, order):
         key = float(u) if np.ndim(u) == 0 else (np.shape(u), np.asarray(u, dtype=float).tobytes())
         out = self._memo.jets(key, order)
         if out is None:
@@ -417,18 +419,16 @@ def deform_theorem_A(d1: SwallowtailData, d2: SwallowtailData, a: float = 0.0):
         m = _combine((1.0 - t, x31), (t, x32))
 
         def fn(u, v, order):
-            mj = pjet(m, u, v, order)
+            mj = m.jet(u, v, order)
             return tuple(mj * c for c in vjet(n, u, v, order))
         return SwallowtailData.of(xi_t, components(fn), gamma=gamma_t)
 
-    fam = DeformationFamily(
+    return DeformationFamily(
         recipe="TheoremA",
         stages=[Stage("strip-tangential-1", gen_stage1),
                 Stage("xi-interpolation", gen_stage2),
                 Stage("restore-tangential-2", gen_stage3)],
-        a=a, notes=notes)
-    fam.interp = interp
-    return fam
+        a=a, notes=notes, interp=interp)
 
 
 def deform_flip_sigma_S(d: SwallowtailData, a: float = 0.0):
@@ -575,10 +575,8 @@ def deform_lemma_3_7(d: AsymptoticData, a: float = 0.0):
             return AsymptoticData.of(d.xi, q, r, gamma=d.gamma)
         name = "to-negative-normal-form"
 
-    fam = DeformationFamily(recipe="Lemma3.7",
-                            stages=[Stage(name, gen, asymptotic=True)], a=a)
-    fam.sign = s
-    return fam
+    return DeformationFamily(recipe="Lemma3.7", stages=[Stage(name, gen, asymptotic=True)],
+                             a=a, kext_sign=s)
 
 
 def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
@@ -630,9 +628,8 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
                   Stage("xi-interpolation", gen_mid, asymptotic=True),
                   Stage(famL2.stages[0].name + "-reversed",
                         _reversed_gen(famL2.stages[0].generator), asymptotic=True)]
-        fam = DeformationFamily(recipe="TheoremD", stages=stages, a=a, notes=notes)
-        fam.kext_sign = int(k1)
-        return fam
+        return DeformationFamily(recipe="TheoremD", stages=stages, a=a, notes=notes,
+                                 kext_sign=int(k1), interp=interp)
 
     # general asymptotic route: scale (q, r) away, interpolate developables
     def gen_scale1(t):
@@ -651,16 +648,14 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
     stages = [Stage("scale-away-1", gen_scale1, asymptotic=True),
               Stage("developable-interpolation", gen_mid, asymptotic=True),
               Stage("scale-in-2", gen_scale2, asymptotic=True)]
-    fam = DeformationFamily(recipe="TheoremD", stages=stages, a=a, notes=notes)
-    fam.kext_sign = None
-    return fam
+    return DeformationFamily(recipe="TheoremD", stages=stages, a=a, notes=notes, interp=interp)
 
 
 # ---------------------------------------------------------------------------
 # Admissible-coordinate homotopy
 # ---------------------------------------------------------------------------
 
-def coordinate_homotopy(U, V, box=0.1, samples=9):
+def coordinate_homotopy(U, V):
     """Family of coordinate changes (u^t, v^t) = (a s + t A, b e + t B).
 
     U, V are expressions in (u, v) standing for the new coordinates; the
@@ -680,7 +675,7 @@ def coordinate_homotopy(U, V, box=0.1, samples=9):
         raise DeformError(f"u_xi(0,0) = {alpha} <= 0: not admissible")
     if beta <= 0:
         raise DeformError(f"v_eta(0,0) = {beta} <= 0: not admissible")
-    ss = np.linspace(-box, box, samples)
+    ss = np.linspace(-0.1, 0.1, 9)
     for s in ss:
         if abs(V.jet(float(s), 0.0, 0).value()) > 1e-10:
             raise DeformError(f"v(xi, 0) != 0 at xi={s}: axis not preserved")

@@ -245,13 +245,8 @@ class BoundedCache:
         return jets
 
 
-def pjet(p, u, v, order):
-    """Jet of a provider or expression."""
-    return p.jet(u, v, order)
-
-
 def vjet(vec, u, v, order):
-    return tuple(pjet(c, u, v, order) for c in vec)
+    return tuple(c.jet(u, v, order) for c in vec)
 
 
 def xi_frame(xi, u, order):
@@ -281,7 +276,7 @@ class JetFn:
         self._fn = fn
         self._memo = BoundedCache()
 
-    def jet(self, u, v, order, memo=None):
+    def jet(self, u, v, order):
         if np.ndim(u) or np.ndim(v):
             return self._fn(u, v, order)
         key = (float(u), float(v))
@@ -299,7 +294,7 @@ class _Component:
     def __init__(self, whole, k):
         self.whole, self.k = whole, k
 
-    def jet(self, u, v, order, memo=None):
+    def jet(self, u, v, order):
         return self.whole.jet(u, v, order)[self.k]
 
 
@@ -317,16 +312,16 @@ class DU:
     def __init__(self, base):
         self.base = base
 
-    def jet(self, u, v, order, memo=None):
-        return pjet(self.base, u, v, order + 1).du()
+    def jet(self, u, v, order):
+        return self.base.jet(u, v, order + 1).du()
 
 
 class Scaled:
     def __init__(self, base, s):
         self.base, self.s = base, s
 
-    def jet(self, u, v, order, memo=None):
-        return self.s * pjet(self.base, u, v, order)
+    def jet(self, u, v, order):
+        return self.s * self.base.jet(u, v, order)
 
 
 class FlipU:
@@ -335,8 +330,8 @@ class FlipU:
     def __init__(self, base):
         self.base = base
 
-    def jet(self, u, v, order, memo=None):
-        j = pjet(self.base, -u, v, order)
+    def jet(self, u, v, order):
+        j = self.base.jet(-u, v, order)
         c = j.c.copy()
         for (i, jj) in monomials(order):
             if i % 2:
@@ -360,7 +355,7 @@ class CurveIntegral:
         self._cache = BoundedCache()
 
     def _integrand(self, s):
-        return s * pjet(self.g, s.ravel(), 0.0, 0).value().reshape(s.shape)
+        return s * self.g.jet(s.ravel(), 0.0, 0).value().reshape(s.shape)
 
     def _integrate(self, u):
         """int_0^u t g(t) dt for a 1-D array u."""
@@ -383,11 +378,11 @@ class CurveIntegral:
         u = float(u)
         return self._cache.value(u, lambda: float(self._integrate(np.array([u]))[0]))
 
-    def jet(self, u, v, order, memo=None):
+    def jet(self, u, v, order):
         out = Jet2.constant(self._value(u), order, np.shape(u))
         if order >= 1:
             uj = Jet2.variable("u", u, order - 1, np.shape(u))
-            integ = uj * pjet(self.g, u, v, order - 1)
+            integ = uj * self.g.jet(u, v, order - 1)
             for i in range(integ.order + 1):
                 out.c[index_of(i + 1, 0)] = integ.c[index_of(i, 0)] / (i + 1)
         return out

@@ -55,19 +55,18 @@ class ClassificationError(ValueError):
 class MapGerm:
     """Map germ (u,v) -> R^3(a) with jets available to any order."""
 
-    def __init__(self, components, sf=SpaceForm(0.0), p0=(0.0, 0.0), exprs=None, data=None):
+    def __init__(self, components, sf=SpaceForm(0.0), exprs=None, data=None):
         self._components = tuple(components)
         self.sf = sf
-        self.p0 = (float(p0[0]), float(p0[1]))
         self.exprs = exprs
         self.data = data
         # over a module function, not a bound method: no reference cycle
         self._jets = JetFn(partial(_component_jets, self._components))
 
     @staticmethod
-    def from_exprs(exprs, sf=SpaceForm(0.0), p0=(0.0, 0.0), data=None):
+    def from_exprs(exprs, sf=SpaceForm(0.0), data=None):
         comps = tuple(parse(e) if isinstance(e, str) else e for e in exprs)
-        return MapGerm(comps, sf=sf, p0=p0, exprs=comps, data=data)
+        return MapGerm(comps, sf=sf, exprs=comps, data=data)
 
     def fjet(self, u, v, order=ORDER):
         # the providers memoise their jets, so their domain errors raise
@@ -76,9 +75,9 @@ class MapGerm:
     def value(self, u, v):
         return np.array([j.value() for j in self.fjet(u, v, order=0)])
 
-    def reparam(self, change, p0=(0.0, 0.0)):
+    def reparam(self, change):
         """Germ composed with a coordinate change (jets of (U, V) at a point)."""
-        return _ReparamGerm(self, change, p0)
+        return _ReparamGerm(self, change)
 
 
 def _column(germ, j):
@@ -94,8 +93,8 @@ def _component_jets(components, u, v, order):
 
 
 class _ReparamGerm(MapGerm):
-    def __init__(self, base, change, p0):
-        super().__init__(base._components, sf=base.sf, p0=p0, data=base.data)
+    def __init__(self, base, change):
+        super().__init__(base._components, sf=base.sf, data=base.data)
         self._base = base
         self._change = change
 
@@ -110,7 +109,7 @@ class _ColumnGerm(MapGerm):
     its jets are copies of the batch's column j."""
 
     def __init__(self, base, j):
-        super().__init__(base._components, sf=base.sf, p0=base.p0, data=base.data)
+        super().__init__(base._components, sf=base.sf, data=base.data)
         self._base = base
         self._j = j
 
@@ -198,9 +197,9 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER, mode=None):
 # Null field along the axis
 # ---------------------------------------------------------------------------
 
-def _axis_derivatives(germ, u, order=1):
-    """Values of f_u and f_v at the axis point (u, 0), from jets of order+1."""
-    F = germ.fjet(u, 0.0, order + 1)
+def _axis_derivatives(germ, u):
+    """Values of f_u and f_v at the axis point (u, 0), from jets of order 2."""
+    F = germ.fjet(u, 0.0, 2)
     return _vals(tuple(c.du() for c in F)), _vals(tuple(c.dv() for c in F))
 
 
@@ -213,20 +212,20 @@ def _kernel(fu, fv):
     return k / np.linalg.norm(k), s
 
 
-def _kind(k, s, tol=1e-7):
-    if s[-1] > tol * (1.0 + s[0]):
+def _kind(k, s):
+    if s[-1] > 1e-7 * (1.0 + s[0]):
         return "regular"
-    return "first" if abs(k[1]) > tol else "second"
+    return "first" if abs(k[1]) > 1e-7 else "second"
 
 
-def null_kernel(germ: MapGerm, u, order=1):
+def null_kernel(germ: MapGerm, u):
     """Kernel direction (alpha, eps) of df at the axis point (u, 0)."""
-    return _kernel(*_axis_derivatives(germ, u, order))
+    return _kernel(*_axis_derivatives(germ, u))
 
 
-def point_kind(germ: MapGerm, u, tol=1e-7):
+def point_kind(germ: MapGerm, u):
     """'regular' | 'first' | 'second' at the axis point (u, 0)."""
-    return _kind(*null_kernel(germ, u), tol)
+    return _kind(*null_kernel(germ, u))
 
 
 def _eps_field_jets(germ: MapGerm, u, order):
@@ -316,10 +315,10 @@ def _sigma0_S(val, fuv, nu_u):
     return -sgn(val, float(np.linalg.norm(fuv) * np.linalg.norm(nu_u))), -val
 
 
-def sigma0_S(germ: MapGerm, shared=None):
+def sigma0_S(germ: MapGerm):
     """Sign invariant whose non-vanishing detects a swallowtail (o 2nd kind):
     (sign, raw value), or a list of them, one per slot of a batched germ."""
-    d = shared or _second_kind_data(germ)
+    d = _second_kind_data(germ)
     return _per_slot(_sigma0_S, _slots(d["F"]), *_sigma0_S_values(germ.sf, d))
 
 
@@ -331,9 +330,9 @@ def _sigma_g_S(val, fvv):
     return sgn(val, float(np.linalg.norm(fvv))), val
 
 
-def sigma_g_S(germ: MapGerm, shared=None):
+def sigma_g_S(germ: MapGerm):
     """Sign of the limiting-normal-curvature numerator (genericity)."""
-    d = shared or _second_kind_data(germ)
+    d = _second_kind_data(germ)
     return _per_slot(_sigma_g_S, _slots(d["F"]), *_sigma_g_S_values(germ.sf, d))
 
 
@@ -348,8 +347,8 @@ def _kappa_nu(num, den):
     return num / den
 
 
-def limiting_normal_curvature(germ: MapGerm, shared=None):
-    d = shared or _second_kind_data(germ)
+def limiting_normal_curvature(germ: MapGerm):
+    d = _second_kind_data(germ)
     return _per_slot(_kappa_nu, _slots(d["F"]), *_kappa_nu_values(germ.sf, d))
 
 
@@ -366,9 +365,9 @@ def _mu_C(fv_norm, num, den):
     return -(fv_norm ** 3) * num / den
 
 
-def normalized_cuspidal_curvature(germ: MapGerm, shared=None):
+def normalized_cuspidal_curvature(germ: MapGerm):
     """mu_C; its sign equals sigma0_S."""
-    d = shared or _second_kind_data(germ)
+    d = _second_kind_data(germ)
     return _per_slot(_mu_C, _slots(d["F"]), *_mu_C_values(germ.sf, d))
 
 
@@ -377,7 +376,7 @@ def _immersive(fu, fv):
     return np.linalg.norm(np.cross(fu, fv)) > 1e-8 * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
 
 
-def classify(germ: MapGerm, at=(0.0, 0.0), order=ORDER, neighborhood=0.05):
+def classify(germ: MapGerm, at=(0.0, 0.0)):
     """Full singularity report at a point (admissible or general position).
 
     A germ whose jets carry a trailing batch axis (one slot per t of a
@@ -412,20 +411,20 @@ def classify(germ: MapGerm, at=(0.0, 0.0), order=ORDER, neighborhood=0.05):
                 common[j] = rep
                 continue
         try:
-            work = make_admissible(_column(germ, j), at, order=order)
-            exc = _on_axis(work, {None: rep}, order, neighborhood).get(None)
+            work = make_admissible(_column(germ, j), at)
+            exc = _on_axis(work, {None: rep}).get(None)
         except ValueError as e:
             exc = e
         if exc is not None:
             errors[j] = exc
     if common:
-        errors.update(_on_axis(germ, common, order, neighborhood, mode="axis"))
+        errors.update(_on_axis(germ, common, mode="axis"))
     if errors:
         raise errors[min(errors)]
     return reps[None] if slots == [None] else list(reps.values())
 
 
-def _on_axis(work, reps, order, neighborhood, mode=None):
+def _on_axis(work, reps, mode=None):
     """The rest of classify at the origin of work, a germ whose singular set
     is the u-axis: fills in reps (slot -> report, for some slots of work)
     and returns slot -> the exception that slot raises alone."""
@@ -437,7 +436,7 @@ def _on_axis(work, reps, order, neighborhood, mode=None):
             errors[j] = exc
 
     with slot_errors() as failed:
-        nt = normal_jets(work, 0.0, 0.0, order)
+        nt = normal_jets(work, 0.0, 0.0)
     for j, rep in list(live.items()):
         exc = failed.get(j)
         if exc is not None:
@@ -491,8 +490,7 @@ def _on_axis(work, reps, order, neighborhood, mode=None):
         return errors
 
     # second kind: generalized swallowtail status from nearby axis points
-    near = [_axis_derivatives(work, uu)
-            for uu in (-neighborhood, -neighborhood / 4, neighborhood / 4, neighborhood)]
+    near = [_axis_derivatives(work, uu) for uu in (-0.05, -0.0125, 0.0125, 0.05)]
     for j, rep in list(live.items()):
         try:
             kinds = [_kind(*_kernel(_slot(a, j), _slot(b, j))) for a, b in near]
@@ -503,7 +501,7 @@ def _on_axis(work, reps, order, neighborhood, mode=None):
 
     sf = work.sf
     with slot_errors() as failed:
-        shared = _second_kind_data(work, order=min(order, 4))
+        shared = _second_kind_data(work, order=4)
     s0, sg, kn = (f(sf, shared) for f in (_sigma0_S_values, _sigma_g_S_values, _kappa_nu_values))
     with slot_errors() as mu_failed:
         mu = _mu_C_values(sf, shared)
@@ -535,11 +533,11 @@ def _on_axis(work, reps, order, neighborhood, mode=None):
     return errors
 
 
-def _axis_is_singular(germ: MapGerm, samples=(-0.08, -0.03, 0.0, 0.03, 0.08)):
+def _axis_is_singular(germ: MapGerm):
     """Whether the u-axis is singular at every sample: a bool, or a list of
     them, one per slot of a batched germ."""
     out = None
-    for uu in samples:
+    for uu in (-0.08, -0.03, 0.0, 0.03, 0.08):
         F = germ.fjet(uu, 0.0, 1)
         fu = _vals(tuple(c.du() for c in F))
         fv = _vals(tuple(c.dv() for c in F))
@@ -555,17 +553,17 @@ def _axis_is_singular(germ: MapGerm, samples=(-0.08, -0.03, 0.0, 0.03, 0.08)):
 # Invariants along the axis (first-kind points)
 # ---------------------------------------------------------------------------
 
-def sigma0_C(germ: MapGerm, u, order=ORDER):
+def sigma0_C(germ: MapGerm, u):
     """Cuspidal-curvature sign at the first-kind point (u, 0).
 
     Uses the null field zeta oriented with negative v-component, which makes
     the limit at a second-kind center agree with sigma0_S.
     """
     sf = germ.sf
-    alpha, eps, fu, fv, F = _eps_field_jets(germ, u, order)
+    alpha, eps, fu, fv, F = _eps_field_jets(germ, u, ORDER)
     if abs(eps.value()) < 1e-12 and abs(alpha.value()) > 1e-6:
         raise ClassificationError(f"(u,0)=({u},0) is not of the first kind")
-    Ftr = tuple(c.truncate(order - 1) for c in F)
+    Ftr = tuple(c.truncate(ORDER - 1) for c in F)
 
     def cov_zeta(X):
         Xu = tuple(c.du() for c in X)
@@ -586,14 +584,14 @@ def sigma0_C(germ: MapGerm, u, order=ORDER):
     return sgn(det, scale), det
 
 
-def sigma_g_C(germ: MapGerm, u, order=4):
+def sigma_g_C(germ: MapGerm, u):
     """Limiting-normal-curvature sign at the first-kind point (u, 0):
     (sign, raw value), or a list of them, one per slot of a batched germ."""
     sf = germ.sf
-    F = germ.fjet(u, 0.0, order + 2)
-    Ftr = tuple(c.truncate(order) for c in F)
-    fu = tuple(c.du().truncate(order) for c in F)
-    fv = tuple(c.dv().truncate(order) for c in F)
+    F = germ.fjet(u, 0.0, 6)
+    Ftr = tuple(c.truncate(4) for c in F)
+    fu = tuple(c.du().truncate(4) for c in F)
+    fv = tuple(c.dv().truncate(4) for c in F)
     fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
     fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
     det = mt.det_g(sf, Ftr, fu, fuu, fvv).value()
@@ -604,7 +602,7 @@ def _sigma_g_C(det, fu, fuu, fvv):
     return sgn(det, np.linalg.norm(fu) * np.linalg.norm(fuu) * np.linalg.norm(fvv)), det
 
 
-def epsilon_identity_residual(germ: MapGerm, u, order=ORDER):
+def epsilon_identity_residual(germ: MapGerm, u):
     """Residual of <f_uu, nu~> = eps^2 <f_vv, nu~> at the singular point (u,0)."""
     k, s = null_kernel(germ, u)
     if s[-1] > 1e-7 * (1.0 + s[0]):
@@ -613,28 +611,28 @@ def epsilon_identity_residual(germ: MapGerm, u, order=ORDER):
         raise ClassificationError("null field has no d_u component; eps not resolvable")
     eps = k[1] / k[0]
     sf = germ.sf
-    F = germ.fjet(u, 0.0, order + 2)
-    Ftr = tuple(c.truncate(order) for c in F)
-    fu = tuple(c.du().truncate(order) for c in F)
-    fv = tuple(c.dv().truncate(order) for c in F)
+    F = germ.fjet(u, 0.0, ORDER + 2)
+    Ftr = tuple(c.truncate(ORDER) for c in F)
+    fu = tuple(c.du().truncate(ORDER) for c in F)
+    fv = tuple(c.dv().truncate(ORDER) for c in F)
     fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
     fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
-    nt = normal_jets(germ, u, 0.0, order - 1)
-    lhs = mt.inner_g(sf, tuple(c.truncate(order - 1) for c in Ftr),
-                     tuple(c.truncate(order - 1) for c in fuu), nt).value()
-    rhs = eps * eps * mt.inner_g(sf, tuple(c.truncate(order - 1) for c in Ftr),
-                                 tuple(c.truncate(order - 1) for c in fvv), nt).value()
+    nt = normal_jets(germ, u, 0.0, ORDER - 1)
+    lhs = mt.inner_g(sf, tuple(c.truncate(ORDER - 1) for c in Ftr),
+                     tuple(c.truncate(ORDER - 1) for c in fuu), nt).value()
+    rhs = eps * eps * mt.inner_g(sf, tuple(c.truncate(ORDER - 1) for c in Ftr),
+                                 tuple(c.truncate(ORDER - 1) for c in fvv), nt).value()
     return abs(lhs - rhs) / (1.0 + abs(lhs)), eps
 
 
-def limit_normal_at_second_kind(germ: MapGerm, order=ORDER, probes=(0.01, -0.01)):
+def limit_normal_at_second_kind(germ: MapGerm, probes=(0.01, -0.01)):
     """Limit direction of the unit normal along the axis at a 2nd-kind origin.
 
     Returns (direction, worst_angle): the direction f_v(o) x_g f_uv(o) up to
     positive scale, and the largest angle to the normalized nu~ at the probe
     points, which must be small for a consistent frontal.
     """
-    d = _second_kind_data(germ, order=order)
+    d = _second_kind_data(germ)
     direction = _vals(mt.cross_g(germ.sf, d["F"], d["fv"], d["fuv"]))
     nd = np.linalg.norm(direction)
     if nd == 0.0:
@@ -649,7 +647,7 @@ def limit_normal_at_second_kind(germ: MapGerm, order=ORDER, probes=(0.01, -0.01)
     return direction, worst
 
 
-def project_to_limiting_tangent_plane(germ: MapGerm, order=ORDER):
+def project_to_limiting_tangent_plane(germ: MapGerm):
     """Project to the plane orthogonal to nu(o); test for a planar cusp.
 
     Returns (is_whitney_cusp, planar_curve_jets): the projected singular
@@ -658,7 +656,7 @@ def project_to_limiting_tangent_plane(germ: MapGerm, order=ORDER):
     rep_kind = point_kind(germ, 0.0)
     if rep_kind == "regular":
         raise ClassificationError("immersion at the origin: no singular curve")
-    d = _second_kind_data(germ, order=order)
+    d = _second_kind_data(germ)
     nu0 = _vals(d["nu"])
     # orthonormal basis of the limiting tangent plane
     e1 = np.array([1.0, 0.0, 0.0])
@@ -667,7 +665,7 @@ def project_to_limiting_tangent_plane(germ: MapGerm, order=ORDER):
     e1 = e1 - np.dot(e1, nu0) * nu0
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(nu0, e1)
-    G = germ.fjet(0.0, 0.0, order)
+    G = germ.fjet(0.0, 0.0, ORDER)
     gu = [c for c in G]
     x = sum(float(e1[k]) * gu[k] for k in range(3))
     y = sum(float(e2[k]) * gu[k] for k in range(3))
@@ -684,7 +682,7 @@ def project_to_limiting_tangent_plane(germ: MapGerm, order=ORDER):
 # Curvature
 # ---------------------------------------------------------------------------
 
-def fundamental_forms(germ: MapGerm, at, order=3):
+def fundamental_forms(germ: MapGerm, at):
     """(E, F, G, L, M, N) of the germ in its space form at a regular point.
 
     at = (u, v) may hold arrays (one germ.fjet call for all points, points
@@ -694,10 +692,10 @@ def fundamental_forms(germ: MapGerm, at, order=3):
     all six forms when at holds arrays."""
     sf = germ.sf
     u, v = at
-    Fj = germ.fjet(u, v, order + 2)
-    Ftr = tuple(c.truncate(order) for c in Fj)
-    fu = tuple(c.du().truncate(order) for c in Fj)
-    fv = tuple(c.dv().truncate(order) for c in Fj)
+    Fj = germ.fjet(u, v, 5)
+    Ftr = tuple(c.truncate(3) for c in Fj)
+    fu = tuple(c.du().truncate(3) for c in Fj)
+    fv = tuple(c.dv().truncate(3) for c in Fj)
     E, Fi, G = (mt.inner_g(sf, Ftr, x, y).value() for x, y in ((fu, fu), (fu, fv), (fv, fv)))
     n = mt.cross_g(sf, Ftr, fu, fv)
     nsq = mt.inner_g(sf, Ftr, n, n)
@@ -757,7 +755,7 @@ def _proxy_direction(germ: MapGerm, at):
     return Uw[:, 0]
 
 
-def make_admissible(germ: MapGerm, at, order=ORDER):
+def make_admissible(germ: MapGerm, at):
     """Reparametrize so the singular curve through `at` becomes the u-axis.
 
     The singular curve is solved as a series v = c(s) of the local signed
@@ -906,12 +904,13 @@ def singular_set_grid(germ: MapGerm, window, res=401):
     return np.array(pts) if pts else np.zeros((0, 2))
 
 
-def self_intersection_side(germ: MapGerm, extent=0.25, res=81):
+def self_intersection_side(germ: MapGerm):
     """Sign of v on the side of the axis carrying the self-intersections.
 
     Proximity search on a local grid: pairs of well-separated parameter
     points with nearly equal images vote with the v-sign of their midpoints.
     """
+    extent, res = 0.25, 81
     uu = np.linspace(-extent, extent, res)
     vv = np.linspace(-extent, extent, res)
     Ug, Vg = np.meshgrid(uu, vv, indexing="ij")
@@ -938,14 +937,14 @@ def self_intersection_side(germ: MapGerm, extent=0.25, res=81):
     return 1 if votes > 0 else -1
 
 
-def tail_probes(germ: MapGerm, n=20, extent=0.2):
+def tail_probes(germ: MapGerm, n=20):
     """Probe points on the tail side (the side without self-intersections)."""
     side = -self_intersection_side(germ)
     rng = np.random.default_rng(7)
     pts = []
     while len(pts) < n:
-        u = rng.uniform(-extent / 2, extent / 2)
-        v = side * rng.uniform(0.02, extent)
+        u = rng.uniform(-0.1, 0.1)
+        v = side * rng.uniform(0.02, 0.2)
         try:
             gaussian_curvature(germ, (u, v))
         except ClassificationError:

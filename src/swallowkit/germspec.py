@@ -29,9 +29,9 @@ class SpecError(ValueError):
     pass
 
 
-def _expr_list(doc, key, n=3):
-    if key not in doc or not isinstance(doc[key], (list, tuple)) or len(doc[key]) != n:
-        raise SpecError(f"field {key!r} must be a list of {n} expression strings")
+def _expr_list(doc, key):
+    if key not in doc or not isinstance(doc[key], (list, tuple)) or len(doc[key]) != 3:
+        raise SpecError(f"field {key!r} must be a list of 3 expression strings")
     return tuple(str(e) for e in doc[key])
 
 

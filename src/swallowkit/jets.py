@@ -303,11 +303,11 @@ class Jet2:
         c[src] = self.c[dst]
         return Jet2(self.order + 1, c)
 
-    def divide_by_u(self, tol=1e-9):
+    def divide_by_u(self):
         """Jet of f/u for f vanishing on the v-axis; result has order-1."""
         vaxis = tables.v_axis_indices(self.order)
         scale = np.max(np.abs(self.c), axis=0)
-        if np.any(np.abs(self.c[vaxis]) > tol * (1.0 + scale)):
+        if np.any(np.abs(self.c[vaxis]) > 1e-9 * (1.0 + scale)):
             raise JetError("jet does not vanish on the v-axis")
         src, dst = tables.shift_u_pairs(self.order)
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])

@@ -197,15 +197,14 @@ def test_extract_roundtrip_random():
 def test_convert_to_asymptotic_identity(fplus):
     data = fplus.data.as_general()
     out = convert_to_asymptotic_form(data)
-    from swallowkit.fields import pjet
-    assert pjet(out.q, 0.1, 0.0, 0).value() == pytest.approx(0.0, abs=1e-10)
-    r0 = np.array([pjet(c, 0.0, 0.0, 0).value() for c in out.r])
+    assert out.q.jet(0.1, 0.0, 0).value() == pytest.approx(0.0, abs=1e-10)
+    r0 = np.array([c.jet(0.0, 0.0, 0).value() for c in out.r])
     assert r0 == pytest.approx([0.0, 0.0, 1.0], abs=1e-9)
 
 
 def test_convert_to_asymptotic_constants():
     """b = 3 xi + 5 xi' extracts q = 5 with the tangential part absorbed."""
-    from swallowkit.fields import JetFn, pjet, vjet as vj
+    from swallowkit.fields import JetFn, vjet as vj
     from swallowkit.jets import parse
     xi = tuple(parse(s) for s in ("1", "u", "u^2"))
 
@@ -219,7 +218,7 @@ def test_convert_to_asymptotic_constants():
     data = SwallowtailData.of(xi, tuple(bk(k) for k in range(3)))
     out = convert_to_asymptotic_form(data)
     for u in (0.0, 0.1, -0.1):
-        assert pjet(out.q, u, 0.0, 0).value() == pytest.approx(5.0, abs=1e-10)
+        assert out.q.jet(u, 0.0, 0).value() == pytest.approx(5.0, abs=1e-10)
     # rebuilt germ matches the original where both are defined
     g1 = build(data)
     g2 = build_asymptotic(out, require_swallowtail=False)

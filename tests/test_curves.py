@@ -7,7 +7,7 @@ from swallowkit.curves import (CHECK_BLOCK, CurveError, CurveGerm, FrenetData, F
                                classify_cusp, curvature_torsion_of, factor_cusp, integrate_frenet,
                                mirror_properties, normalize_half_arclength)
 from swallowkit.deform import XiInterpolation
-from swallowkit.fields import horner, pjet, rk4_step, xi_frame
+from swallowkit.fields import horner, rk4_step, xi_frame
 from swallowkit.jets import Jet2, compose2, parse
 
 
@@ -17,9 +17,9 @@ class ComposeU:
     def __init__(self, base, phi):
         self.base, self.phi = base, phi
 
-    def jet(self, u, v, order, memo=None):
-        ph = pjet(self.phi, u, 0.0, order)
-        inner = pjet(self.base, ph.value(), v, order)
+    def jet(self, u, v, order):
+        ph = self.phi.jet(u, 0.0, order)
+        inner = self.base.jet(ph.value(), v, order)
         vj = Jet2.variable("v", v, order, np.shape(u))
         return compose2(inner.c, order, ph, vj)
 
@@ -161,7 +161,7 @@ class _Columns:
     def __init__(self, *texts):
         self.exprs = [parse(e) for e in texts]
 
-    def jet(self, u, v, order, memo=None):
+    def jet(self, u, v, order):
         return Jet2(order, np.stack([e.jet(u, v, order).c for e in self.exprs], axis=-1))
 
 
@@ -188,7 +188,7 @@ def _rk4_states(path, h):
     for end, sign in ((b, 1.0), (a, -1.0)):
         m = round(abs(end) / h)
         xs = sign * 0.5 * h * np.arange(2 * m + 1)
-        k, t = (np.reshape(pjet(p, xs, 0.0, 0).value(), (len(xs), -1))
+        k, t = (np.reshape(p.jet(xs, 0.0, 0).value(), (len(xs), -1))
                 for p in (path.data.kappa, path.data.tau))
 
         def rhs(x, Y):
@@ -259,7 +259,7 @@ def test_frenet_step_starts_read_one_array_call_of_each_provider():
         def __init__(self, text):
             self.expr = parse(text)
 
-        def jet(self, u, v, order, memo=None):
+        def jet(self, u, v, order):
             calls.append((np.array(u), order))
             return self.expr.jet(u, v, order)
 

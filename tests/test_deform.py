@@ -19,7 +19,7 @@ def rotated_scaled_217(theta=0.5, scale=1.3, btweak=0.2):
 
 
 def rotated_asym(theta, q, rscale):
-    from swallowkit.fields import JetFn, pjet
+    from swallowkit.fields import JetFn
     from swallowkit.jets import parse
     from swallowkit.metric import cross
     c, s = np.cos(theta), np.sin(theta)
@@ -158,11 +158,10 @@ def test_half_arclength_chain_is_truncation_exact():
     field: each asked at order N + 1 and cut to N equals the call at N, on
     fresh objects for each side, for N = 0 to 10."""
     from swallowkit.curves import curvature_torsion_of
-    from swallowkit.fields import pjet
     readers = {
         "t_jet": lambda n, u, o: [n.H.t_jet(u, o)],
         "xi_hat_jets": lambda n, u, o: list(n.H.xi_hat_jets(u, o)),
-        "speed": lambda n, u, o: [pjet(n.speed, u, 0.0, o)],
+        "speed": lambda n, u, o: [n.speed.jet(u, 0.0, o)],
         "curvature_torsion_of": lambda n, u, o: list(curvature_torsion_of(n.xi, u, o)),
     }
     for r in readers.values():
@@ -280,7 +279,7 @@ def _recipes(d217, dplus):
         ("Theorem D, scale-away", famDg, "asymptotic_swallowtail", 6, None),
         ("Prop 2.13", dm.deform_any_swallowtail(dflip, dplus), "swallowtail", 6, None),
         ("Prop 2.13, reversed", dm.deform_any_swallowtail(dplus, dflip), "swallowtail", 6, None),
-        ("Lemma 3.7", famL, "asymptotic_swallowtail", 11, famL.sign),
+        ("Lemma 3.7", famL, "asymptotic_swallowtail", 11, famL.kext_sign),
     ]
 
 
@@ -334,12 +333,11 @@ def test_xi_interpolation_memo_shared_by_threads():
     that it clears under them, get the values of a serial computation."""
     import sys
     from concurrent.futures import ThreadPoolExecutor
-    from swallowkit.fields import pjet
     us = [0.0005 + 0.002 * k for k in range(300)]     # off-node points
 
     def sweep(interp, order_of_us):
         kp, tp = interp.kappa_tau(np.array([0.4]))
-        return {u: (pjet(kp, u, 0.0, 2).c, pjet(tp, u, 0.0, 2).c) for u in order_of_us}
+        return {u: (kp.jet(u, 0.0, 2).c, tp.jet(u, 0.0, 2).c) for u in order_of_us}
 
     ref = sweep(_helix_interp(), us)
     shared = _helix_interp()
@@ -441,8 +439,8 @@ def test_lemma_3_7_positive_branch():
     d = AsymptoticData(xi=("1", "u", "u^2"), q="0",
                        r=("2*u^2", "0-4*u", "2"))
     fam = dm.deform_lemma_3_7(d)
-    cert = dm.certify(fam, "asymptotic_swallowtail", steps=21, track_kext_sign=fam.sign)
-    assert fam.sign == 1
+    cert = dm.certify(fam, "asymptotic_swallowtail", steps=21, track_kext_sign=fam.kext_sign)
+    assert fam.kext_sign == 1
     assert cert.passed, cert.failures
     end = fam.stages[0].generator(1.0)
     disc = discriminants(end)
@@ -455,7 +453,7 @@ def test_lemma_3_7_negative_branch():
     disc = discriminants(d)
     assert disc.Dqr(0.0) < 0
     fam = dm.deform_lemma_3_7(d)
-    assert fam.sign == -1
+    assert fam.kext_sign == -1
     cert = dm.certify(fam, "asymptotic_swallowtail", steps=21, track_kext_sign=-1)
     assert cert.passed, cert.failures
     assert discriminants(fam.stages[0].generator(1.0)).Dqr(0.0) == pytest.approx(-6.0)
@@ -537,10 +535,9 @@ def test_endpoint_pointwise_fidelity(d217):
     g_raw = build(d_flip)
     curve = CurveGerm(d_flip.gamma)
     H = HalfArclength(curve, xi=d_flip.xi)
-    from swallowkit.fields import pjet
     for u in np.linspace(-0.2, 0.2, 11):
         t = H.t_of_u(float(u))
-        S = pjet(H.speed(), float(u), 0.0, 0).value()
+        S = H.speed().jet(float(u), 0.0, 0).value()
         for w in np.linspace(-0.1, 0.1, 11):
             lhs = g_norm.value(float(u), float(w))
             rhs = g_raw.value(t, float(w) / S)

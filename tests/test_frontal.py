@@ -265,15 +265,14 @@ def test_K_limit_matches_data_formula(fplus, fminus, parabolic):
     for germ in (fplus, fminus, parabolic):
         data = germ.data
         disc = discriminants(data)
-        from swallowkit.fields import pjet
         for u0 in (0.0, 0.1, -0.1):
             xj = data.xi_jets(u0, 2)
             xi = np.array([c.value() for c in xj])
             xip = np.array([c.partial(1, 0) for c in xj])
             xipp = np.array([c.partial(2, 0) for c in xj])
             psi = float(np.linalg.det(np.stack([xi, xip, xipp], axis=1)))
-            q = pjet(data.q, u0, 0.0, 0).value()
-            r0 = np.array([pjet(c, u0, 0.0, 0).value() for c in data.r])
+            q = data.q.jet(u0, 0.0, 0).value()
+            r0 = np.array([c.jet(u0, 0.0, 0).value() for c in data.r])
             D = float(np.linalg.det(np.stack([xi, xip, r0], axis=1)))
             # independent leading coefficient of lambda^4 K / v^4
             pred = (2 * u0 * q - 1) * (6 * (3 * u0 * q - 1) * psi * D
@@ -465,7 +464,7 @@ class _Stacked:
     def __init__(self, parts):
         self.parts = parts
 
-    def jet(self, u, v, order, memo=None):
+    def jet(self, u, v, order):
         return fr.Jet2(order, np.stack([p.jet(u, v, order).c for p in self.parts], axis=-1))
 
 
