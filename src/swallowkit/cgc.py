@@ -36,9 +36,7 @@ class CgcError(ValueError):
     pass
 
 
-# The swallowtail point of the parallel surface: the base point of the
-# reconstruction and of ParallelGerm, and where the test values are read.
-SWALLOWTAIL_POINT = (0.0, 1.0)
+SWALLOWTAIL_POINT = (0.0, 1.0)   # of the parallel surface; reconstruction starts there
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +326,9 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
                         res=(201, 201)) -> SurfaceGrid:
     """Integrate the frame equations over the grid: along the spine from the
     grid point nearest SWALLOWTAIL_POINT, then every column from the spine
-    at once, states vectorized over u.  The coefficients (w, w_u, w_v, L or N, E) of each
-    grid interval come from one array call of omega (see _sweep).
+    at once, states vectorized over u.  The coefficients (w, w_u, w_v, L or
+    N, E) of each grid interval come from one array call of omega (see
+    _sweep).
 
     Guard: the Gauss residual, which is the sinh-Gordon residual of omega
     times -e^{-2w}, is sampled first; reconstruction refuses to run on
@@ -460,9 +459,8 @@ def parallel_regularity(grid: SurfaceGrid, par: SurfaceGrid):
 
 
 def parallel_safe_mask(grid: SurfaceGrid, par: SurfaceGrid):
-    """Regular points a quantified distance from the degeneracy (|1 - l_i| >
-    0.05), with a border strip of 4 points excluded for the difference
-    stencils."""
+    """Regular points a quantified distance from the degeneracy, |1 - l_i| >
+    0.05, less a border strip of 4 points for the difference stencils."""
     l1, l2 = grid.principal
     mask = parallel_regularity(grid, par)
     mask &= np.abs(1.0 - l1) > 0.05

@@ -191,6 +191,15 @@ def cmd_cgc(args):
         raise gs.SpecError("cgc grid must be at least 9x9")
     window = _numbers(args.window, 4, "--window u0,u1,v0,v1")
     prof = cgcmod.solve_radial_ode()
+    # omega reads F at the radii of the window: past the profile's domain the
+    # end steps' polynomials are extrapolated, which the Gauss guard cannot see
+    (ua, ub), (va, vb) = sorted(window[:2]), sorted(window[2:])
+    radii = (math.hypot(max(ua, -ub, 0.0), max(va, -vb, 0.0)),
+             math.hypot(max(-ua, ub), max(-va, vb)))
+    if radii[0] < prof.edges[0] or radii[1] > prof.edges[-1]:
+        raise cgcmod.CgcError(f"--window {args.window} spans radii {radii[0]:g} to {radii[1]:g}, "
+                              f"outside the radial profile's domain "
+                              f"[{prof.edges[0]:g}, {prof.edges[-1]:g}]")
     om = cgcmod.OmegaField(prof)
     forms = cgcmod.FundamentalForms(om)
     chk = cgcmod.check_swallowtail_conditions(forms)

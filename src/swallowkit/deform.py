@@ -55,7 +55,7 @@ class DeformationFamily:
     stages: list
     a: float = 0.0
     notes: list = field(default_factory=list)
-    kext_sign: int | None = None   # sign of K_ext to track at the probes (Theorem D)
+    kext_sign: int | None = None   # sign of K_ext kept at the probes, if one is
     interp: object = None          # the XiInterpolation of the xi-interpolation stage
 
     def endpoint(self, which):

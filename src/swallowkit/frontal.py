@@ -228,20 +228,19 @@ def point_kind(germ: MapGerm, u):
     return _kind(*null_kernel(germ, u))
 
 
-def _eps_field_jets(germ: MapGerm, u, order):
+def _eps_field_jets(germ: MapGerm, u):
     """Jets at (u,0) of a null field zeta = alpha(u) d_u + eps(u) d_v.
 
     Built from the kernel of the first fundamental form along the axis:
     (F, -E) with E = <f_u, f_u>, F = <f_u, f_v>; smooth in u away from
     second-kind points, oriented so eps < 0 at the working point.
     """
-    F = germ.fjet(u, 0.0, order + 1)
+    F = germ.fjet(u, 0.0, ORDER + 1)
     fu = tuple(c.du() for c in F)
     fv = tuple(c.dv() for c in F)
     E = dot(fu, fu)
     Fg = dot(fu, fv)
-    norm = (Fg * Fg + E * E)
-    nrm = jet_sqrt(norm)
+    nrm = jet_sqrt(Fg * Fg + E * E)
     alpha = Fg / nrm
     eps = -E / nrm
     if eps.value() > 0:
@@ -560,7 +559,7 @@ def sigma0_C(germ: MapGerm, u):
     the limit at a second-kind center agree with sigma0_S.
     """
     sf = germ.sf
-    alpha, eps, fu, fv, F = _eps_field_jets(germ, u, ORDER)
+    alpha, eps, fu, fv, F = _eps_field_jets(germ, u)
     if abs(eps.value()) < 1e-12 and abs(alpha.value()) > 1e-6:
         raise ClassificationError(f"(u,0)=({u},0) is not of the first kind")
     Ftr = tuple(c.truncate(ORDER - 1) for c in F)
@@ -910,16 +909,14 @@ def self_intersection_side(germ: MapGerm):
     Proximity search on a local grid: pairs of well-separated parameter
     points with nearly equal images vote with the v-sign of their midpoints.
     """
-    extent, res = 0.25, 81
-    uu = np.linspace(-extent, extent, res)
-    vv = np.linspace(-extent, extent, res)
-    Ug, Vg = np.meshgrid(uu, vv, indexing="ij")
+    uu = np.linspace(-0.25, 0.25, 81)
+    Ug, Vg = np.meshgrid(uu, uu, indexing="ij")
     F = germ.fjet(Ug, Vg, 0)
     P = np.stack([c.value() for c in F], axis=-1).reshape(-1, 3)
     params = np.stack([Ug, Vg], axis=-1).reshape(-1, 2)
     from scipy.spatial import cKDTree
     tree = cKDTree(P)
-    h = 2 * extent / (res - 1)
+    h = 0.5 / 80   # the step of the grid
     close = tree.query_pairs(r=0.35 * h, output_type="ndarray")
     votes = 0.0
     nvotes = 0

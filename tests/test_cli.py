@@ -389,6 +389,22 @@ def test_frenet_samples_must_be_a_positive_integer(capsys, samples):
     assert "--samples" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("window, radii", [("-0.1,0.1,0.1,0.3", "0.1 to 0.316228"),
+                                           ("-0.2,0.2,2.6,3.0", "2.6 to 3.00666"),
+                                           ("-0.1,0.1,-0.1,0.1", "0 to 0.141421")])
+def test_cgc_window_outside_the_profile_domain_is_a_domain_error(capsys, tmp_path, window, radii):
+    """omega reads the radial profile, solved on [0.5, 1.6], at the radii of
+    the window: one that leaves that domain (or holds r = 0) exits 3, where
+    the end steps' polynomials were read past their domain and exited 0."""
+    code = main(["cgc", "--grid", "21,21", f"--window={window}",
+                 "--out-prefix", str(tmp_path / "cgc")])
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err == (f"domain error: --window {window} spans radii {radii}, "
+                   "outside the radial profile's domain [0.5, 1.6]\n")
+    assert not list(tmp_path.iterdir())
+
+
 def test_cgc_command(capsys, tmp_path):
     code, out = run(capsys, "cgc", "--grid", "41,41",
                     "--window=-0.3,0.3,0.8,1.2",

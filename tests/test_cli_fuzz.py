@@ -136,6 +136,9 @@ FLAGS = [
     ("cgc", "--out-prefix", "{out}", "--grid", ["1", "5,5", "a,b", "9,9,9", "0,0"]),
     ("cgc", "--out-prefix", "{out}", "--grid", "9,9", "--window",
      ["1", "a,b,c,d", "nan,0,0,1", "0,0,0"]),
+    # radii outside the radial profile's domain [0.5, 1.6], and r = 0
+    ("cgc", "--out-prefix", "{out}", "--grid", "9,9", "--window={v}",
+     ["-0.1,0.1,0.1,0.3", "-0.2,0.2,2.6,3.0", "-0.1,0.1,-0.1,0.1"]),
 ]
 
 

@@ -512,3 +512,25 @@ def test_classify_batch_equals_its_slots_alone(at):
         with pytest.raises(type(first), match=re.escape(str(first))):
             classify(_batch_of([germs[n] for n in order]), at=at)
     assert repr(classify(_batch_of([germs["swallowtail"]]), at=at)[0]) == alone["swallowtail"]
+
+
+def test_public_invariants_equal_the_classify_report(ex217, fplus):
+    """sigma0_S, sigma_g_S, limiting_normal_curvature and
+    normalized_cuspidal_curvature, each called alone, give the fields of the
+    classify report with their raw values: on ex217, and slot by slot on a
+    batch of ex217 and fplus."""
+    def invariants(germ):
+        return (fr.sigma0_S(germ), fr.sigma_g_S(germ), fr.limiting_normal_curvature(germ),
+                fr.normalized_cuspidal_curvature(germ))
+
+    def fields(rep):
+        return ((rep.sigma0_S, rep.raw["sigma0_S"]), (rep.sigma_g_S, rep.raw["sigma_g_S"]),
+                rep.kappa_nu, rep.mu_C)
+
+    assert invariants(ex217) == fields(classify(ex217))
+    batch = _batch_of([ex217, fplus])
+    per_slot = invariants(batch)
+    reps = classify(batch)
+    assert len(reps) == 2 and reps[0].sigma_g_S != reps[1].sigma_g_S
+    for j, rep in enumerate(reps):
+        assert tuple(x[j] for x in per_slot) == fields(rep)

@@ -1,22 +1,26 @@
 """Every module-level import of the package is used by its module, every
 module-level _private function or class is used by the package, every
-local a function assigns is read, and no function imports a module except
-where that keeps scipy out of `import swallowkit`.
+local a function assigns is read, every parameter default is overridden by
+some call, and no function imports a module except where that keeps scipy
+out of `import swallowkit`.
 
 No linter ships with the package, so this parses each module and fails on
 an imported name that the module never references, on a private helper
 that no module of the package references, on a function-local name that a
-single-target assignment binds and nothing reads, or on an import inside a
-function.  __init__.py is left out of the import check: its imports are the
-public re-exports.
+single-target assignment binds and nothing reads, on a parameter default
+that no call in the repository passes (a value with one use is a constant,
+not a parameter), or on an import inside a function.  __init__.py is left
+out of the import check: its imports are the public re-exports.
 """
 
 import ast
+import math
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "swallowkit"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "swallowkit"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -120,6 +124,76 @@ def test_checker_sees_a_dead_local():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_locals(path):
     assert dead_locals(path.read_text()) == []
+
+
+def parameter_defaults(source):
+    """(callable, parameter, position) of each parameter default of the
+    functions in source; position is None for a keyword-only parameter.  A
+    method's positions leave out self or cls, and __init__ goes by the name
+    of its class, which is the name its callers call."""
+    found = []
+
+    def visit(node, cls):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child.name)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                pos = args.posonlyargs + args.args
+                if cls is not None and not any(getattr(d, "id", None) == "staticmethod"
+                                               for d in child.decorator_list):
+                    pos = pos[1:]
+                name = cls if cls is not None and child.name == "__init__" else child.name
+                first = len(pos) - len(args.defaults)
+                found.extend((name, p.arg, first + i) for i, p in enumerate(pos[first:]))
+                found.extend((name, p.arg, None)
+                             for p, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+                visit(child, None)
+            else:
+                visit(child, cls)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def unpassed_defaults(defining, calling):
+    """(module, callable, parameter) of each parameter default of the modules
+    {name: source} of defining that no call in the sources calling passes, by
+    keyword or by position.  A call is matched by the name it calls (f(...)
+    or x.f(...)); a call with *args passes every position, one with
+    **kwargs every keyword."""
+    calls = {}
+    for src in calling:
+        for n in ast.walk(ast.parse(src)):
+            if isinstance(n, ast.Call):
+                name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                npos = math.inf if any(isinstance(a, ast.Starred) for a in n.args) else len(n.args)
+                calls.setdefault(name, []).append((npos, {k.arg for k in n.keywords}))
+    return sorted((mod, name, param)
+                  for mod, src in defining.items()
+                  for name, param, pos in parameter_defaults(src)
+                  if not any(param in kws or None in kws or (pos is not None and npos > pos)
+                             for npos, kws in calls.get(name, ())))
+
+
+def test_checker_sees_a_default_without_a_caller():
+    defining = {"a": "def f(x, y=1, *, z=2):\n    pass\n\n\n"
+                     "def g(s=3, *, t=4):\n    pass\n\n\n"
+                     "class C:\n    def __init__(self, p=0, q=1):\n        pass\n\n"
+                     "    def m(self, r=2, w=5):\n        pass\n\n"
+                     "    @staticmethod\n    def k(e=6):\n        pass\n"}
+    calling = ["f(0, 1)\nC(q=1)\nobj.m(5)\nC.k(0)\ng(*a)\ng(**kw)\n"]
+    assert unpassed_defaults(defining, calling) == [("a", "C", "p"), ("a", "f", "z"),
+                                                    ("a", "m", "w")]
+
+
+def test_every_parameter_default_has_a_caller():
+    """Every default of the package is overridden by some call in src,
+    tests, tools or perfbench."""
+    calling = [p.read_text() for d in ("src", "tests", "tools", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    defining = {p.name: p.read_text() for p in SRC.glob("*.py")}
+    assert unpassed_defaults(defining, calling) == []
 
 
 def function_level_imports(source):
