@@ -55,8 +55,8 @@ class DeformationFamily:
     stages: list
     a: float = 0.0
     notes: list = field(default_factory=list)
-    kext_sign: int | None = None   # sign of K_ext kept at the probes, if one is
-    interp: object = None          # the XiInterpolation of the xi-interpolation stage
+    kext_sign: int | None = None   # K_ext sign kept at the probes (Theorem D, Lemma 3.7)
+    interp: object = None          # Theorem A's XiInterpolation, which its middle stage reads
 
     def endpoint(self, which):
         if which == 0:
@@ -629,7 +629,7 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
                   Stage(famL2.stages[0].name + "-reversed",
                         _reversed_gen(famL2.stages[0].generator), asymptotic=True)]
         return DeformationFamily(recipe="TheoremD", stages=stages, a=a, notes=notes,
-                                 kext_sign=int(k1), interp=interp)
+                                 kext_sign=int(k1))
 
     # general asymptotic route: scale (q, r) away, interpolate developables
     def gen_scale1(t):
@@ -648,7 +648,7 @@ def deform_theorem_D(d1: AsymptoticData, d2: AsymptoticData, a: float = 0.0,
     stages = [Stage("scale-away-1", gen_scale1, asymptotic=True),
               Stage("developable-interpolation", gen_mid, asymptotic=True),
               Stage("scale-in-2", gen_scale2, asymptotic=True)]
-    return DeformationFamily(recipe="TheoremD", stages=stages, a=a, notes=notes, interp=interp)
+    return DeformationFamily(recipe="TheoremD", stages=stages, a=a, notes=notes)
 
 
 # ---------------------------------------------------------------------------

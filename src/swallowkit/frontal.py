@@ -240,7 +240,8 @@ def _eps_field_jets(germ: MapGerm, u):
     fv = tuple(c.dv() for c in F)
     E = dot(fu, fu)
     Fg = dot(fu, fv)
-    nrm = jet_sqrt(Fg * Fg + E * E)
+    norm = (Fg * Fg + E * E)
+    nrm = jet_sqrt(norm)
     alpha = Fg / nrm
     eps = -E / nrm
     if eps.value() > 0:
