@@ -186,9 +186,6 @@ class Discriminants:
     Dqr: object = None   # u -> Dqr(u, 0), asymptotic data only
     delta: object = None  # u -> delta(u)
 
-    def signs(self):
-        return sgn(self.D0, self.scale), sgn(self.D1, self.scale)
-
 
 def discriminants(data) -> Discriminants:
     xi, xip, xipp = xi_frame(data.xi, 0.0, 3)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._jettables import index_of, monomials
-from .fields import BoundedCache, DenseOutput, JetFn, horner, rk4_abscissae, rk4_step, step_ends
+from .fields import DenseOutput, components, horner, rk4_abscissae, rk4_step, step_ends
 from .frontal import MapGerm
 from .jets import (Jet2, _apply_series, jet_cosh, jet_exp, jet_sinh, jet_sqrt, p1_compose,
                    p1_derivative, p1_mul)
@@ -489,17 +489,14 @@ class ParallelGerm:
         fields = self._prolong(*SWALLOWTAIL_POINT, self.ORDER,
                                _base_frame(omega, *SWALLOWTAIL_POINT))
         self._taylor = np.array([[c.c for c in row] for row in fields])   # (4, 3, terms)
-        self._jets = BoundedCache()
 
     def _state_at(self, u, v):
         du, dv = u - SWALLOWTAIL_POINT[0], v - SWALLOWTAIL_POINT[1]
         return self._taylor @ np.array([du ** i * dv ** j for i, j in monomials(self.ORDER)])
 
     def jets(self, u, v, order):
-        """2-D jets of (f, fu, fv, nu) at (u, v) by prolongation, memoised
-        per (u, v, order): the three components of the germ read them."""
-        return self._jets.value((float(u), float(v), order),
-                                lambda: self._prolong(u, v, order, self._state_at(u, v)))
+        """2-D jets of (f, fu, fv, nu) at (u, v) by prolongation."""
+        return self._prolong(u, v, order, self._state_at(u, v))
 
     def _prolong(self, u, v, order, st):
         wj = self.om.jet(u, v, order + 1)
@@ -530,13 +527,10 @@ class ParallelGerm:
                         fields[m][k].c[index_of(i, j)] = val
         return fields
 
-    def h_component(self, k):
-        germ = self
-
-        def fn(u, v, order):
-            fields = germ.jets(u, v, order)
-            return fields[0][k] + fields[3][k]
-        return JetFn(fn)
-
     def as_germ(self) -> MapGerm:
-        return MapGerm(tuple(self.h_component(k) for k in range(3)), sf=SpaceForm(0.0))
+        """The germ h = f + nu of the parallel surface: its three components
+        come from one prolongation per call."""
+        def h(u, v, order):
+            f, _, _, nu = self.jets(u, v, order)
+            return tuple(f[k] + nu[k] for k in range(3))
+        return MapGerm(components(h), sf=SpaceForm(0.0))

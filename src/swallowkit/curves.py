@@ -137,10 +137,7 @@ class HalfArclength:
     The jet of t(u) at u0 is the series reversion (jets.p1_invert) of
     u(t0 + s) - u0, whose coefficient k comes from the first k of that
     series only.  So every jet here is truncation-exact: asked at order
-    N + 1 and cut to N, it holds the bits of the call at N, and the
-    BoundedCaches that memoise t(u) and the jets (an array keyed by its
-    bytes) answer a lower order from a higher one with the bits of a
-    direct call.
+    N + 1 and cut to N, it holds the bits of the call at N.
     """
 
     T, PANELS = 1.5, 750          # half-width of the table and panels per side
@@ -226,7 +223,10 @@ class HalfArclength:
         return self._t_cache.value(u, lambda: float(self._invert(np.array([u]))[0]))
 
     def _cached(self, tag, x, order, compute):
-        key = (tag, float(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float).tobytes())
+        """compute() memoised per scalar x; an array x is computed, not stored."""
+        if np.ndim(x):
+            return compute()
+        key = (tag, float(x))
         out = self._jet_cache.jets(key, order)
         return self._jet_cache.put_jets(key, order, compute()) if out is None else out
 
@@ -291,18 +291,17 @@ class HalfArclength:
         return tuple(comp(k) for k in range(3))
 
     def xi_hat_jets(self, u, order):
-        """All three components of the unit field at u, cached."""
-        def compute():
-            tj = self.t_jet(u, order)
-            xj = vjet(self.fact.xi, tj.value(), 0.0, order)
-            zero = Jet2.constant(0.0, order, np.shape(u))
-            all_c = [compose2(xj[m].c, order, tj, zero) for m in range(3)]
-            nrm = jet_sqrt(dot(all_c, all_c))
-            return tuple(c / nrm for c in all_c)
-        return self._cached("xh", u, order, compute)
+        """All three components of the unit field at u."""
+        tj = self.t_jet(u, order)
+        xj = vjet(self.fact.xi, tj.value(), 0.0, order)
+        zero = Jet2.constant(0.0, order, np.shape(u))
+        all_c = [compose2(xj[m].c, order, tj, zero) for m in range(3)]
+        nrm = jet_sqrt(dot(all_c, all_c))
+        return tuple(c / nrm for c in all_c)
 
     def xi_hat(self):
-        """Unit factorization field in the new parameter."""
+        """Unit factorization field in the new parameter, its jets memoised
+        by the components' JetFn."""
         xi_hat_jets = self.xi_hat_jets
         return components(lambda u, v, order: xi_hat_jets(u, order))
 
@@ -405,10 +404,10 @@ class FrenetPath:
 
     Before the march, kappa > 0 and the finiteness of kappa and tau are
     checked on a grid of spacing max(KAPPA_CHECK, data.step / 50), both ends
-    included, by order-0 array calls of each provider on equal blocks of at
-    most CHECK_BLOCK points, which bound the memory of the check; it is
-    scanned from 0 out to the right end and then to the left one, and an
-    error names the first bad abscissa.
+    included, by one order-0 array read of (kappa, tau) (fields.vjet) per
+    equal block of at most CHECK_BLOCK points, which bound the memory of
+    the check; it is scanned from 0 out to the right end and then to the
+    left one, and an error names the first bad abscissa.
 
     Every step is elementwise across the columns, so a column steps bit for
     bit as it would alone when the batch takes the steps it takes alone: a
@@ -446,8 +445,8 @@ class FrenetPath:
         0 out through ends[0] and through ends[1].  A step longer than its
         series admits (_admissible_step) is split into equal steps that it
         does admit, each checked again at its own start.  The kappa and tau
-        series at the starts in ends come from one array call of each
-        provider, and those at the starts of a split from one more.  A
+        series at the starts in ends come from one array read of (kappa,
+        tau), and those at the starts of a split from one more.  A
         split beyond budget steps, or series that admit no step, is a
         CurveError."""
         series = {}
@@ -486,8 +485,8 @@ class FrenetPath:
     def _check_kappa_tau(self, a, b, spacing):
         grid = np.concatenate([[0.0], step_ends(0.0, b, spacing), step_ends(0.0, a, -spacing)])
         for us in np.array_split(grid, -(-len(grid) // CHECK_BLOCK)):
-            k, t = (np.reshape(p.jet(us, 0.0, 0).value(), (len(us), -1))
-                    for p in (self.data.kappa, self.data.tau))
+            k, t = (np.reshape(j.value(), (len(us), -1))
+                    for j in vjet((self.data.kappa, self.data.tau), us, 0.0, 0))
             bad = ~((k > 0.0) & np.isfinite(k) & np.isfinite(t))
             if bad.any():
                 i, j = np.argwhere(bad)[0]
@@ -528,8 +527,8 @@ class FrenetPath:
         them: a row per degree up to order, then the axes of u and a column
         per path."""
         rows = [index_of(i, 0) for i in range(order + 1)]
-        return tuple(p.jet(u, 0.0, order).c[rows].reshape((order + 1,) + np.shape(u) + (-1,))
-                     for p in (self.data.kappa, self.data.tau))
+        return tuple(j.c[rows].reshape((order + 1,) + np.shape(u) + (-1,))
+                     for j in vjet((self.data.kappa, self.data.tau), u, 0.0, order))
 
     def _series_at(self, u0, order):
         S = _frenet_series(self.state(u0), *self._kappa_tau_series(u0, order), u0, order)

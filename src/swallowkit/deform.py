@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discr
 from ._jettables import term_count
 from .curves import (CurveGerm, FrenetColumn, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of)
-from .fields import BoundedCache, JetFn, Scaled, components, cusp_frame, vjet, xi_frame
+from .fields import JetFn, Scaled, components, cusp_frame, vjet, xi_frame
 from .frontal import sgn
 from .jets import Jet2, compose2, parse
 from .metric import det3, dot
@@ -57,11 +58,6 @@ class DeformationFamily:
     notes: list = field(default_factory=list)
     kext_sign: int | None = None   # K_ext sign kept at the probes (Theorem D, Lemma 3.7)
     interp: object = None          # Theorem A's XiInterpolation, which its middle stage reads
-
-    def endpoint(self, which):
-        if which == 0:
-            return self.stages[0].generator(0.0)
-        return self.stages[-1].generator(1.0)
 
 
 @dataclass
@@ -228,21 +224,10 @@ def _combine(*weighted):
 # The xi-interpolation stage shared by Theorems A and D
 # ---------------------------------------------------------------------------
 
-class _KappaTau:
-    """Provider of the (kappa, tau) jets of a unit field, as a pair, memoised
-    per point: a float u, or an array of them keyed by its bytes, so that
-    the kappa and the tau providers of a batch share every call."""
-
-    def __init__(self, xi):
-        self.xi = xi
-        self._memo = BoundedCache()
-
-    def jet(self, u, v, order):
-        key = float(u) if np.ndim(u) == 0 else (np.shape(u), np.asarray(u, dtype=float).tobytes())
-        out = self._memo.jets(key, order)
-        if out is None:
-            out = self._memo.put_jets(key, order, curvature_torsion_of(self.xi, u, order))
-        return out
+def _kappa_tau(xi, u, v, order):
+    """The (kappa, tau) jets of the unit field xi at u: the function of an
+    endpoint's provider."""
+    return curvature_torsion_of(xi, u, order)
 
 
 def _initial_frame(xi):
@@ -287,17 +272,11 @@ class XiInterpolation:
     columns, and the slots t = 0 and t = 1 are the endpoint providers,
     spliced in.
 
-    The kappa and tau providers of a batch take a float u or an array of
-    them, with the t axis after the axes of u.  The endpoint (kappa, tau)
-    jets behind them do not depend on t, so they come from one memoised
-    provider per endpoint field, shared by every batch: the march's check
-    grid and its step starts make one array call per endpoint field each,
-    and a split step (see FrenetPath) one more.
-    A batch computes its series at a point one order above the first
-    request, so the orders (N, N + 1) that the cusp frame asks there make
-    one series and one (kappa, tau) call per endpoint field; that call
-    fills the endpoint unit-field memos to order N + 3, and the slots t = 0
-    and t = 1 read them by exact truncation.
+    The kappa and tau of a batch are the two components of one provider,
+    which takes a float u or an array of them, with the t axis after the
+    axes of u.  The endpoint (kappa, tau) jets behind it do not depend on
+    t, so they come from one JetFn per endpoint field, shared by every
+    batch.
     """
 
     INTERVAL = (-0.3, 0.3)
@@ -308,29 +287,23 @@ class XiInterpolation:
         R1, R2 = (_initial_frame(xi) for xi in self.xi)
         self.w = _rotation_log(R1.T @ R2)
         self.R1 = R1
-        self.kt = tuple(_KappaTau(xi) for xi in self.xi)
+        self.kt = tuple(JetFn(partial(_kappa_tau, xi)) for xi in self.xi)
 
     def kappa_tau(self, t):
-        """Providers of kappa and tau of the paths at the array t: jets with
-        a t axis after the axes of the point u (batch axes align from the
-        left)."""
+        """Providers of kappa and tau of the paths at the array t: the two
+        components of one provider, with jets with a t axis after the axes
+        of the point u (batch axes align from the left)."""
         kt1, kt2 = self.kt
 
-        def endpoints(u, order):
+        def fn(u, v, order):
+            k1, t1 = kt1.jet(u, 0.0, order)
+            k2, t2 = kt2.jet(u, 0.0, order)
             w = np.reshape(t, (1,) * np.ndim(u) + np.shape(t))
-            return (*kt1.jet(u, 0.0, order), *kt2.jet(u, 0.0, order), w)
-
-        def kfn(u, v, order):
-            k1, _, k2, _, w = endpoints(u, order)
-            return k1 * (1.0 - w) + k2 * w
-
-        def tfn(u, v, order):
-            k1, t1, k2, t2, w = endpoints(u, order)
             kt = k1 * (1.0 - w) + k2 * w
             num = k1 * (1.0 - w) * k1 * t1 + k2 * w * k2 * t2
-            return num / (kt * kt)
+            return kt, num / (kt * kt)
 
-        return JetFn(kfn), JetFn(tfn)
+        return components(fn, 2)
 
     def march(self, ts):
         """One FrenetPath with a column per t of the sequence ts."""
@@ -364,7 +337,8 @@ class XiInterpolation:
                     c[..., inner] = path.series_jets(u, order, which)
                 for at, p in zip(ends, endpoint):
                     if at.any():
-                        c[..., at] = np.stack([j.c for j in vjet(p, u, v, order)])[..., None]
+                        # fields of u alone, read on the axis as the series are
+                        c[..., at] = np.stack([j.c for j in vjet(p, u, 0.0, order)])[..., None]
                 return tuple(Jet2(order, ck) for ck in c)
             return components(fn)
         return spliced(0, self.xi), spliced(4, self.gammas)

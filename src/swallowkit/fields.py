@@ -21,10 +21,14 @@ into its component providers, so the vector is built once per point.
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
 caller), so callers never write into the .c of a jet they were given; they
-build a new jet instead.  Composite providers, whose jet assembles a new
-jet from other providers, are JetFns, which memoise their jets per scalar
-point in a BoundedCache; thin wrappers that only rescale, flip or
-differentiate a base provider (Scaled, FlipU, DU) are not cached.
+build a new jet instead.  One memo rule holds for every provider: it
+memoises scalar points only, in a BoundedCache that answers a lower order
+by truncation, and an array call is computed and never stored.  Composite
+providers, whose jet assembles a new jet from other providers, are JetFns;
+thin wrappers that only rescale, flip or differentiate a base provider
+(Scaled, FlipU, DU) are not cached.  A vector built by components is
+computed by one call of its provider, at an array point too, when it is
+read through vjet.
 
 Array points: u and v may be arrays of one shape, and jet(u, v, order) then
 returns one jet per point, along the trailing axes of .c.  Points on an
@@ -246,6 +250,12 @@ class BoundedCache:
 
 
 def vjet(vec, u, v, order):
+    """Jets at (u, v) of the providers of a vector: when they are entries of
+    one components() vector, from one call of their shared provider."""
+    whole = getattr(vec[0], "whole", None)
+    if whole is not None and all(getattr(c, "whole", None) is whole for c in vec):
+        out = whole.jet(u, v, order)
+        return tuple(out[c.k] for c in vec)
     return tuple(c.jet(u, v, order) for c in vec)
 
 
@@ -300,8 +310,8 @@ class _Component:
 
 def components(fn, n=3):
     """The n component providers of one JetFn fn(u, v, order) -> tuple of n
-    jets: the vector is assembled and memoised once per point, each component
-    reads its entry."""
+    jets: the vector is assembled and memoised once per scalar point, each
+    component reads its entry, and vjet reads them all from one call."""
     whole = JetFn(fn)
     return tuple(_Component(whole, k) for k in range(n))
 

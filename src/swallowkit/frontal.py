@@ -31,6 +31,9 @@ from .metric import SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
 ORDER = 6
+# a singular point is of the first kind when the d_v part of its unit kernel
+# exceeds KIND_TOL in size: the one band of classify and point_kind
+KIND_TOL = 1e-6
 
 
 def sgn(x, scale=1.0, tol=None):
@@ -147,18 +150,18 @@ def _per_slot(fn, slots, *values):
 # Normal field and lambda
 # ---------------------------------------------------------------------------
 
-def normal_jets(germ: MapGerm, u, v, order=ORDER):
-    """Jet of the unnormalized normal nu~ = (f_v x_g f_u)/v at (u, v).
+def normal_jets(germ: MapGerm, u, order=ORDER):
+    """Jet of the unnormalized normal nu~ = (f_v x_g f_u)/v at the axis
+    point (u, 0).
 
-    On the singular axis v = 0 the division is the coefficient shift of a
-    jet vanishing on the axis; if that fails the parametrization is not
-    admissible at this point.
+    The division is the coefficient shift of a jet vanishing on the axis;
+    if that fails the parametrization is not admissible at this point.
     """
-    F = germ.fjet(u, v, order + 2)
+    F = germ.fjet(u, 0.0, order + 2)
     Fu = tuple(c.du() for c in F)
     Fv = tuple(c.dv() for c in F)
     n = mt.cross_g(germ.sf, tuple(c.truncate(order + 1) for c in F), Fv, Fu)
-    return tuple(over_v(c, v) for c in n)
+    return tuple(c.divide_by_v() for c in n)
 
 
 def lambda_jet(germ: MapGerm, u, v, order=ORDER, mode=None):
@@ -169,14 +172,11 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER, mode=None):
     lambda = v |nu~|_g^2 and lambda_v(o) = |xi(0) x xi'(0)|^2 > 0;
     away from that structure (immersions, general germs; mode "unit") the
     unit normal is used instead, so an immersion has |lambda| = |f_u x f_v|_g.
-    Without a mode it is found once per germ, "axis" if every slot's axis
+    Without a mode it is found from the germ, "axis" if every slot's axis
     is singular.
     """
     if mode is None:
-        mode = getattr(germ, "_lambda_mode", None)
-    if mode is None:
         mode = "axis" if np.all(_axis_is_singular(germ)) else "unit"
-        germ._lambda_mode = mode
     F = germ.fjet(u, v, order + 3)
     Fu = tuple(c.du() for c in F)
     Fv = tuple(c.dv() for c in F)
@@ -215,7 +215,7 @@ def _kernel(fu, fv):
 def _kind(k, s):
     if s[-1] > 1e-7 * (1.0 + s[0]):
         return "regular"
-    return "first" if abs(k[1]) > 1e-7 else "second"
+    return "first" if abs(k[1]) > KIND_TOL else "second"
 
 
 def null_kernel(germ: MapGerm, u):
@@ -223,9 +223,9 @@ def null_kernel(germ: MapGerm, u):
     return _kernel(*_axis_derivatives(germ, u))
 
 
-def point_kind(germ: MapGerm, u):
-    """'regular' | 'first' | 'second' at the axis point (u, 0)."""
-    return _kind(*null_kernel(germ, u))
+def point_kind(germ: MapGerm):
+    """'regular' | 'first' | 'second' at the origin."""
+    return _kind(*null_kernel(germ, 0.0))
 
 
 def _eps_field_jets(germ: MapGerm, u):
@@ -286,7 +286,7 @@ def _second_kind_data(germ: MapGerm, order=ORDER):
     fu = tuple(c.du().truncate(order) for c in F)
     fv = tuple(c.dv().truncate(order) for c in F)
     fuv = tuple(c.du().dv().truncate(order - 1) for c in F)
-    nt = normal_jets(germ, 0.0, 0.0, order)
+    nt = normal_jets(germ, 0.0, order)
     nn = mt.norm_g(sf, Ftr, nt)
     nu = tuple(c / nn for c in nt)
     # covariant derivatives at the origin of the germ
@@ -436,7 +436,7 @@ def _on_axis(work, reps, mode=None):
             errors[j] = exc
 
     with slot_errors() as failed:
-        nt = normal_jets(work, 0.0, 0.0)
+        nt = normal_jets(work, 0.0)
     for j, rep in list(live.items()):
         exc = failed.get(j)
         if exc is not None:
@@ -476,7 +476,7 @@ def _on_axis(work, reps, mode=None):
         try:
             k, _ = _kernel(_slot(fu, j), _slot(fv, j))
             rep.null_vector = (float(k[0]), float(k[1]))
-            rep.kind = "first" if abs(k[1]) > 1e-6 else "second"
+            rep.kind = "first" if abs(k[1]) > KIND_TOL else "second"
             if rep.kind == "second":
                 continue
             s0c, raw = sigma0_C(_column(work, j), 0.0)
@@ -617,7 +617,7 @@ def epsilon_identity_residual(germ: MapGerm, u):
     fv = tuple(c.dv().truncate(ORDER) for c in F)
     fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
     fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
-    nt = normal_jets(germ, u, 0.0, ORDER - 1)
+    nt = normal_jets(germ, u, ORDER - 1)
     lhs = mt.inner_g(sf, tuple(c.truncate(ORDER - 1) for c in Ftr),
                      tuple(c.truncate(ORDER - 1) for c in fuu), nt).value()
     rhs = eps * eps * mt.inner_g(sf, tuple(c.truncate(ORDER - 1) for c in Ftr),
@@ -640,7 +640,7 @@ def limit_normal_at_second_kind(germ: MapGerm, probes=(0.01, -0.01)):
     direction = direction / nd
     worst = 0.0
     for uu in probes:
-        nt = _vals(normal_jets(germ, uu, 0.0, 2))
+        nt = _vals(normal_jets(germ, uu, 2))
         nt = nt / np.linalg.norm(nt)
         ang = math.acos(max(-1.0, min(1.0, float(np.dot(nt, direction)))))
         worst = max(worst, ang)
@@ -653,7 +653,7 @@ def project_to_limiting_tangent_plane(germ: MapGerm):
     Returns (is_whitney_cusp, planar_curve_jets): the projected singular
     curve u -> f^(u, 0) written in an orthonormal basis of the plane.
     """
-    rep_kind = point_kind(germ, 0.0)
+    rep_kind = point_kind(germ)
     if rep_kind == "regular":
         raise ClassificationError("immersion at the origin: no singular curve")
     d = _second_kind_data(germ)

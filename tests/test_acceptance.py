@@ -99,7 +99,7 @@ def _axis_kappa_nu(germ, u):
     Ftr = tuple(c.truncate(2) for c in F)
     fv = tuple(c.dv().truncate(2) for c in F)
     fvv = tuple(c.dv().dv().truncate(2) for c in F)
-    nt = fr.normal_jets(germ, u, 0.0, 2)
+    nt = fr.normal_jets(germ, u, 2)
     nn = norm_g(germ.sf, Ftr, nt)
     num = inner_g(germ.sf, Ftr, fvv, nt).value() / nn.value()
     den = inner_g(germ.sf, Ftr, fv, fv).value()

@@ -1,5 +1,7 @@
-"""Per-point memos of the composite jet providers and their bounded cache,
-and the package's RK4 step."""
+"""The one memo rule of the jet providers: scalar points are memoised in a
+bounded cache that answers lower orders by truncation, array points are
+computed and never stored, and a components() vector read through vjet
+comes from one call of its provider; also the package's RK4 step."""
 
 import gc
 import warnings
@@ -9,7 +11,8 @@ import pytest
 
 from swallowkit import deform as dm
 from swallowkit.builder import AsymptoticData, SwallowtailData, build
-from swallowkit.fields import CACHE_BOUND, BoundedCache, CurveIntegral, JetFn, rk4_step
+from swallowkit.fields import (CACHE_BOUND, BoundedCache, CurveIntegral, JetFn, components,
+                               rk4_step, vjet)
 from swallowkit.frontal import classify
 from swallowkit.jets import jet_sqrt, parse
 
@@ -61,6 +64,49 @@ def test_array_points_bypass_the_memo():
     np.testing.assert_array_equal(first.c, second.c)
     for k, u in enumerate(us):
         np.testing.assert_allclose(first.c[:, k], _composite(u, 0.0, 3).c, rtol=1e-14)
+
+
+def _counted_vector(calls):
+    """components() of (F, 2F, 3F, 4F), recording the shape of each point."""
+    def fn(u, v, order):
+        calls.append(np.shape(u))
+        f = _F.jet(u, v, order)
+        return tuple((k + 1.0) * f for k in range(4))
+    return components(fn, 4)
+
+
+def test_vjet_of_a_components_vector_makes_one_provider_call():
+    """At array points, where nothing is memoised, vjet of the whole vector
+    and of a slice of it (the x3 split reads entries 1 to 3 of 4) each call
+    the provider once and return the entries in their order."""
+    calls = []
+    vec = _counted_vector(calls)
+    us, vs = np.array([0.1, 0.2, 0.3]), np.array([-0.1, 0.0, 0.2])
+    whole = vjet(vec, us, vs, 3)
+    assert calls == [(3,)]
+    tail = vjet(vec[1:], us, vs, 3)
+    assert calls == [(3,), (3,)]
+    f = _F.jet(us, vs, 3)
+    for k, j in enumerate(whole):
+        np.testing.assert_array_equal(j.c, ((k + 1.0) * f).c)
+    for a, b in zip(tail, whole[1:]):
+        np.testing.assert_array_equal(a.c, b.c)
+    one = vjet((vec[2],), us, vs, 3)[0]
+    assert len(calls) == 3
+    np.testing.assert_array_equal(one.c, whole[2].c)
+
+
+def test_array_calls_of_the_half_arclength_chain_store_nothing():
+    """t(u) and the speed at an array of u off 0 (u = 0 takes the scalar
+    branch) leave the half-arclength memo empty; a scalar call fills it."""
+    from swallowkit.curves import CurveGerm, HalfArclength
+    H = HalfArclength(CurveGerm(("u^2/2", "u^3/3", "u^4/4")))
+    us = np.array([-0.2, 0.05, 0.1])
+    H.t_jet(us, 3)
+    H.speed().jet(us, 0.0, 3)
+    assert len(H._jet_cache) == 0
+    H.t_jet(0.1, 3)
+    assert len(H._jet_cache) > 0
 
 
 def test_memo_clears_past_its_bound():

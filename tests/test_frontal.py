@@ -71,6 +71,24 @@ def test_classify_regular_point(ex217):
     assert rep.kind == "regular"
 
 
+@pytest.mark.parametrize("s", [3e-7, 5e-7, 8e-7])
+def test_classify_and_point_kind_share_one_kind_band(s):
+    """A swallowtail shifted along its axis by s, (u, v) -> (u + s, v), has a
+    kernel whose d_v part lies between 1e-7 and 1e-6: classify and
+    point_kind decide its kind with the same band, KIND_TOL."""
+    from swallowkit.jets import Jet2
+    germ = build(SwallowtailData(xi=("1", "u", "u^2"), b=("0", "0", "0.25")))
+
+    def shift(u, v, order):
+        return Jet2.variable("u", u + s, order, ()), Jet2.variable("v", v, order, ())
+    moved = germ.reparam(shift)
+    k, _ = fr.null_kernel(moved, 0.0)
+    assert 1e-7 < abs(k[1]) <= fr.KIND_TOL
+    rep = classify(moved)
+    assert rep.kind == "second" and rep.is_swallowtail
+    assert fr.point_kind(moved) == rep.kind
+
+
 # -- sign invariants ---------------------------------------------------------
 
 def test_sigma_pins_ex217(ex217):

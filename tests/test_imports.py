@@ -227,3 +227,11 @@ def test_no_function_level_imports():
     found = [(p.name,) + imp for p in sorted(SRC.glob("*.py"))
              for imp in function_level_imports(p.read_text())]
     assert found == [("frontal.py", "self_intersection_side", "scipy.spatial")]
+
+
+def test_no_memo_keyed_by_array_bytes():
+    """The providers memoise scalar points only (fields module docstring),
+    so no module of the package keys anything by an array's bytes."""
+    offenders = [f"{p.name}:{i}" for p in sorted(SRC.glob("*.py"))
+                 for i, line in enumerate(p.read_text().splitlines(), 1) if "tobytes(" in line]
+    assert offenders == []
