@@ -16,6 +16,7 @@ are reported as 0 with the raw value attached, never guessed.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -31,8 +32,11 @@ from .metric import SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
 ORDER = 6
-# a singular point is of the first kind when the d_v part of its unit kernel
-# exceeds KIND_TOL in size: the one band of classify and point_kind
+# a point is regular when |f_u x f_v| > REGULAR_TOL (1 + |f_u||f_v|), and a
+# singular point is of the first kind when the d_v part of its unit kernel
+# exceeds KIND_TOL in size: the one band of each in classify, point_kind and
+# epsilon_identity_residual
+REGULAR_TOL = 1e-8
 KIND_TOL = 1e-6
 
 
@@ -212,9 +216,16 @@ def _kernel(fu, fv):
     return k / np.linalg.norm(k), s
 
 
-def _kind(k, s):
-    if s[-1] > 1e-7 * (1.0 + s[0]):
+def _immersive(fu, fv):
+    """Whether f_u and f_v (values at a point) span a plane."""
+    return np.linalg.norm(np.cross(fu, fv)) > REGULAR_TOL * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
+
+
+def _kind(fu, fv):
+    """'regular' | 'first' | 'second' at a point with values f_u, f_v."""
+    if _immersive(fu, fv):
         return "regular"
+    k, _ = _kernel(fu, fv)
     return "first" if abs(k[1]) > KIND_TOL else "second"
 
 
@@ -225,7 +236,7 @@ def null_kernel(germ: MapGerm, u):
 
 def point_kind(germ: MapGerm):
     """'regular' | 'first' | 'second' at the origin."""
-    return _kind(*null_kernel(germ, 0.0))
+    return _kind(*_axis_derivatives(germ, 0.0))
 
 
 def _eps_field_jets(germ: MapGerm, u):
@@ -371,11 +382,6 @@ def normalized_cuspidal_curvature(germ: MapGerm):
     return _per_slot(_mu_C, _slots(d["F"]), *_mu_C_values(germ.sf, d))
 
 
-def _immersive(fu, fv):
-    """Whether f_u and f_v (values at a point) span a plane."""
-    return np.linalg.norm(np.cross(fu, fv)) > 1e-8 * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
-
-
 def classify(germ: MapGerm, at=(0.0, 0.0)):
     """Full singularity report at a point (admissible or general position).
 
@@ -493,7 +499,7 @@ def _on_axis(work, reps, mode=None):
     near = [_axis_derivatives(work, uu) for uu in (-0.05, -0.0125, 0.0125, 0.05)]
     for j, rep in list(live.items()):
         try:
-            kinds = [_kind(*_kernel(_slot(a, j), _slot(b, j))) for a, b in near]
+            kinds = [_kind(_slot(a, j), _slot(b, j)) for a, b in near]
         except ValueError as exc:
             drop(j, exc)
             continue
@@ -604,9 +610,10 @@ def _sigma_g_C(det, fu, fuu, fvv):
 
 def epsilon_identity_residual(germ: MapGerm, u):
     """Residual of <f_uu, nu~> = eps^2 <f_vv, nu~> at the singular point (u,0)."""
-    k, s = null_kernel(germ, u)
-    if s[-1] > 1e-7 * (1.0 + s[0]):
+    d1 = _axis_derivatives(germ, u)
+    if _immersive(*d1):
         raise ClassificationError(f"({u}, 0) is a regular point")
+    k, _ = _kernel(*d1)
     if abs(k[0]) < 1e-9:
         raise ClassificationError("null field has no d_u component; eps not resolvable")
     eps = k[1] / k[0]
@@ -904,35 +911,71 @@ def singular_set_grid(germ: MapGerm, window, res=401):
     return np.array(pts) if pts else np.zeros((0, 2))
 
 
+# the 13 cell offsets after (0, 0, 0) in lexicographic order: with the cell
+# itself they visit each unordered pair of neighbouring cells once
+_FORWARD = [d for d in itertools.product((-1, 0, 1), repeat=3) if d > (0, 0, 0)]
+
+
+def _close_pairs(P, r):
+    """Index pairs (i, j), i < j, of the rows of P (n x 3, finite) at
+    distance <= r, each once: the pair set of a k-d tree's query_pairs(r).
+
+    A cell list (Bentley, Stanat & Williams, "The complexity of finding
+    fixed-radius near neighbors", IPL 6, 1977): the points are binned into
+    cubes of side r, and each occupied cube is compared with itself and its
+    13 forward neighbours."""
+    # the side is a hair over r, so that rounding cannot put two points at
+    # distance r two cells apart
+    c = np.floor((P - P.min(axis=0)) / (r * (1.0 + 1e-9))).astype(np.int64)
+    # per axis, a gap between occupied layers closes to 2: neighbours stay
+    # neighbours, and the cell key stays small whatever the extent of P
+    for k in range(3):
+        layers, inv = np.unique(c[:, k], return_inverse=True)
+        c[:, k] = np.concatenate(([1], np.minimum(np.diff(layers), 2))).cumsum()[inv]
+    dims = c.max(axis=0) + 2
+    key = (c[:, 0] * dims[1] + c[:, 1]) * dims[2] + c[:, 2]
+    order = np.argsort(key, kind="stable")
+    cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
+    found = []
+    for dx, dy, dz in [(0, 0, 0)] + _FORWARD:
+        other = cells + (dx * dims[1] + dy) * dims[2] + dz
+        pos = np.minimum(np.searchsorted(cells, other), len(cells) - 1)
+        a = np.nonzero(cells[pos] == other)[0]
+        b = pos[a]
+        m = count[a] * count[b]
+        owner = np.repeat(np.arange(len(a)), m)
+        local = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
+        ia, ib = local // count[b][owner], local % count[b][owner]
+        if (dx, dy, dz) == (0, 0, 0):
+            ia, ib, owner = ia[ia < ib], ib[ia < ib], owner[ia < ib]
+        found.append((order[start[a][owner] + ia], order[start[b][owner] + ib]))
+    i, j = (np.concatenate(x) for x in zip(*found))
+    d = P[i] - P[j]
+    near = np.sum(d * d, axis=1) <= r * r
+    i, j = i[near], j[near]
+    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+
+
 def self_intersection_side(germ: MapGerm):
     """Sign of v on the side of the axis carrying the self-intersections.
 
-    Proximity search on a local grid: pairs of well-separated parameter
-    points with nearly equal images vote with the v-sign of their midpoints.
-    """
+    Proximity search on a local 81 x 81 grid, by a cell list (_close_pairs):
+    pairs of well-separated parameter points with nearly equal images vote
+    with the v-sign of their midpoints."""
     uu = np.linspace(-0.25, 0.25, 81)
     Ug, Vg = np.meshgrid(uu, uu, indexing="ij")
     F = germ.fjet(Ug, Vg, 0)
     P = np.stack([c.value() for c in F], axis=-1).reshape(-1, 3)
-    params = np.stack([Ug, Vg], axis=-1).reshape(-1, 2)
-    from scipy.spatial import cKDTree
-    tree = cKDTree(P)
+    if not np.isfinite(P).all():
+        raise ClassificationError("the image of the grid near the origin is not finite")
     h = 0.5 / 80   # the step of the grid
-    close = tree.query_pairs(r=0.35 * h, output_type="ndarray")
-    votes = 0.0
-    nvotes = 0
-    for i, j in close:
-        dp = params[i] - params[j]
-        if np.hypot(dp[0], dp[1]) < 6 * h:
-            continue
-        vsum = params[i][1] + params[j][1]
-        if abs(params[i][1]) < h or abs(params[j][1]) < h:
-            continue
-        votes += np.sign(vsum)
-        nvotes += 1
-    if nvotes == 0:
+    i, j = _close_pairs(P, 0.35 * h).T
+    U, V = Ug.ravel(), Vg.ravel()
+    votes = ((np.hypot(U[i] - U[j], V[i] - V[j]) >= 6 * h)
+             & (np.abs(V[i]) >= h) & (np.abs(V[j]) >= h))
+    if not votes.any():
         raise ClassificationError("no self-intersections detected near the origin")
-    return 1 if votes > 0 else -1
+    return 1 if np.sign(V[i] + V[j])[votes].sum() > 0 else -1
 
 
 def tail_probes(germ: MapGerm, n=20):

@@ -9,7 +9,7 @@ import pytest
 
 from swallowkit import frontal as fr
 from swallowkit.builder import (AsymptoticData, SwallowtailData, build,
-                                build_asymptotic, discriminants)
+                                build_asymptotic, discriminants, extract_data)
 from swallowkit.frontal import MapGerm, classify
 from swallowkit.metric import SpaceForm
 
@@ -87,6 +87,18 @@ def test_classify_and_point_kind_share_one_kind_band(s):
     rep = classify(moved)
     assert rep.kind == "second" and rep.is_swallowtail
     assert fr.point_kind(moved) == rep.kind
+
+
+@pytest.mark.parametrize("c", ["5e-8", "2e-7"])
+def test_classify_and_point_kind_share_one_regular_band(c):
+    """f = (u, c v, v^2) has |f_u x f_v| = c at the origin, between the
+    bands classify and point_kind once used (1e-8 and 1e-7 on the smaller
+    singular value): both now decide it with REGULAR_TOL."""
+    germ = MapGerm.from_exprs(("u", f"{c}*v", "v^2"))
+    assert classify(germ).kind == "regular"
+    assert fr.point_kind(germ) == "regular"
+    with pytest.raises(fr.ClassificationError, match="regular point"):
+        fr.epsilon_identity_residual(germ, 0.0)
 
 
 # -- sign invariants ---------------------------------------------------------
@@ -331,6 +343,105 @@ def test_tail_part_sign(ex217):
     for (u, v) in fr.tail_probes(ex217, n=20):
         K, _ = fr.gaussian_curvature(ex217, (u, v))
         assert np.sign(K) == want
+
+
+H = 0.5 / 80     # the step of self_intersection_side's grid
+
+
+def _grid_image(germ):
+    uu = np.linspace(-0.25, 0.25, 81)
+    Ug, Vg = np.meshgrid(uu, uu, indexing="ij")
+    F = germ.fjet(Ug, Vg, 0)
+    return (np.stack([c.value() for c in F], axis=-1).reshape(-1, 3),
+            np.stack([Ug, Vg], axis=-1).reshape(-1, 2))
+
+
+def _reference_side(germ):
+    """self_intersection_side as it was computed with a k-d tree and a loop
+    over the pairs: the oracle of the cell list and of the vector vote."""
+    from scipy.spatial import cKDTree
+    P, params = _grid_image(germ)
+    votes = 0.0
+    nvotes = 0
+    for i, j in cKDTree(P).query_pairs(r=0.35 * H, output_type="ndarray"):
+        dp = params[i] - params[j]
+        if np.hypot(dp[0], dp[1]) < 6 * H:
+            continue
+        if abs(params[i][1]) < H or abs(params[j][1]) < H:
+            continue
+        votes += np.sign(params[i][1] + params[j][1])
+        nvotes += 1
+    assert nvotes > 0
+    return 1 if votes > 0 else -1
+
+
+def _pair_set(pairs):
+    found = set(map(tuple, np.asarray(pairs).tolist()))
+    assert len(found) == len(pairs)         # no pair twice
+    assert all(i < j for i, j in found)
+    return found
+
+
+F_PLUS = AsymptoticData(xi=("1", "u", "u^2"), q="0", r=("u^2", "0-2*u", "1"))
+F_MINUS = AsymptoticData(xi=("1", "u", "u^2"), q="0", r=("0-u^2", "2*u", "0-1"))
+
+
+def _side_germ(name):
+    kind, _, arg = name.partition(":")
+    if kind == "poly":
+        return build(random_data(np.random.default_rng([41, int(arg)])))
+    return build_asymptotic(F_PLUS if kind == "fplus" else F_MINUS, a=float(arg))
+
+
+@pytest.mark.parametrize("name", ["poly:0", "poly:1", "poly:2", "poly:3",
+                                  "fplus:-1", "fplus:0", "fplus:1",
+                                  "fminus:-1", "fminus:0", "fminus:1"])
+def test_cell_list_pairs_and_side_equal_the_kd_tree(name):
+    """The cell list finds exactly the pairs of scipy's cKDTree.query_pairs
+    on the grid image, and the vote picks the side the loop picked."""
+    from scipy.spatial import cKDTree
+    germ = _side_germ(name)
+    P, _ = _grid_image(germ)
+    want = cKDTree(P).query_pairs(r=0.35 * H, output_type="ndarray")
+    assert _pair_set(fr._close_pairs(P, 0.35 * H)) == _pair_set(want)
+    assert fr.self_intersection_side(germ) == _reference_side(germ)
+
+
+def test_cell_list_pairs_on_an_extracted_germ_equal_the_kd_tree():
+    """Extracted data take scalar points only, so the image is read point by
+    point, on a 21 x 21 grid of the same window with r = 0.35 of its step."""
+    from scipy.spatial import cKDTree
+    germ = build(extract_data(build(random_data(np.random.default_rng([41, 0])))))
+    uu = np.linspace(-0.25, 0.25, 21)
+    P = np.array([[c.value() for c in germ.fjet(float(u), float(v), 0)]
+                  for u in uu for v in uu])
+    r = 0.35 * (uu[1] - uu[0])
+    want = cKDTree(P).query_pairs(r=r, output_type="ndarray")
+    assert len(want) > 0
+    assert _pair_set(fr._close_pairs(P, r)) == _pair_set(want)
+
+
+def test_cell_list_on_clusters_far_apart():
+    """Dense clusters (many points per cell) spread over 1e12 along one
+    axis, and pairs at distance r up to rounding: the same pairs as cKDTree."""
+    from scipy.spatial import cKDTree
+    rng = np.random.default_rng(3)
+    centres = rng.uniform(-1, 1, size=(40, 3)) * [1e12, 1.0, 1.0]
+    P = np.concatenate([c + rng.normal(scale=0.05, size=(50, 3)) for c in centres])
+    P = np.concatenate([P, P[:20] + [0.125, 0.0, 0.0]])
+    want = cKDTree(P).query_pairs(r=0.125, output_type="ndarray")
+    assert len(want) > 1000
+    assert _pair_set(fr._close_pairs(P, 0.125)) == _pair_set(want)
+
+
+def test_self_intersection_side_refuses_a_non_finite_image():
+    """exp(3000 u) overflows on the grid: a domain error, not a side."""
+    germ = MapGerm.from_exprs(("u", "v^2 + u*v", "v^3 + exp(3000*u)"))
+    with np.errstate(over="ignore"):
+        with pytest.raises(fr.ClassificationError, match="not finite"):
+            fr.self_intersection_side(germ)
+        with pytest.raises(fr.ClassificationError, match="not finite"):
+            fr.tail_probes(germ, n=20)
 
 
 # -- metric independence -------------------------------------------------------

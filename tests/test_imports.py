@@ -1,8 +1,8 @@
 """Every module-level import of the package is used by its module, every
 module-level _private function or class is used by the package, every
 local a function assigns is read, every parameter default is overridden by
-some call, and no function imports a module except where that keeps scipy
-out of `import swallowkit`.
+some call, no function imports a module, and classifying a germ and
+probing its tail part leave scipy unloaded.
 
 No linter ships with the package, so this parses each module and fails on
 an imported name that the module never references, on a private helper
@@ -10,12 +10,17 @@ that no module of the package references, on a function-local name that a
 single-target assignment binds and nothing reads, on a parameter default
 that no call in the repository passes (a value with one use is a constant,
 not a parameter), or on an import inside a function.  __init__.py is left
-out of the import check: its imports are the public re-exports.
+out of the import check: its imports are the public re-exports.  scipy is a
+test-only dependency: a fresh interpreter that imports swallowkit, then
+runs classify and tail_probes, must not load it.
 """
 
 import ast
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -222,11 +227,27 @@ def test_checker_sees_a_function_level_import():
 
 
 def test_no_function_level_imports():
-    """The one import left in a function is scipy's, which only
-    self_intersection_side needs."""
     found = [(p.name,) + imp for p in sorted(SRC.glob("*.py"))
              for imp in function_level_imports(p.read_text())]
-    assert found == [("frontal.py", "self_intersection_side", "scipy.spatial")]
+    assert found == []
+
+
+def test_classify_and_tail_probes_leave_scipy_unloaded():
+    """In a fresh interpreter, since the test modules import scipy."""
+    code = ("import sys\n"
+            "import swallowkit\n"
+            "from swallowkit import frontal\n"
+            "from swallowkit.builder import SwallowtailData, build\n"
+            "g = build(SwallowtailData(xi=('2', '3*u', '0'), b=('0', '0', '1')))\n"
+            "assert frontal.classify(g).is_swallowtail\n"
+            "assert len(frontal.tail_probes(g, n=20)) == 20\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC.parent)] + ([os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
 
 
 def test_no_memo_keyed_by_array_bytes():
