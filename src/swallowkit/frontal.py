@@ -911,9 +911,9 @@ def singular_set_grid(germ: MapGerm, window, res=401):
     return np.array(pts) if pts else np.zeros((0, 2))
 
 
-# the 13 cell offsets after (0, 0, 0) in lexicographic order: with the cell
-# itself they visit each unordered pair of neighbouring cells once
-_FORWARD = [d for d in itertools.product((-1, 0, 1), repeat=3) if d > (0, 0, 0)]
+# (0, 0, 0) and the 13 cell offsets after it in lexicographic order: they
+# visit each cell and each unordered pair of neighbouring cells once
+_OFFSETS = [d for d in itertools.product((-1, 0, 1), repeat=3) if d >= (0, 0, 0)]
 
 
 def _close_pairs(P, r):
@@ -937,23 +937,23 @@ def _close_pairs(P, r):
     order = np.argsort(key, kind="stable")
     cells, start, count = np.unique(key[order], return_index=True, return_counts=True)
     found = []
-    for dx, dy, dz in [(0, 0, 0)] + _FORWARD:
+    for dx, dy, dz in _OFFSETS:
         other = cells + (dx * dims[1] + dy) * dims[2] + dz
         pos = np.minimum(np.searchsorted(cells, other), len(cells) - 1)
         a = np.nonzero(cells[pos] == other)[0]
         b = pos[a]
         m = count[a] * count[b]
         owner = np.repeat(np.arange(len(a)), m)
-        local = np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m)
-        ia, ib = local // count[b][owner], local % count[b][owner]
-        if (dx, dy, dz) == (0, 0, 0):
-            ia, ib, owner = ia[ia < ib], ib[ia < ib], owner[ia < ib]
-        found.append((order[start[a][owner] + ia], order[start[b][owner] + ib]))
-    i, j = (np.concatenate(x) for x in zip(*found))
-    d = P[i] - P[j]
-    near = np.sum(d * d, axis=1) <= r * r
-    i, j = i[near], j[near]
-    return np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1)
+        ia, ib = np.divmod(np.arange(m.sum()) - np.repeat(np.cumsum(m) - m, m), count[b][owner])
+        if dx == dy == dz == 0:     # within a cell, each pair once
+            once = ia < ib
+            ia, ib, owner = ia[once], ib[once], owner[once]
+        i, j = order[start[a][owner] + ia], order[start[b][owner] + ib]
+        # tested per offset: only one offset's candidates are held at a time
+        near = sum((P[i, k] - P[j, k]) ** 2 for k in range(3)) <= r * r
+        i, j = i[near], j[near]
+        found.append(np.stack([np.minimum(i, j), np.maximum(i, j)], axis=1))
+    return np.concatenate(found)
 
 
 def self_intersection_side(germ: MapGerm):
@@ -971,11 +971,11 @@ def self_intersection_side(germ: MapGerm):
     h = 0.5 / 80   # the step of the grid
     i, j = _close_pairs(P, 0.35 * h).T
     U, V = Ug.ravel(), Vg.ravel()
-    votes = ((np.hypot(U[i] - U[j], V[i] - V[j]) >= 6 * h)
-             & (np.abs(V[i]) >= h) & (np.abs(V[j]) >= h))
-    if not votes.any():
+    voters = ((np.hypot(U[i] - U[j], V[i] - V[j]) >= 6 * h)
+              & (np.abs(V[i]) >= h) & (np.abs(V[j]) >= h))
+    if not voters.any():
         raise ClassificationError("no self-intersections detected near the origin")
-    return 1 if np.sign(V[i] + V[j])[votes].sum() > 0 else -1
+    return 1 if np.sign(V[i] + V[j])[voters].sum() > 0 else -1
 
 
 def tail_probes(germ: MapGerm, n=20):

@@ -422,16 +422,19 @@ def test_cell_list_pairs_on_an_extracted_germ_equal_the_kd_tree():
 
 
 def test_cell_list_on_clusters_far_apart():
-    """Dense clusters (many points per cell) spread over 1e12 along one
-    axis, and pairs at distance r up to rounding: the same pairs as cKDTree."""
+    """Dense clusters (many points per cell) 1e12 apart, far more cells per
+    axis than a 64-bit cell key holds, and pairs at distance r up to
+    rounding: the same pairs as cKDTree, with no integer overflow."""
     from scipy.spatial import cKDTree
     rng = np.random.default_rng(3)
-    centres = rng.uniform(-1, 1, size=(40, 3)) * [1e12, 1.0, 1.0]
+    centres = rng.uniform(-1e12, 1e12, size=(40, 3))
     P = np.concatenate([c + rng.normal(scale=0.05, size=(50, 3)) for c in centres])
     P = np.concatenate([P, P[:20] + [0.125, 0.0, 0.0]])
     want = cKDTree(P).query_pairs(r=0.125, output_type="ndarray")
     assert len(want) > 1000
-    assert _pair_set(fr._close_pairs(P, 0.125)) == _pair_set(want)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _pair_set(fr._close_pairs(P, 0.125)) == _pair_set(want)
 
 
 def test_self_intersection_side_refuses_a_non_finite_image():
