@@ -218,7 +218,11 @@ def _kernel(fu, fv):
 
 def _immersive(fu, fv):
     """Whether f_u and f_v (values at a point) span a plane."""
-    return np.linalg.norm(np.cross(fu, fv)) > REGULAR_TOL * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
+    # np.cross's products and differences, without its 25 us of set-up:
+    # the test runs for every slot and near-axis sample of classify
+    (a0, a1, a2), (b0, b1, b2) = fu.tolist(), fv.tolist()
+    n = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.linalg.norm(n) > REGULAR_TOL * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
 
 
 def _kind(fu, fv):
