@@ -218,8 +218,9 @@ def _kernel(fu, fv):
 
 def _immersive(fu, fv):
     """Whether f_u and f_v (values at a point) span a plane."""
-    # np.cross's products and differences, without its 25 us of set-up:
-    # the test runs for every slot and near-axis sample of classify
+    # np.cross's products and differences, without its per-call set-up,
+    # which costs several times the rest of the test: the test runs for
+    # every slot and near-axis sample of classify
     (a0, a1, a2), (b0, b1, b2) = fu.tolist(), fv.tolist()
     n = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
     return np.linalg.norm(n) > REGULAR_TOL * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
@@ -231,11 +232,6 @@ def _kind(fu, fv):
         return "regular"
     k, _ = _kernel(fu, fv)
     return "first" if abs(k[1]) > KIND_TOL else "second"
-
-
-def null_kernel(germ: MapGerm, u):
-    """Kernel direction (alpha, eps) of df at the axis point (u, 0)."""
-    return _kernel(*_axis_derivatives(germ, u))
 
 
 def point_kind(germ: MapGerm):
@@ -614,10 +610,10 @@ def _sigma_g_C(det, fu, fuu, fvv):
 
 def epsilon_identity_residual(germ: MapGerm, u):
     """Residual of <f_uu, nu~> = eps^2 <f_vv, nu~> at the singular point (u,0)."""
-    d1 = _axis_derivatives(germ, u)
-    if _immersive(*d1):
+    df = _axis_derivatives(germ, u)
+    if _immersive(*df):
         raise ClassificationError(f"({u}, 0) is a regular point")
-    k, _ = _kernel(*d1)
+    k, _ = _kernel(*df)
     if abs(k[0]) < 1e-9:
         raise ClassificationError("null field has no d_u component; eps not resolvable")
     eps = k[1] / k[0]
