@@ -80,9 +80,6 @@ class SwallowtailData:
         d.xi, d.b, d.gamma = tuple(xi), tuple(b), gamma
         return d
 
-    def xi_jets(self, u, order):
-        return vjet(self.xi, u, 0.0, order)
-
 
 @dataclass
 class AsymptoticData:
@@ -106,9 +103,6 @@ class AsymptoticData:
         d = cls.__new__(cls)
         d.xi, d.q, d.r, d.gamma = tuple(xi), q, tuple(r), gamma
         return d
-
-    def xi_jets(self, u, order):
-        return vjet(self.xi, u, 0.0, order)
 
     def as_general(self) -> SwallowtailData:
         """Same germ as (xi, b) with b = q xi' + v r."""
@@ -235,9 +229,14 @@ def normal_on_axis(data):
 # ---------------------------------------------------------------------------
 
 def _gamma_jet(germ, k, f00_k, u, v, order):
-    """gamma(u) = f(u, 0) - f(0, 0), the germ's own axis curve.  It reads f at
-    the order _xi_jet reads, so that build evaluates f(u, 0) once for both."""
-    return germ.fjet(u, 0.0, order + 2)[k].axis_part().truncate(order) - f00_k
+    """gamma(u) = f(u, 0) - f(0, 0), the germ's own axis curve.
+
+    The extraction providers read f(u, 0) at one ledger of orders: b at
+    order o asks alpha at o + 2, alpha asks xi at o + 2, and xi reads f at
+    o + 4.  gamma reads f at that top order, so build's first read at a
+    point computes f(u, 0) once for gamma, xi, alpha and b; the others are
+    answered from the germ's memo by truncation, which is exact."""
+    return germ.fjet(u, 0.0, order + 4)[k].axis_part().truncate(order) - f00_k
 
 
 def _xi_jet(germ, k, u, v, order):
@@ -246,32 +245,34 @@ def _xi_jet(germ, k, u, v, order):
 
 
 def _alpha_jet(germ, xi, u, v, order):
-    """alpha(u) with a(u, 0) = alpha(u) xi(u)."""
-    Fj = germ.fjet(u, 0.0, order + 2)
+    """alpha(u) with a(u, 0) = alpha(u) xi(u); xi is read first, so that it
+    reads f(u, 0) at the higher order."""
+    xj = vjet(xi, u, 0.0, order)
+    Fj = germ.fjet(u, 0.0, order + 1)
     a_axis = tuple((c - c.axis_part()).divide_by_v().axis_part() for c in Fj)
-    xj = vjet(xi, u, 0.0, order + 1)
-    num = dot(a_axis, xj)
-    den = dot(xj, xj)
-    return (num / den).truncate(order)
+    return dot(a_axis, xj) / dot(xj, xj)
 
 
 def _b_jet(germ, alpha, k, u, w, order):
-    """b in the normalized coordinates (v replaced by v alpha(u))."""
-    K = order + 3
+    """b in the normalized coordinates (v replaced by v alpha(u)).  u and w
+    may be arrays of one shape; the points v = 0 are spliced in by over_v."""
+    K = order + 2
     aj = alpha.jet(u, 0.0, K)
-    a_here = aj.value()
-    v_here = w / a_here
+    v_here = w / aj.value()
     # b~(u, v) = (a(u,v) - a(u,0)) / v with a = (f - gamma)/v; gamma(u) and
     # a(u, 0) are u-only, read from the jet at (u, 0)
     F0 = germ.fjet(u, 0.0, K)[k]
     gamma = F0.axis_part()
     a0 = over_v(F0 - gamma, 0.0)
-    a_full = a0 if v_here == 0.0 else over_v(germ.fjet(u, v_here, K)[k] - gamma, v_here)
+    if np.ndim(v_here) == 0 and v_here == 0.0:
+        a_full = a0
+    else:
+        a_full = over_v(germ.fjet(u, v_here, K)[k] - gamma, v_here)
     btilde = over_v(a_full - a0.axis_part(), v_here)
     # compose with v = w / alpha(u): U = u-var, V = w-var / alpha
     o = btilde.order
-    uj = Jet2.variable("u", u, o, ())
-    wj = Jet2.variable("v", w, o, ())
+    uj = Jet2.variable("u", u, o, np.shape(u))
+    wj = Jet2.variable("v", w, o, np.shape(u))
     Vin = wj / aj.truncate(o)
     out = compose2(btilde.c, o, uj, Vin)
     return (out / (aj.truncate(out.order) * aj.truncate(out.order))).truncate(order)
@@ -283,8 +284,8 @@ def extract_data(germ: MapGerm) -> SwallowtailData:
     Requires the germ to be in admissible form (singular set = u-axis).
     The v-coefficient field a(u,0) must be parallel to xi(u); the residual
     of that projection is the admissibility diagnostic.  gamma is carried,
-    not integrated: it is the germ's own axis curve f(u, 0) - f(0, 0), whose
-    jets are truncations of those _xi_jet reads.
+    not integrated: it is the germ's own axis curve f(u, 0) - f(0, 0), read
+    at the top order of the extraction's ledger (see _gamma_jet).
     """
     F0 = germ.fjet(0.0, 0.0, 8)
     fu0 = np.array([c.du().value() for c in F0])
@@ -317,23 +318,20 @@ def extract_data(germ: MapGerm) -> SwallowtailData:
 
 def _r_jet(data, p, q, k, u, w, order):
     """r(u, w) = (f(u, v(w)) - gamma - w xi - w^2 q xi') / w^3, with
-    f - gamma = v xi + v^2 b, so gamma is never evaluated."""
-    K = order + 4
+    f - gamma = v xi + v^2 b, so gamma is never evaluated.  u and w may be
+    arrays of one shape."""
+    K = order + 3
     pj = p.jet(u, 0.0, K)
     pval = pj.value()
-    # v solving v + v^2 p(u) = w
-    if w == 0.0:
-        v0 = 0.0
-    else:
-        v0 = w
-        for _ in range(60):
-            g = v0 + v0 * v0 * pval - w
-            gp = 1 + 2 * v0 * pval
-            v0 -= g / gp
-    uj = Jet2.variable("u", u, K, ())
-    wj = Jet2.variable("v", w, K, ())
+    # v solving v + v^2 p(u) = w; Newton from v = w stays at 0 where w = 0
+    v0 = w
+    for _ in range(60):
+        v0 = v0 - (v0 + v0 * v0 * pval - w) / (1 + 2 * v0 * pval)
+    shape = np.shape(u)
+    uj = Jet2.variable("u", u, K, shape)
+    wj = Jet2.variable("v", w, K, shape)
     # jets of v(u, w): Newton on jets for W(u, v) = v + v^2 p(u)
-    Vj = Jet2.constant(v0, K, ())
+    Vj = Jet2.constant(v0, K, shape)
     for _ in range(6):
         Wv = Vj + Vj * Vj * pj
         dW = 1.0 + 2.0 * Vj * pj

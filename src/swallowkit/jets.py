@@ -296,13 +296,6 @@ class Jet2:
         c[dst] = self.c[src]
         return Jet2(self.order - 1, c)
 
-    def multiply_by_v(self):
-        """Inverse of divide_by_v up to truncation; result has order+1."""
-        src, dst = tables.shift_v_pairs(self.order + 1)
-        c = np.zeros((tables.term_count(self.order + 1),) + self.c.shape[1:])
-        c[src] = self.c[dst]
-        return Jet2(self.order + 1, c)
-
     def divide_by_u(self):
         """Jet of f/u for f vanishing on the v-axis; result has order-1."""
         vaxis = tables.v_axis_indices(self.order)

@@ -123,7 +123,7 @@ def test_normal_on_axis(ex217, fplus):
     # perpendicular to xi everywhere on the axis; to xi' at the center
     for u in (-0.1, 0.1):
         nu_ = np.array([c.value() for c in vjet(nt, u, 0.0, 0)])
-        xj = ex217.data.xi_jets(u, 1)
+        xj = vjet(ex217.data.xi, u, 0.0, 1)
         xi = np.array([c.value() for c in xj])
         assert abs(np.dot(nu_, xi)) < 1e-9
     # delta(0) vanishes exactly when D0 does
@@ -139,7 +139,7 @@ def test_normal_on_axis_orthogonal_to_xi_prime_for_asymptotic(fplus):
     nt = normal_on_axis(fplus.data)
     for u in (-0.1, 0.1):
         nu_ = np.array([c.value() for c in vjet(nt, u, 0.0, 0)])
-        xj = fplus.data.xi_jets(u, 1)
+        xj = vjet(fplus.data.xi, u, 0.0, 1)
         xip = np.array([c.partial(1, 0) for c in xj])
         assert abs(np.dot(nu_, xip)) < 1e-9
 
@@ -330,3 +330,97 @@ def test_convert_to_asymptotic_recovers_r():
             for r, ref in zip(out.r, ad.r):
                 np.testing.assert_allclose(r.jet(u, w, 3).c, ref.jet(u, w, 3).c,
                                            rtol=0, atol=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The extraction providers: one order ledger, array points, truncation
+# ---------------------------------------------------------------------------
+
+_AXIS_US = (0.0, 0.05, -0.07)
+_OFF_AXIS = ((0.0, 0.0), (0.05, 0.0), (0.03, 0.02), (-0.04, -0.03))
+_F_PLUS = dict(xi=("1", "u", "u^2"), q="0", r=("u^2", "0-2*u", "1"))
+
+
+def _extracted(depth, seed=5):
+    """(data, germ it was extracted from) at the given depth, built afresh."""
+    germ = build(random_data(np.random.default_rng([seed, 0])))
+    for _ in range(depth):
+        below, data = germ, extract_data(germ)
+        germ = build(data)
+    return data, below
+
+
+def _alpha(data, below):
+    from functools import partial
+    from swallowkit.builder import _alpha_jet
+    from swallowkit.fields import JetFn
+    return (JetFn(partial(_alpha_jet, below, data.xi)),)
+
+
+def _r(depth):
+    germ = build(AsymptoticData(**_F_PLUS))
+    for _ in range(depth):
+        data = extract_data(germ)
+        germ = build(data)
+    return convert_to_asymptotic_form(data).r
+
+
+_PROVIDERS = {
+    "xi": (lambda d: _extracted(d)[0].xi, False),
+    "alpha": (lambda d: _alpha(*_extracted(d)), False),
+    "b": (lambda d: _extracted(d)[0].b, True),
+    "gamma": (lambda d: _extracted(d)[0].gamma, False),
+    "r": (_r, True),
+}
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("name", sorted(_PROVIDERS))
+def test_extraction_providers_are_truncation_exact(name, depth):
+    """On fresh data, the jet at order n equals bit for bit the jet at order
+    n + 3 truncated to n: what lets the providers' memos and the extraction's
+    order ledger answer a lower order from a higher one."""
+    make, off_axis = _PROVIDERS[name]
+    points = _OFF_AXIS if off_axis else [(u, 0.0) for u in _AXIS_US]
+    for n in range(4):
+        lo, hi = make(depth), make(depth)
+        for u, v in points:
+            for a, b in zip(vjet(lo, u, v, n), vjet(hi, u, v, n + 3)):
+                np.testing.assert_array_equal(a.c, b.truncate(n).c)
+
+
+def test_extracted_germ_array_fjet_matches_scalar_bitwise():
+    """One fjet at 9 points of a once-extracted germ, on the axis, at u = 0
+    and off the axis, equals its scalar calls bit for bit."""
+    us = np.array([0.0, 0.0, 0.05, -0.07, 0.03, -0.04, 0.1, 0.0, 0.02])
+    vs = np.array([0.0, 0.01, 0.0, 0.0, 0.02, -0.03, -0.05, -0.02, 0.04])
+    arr = build(_extracted(1)[0]).fjet(us, vs, 4)
+    one = build(_extracted(1)[0])
+    for i, (u, v) in enumerate(zip(us, vs)):
+        for a, s in zip(arr, one.fjet(float(u), float(v), 4)):
+            np.testing.assert_array_equal(a.c[:, i], s.c)
+
+
+def test_self_intersection_side_of_an_extracted_germ():
+    """The grid read as one array call through extracted data: the
+    extracted germ (alpha = 1 here) has its source's side."""
+    germ = build(random_data(np.random.default_rng([41, 0])))
+    assert fr.self_intersection_side(build(extract_data(germ))) == fr.self_intersection_side(germ)
+
+
+def test_twice_extracted_germ_reads_each_source_point_at_most_three_times():
+    """The extraction's order ledger: under classify of a germ extracted
+    twice, the depth-0 germ computes each point at most 3 times and is never
+    asked an order above 16 (classify's top order 8, plus 4 per level)."""
+    germ = build(random_data(np.random.default_rng([5, 0])))
+    fn, calls = germ._jets._fn, {}
+
+    def counted(u, v, order):
+        key = (float(u), float(v))
+        calls[key] = calls.get(key, []) + [order]
+        return fn(u, v, order)
+
+    germ._jets._fn = counted
+    assert classify(build(extract_data(build(extract_data(germ))))).is_swallowtail
+    assert max(len(orders) for orders in calls.values()) <= 3
+    assert max(max(orders) for orders in calls.values()) <= 16

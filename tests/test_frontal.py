@@ -10,6 +10,7 @@ import pytest
 from swallowkit import frontal as fr
 from swallowkit.builder import (AsymptoticData, SwallowtailData, build,
                                 build_asymptotic, discriminants, extract_data)
+from swallowkit.fields import vjet
 from swallowkit.frontal import MapGerm, classify
 from swallowkit.metric import SpaceForm
 
@@ -296,7 +297,7 @@ def test_K_limit_matches_data_formula(fplus, fminus, parabolic):
         data = germ.data
         disc = discriminants(data)
         for u0 in (0.0, 0.1, -0.1):
-            xj = data.xi_jets(u0, 2)
+            xj = vjet(data.xi, u0, 0.0, 2)
             xi = np.array([c.value() for c in xj])
             xip = np.array([c.partial(1, 0) for c in xj])
             xipp = np.array([c.partial(2, 0) for c in xj])
@@ -401,8 +402,8 @@ def test_cell_list_pairs_and_side_equal_the_kd_tree(name, request):
 
 
 def test_cell_list_pairs_on_an_extracted_germ_equal_the_kd_tree():
-    """Extracted data take scalar points only, so the image is read point by
-    point, on a 21 x 21 grid of the same window with r = 0.35 of its step."""
+    """The image read point by point through extracted data, on a 21 x 21
+    grid of the same window with r = 0.35 of its step."""
     from scipy.spatial import cKDTree
     germ = build(extract_data(build(random_data(np.random.default_rng([41, 0])))))
     uu = np.linspace(-0.25, 0.25, 21)
