@@ -213,7 +213,8 @@ class BoundedCache:
     the providers compute it by the same steps whatever the order asked
     (the series reversion included), so a truncated entry holds the bits of
     a direct call at the lower order; tests/test_deform.py checks this along
-    the half-arclength chain and the Frenet series.
+    the half-arclength chain and the Frenet series, tests/test_builder.py
+    for the extraction providers.
     A racing thread at worst recomputes an entry.
     """
 

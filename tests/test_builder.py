@@ -1,14 +1,16 @@
 """Representation formulas: construction, discriminants, inverse problems."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
 from swallowkit import frontal as fr
-from swallowkit.builder import (AsymptoticData, BuildError, SwallowtailData,
+from swallowkit.builder import (AsymptoticData, BuildError, SwallowtailData, _alpha_jet,
                                 build, build_asymptotic, convert_to_asymptotic_form,
                                 discriminants, exists_swallowtail_along,
                                 extract_data, flip_data, normal_on_axis)
-from swallowkit.fields import vjet
+from swallowkit.fields import JetFn, vjet
 from swallowkit.frontal import MapGerm, classify
 from swallowkit.jets import poly2_coeffs
 
@@ -341,9 +343,14 @@ _OFF_AXIS = ((0.0, 0.0), (0.05, 0.0), (0.03, 0.02), (-0.04, -0.03))
 _F_PLUS = dict(xi=("1", "u", "u^2"), q="0", r=("u^2", "0-2*u", "1"))
 
 
-def _extracted(depth, seed=5):
-    """(data, germ it was extracted from) at the given depth, built afresh."""
-    germ = build(random_data(np.random.default_rng([seed, 0])))
+def _random():
+    return random_data(np.random.default_rng([5, 0]))
+
+
+def _extracted(depth, data):
+    """(data extracted depth times from build(data), the germ it was
+    extracted from), built afresh."""
+    germ = build(data)
     for _ in range(depth):
         below, data = germ, extract_data(germ)
         germ = build(data)
@@ -351,25 +358,18 @@ def _extracted(depth, seed=5):
 
 
 def _alpha(data, below):
-    from functools import partial
-    from swallowkit.builder import _alpha_jet
-    from swallowkit.fields import JetFn
     return (JetFn(partial(_alpha_jet, below, data.xi)),)
 
 
 def _r(depth):
-    germ = build(AsymptoticData(**_F_PLUS))
-    for _ in range(depth):
-        data = extract_data(germ)
-        germ = build(data)
-    return convert_to_asymptotic_form(data).r
+    return convert_to_asymptotic_form(_extracted(depth, AsymptoticData(**_F_PLUS))[0]).r
 
 
 _PROVIDERS = {
-    "xi": (lambda d: _extracted(d)[0].xi, False),
-    "alpha": (lambda d: _alpha(*_extracted(d)), False),
-    "b": (lambda d: _extracted(d)[0].b, True),
-    "gamma": (lambda d: _extracted(d)[0].gamma, False),
+    "xi": (lambda d: _extracted(d, _random())[0].xi, False),
+    "alpha": (lambda d: _alpha(*_extracted(d, _random())), False),
+    "b": (lambda d: _extracted(d, _random())[0].b, True),
+    "gamma": (lambda d: _extracted(d, _random())[0].gamma, False),
     "r": (_r, True),
 }
 
@@ -389,13 +389,22 @@ def test_extraction_providers_are_truncation_exact(name, depth):
                 np.testing.assert_array_equal(a.c, b.truncate(n).c)
 
 
-def test_extracted_germ_array_fjet_matches_scalar_bitwise():
-    """One fjet at 9 points of a once-extracted germ, on the axis, at u = 0
-    and off the axis, equals its scalar calls bit for bit."""
+_ARRAY_GERMS = {
+    "extracted": lambda: build(_extracted(1, _random())[0]),
+    "asymptotic-form-of-extracted": lambda: build(convert_to_asymptotic_form(
+        _extracted(1, AsymptoticData(**_F_PLUS))[0])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_GERMS))
+def test_extracted_germ_array_fjet_matches_scalar_bitwise(name):
+    """One fjet at 9 points of a germ built from extracted data (b) or from
+    its asymptotic form (r), on the axis, at u = 0 and off the axis, equals
+    its scalar calls bit for bit."""
     us = np.array([0.0, 0.0, 0.05, -0.07, 0.03, -0.04, 0.1, 0.0, 0.02])
     vs = np.array([0.0, 0.01, 0.0, 0.0, 0.02, -0.03, -0.05, -0.02, 0.04])
-    arr = build(_extracted(1)[0]).fjet(us, vs, 4)
-    one = build(_extracted(1)[0])
+    arr = _ARRAY_GERMS[name]().fjet(us, vs, 4)
+    one = _ARRAY_GERMS[name]()
     for i, (u, v) in enumerate(zip(us, vs)):
         for a, s in zip(arr, one.fjet(float(u), float(v), 4)):
             np.testing.assert_array_equal(a.c[:, i], s.c)
@@ -412,7 +421,7 @@ def test_twice_extracted_germ_reads_each_source_point_at_most_three_times():
     """The extraction's order ledger: under classify of a germ extracted
     twice, the depth-0 germ computes each point at most 3 times and is never
     asked an order above 16 (classify's top order 8, plus 4 per level)."""
-    germ = build(random_data(np.random.default_rng([5, 0])))
+    germ = build(_random())
     fn, calls = germ._jets._fn, {}
 
     def counted(u, v, order):
