@@ -210,6 +210,9 @@ def cmd_cgc(args):
     du, dv = grid.us[1] - grid.us[0], grid.vs[1] - grid.vs[0]
     K, H = cgcmod.curvatures_from_samples(par.f, du, dv)
     mask = cgcmod.parallel_safe_mask(grid, par) & ~np.isnan(K)
+    if not mask.any():
+        raise cgcmod.CgcError(f"--grid {args.grid} leaves no point of the parallel surface "
+                              f"inside its 4-point border that is safe to measure K at")
     Kdev = float(np.percentile(np.abs(K[mask] - 1.0), 95))
     rep = fr.classify(cgcmod.ParallelGerm(om).as_germ(), at=cgcmod.SWALLOWTAIL_POINT)
     out_prefix = args.out_prefix
@@ -322,6 +325,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     saved_tol, fr.SIGN_TOL = fr.SIGN_TOL, args.tol_sign
     try:
+        if not (args.tol_sign >= 0 and math.isfinite(args.tol_sign)):
+            raise gs.SpecError(f"--tol-sign must be a finite number >= 0, got {args.tol_sign}")
         with np.errstate(all="ignore"):
             return args.fn(args)
     except dm.DeformError as exc:

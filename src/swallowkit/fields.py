@@ -45,12 +45,12 @@ a slot per t, each slot bit for bit the jet of the data at that t alone.
 Batch axes align from the left (jets): a jet or weight without them, such
 as an endpoint field or a float, meets a batched one as if copied into
 every slot, and Scaled and the weights of deform's combinations may be
-arrays over the slots.  The germ checks decide per slot: a domain error
-of the jet arithmetic in classify (over_v, jet_sqrt, a division by a zero
-constant term) fails only its slot: jets.slot_errors records the failed
-slots with their errors, not NaN, and each gets the verdict it gets alone.
-Inside a provider the error still fails the whole call, so no memo keeps a
-jet with failed slots.
+arrays over the slots.  A domain error of the jet arithmetic (JetError:
+over_v, jet_sqrt, a division by a zero constant term) fails the whole
+call, in a provider and in a batch alike, so no memo keeps a jet with
+failed slots.  The germ checks still decide per slot: frontal.classify
+runs a failed batch again slot by slot, and each slot gets the verdict it
+gets alone.
 """
 
 from __future__ import annotations

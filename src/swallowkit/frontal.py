@@ -26,8 +26,7 @@ import numpy as np
 from . import metric as mt
 from ._jettables import index_of, monomials
 from .fields import JetFn, over_v
-from .jets import (Expr, Jet2, _apply_series, compose2, jet_sqrt, p1_div, p1_mul, parse, raising,
-                   slot_errors)
+from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, p1_div, p1_mul, parse
 from .metric import SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
@@ -76,8 +75,7 @@ class MapGerm:
         return MapGerm(comps, sf=sf, exprs=comps, data=data)
 
     def fjet(self, u, v, order=ORDER):
-        # the providers memoise their jets, so their domain errors raise
-        return raising(self._jets.jet, u, v, order)
+        return self._jets.jet(u, v, order)
 
     def value(self, u, v):
         return np.array([j.value() for j in self.fjet(u, v, order=0)])
@@ -392,9 +390,12 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
     threshold, SVD, norm and sign is decided per slot.  A slot that leaves
     the common path (axis singular, origin of the second kind) goes on
     alone, on its column of the germ: a slot that needs make_admissible, or
-    a first-kind point.  Domain errors of the jet arithmetic are recorded
-    per slot (jets.slot_errors).  An exception that a slot raises alone is
-    raised for the batch, that of the first such slot."""
+    a first-kind point.  A domain error of the jet arithmetic (JetError)
+    fails the whole batch, and the slots of the common path then go again
+    one by one, on their columns: the batch keeps no partial report, and
+    each slot gets the report, notes and error it gets alone.  An exception
+    that a slot raises alone is raised for the batch, that of the first
+    such slot."""
     at = (float(at[0]), float(at[1]))
     F = germ.fjet(at[0], at[1], 3)
     if not all(np.isfinite(c.c).all() for c in F):
@@ -416,24 +417,41 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
             if axis if j is None else axis[j]:
                 common[j] = rep
                 continue
-        try:
-            work = make_admissible(_column(germ, j), at)
-            exc = _on_axis(work, {None: rep}).get(None)
-        except ValueError as e:
-            exc = e
-        if exc is not None:
-            errors[j] = exc
+        errors[j] = _alone(germ, j, rep, at)
     if common:
-        errors.update(_on_axis(germ, common, mode="axis"))
+        try:
+            errors.update(_on_axis(germ, common, mode="axis"))
+        except JetError:
+            if None in common:
+                raise
+            for j in common:
+                reps[j] = SingularityReport(at=at, a=germ.sf.a)
+                errors[j] = _alone(germ, j, reps[j], at, mode="axis")
+    errors = {j: exc for j, exc in errors.items() if exc is not None}
     if errors:
         raise errors[min(errors)]
     return reps[None] if slots == [None] else list(reps.values())
 
 
+def _alone(germ, j, rep, at, mode=None):
+    """Slot j of germ classified alone into rep: on its own singular axis
+    with mode "axis", else after make_admissible at the point at.  Returns
+    the exception it raises, or None."""
+    try:
+        work = _column(germ, j)
+        if mode is None:
+            work = make_admissible(work, at)
+        return _on_axis(work, {None: rep}, mode).get(None)
+    except ValueError as exc:
+        return exc
+
+
 def _on_axis(work, reps, mode=None):
     """The rest of classify at the origin of work, a germ whose singular set
     is the u-axis: fills in reps (slot -> report, for some slots of work)
-    and returns slot -> the exception that slot raises alone."""
+    and returns slot -> the exception that slot raises alone, which for a
+    lone germ (reps {None: report}) it may raise instead.  A domain error of
+    the jet arithmetic (JetError) in a batch is raised for the batch."""
     live, errors = dict(reps), {}
 
     def drop(j, exc=None):
@@ -441,16 +459,15 @@ def _on_axis(work, reps, mode=None):
         if exc is not None:
             errors[j] = exc
 
-    with slot_errors() as failed:
+    try:
         nt = normal_jets(work, 0.0)
-    for j, rep in list(live.items()):
-        exc = failed.get(j)
-        if exc is not None:
-            rep.notes.append(f"not admissible / not frontal: {exc}")
-            drop(j)
-    if live:
-        nt0 = _vals(nt)
-        du0 = _vals(tuple(c.du() for c in work.fjet(0, 0, 3)))
+    except JetError as exc:
+        if None not in reps:
+            raise
+        reps[None].notes.append(f"not admissible / not frontal: {exc}")
+        return errors
+    nt0 = _vals(nt)
+    du0 = _vals(tuple(c.du() for c in work.fjet(0, 0, 3)))
     for j, rep in list(live.items()):
         ntscale = max(np.linalg.norm(_slot(du0, j)), 1.0)
         rep.is_frontal = np.linalg.norm(_slot(nt0, j)) > 1e-9 * ntscale
@@ -460,14 +477,9 @@ def _on_axis(work, reps, mode=None):
     if not live:
         return errors
 
-    with slot_errors() as failed:
-        lam = lambda_jet(work, 0.0, 0.0, 2, mode)
+    lam = lambda_jet(work, 0.0, 0.0, 2, mode)
     l10, l01, l02 = lam.partial(1, 0), lam.partial(0, 1), lam.partial(0, 2)
     for j, rep in list(live.items()):
-        exc = failed.get(j)
-        if exc is not None:
-            drop(j, exc)
-            continue
         rep.lambda_v = _slot(l01, j)
         dlam = math.hypot(_slot(l10, j), _slot(l01, j))
         rep.is_nondegenerate = dlam > 1e-9 * (1.0 + abs(_slot(l02, j)))
@@ -504,29 +516,27 @@ def _on_axis(work, reps, mode=None):
             drop(j, exc)
             continue
         rep.is_generalized_swallowtail = all(km in ("first", "regular") for km in kinds)
+    if not live:
+        return errors
 
     sf = work.sf
-    with slot_errors() as failed:
-        shared = _second_kind_data(work, order=4)
+    shared = _second_kind_data(work, order=4)
     s0, sg, kn = (f(sf, shared) for f in (_sigma0_S_values, _sigma_g_S_values, _kappa_nu_values))
-    with slot_errors() as mu_failed:
-        mu = _mu_C_values(sf, shared)
-    # wave front: (f, nu) immersive, i.e. the stacked 6x2 differential has rank 2
-    dfs = [_vals(shared[key]) for key in ("fu", "fv", "nu_u", "nu_v")]
     for j, rep in list(live.items()):
         try:
-            exc = failed.get(j)
-            if exc is not None:
-                raise exc
             rep.sigma0_S, rep.raw["sigma0_S"] = _sigma0_S(*(_slot(x, j) for x in s0))
             rep.sigma_g_S, rep.raw["sigma_g_S"] = _sigma_g_S(*(_slot(x, j) for x in sg))
             rep.kappa_nu = _kappa_nu(*(_slot(x, j) for x in kn))
-            exc = mu_failed.get(j)
-            if exc is not None:
-                raise exc
         except ValueError as exc:
             drop(j, exc)
-            continue
+    if not live:
+        return errors
+
+    # a domain error of mu_C comes after the three sign decisions
+    mu = _mu_C_values(sf, shared)
+    # wave front: (f, nu) immersive, i.e. the stacked 6x2 differential has rank 2
+    dfs = [_vals(shared[key]) for key in ("fu", "fv", "nu_u", "nu_v")]
+    for j, rep in live.items():
         try:
             rep.mu_C = _mu_C(*(_slot(x, j) for x in mu))
         except ClassificationError as exc:

@@ -15,8 +15,9 @@ no other backend.
 
 A domain error (zero denominator, square root of a non-positive constant
 term, division by v of a jet that does not vanish on the axis) raises
-JetError, except inside slot_errors(), where a jet with at most one batch
-axis records it per slot and carries on.
+JetError, for a batch as soon as one slot fails.  A caller that needs
+failures slot by slot runs the failing batch again one slot at a time
+(frontal.classify does).
 
 Expressions are trees of frozen dataclass nodes (Const, Var, Add, Sub, Mul,
 Div, Neg, Pow, Func): they compare and hash by value and cannot be changed.
@@ -28,8 +29,6 @@ poly_u_coeffs, behind the closed-form integrals, is its u-only projection.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 
@@ -85,54 +84,6 @@ def _bin_sum(bins, prod, nbins):
         if n <= _FLAT_COLUMNS:
             _FLAT_BINS[id(bins), n] = flat
     return np.bincount(flat, prod.ravel(), minlength=nbins * n).reshape((nbins,) + prod.shape[1:])
-
-
-# Domain errors recorded per slot: the dict of the innermost slot_errors
-# block, None where errors raise.
-_SLOT_ERRORS = contextvars.ContextVar("slot_errors", default=None)
-
-
-@contextlib.contextmanager
-def slot_errors():
-    """Record domain errors per slot instead of raising them.
-
-    Inside the block, a Jet2 division by a zero constant term, jet_sqrt of
-    a non-positive one and divide_by_v of a jet that does not vanish on the
-    u-axis do not raise for a jet with at most one batch axis.  The block's
-    dict maps each failing slot (None for a jet without batch axis) to the
-    JetError that slot raises alone, the first one it met; the operation
-    goes on with a stand-in in those slots (a constant term of 1, or the
-    plain coefficient shift), so their values mean nothing.  Jets with more
-    batch axes (grids) raise as outside, and so does anything run under
-    raising()."""
-    errors = {}
-    token = _SLOT_ERRORS.set(errors)
-    try:
-        yield errors
-    finally:
-        _SLOT_ERRORS.reset(token)
-
-
-def raising(fn, *args):
-    """fn(*args) with domain errors raised, also inside slot_errors: jet
-    providers run so, since they memoise what they compute."""
-    token = _SLOT_ERRORS.set(None)
-    try:
-        return fn(*args)
-    finally:
-        _SLOT_ERRORS.reset(token)
-
-
-def _domain_error(bad, c, message):
-    """A domain check of coefficients c failed where bad (one entry per
-    slot) is true: raises JetError(message(None)) outside slot_errors or
-    for a grid; inside, records message(j) for each failing slot j (None
-    for a jet without batch axis)."""
-    errors = _SLOT_ERRORS.get()
-    if errors is None or c.ndim > 2:
-        raise JetError(message(None))
-    for j in [int(j) for j in np.flatnonzero(bad)] if c.ndim == 2 else [None]:
-        errors.setdefault(j, JetError(message(j)))
 
 
 def _jet_mul(a, b, order):
@@ -239,12 +190,8 @@ class Jet2:
     def __truediv__(self, other):
         if isinstance(other, Jet2):
             a, b = _align(self, other)
-            b0 = b.c[0]
-            bad = b0 == 0.0
-            if np.any(bad):
-                _domain_error(bad, b.c, lambda j: "division by jet with zero constant term")
-                b = Jet2(b.order, b.c.copy())
-                b.c[0] = np.where(bad, 1.0, b0)
+            if np.any(b.c[0] == 0.0):
+                raise JetError("division by jet with zero constant term")
             return Jet2(a.order, _jet_div(a.c, b.c, a.order))
         return Jet2(self.order, self.c / other)
 
@@ -283,14 +230,9 @@ class Jet2:
         """Jet of f/v for f vanishing on the u-axis; result has order-1."""
         axis = tables.axis_indices(self.order)
         scale = np.max(np.abs(self.c), axis=0)
-        bad = np.abs(self.c[axis]) > tol * (1.0 + scale)
-        if np.any(bad):
-            res = np.abs(self.c[axis])
-
-            def message(j):
-                worst = float(np.max(res if j is None else res[:, j]))
-                return f"jet does not vanish on the u-axis (residual {worst:.3g})"
-            _domain_error(np.any(bad, axis=0), self.c, message)
+        res = np.abs(self.c[axis])
+        if np.any(res > tol * (1.0 + scale)):
+            raise JetError(f"jet does not vanish on the u-axis (residual {float(np.max(res)):.3g})")
         src, dst = tables.shift_v_pairs(self.order)
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])
         c[dst] = self.c[src]
@@ -364,10 +306,8 @@ def _apply_series(coeffs, x: Jet2) -> Jet2:
 
 def jet_sqrt(x: Jet2) -> Jet2:
     a0 = x.c[0]
-    bad = a0 <= 0.0
-    if np.any(bad):
-        _domain_error(bad, x.c, lambda j: "sqrt of jet with non-positive constant term")
-        a0 = np.where(bad, 1.0, a0)
+    if np.any(a0 <= 0.0):
+        raise JetError("sqrt of jet with non-positive constant term")
     coeffs = [np.sqrt(a0)]
     for n in range(1, x.order + 1):
         coeffs.append(coeffs[-1] * (1.5 - n) / (n * a0))

@@ -62,6 +62,10 @@ def test_malformed_cases_exit_2(tmp_path, good, capsys):
         ("frenet", "--kappa", "1", "--tau", "1", "--step", "-1"),
         ("deform", good["sw"], good["sw"], "--steps", "0"),
         ("deform", good["sw"], good["sw"], "--steps", "1"),
+        # nan and -1 leave no band, and inf made every sign 0
+        ("--tol-sign", "nan", "build", good["sw"]),
+        ("--tol-sign", "-1", "build", good["sw"]),
+        ("--tol-sign", "inf", "build", good["sw"]),
         ("classify", _write(tmp_path, "deep.json", "[" * 100000 + "]" * 100000)),
     ]
     for argv in cases:
@@ -136,6 +140,9 @@ FLAGS = [
     ("cgc", "--out-prefix", "{out}", "--grid", ["1", "5,5", "a,b", "9,9,9", "0,0"]),
     ("cgc", "--out-prefix", "{out}", "--grid", "9,9", "--window",
      ["1", "a,b,c,d", "nan,0,0,1", "0,0,0"]),
+    # a valid window on which a 9x9 or 10x10 grid leaves no point to measure K at (exit 3)
+    ("cgc", "--out-prefix", "{out}", "--window=-0.3,0.3,0.8,1.2", "--grid={v}", ["9,9", "10,10"]),
+    ("--tol-sign", "{v}", "classify", "{sw}", ["nan", "-1", "inf", "0", "1e-3"]),
     # radii outside the radial profile's domain [0.5, 1.6], and r = 0
     ("cgc", "--out-prefix", "{out}", "--grid", "9,9", "--window={v}",
      ["-0.1,0.1,0.1,0.3", "-0.2,0.2,2.6,3.0", "-0.1,0.1,-0.1,0.1"]),

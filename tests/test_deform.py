@@ -328,6 +328,19 @@ def test_classify_batch_through_sigma_g_S_zero():
         assert repr(rep) == repr(classify(build(gen(float(t)))))
 
 
+def test_a_passing_certificate_never_classifies_slot_by_slot(monkeypatch, d217):
+    """classify runs a batch slot by slot (on frontal._column) only after a
+    domain error of the batch: a certificate that passes never does."""
+    from swallowkit import frontal
+    columns = []
+    real = frontal._column
+    monkeypatch.setattr(frontal, "_column", lambda germ, j: columns.append(j) or real(germ, j))
+    cert = dm.certify(dm.deform_theorem_A(d217, rotated_scaled_217()), "generic_swallowtail",
+                      steps=4)
+    assert cert.passed, cert.failures
+    assert columns == []
+
+
 def test_xi_interpolation_memo_shared_by_threads():
     """Workers sharing the endpoint memo, with more keys than its bound so
     that it clears under them, get the values of a serial computation."""

@@ -1,7 +1,6 @@
 """Jet engine: parser, coefficient pins, finite-difference cross-validation."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -405,8 +404,24 @@ def test_poly_u_coeffs_reads_polynomials_in_u():
 
 
 def test_sqrt_domain_error():
+    """jet_sqrt of a non-positive constant term raises JetError; so do a
+    batched jet_sqrt, / and divide_by_v with one bad slot, for the batch."""
     with pytest.raises(JetError, match="sqrt"):
         parse("sqrt(u)").jet(-1.0, 0.0, 2)
+    rng = np.random.default_rng(14)
+    pos = Jet2(3, rng.standard_normal((10, 5)))
+    pos.c[0] = [1.0, 2.0, 0.5, 3.0, 1.5]
+    on_axis = Jet2(3, rng.standard_normal((10, 5)))
+    on_axis.c[jets.tables.axis_indices(3)] = 0.0
+    cases = ((jets.jet_sqrt, pos, 0, -1.0, "sqrt"),
+             (lambda x: 1.0 / x, pos, 0, 0.0, "zero constant term"),
+             (lambda x: x.divide_by_v(), on_axis, index_of(1, 0), 1.0, "vanish"))
+    for fn, x, k, value, match in cases:
+        fn(x)
+        bad = Jet2(3, x.c.copy())
+        bad.c[k, 2] = value
+        with pytest.raises(JetError, match=match):
+            fn(bad)
 
 
 def _bits(a):
@@ -491,36 +506,3 @@ def test_compose2_skips_the_terms_the_per_monomial_test_skipped():
             want = _compose2_per_monomial(gc, order_g, U, V).c
             assert got.shape == want.shape
             np.testing.assert_array_equal(_bits(got), _bits(want))
-
-
-def test_domain_errors_are_recorded_per_slot():
-    """Inside slot_errors a batch fails slot by slot: the failing slots keep
-    the error they raise alone, the others are bit for bit their lone
-    results.  Outside, for grids and under raising(), the batch raises."""
-    rng = np.random.default_rng(14)
-    num = Jet2(3, rng.standard_normal(10))
-    den = Jet2(3, rng.standard_normal((10, 5)))
-    den.c[0] = [1.0, 0.0, 2.0, -1.0, 0.0]
-    on_axis = Jet2(3, rng.standard_normal((10, 5)))
-    on_axis.c[jets.tables.axis_indices(3)[:, None], [0, 2, 4]] = 0.0
-    cases = ((lambda x: num / x, den, {1, 4}),
-             (jets.jet_sqrt, den, {1, 3, 4}),
-             (lambda x: x.divide_by_v(), on_axis, {1, 3}))
-    for fn, x, bad in cases:
-        with pytest.raises(JetError):
-            fn(x)
-        with jets.slot_errors() as errors:
-            got = fn(x)
-        assert set(errors) == bad
-        for j in range(5):
-            col = Jet2(3, x.c[:, j].copy())
-            if j in bad:
-                with pytest.raises(JetError, match=re.escape(str(errors[j]))):
-                    fn(col)
-            else:
-                np.testing.assert_array_equal(_bits(got.c[:, j]), _bits(fn(col).c))
-        grid = Jet2(3, np.repeat(x.c[:, :, None], 2, axis=2))
-        with jets.slot_errors(), pytest.raises(JetError):
-            fn(grid)
-        with jets.slot_errors(), pytest.raises(JetError):
-            jets.raising(fn, x)

@@ -65,6 +65,9 @@ CALLS = [
     # Prop 2.13: the b-scale and b-to-generic stages around Theorem A
     ["deform", "ex217.json", "fplus.json", "--recipe", "any"],
     ["deform", "flipb.json", "fplus.json", "--recipe", "any", "--steps", "6"],
+    # a band wider than every sign, and a certificate decided in a wider band
+    ["--tol-sign", "10", "classify", "ex217.json"],
+    ["--tol-sign", "1e-3", "deform", "ex217.json", "ex217s.json", "--recipe", "A", "--steps", "4"],
 ]
 
 
