@@ -230,9 +230,9 @@ class Jet2:
         """Jet of f/v for f vanishing on the u-axis; result has order-1."""
         axis = tables.axis_indices(self.order)
         scale = np.max(np.abs(self.c), axis=0)
-        res = np.abs(self.c[axis])
-        if np.any(res > tol * (1.0 + scale)):
-            raise JetError(f"jet does not vanish on the u-axis (residual {float(np.max(res)):.3g})")
+        if np.any(np.abs(self.c[axis]) > tol * (1.0 + scale)):
+            worst = float(np.max(np.abs(self.c[axis])))
+            raise JetError(f"jet does not vanish on the u-axis (residual {worst:.3g})")
         src, dst = tables.shift_v_pairs(self.order)
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])
         c[dst] = self.c[src]
