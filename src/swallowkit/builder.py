@@ -23,7 +23,7 @@ import numpy as np
 
 from .fields import (CurveIntegral, DU, FlipU, JetFn, Scaled, components, cusp_frame,
                      over_u, over_v, vjet, xi_frame)
-from .frontal import MapGerm, sgn
+from .frontal import MapGerm, _immersive, sgn
 from .jets import (ZERO, Add, Const, Expr, Jet2, Mul, Pow, V, as_expr, compose2, diff, fold,
                    integrate_u_times, parse)
 from .metric import SpaceForm, cross, det3, dot
@@ -290,7 +290,7 @@ def extract_data(germ: MapGerm) -> SwallowtailData:
     F0 = germ.fjet(0.0, 0.0, 8)
     fu0 = np.array([c.du().value() for c in F0])
     fv0 = np.array([c.dv().value() for c in F0])
-    if np.linalg.norm(np.cross(fu0, fv0)) > 1e-8 * (1 + np.linalg.norm(fu0) * np.linalg.norm(fv0)):
+    if _immersive(fu0, fv0):
         raise BuildError("origin is a regular point: nothing to extract")
     if np.linalg.norm(fu0) > 1e-8 * (1 + np.linalg.norm(fv0)):
         raise BuildError("origin is not of the second kind in these coordinates")

@@ -85,22 +85,6 @@ class RadialProfile(DenseOutput):
         """F composed with a jet of r (chain rule through the series)."""
         return _apply_series(self.series(rjet.value(), rjet.order), rjet)
 
-    def residual(self, r):
-        """Defect of the dense output against the equation at the points of
-        the grid of stride 1e-3 nearest r.
-
-        F'' is the 5-point second difference of F sampled on that grid, not
-        read from the series, which satisfies the equation by construction;
-        at this stride the 1/h^2 amplification of roundoff stays near 1e-10.
-        """
-        h = 1e-3
-        r = np.round(np.atleast_1d(np.asarray(r, dtype=float)) / h) * h
-        Fm2, Fm1, F1, F2 = (self.F(r + k * h) for k in (-2, -1, 1, 2))
-        F0, Fp0 = self.at(r)
-        out = ((-F2 + 16 * F1 - 30 * F0 + 16 * Fm1 - Fm2) / (12 * h ** 2)
-               + Fp0 / r + np.sinh(2 * F0) / 2)
-        return out if out.size > 1 else float(out[0])
-
 
 def _sinh_series(a, order):
     """Series of sinh(a(t)) for a series a (one per slot of its trailing axes)."""
@@ -157,11 +141,6 @@ class OmegaField:
         uj = Jet2.variable("u", u, order, np.shape(u))
         vj = Jet2.variable("v", v, order, np.shape(u))
         return self.profile.jet(jet_sqrt(uj * uj + vj * vj))
-
-    def sinh_gordon_residual(self, u, v):
-        j = self.jet(u, v, 2)
-        lap = j.partial(2, 0) + j.partial(0, 2)
-        return lap + np.sinh(2 * np.asarray(j.value())) / 2
 
 
 def _principal(w):
@@ -256,6 +235,11 @@ class SurfaceGrid:
     def principal(self):
         """The principal curvatures (l1, l2) on the grid, from w."""
         return _principal(self.w)
+
+    @functools.cached_property
+    def curvatures(self):
+        """(K, H) on the grid, by central differences of the samples f."""
+        return curvatures_from_samples(self.f, self.us[1] - self.us[0], self.vs[1] - self.vs[0])
 
     def write_csv(self, path, K=None, H=None, l1=None, l2=None):
         """One row per grid point, u-major; a column not given is nan."""
@@ -425,9 +409,7 @@ def curvatures_from_samples(f, du, dv):
 
 def mean_curvature_check(grid: SurfaceGrid):
     rng = np.random.default_rng(3)
-    du = grid.us[1] - grid.us[0]
-    dv = grid.vs[1] - grid.vs[0]
-    K, H = curvatures_from_samples(grid.f, du, dv)
+    _, H = grid.curvatures
     nu_, nv_ = grid.f.shape[:2]
     worst = 0.0
     for _ in range(100):

@@ -207,8 +207,7 @@ def cmd_cgc(args):
     rI, rII = cgcmod.roundtrip_residuals(grid)
     hdev = cgcmod.mean_curvature_check(grid)
     par = cgcmod.parallel_surface(grid)
-    du, dv = grid.us[1] - grid.us[0], grid.vs[1] - grid.vs[0]
-    K, H = cgcmod.curvatures_from_samples(par.f, du, dv)
+    K, _ = par.curvatures
     mask = cgcmod.parallel_safe_mask(grid, par) & ~np.isnan(K)
     if not mask.any():
         raise cgcmod.CgcError(f"--grid {args.grid} leaves no point of the parallel surface "
@@ -219,7 +218,7 @@ def cmd_cgc(args):
     cgcmod.write_obj(out_prefix + "_cmc.obj", grid.f)
     cgcmod.write_obj(out_prefix + "_k1.obj", par.f)
     l1, l2 = grid.principal
-    Ks, Hs = cgcmod.curvatures_from_samples(grid.f, du, dv)
+    Ks, Hs = grid.curvatures
     grid.write_csv(out_prefix + "_cmc.csv", K=Ks, H=Hs, l1=l1, l2=l2)
     _emit({
         "profile": {"F_at_1": float(prof.F(1.0)), "Fp_at_1": float(prof.Fp(1.0))},

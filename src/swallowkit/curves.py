@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -115,13 +116,10 @@ def mirror_properties(fact: CuspFactorization):
 # Half-arclength normalization
 # ---------------------------------------------------------------------------
 
-class HalfArclength:
-    """Reparametrization u = sgn(t) sqrt(2 phi(t)), phi(t) = int_0^t s|xi(s)| ds.
-
-    In the new parameter the factorization field is the unit field
-    xi(t(u))/|xi(t(u))|.  Exposes jets of t(u), of the reparametrized curve
-    and unit field, and of the speed |xi(t(u))| used to rescale transverse
-    data.
+class _PhiTable:
+    """phi(t) = int_0^t s|xi(s)| ds of a cusp factorization, its inverse
+    t(u) (phi(t(u)) = u^2/2, u of the sign of t) and the jets of t(u), for
+    HalfArclength.
 
     phi is tabulated at the nodes i*h of a grid on [-1.5, 1.5] (h = 0.002),
     cumulated outward from 0, each panel integrated by an 8-point
@@ -137,22 +135,20 @@ class HalfArclength:
     The jet of t(u) at u0 is the series reversion (jets.p1_invert) of
     u(t0 + s) - u0, whose coefficient k comes from the first k of that
     series only.  So every jet here is truncation-exact: asked at order
-    N + 1 and cut to N, it holds the bits of the call at N.
+    N + 1 and cut to N, it holds the bits of the call at N.  The table
+    holds no memo of t(u)'s jets, so a JetFn over t_jet forms no cycle.
     """
 
     T, PANELS = 1.5, 750          # half-width of the table and panels per side
 
-    def __init__(self, curve: CurveGerm, xi=None):
-        self.curve = curve
-        self.fact = CuspFactorization(xi=tuple(xi)) if xi is not None else factor_cusp(curve)
-        if np.linalg.norm(xi_frame(self.fact.xi, 0.0, 1)[0]) < 1e-10:
-            raise CurveError("gamma''(0) = 0: half-arclength parameter undefined")
+    def __init__(self, fact):
+        self.fact = fact
         self._h = self.T / self.PANELS
         # cumulative phi at the nodes 0, h, 2h, ... and 0, -h, -2h, ...
         self._cum = {1.0: np.zeros(1), -1.0: np.zeros(1)}
         self._extend(self.PANELS)
-        self._jet_cache = BoundedCache()
         self._t_cache = BoundedCache()
+        self.speed_jets = JetFn(partial(_speed_jet, fact))
 
     def _speed(self, t):
         """|xi(t)| at an array of points, from one jet call."""
@@ -222,20 +218,6 @@ class HalfArclength:
         u = float(u)
         return self._t_cache.value(u, lambda: float(self._invert(np.array([u]))[0]))
 
-    def _cached(self, tag, x, order, compute):
-        """compute() memoised per scalar x; an array x is computed, not stored."""
-        if np.ndim(x):
-            return compute()
-        key = (tag, float(x))
-        out = self._jet_cache.jets(key, order)
-        return self._jet_cache.put_jets(key, order, compute()) if out is None else out
-
-    def _speed_jet(self, t, order):
-        def compute():
-            xj = self.fact.jets(t, order)
-            return jet_sqrt(dot(xj, xj))
-        return self._cached("sp", t, order, compute)
-
     def _u_series(self, t0, order):
         """Taylor coefficients of u(t0 + s) about s = 0, shape (order+1,) + shape(t0)."""
         shape = np.shape(t0)
@@ -248,7 +230,7 @@ class HalfArclength:
             ser[:, at0] = self._u_series(0.0, order)[:, None]
             return ser
         K = order + 2
-        sp = self._speed_jet(t0, K)
+        sp = self.speed_jets.jet(t0, 0.0, K)
         tj = Jet2.variable("u", t0, K, shape)
         integrand = tj * sp                       # t |xi(t)|
         phi = Jet2.constant(self.phi(t0), K + 1, shape)
@@ -265,18 +247,46 @@ class HalfArclength:
             ser[i] = uj.c[index_of(i, 0)]
         return ser
 
+    def t_jet(self, u0, v, order):
+        """Jet2 (u-only) of t(u) at u0, read as a provider of (u, v)."""
+        t0 = self.t_of_u(u0)
+        us = self._u_series(t0, max(order, 1))  # order 0 keeps the domain checks
+        us[0] = 0.0                            # shift: series of u(t0+s) - u0
+        tser = p1_invert(us)
+        out = Jet2.constant(t0, order, np.shape(t0))
+        for i in range(1, order + 1):
+            out.c[index_of(i, 0)] = tser[i]
+        return out
+
+
+def _speed_jet(fact, t, v, order):
+    """Jet of |xi(t)| at t."""
+    xj = fact.jets(t, order)
+    return jet_sqrt(dot(xj, xj))
+
+
+class HalfArclength:
+    """Reparametrization u = sgn(t) sqrt(2 phi(t)), phi(t) = int_0^t s|xi(s)| ds.
+
+    In the new parameter the factorization field is the unit field
+    xi(t(u))/|xi(t(u))|.  Exposes jets of t(u), of the reparametrized curve
+    and unit field, and of the speed |xi(t(u))| used to rescale transverse
+    data.  phi, t(u) and their jets come from a _PhiTable (see there); the
+    jets of t(u) and of the speed are JetFns, memoised per scalar point.
+    """
+
+    def __init__(self, curve: CurveGerm, xi=None):
+        self.curve = curve
+        self.fact = CuspFactorization(xi=tuple(xi)) if xi is not None else factor_cusp(curve)
+        if np.linalg.norm(xi_frame(self.fact.xi, 0.0, 1)[0]) < 1e-10:
+            raise CurveError("gamma''(0) = 0: half-arclength parameter undefined")
+        self._table = table = _PhiTable(self.fact)
+        self.phi, self.t_of_u, self._speed_jets = table.phi, table.t_of_u, table.speed_jets
+        self._t_jets = JetFn(table.t_jet)
+
     def t_jet(self, u0, order):
         """Jet2 (u-only) of t(u) at u0."""
-        def compute():
-            t0 = self.t_of_u(u0)
-            us = self._u_series(t0, max(order, 1))  # order 0 keeps the domain checks
-            us[0] = 0.0                            # shift: series of u(t0+s) - u0
-            tser = p1_invert(us)
-            out = Jet2.constant(t0, order, np.shape(t0))
-            for i in range(1, order + 1):
-                out.c[index_of(i, 0)] = tser[i]
-            return out
-        return self._cached("tj", u0, order, compute)
+        return self._t_jets.jet(u0, 0.0, order)
 
     def gamma_hat(self):
         t_jet, gamma = self.t_jet, self.curve.gamma
@@ -307,11 +317,11 @@ class HalfArclength:
 
     def speed(self):
         """Provider of |xi(t(u))| (the transverse rescaling factor)."""
-        t_jet, speed_jet = self.t_jet, self._speed_jet
+        t_jet, speed_jets = self.t_jet, self._speed_jets
 
         def fn(u, v, order):
             tj = t_jet(u, order)
-            sp = speed_jet(tj.value(), order)
+            sp = speed_jets.jet(tj.value(), 0.0, order)
             return compose2(sp.c, order, tj, Jet2.constant(0.0, order, np.shape(u)))
         return JetFn(fn)
 

@@ -343,13 +343,6 @@ class XiInterpolation:
             return components(fn)
         return spliced(0, self.xi), spliced(4, self.gammas)
 
-    def xi_t(self, t):
-        """Providers of the interpolated unit field at t (see fields)."""
-        return self.fields(t)[0]
-
-    def genericity_at0(self, t):
-        return float(np.linalg.det(np.stack(xi_frame(self.xi_t(t), 0.0, 2), axis=1)))
-
 
 # ---------------------------------------------------------------------------
 # Recipes

@@ -48,9 +48,11 @@ every slot, and Scaled and the weights of deform's combinations may be
 arrays over the slots.  A domain error of the jet arithmetic (JetError:
 over_v, jet_sqrt, a division by a zero constant term) fails the whole
 call, in a provider and in a batch alike, so no memo keeps a jet with
-failed slots.  The germ checks still decide per slot: frontal.classify
-runs a failed batch again slot by slot, and each slot gets the verdict it
-gets alone.
+failed slots.  The germ checks still decide per slot: whatever a batch
+raises in frontal.classify (a JetError, a model-domain error of the
+metric, a ClassificationError), its slots go again one by one, each gets
+the verdict it gets alone, and the first slot that raises alone decides
+the error.
 """
 
 from __future__ import annotations

@@ -387,15 +387,14 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
     deformation stage, say) gets a list of reports, one per slot, each
     equal to the report of that slot's germ checked alone; a lone germ is a
     batch of one.  The jets are computed once for the batch, and every
-    threshold, SVD, norm and sign is decided per slot.  A slot that leaves
-    the common path (axis singular, origin of the second kind) goes on
-    alone, on its column of the germ: a slot that needs make_admissible, or
-    a first-kind point.  A domain error of the jet arithmetic (JetError)
-    fails the whole batch, and the slots of the common path then go again
-    one by one, on their columns: the batch keeps no partial report, and
-    each slot gets the report, notes and error it gets alone.  An exception
-    that a slot raises alone is raised for the batch, that of the first
-    such slot."""
+    threshold, SVD, norm and sign is decided per slot.  The slots singular
+    at the origin along a singular u-axis go on together, as one batch
+    (_on_axis); any other singular slot goes on alone, on its column of the
+    germ, after make_admissible.  One failure rule covers the batch: if it
+    raises (any ValueError), it keeps no partial report, and its slots go
+    alone too, each on its own singular axis.  The slots that go alone run
+    in slot order, so the first of them that raises decides the batch's
+    error; a lone germ raises what it raises."""
     at = (float(at[0]), float(at[1]))
     F = germ.fjet(at[0], at[1], 3)
     if not all(np.isfinite(c.c).all() for c in F):
@@ -404,7 +403,9 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
     reps = {j: SingularityReport(at=at, a=germ.sf.a) for j in slots}
     fu = _vals(tuple(c.du() for c in F))
     fv = _vals(tuple(c.dv() for c in F))
-    axis, common, errors = None, {}, {}
+    # slot -> mode of the slots that go alone: None through make_admissible,
+    # "axis" on their own singular axis
+    axis, common, alone = None, {}, {}
     for j, rep in reps.items():
         if _immersive(_slot(fu, j), _slot(fv, j)):
             rep.kind = "regular"
@@ -417,55 +418,40 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
             if axis if j is None else axis[j]:
                 common[j] = rep
                 continue
-        errors[j] = _alone(germ, j, rep, at)
+        alone[j] = None
     if common:
         try:
-            errors.update(_on_axis(germ, common, mode="axis"))
-        except JetError:
+            _on_axis(germ, common, mode="axis")
+        except ValueError:
             if None in common:
                 raise
             for j in common:
                 reps[j] = SingularityReport(at=at, a=germ.sf.a)
-                errors[j] = _alone(germ, j, reps[j], at, mode="axis")
-    errors = {j: exc for j, exc in errors.items() if exc is not None}
-    if errors:
-        raise errors[min(errors)]
-    return reps[None] if slots == [None] else list(reps.values())
-
-
-def _alone(germ, j, rep, at, mode=None):
-    """Slot j of germ classified alone into rep: on its own singular axis
-    with mode "axis", else after make_admissible at the point at.  Returns
-    the exception it raises, or None."""
-    try:
+                alone[j] = "axis"
+    for j in sorted(alone):
         work = _column(germ, j)
-        if mode is None:
+        if alone[j] is None:
             work = make_admissible(work, at)
-        return _on_axis(work, {None: rep}, mode).get(None)
-    except ValueError as exc:
-        return exc
+        _on_axis(work, {None: reps[j]}, alone[j])
+    return reps[None] if slots == [None] else list(reps.values())
 
 
 def _on_axis(work, reps, mode=None):
     """The rest of classify at the origin of work, a germ whose singular set
-    is the u-axis: fills in reps (slot -> report, for some slots of work)
-    and returns slot -> the exception that slot raises alone, which for a
-    lone germ (reps {None: report}) it may raise instead.  A domain error of
-    the jet arithmetic (JetError) in a batch is raised for the batch."""
-    live, errors = dict(reps), {}
-
-    def drop(j, exc=None):
-        del live[j]
-        if exc is not None:
-            errors[j] = exc
-
+    is the u-axis: fills in reps (slot -> report, for some slots of work,
+    or {None: report} for a lone germ).  A slot that leaves on a verdict is
+    dropped from the later steps; an exception of any slot is raised for
+    the whole call.  Two rules hold for a lone germ only: a normal field
+    that v does not divide is a note on the report, not an error, and a
+    domain error of mu_C comes after the three sign decisions."""
+    live = dict(reps)
     try:
         nt = normal_jets(work, 0.0)
     except JetError as exc:
         if None not in reps:
             raise
         reps[None].notes.append(f"not admissible / not frontal: {exc}")
-        return errors
+        return
     nt0 = _vals(nt)
     du0 = _vals(tuple(c.du() for c in work.fjet(0, 0, 3)))
     for j, rep in list(live.items()):
@@ -473,9 +459,9 @@ def _on_axis(work, reps, mode=None):
         rep.is_frontal = np.linalg.norm(_slot(nt0, j)) > 1e-9 * ntscale
         if not rep.is_frontal:
             rep.notes.append("unnormalized normal vanishes at the point")
-            drop(j)
+            del live[j]
     if not live:
-        return errors
+        return
 
     lam = lambda_jet(work, 0.0, 0.0, 2, mode)
     l10, l01, l02 = lam.partial(1, 0), lam.partial(0, 1), lam.partial(0, 2)
@@ -485,52 +471,38 @@ def _on_axis(work, reps, mode=None):
         rep.is_nondegenerate = dlam > 1e-9 * (1.0 + abs(_slot(l02, j)))
         if not rep.is_nondegenerate:
             rep.notes.append("degenerate singular point (d lambda = 0); invariants suppressed")
-            drop(j)
+            del live[j]
     if not live:
-        return errors
+        return
 
     fu, fv = _axis_derivatives(work, 0.0)
     for j, rep in list(live.items()):
-        try:
-            k, _ = _kernel(_slot(fu, j), _slot(fv, j))
-            rep.null_vector = (float(k[0]), float(k[1]))
-            rep.kind = "first" if abs(k[1]) > KIND_TOL else "second"
-            if rep.kind == "second":
-                continue
-            s0c, raw = sigma0_C(_column(work, j), 0.0)
-            rep.is_cuspidal_edge = s0c != 0
-            rep.is_wavefront = rep.is_cuspidal_edge
-            rep.raw["sigma0_C"] = raw
-            drop(j)
-        except ValueError as exc:
-            drop(j, exc)
+        k, _ = _kernel(_slot(fu, j), _slot(fv, j))
+        rep.null_vector = (float(k[0]), float(k[1]))
+        rep.kind = "first" if abs(k[1]) > KIND_TOL else "second"
+        if rep.kind == "second":
+            continue
+        s0c, raw = sigma0_C(_column(work, j), 0.0)
+        rep.is_cuspidal_edge = s0c != 0
+        rep.is_wavefront = rep.is_cuspidal_edge
+        rep.raw["sigma0_C"] = raw
+        del live[j]
     if not live:
-        return errors
+        return
 
     # second kind: generalized swallowtail status from nearby axis points
     near = [_axis_derivatives(work, uu) for uu in (-0.05, -0.0125, 0.0125, 0.05)]
-    for j, rep in list(live.items()):
-        try:
-            kinds = [_kind(_slot(a, j), _slot(b, j)) for a, b in near]
-        except ValueError as exc:
-            drop(j, exc)
-            continue
+    for j, rep in live.items():
+        kinds = [_kind(_slot(a, j), _slot(b, j)) for a, b in near]
         rep.is_generalized_swallowtail = all(km in ("first", "regular") for km in kinds)
-    if not live:
-        return errors
 
     sf = work.sf
     shared = _second_kind_data(work, order=4)
     s0, sg, kn = (f(sf, shared) for f in (_sigma0_S_values, _sigma_g_S_values, _kappa_nu_values))
-    for j, rep in list(live.items()):
-        try:
-            rep.sigma0_S, rep.raw["sigma0_S"] = _sigma0_S(*(_slot(x, j) for x in s0))
-            rep.sigma_g_S, rep.raw["sigma_g_S"] = _sigma_g_S(*(_slot(x, j) for x in sg))
-            rep.kappa_nu = _kappa_nu(*(_slot(x, j) for x in kn))
-        except ValueError as exc:
-            drop(j, exc)
-    if not live:
-        return errors
+    for j, rep in live.items():
+        rep.sigma0_S, rep.raw["sigma0_S"] = _sigma0_S(*(_slot(x, j) for x in s0))
+        rep.sigma_g_S, rep.raw["sigma_g_S"] = _sigma_g_S(*(_slot(x, j) for x in sg))
+        rep.kappa_nu = _kappa_nu(*(_slot(x, j) for x in kn))
 
     # a domain error of mu_C comes after the three sign decisions
     mu = _mu_C_values(sf, shared)
@@ -546,7 +518,6 @@ def _on_axis(work, reps, mode=None):
         sv = np.linalg.svd(M, compute_uv=False)
         rep.is_wavefront = sv[1] > 1e-8 * (1.0 + sv[0])
         rep.is_swallowtail = bool(rep.is_wavefront and rep.is_generalized_swallowtail)
-    return errors
 
 
 def _axis_is_singular(germ: MapGerm):

@@ -15,9 +15,10 @@ no other backend.
 
 A domain error (zero denominator, square root of a non-positive constant
 term, division by v of a jet that does not vanish on the axis) raises
-JetError, for a batch as soon as one slot fails.  A caller that needs
-failures slot by slot runs the failing batch again one slot at a time
-(frontal.classify does).
+JetError, for a batch as a whole as soon as one slot fails: the arithmetic
+keeps no per-slot error.  A caller that needs failures slot by slot runs a
+batch that raised again one slot at a time; frontal.classify does so for
+any ValueError of a batch, JetError or not.
 
 Expressions are trees of frozen dataclass nodes (Const, Var, Add, Sub, Mul,
 Div, Neg, Pow, Func): they compare and hash by value and cannot be changed.

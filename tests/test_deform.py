@@ -6,7 +6,7 @@ import pytest
 from swallowkit import deform as dm
 from swallowkit.builder import (AsymptoticData, SwallowtailData, build,
                                 build_asymptotic, discriminants)
-from swallowkit.fields import Scaled
+from swallowkit.fields import Scaled, xi_frame
 from swallowkit.frontal import classify
 
 
@@ -65,6 +65,11 @@ def test_theorem_A_constant_family(d217):
     assert cert.passed, cert.failures
 
 
+def _genericity_at0(interp, t):
+    """det(xi_t, xi_t', xi_t'')(0) of the interpolated unit field at t."""
+    return float(np.linalg.det(np.stack(xi_frame(interp.fields(t)[0], 0.0, 2), axis=1)))
+
+
 def test_theorem_A_interpolated_genericity_is_linear_mix():
     """det(xi_t, xi_t', xi_t'')(0) = (1-t) det_1 + t det_2 along stage 2,
     positive throughout when both endpoint cusps are right-handed."""
@@ -74,7 +79,7 @@ def test_theorem_A_interpolated_genericity_is_linear_mix():
         xi=(f"{c} - {s}*u", f"{s} + {c}*u", "1.5*u^2"), b=("0", "0", "0.3"))
     fam = dm.deform_theorem_A(d1, d2)
     interp = fam.interp
-    d_at = [interp.genericity_at0(t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+    d_at = [_genericity_at0(interp, t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
     for k, t in enumerate((0.0, 0.25, 0.5, 0.75, 1.0)):
         expected = (1 - t) * d_at[0] + t * d_at[-1]
         assert d_at[k] == pytest.approx(expected, abs=1e-4)
@@ -84,7 +89,7 @@ def test_theorem_A_interpolated_genericity_is_linear_mix():
     famP = dm.deform_theorem_A(
         SwallowtailData(xi=("2", "3*u", "0"), b=("0", "0", "1")),
         rotated_scaled_217())
-    assert abs(famP.interp.genericity_at0(0.5)) < 1e-9
+    assert abs(_genericity_at0(famP.interp, 0.5)) < 1e-9
 
 
 def _helix_interp():
@@ -112,15 +117,15 @@ def test_xi_interpolation_shares_endpoint_jets(monkeypatch):
 
     monkeypatch.setattr(dm, "curvature_torsion_of", counting)
     u, order = 0.0123, 3                        # off the nodes of the march
-    xi_03 = interp.xi_t(0.3)
+    xi_03 = interp.fields(0.3)[0]
     vjet(xi_03, u, 0.0, order)
     assert (u, order + 1) in calls and (u, order) not in calls
     n_first = len(calls)
     vjet(xi_03, u, 0.0, order + 1)              # the cusp frame's read, one order up
     assert len(calls) == n_first
-    cached = vjet(interp.xi_t(0.7), u, 0.0, order)
+    cached = vjet(interp.fields(0.7)[0], u, 0.0, order)
     assert len(calls) == n_first
-    fresh = vjet(fresh_interp.xi_t(0.7), u, 0.0, order)
+    fresh = vjet(fresh_interp.fields(0.7)[0], u, 0.0, order)
     assert len(calls) > n_first
     for a, b in zip(cached, fresh):
         np.testing.assert_array_equal(a.c, b.c)

@@ -104,9 +104,9 @@ def test_array_calls_of_the_half_arclength_chain_store_nothing():
     us = np.array([-0.2, 0.05, 0.1])
     H.t_jet(us, 3)
     H.speed().jet(us, 0.0, 3)
-    assert len(H._jet_cache) == 0
+    assert len(H._t_jets._memo) == len(H._speed_jets._memo) == 0
     H.t_jet(0.1, 3)
-    assert len(H._jet_cache) > 0
+    assert len(H._t_jets._memo) > 0 and len(H._speed_jets._memo) > 0
 
 
 def test_memo_clears_past_its_bound():

@@ -12,7 +12,7 @@ from swallowkit.builder import (AsymptoticData, SwallowtailData, build,
                                 build_asymptotic, discriminants, extract_data)
 from swallowkit.fields import vjet
 from swallowkit.frontal import MapGerm, classify
-from swallowkit.metric import SpaceForm
+from swallowkit.metric import DomainError, SpaceForm
 
 from conftest import random_data
 
@@ -595,7 +595,8 @@ class _Stacked:
 
 
 def _batch_of(germs):
-    return MapGerm(tuple(_Stacked([g._components[k] for g in germs]) for k in range(3)))
+    return MapGerm(tuple(_Stacked([g._components[k] for g in germs]) for k in range(3)),
+                   sf=germs[0].sf)
 
 
 # germs that take every branch of classify at the origin or at (0.3, 0)
@@ -638,6 +639,21 @@ def test_classify_batch_equals_its_slots_alone(at):
         with pytest.raises(type(first), match=re.escape(str(first))):
             classify(_batch_of([germs[n] for n in order]), at=at)
     assert repr(classify(_batch_of([germs["swallowtail"]]), at=at)[0]) == alone["swallowtail"]
+
+
+def test_a_batch_error_is_that_of_its_first_slot_alone():
+    """An error that the common-path batch raises as a whole, here the
+    model-domain error of a swallowtail outside the a = -1 ball, does not
+    decide the batch: its slots go alone in slot order, and a corank-2
+    germ before it raises its own error."""
+    sf = SpaceForm(-1.0)
+    corank2 = MapGerm.from_exprs(("u^2", "v^2", "u*v"), sf=sf)
+    outside = MapGerm.from_exprs(("u^2+2*v+2", "u^3+3*u*v", "v^2"), sf=sf)
+    first, second = _alone(corank2, (0.0, 0.0)), _alone(outside, (0.0, 0.0))
+    assert isinstance(first, fr.ClassificationError) and isinstance(second, DomainError)
+    for germs, err in (([corank2, outside], first), ([outside, corank2], second)):
+        with pytest.raises(type(err), match=re.escape(str(err))):
+            classify(_batch_of(germs))
 
 
 def test_public_invariants_equal_the_classify_report(ex217, fplus):

@@ -5,8 +5,9 @@
 Each call runs ``python -m swallowkit.cli`` with ``DIR/src`` on the path, in a
 fresh working directory per checkout that holds the same input specs, so the
 output paths that a command prints are the same on both sides.  For every
-call the script prints the exit code and the sha256 of its stdout and of every
-file it wrote, base and head side by side, and exits 1 if any of them differ.
+call the script prints the exit code and the sha256 of its stdout, its stderr
+and every file it wrote, base and head side by side, and exits 1 if any of
+them differ.
 Under an output that differs it also prints how many of its lines and of the
 numbers in them differ, and the largest absolute and relative difference
 between those numbers, matched by their position in the line.
@@ -37,6 +38,7 @@ SPECS = {
     "flipb.json": {"kind": "swallowtail-data", "xi": ["1", "u", "u^2"],
                    "b": ["0", "0", "0-0.5"], "a": 0.0},
     "cusp3.json": {"kind": "curve", "gamma": ["u^2/2", "u^3/3", "u^4/4"]},
+    "corank2.json": {"kind": "raw-germ", "f": ["u^2", "v^2", "u*v"], "a": 0.0},
 }
 
 CALLS = [
@@ -68,6 +70,10 @@ CALLS = [
     # a band wider than every sign, and a certificate decided in a wider band
     ["--tol-sign", "10", "classify", "ex217.json"],
     ["--tol-sign", "1e-3", "deform", "ex217.json", "ex217s.json", "--recipe", "A", "--steps", "4"],
+    # exit 3: a corank-2 origin cannot be made admissible
+    ["classify", "corank2.json"],
+    # exit 4: recipe A on asymptotic endpoints is a precondition mismatch
+    ["deform", "fplus.json", "fplus2.json", "--recipe", "A"],
 ]
 
 
@@ -106,7 +112,7 @@ def numeric_diff(a: bytes, b: bytes):
 
 
 def _run_all(root):
-    """{call index: {"exit", "stdout", file name: contents}} for one checkout."""
+    """{call index: {"exit", "stdout", "stderr", file name: contents}} for one checkout."""
     env = dict(os.environ, PYTHONPATH=os.path.join(os.path.abspath(root), "src"))
     results = []
     with tempfile.TemporaryDirectory() as work:
@@ -117,7 +123,8 @@ def _run_all(root):
             before = set(os.listdir(work))
             out = subprocess.run([sys.executable, "-m", "swallowkit.cli", *argv],
                                  cwd=work, env=env, capture_output=True, timeout=600)
-            res = {"exit": str(out.returncode).encode(), "stdout": out.stdout}
+            res = {"exit": str(out.returncode).encode(), "stdout": out.stdout,
+                   "stderr": out.stderr}
             for name in sorted(set(os.listdir(work)) - before):
                 with open(os.path.join(work, name), "rb") as fh:
                     res[name] = fh.read()
@@ -134,9 +141,10 @@ def main(argv=None) -> int:
 
     base, head = _run_all(args.base), _run_all(args.head)
     differ = 0
+    streams = ("exit", "stdout", "stderr")
     for argv_, b, h in zip(CALLS, base, head):
         print("swallowkit " + " ".join(argv_))
-        for key in sorted(set(b) | set(h), key=lambda k: (k not in ("exit", "stdout"), k)):
+        for key in sorted(set(b) | set(h), key=lambda k: (k not in streams, k)):
             bv, hv = b.get(key), h.get(key)
             bs, hs = ("-" if v is None else v.decode() if key == "exit" else _sha(v)[:16]
                       for v in (bv, hv))
