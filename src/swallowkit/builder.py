@@ -278,6 +278,11 @@ def _b_jet(germ, alpha, k, u, w, order):
     return (out / (aj.truncate(out.order) * aj.truncate(out.order))).truncate(order)
 
 
+def _dv_du(F):
+    """Values of f_v and f_u from the jets F of a germ."""
+    return np.array([c.dv().value() for c in F]), np.array([c.du().value() for c in F])
+
+
 def extract_data(germ: MapGerm) -> SwallowtailData:
     """Recover (xi, b) with germ = gamma + v xi + v^2 b up to v-rescaling.
 
@@ -295,11 +300,16 @@ def extract_data(germ: MapGerm) -> SwallowtailData:
     if np.linalg.norm(fu0) > 1e-8 * (1 + np.linalg.norm(fv0)):
         raise BuildError("origin is not of the second kind in these coordinates")
 
-    # consistency: a(u,0) parallel to xi at samples
-    for uu in (-0.1, -0.05, 0.05, 0.1):
-        Fj = germ.fjet(uu, 0.0, 3)
-        a0 = np.array([c.dv().value() for c in Fj])
-        gp = np.array([c.du().value() for c in Fj]) / uu
+    # consistency: a(u,0) parallel to xi at samples, read in one array call;
+    # if it raises, point by point, so the first failing sample decides
+    us = (-0.1, -0.05, 0.05, 0.1)
+    try:
+        a0s, fus = _dv_du(germ.fjet(np.array(us), 0.0, 3))
+        reads = zip(a0s.T, fus.T)
+    except ValueError:
+        reads = (_dv_du(germ.fjet(uu, 0.0, 3)) for uu in us)
+    for uu, (a0, fu) in zip(us, reads):
+        gp = fu / uu
         c = np.cross(a0, gp)
         if np.linalg.norm(c) > 1e-7 * (1 + np.linalg.norm(a0) * np.linalg.norm(gp)):
             raise BuildError(f"not admissible: f_v(u,0) not parallel to xi(u) at u={uu}"

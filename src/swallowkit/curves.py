@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components,
-                     gauss_legendre, horner, over_u, step_count, step_ends, vjet,
+                     gauss_legendre, horner, over_u, pointwise, step_count, step_ends, vjet,
                      xi_frame)
 from .frontal import sgn
 from ._jettables import index_of, term_count
@@ -272,7 +272,7 @@ class HalfArclength:
     xi(t(u))/|xi(t(u))|.  Exposes jets of t(u), of the reparametrized curve
     and unit field, and of the speed |xi(t(u))| used to rescale transverse
     data.  phi, t(u) and their jets come from a _PhiTable (see there); the
-    jets of t(u) and of the speed are JetFns, memoised per scalar point.
+    jets of t(u) and of the speed are JetFns, under the memo rule of fields.
     """
 
     def __init__(self, curve: CurveGerm, xi=None):
@@ -574,6 +574,8 @@ class FrenetColumn:
         path, j = self.path, self.j
 
         def fn(u, v, order):
+            if np.ndim(u) or np.ndim(v):    # the series are kept per scalar u
+                return pointwise(fn, u, v, order)
             return tuple(Jet2(order, ck) for ck in path.series_jets(u, order, which)[..., j])
         return components(fn)
 

@@ -183,7 +183,7 @@ class _UnitXiData:
                 K = order + 2
                 tj = t_jet(u, K)
                 Sj = speed.jet(u, 0.0, K)
-                wj = Jet2.variable("v", w, K, ())
+                wj = Jet2.variable("v", w, K, np.shape(u))
                 Vin = wj / Sj
                 bj = b[k].jet(tj.value(), w / Sj.value(), K)
                 out = compose2(bj.c, K, tj, Vin)

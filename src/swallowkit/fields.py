@@ -21,20 +21,26 @@ into its component providers, so the vector is built once per point.
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
 caller), so callers never write into the .c of a jet they were given; they
-build a new jet instead.  One memo rule holds for every provider: it
-memoises scalar points only, in a BoundedCache that answers a lower order
-by truncation, and an array call is computed and never stored.  Composite
-providers, whose jet assembles a new jet from other providers, are JetFns;
-thin wrappers that only rescale, flip or differentiate a base provider
-(Scaled, FlipU, DU) are not cached.  A vector built by components is
-computed by one call of its provider, at an array point too, when it is
-read through vjet.
+build a new jet instead.  One memo rule holds for every provider: a scalar
+point is memoised in a BoundedCache, which answers a lower order by
+truncation; an array point is shared, keyed by the bytes of u and v, by the
+array calls of every JetFn made inside the outermost array call of its
+thread, answered at a lower order by truncation too, and dropped when that
+call returns.  So no array entry outlives the call that made it, and the
+memory the entries hold is bounded by that call.  Composite providers,
+whose jet assembles a new jet from other providers, are JetFns; thin
+wrappers that only rescale, flip or differentiate a base provider (Scaled,
+FlipU, DU) are not cached.  A vector built by components is computed by
+one call of its provider, at an array point too, when it is read through
+vjet.
 
 Array points: u and v may be arrays of one shape, and jet(u, v, order) then
 returns one jet per point, along the trailing axes of .c.  Points on an
 axis are spliced in (over_u, over_v), and every point is computed on its
-own, so its slot holds the bits of the scalar call.  A domain error of the
-jet arithmetic (JetError) still fails the whole call.  The per-point
+own, so its slot holds the bits of the scalar call; a provider that keeps
+its state per scalar point (the Frenet series, make_admissible's change of
+coordinates) reads an array point by point (pointwise).  A domain error of
+the jet arithmetic (JetError) still fails the whole call.  The per-point
 failure of frontal.fundamental_forms and gaussian_curvature is NaN: a
 singular point raises ClassificationError when it is the one point asked
 for, and gives NaN in its slot of an array call.
@@ -58,6 +64,7 @@ the error.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -252,6 +259,16 @@ class BoundedCache:
         return jets
 
 
+def pointwise(fn, u, v, order):
+    """fn(u, v, order), a tuple of jets, at an array point from one scalar
+    call per point: each point's jets fill its slot, along the axes of the
+    point after the coefficient axis."""
+    ub, vb = np.broadcast_arrays(u, v)
+    outs = [fn(a, b, order) for a, b in zip(ub.ravel().tolist(), vb.ravel().tolist())]
+    return tuple(Jet2(js[0].order, np.stack([j.c for j in js], axis=1).reshape(
+        js[0].c.shape[:1] + ub.shape + js[0].c.shape[1:])) for js in zip(*outs))
+
+
 def vjet(vec, u, v, order):
     """Jets at (u, v) of the providers of a vector: when they are entries of
     one components() vector, from one call of their shared provider."""
@@ -280,18 +297,52 @@ def cusp_frame(xi, u, order):
     return xj, dx, cross(xj, dx)
 
 
+class _Scope(threading.local):
+    """The entries of the outermost array call in progress in this thread:
+    (provider, shape, bytes of u, bytes of v) -> (order, jets), or None
+    outside such a call."""
+    entries = None
+
+
+_SCOPE = _Scope()
+
+
 class JetFn:
     """Composite provider: wraps a function (u, v, order) -> Jet2 (or a
-    tuple of jets) that assembles jets from other providers, and memoises
-    it per scalar point (u, v); array u or v bypass the memo."""
+    tuple of jets) that assembles jets from other providers.  It memoises
+    it per scalar point (u, v) in a BoundedCache; an array point is shared
+    with the other array calls of every JetFn made inside the outermost
+    array call, and dropped when that call returns."""
 
     def __init__(self, fn):
         self._fn = fn
         self._memo = BoundedCache()
 
+    def _shared(self, u, v, order):
+        """The jets at an array point, from the scope of the outermost array
+        call, which this call opens when none is open.  The key holds u and v
+        broadcast to one shape, so a scalar v and an array of its value share
+        one entry; a lower order is answered by truncation."""
+        scope = _SCOPE.entries
+        outer = scope is None
+        if outer:
+            scope = _SCOPE.entries = {}
+        try:
+            ub, vb = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+            key = (self, ub.shape, ub.tobytes(), vb.tobytes())
+            hit = scope.get(key)
+            if hit is not None and hit[0] >= order:
+                return _truncate(hit[1], order)
+            out = self._fn(u, v, order)
+            scope[key] = (order, out)
+            return out
+        finally:
+            if outer:
+                _SCOPE.entries = None
+
     def jet(self, u, v, order):
         if np.ndim(u) or np.ndim(v):
-            return self._fn(u, v, order)
+            return self._shared(u, v, order)
         key = (float(u), float(v))
         out = self._memo.jets(key, order)
         if out is None:

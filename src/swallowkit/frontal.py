@@ -25,7 +25,7 @@ import numpy as np
 
 from . import metric as mt
 from ._jettables import index_of, monomials
-from .fields import JetFn, over_v
+from .fields import JetFn, over_v, pointwise
 from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, p1_div, p1_mul, parse
 from .metric import SpaceForm, cross, dot
 
@@ -37,6 +37,13 @@ ORDER = 6
 # epsilon_identity_residual
 REGULAR_TOL = 1e-8
 KIND_TOL = 1e-6
+# the u of the axis samples of classify: where the u-axis must be singular
+# (_axis_is_singular), and where a second-kind origin's neighbours are read
+# for the generalized swallowtail status (_on_axis); a lone germ is read at
+# their union but the origin in one array call (_axis_reads)
+AXIS_US = (-0.08, -0.03, 0.0, 0.03, 0.08)
+NEAR_US = (-0.05, -0.0125, 0.0125, 0.05)
+_AXIS_READ_US = tuple(sorted(uu for uu in AXIS_US + NEAR_US if uu != 0.0))
 
 
 def sgn(x, scale=1.0, tol=None):
@@ -104,6 +111,8 @@ class _ReparamGerm(MapGerm):
         self._change = change
 
     def fjet(self, u, v, order=ORDER):
+        if np.ndim(u) or np.ndim(v):    # the change of coordinates takes scalar points
+            return pointwise(self.fjet, u, v, order)
         Uj, Vj = self._change(u, v, order + 1)
         F = self._base.fjet(Uj.value(), Vj.value(), order + 1)
         return tuple(compose2(fj.c, order + 1, Uj, Vj).truncate(order) for fj in F)
@@ -405,7 +414,7 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
     fv = _vals(tuple(c.dv() for c in F))
     # slot -> mode of the slots that go alone: None through make_admissible,
     # "axis" on their own singular axis
-    axis, common, alone = None, {}, {}
+    axis, near, common, alone = None, None, {}, {}
     for j, rep in reps.items():
         if _immersive(_slot(fu, j), _slot(fv, j)):
             rep.kind = "regular"
@@ -414,14 +423,14 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
             continue
         if at == (0.0, 0.0):
             if axis is None:
-                axis = _axis_is_singular(germ)
+                axis, near = _axis_reads(germ, slots)
             if axis if j is None else axis[j]:
                 common[j] = rep
                 continue
         alone[j] = None
     if common:
         try:
-            _on_axis(germ, common, mode="axis")
+            _on_axis(germ, common, mode="axis", near=near)
         except ValueError:
             if None in common:
                 raise
@@ -436,14 +445,16 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
     return reps[None] if slots == [None] else list(reps.values())
 
 
-def _on_axis(work, reps, mode=None):
+def _on_axis(work, reps, mode=None, near=None):
     """The rest of classify at the origin of work, a germ whose singular set
     is the u-axis: fills in reps (slot -> report, for some slots of work,
-    or {None: report} for a lone germ).  A slot that leaves on a verdict is
-    dropped from the later steps; an exception of any slot is raised for
-    the whole call.  Two rules hold for a lone germ only: a normal field
-    that v does not divide is a note on the report, not an error, and a
-    domain error of mu_C comes after the three sign decisions."""
+    or {None: report} for a lone germ).  near, if given, holds the values
+    (f_u, f_v) at NEAR_US, else they are read here.  A slot that leaves on
+    a verdict is dropped from the later steps; an exception of any slot is
+    raised for the whole call.  Two rules hold for a lone germ only: a
+    normal field that v does not divide is a note on the report, not an
+    error, and a domain error of mu_C comes after the three sign
+    decisions."""
     live = dict(reps)
     try:
         nt = normal_jets(work, 0.0)
@@ -491,7 +502,8 @@ def _on_axis(work, reps, mode=None):
         return
 
     # second kind: generalized swallowtail status from nearby axis points
-    near = [_axis_derivatives(work, uu) for uu in (-0.05, -0.0125, 0.0125, 0.05)]
+    if near is None:
+        near = [_axis_derivatives(work, uu) for uu in NEAR_US]
     for j, rep in live.items():
         kinds = [_kind(_slot(a, j), _slot(b, j)) for a, b in near]
         rep.is_generalized_swallowtail = all(km in ("first", "regular") for km in kinds)
@@ -520,11 +532,33 @@ def _on_axis(work, reps, mode=None):
         rep.is_swallowtail = bool(rep.is_wavefront and rep.is_generalized_swallowtail)
 
 
+def _axis_reads(germ, slots):
+    """(_axis_is_singular(germ), the values (f_u, f_v) at NEAR_US or None),
+    for a germ singular at the origin, as classify calls it.
+
+    A lone germ is read at the union of AXIS_US and NEAR_US but the origin,
+    whose sample classify has already decided, in one array call of order
+    2; its slots hold the bits of the scalar reads.  If that call raises,
+    or the germ is batched, the axis is read point by point as
+    _axis_is_singular reads it, and _on_axis reads the near points itself,
+    so no verdict and no error moves."""
+    if slots == [None]:
+        try:
+            fu, fv = _axis_derivatives(germ, np.array(_AXIS_READ_US))
+        except ValueError:
+            pass
+        else:
+            read = {uu: (fu[:, i], fv[:, i]) for i, uu in enumerate(_AXIS_READ_US)}
+            return (all(not _immersive(*read[uu]) for uu in AXIS_US if uu != 0.0),
+                    [read[uu] for uu in NEAR_US])
+    return _axis_is_singular(germ), None
+
+
 def _axis_is_singular(germ: MapGerm):
     """Whether the u-axis is singular at every sample: a bool, or a list of
     them, one per slot of a batched germ."""
     out = None
-    for uu in (-0.08, -0.03, 0.0, 0.03, 0.08):
+    for uu in AXIS_US:
         F = germ.fjet(uu, 0.0, 1)
         fu = _vals(tuple(c.du() for c in F))
         fv = _vals(tuple(c.dv() for c in F))

@@ -420,13 +420,14 @@ def test_self_intersection_side_of_an_extracted_germ():
 def test_twice_extracted_germ_reads_each_source_point_at_most_three_times():
     """The extraction's order ledger: under classify of a germ extracted
     twice, the depth-0 germ computes each point at most 3 times and is never
-    asked an order above 16 (classify's top order 8, plus 4 per level)."""
+    asked an order above 16 (classify's top order 8, plus 4 per level).
+    Each point of an array call counts as one computation of that point."""
     germ = build(_random())
     fn, calls = germ._jets._fn, {}
 
     def counted(u, v, order):
-        key = (float(u), float(v))
-        calls[key] = calls.get(key, []) + [order]
+        for key in zip(*(np.ravel(x).tolist() for x in np.broadcast_arrays(u, v))):
+            calls[key] = calls.get(key, []) + [order]
         return fn(u, v, order)
 
     germ._jets._fn = counted

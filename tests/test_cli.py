@@ -154,6 +154,16 @@ def test_cusp_commands(specs, capsys):
         assert v == pytest.approx(1.0, abs=1e-8)
 
 
+def test_cusp_factor_command(specs, capsys):
+    """gamma = (u^2, u^3, 0) has gamma' = u (2, 3u, 0): xi(0) = (2, 0, 0)
+    and xi'(0) = (0, 3, 0)."""
+    code, out = run(capsys, "cusp", "factor", str(specs / "cusp.json"))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["xi_at_0"] == pytest.approx([2.0, 0.0, 0.0])
+    assert doc["xi_prime_at_0"] == pytest.approx([0.0, 3.0, 0.0])
+
+
 def test_build_command(specs, capsys):
     code, out = run(capsys, "build", str(specs / "ex217.json"))
     assert code == 0

@@ -1,7 +1,9 @@
 """The one memo rule of the jet providers: scalar points are memoised in a
 bounded cache that answers lower orders by truncation, array points are
-computed and never stored, and a components() vector read through vjet
-comes from one call of its provider; also the package's RK4 step."""
+shared for the length of the outermost array call only, and a components()
+vector read through vjet comes from one call of its provider; every kind of
+lone germ classify meets gives, at an array point, the bits of its scalar
+calls; also the package's RK4 step."""
 
 import gc
 import warnings
@@ -132,6 +134,74 @@ def test_classifying_the_same_germ_twice_gives_identical_reports():
     first, second = repr(classify(germ)), repr(classify(germ))
     assert first == second
     assert repr(classify(build(fam.stages[1].generator(0.5)))) == first
+
+
+# classify's axis samples (frontal.AXIS_US and NEAR_US)
+_AXIS_SAMPLES = np.array([-0.08, -0.05, -0.03, -0.0125, 0.0, 0.0125, 0.03, 0.05, 0.08])
+_D217 = SwallowtailData(xi=("2", "3*u", "0"), b=("0", "0", "1"))
+_DPLUS = AsymptoticData(xi=("1", "u", "u^2"), q="0", r=("u^2", "0-2*u", "1"))
+
+
+def _extracted(depth):
+    from conftest import random_data
+    from swallowkit.builder import extract_data
+    germ = build(random_data(np.random.default_rng([3, 0])))
+    for _ in range(depth):
+        germ = build(extract_data(germ))
+    return germ
+
+
+def _theorem_D_stage(k):
+    from test_deform import rotated_asym
+    fam = dm.deform_theorem_D(_DPLUS, rotated_asym(0.4, "0.05", 2.0), preserve_sign=True)
+    return build(fam.stages[k].generator(0.5))
+
+
+def _theorem_A_interpolation():
+    from test_deform import rotated_scaled_217
+    return build(dm.deform_theorem_A(_D217, rotated_scaled_217()).stages[1].generator(0.5))
+
+
+def _asymptotic_of_extracted():
+    from swallowkit.builder import build_asymptotic, convert_to_asymptotic_form, extract_data
+    return build(convert_to_asymptotic_form(extract_data(build_asymptotic(_DPLUS))))
+
+
+def _made_admissible():
+    from swallowkit.frontal import MapGerm, make_admissible
+    return make_admissible(MapGerm.from_exprs(("u", "2*v^3+u*v", "3*v^4+u*v^2")), (0.0, 0.0))
+
+
+_LONE_GERMS = {
+    "built": lambda: _extracted(0),
+    "extracted-once": lambda: _extracted(1),
+    "extracted-twice": lambda: _extracted(2),
+    "asymptotic": lambda: build(_DPLUS),
+    "asymptotic-of-extracted": _asymptotic_of_extracted,
+    "unit-xi-endpoint": lambda: build(dm._UnitXiData(_D217).as_data()),
+    "theorem-A-xi-interpolation": _theorem_A_interpolation,
+    "theorem-D-normal-form": lambda: _theorem_D_stage(0),
+    "theorem-D-xi-interpolation": lambda: _theorem_D_stage(1),
+    "make-admissible": _made_admissible,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_LONE_GERMS))
+def test_array_call_at_the_axis_samples_equals_scalar_calls(kind):
+    """One array call of a lone germ at classify's nine axis samples, with v
+    the scalar 0 or an array of zeros, holds at orders 1 to 3 the bits of
+    the scalar calls of a fresh copy of the germ, whose memos the array
+    calls have not filled."""
+    germ, fresh = _LONE_GERMS[kind](), _LONE_GERMS[kind]()
+    arrays = [(order, germ.fjet(_AXIS_SAMPLES, v, order))
+              for v in (0.0, np.zeros(_AXIS_SAMPLES.shape)) for order in (1, 2, 3)]
+    for i, u in enumerate(_AXIS_SAMPLES.tolist()):
+        scalar = {order: fresh.fjet(u, 0.0, order) for order in (1, 2, 3)}
+        for order, jets in arrays:
+            for a, s in zip(jets, scalar[order], strict=True):
+                assert a.order == s.order == order
+                assert a.c.shape == s.c.shape[:1] + _AXIS_SAMPLES.shape
+                np.testing.assert_array_equal(a.c[:, i], s.c)
 
 
 def _certify_a_and_d():

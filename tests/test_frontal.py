@@ -12,6 +12,7 @@ from swallowkit.builder import (AsymptoticData, SwallowtailData, build,
                                 build_asymptotic, discriminants, extract_data)
 from swallowkit.fields import vjet
 from swallowkit.frontal import MapGerm, classify
+from swallowkit.jets import JetError
 from swallowkit.metric import DomainError, SpaceForm
 
 from conftest import random_data
@@ -611,6 +612,65 @@ _BRANCHES = {
     "normal vanishes": ("u", "v^3", "v^4"),
     "corank 2": ("u^2", "v^2", "u*v"),
 }
+
+
+class _FailsAway:
+    """Provider of base that raises JetError at every call with a u in the
+    region `away` (a predicate on the array of u), and records the shape of
+    u of each call that it fails."""
+
+    def __init__(self, base, away, failed):
+        self.base, self.away, self.failed = base, away, failed
+
+    def jet(self, u, v, order):
+        if np.any(self.away(np.asarray(u))):
+            self.failed.append(np.shape(u))
+            raise JetError("a point away from the origin")
+        return self.base.jet(u, v, order)
+
+
+_AWAY = {"nowhere": lambda u: False, "|u| >= 0.05": lambda u: np.abs(u) >= 0.05,
+         "u >= 0.05": lambda u: u >= 0.05}
+
+
+class _HalfSingular:
+    """Provider of v^2 where u <= 0 and of v^2 + u v where u > 0: with u and
+    v^3 it makes a germ whose u-axis is singular at the samples u <= 0 only."""
+
+    def jet(self, u, v, order):
+        left, right = fr.parse("v^2").jet(u, v, order), fr.parse("v^2+u*v").jet(u, v, order)
+        return fr.Jet2(order, np.where(np.asarray(u) > 0, right.c, left.c))
+
+
+def _outcomes(away, failed):
+    """The classify report or error of each germ of _BRANCHES and of the
+    germ of _HalfSingular, its providers failing where `away` holds."""
+    out = []
+    half = (fr.parse("u"), _HalfSingular(), fr.parse("v^3"))
+    for comps in [MapGerm.from_exprs(e)._components for e in _BRANCHES.values()] + [half]:
+        germ = MapGerm(tuple(_FailsAway(c, away, failed) for c in comps))
+        try:
+            out.append(repr(classify(germ)))
+        except ValueError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+    return out
+
+
+@pytest.mark.parametrize("away", sorted(_AWAY))
+def test_the_axis_read_of_a_lone_germ_gives_the_outcome_of_scalar_reads(monkeypatch, away):
+    """classify reads a lone germ's axis samples in one array call and falls
+    back to the scalar reads, in their order and with their early stop, when
+    that call raises JetError (here a provider that fails away from the
+    origin): every germ of every branch gets the report or the error of the
+    scalar reads.  With failures at u >= 0.05 the cross cap gets a report
+    that only the fallback reaches: its scalar reads stop at u = -0.08."""
+    failed = []
+    got = _outcomes(_AWAY[away], failed)
+    assert (() in failed, (8,) in failed) == (away != "nowhere",) * 2
+    monkeypatch.setattr(fr, "_axis_reads", lambda germ, slots: (fr._axis_is_singular(germ), None))
+    assert got == _outcomes(_AWAY[away], [])
+    if away == "u >= 0.05":
+        assert got[list(_BRANCHES).index("cross cap")].startswith("SingularityReport")
 
 
 def _alone(germ, at):

@@ -251,8 +251,32 @@ def test_classify_and_tail_probes_leave_scipy_unloaded():
 
 
 def test_no_memo_keyed_by_array_bytes():
-    """The providers memoise scalar points only (fields module docstring),
-    so no module of the package keys anything by an array's bytes."""
-    offenders = [f"{p.name}:{i}" for p in sorted(SRC.glob("*.py"))
-                 for i, line in enumerate(p.read_text().splitlines(), 1) if "tobytes(" in line]
-    assert offenders == []
+    """No array entry outlives the outermost array call (fields module
+    docstring): after classify of a germ extracted twice, which reads it
+    at array points, and after an array call that raises inside a nested
+    one, the scope of shared array points is closed and every JetFn memo
+    holds scalar points (u, v) only."""
+    import gc
+
+    import numpy as np
+
+    from swallowkit import fields
+    from swallowkit.builder import SwallowtailData, build, extract_data
+    from swallowkit.frontal import classify
+    from swallowkit.jets import Jet2, JetError
+
+    germ = build(SwallowtailData(xi=("2", "3*u", "0"), b=("0", "0", "1")))
+    assert classify(build(extract_data(build(extract_data(germ))))).is_swallowtail
+
+    def fails(u, v, order):
+        inner.jet(u, v, order)
+        raise JetError("fails after a nested array call")
+
+    inner = fields.JetFn(lambda u, v, order: Jet2.variable("u", u, order, np.shape(u)))
+    with pytest.raises(JetError):
+        fields.JetFn(fails).jet(np.array([0.1, 0.2]), 0.0, 2)
+    assert fields._SCOPE.entries is None
+    memos = [o._memo._d for o in gc.get_objects() if isinstance(o, fields.JetFn)]
+    assert memos and any(memos)
+    assert all(type(k) is tuple and len(k) == 2 and all(type(x) is float for x in k)
+               for d in memos for k in d)

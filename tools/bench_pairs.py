@@ -1,15 +1,18 @@
 """Paired benchmark runs of two source checkouts, summarised into a BENCH file.
 
     python3 tools/bench_pairs.py --base DIR --head DIR --workload W
-                                 --seeds 11-20 --out BENCH_<n>.json
+                                 --seeds 11-20 --out BENCH_<n>.json [--trace]
 
 For each seed it runs the unmodified ``perfbench/run.py --workload W --seed S
 --seconds 10`` once in each checkout, alternating which side runs first, and
 reads the JSON object on the last line of its output.  It then merges into
 --out, under the workload's name, every run and, per end-to-end metric of
 BENCHMARK.json, each side's median and quartiles and the pairs the head won
-(ties count for neither).  The file also records the commit of each checkout
-and the host.
+(ties count for neither).  With --trace it also runs ``--trace 1`` once per
+checkout at the first seed and records, under "per_layer", each side's
+per-layer metrics (one traced round: jet operations, provider calls,
+time per layer).  The file also records the commit of each checkout and
+the host.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import sys
 import numpy
 
 
-def _run(root, workload, seed, seconds):
+def _run(root, workload, seed, seconds, trace=0):
     out = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                          "--seed", str(seed), "--seconds", str(seconds)],
+                          "--seed", str(seed), "--seconds", str(seconds),
+                          "--trace", str(trace)],
                          cwd=root, capture_output=True, text=True, timeout=3600)
     if not out.stdout.strip():
         raise RuntimeError(f"{root}: perfbench printed no result\n{out.stderr[-2000:]}")
@@ -53,6 +57,8 @@ def main(argv=None) -> int:
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, help="first-last, inclusive")
     p.add_argument("--out", required=True)
+    p.add_argument("--trace", action="store_true",
+                   help="also record one traced run per side (per-layer metrics)")
     args = p.parse_args(argv)
 
     bench = json.load(open(os.path.join(args.head, "BENCHMARK.json")))
@@ -77,6 +83,13 @@ def main(argv=None) -> int:
                          "base": _quartiles(vals["base"]), "head": _quartiles(vals["head"]),
                          "head_won": won, "pairs": len(vals["base"])}
 
+    per_layer = {}
+    if args.trace:
+        for side in ("base", "head"):
+            res = _run(getattr(args, side), args.workload, first, bench["run_seconds"], trace=1)
+            per_layer[side] = {k: m["value"] for k, m in res.get("metrics", {}).items()}
+            per_layer[side]["exit"] = res["exit"]
+
     doc = json.load(open(args.out)) if os.path.exists(args.out) else {}
     doc["base_commit"], doc["head_commit"] = _commit(args.base), _commit(args.head)
     doc["host"] = {"machine": platform.machine(), "cpus": os.cpu_count(),
@@ -85,6 +98,8 @@ def main(argv=None) -> int:
     doc.setdefault("workloads", {})[args.workload] = {
         "seeds": [first, last], "run_seconds": bench["run_seconds"],
         "metrics": summary, "runs": runs}
+    if per_layer:
+        doc["workloads"][args.workload]["per_layer"] = {"seed": first, **per_layer}
     with open(args.out, "w") as f:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")

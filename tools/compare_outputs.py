@@ -39,6 +39,7 @@ SPECS = {
                    "b": ["0", "0", "0-0.5"], "a": 0.0},
     "cusp3.json": {"kind": "curve", "gamma": ["u^2/2", "u^3/3", "u^4/4"]},
     "corank2.json": {"kind": "raw-germ", "f": ["u^2", "v^2", "u*v"], "a": 0.0},
+    "raw.json": {"kind": "raw-germ", "f": ["u", "2*v^3+u*v", "3*v^4+u*v^2"], "a": 0.0},
 }
 
 CALLS = [
@@ -49,6 +50,8 @@ CALLS = [
     ["mesh", "ex217.json", "--domain=-0.3,0.3,-0.2,0.2", "--res=60,60", "--out", "mesh.obj"],
     ["classify", "ex217.json"],
     ["classify", "ex217.json", "--at", "0.05,0.03"],
+    # a singular set off the u-axis: classified after make_admissible
+    ["classify", "raw.json"],
     ["build", "ex217.json"],
     ["frenet", "--kappa", "1+u^2", "--tau", "0.5*sin(u)", "--out", "curve.csv"],
     # an asymmetric interval, each side ending in a shorter step
@@ -57,6 +60,7 @@ CALLS = [
     # the half-arclength chain (t(u) by series reversion) outside a certificate
     ["cusp", "normalize", "cusp3.json"],
     ["cusp", "classify", "cusp3.json"],
+    ["cusp", "factor", "cusp3.json"],
     ["deform", "ex217.json", "ex217s.json", "--recipe", "A"],
     ["deform", "fplus.json", "fplus2.json", "--recipe", "D"],
     # the xi-interpolation marches its 2 and 4 interior t as one batch
