@@ -319,26 +319,27 @@ class JetFn:
         self._memo = BoundedCache()
 
     def _shared(self, u, v, order):
-        """The jets at an array point, from the scope of the outermost array
-        call, which this call opens when none is open.  The key holds u and v
-        broadcast to one shape, so a scalar v and an array of its value share
-        one entry; a lower order is answered by truncation."""
+        """The jets at an array point.  The outermost array call opens the
+        scope and drops it when it returns; its own entry could serve no
+        later call, so it keeps none.  A nested call is answered from the
+        scope, keyed by u and v broadcast to one shape, so a scalar v and an
+        array of its value share one entry, and a lower order by
+        truncation."""
         scope = _SCOPE.entries
-        outer = scope is None
-        if outer:
-            scope = _SCOPE.entries = {}
-        try:
-            ub, vb = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-            key = (self, ub.shape, ub.tobytes(), vb.tobytes())
-            hit = scope.get(key)
-            if hit is not None and hit[0] >= order:
-                return _truncate(hit[1], order)
-            out = self._fn(u, v, order)
-            scope[key] = (order, out)
-            return out
-        finally:
-            if outer:
+        if scope is None:
+            _SCOPE.entries = {}
+            try:
+                return self._fn(u, v, order)
+            finally:
                 _SCOPE.entries = None
+        ub, vb = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
+        key = (self, ub.shape, ub.tobytes(), vb.tobytes())
+        hit = scope.get(key)
+        if hit is not None and hit[0] >= order:
+            return _truncate(hit[1], order)
+        out = self._fn(u, v, order)
+        scope[key] = (order, out)
+        return out
 
     def jet(self, u, v, order):
         if np.ndim(u) or np.ndim(v):
