@@ -298,9 +298,9 @@ def cusp_frame(xi, u, order):
 
 
 class _Scope(threading.local):
-    """The entries of the outermost array call in progress in this thread:
-    (provider, shape, bytes of u, bytes of v) -> (order, jets), or None
-    outside such a call."""
+    """The entries shared by the array calls nested in the outermost one in
+    progress in this thread: (provider, shape, bytes of u, bytes of v) ->
+    (order, jets), or None outside such a call."""
     entries = None
 
 
