@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components,
-                     gauss_legendre, horner, over_u, pointwise, step_count, step_ends, vjet,
+                     gauss_legendre, horner, over_u, shared, step_count, step_ends, vjet,
                      xi_frame)
 from .frontal import sgn
 from ._jettables import index_of, term_count
@@ -422,11 +422,13 @@ class FrenetPath:
     Every step is elementwise across the columns, so a column steps bit for
     bit as it would alone when the batch takes the steps it takes alone: a
     split that one column needs splits the step for every column.
-    The Taylor series at any point are memoised per u for the whole batch,
-    computed one order above the first request (see series): every column,
-    and the three components of its xi and cusp-curve providers, read the
-    same series, and the pair of orders (N, N + 1) that the cusp frame asks
-    at a point makes one series."""
+    The Taylor series are computed for the whole batch, one order above
+    the first request (see series): memoised per u at a point, and at an
+    array of points computed in one call and shared for the length of the
+    outermost array call.  Every column, and the three components of its
+    xi and cusp-curve providers, read the same series, and the pair of
+    orders (N, N + 1) that the cusp frame asks at a point makes one
+    series."""
 
     def __init__(self, data: FrenetData, interval=(-1.0, 1.0)):
         self.data = data
@@ -509,13 +511,22 @@ class FrenetPath:
 
     def series(self, u0, order):
         """Taylor series of (T, N, B, Gamma, int u T) at u0 from the Frenet
-        relations, each (order + 1, 3, n); shared arrays, never written into.
+        relations, each (order + 1, 3, *shape(u0), n); shared arrays, never
+        written into.  u0 is a point or an array of them, and each point's
+        slot holds the bits of its scalar call.
 
-        Memoised per u0, one order up: a miss computes order + 1, since the
-        cusp frame reads the series one order above the field and the curve
-        (requests come as (N, N + 1) pairs), and a lower order is a slice of
-        what is stored.  The recurrence and the kappa/tau providers are
-        truncation-exact, so a slice holds the bits of a direct call."""
+        A miss computes order + 1, since the cusp frame reads the series one
+        order above the field and the curve (requests come as (N, N + 1)
+        pairs), and a lower order is a slice of what is kept.  A scalar u0
+        is memoised in a BoundedCache; an array u0 is computed in one
+        _series_at call and shared, under the rule of fields.JetFn, by the
+        array calls inside the outermost one (fields.shared).  The
+        recurrence and the kappa/tau providers are truncation-exact, so a
+        slice holds the bits of a direct call."""
+        if np.ndim(u0):
+            u0 = np.asarray(u0, dtype=float)
+            return shared((self, u0.shape, u0.tobytes()), order,
+                          lambda: (order + 1, self._series_at(u0, order + 1)))
         key = float(u0)
         out = self._series.jets(key, order)
         if out is None:
@@ -524,10 +535,11 @@ class FrenetPath:
         return out
 
     def series_jets(self, u0, order, which):
-        """Coefficients (3, term_count(order), n) of the u-only jets at u0 of
-        the three components of entry `which` of the series, for every path:
-        0 is the unit tangent T, 4 the cusp curve int_0^u w T(w) dw."""
-        c = np.zeros((3, term_count(order), self.n))
+        """Coefficients (3, term_count(order), *shape(u0), n) of the u-only
+        jets at u0 of the three components of entry `which` of the series,
+        for every path: 0 is the unit tangent T, 4 the cusp curve
+        int_0^u w T(w) dw."""
+        c = np.zeros((3, term_count(order)) + np.shape(u0) + (self.n,))
         c[:, [index_of(i, 0) for i in range(order + 1)]] = np.moveaxis(
             self.series(u0, order)[which], 0, 1)
         return c
@@ -541,12 +553,22 @@ class FrenetPath:
                      for j in vjet((self.data.kappa, self.data.tau), u, 0.0, order))
 
     def _series_at(self, u0, order):
-        S = _frenet_series(self.state(u0), *self._kappa_tau_series(u0, order), u0, order)
+        """The series at a point u0 or at an array of them: the states are
+        read point by point, the kappa and tau series in one array read, and
+        u0 meets the column axis in the recurrence, so every step stays
+        elementwise."""
+        shape = np.shape(u0)
+        Y = self.state(u0) if not shape else np.stack(
+            [self.state(x) for x in u0.ravel().tolist()], axis=1).reshape(
+                (15,) + shape + (self.n,))
+        S = _frenet_series(Y, *self._kappa_tau_series(u0, order),
+                           np.reshape(u0, shape + (1,)), order)
         return tuple(S[:, k:k + 3] for k in range(0, 15, 3))
 
 
 class FrenetColumn:
-    """Column j of a FrenetPath batch, read as a lone path."""
+    """Column j of a FrenetPath batch, read as a lone path; its providers
+    take a point or an array of them, as the batch's series do."""
 
     __slots__ = ("path", "j")
 
@@ -574,8 +596,6 @@ class FrenetColumn:
         path, j = self.path, self.j
 
         def fn(u, v, order):
-            if np.ndim(u) or np.ndim(v):    # the series are kept per scalar u
-                return pointwise(fn, u, v, order)
             return tuple(Jet2(order, ck) for ck in path.series_jets(u, order, which)[..., j])
         return components(fn)
 

@@ -9,9 +9,13 @@ sampled, and the report says so.
 
 A stage generator takes a float t, or the array of a stage's t: then it
 returns one data object whose jets carry a trailing t axis, one slot per t,
-each slot bit for bit the data at that t alone.  certify checks a stage as
-that one batch: one build, one classify, one gaussian_curvature per probe
-and one sigma_g_C per axis sample, each deciding per slot.
+each slot bit for bit the data at that t alone.  Its providers take array
+points too, the point axes before the t axis (so a weight over t goes
+behind the point axes: fields.slot_weight).  certify checks a stage as that
+one batch, and reads each point set of it in one (point x t) call: one
+build, one classify (its axis samples in one array read), one
+gaussian_curvature at all the PROBES and one sigma_g_C at all the
+AXIS_SAMPLES, each deciding per point and slot.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discr
 from ._jettables import term_count
 from .curves import (CurveGerm, FrenetColumn, FrenetData, FrenetPath, HalfArclength,
                      curvature_torsion_of)
-from .fields import JetFn, Scaled, components, cusp_frame, vjet, xi_frame
+from .fields import JetFn, Scaled, components, cusp_frame, slot_weight, vjet, xi_frame
 from .frontal import sgn
 from .jets import Jet2, compose2, parse
 from .metric import det3, dot
@@ -101,10 +105,10 @@ def certify(family: DeformationFamily, predicate: str, steps: int = DEFAULT_TGRI
         reps = fr.classify(germ)
         asymptotic = predicate == "asymptotic_swallowtail" or stage.asymptotic
         if asymptotic:
-            sigma_g_C = [fr.sigma_g_C(germ, uu) for uu in AXIS_SAMPLES]
+            sigma_g_C = fr.sigma_g_C(germ, np.array(AXIS_SAMPLES))
         if track_kext_sign is not None:
-            # NaN in the slots where a probe is a singular point of the germ
-            kexts = [fr.gaussian_curvature(germ, p)[1] for p in PROBES]
+            # (probe, slot); NaN where a probe is a singular point of the germ
+            kexts = fr.gaussian_curvature(germ, tuple(np.array(PROBES).T))[1]
         for i, (t, rep) in enumerate(zip(ts, reps)):
             entry = {
                 "stage": stage.name, "t": float(t),
@@ -211,10 +215,12 @@ def _normal_split(xi, b):
 
 
 def _combine(*weighted):
+    """Provider of the sum of w p over the (weight, provider) pairs; a weight
+    is a float or a weight over the slots of a batch (fields.slot_weight)."""
     def fn(u, v, order):
         out = None
         for w, p in weighted:
-            j = w * p.jet(u, v, order)
+            j = slot_weight(w, u, v) * p.jet(u, v, order)
             out = j if out is None else out + j
         return out
     return JetFn(fn)
@@ -268,15 +274,16 @@ class XiInterpolation:
     march(ts) integrates the paths of several t as one FrenetPath on
     INTERVAL, with a column per t, each column bit for bit the path marched
     alone.  fields(t) at the array of a stage's t marches its interior t so,
-    right away; its providers read the batch's series, one per point for all
-    columns, and the slots t = 0 and t = 1 are the endpoint providers,
-    spliced in.
+    right away; its providers take a float u or an array of them and fill
+    (3, terms, *shape(u), len(t)): the interior slots from the batch's
+    series, one computation per point set for all columns, and the slots
+    t = 0 and t = 1 from the endpoint providers, spliced in.
 
     The kappa and tau of a batch are the two components of one provider,
     which takes a float u or an array of them, with the t axis after the
     axes of u.  The endpoint (kappa, tau) jets behind it do not depend on
     t, so they come from one JetFn per endpoint field, shared by every
-    batch.
+    batch, and an array u reads them once for all its points.
     """
 
     INTERVAL = (-0.3, 0.3)
@@ -298,7 +305,7 @@ class XiInterpolation:
         def fn(u, v, order):
             k1, t1 = kt1.jet(u, 0.0, order)
             k2, t2 = kt2.jet(u, 0.0, order)
-            w = np.reshape(t, (1,) * np.ndim(u) + np.shape(t))
+            w = slot_weight(t, u)
             kt = k1 * (1.0 - w) + k2 * w
             num = k1 * (1.0 - w) * k1 * t1 + k2 * w * k2 * t2
             return kt, num / (kt * kt)
@@ -332,7 +339,7 @@ class XiInterpolation:
 
         def spliced(which, endpoint):
             def fn(u, v, order):
-                c = np.empty((3, term_count(order), len(t)))
+                c = np.empty((3, term_count(order)) + np.shape(u) + t.shape)
                 if path is not None:
                     c[..., inner] = path.series_jets(u, order, which)
                 for at, p in zip(ends, endpoint):

@@ -26,39 +26,43 @@ point is memoised in a BoundedCache, which answers a lower order by
 truncation; an array point is shared, keyed by the bytes of u and v, by the
 array calls of every JetFn made inside the outermost array call of its
 thread, answered at a lower order by truncation too, and dropped when that
-call returns.  So no array entry outlives the call that made it, and the
-memory the entries hold is bounded by that call.  Composite providers,
-whose jet assembles a new jet from other providers, are JetFns; thin
-wrappers that only rescale, flip or differentiate a base provider (Scaled,
-FlipU, DU) are not cached.  A vector built by components is computed by
-one call of its provider, at an array point too, when it is read through
-vjet.
+call returns (shared; curves.FrenetPath keeps the Frenet series of an array
+point by the same rule).  So no array entry outlives the call that made it,
+and the memory the entries hold is bounded by that call.  Composite
+providers, whose jet assembles a new jet from other providers, are JetFns;
+thin wrappers that only rescale, flip or differentiate a base provider
+(Scaled, FlipU, DU) are not cached.  A vector built by components is
+computed by one call of its provider, at an array point too, when it is
+read through vjet.
 
 Array points: u and v may be arrays of one shape, and jet(u, v, order) then
-returns one jet per point, along the trailing axes of .c.  Points on an
-axis are spliced in (over_u, over_v), and every point is computed on its
-own, so its slot holds the bits of the scalar call; a provider that keeps
-its state per scalar point (the Frenet series, make_admissible's change of
-coordinates) reads an array point by point (pointwise).  A domain error of
-the jet arithmetic (JetError) still fails the whole call.  The per-point
+returns one jet per point, along the axes of .c after the coefficient axis
+and before any batch axis.  Points on an axis are spliced in (over_u,
+over_v), and every point is computed on its own, so its slot holds the bits
+of the scalar call; the Frenet series of an array point are one computation
+for all its points, shared for the length of the outermost array call, and
+a provider that keeps its state per scalar point (make_admissible's change
+of coordinates) reads an array point by point (pointwise).  A domain error
+of the jet arithmetic (JetError) still fails the whole call.  The per-point
 failure of frontal.fundamental_forms and gaussian_curvature is NaN: a
 singular point raises ClassificationError when it is the one point asked
 for, and gives NaN in its slot of an array call.
 
 Batched data: the providers of a deformation stage's data at the array of
-its t (deform) give, at a scalar point, jets with one trailing batch axis,
-a slot per t, each slot bit for bit the jet of the data at that t alone.
-Batch axes align from the left (jets): a jet or weight without them, such
-as an endpoint field or a float, meets a batched one as if copied into
-every slot, and Scaled and the weights of deform's combinations may be
-arrays over the slots.  A domain error of the jet arithmetic (JetError:
-over_v, jet_sqrt, a division by a zero constant term) fails the whole
-call, in a provider and in a batch alike, so no memo keeps a jet with
-failed slots.  The germ checks still decide per slot: whatever a batch
-raises in frontal.classify (a JetError, a model-domain error of the
-metric, a ClassificationError), its slots go again one by one, each gets
-the verdict it gets alone, and the first slot that raises alone decides
-the error.
+its t (deform) give jets with one trailing batch axis, a slot per t, each
+slot bit for bit the jet of the data at that t alone; at an array point the
+point axes come before the slot axis, so .c is (terms, *point, t).  Batch
+axes align from the left (jets): a jet or weight without them, such as an
+endpoint field or a float, meets a batched one as if copied into every
+slot, and Scaled and the weights of deform's combinations may be arrays
+over the slots, placed behind the point axes (slot_weight).  A domain error
+of the jet arithmetic (JetError: over_v, jet_sqrt, a division by a zero
+constant term) fails the whole call, in a provider and in a batch alike, so
+no memo keeps a jet with failed slots.  The germ checks still decide per
+slot: whatever a batch raises in frontal.classify (a JetError, a
+model-domain error of the metric, a ClassificationError), its slots go
+again one by one, each gets the verdict it gets alone, and the first slot
+that raises alone decides the error.
 """
 
 from __future__ import annotations
@@ -307,6 +311,21 @@ class _Scope(threading.local):
 _SCOPE = _Scope()
 
 
+def shared(key, order, compute):
+    """Jets at an array point, shared under key by the array calls nested in
+    the outermost one in progress in this thread: the entry at key cut to
+    order if it holds that order, else the jets of compute(), which returns
+    (the order it computed, >= order; its jets), stored at key.  Outside an
+    outermost array call nothing is stored."""
+    scope = _SCOPE.entries
+    hit = None if scope is None else scope.get(key)
+    if hit is None or hit[0] < order:
+        hit = compute()
+        if scope is not None:
+            scope[key] = hit
+    return _truncate(hit[1], order)
+
+
 class JetFn:
     """Composite provider: wraps a function (u, v, order) -> Jet2 (or a
     tuple of jets) that assembles jets from other providers.  It memoises
@@ -325,21 +344,15 @@ class JetFn:
         scope, keyed by u and v broadcast to one shape, so a scalar v and an
         array of its value share one entry, and a lower order by
         truncation."""
-        scope = _SCOPE.entries
-        if scope is None:
+        if _SCOPE.entries is None:
             _SCOPE.entries = {}
             try:
                 return self._fn(u, v, order)
             finally:
                 _SCOPE.entries = None
         ub, vb = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        key = (self, ub.shape, ub.tobytes(), vb.tobytes())
-        hit = scope.get(key)
-        if hit is not None and hit[0] >= order:
-            return _truncate(hit[1], order)
-        out = self._fn(u, v, order)
-        scope[key] = (order, out)
-        return out
+        return shared((self, ub.shape, ub.tobytes(), vb.tobytes()), order,
+                      lambda: (order, self._fn(u, v, order)))
 
     def jet(self, u, v, order):
         if np.ndim(u) or np.ndim(v):
@@ -381,12 +394,25 @@ class DU:
         return self.base.jet(u, v, order + 1).du()
 
 
+def slot_weight(w, u, v=0.0):
+    """A weight over the slots of a batch (a float, or an array with an axis
+    per batch axis), reshaped to multiply the jets at the point (u, v): its
+    axes go behind the axes of the point, where the batch axes of those jets
+    begin."""
+    if np.ndim(w) == 0:
+        return w
+    return np.reshape(w, (1,) * np.broadcast(u, v).ndim + np.shape(w))
+
+
 class Scaled:
+    """Provider of s times a base provider; s is a float or a weight over
+    the slots of a batch (slot_weight)."""
+
     def __init__(self, base, s):
         self.base, self.s = base, s
 
     def jet(self, u, v, order):
-        return self.s * self.base.jet(u, v, order)
+        return slot_weight(self.s, u, v) * self.base.jet(u, v, order)
 
 
 class FlipU:

@@ -136,19 +136,22 @@ class _ColumnGerm(MapGerm):
 # decision below is taken slot by slot, on floats, as for a lone germ
 # ---------------------------------------------------------------------------
 
-def _slots(jets):
-    """Slot keys of jets: [None] without a batch axis, else one per slot."""
-    shape = jets[0].c.shape[1:]
+def _slots(jets, point_ndim=0):
+    """Slot keys of jets at a point with point_ndim axes: [None] without a
+    batch axis, else one per slot."""
+    shape = jets[0].c.shape[1 + point_ndim:]
     return range(shape[0]) if shape else [None]
+
+
+def _float(x):
+    """A value read off jets: a float, or an array such as a 3-vector."""
+    return float(x) if x.ndim == 0 else x
 
 
 def _slot(x, j):
     """Slot j of values x read off a germ's jets (x itself for j None): a
     float, or an array such as a 3-vector."""
-    if j is None:
-        return x
-    x = x[..., j]
-    return float(x) if x.ndim == 0 else x
+    return x if j is None else _float(x[..., j])
 
 
 def _per_slot(fn, slots, *values):
@@ -534,24 +537,23 @@ def _on_axis(work, reps, mode=None, near=None):
 
 def _axis_reads(germ, slots):
     """(_axis_is_singular(germ), the values (f_u, f_v) at NEAR_US or None),
-    for a germ singular at the origin, as classify calls it.
+    for a germ singular at the origin in some slot, as classify calls it.
 
-    A lone germ is read at the union of AXIS_US and NEAR_US but the origin,
+    The germ is read at the union of AXIS_US and NEAR_US but the origin,
     whose sample classify has already decided, in one array call of order
-    2; its slots hold the bits of the scalar reads.  If that call raises,
-    or the germ is batched, the axis is read point by point as
+    2, the point axis before the slot axis of a batched germ; each point of
+    each slot holds the bits of its scalar read, and the verdict is taken
+    per slot.  If that call raises, the axis is read point by point as
     _axis_is_singular reads it, and _on_axis reads the near points itself,
     so no verdict and no error moves."""
-    if slots == [None]:
-        try:
-            fu, fv = _axis_derivatives(germ, np.array(_AXIS_READ_US))
-        except ValueError:
-            pass
-        else:
-            read = {uu: (fu[:, i], fv[:, i]) for i, uu in enumerate(_AXIS_READ_US)}
-            return (all(not _immersive(*read[uu]) for uu in AXIS_US if uu != 0.0),
-                    [read[uu] for uu in NEAR_US])
-    return _axis_is_singular(germ), None
+    try:
+        fu, fv = _axis_derivatives(germ, np.array(_AXIS_READ_US))
+    except ValueError:
+        return _axis_is_singular(germ), None
+    read = {uu: (fu[:, i], fv[:, i]) for i, uu in enumerate(_AXIS_READ_US)}
+    sing = [all(not _immersive(*(_slot(x, j) for x in read[uu])) for uu in AXIS_US if uu != 0.0)
+            for j in slots]
+    return sing[0] if slots == [None] else sing, [read[uu] for uu in NEAR_US]
 
 
 def _axis_is_singular(germ: MapGerm):
@@ -607,7 +609,10 @@ def sigma0_C(germ: MapGerm, u):
 
 def sigma_g_C(germ: MapGerm, u):
     """Limiting-normal-curvature sign at the first-kind point (u, 0):
-    (sign, raw value), or a list of them, one per slot of a batched germ."""
+    (sign, raw value), or a list of them, one per slot of a batched germ.
+    At a 1-D array u, the list of those at its points, from one jet call
+    (the point axis before the slot axis), each bit for bit its scalar
+    call."""
     sf = germ.sf
     F = germ.fjet(u, 0.0, 6)
     Ftr = tuple(c.truncate(4) for c in F)
@@ -616,7 +621,13 @@ def sigma_g_C(germ: MapGerm, u):
     fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
     fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
     det = mt.det_g(sf, Ftr, fu, fuu, fvv).value()
-    return _per_slot(_sigma_g_C, _slots(F), det, _vals(fu), _vals(fuu), _vals(fvv))
+    values = (det, _vals(fu), _vals(fuu), _vals(fvv))
+    slots = _slots(F, np.ndim(u))
+    if np.ndim(u) == 0:
+        return _per_slot(_sigma_g_C, slots, *values)
+    after = () if slots == [None] else (slice(None),)
+    return [_per_slot(_sigma_g_C, slots, *(_float(x[(..., i) + after]) for x in values))
+            for i in range(len(u))]
 
 
 def _sigma_g_C(det, fu, fuu, fvv):

@@ -190,6 +190,28 @@ def test_frenet_series_is_truncation_exact():
     _assert_truncation_exact(read)
 
 
+@pytest.mark.parametrize("array_first", [True, False])
+def test_frenet_series_at_an_array_equals_scalar_calls(array_first):
+    """FrenetPath.series at an array u0 (points on both sides of 0, a step
+    edge and 0 among them) holds in each point's slot the bits of the
+    scalar call at that point, for orders 2 to 9, whether the array or the
+    scalar points are asked first."""
+    path = _helix_interp().march([0.2, 0.5, 0.9])
+    edges = path.dense.edges
+    u0 = np.array([-0.0771, edges[1], -0.0125, 0.0, 0.0123, edges[-3]])
+    assert u0[1] < 0.0 < u0[-1]
+    for order in range(2, 10):
+        if array_first:
+            arr = path.series(u0, order)
+        scalar = [path.series(u, order) for u in u0.tolist()]
+        if not array_first:
+            arr = path.series(u0, order)
+        for i, s in enumerate(scalar):
+            for a, b in zip(arr, s, strict=True):
+                assert a.shape == (order + 1, 3) + u0.shape + (3,)
+                np.testing.assert_array_equal(_bits(a[:, :, i]), _bits(b))
+
+
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
@@ -346,6 +368,70 @@ def test_a_passing_certificate_never_classifies_slot_by_slot(monkeypatch, d217):
     assert columns == []
 
 
+def _stage_batches(d217, dplus, ts=(0.0, 0.5, 1.0)):
+    """(recipe: stage, germ) of every stage of every recipe, each germ a
+    batch over ts built from fresh families."""
+    return [(f"{name}: {stage.name}", build(stage.generator(np.array(ts)), fam.a))
+            for name, fam, *_ in _recipes(d217, dplus) for stage in fam.stages]
+
+
+def _outcome(fn, *args):
+    try:
+        return repr(fn(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+@pytest.mark.parametrize("away", ["nowhere", "|u| >= 0.05"])
+def test_the_axis_read_of_a_stage_batch_gives_the_outcome_of_scalar_reads(
+        monkeypatch, d217, dplus, away):
+    """classify reads the axis samples of the batched germ of every stage in
+    one (point x t) array call: its verdict per slot and its near values
+    are, bit for bit, those of the scalar reads of a fresh batch.  With
+    providers that raise JetError at |u| >= 0.05 the array call falls back
+    to the scalar reads, and each batch gets the outcome of the scalar path,
+    alone and in classify."""
+    from swallowkit import frontal as fr
+    from test_frontal import _FailsAway
+    fails = {"nowhere": lambda u: False, "|u| >= 0.05": lambda u: np.abs(u) >= 0.05}[away]
+    failed = []
+    germs, fresh = ([(label, fr.MapGerm(tuple(_FailsAway(c, fails, failed) for c in g._components),
+                                        sf=g.sf)) for label, g in _stage_batches(d217, dplus)]
+                    for _ in range(2))
+    got = [(label, _outcome(fr._axis_reads, g, range(3)), _outcome(classify, g))
+           for label, g in germs]
+    assert ((8,) in failed, () in failed) == (away != "nowhere",) * 2
+    if away == "nowhere":
+        for (label, germ), (_, alone) in zip(germs, fresh):
+            sing, near = fr._axis_reads(germ, range(3))
+            assert sing == fr._axis_is_singular(alone), label
+            for uu, read in zip(fr.NEAR_US, near, strict=True):
+                for a, b in zip(read, fr._axis_derivatives(alone, uu), strict=True):
+                    np.testing.assert_array_equal(_bits(a), _bits(b), err_msg=label)
+        return
+    monkeypatch.setattr(fr, "_axis_reads", lambda germ, slots: (fr._axis_is_singular(germ), None))
+    assert got == [(label, _outcome(fr._axis_reads, g, range(3)), _outcome(classify, g))
+                   for label, g in fresh]
+
+
+def test_certify_reads_of_a_stage_batch_equal_its_point_reads(d217, dplus):
+    """sigma_g_C at the AXIS_SAMPLES and gaussian_curvature at the PROBES,
+    each one call over (point x t) on the batched germ of every stage, and
+    sigma_g_C at an array on a lone germ, equal bit for bit the calls at
+    each point on a fresh germ."""
+    from swallowkit import frontal as fr
+    axis, probes = np.array(dm.AXIS_SAMPLES), tuple(np.array(dm.PROBES).T)
+    pairs = list(zip(_stage_batches(d217, dplus), _stage_batches(d217, dplus)))
+    pairs.append((("lone", build_asymptotic(dplus)), ("lone", build_asymptotic(dplus))))
+    for (label, germ), (_, fresh) in pairs:
+        got = fr.sigma_g_C(germ, axis)
+        assert repr(got) == repr([fr.sigma_g_C(fresh, uu) for uu in dm.AXIS_SAMPLES]), label
+        K = fr.gaussian_curvature(germ, probes)
+        for i, p in enumerate(dm.PROBES):
+            for a, b in zip(K, fr.gaussian_curvature(fresh, p), strict=True):
+                np.testing.assert_array_equal(_bits(a[i]), _bits(b), err_msg=label)
+
+
 def test_xi_interpolation_memo_shared_by_threads():
     """Workers sharing the endpoint memo, with more keys than its bound so
     that it clears under them, get the values of a serial computation."""
@@ -487,13 +573,15 @@ def test_theorem_D_positive_pair(dplus, monkeypatch):
     """The certificate passes, and each batch of the xi-interpolation
     computes its Frenet series once per point for each pair of orders
     (N, N + 1) asked there: never twice at one order, one run for every
-    two orders asked."""
+    two orders asked.  Each point of an array u0 counts as that point."""
     from swallowkit.curves import FrenetPath
     real_at, real_series, computed, asked = FrenetPath._series_at, FrenetPath.series, [], set()
     monkeypatch.setattr(FrenetPath, "_series_at", lambda self, u0, order: (
-        computed.append((id(self), u0, order)) or real_at(self, u0, order)))
+        computed.extend((id(self), u, order) for u in np.ravel(u0).tolist())
+        or real_at(self, u0, order)))
     monkeypatch.setattr(FrenetPath, "series", lambda self, u0, order: (
-        asked.add((id(self), float(u0), order)) or real_series(self, u0, order)))
+        asked.update((id(self), u, order) for u in np.ravel(u0).tolist())
+        or real_series(self, u0, order)))
     d2 = rotated_asym(0.4, "0.05", 2.0)
     fam = dm.deform_theorem_D(dplus, d2, preserve_sign=True)
     cert = dm.certify(fam, "asymptotic_swallowtail", steps=9,

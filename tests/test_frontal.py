@@ -680,6 +680,33 @@ def _alone(germ, at):
         return exc
 
 
+@pytest.mark.parametrize("away", sorted(_AWAY))
+def test_the_axis_read_of_a_batch_gives_the_outcome_of_scalar_reads(monkeypatch, away):
+    """A batch reads its axis samples in one (point x slot) array call and
+    decides per slot: a batch of the _BRANCHES germs that classify alone
+    and of the _HalfSingular germ, whose slots differ in their verdict,
+    gets the reports or the error of the scalar reads, with providers that
+    fail nowhere or away from the origin (then through the fallback)."""
+    germs = [MapGerm.from_exprs(e) for e in _BRANCHES.values()]
+    germs = [g for g in germs if isinstance(_alone(g, (0.0, 0.0)), str)]
+    germs.append(MapGerm((fr.parse("u"), _HalfSingular(), fr.parse("v^3"))))
+
+    def outcome(failed):
+        batch = _batch_of(germs)
+        germ = MapGerm(tuple(_FailsAway(c, _AWAY[away], failed) for c in batch._components))
+        try:
+            return [repr(rep) for rep in classify(germ)]
+        except ValueError as exc:
+            return f"{type(exc).__name__}: {exc}"
+    failed = []
+    got = outcome(failed)
+    assert ((len(fr._AXIS_READ_US),) in failed, () in failed) == (away != "nowhere",) * 2
+    sing, _ = fr._axis_reads(_batch_of(germs), range(len(germs)))
+    assert sing == fr._axis_is_singular(_batch_of(germs)) and len(set(sing)) == 2
+    monkeypatch.setattr(fr, "_axis_reads", lambda germ, slots: (fr._axis_is_singular(germ), None))
+    assert got == outcome([])
+
+
 @pytest.mark.parametrize("at", [(0.0, 0.0), (0.3, 0.0)])
 def test_classify_batch_equals_its_slots_alone(at):
     """A batch whose slots take different branches of classify gets, slot by

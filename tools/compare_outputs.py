@@ -35,6 +35,8 @@ SPECS = {
                     "q": "0", "r": ["u^2", "0-3*u", "1"], "a": 0.0},
     "fminus.json": {"kind": "asymptotic-data", "xi": ["1", "u", "u^2"],
                     "q": "0", "r": ["0-u^2", "2*u", "0-1"], "a": 0.0},
+    "fminus2.json": {"kind": "asymptotic-data", "xi": ["1", "u", "2*u^2"],
+                     "q": "0", "r": ["0-u^2", "3*u", "0-1"], "a": 0.0},
     "flipb.json": {"kind": "swallowtail-data", "xi": ["1", "u", "u^2"],
                    "b": ["0", "0", "0-0.5"], "a": 0.0},
     "cusp3.json": {"kind": "curve", "gamma": ["u^2/2", "u^3/3", "u^4/4"]},
@@ -66,6 +68,9 @@ CALLS = [
     # the xi-interpolation marches its 2 and 4 interior t as one batch
     ["deform", "ex217.json", "ex217s.json", "--recipe", "A", "--steps", "4"],
     ["deform", "fplus.json", "fplus2.json", "--recipe", "D", "--steps", "6"],
+    # negatively curved: the sqrt(1 - t) weights of the to-negative-normal-form stage
+    ["deform", "fminus.json", "fminus2.json", "--recipe", "D"],
+    ["deform", "fminus.json", "fminus2.json", "--recipe", "D", "--steps", "6"],
     # curvature signs differ: the general route, scaling (q, r) away
     ["deform", "fplus.json", "fminus.json", "--recipe", "D"],
     # Prop 2.13: the b-scale and b-to-generic stages around Theorem A
