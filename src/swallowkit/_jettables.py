@@ -74,6 +74,24 @@ def div_tables(order: int):
 
 
 @lru_cache(maxsize=None)
+def axis_mul_triples(order: int):
+    """The triples of mul_triples whose monomials are both pure u, in the same
+    order: the whole product of two jets of u alone."""
+    ax = axis_indices(order).astype(np.intp)
+    ia, ib = series_mul_pairs(order + 1)
+    return ax[ia], ax[ib], ax[ia + ib]
+
+
+@lru_cache(maxsize=None)
+def axis_div_tables(order: int):
+    """div_tables cut to the pure-u slot of each degree, the first one: the
+    solve of c*b = a for jets of u alone.  The slot (d, 0) has the first d
+    pairs of its degree, the pairs (d - p, 0), (p, 0) for p = 1..d."""
+    return tuple((s0, s0 + 1, c_idx[:d], b_idx[:d], seg[:d])
+                 for d, (s0, _, c_idx, b_idx, seg) in enumerate(div_tables(order), 1))
+
+
+@lru_cache(maxsize=None)
 def du_pairs(order: int):
     """Pairs (src, dst) mapping coefficients of f to coefficients of df/du (order-1)."""
     src, dst, fac = [], [], []

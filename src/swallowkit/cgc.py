@@ -203,7 +203,7 @@ def write_rows(out, fmt, table):
     """Write a (blocks, rows, columns) table to out, each row formatted by the
     %-format fmt; one string per block, so the file is never held whole."""
     for block in table:
-        out.write("".join(map(fmt.__mod__, map(tuple, block.tolist()))))
+        out.write((fmt * len(block)) % tuple(block.ravel().tolist()))
 
 
 def write_obj(path, points):
@@ -488,7 +488,10 @@ class ParallelGerm:
         LE, NE = L / E, N / E
         wu = wj.du()
         wv = wj.dv()
-        fields = [[Jet2.constant(st[m][k], order, ()) for k in range(3)] for m in range(4)]
+        # jets in (u, v): the loop below writes their v-coefficients, so they
+        # are built without the claim of u alone of Jet2.constant
+        fields = [[Jet2(order, Jet2.constant(st[m][k], order).c) for k in range(3)]
+                  for m in range(4)]
         for d in range(order):
             f, fu, fv, nuf = fields
             fuu = [wu * fu[k] - wv * fv[k] + L * nuf[k] for k in range(3)]

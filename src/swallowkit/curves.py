@@ -596,7 +596,7 @@ class FrenetColumn:
         path, j = self.path, self.j
 
         def fn(u, v, order):
-            return tuple(Jet2(order, ck) for ck in path.series_jets(u, order, which)[..., j])
+            return tuple(Jet2(order, ck, True) for ck in path.series_jets(u, order, which)[..., j])
         return components(fn)
 
     def xi_providers(self):

@@ -340,13 +340,16 @@ class XiInterpolation:
         def spliced(which, endpoint):
             def fn(u, v, order):
                 c = np.empty((3, term_count(order)) + np.shape(u) + t.shape)
+                u_only = True       # the series are of u alone
                 if path is not None:
                     c[..., inner] = path.series_jets(u, order, which)
                 for at, p in zip(ends, endpoint):
                     if at.any():
-                        # fields of u alone, read on the axis as the series are
-                        c[..., at] = np.stack([j.c for j in vjet(p, u, 0.0, order)])[..., None]
-                return tuple(Jet2(order, ck) for ck in c)
+                        # read on the axis as the series are; of u alone if they say so
+                        js = vjet(p, u, 0.0, order)
+                        u_only = u_only and all(j.u_only for j in js)
+                        c[..., at] = np.stack([j.c for j in js])[..., None]
+                return tuple(Jet2(order, ck, u_only) for ck in c)
             return components(fn)
         return spliced(0, self.xi), spliced(4, self.gammas)
 

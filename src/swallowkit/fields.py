@@ -21,13 +21,17 @@ into its component providers, so the vector is built once per point.
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
 caller), so callers never write into the .c of a jet they were given; they
-build a new jet instead.  One memo rule holds for every provider: a scalar
-point is memoised in a BoundedCache, which answers a lower order by
-truncation; an array point is shared, keyed by the bytes of u and v, by the
-array calls of every JetFn made inside the outermost array call of its
-thread, answered at a lower order by truncation too, and dropped when that
-call returns (shared; curves.FrenetPath keeps the Frenet series of an array
-point by the same rule).  So no array entry outlives the call that made it,
+build a new jet instead.  A provider that assembles a jet from raw
+coefficients claims that it is of u alone (Jet2.u_only) only when it writes
+pure-u coefficients, as the Frenet series and the cusp curves do; the claim
+lets products and quotients skip the monomials in v.  One memo rule holds
+for every provider: a scalar point is memoised in a BoundedCache, which
+answers a lower order by truncation; an array point is shared, keyed by
+the bytes of u and v, by the array calls of every JetFn made inside the
+outermost array call of its thread, answered at a lower order by
+truncation too, and dropped when that call returns (shared;
+curves.FrenetPath keeps the Frenet series of an array point by the same
+rule).  So no array entry outlives the call that made it,
 and the memory the entries hold is bounded by that call.  Composite
 providers, whose jet assembles a new jet from other providers, are JetFns;
 thin wrappers that only rescale, flip or differentiate a base provider

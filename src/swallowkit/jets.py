@@ -13,6 +13,12 @@ length 1.  The two hot kernels, the truncated product and the graded
 division, are numpy index-table operations defined next to Jet2; there is
 no other backend.
 
+A jet of a function of u alone says so (Jet2.u_only: every coefficient off
+the u-axis is zero; Jet2 says who may set it), and the product and the
+quotient of two such jets run over the pure-u monomials alone,
+(K+1)(K+2)/2 pairs of the C(K+4, 4) of the full order-K product, with the
+bits of the full tables.
+
 A domain error (zero denominator, square root of a non-positive constant
 term, division by v of a jet that does not vanish on the axis) raises
 JetError, for a batch as a whole as soon as one slot fails: the arithmetic
@@ -87,43 +93,81 @@ def _bin_sum(bins, prod, nbins):
     return np.bincount(flat, prod.ravel(), minlength=nbins * n).reshape((nbins,) + prod.shape[1:])
 
 
-def _jet_mul(a, b, order):
-    """Coefficients of the truncated product of coefficient arrays a, b."""
-    ia, ib, io = tables.mul_triples(order)
-    return _bin_sum(io, a[ia] * b[ib], tables.term_count(order))
+def _top_is_finite(out, order):
+    """Whether the top pure-u coefficient c_{order,0} of the product or the
+    quotient of two jets of u alone is finite in every slot.
+
+    Each pure-u coefficient of either operand, and of the quotient, is a
+    factor of a term summed into that slot, so a non-finite one leaves it
+    non-finite.  Only such a coefficient makes the full tables differ from
+    the pure-u ones, where it meets an off-axis zero as NaN.  At order 0 the
+    two tables are one."""
+    if order == 0:
+        return True
+    top = out[order * (order + 1) // 2]
+    return math.isfinite(top) if out.ndim == 1 else bool(np.isfinite(top).all())
 
 
-def _jet_div(a, b, order):
+def _jet_mul(a, b, order, u_only=False):
+    """Coefficients of the truncated product of coefficient arrays a, b.
+
+    With u_only, a and b are jets of u alone (Jet2.u_only) and the product
+    sums the pure-u pairs only: the same pairs in the same order as the full
+    tables sum into each pure-u slot, every other slot 0.0 as the full sum
+    of zero products leaves it.  So the bits agree, unless a pure-u
+    coefficient is not finite (_top_is_finite): then the product is computed
+    again from the full tables."""
+    ia, ib, io = (tables.axis_mul_triples if u_only else tables.mul_triples)(order)
+    out = _bin_sum(io, a[ia] * b[ib], tables.term_count(order))
+    if u_only and not _top_is_finite(out, order):
+        return _jet_mul(a, b, order)
+    return out
+
+
+def _jet_div(a, b, order, u_only=False):
     """Coefficients c of a / b: the graded triangular solve of c*b = a.
 
     The slots of total degree d depend only on lower degrees, so each degree
     is one vectorised step (Griewank & Walther, Evaluating Derivatives, 2008,
-    ch. 13)."""
-    out = np.empty_like(a)
+    ch. 13).  Every slot starts at a/b0, slot 0's value.  With u_only (see
+    _jet_mul) each degree solves its pure-u slot only, from the same pairs in
+    the same order; every other slot keeps a/b0, which the full solve leaves
+    there, since its sum is 0.0."""
     b0 = b[0]
-    out[0] = a[0] / b0
-    for s0, s1, c_idx, b_idx, seg in tables.div_tables(order):
+    out = a / b0
+    for s0, s1, c_idx, b_idx, seg in (tables.axis_div_tables if u_only else tables.div_tables)(order):
         acc = _bin_sum(seg, out[c_idx] * b[b_idx], s1 - s0)
         out[s0:s1] = (a[s0:s1] - acc) / b0
+    if u_only and not _top_is_finite(out, order):
+        return _jet_div(a, b, order)
     return out
 
 
 class Jet2:
-    """Truncated Taylor expansion at a base point, up to total order K."""
+    """Truncated Taylor expansion at a base point, up to total order K.
 
-    __slots__ = ("order", "c")
+    u_only promises that the jet is a function of u alone: every coefficient
+    c_{ij} with j > 0 is zero.  constant, variable("u") and axis_part set it,
+    and every operation of this module carries it (both operands must hold
+    it).  A jet built from raw
+    coefficients claims it only where its builder passes u_only=True, and a
+    builder that writes coefficients off the axis into a jet starts from one
+    without the claim (as cgc's prolongation does)."""
+
+    __slots__ = ("order", "c", "u_only")
     __array_ufunc__ = None      # ndarray * Jet2 defers to Jet2.__rmul__
 
-    def __init__(self, order: int, c):
+    def __init__(self, order: int, c, u_only=False):
         self.order = order
         self.c = c
+        self.u_only = u_only
 
     # -- constructors
     @staticmethod
     def constant(value, order, shape=()):
         c = np.zeros((tables.term_count(order),) + shape)
         c[0] = value
-        return Jet2(order, c)
+        return Jet2(order, c, True)
 
     @staticmethod
     def variable(name, value, order, shape=()):
@@ -131,7 +175,7 @@ class Jet2:
         c[0] = value
         if order >= 1:
             c[1 if name == "u" else 2] = 1.0
-        return Jet2(order, c)
+        return Jet2(order, c, name == "u")
 
     # -- coefficient access
     def value(self):
@@ -154,22 +198,22 @@ class Jet2:
         if order > self.order:
             c = np.zeros((tables.term_count(order),) + self.c.shape[1:])
             c[: self.c.shape[0]] = self.c
-            return Jet2(order, c)
-        return Jet2(order, self.c[: tables.term_count(order)].copy())
+            return Jet2(order, c, self.u_only)
+        return Jet2(order, self.c[: tables.term_count(order)].copy(), self.u_only)
 
     # -- ring operations
     def __add__(self, other):
         if isinstance(other, Jet2):
             a, b = _align(self, other)
-            return Jet2(a.order, a.c + b.c)
+            return Jet2(a.order, a.c + b.c, a.u_only and b.u_only)
         c = self.c.copy()
         c[0] = c[0] + other
-        return Jet2(self.order, c)
+        return Jet2(self.order, c, self.u_only)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(self.order, -self.c)
+        return Jet2(self.order, -self.c, self.u_only)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet2) else -np.asarray(other))
@@ -180,11 +224,12 @@ class Jet2:
     def __mul__(self, other):
         if isinstance(other, Jet2):
             a, b = _align(self, other)
-            return Jet2(a.order, _jet_mul(a.c, b.c, a.order))
+            u_only = a.u_only and b.u_only
+            return Jet2(a.order, _jet_mul(a.c, b.c, a.order, u_only), u_only)
         c = self.c
         if isinstance(other, np.ndarray):
             c, other = _lift(c, other)
-        return Jet2(self.order, c * other)
+        return Jet2(self.order, c * other, self.u_only)
 
     __rmul__ = __mul__
 
@@ -193,8 +238,9 @@ class Jet2:
             a, b = _align(self, other)
             if np.any(b.c[0] == 0.0):
                 raise JetError("division by jet with zero constant term")
-            return Jet2(a.order, _jet_div(a.c, b.c, a.order))
-        return Jet2(self.order, self.c / other)
+            u_only = a.u_only and b.u_only
+            return Jet2(a.order, _jet_div(a.c, b.c, a.order, u_only), u_only)
+        return Jet2(self.order, self.c / other, self.u_only)
 
     def __rtruediv__(self, other):
         return Jet2.constant(other, self.order, self.c.shape[1:]) / self
@@ -219,7 +265,7 @@ class Jet2:
         src, dst, fac = tables.du_pairs(self.order)
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])
         c[dst] = self.c[src] * _col(fac, self.c)
-        return Jet2(self.order - 1, c)
+        return Jet2(self.order - 1, c, self.u_only)
 
     def dv(self):
         src, dst, fac = tables.dv_pairs(self.order)
@@ -248,14 +294,14 @@ class Jet2:
         src, dst = tables.shift_u_pairs(self.order)
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])
         c[dst] = self.c[src]
-        return Jet2(self.order - 1, c)
+        return Jet2(self.order - 1, c, self.u_only)
 
     def axis_part(self):
         """Jet of (u, v) -> f(u, 0): coefficients with j > 0 dropped."""
         axis = tables.axis_indices(self.order)
         c = np.zeros_like(self.c)
         c[axis] = self.c[axis]
-        return Jet2(self.order, c)
+        return Jet2(self.order, c, True)
 
     def __repr__(self):
         return f"Jet2(order={self.order}, c={self.c!r})"
@@ -288,15 +334,15 @@ def _align(a: Jet2, b: Jet2):
         cb, _ = _lift(b.c, a.c[0])
         shape = np.broadcast_shapes(ca.shape, cb.shape)
         if a.c.shape != shape:
-            a = Jet2(order, ca if ca.shape == shape else np.broadcast_to(ca, shape).copy())
+            a = Jet2(order, ca if ca.shape == shape else np.broadcast_to(ca, shape).copy(), a.u_only)
         if b.c.shape != shape:
-            b = Jet2(order, cb if cb.shape == shape else np.broadcast_to(cb, shape).copy())
+            b = Jet2(order, cb if cb.shape == shape else np.broadcast_to(cb, shape).copy(), b.u_only)
     return a, b
 
 
 def _apply_series(coeffs, x: Jet2) -> Jet2:
     """sum coeffs[n] * (x - x0)^n by Horner, where coeffs[n] = g^(n)(x0)/n!."""
-    xhat = Jet2(x.order, x.c.copy())
+    xhat = Jet2(x.order, x.c.copy(), x.u_only)
     xhat.c[0] = np.zeros_like(xhat.c[0])
     out = Jet2.constant(coeffs[-1], x.order, x.c.shape[1:])
     for n in range(len(coeffs) - 2, -1, -1):
@@ -355,8 +401,8 @@ def compose2(gc, order_g, U: Jet2, V: Jet2) -> Jet2:
     inner map in the outer variables.
     """
     order = min(U.order, V.order)
-    Uh = Jet2(order, U.truncate(order).c.copy())
-    Vh = Jet2(order, V.truncate(order).c.copy())
+    Uh = Jet2(order, U.truncate(order).c.copy(), U.u_only)
+    Vh = Jet2(order, V.truncate(order).c.copy(), V.u_only)
     Uh.c[0] = np.zeros_like(Uh.c[0])
     Vh.c[0] = np.zeros_like(Vh.c[0])
     shape = np.broadcast_shapes(Uh.c.shape[1:], Vh.c.shape[1:])

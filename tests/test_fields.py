@@ -216,6 +216,45 @@ def _certify_a_and_d():
                       track_kext_sign=fam.kext_sign).passed
 
 
+def test_every_jet_that_claims_u_alone_is_zero_off_the_axis(monkeypatch, tmp_path):
+    """Jet2.u_only is a promise the kernels act on: over a Theorem A and a
+    Theorem D certificate, classify of a twice-extracted germ and the cgc
+    command on a small grid, every operand of a sum, product or quotient
+    that claims it, and every pair the kernels take as of u alone, is zero
+    off the axis; and the claim reaches both kernels."""
+    from swallowkit import jets
+    from swallowkit._jettables import axis_indices
+    from swallowkit.cli import main
+    claimed = {"mul": 0, "div": 0}
+
+    def zero_off_axis(c, order):
+        off = np.ones(c.shape[0], dtype=bool)
+        off[axis_indices(order)] = False
+        return not np.any(c[off] != 0.0)
+
+    def spy(name, kernel):
+        def wrapper(a, b, order, u_only=False):
+            if u_only:
+                assert zero_off_axis(a, order) and zero_off_axis(b, order), name
+                claimed[name] += 1
+            return kernel(a, b, order, u_only)
+        return wrapper
+
+    def align(a, b, real=jets._align):
+        for x in (a, b):
+            assert not x.u_only or zero_off_axis(x.c, x.order)
+        return real(a, b)
+
+    monkeypatch.setattr(jets, "_jet_mul", spy("mul", jets._jet_mul))
+    monkeypatch.setattr(jets, "_jet_div", spy("div", jets._jet_div))
+    monkeypatch.setattr(jets, "_align", align)
+    _certify_a_and_d()
+    classify(_extracted(2))
+    assert main(["cgc", "--grid", "21,21", "--window=-0.3,0.3,0.8,1.2",
+                 "--out-prefix", str(tmp_path / "cgc")]) == 0
+    assert claimed["mul"] > 0 and claimed["div"] > 0
+
+
 def test_dropped_families_are_freed_by_reference_counting():
     """Building and certifying a Theorem A and a Theorem D family leaves no
     reference cycle behind: with the cyclic collector off, dropping them

@@ -1,5 +1,6 @@
 """Jet engine: parser, coefficient pins, finite-difference cross-validation."""
 
+import itertools
 import math
 
 import numpy as np
@@ -364,6 +365,75 @@ def test_batched_kernels_equal_their_columns_bit_for_bit():
                         want = kernel(a[col], b[col], order)
                         assert np.array_equal(batched[col].view(np.int64), want.view(np.int64)), \
                             (kernel.__name__, order, shape, k)
+
+
+def _u_only_operands(rng, order, shape):
+    """Coefficients of two jets of u alone: random pure-u coefficients, every
+    other one 0.0 or -0.0."""
+    ax = jets.tables.axis_indices(order)
+    out = []
+    for _ in range(2):
+        c = np.where(rng.random(shape) < 0.5, 0.0, -0.0)
+        c[ax] = rng.standard_normal((len(ax),) + shape[1:])
+        out.append(c)
+    return out
+
+
+def test_u_only_kernels_equal_the_full_tables_bit_for_bit():
+    """The product and the quotient of two jets of u alone, over the pure-u
+    tables, give the bits of the full tables (int64 views) at orders 0-12,
+    on scalar coefficients, at width 21 and on a (4, 21) batch of points by
+    slots; off the axis the quotient holds a/b0, a zero of the sign of a
+    times that of b0, as the full solve does.  An inf or a NaN among the
+    pure-u coefficients makes NaN off the axis of the full sums (inf times
+    0.0), and the kernels fall back to the full tables there, so the bits
+    still agree."""
+    rng = np.random.default_rng(15)
+    for order in range(13):
+        T = (order + 1) * (order + 2) // 2
+        off = np.ones(T, dtype=bool)
+        off[jets.tables.axis_indices(order)] = False
+        for shape in ((T,), (T, 21), (T, 4, 21)):
+            a, b = _u_only_operands(rng, order, shape)
+            for sign in (1.0, -1.0):
+                b[0] = sign * (3.0 + np.abs(b[0]))
+                for kernel in (jets._jet_mul, jets._jet_div):
+                    got = kernel(a, b, order, True)
+                    np.testing.assert_array_equal(_bits(got), _bits(kernel(a, b, order)))
+                got = (Jet2(order, a, True) / Jet2(order, b, True)).c
+                np.testing.assert_array_equal(_bits(got), _bits((Jet2(order, a) / Jet2(order, b)).c))
+                assert np.all(np.signbit(got[off]) == (np.signbit(a[off]) ^ (sign < 0.0)))
+            if order == 0:
+                continue
+            for bad, i in itertools.product((np.inf, -np.inf, np.nan), (0, order - 1, order)):
+                x = a.copy()
+                x[index_of(i, 0)] = bad
+                with np.errstate(all="ignore"):
+                    for kernel in (jets._jet_mul, jets._jet_div):
+                        for p, q in ((x, b), (b, x)):
+                            want = kernel(p, q, order)
+                            if kernel is jets._jet_mul and i < order:
+                                assert np.isnan(want[off]).any()
+                            np.testing.assert_array_equal(_bits(kernel(p, q, order, True)),
+                                                          _bits(want))
+
+
+def test_u_only_claim_follows_the_operations():
+    """constant, variable("u") and axis_part claim u alone, variable("v") and
+    raw coefficients do not; the arithmetic, truncate, du, divide_by_u,
+    the elementary functions, compose2 and powers carry the claim."""
+    u, v = Jet2.variable("u", 0.3, 5), Jet2.variable("v", 0.2, 5)
+    one = Jet2.constant(1.5, 5)
+    assert u.u_only and one.u_only and not v.u_only and not Jet2(5, u.c).u_only
+    assert (u + v).axis_part().u_only
+    for j in (u + one, u - 2.0, -u, u * one, 2.0 * u, u * np.ones(3), u / one, 1.0 / u,
+              u / 2.0, u ** 3, u ** -2, u.truncate(3), u.truncate(7), u.du(),
+              Jet2.variable("u", 0.0, 5).divide_by_u(),
+              jets.jet_exp(u), jets.jet_sqrt(u), jets.jet_sin(u),
+              jets.compose2(np.arange(21.0), 5, u, one)):
+        assert j.u_only
+    for j in (u + v, u * v, u / (one + v), jets.jet_exp(v), jets.compose2(np.arange(21.0), 5, u, v)):
+        assert not j.u_only
 
 
 def test_symbolic_diff_closed():
