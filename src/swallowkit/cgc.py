@@ -27,8 +27,7 @@ import numpy as np
 from ._jettables import index_of, monomials
 from .fields import DenseOutput, components, horner, rk4_abscissae, rk4_step, step_ends
 from .frontal import MapGerm
-from .jets import (Jet2, _apply_series, jet_cosh, jet_exp, jet_sinh, jet_sqrt, p1_compose,
-                   p1_derivative, p1_mul)
+from .jets import Jet2, _apply_series, jet_cosh, jet_exp, jet_sinh, jet_sqrt
 from .metric import SpaceForm
 
 
@@ -49,20 +48,25 @@ PROFILE_ORDER = 12   # degree of the Taylor polynomial of one profile step
 def profile_series(r0, F0, Fp0, order):
     """Taylor coefficients of F about r0, along the first axis, from the
     equation itself, given F(r0) = F0 and F'(r0) = Fp0; r0 may be an array
-    of radii, one series per slot."""
+    of radii, one series per slot.
+
+    Degree n of the equation reads F to degree n + 1 only, which is filled
+    by then, so each degree is computed from those coefficients alone, as
+    jets of u alone.  The series is truncation-exact: cut to m + 1 terms it
+    holds the bits of the call at order m."""
     r0 = np.asarray(r0)
     f = np.zeros((order + 1,) + r0.shape)
     f[0] = F0
     if order >= 1:
         f[1] = Fp0
     # 1/r series at r0
-    inv_r = np.array([(-1.0) ** k / r0 ** (k + 1) for k in range(order + 1)])
+    inv_r = Jet2.of_series(np.array([(-1.0) ** k / r0 ** (k + 1) for k in range(order + 1)]))
     for n in range(order - 1):
         # F'' = -F'/r - sinh(2F)/2, matched degree by degree
-        term1 = p1_mul(p1_derivative(f), inv_r)
-        sh = _sinh_series(2.0 * f, order)
-        rhs = -term1[n] - 0.5 * sh[n]
-        f[n + 2] = rhs / ((n + 2) * (n + 1))
+        F = Jet2.of_series(f[:n + 2])
+        term1 = (F.du() * inv_r).series()[n]
+        sh = jet_sinh(2.0 * F.truncate(n)).series()[n]
+        f[n + 2] = (-term1 - 0.5 * sh) / ((n + 2) * (n + 1))
     return f
 
 
@@ -84,15 +88,6 @@ class RadialProfile(DenseOutput):
     def jet(self, rjet: Jet2) -> Jet2:
         """F composed with a jet of r (chain rule through the series)."""
         return _apply_series(self.series(rjet.value(), rjet.order), rjet)
-
-
-def _sinh_series(a, order):
-    """Series of sinh(a(t)) for a series a (one per slot of its trailing axes)."""
-    s0, c0 = np.sinh(a[0]), np.cosh(a[0])
-    ahat = a.copy()
-    ahat[0] = 0.0
-    coeffs = np.array([(s0 if n % 2 == 0 else c0) / math.factorial(n) for n in range(order + 1)])
-    return p1_compose(coeffs, ahat)
 
 
 def solve_radial_ode(domain=(0.5, 1.6), step=0.05) -> RadialProfile:

@@ -20,7 +20,6 @@ from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components
                      gauss_legendre, horner, over_u, shared, step_count, step_ends, vjet,
                      xi_frame)
 from .frontal import sgn
-from ._jettables import index_of, term_count
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
 from .metric import det3, dot
 
@@ -233,30 +232,23 @@ class _PhiTable:
         sp = self.speed_jets.jet(t0, 0.0, K)
         tj = Jet2.variable("u", t0, K, shape)
         integrand = tj * sp                       # t |xi(t)|
-        phi = Jet2.constant(self.phi(t0), K + 1, shape)
-        for i in range(integrand.order + 1):
-            phi.c[index_of(i + 1, 0)] = integrand.c[index_of(i, 0)] / (i + 1)
+        phi = integrand.primitive(self.phi(t0))
         if shape or t0 != 0.0:
             uj = jet_sqrt(2.0 * phi) * np.sign(t0)
         else:
             psi = phi.divide_by_u().divide_by_u()   # phi / t^2
             tvar = Jet2.variable("u", 0.0, psi.order, ())
             uj = tvar * jet_sqrt(2.0 * psi)
-        ser = np.zeros((order + 1,) + shape)
-        for i in range(min(order, uj.order) + 1):
-            ser[i] = uj.c[index_of(i, 0)]
-        return ser
+        return uj.series()[:order + 1]
 
     def t_jet(self, u0, v, order):
         """Jet2 (u-only) of t(u) at u0, read as a provider of (u, v)."""
         t0 = self.t_of_u(u0)
         us = self._u_series(t0, max(order, 1))  # order 0 keeps the domain checks
         us[0] = 0.0                            # shift: series of u(t0+s) - u0
-        tser = p1_invert(us)
-        out = Jet2.constant(t0, order, np.shape(t0))
-        for i in range(1, order + 1):
-            out.c[index_of(i, 0)] = tser[i]
-        return out
+        tser = p1_invert(us)[:order + 1]
+        tser[0] = t0
+        return Jet2.of_series(tser)
 
 
 def _speed_jet(fact, t, v, order):
@@ -539,17 +531,13 @@ class FrenetPath:
         jets at u0 of the three components of entry `which` of the series,
         for every path: 0 is the unit tangent T, 4 the cusp curve
         int_0^u w T(w) dw."""
-        c = np.zeros((3, term_count(order)) + np.shape(u0) + (self.n,))
-        c[:, [index_of(i, 0) for i in range(order + 1)]] = np.moveaxis(
-            self.series(u0, order)[which], 0, 1)
-        return c
+        return np.moveaxis(Jet2.of_series(self.series(u0, order)[which]).c, 1, 0)
 
     def _kappa_tau_series(self, u, order):
         """Taylor coefficients of kappa and tau at u, a point or an array of
         them: a row per degree up to order, then the axes of u and a column
         per path."""
-        rows = [index_of(i, 0) for i in range(order + 1)]
-        return tuple(j.c[rows].reshape((order + 1,) + np.shape(u) + (-1,))
+        return tuple(j.series().reshape((order + 1,) + np.shape(u) + (-1,))
                      for j in vjet((self.data.kappa, self.data.tau), u, 0.0, order))
 
     def _series_at(self, u0, order):

@@ -21,10 +21,14 @@ into its component providers, so the vector is built once per point.
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
 caller), so callers never write into the .c of a jet they were given; they
-build a new jet instead.  A provider that assembles a jet from raw
-coefficients claims that it is of u alone (Jet2.u_only) only when it writes
-pure-u coefficients, as the Frenet series and the cusp curves do; the claim
-lets products and quotients skip the monomials in v.  One memo rule holds
+build a new jet instead.  A provider that builds a jet of u alone from raw
+coefficients, a truncated power series in u, builds it by Jet2.of_series,
+which claims that it is of u alone (Jet2.u_only), as the jets of t(u),
+CurveIntegral and the Frenet series and cusp curves do; any other jet
+assembled from raw coefficients claims it only when every coefficient it
+writes is pure-u (deform's spliced series), and one that writes
+coefficients in v (cgc's prolongation) does not.  The claim lets products
+and quotients skip the monomials in v.  One memo rule holds
 for every provider: a scalar point is memoised in a BoundedCache, which
 answers a lower order by truncation; an array point is shared, keyed by
 the bytes of u and v, by the array calls of every JetFn made inside the
@@ -474,10 +478,8 @@ class CurveIntegral:
         return self._cache.value(u, lambda: float(self._integrate(np.array([u]))[0]))
 
     def jet(self, u, v, order):
-        out = Jet2.constant(self._value(u), order, np.shape(u))
-        if order >= 1:
-            uj = Jet2.variable("u", u, order - 1, np.shape(u))
-            integ = uj * self.g.jet(u, v, order - 1)
-            for i in range(integ.order + 1):
-                out.c[index_of(i + 1, 0)] = integ.c[index_of(i, 0)] / (i + 1)
-        return out
+        value = self._value(u)
+        if order == 0:
+            return Jet2.constant(value, 0, np.shape(u))
+        uj = Jet2.variable("u", u, order - 1, np.shape(u))
+        return (uj * self.g.jet(u, v, order - 1)).primitive(value)

@@ -24,9 +24,8 @@ from functools import partial
 import numpy as np
 
 from . import metric as mt
-from ._jettables import index_of, monomials
 from .fields import JetFn, over_v, pointwise
-from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, p1_div, p1_mul, parse
+from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, parse
 from .metric import SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
@@ -842,48 +841,22 @@ def make_admissible(germ: MapGerm, at):
         psi = compose2(lj.c, K,
                        float(base[0]) + float(T[0]) * sj + float(Nv[0]) * cjv,
                        float(base[1]) + float(T[1]) * sj + float(Nv[1]) * cjv)
-        # implicit series c(s) with psi(s, c(s)) = 0 by Newton on 1-D series
+        # implicit series c(s) with psi(s, c(s)) = 0 by Newton on jets of s
+        # alone; psi_c is known to degree K - 1, so its series is cut there
         psi_c = psi.dv()
-        cser = np.zeros(K + 1)
+        cser = Jet2.constant(0.0, K)
         for _ in range(max(2, math.ceil(math.log2(K + 1)) + 1)):
-            num = _pad(_eval_series_in_v(psi, cser), K + 1)
-            den = _pad(_eval_series_in_v(psi_c, cser), K + 1)
-            cser = cser - p1_div(num, den)
+            den = compose2(psi_c.c, K - 1, sj.truncate(K - 1), cser.truncate(K - 1))
+            cser = cser - compose2(psi.c, K, sj, cser) / den.truncate(K)
         # assemble (U, V) jets at (s0, t0)
         s = Jet2.variable("u", 0.0, o, ())
         t = Jet2.variable("v", t0, o, ())
-        offs = t + _apply_series(cser[:o + 1], s)
+        offs = t + _apply_series(cser.series()[:o + 1], s)
         Uj = float(base[0]) + float(T[0]) * s + float(Nv[0]) * offs
         Vj = float(base[1]) + float(T[1]) * s + float(Nv[1]) * offs
         return Uj, Vj
 
     return germ.reparam(change)
-
-
-def _pad(a, n):
-    a = np.asarray(a, dtype=float)
-    return a[:n] if len(a) >= n else np.pad(a, (0, n - len(a)))
-
-
-def _eval_series_in_v(jet: Jet2, vser):
-    """1-D series in s of jet(s, c(s)) for a series c with c[0] = 0."""
-    K = jet.order
-    out = np.zeros(K + 1)
-    vpow = [np.zeros(K + 1)]
-    vpow[0][0] = 1.0
-    cpad = np.pad(np.asarray(vser, dtype=float), (0, max(0, K + 1 - len(vser))))[: K + 1]
-    for _ in range(K):
-        vpow.append(p1_mul(vpow[-1], cpad))
-    for (i, j) in monomials(K):
-        coef = jet.c[index_of(i, j)]
-        if coef == 0.0:
-            continue
-        term = vpow[j].copy()
-        shifted = np.zeros(K + 1)
-        if i <= K:
-            shifted[i:] = term[: K + 1 - i]
-        out += coef * shifted
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,16 @@ quotient of two such jets run over the pure-u monomials alone,
 (K+1)(K+2)/2 pairs of the C(K+4, 4) of the full order-K product, with the
 bits of the full tables.
 
+Such a jet is the package's one type of truncated power series in one
+variable (the half-arclength chain, the radial profile of cgc, the singular
+curve that make_admissible straightens): Jet2.of_series(s) is the jet of u
+alone whose pure-u coefficients are s[0..K], with the coefficients on the
+first axis of s and any batch axes after it, and jet.series() gives them
+back as a new array, so of_series(s).series() equals s.  Series arithmetic
+is jet arithmetic: products, quotients, _apply_series and compose2 of jets
+of u alone, du for the derivative and primitive for the integral.  The one
+series operation without a jet counterpart is the reversion, p1_invert.
+
 A domain error (zero denominator, square root of a non-positive constant
 term, division by v of a jet that does not vanish on the axis) raises
 JetError, for a batch as a whole as soon as one slot fails: the arithmetic
@@ -147,12 +157,12 @@ class Jet2:
     """Truncated Taylor expansion at a base point, up to total order K.
 
     u_only promises that the jet is a function of u alone: every coefficient
-    c_{ij} with j > 0 is zero.  constant, variable("u") and axis_part set it,
-    and every operation of this module carries it (both operands must hold
-    it).  A jet built from raw
-    coefficients claims it only where its builder passes u_only=True, and a
-    builder that writes coefficients off the axis into a jet starts from one
-    without the claim (as cgc's prolongation does)."""
+    c_{ij} with j > 0 is zero.  constant, variable("u"), axis_part and
+    of_series set it, and every operation of this module carries it (both
+    operands must hold it).  A jet built from raw coefficients claims it
+    only where its builder passes u_only=True, and a builder that writes
+    coefficients off the axis into a jet starts from one without the claim
+    (as cgc's prolongation does)."""
 
     __slots__ = ("order", "c", "u_only")
     __array_ufunc__ = None      # ndarray * Jet2 defers to Jet2.__rmul__
@@ -177,7 +187,23 @@ class Jet2:
             c[1 if name == "u" else 2] = 1.0
         return Jet2(order, c, name == "u")
 
+    @staticmethod
+    def of_series(s):
+        """The jet of u alone whose pure-u coefficients c_{i,0} are s[i]:
+        order len(s) - 1, the batch axes of s after its first; every other
+        coefficient is 0.0."""
+        s = np.asarray(s)
+        order = len(s) - 1
+        c = np.zeros((tables.term_count(order),) + s.shape[1:])
+        c[tables.axis_indices(order)] = s
+        return Jet2(order, c, True)
+
     # -- coefficient access
+    def series(self):
+        """The pure-u coefficients c_{0,0} .. c_{K,0}, a new array along its
+        first axis: the inverse of of_series."""
+        return self.c[tables.axis_indices(self.order)]
+
     def value(self):
         v = self.c[0]
         return float(v) if np.ndim(v) == 0 else v
@@ -266,6 +292,15 @@ class Jet2:
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])
         c[dst] = self.c[src] * _col(fac, self.c)
         return Jet2(self.order - 1, c, self.u_only)
+
+    def primitive(self, value):
+        """Jet of u alone, one order higher, of the primitive in u of the
+        pure-u part of this jet that takes `value` at the base point."""
+        s = self.series()
+        out = np.empty((len(s) + 1,) + s.shape[1:])
+        out[0] = value
+        out[1:] = s / _col(np.arange(1.0, len(s) + 1), s)
+        return Jet2.of_series(out)
 
     def dv(self):
         src, dst, fac = tables.dv_pairs(self.order)
@@ -412,58 +447,24 @@ def compose2(gc, order_g, U: Jet2, V: Jet2) -> Jet2:
         upow.append(upow[-1] * Uh)
     # one zero test of every coefficient row, over its batch axes; NaN is nonzero
     nonzero = (gc != 0.0).reshape(len(gc), -1).any(axis=1).tolist()
+    # U^i V^j is the last power of row i times V^(j - jlast), the chain of
+    # products left to right from U^i, each product made once
+    last = {}
     for (i, j) in tables.monomials(order_g):
         k = tables.index_of(i, j)
         if i > order or not nonzero[k]:
             continue
-        term = upow[i]
-        for _ in range(j):
+        jlast, term = last.get(i, (0, upow[i]))
+        for _ in range(j - jlast):
             term = term * Vh
+        last[i] = j, term
         out = out + term * gc[k]
     return out
 
 
 # ---------------------------------------------------------------------------
-# Univariate series helpers (truncated power series as plain arrays)
+# Series reversion
 # ---------------------------------------------------------------------------
-
-# A series is an array whose first axis holds the coefficients; any further
-# (trailing) axes are a batch of independent series, one per point.  The
-# operands of a helper carry the same batch shape.
-
-def p1_mul(a, b):
-    ia, ib = tables.series_mul_pairs(len(a))
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    np.add.at(out, ia + ib, a[ia] * b[ib])
-    return out
-
-
-def p1_div(a, b):
-    if np.any(b[0] == 0):
-        raise JetError("series division by zero constant term")
-    out = np.zeros(np.broadcast_shapes(a.shape, b.shape))
-    for k in range(len(a)):
-        out[k] = (a[k] - (out[:k] * b[k:0:-1]).sum(axis=0)) / b[0]
-    return out
-
-
-def p1_compose(g, h):
-    """Series of g(h(t)); requires h[0] = 0, g given about that value."""
-    n = len(g)
-    res = np.zeros(np.broadcast_shapes(g.shape, h.shape))
-    res[0] = g[n - 1]
-    for k in range(n - 2, -1, -1):
-        res = p1_mul(res, h)
-        res[0] += g[k]
-    return res
-
-
-def p1_derivative(a):
-    out = np.zeros_like(a)
-    k = np.arange(1, len(a)).reshape((-1,) + (1,) * (a.ndim - 1))
-    out[:-1] = a[1:] * k
-    return out
-
 
 def p1_invert(f):
     """Series reversion: g with f(g(y)) = y + O(y^n); needs f[0]=0, f[1]!=0.

@@ -256,42 +256,36 @@ def test_grid_evaluation_matches_pointwise():
 
 
 def _newton_invert(f):
-    """Series reversion by Newton steps on f(g) = y, doubling the correct
-    coefficients each step: a reference for p1_invert."""
-    fp = jets.p1_derivative(f)
-    g = np.zeros_like(f)
-    g[1] = 1.0 / f[1]
+    """Series reversion by Newton steps on f(g) = y over jets of u alone,
+    doubling the correct coefficients each step: a reference for
+    p1_invert."""
+    F = Jet2.of_series(f)
+    fp = F.du().series()
+    y = Jet2.variable("u", 0.0, F.order)
+    g = y * (1.0 / f[1])
     for _ in range(max(1, math.ceil(math.log2(max(len(f), 2))) + 1)):
-        err = jets.p1_compose(f, g)
-        err[1] -= 1.0
-        g = g - jets.p1_div(err, jets.p1_compose(fp, g))
-    return g
+        g = g - (jets._apply_series(f, g) - y) / jets._apply_series(fp, g)
+    return g.series()
 
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
-def test_series_helpers_batch_matches_columns():
-    """p1_* with a trailing batch axis equal the 1-D calls column by column;
-    the reversion bit for bit, and within 1e-13 of Newton's."""
+def test_series_reversion_batch_matches_columns():
+    """p1_invert with a trailing batch axis equals the 1-D calls column by
+    column, bit for bit; it inverts, f(g(y)) = y, and agrees with Newton's
+    reversion on jets of u alone to 1e-13."""
     rng = np.random.default_rng(7)
-    a, b = rng.uniform(0.5, 1.5, (9, 5)), rng.uniform(0.5, 1.5, (9, 5))
-    f = a.copy()
+    f = rng.uniform(0.5, 1.5, (9, 5))
     f[0] = 0.0
-    batched = {"mul": jets.p1_mul(a, b), "div": jets.p1_div(a, b),
-               "compose": jets.p1_compose(a, f), "invert": jets.p1_invert(f)}
+    g = jets.p1_invert(f)
     for k in range(5):
-        cols = {"mul": jets.p1_mul(a[:, k], b[:, k]), "div": jets.p1_div(a[:, k], b[:, k]),
-                "compose": jets.p1_compose(a[:, k], f[:, k]), "invert": jets.p1_invert(f[:, k])}
-        np.testing.assert_array_equal(_bits(batched["invert"][:, k]), _bits(cols.pop("invert")))
-        for name, col in cols.items():
-            np.testing.assert_allclose(batched[name][:, k], col, rtol=1e-12, err_msg=name)
-    # the reversion inverts: f(g(y)) = y
+        np.testing.assert_array_equal(_bits(g[:, k]), _bits(jets.p1_invert(f[:, k])))
     y = np.zeros_like(f)
     y[1] = 1.0
-    np.testing.assert_allclose(jets.p1_compose(f, batched["invert"]), y, atol=1e-10)
-    np.testing.assert_allclose(batched["invert"], _newton_invert(f), rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(jets._apply_series(f, Jet2.of_series(g)).series(), y, atol=1e-10)
+    np.testing.assert_allclose(g, _newton_invert(f), rtol=1e-13, atol=0.0)
 
 
 def test_series_reversion_is_truncation_exact():
@@ -555,10 +549,14 @@ def _compose2_per_monomial(gc, order_g, U, V):
 
 def test_compose2_skips_the_terms_the_per_monomial_test_skipped():
     """compose2's one zero test per call skips the same terms as a test per
-    monomial: lone and batched, with rows of 0.0 and -0.0 (skipped), rows
-    zero in some slots only and rows holding NaN (kept); int64 views."""
+    monomial, and its chain of powers U^i V^j from U^i V^(j-1) gives the bits
+    of a chain per monomial: lone and batched, with rows of 0.0 and -0.0
+    (skipped), rows zero in some slots only and rows holding NaN (kept), and
+    for U and V of u alone at order 10 (make_admissible's singular curve);
+    int64 views."""
     rng = np.random.default_rng(15)
-    for order_g, order in ((4, 4), (5, 3), (3, 6)):
+    for order_g, order, u_alone in ((4, 4, False), (5, 3, False), (3, 6, False),
+                                    (10, 10, False), (10, 10, True), (4, 6, True)):
         T = (order_g + 1) * (order_g + 2) // 2
         for batch in ((), (7,), (3, 4)):
             gc = rng.standard_normal((T,) + batch)
@@ -570,8 +568,12 @@ def test_compose2_skips_the_terms_the_per_monomial_test_skipped():
             else:
                 gc[5] = np.nan
             terms = (order + 1) * (order + 2) // 2
-            U = Jet2(order, rng.standard_normal(terms))
-            V = Jet2(order, rng.standard_normal((terms,) + batch[:1]))
+            if u_alone:
+                U = Jet2.of_series(rng.standard_normal(order + 1))
+                V = Jet2.of_series(rng.standard_normal((order + 1,) + batch[:1]))
+            else:
+                U = Jet2(order, rng.standard_normal(terms))
+                V = Jet2(order, rng.standard_normal((terms,) + batch[:1]))
             got = jets.compose2(gc, order_g, U, V).c
             want = _compose2_per_monomial(gc, order_g, U, V).c
             assert got.shape == want.shape

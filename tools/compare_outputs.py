@@ -39,6 +39,9 @@ SPECS = {
                      "q": "0", "r": ["0-u^2", "3*u", "0-1"], "a": 0.0},
     "flipb.json": {"kind": "swallowtail-data", "xi": ["1", "u", "u^2"],
                    "b": ["0", "0", "0-0.5"], "a": 0.0},
+    # a non-polynomial xi: gamma is a quadrature (fields.CurveIntegral), not a closed form
+    "trig.json": {"kind": "swallowtail-data", "xi": ["cos(u)", "sin(u)", "u"],
+                  "b": ["0", "0", "1"], "a": 0.0},
     "cusp3.json": {"kind": "curve", "gamma": ["u^2/2", "u^3/3", "u^4/4"]},
     "corank2.json": {"kind": "raw-germ", "f": ["u^2", "v^2", "u*v"], "a": 0.0},
     "raw.json": {"kind": "raw-germ", "f": ["u", "2*v^3+u*v", "3*v^4+u*v^2"], "a": 0.0},
@@ -52,6 +55,8 @@ CALLS = [
     ["mesh", "ex217.json", "--domain=-0.3,0.3,-0.2,0.2", "--res=60,60", "--out", "mesh.obj"],
     ["classify", "ex217.json"],
     ["classify", "ex217.json", "--at", "0.05,0.03"],
+    # the jets of gamma by quadrature, at every vertex of the mesh and its K column
+    ["mesh", "trig.json", "--domain=-0.3,0.3,-0.2,0.2", "--res=30,30", "--out", "trig.obj"],
     # a singular set off the u-axis: classified after make_admissible
     ["classify", "raw.json"],
     ["build", "ex217.json"],
