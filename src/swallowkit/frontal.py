@@ -23,10 +23,9 @@ from functools import partial
 
 import numpy as np
 
-from . import metric as mt
 from .fields import JetFn, over_v, pointwise
 from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, parse
-from .metric import SpaceForm, cross, dot
+from .metric import Along, SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
 ORDER = 6
@@ -173,16 +172,16 @@ def normal_jets(germ: MapGerm, u, order=ORDER):
     F = germ.fjet(u, 0.0, order + 2)
     Fu = tuple(c.du() for c in F)
     Fv = tuple(c.dv() for c in F)
-    n = mt.cross_g(germ.sf, tuple(c.truncate(order + 1) for c in F), Fv, Fu)
+    n = Along(germ.sf, F).cross(Fv, Fu)
     return tuple(c.divide_by_v() for c in n)
 
 
 def lambda_jet(germ: MapGerm, u, v, order=ORDER, mode=None):
     """Jet of the degeneracy function lambda.
 
-    For germs whose singular set is the u-axis (mode "axis") this is det_g
-    taken with the forward-oriented field (f_u x_g f_v)/v, which makes
-    lambda = v |nu~|_g^2 and lambda_v(o) = |xi(0) x xi'(0)|^2 > 0;
+    For germs whose singular set is the u-axis (mode "axis") this is the
+    g-determinant of f_u, f_v and the forward-oriented field (f_u x_g f_v)/v,
+    which makes lambda = v |nu~|_g^2 and lambda_v(o) = |xi(0) x xi'(0)|^2 > 0;
     away from that structure (immersions, general germs; mode "unit") the
     unit normal is used instead, so an immersion has |lambda| = |f_u x f_v|_g.
     Without a mode it is found from the germ, "axis" if every slot's axis
@@ -193,17 +192,14 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER, mode=None):
     F = germ.fjet(u, v, order + 3)
     Fu = tuple(c.du() for c in F)
     Fv = tuple(c.dv() for c in F)
-    Ftr = tuple(c.truncate(order + 2) for c in F)
-    n = mt.cross_g(germ.sf, Ftr, Fu, Fv)
+    g = Along(germ.sf, F)
+    n = g.cross(Fu, Fv)
     if mode == "unit":
-        nn = jet_sqrt(mt.inner_g(germ.sf, Ftr, n, n))
+        nn = g.norm(n)
         nt = tuple((c / nn).truncate(order + 1) for c in n)
     else:
         nt = tuple(over_v(c, v) for c in n)
-    return mt.det_g(germ.sf, tuple(c.truncate(order + 1) for c in Ftr),
-                    tuple(c.truncate(order + 1) for c in Fu),
-                    tuple(c.truncate(order + 1) for c in Fv),
-                    nt).truncate(order)
+    return g.det(Fu, Fv, nt).truncate(order)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +286,7 @@ class SingularityReport:
     mu_C: float = float("nan")
     null_vector: tuple = (0.0, 0.0)
     lambda_v: float = float("nan")
-    orientation: str = "negative-frame"   # det_g(f_uv, f_v, nu)(o) < 0
+    orientation: str = "negative-frame"   # det(f_uv, f_v, nu)(o) < 0 in g
     raw: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
 
@@ -300,22 +296,21 @@ class SingularityReport:
 
 def _second_kind_data(germ: MapGerm, order=ORDER):
     """Shared jets for the invariants at a second-kind origin."""
-    sf = germ.sf
     F = germ.fjet(0.0, 0.0, order + 2)
-    Ftr = tuple(c.truncate(order) for c in F)
+    g = Along(germ.sf, F)
     fu = tuple(c.du().truncate(order) for c in F)
     fv = tuple(c.dv().truncate(order) for c in F)
     fuv = tuple(c.du().dv().truncate(order - 1) for c in F)
     nt = normal_jets(germ, 0.0, order)
-    nn = mt.norm_g(sf, Ftr, nt)
+    nn = g.norm(nt)
     nu = tuple(c / nn for c in nt)
     # covariant derivatives at the origin of the germ
-    nu_u = mt.covariant_derivative(sf, Ftr, fu, nu, tuple(c.du() for c in nu))
-    nu_v = mt.covariant_derivative(sf, Ftr, fv, nu, tuple(c.dv() for c in nu))
-    fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
-    fuv_cov = mt.covariant_derivative(sf, Ftr, fu, fv, tuple(c.du() for c in fv))
+    nu_u = g.nabla(fu, nu, tuple(c.du() for c in nu))
+    nu_v = g.nabla(fv, nu, tuple(c.dv() for c in nu))
+    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
+    fuv_cov = g.nabla(fu, fv, tuple(c.du() for c in fv))
     return {
-        "F": Ftr, "fu": fu, "fv": fv, "fuv": fuv_cov, "fuv_plain": fuv,
+        "g": g, "fu": fu, "fv": fv, "fuv": fuv_cov, "fuv_plain": fuv,
         "nu": nu, "nu_u": nu_u, "nu_v": nu_v, "fvv": fvv, "ntilde": nt,
     }
 
@@ -327,8 +322,8 @@ def _vals(vec):
 # Each invariant at the origin is its values, read off the jets of a lone
 # germ or of a batch (_..._values), and a decision on the floats of one slot.
 
-def _sigma0_S_values(sf, d):
-    return mt.inner_g(sf, d["F"], d["fuv"], d["nu_u"]).value(), _vals(d["fuv"]), _vals(d["nu_u"])
+def _sigma0_S_values(d):
+    return d["g"].inner(d["fuv"], d["nu_u"]).value(), _vals(d["fuv"]), _vals(d["nu_u"])
 
 
 def _sigma0_S(val, fuv, nu_u):
@@ -339,11 +334,11 @@ def sigma0_S(germ: MapGerm):
     """Sign invariant whose non-vanishing detects a swallowtail (o 2nd kind):
     (sign, raw value), or a list of them, one per slot of a batched germ."""
     d = _second_kind_data(germ)
-    return _per_slot(_sigma0_S, _slots(d["F"]), *_sigma0_S_values(germ.sf, d))
+    return _per_slot(_sigma0_S, _slots(d["fu"]), *_sigma0_S_values(d))
 
 
-def _sigma_g_S_values(sf, d):
-    return mt.inner_g(sf, d["F"], d["fvv"], d["nu"]).value(), _vals(d["fvv"])
+def _sigma_g_S_values(d):
+    return d["g"].inner(d["fvv"], d["nu"]).value(), _vals(d["fvv"])
 
 
 def _sigma_g_S(val, fvv):
@@ -353,12 +348,11 @@ def _sigma_g_S(val, fvv):
 def sigma_g_S(germ: MapGerm):
     """Sign of the limiting-normal-curvature numerator (genericity)."""
     d = _second_kind_data(germ)
-    return _per_slot(_sigma_g_S, _slots(d["F"]), *_sigma_g_S_values(germ.sf, d))
+    return _per_slot(_sigma_g_S, _slots(d["fu"]), *_sigma_g_S_values(d))
 
 
-def _kappa_nu_values(sf, d):
-    return (mt.inner_g(sf, d["F"], d["fvv"], d["nu"]).value(),
-            mt.inner_g(sf, d["F"], d["fv"], d["fv"]).value())
+def _kappa_nu_values(d):
+    return d["g"].inner(d["fvv"], d["nu"]).value(), d["g"].inner(d["fv"], d["fv"]).value()
 
 
 def _kappa_nu(num, den):
@@ -369,14 +363,14 @@ def _kappa_nu(num, den):
 
 def limiting_normal_curvature(germ: MapGerm):
     d = _second_kind_data(germ)
-    return _per_slot(_kappa_nu, _slots(d["F"]), *_kappa_nu_values(germ.sf, d))
+    return _per_slot(_kappa_nu, _slots(d["fu"]), *_kappa_nu_values(d))
 
 
-def _mu_C_values(sf, d):
-    fv_norm = mt.norm_g(sf, d["F"], d["fv"]).value()
-    num = mt.inner_g(sf, d["F"], d["fuv"], d["nu_u"]).value()
-    cr = mt.cross_g(sf, d["F"], d["fuv"], d["fv"])
-    return fv_norm, num, mt.norm_g(sf, d["F"], cr).value()
+def _mu_C_values(d):
+    g = d["g"]
+    fv_norm = g.norm(d["fv"]).value()
+    num = g.inner(d["fuv"], d["nu_u"]).value()
+    return fv_norm, num, g.norm(g.cross(d["fuv"], d["fv"])).value()
 
 
 def _mu_C(fv_norm, num, den):
@@ -388,7 +382,7 @@ def _mu_C(fv_norm, num, den):
 def normalized_cuspidal_curvature(germ: MapGerm):
     """mu_C; its sign equals sigma0_S."""
     d = _second_kind_data(germ)
-    return _per_slot(_mu_C, _slots(d["F"]), *_mu_C_values(germ.sf, d))
+    return _per_slot(_mu_C, _slots(d["fu"]), *_mu_C_values(d))
 
 
 def classify(germ: MapGerm, at=(0.0, 0.0)):
@@ -510,16 +504,15 @@ def _on_axis(work, reps, mode=None, near=None):
         kinds = [_kind(_slot(a, j), _slot(b, j)) for a, b in near]
         rep.is_generalized_swallowtail = all(km in ("first", "regular") for km in kinds)
 
-    sf = work.sf
     shared = _second_kind_data(work, order=4)
-    s0, sg, kn = (f(sf, shared) for f in (_sigma0_S_values, _sigma_g_S_values, _kappa_nu_values))
+    s0, sg, kn = (f(shared) for f in (_sigma0_S_values, _sigma_g_S_values, _kappa_nu_values))
     for j, rep in live.items():
         rep.sigma0_S, rep.raw["sigma0_S"] = _sigma0_S(*(_slot(x, j) for x in s0))
         rep.sigma_g_S, rep.raw["sigma_g_S"] = _sigma_g_S(*(_slot(x, j) for x in sg))
         rep.kappa_nu = _kappa_nu(*(_slot(x, j) for x in kn))
 
     # a domain error of mu_C comes after the three sign decisions
-    mu = _mu_C_values(sf, shared)
+    mu = _mu_C_values(shared)
     # wave front: (f, nu) immersive, i.e. the stacked 6x2 differential has rank 2
     dfs = [_vals(shared[key]) for key in ("fu", "fv", "nu_u", "nu_v")]
     for j, rep in live.items():
@@ -581,11 +574,10 @@ def sigma0_C(germ: MapGerm, u):
     Uses the null field zeta oriented with negative v-component, which makes
     the limit at a second-kind center agree with sigma0_S.
     """
-    sf = germ.sf
     alpha, eps, fu, fv, F = _eps_field_jets(germ, u)
     if abs(eps.value()) < 1e-12 and abs(alpha.value()) > 1e-6:
         raise ClassificationError(f"(u,0)=({u},0) is not of the first kind")
-    Ftr = tuple(c.truncate(ORDER - 1) for c in F)
+    g = Along(germ.sf, F)
 
     def cov_zeta(X):
         Xu = tuple(c.du() for c in X)
@@ -595,13 +587,12 @@ def sigma0_C(germ: MapGerm, u):
                    for k in range(3))
         dfz = tuple(alpha.truncate(o) * fu[k].truncate(o) + eps.truncate(o) * fv[k].truncate(o)
                     for k in range(3))
-        return mt.covariant_derivative(sf, tuple(c.truncate(o) for c in F), dfz,
-                                       tuple(c.truncate(o) for c in X), zX)
+        return g.nabla(dfz, X, zX)
 
     fz = tuple(alpha * fu[k] + eps * fv[k] for k in range(3))
     fzz = cov_zeta(fz)
     fzzz = cov_zeta(fzz)
-    det = mt.det_g(sf, Ftr, fu, fzz, fzzz).value()
+    det = g.det(fu, fzz, fzzz).value()
     scale = (np.linalg.norm(_vals(fu)) * np.linalg.norm(_vals(fzz)) * np.linalg.norm(_vals(fzzz)))
     return sgn(det, scale), det
 
@@ -612,14 +603,13 @@ def sigma_g_C(germ: MapGerm, u):
     At a 1-D array u, the list of those at its points, from one jet call
     (the point axis before the slot axis), each bit for bit its scalar
     call."""
-    sf = germ.sf
     F = germ.fjet(u, 0.0, 6)
-    Ftr = tuple(c.truncate(4) for c in F)
+    g = Along(germ.sf, F)
     fu = tuple(c.du().truncate(4) for c in F)
     fv = tuple(c.dv().truncate(4) for c in F)
-    fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
-    fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
-    det = mt.det_g(sf, Ftr, fu, fuu, fvv).value()
+    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
+    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
+    det = g.det(fu, fuu, fvv).value()
     values = (det, _vals(fu), _vals(fuu), _vals(fvv))
     slots = _slots(F, np.ndim(u))
     if np.ndim(u) == 0:
@@ -642,18 +632,15 @@ def epsilon_identity_residual(germ: MapGerm, u):
     if abs(k[0]) < 1e-9:
         raise ClassificationError("null field has no d_u component; eps not resolvable")
     eps = k[1] / k[0]
-    sf = germ.sf
     F = germ.fjet(u, 0.0, ORDER + 2)
-    Ftr = tuple(c.truncate(ORDER) for c in F)
+    g = Along(germ.sf, F)
     fu = tuple(c.du().truncate(ORDER) for c in F)
     fv = tuple(c.dv().truncate(ORDER) for c in F)
-    fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
-    fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
+    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
+    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
     nt = normal_jets(germ, u, ORDER - 1)
-    lhs = mt.inner_g(sf, tuple(c.truncate(ORDER - 1) for c in Ftr),
-                     tuple(c.truncate(ORDER - 1) for c in fuu), nt).value()
-    rhs = eps * eps * mt.inner_g(sf, tuple(c.truncate(ORDER - 1) for c in Ftr),
-                                 tuple(c.truncate(ORDER - 1) for c in fvv), nt).value()
+    lhs = g.inner(fuu, nt).value()
+    rhs = eps * eps * g.inner(fvv, nt).value()
     return abs(lhs - rhs) / (1.0 + abs(lhs)), eps
 
 
@@ -665,7 +652,7 @@ def limit_normal_at_second_kind(germ: MapGerm, probes=(0.01, -0.01)):
     points, which must be small for a consistent frontal.
     """
     d = _second_kind_data(germ)
-    direction = _vals(mt.cross_g(germ.sf, d["F"], d["fv"], d["fuv"]))
+    direction = _vals(d["g"].cross(d["fv"], d["fuv"]))
     nd = np.linalg.norm(direction)
     if nd == 0.0:
         raise ClassificationError("degenerate limit normal")
@@ -722,15 +709,14 @@ def fundamental_forms(germ: MapGerm, at):
     own, bit for bit as a scalar call.  A singular point raises
     ClassificationError when at is a point, and gives NaN in its slots of
     all six forms when at holds arrays."""
-    sf = germ.sf
     u, v = at
     Fj = germ.fjet(u, v, 5)
-    Ftr = tuple(c.truncate(3) for c in Fj)
+    g = Along(germ.sf, Fj)
     fu = tuple(c.du().truncate(3) for c in Fj)
     fv = tuple(c.dv().truncate(3) for c in Fj)
-    E, Fi, G = (mt.inner_g(sf, Ftr, x, y).value() for x, y in ((fu, fu), (fu, fv), (fv, fv)))
-    n = mt.cross_g(sf, Ftr, fu, fv)
-    nsq = mt.inner_g(sf, Ftr, n, n)
+    E, Fi, G = (g.inner(x, y).value() for x, y in ((fu, fu), (fu, fv), (fv, fv)))
+    n = g.cross(fu, fv)
+    nsq = g.inner(n, n)
     singular = np.asarray(nsq.value() <= 1e-18 * (1.0 + E * G))
     if singular.any():
         if singular.ndim == 0:
@@ -739,10 +725,10 @@ def fundamental_forms(germ: MapGerm, at):
         nsq.c[0] = np.where(singular, 1.0, nsq.c[0])
     nn = jet_sqrt(nsq)
     nu = tuple(c / nn for c in n)
-    fuu = mt.covariant_derivative(sf, Ftr, fu, fu, tuple(c.du() for c in fu))
-    fuv = mt.covariant_derivative(sf, Ftr, fu, fv, tuple(c.du() for c in fv))
-    fvv = mt.covariant_derivative(sf, Ftr, fv, fv, tuple(c.dv() for c in fv))
-    forms = (E, Fi, G) + tuple(mt.inner_g(sf, Ftr, x, nu).value() for x in (fuu, fuv, fvv))
+    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
+    fuv = g.nabla(fu, fv, tuple(c.du() for c in fv))
+    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
+    forms = (E, Fi, G) + tuple(g.inner(x, nu).value() for x in (fuu, fuv, fvv))
     if singular.any():
         forms = tuple(np.where(singular, np.nan, x) for x in forms)
     return forms

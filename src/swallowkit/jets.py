@@ -8,10 +8,10 @@ Coefficient c_{ij} of a Jet2 equals (1/i!j!) d^{i+j}f/du^i dv^j.
 Coefficients may be scalars or numpy arrays (one jet per grid node, or
 per slot of a batch), so grid sweeps and batches vectorize for free.  Batch
 axes are the trailing axes of .c and align from the left: an operand with
-fewer of them (a jet, or an array multiplying a jet) gets trailing axes of
-length 1.  The two hot kernels, the truncated product and the graded
-division, are numpy index-table operations defined next to Jet2; there is
-no other backend.
+fewer of them (a jet, or an array multiplying or dividing a jet) gets
+trailing axes of length 1.  The two hot kernels, the truncated product and
+the graded division, are numpy index-table operations defined next to
+Jet2; there is no other backend.
 
 A jet of a function of u alone says so (Jet2.u_only: every coefficient off
 the u-axis is zero; Jet2 says who may set it), and the product and the
@@ -266,7 +266,10 @@ class Jet2:
                 raise JetError("division by jet with zero constant term")
             u_only = a.u_only and b.u_only
             return Jet2(a.order, _jet_div(a.c, b.c, a.order, u_only), u_only)
-        return Jet2(self.order, self.c / other, self.u_only)
+        c = self.c
+        if isinstance(other, np.ndarray):
+            c, other = _lift(c, other)
+        return Jet2(self.order, c / other, self.u_only)
 
     def __rtruediv__(self, other):
         return Jet2.constant(other, self.order, self.c.shape[1:]) / self

@@ -9,11 +9,18 @@ as `conformal_factor`.  A point is admissible iff w(p) > 0.
 
 Vector helpers (dot/cross/det3) are generic over the coefficient ring:
 they accept floats, numpy arrays or Jet2 objects componentwise.
+
+Along(sf, F) is the model metric along a map at one point, from the jets F
+of the map there: its inner product, norm, vector product, determinant and
+covariant derivative nabla.  It computes the conformal factor 1/w once per
+point, and every quantity at the point reads it.  At a = 0 the model is g_E
+and no factor is computed: the methods are the Euclidean operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,68 +69,71 @@ def conformal_factor(sf: SpaceForm, p) -> float:
     return 2.0 / (1.0 + sf.a * float(np.dot(p, p)))
 
 
-# -- jet-level metric quantities along a map ---------------------------------
-#
-# F below is a 3-tuple of jets of the map components at the working point;
-# A, B, C are 3-tuples of jets (or numbers) representing tangent vectors /
-# fields along the map at the same point.
+# -- the model metric along a map at one point ------------------------------
 
-def weight(sf: SpaceForm, F):
-    """Jet of w = 1 + a (f . f); must stay positive on the model domain."""
-    w = 1.0 + sf.a * dot(F, F)
-    val = w.value() if isinstance(w, Jet2) else w
-    if np.any(np.asarray(val) <= 0.0):
-        raise DomainError(f"map leaves the a={sf.a} model domain")
-    return w
+class Along:
+    """The model metric w^-2 g_E along a map at the point where F holds the
+    jets (or values) of the map's components; the fields A, B, C, dF, X, dX
+    along the map there are of F's order or below.  w and rho = 1/w are
+    computed once, at F's order, and rho^2 and nabla's gradient of log rho
+    when first needed.  A lower-order operand meets them truncated, with the
+    bits of their computation at its order: the graded product and solve sum
+    the same pairs in the same order for every degree up to it.  At a = 0 no
+    factor is computed.  A point with w <= 0 raises DomainError."""
 
+    def __init__(self, sf: SpaceForm, F):
+        self.a = sf.a
+        self.F = F
+        self.rho = None
+        if self.a != 0.0:
+            self.w = 1.0 + self.a * dot(F, F)
+            if np.any((self.w.c[0] if isinstance(self.w, Jet2) else self.w) <= 0.0):
+                raise DomainError(f"map leaves the a={self.a} model domain")
+            self.rho = 1.0 / self.w
 
-def rho_bar(sf: SpaceForm, F):
-    """Jet of the model conformal factor 1/w (so rho_bar(0) = 1)."""
-    return 1.0 / weight(sf, F)
+    @cached_property
+    def _rho2(self):
+        return self.rho * self.rho
 
+    @cached_property
+    def _grad(self):
+        return vscale((-2.0 * self.a) / self.w, self.F)
 
-def inner_g(sf: SpaceForm, F, A, B):
-    r = rho_bar(sf, F)
-    return r * r * dot(A, B)
+    def inner(self, A, B):
+        if self.rho is None:
+            return dot(A, B)
+        return self._rho2 * dot(A, B)
 
+    def norm(self, A):
+        q = self.inner(A, A)
+        return jet_sqrt(q) if isinstance(q, Jet2) else np.sqrt(q)
 
-def norm_g(sf: SpaceForm, F, A):
-    q = inner_g(sf, F, A, A)
-    return jet_sqrt(q) if isinstance(q, Jet2) else np.sqrt(q)
+    def cross(self, A, B):
+        """Vector product of g: g(A x_g B, C) = det(A, B, C) for all C."""
+        if self.rho is None:
+            return cross(A, B)
+        return vscale(self.rho, cross(A, B))
 
+    def det(self, A, B, C):
+        if self.rho is None:
+            return det3(A, B, C)
+        return (self._rho2 * self.rho) * det3(A, B, C)
 
-def cross_g(sf: SpaceForm, F, A, B):
-    """Vector product of g: g(A x_g B, C) = det_g(A, B, C) for all C."""
-    return vscale(rho_bar(sf, F), cross(A, B))
+    def nabla(self, dF, X, dX):
+        """nabla_d X along the map, from jets of d f, X and d X.
 
-
-def det_g(sf: SpaceForm, F, A, B, C):
-    r = rho_bar(sf, F)
-    return r * r * r * det3(A, B, C)
-
-
-def _sigma_gradient(sf: SpaceForm, F):
-    """Euclidean gradient of sigma = log rho_bar along the map: -2a f / w."""
-    w = weight(sf, F)
-    s = (-2.0 * sf.a) / w
-    return vscale(s, F)
-
-
-def covariant_derivative(sf: SpaceForm, F, dF, X, dX):
-    """nabla_d X along the map, from jets of f, d f, X and d X.
-
-    d is either coordinate direction; the caller supplies the directional
-    derivatives dF = d f and dX = d X (componentwise jets).  Uses the
-    conformal Christoffel symbols Gamma^k_ij = d^k_i s_j + d^k_j s_i -
-    d_ij s^k with s = log rho_bar, so Gamma vanishes wherever f = 0.
-    """
-    if sf.a == 0.0:
-        return dX
-    sg = _sigma_gradient(sf, F)
-    sX = dot(sg, X)
-    sD = dot(sg, dF)
-    XD = dot(dF, X)
-    return tuple(dX[k] + sD * X[k] + sX * dF[k] - XD * sg[k] for k in range(3))
+        d is either coordinate direction; the caller supplies the directional
+        derivatives dF = d f and dX = d X (componentwise jets).  Uses the
+        conformal Christoffel symbols Gamma^k_ij = d^k_i s_j + d^k_j s_i -
+        d_ij s^k with s = log rho, so Gamma vanishes wherever f = 0; the
+        Euclidean gradient of s along the map is -2a f / w."""
+        if self.rho is None:
+            return dX
+        sg = self._grad
+        sX = dot(sg, X)
+        sD = dot(sg, dF)
+        XD = dot(dF, X)
+        return tuple(dX[k] + sD * X[k] + sX * dF[k] - XD * sg[k] for k in range(3))
 
 
 def christoffels(sf: SpaceForm, p):

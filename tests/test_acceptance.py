@@ -23,7 +23,7 @@ from swallowkit.builder import (AsymptoticData, BuildError, SwallowtailData,
 from swallowkit.curves import CurveGerm, classify_cusp, factor_cusp, normalize_half_arclength
 from swallowkit.frontal import MapGerm, classify
 from swallowkit.jets import parse, poly2_coeffs
-from swallowkit.metric import inner_g, norm_g
+from swallowkit.metric import Along
 
 from conftest import random_data
 
@@ -100,9 +100,9 @@ def _axis_kappa_nu(germ, u):
     fv = tuple(c.dv().truncate(2) for c in F)
     fvv = tuple(c.dv().dv().truncate(2) for c in F)
     nt = fr.normal_jets(germ, u, 2)
-    nn = norm_g(germ.sf, Ftr, nt)
-    num = inner_g(germ.sf, Ftr, fvv, nt).value() / nn.value()
-    den = inner_g(germ.sf, Ftr, fv, fv).value()
+    g = Along(germ.sf, Ftr)
+    num = g.inner(fvv, nt).value() / g.norm(nt).value()
+    den = g.inner(fv, fv).value()
     return num / den
 
 

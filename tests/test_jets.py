@@ -493,10 +493,10 @@ def _bits(a):
 
 
 def test_batch_axes_align_from_the_left():
-    """A jet with fewer batch axes, or an array multiplying a jet, gets
-    trailing axes of length 1: (15,) meets (15, 21) and (15, 4) meets
-    (15, 4, 3), and every slot is bit for bit the operation on that slot
-    alone (int64 views)."""
+    """A jet with fewer batch axes, or an array multiplying or dividing a
+    jet, gets trailing axes of length 1: (15,) meets (15, 21) and (15, 4)
+    meets (15, 4, 3), and every slot is bit for bit the operation on that
+    slot alone (int64 views)."""
     rng = np.random.default_rng(13)
     T = 15
     lone = Jet2(4, rng.standard_normal(T))
@@ -522,6 +522,15 @@ def test_batch_axes_align_from_the_left():
     got = (grid * w4).c
     for i, j in np.ndindex(4, 3):
         np.testing.assert_array_equal(_bits(got[:, i, j]), _bits((Jet2(4, grid.c[:, i, j]) * w4[i]).c))
+    got = (lone / w).c
+    assert got.shape == (T, 21)
+    for j in range(21):
+        np.testing.assert_array_equal(_bits(got[:, j]), _bits(Jet2(4, lone.c / w[j]).c))
+    # a (4,) divisor of a (T, 4, 4) grid divides row i by w4[i], not column i
+    square = Jet2(4, rng.standard_normal((T, 4, 4)))
+    got = (square / w4).c
+    for i, j in np.ndindex(4, 4):
+        np.testing.assert_array_equal(_bits(got[:, i, j]), _bits(Jet2(4, square.c[:, i, j] / w4[i]).c))
 
 
 def _compose2_per_monomial(gc, order_g, U, V):

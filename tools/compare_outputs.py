@@ -42,6 +42,15 @@ SPECS = {
     # a non-polynomial xi: gamma is a quadrature (fields.CurveIntegral), not a closed form
     "trig.json": {"kind": "swallowtail-data", "xi": ["cos(u)", "sin(u)", "u"],
                   "b": ["0", "0", "1"], "a": 0.0},
+    # the conformal models: ex217 and ex217s at a = -1, fplus and fplus2 at a = 1
+    "h217.json": {"kind": "swallowtail-data", "xi": ["2", "3*u", "0"],
+                  "b": ["0", "0", "1"], "a": -1.0},
+    "h217s.json": {"kind": "swallowtail-data", "xi": ["4", "6*u", "0"],
+                   "b": ["0", "0", "2"], "a": -1.0},
+    "sfplus.json": {"kind": "asymptotic-data", "xi": ["1", "u", "u^2"],
+                    "q": "0", "r": ["u^2", "0-2*u", "1"], "a": 1.0},
+    "sfplus2.json": {"kind": "asymptotic-data", "xi": ["1", "u", "2*u^2"],
+                     "q": "0", "r": ["u^2", "0-3*u", "1"], "a": 1.0},
     "cusp3.json": {"kind": "curve", "gamma": ["u^2/2", "u^3/3", "u^4/4"]},
     "corank2.json": {"kind": "raw-germ", "f": ["u^2", "v^2", "u*v"], "a": 0.0},
     "raw.json": {"kind": "raw-germ", "f": ["u", "2*v^3+u*v", "3*v^4+u*v^2"], "a": 0.0},
@@ -84,6 +93,13 @@ CALLS = [
     # a band wider than every sign, and a certificate decided in a wider band
     ["--tol-sign", "10", "classify", "ex217.json"],
     ["--tol-sign", "1e-3", "deform", "ex217.json", "ex217s.json", "--recipe", "A", "--steps", "4"],
+    # a != 0: the conformal factor and connection of the model metric
+    ["classify", "h217.json"],
+    ["invariants", "sfplus.json"],
+    ["classify", "sfplus.json", "--at", "0.05,0.03"],
+    ["mesh", "h217.json", "--domain=-0.3,0.3,-0.2,0.2", "--res=30,30", "--out", "h217.obj"],
+    ["deform", "h217.json", "h217s.json", "--recipe", "A"],
+    ["deform", "sfplus.json", "sfplus2.json", "--recipe", "D"],
     # exit 3: a corank-2 origin cannot be made admissible
     ["classify", "corank2.json"],
     # exit 4: recipe A on asymptotic endpoints is a precondition mismatch
