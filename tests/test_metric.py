@@ -5,6 +5,7 @@ import pytest
 
 from swallowkit import jets
 from swallowkit import metric as mt
+from swallowkit._jettables import term_count
 from swallowkit.jets import Jet2, jet_sqrt, parse
 from swallowkit.metric import Along, DomainError, SpaceForm, conformal_factor
 
@@ -215,7 +216,6 @@ def _ref_covariant_derivative(sf, F, dF, X, dX):
 
 
 def _rand_vec(rng, order, shape, scale=1.0):
-    from swallowkit._jettables import term_count
     return tuple(Jet2(order, scale * rng.standard_normal((term_count(order),) + shape))
                  for _ in range(3))
 
