@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components,
-                     gauss_legendre, horner, over_u, shared, step_count, step_ends, vjet,
+                     gauss_legendre, horner, over_u, step_count, step_ends, vjet,
                      xi_frame)
 from .frontal import sgn
 from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
@@ -415,12 +415,11 @@ class FrenetPath:
     bit as it would alone when the batch takes the steps it takes alone: a
     split that one column needs splits the step for every column.
     The Taylor series are computed for the whole batch, one order above
-    the first request (see series): memoised per u at a point, and at an
-    array of points computed in one call and shared for the length of the
-    outermost array call.  Every column, and the three components of its
-    xi and cusp-curve providers, read the same series, and the pair of
-    orders (N, N + 1) that the cusp frame asks at a point makes one
-    series."""
+    the first request, and memoised per point (see series), whether it was
+    read alone or in an array of points.  Every column, and the three
+    components of its xi and cusp-curve providers, read the same series,
+    and the pair of orders (N, N + 1) that the cusp frame asks at a point
+    makes one series."""
 
     def __init__(self, data: FrenetData, interval=(-1.0, 1.0)):
         self.data = data
@@ -503,28 +502,30 @@ class FrenetPath:
 
     def series(self, u0, order):
         """Taylor series of (T, N, B, Gamma, int u T) at u0 from the Frenet
-        relations, each (order + 1, 3, *shape(u0), n); shared arrays, never
-        written into.  u0 is a point or an array of them, and each point's
-        slot holds the bits of its scalar call.
+        relations, each (order + 1, 3, *shape(u0), n); never written into.
+        u0 is a point or an array of them, and each point's slot holds the
+        bits of its scalar call.
 
-        A miss computes order + 1, since the cusp frame reads the series one
-        order above the field and the curve (requests come as (N, N + 1)
-        pairs), and a lower order is a slice of what is kept.  A scalar u0
-        is memoised in a BoundedCache; an array u0 is computed in one
-        _series_at call and shared, under the rule of fields.JetFn, by the
-        array calls inside the outermost one (fields.shared).  The
+        The series are memoised per point in a BoundedCache, which answers
+        a lower order by truncation: a read computes the distinct points
+        it is missing in one _series_at call, and gathers every point from
+        its distinct ones by the inverse of np.unique.  A miss computes
+        order + 1, since the cusp frame reads the series one order above
+        the field and the curve (requests come as (N, N + 1) pairs).  The
         recurrence and the kappa/tau providers are truncation-exact, so a
         slice holds the bits of a direct call."""
-        if np.ndim(u0):
-            u0 = np.asarray(u0, dtype=float)
-            return shared((self, u0.shape, u0.tobytes()), order,
-                          lambda: (order + 1, self._series_at(u0, order + 1)))
-        key = float(u0)
-        out = self._series.jets(key, order)
-        if out is None:
-            self._series.put_jets(key, order + 1, self._series_at(key, order + 1))
-            out = self._series.jets(key, order)
-        return out
+        us, inv = np.unique(np.asarray(u0, dtype=float), return_inverse=True)
+        keys = us.tolist()
+        got = [self._series.jets(x, order) for x in keys]
+        miss = [i for i, hit in enumerate(got) if hit is None]
+        if miss:
+            # a lone point is read as a point, so its providers memoise it
+            S = self._series_at(us[miss] if np.ndim(u0) else keys[0], order + 1)
+            S = [np.reshape(s, s.shape[:2] + (len(miss), self.n)) for s in S]
+            for k, i in enumerate(miss):
+                self._series.put_jets(keys[i], order + 1, tuple(s[:, :, k] for s in S))
+                got[i] = tuple(s[:order + 1, :, k] for s in S)
+        return tuple(np.stack(e, axis=2)[:, :, inv] for e in zip(*got))
 
     def series_jets(self, u0, order, which):
         """Coefficients (3, term_count(order), *shape(u0), n) of the u-only
@@ -576,7 +577,7 @@ class FrenetColumn:
 
     def series(self, u0, order):
         """Taylor series of (T, N, B, Gamma, int u T) at u0, each (order + 1, 3):
-        views of the batch's shared series, never written into."""
+        slices of the batch's series, never written into."""
         return tuple(s[..., self.j] for s in self.path.series(u0, order))
 
     def _providers(self, which):

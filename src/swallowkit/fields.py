@@ -33,10 +33,11 @@ for every provider: a scalar point is memoised in a BoundedCache, which
 answers a lower order by truncation; an array point is shared, keyed by
 the bytes of u and v, by the array calls of every JetFn made inside the
 outermost array call of its thread, answered at a lower order by
-truncation too, and dropped when that call returns (shared;
-curves.FrenetPath keeps the Frenet series of an array point by the same
-rule).  So no array entry outlives the call that made it,
-and the memory the entries hold is bounded by that call.  Composite
+truncation too, and dropped when that call returns (JetFn._shared).  So
+no array entry outlives the call that made it, and the memory the entries
+hold is bounded by that call.  The Frenet series of curves.FrenetPath,
+which are not a provider, are memoised per point in a BoundedCache
+whether the point is read alone or in an array.  Composite
 providers, whose jet assembles a new jet from other providers, are JetFns;
 thin wrappers that only rescale, flip or differentiate a base provider
 (Scaled, FlipU, DU) are not cached.  A vector built by components is
@@ -47,9 +48,9 @@ Array points: u and v may be arrays of one shape, and jet(u, v, order) then
 returns one jet per point, along the axes of .c after the coefficient axis
 and before any batch axis.  Points on an axis are spliced in (over_u,
 over_v), and every point is computed on its own, so its slot holds the bits
-of the scalar call; the Frenet series of an array point are one computation
-for all its points, shared for the length of the outermost array call, and
-a provider that keeps its state per scalar point (make_admissible's change
+of the scalar call; the Frenet series at an array point are one
+computation for the distinct points that their memo is missing, and a
+provider that keeps its state per scalar point (make_admissible's change
 of coordinates) reads an array point by point (pointwise).  A domain error
 of the jet arithmetic (JetError) still fails the whole call.  The per-point
 failure of frontal.fundamental_forms and gaussian_curvature is NaN: a
@@ -319,21 +320,6 @@ class _Scope(threading.local):
 _SCOPE = _Scope()
 
 
-def shared(key, order, compute):
-    """Jets at an array point, shared under key by the array calls nested in
-    the outermost one in progress in this thread: the entry at key cut to
-    order if it holds that order, else the jets of compute(), which returns
-    (the order it computed, >= order; its jets), stored at key.  Outside an
-    outermost array call nothing is stored."""
-    scope = _SCOPE.entries
-    hit = None if scope is None else scope.get(key)
-    if hit is None or hit[0] < order:
-        hit = compute()
-        if scope is not None:
-            scope[key] = hit
-    return _truncate(hit[1], order)
-
-
 class JetFn:
     """Composite provider: wraps a function (u, v, order) -> Jet2 (or a
     tuple of jets) that assembles jets from other providers.  It memoises
@@ -352,15 +338,19 @@ class JetFn:
         scope, keyed by u and v broadcast to one shape, so a scalar v and an
         array of its value share one entry, and a lower order by
         truncation."""
-        if _SCOPE.entries is None:
+        scope = _SCOPE.entries
+        if scope is None:
             _SCOPE.entries = {}
             try:
                 return self._fn(u, v, order)
             finally:
                 _SCOPE.entries = None
         ub, vb = np.broadcast_arrays(np.asarray(u, dtype=float), np.asarray(v, dtype=float))
-        return shared((self, ub.shape, ub.tobytes(), vb.tobytes()), order,
-                      lambda: (order, self._fn(u, v, order)))
+        key = (self, ub.shape, ub.tobytes(), vb.tobytes())
+        hit = scope.get(key)
+        if hit is None or hit[0] < order:
+            hit = scope[key] = (order, self._fn(u, v, order))
+        return _truncate(hit[1], order)
 
     def jet(self, u, v, order):
         if np.ndim(u) or np.ndim(v):

@@ -162,9 +162,10 @@ def _per_slot(fn, slots, *values):
 # Normal field and lambda
 # ---------------------------------------------------------------------------
 
-def normal_jets(germ: MapGerm, u, order=ORDER):
+def normal_jets(germ: MapGerm, u, order=ORDER, g=None):
     """Jet of the unnormalized normal nu~ = (f_v x_g f_u)/v at the axis
-    point (u, 0).
+    point (u, 0); g, if given, is the metric along the germ's jets of order
+    order + 2 there.
 
     The division is the coefficient shift of a jet vanishing on the axis;
     if that fails the parametrization is not admissible at this point.
@@ -172,7 +173,7 @@ def normal_jets(germ: MapGerm, u, order=ORDER):
     F = germ.fjet(u, 0.0, order + 2)
     Fu = tuple(c.du() for c in F)
     Fv = tuple(c.dv() for c in F)
-    n = Along(germ.sf, F).cross(Fv, Fu)
+    n = (Along(germ.sf, F) if g is None else g).cross(Fv, Fu)
     return tuple(c.divide_by_v() for c in n)
 
 
@@ -206,10 +207,19 @@ def lambda_jet(germ: MapGerm, u, v, order=ORDER, mode=None):
 # Null field along the axis
 # ---------------------------------------------------------------------------
 
+def _second_order(F):
+    """The values (f, f_u, f_v, f_uu, f_uv, f_vv) at the point of the jets F
+    of a map, each a 3-tuple of floats, or of arrays at an array point or
+    for a batched germ: all that an invariant of at most second derivatives
+    reads, so its jets are read at order 2."""
+    return tuple(tuple(c.partial(i, j) for c in F)
+                 for i, j in ((0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)))
+
+
 def _axis_derivatives(germ, u):
     """Values of f_u and f_v at the axis point (u, 0), from jets of order 2."""
-    F = germ.fjet(u, 0.0, 2)
-    return _vals(tuple(c.du() for c in F)), _vals(tuple(c.dv() for c in F))
+    _, fu, fv, *_ = _second_order(germ.fjet(u, 0.0, 2))
+    return np.array(fu), np.array(fv)
 
 
 def _kernel(fu, fv):
@@ -301,7 +311,7 @@ def _second_kind_data(germ: MapGerm, order=ORDER):
     fu = tuple(c.du().truncate(order) for c in F)
     fv = tuple(c.dv().truncate(order) for c in F)
     fuv = tuple(c.du().dv().truncate(order - 1) for c in F)
-    nt = normal_jets(germ, 0.0, order)
+    nt = normal_jets(germ, 0.0, order, g)
     nn = g.norm(nt)
     nu = tuple(c / nn for c in nt)
     # covariant derivatives at the origin of the germ
@@ -603,14 +613,13 @@ def sigma_g_C(germ: MapGerm, u):
     At a 1-D array u, the list of those at its points, from one jet call
     (the point axis before the slot axis), each bit for bit its scalar
     call."""
-    F = germ.fjet(u, 0.0, 6)
-    g = Along(germ.sf, F)
-    fu = tuple(c.du().truncate(4) for c in F)
-    fv = tuple(c.dv().truncate(4) for c in F)
-    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
-    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
-    det = g.det(fu, fuu, fvv).value()
-    values = (det, _vals(fu), _vals(fuu), _vals(fvv))
+    F = germ.fjet(u, 0.0, 2)
+    f, fu, fv, fuu, _, fvv = _second_order(F)
+    g = Along(germ.sf, f)
+    fvv = g.nabla(fv, fv, fvv)
+    fuu = g.nabla(fu, fu, fuu)
+    # + 0.0: a zero comes out +0.0, as from the value slot of a jet product
+    values = (g.det(fu, fuu, fvv) + 0.0, np.array(fu), np.array(fuu), np.array(fvv))
     slots = _slots(F, np.ndim(u))
     if np.ndim(u) == 0:
         return _per_slot(_sigma_g_C, slots, *values)
@@ -625,22 +634,20 @@ def _sigma_g_C(det, fu, fuu, fvv):
 
 def epsilon_identity_residual(germ: MapGerm, u):
     """Residual of <f_uu, nu~> = eps^2 <f_vv, nu~> at the singular point (u,0)."""
-    df = _axis_derivatives(germ, u)
+    f, fu, fv, fuu, _, fvv = _second_order(germ.fjet(u, 0.0, 2))
+    df = np.array(fu), np.array(fv)
     if _immersive(*df):
         raise ClassificationError(f"({u}, 0) is a regular point")
     k, _ = _kernel(*df)
     if abs(k[0]) < 1e-9:
         raise ClassificationError("null field has no d_u component; eps not resolvable")
     eps = k[1] / k[0]
-    F = germ.fjet(u, 0.0, ORDER + 2)
-    g = Along(germ.sf, F)
-    fu = tuple(c.du().truncate(ORDER) for c in F)
-    fv = tuple(c.dv().truncate(ORDER) for c in F)
-    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
-    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
-    nt = normal_jets(germ, u, ORDER - 1)
-    lhs = g.inner(fuu, nt).value()
-    rhs = eps * eps * g.inner(fvv, nt).value()
+    g = Along(germ.sf, f)
+    fuu = g.nabla(fu, fu, fuu)
+    fvv = g.nabla(fv, fv, fvv)
+    nt = _vals(normal_jets(germ, u, ORDER - 1))
+    lhs = g.inner(fuu, nt)
+    rhs = eps * eps * g.inner(fvv, nt)
     return abs(lhs - rhs) / (1.0 + abs(lhs)), eps
 
 
@@ -704,34 +711,31 @@ def project_to_limiting_tangent_plane(germ: MapGerm):
 def fundamental_forms(germ: MapGerm, at):
     """(E, F, G, L, M, N) of the germ in its space form at a regular point.
 
-    at = (u, v) may hold arrays (one germ.fjet call for all points, points
-    on an axis spliced in by the providers); each point is computed on its
-    own, bit for bit as a scalar call.  A singular point raises
+    The six forms are values, so they are computed from the values of the
+    germ's jets of order 2 (_second_order): floats at a point.  at = (u, v)
+    may hold arrays (one germ.fjet call for all points, points on an axis
+    spliced in by the providers), and each point is computed on its own,
+    bit for bit as a scalar call.  A singular point raises
     ClassificationError when at is a point, and gives NaN in its slots of
     all six forms when at holds arrays."""
     u, v = at
-    Fj = germ.fjet(u, v, 5)
-    g = Along(germ.sf, Fj)
-    fu = tuple(c.du().truncate(3) for c in Fj)
-    fv = tuple(c.dv().truncate(3) for c in Fj)
-    E, Fi, G = (g.inner(x, y).value() for x, y in ((fu, fu), (fu, fv), (fv, fv)))
+    f, fu, fv, fuu, fuv, fvv = _second_order(germ.fjet(u, v, 2))
+    g = Along(germ.sf, f)
+    E, Fi, G = (g.inner(x, y) for x, y in ((fu, fu), (fu, fv), (fv, fv)))
     n = g.cross(fu, fv)
     nsq = g.inner(n, n)
-    singular = np.asarray(nsq.value() <= 1e-18 * (1.0 + E * G))
-    if singular.any():
-        if singular.ndim == 0:
-            raise ClassificationError(f"singular point at {at}")
-        # |n|^2 = 1 carries singular slots through sqrt and division; NaN below
-        nsq.c[0] = np.where(singular, 1.0, nsq.c[0])
-    nn = jet_sqrt(nsq)
+    singular = np.asarray(nsq <= 1e-18 * (1.0 + E * G))
+    if singular.ndim == 0 and singular:
+        raise ClassificationError(f"singular point at {at}")
+    # |n|^2 = 1 carries singular slots through sqrt and division; NaN below
+    nn = np.sqrt(np.where(singular, 1.0, nsq))
     nu = tuple(c / nn for c in n)
-    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
-    fuv = g.nabla(fu, fv, tuple(c.du() for c in fv))
-    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
-    forms = (E, Fi, G) + tuple(g.inner(x, nu).value() for x in (fuu, fuv, fvv))
-    if singular.any():
-        forms = tuple(np.where(singular, np.nan, x) for x in forms)
-    return forms
+    fuu = g.nabla(fu, fu, fuu)
+    fuv = g.nabla(fu, fv, fuv)
+    fvv = g.nabla(fv, fv, fvv)
+    forms = (E, Fi, G) + tuple(g.inner(x, nu) for x in (fuu, fuv, fvv))
+    # + 0.0: a zero form comes out +0.0, as from the value slot of a jet product
+    return tuple(_float(np.where(singular, np.nan, x + 0.0)) for x in forms)
 
 
 def gaussian_curvature(germ: MapGerm, at):

@@ -6,6 +6,7 @@ import pytest
 from swallowkit import deform as dm
 from swallowkit.builder import (AsymptoticData, SwallowtailData, build,
                                 build_asymptotic, discriminants)
+from swallowkit.curves import FrenetPath
 from swallowkit.fields import Scaled, xi_frame
 from swallowkit.frontal import classify
 
@@ -214,6 +215,56 @@ def test_frenet_series_at_an_array_equals_scalar_calls(array_first):
 
 def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
+
+
+_SERIES_AT = FrenetPath._series_at
+
+
+def _frenet_memo_reads(monkeypatch, reads, order=3):
+    """Reads of FrenetPath.series at each u0 of reads in turn, on a fresh
+    march: for each read, the points that _series_at computed (each distinct
+    point one slot), and the slots of the read checked bit for bit against
+    a direct _series_at call at their point."""
+    path = _helix_interp().march([0.2, 0.5, 0.9])
+    real, computed = _SERIES_AT, []
+    monkeypatch.setattr(FrenetPath, "_series_at", lambda self, u0, o: (
+        computed.append((np.ravel(u0).tolist(), o)) or real(self, u0, o)))
+    out = []
+    for u0 in reads:
+        computed.clear()
+        got = path.series(u0, order)
+        for idx in np.ndindex(np.shape(u0)):
+            want = real(path, float(np.asarray(u0)[idx]), order + 1)
+            for a, b in zip(got, want, strict=True):
+                assert a.shape == (order + 1, 3) + np.shape(u0) + (3,)
+                np.testing.assert_array_equal(_bits(a[(slice(None),) * 2 + idx]),
+                                              _bits(b[:order + 1]))
+        out.append(list(computed))
+    return out
+
+
+def test_frenet_memo_array_after_its_scalar_point(monkeypatch):
+    """An array read after a scalar read at one of its points computes only
+    its other distinct points, in one _series_at call, one order up."""
+    u0 = np.array([0.0123, -0.05, 0.0123, 0.2])
+    assert _frenet_memo_reads(monkeypatch, [0.0123, u0]) == [
+        [([0.0123], 4)], [([-0.05, 0.2], 4)]]
+
+
+def test_frenet_memo_overlapping_arrays(monkeypatch):
+    """Of two overlapping array reads, the second computes only the points
+    the first did not; a read one order up computes its points again."""
+    a, b = np.array([-0.05, 0.03, 0.0]), np.array([0.03, 0.07, -0.05])
+    assert _frenet_memo_reads(monkeypatch, [a, b, b, b[:1]]) == [
+        [([-0.05, 0.0, 0.03], 4)], [([0.07], 4)], [], []]
+    assert _frenet_memo_reads(monkeypatch, [a, b], order=4)[1] == [([0.07], 5)]
+
+
+def test_frenet_memo_two_dimensional_u0_with_repeats(monkeypatch):
+    """A 2-D u0 with repeated values computes each distinct point once, and
+    each slot of the read holds its point's series."""
+    u0 = np.array([[0.1, -0.1, 0.1], [0.0, 0.1, -0.1]])
+    assert _frenet_memo_reads(monkeypatch, [u0, u0.T]) == [[([-0.1, 0.0, 0.1], 4)], []]
 
 
 def test_xi_interpolation_batch_columns_equal_lone_marches():

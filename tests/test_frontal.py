@@ -10,10 +10,10 @@ import pytest
 from swallowkit import frontal as fr
 from swallowkit.builder import (AsymptoticData, SwallowtailData, build,
                                 build_asymptotic, discriminants, extract_data)
-from swallowkit.fields import vjet
+from swallowkit.fields import Scaled, vjet
 from swallowkit.frontal import MapGerm, classify
-from swallowkit.jets import JetError
-from swallowkit.metric import DomainError, SpaceForm
+from swallowkit.jets import JetError, jet_sqrt
+from swallowkit.metric import Along, DomainError, SpaceForm
 
 from conftest import random_data
 
@@ -763,3 +763,158 @@ def test_public_invariants_equal_the_classify_report(ex217, fplus):
     assert len(reps) == 2 and reps[0].sigma_g_S != reps[1].sigma_g_S
     for j, rep in enumerate(reps):
         assert tuple(x[j] for x in per_slot) == fields(rep)
+
+
+# -- the second-order invariants against their jet route -------------------------
+#
+# fundamental_forms, sigma_g_C and epsilon_identity_residual read the values of
+# the germ's 2-jet.  The three functions below compute them as they were
+# computed before, by the jet operations on jets of orders 5 to 8, taking the
+# values at the end; they are the reference the value route must match bit for
+# bit, and stay here as such.
+
+def _jet_route_fundamental_forms(germ, at):
+    u, v = at
+    Fj = germ.fjet(u, v, 5)
+    g = Along(germ.sf, Fj)
+    fu = tuple(c.du().truncate(3) for c in Fj)
+    fv = tuple(c.dv().truncate(3) for c in Fj)
+    E, Fi, G = (g.inner(x, y).value() for x, y in ((fu, fu), (fu, fv), (fv, fv)))
+    n = g.cross(fu, fv)
+    nsq = g.inner(n, n)
+    singular = np.asarray(nsq.value() <= 1e-18 * (1.0 + E * G))
+    if singular.any():
+        if singular.ndim == 0:
+            raise fr.ClassificationError(f"singular point at {at}")
+        nsq.c[0] = np.where(singular, 1.0, nsq.c[0])
+    nn = jet_sqrt(nsq)
+    nu = tuple(c / nn for c in n)
+    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
+    fuv = g.nabla(fu, fv, tuple(c.du() for c in fv))
+    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
+    forms = (E, Fi, G) + tuple(g.inner(x, nu).value() for x in (fuu, fuv, fvv))
+    if singular.any():
+        forms = tuple(np.where(singular, np.nan, x) for x in forms)
+    return forms
+
+
+def _jet_route_sigma_g_C(germ, u):
+    F = germ.fjet(u, 0.0, 6)
+    g = Along(germ.sf, F)
+    fu = tuple(c.du().truncate(4) for c in F)
+    fv = tuple(c.dv().truncate(4) for c in F)
+    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
+    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
+    det = g.det(fu, fuu, fvv).value()
+    values = (det, fr._vals(fu), fr._vals(fuu), fr._vals(fvv))
+    slots = fr._slots(F, np.ndim(u))
+    if np.ndim(u) == 0:
+        return fr._per_slot(fr._sigma_g_C, slots, *values)
+    after = () if slots == [None] else (slice(None),)
+    return [fr._per_slot(fr._sigma_g_C, slots, *(fr._float(x[(..., i) + after]) for x in values))
+            for i in range(len(u))]
+
+
+def _jet_route_epsilon_identity_residual(germ, u):
+    df = fr._axis_derivatives(germ, u)
+    if fr._immersive(*df):
+        raise fr.ClassificationError(f"({u}, 0) is a regular point")
+    k, _ = fr._kernel(*df)
+    if abs(k[0]) < 1e-9:
+        raise fr.ClassificationError("null field has no d_u component; eps not resolvable")
+    eps = k[1] / k[0]
+    F = germ.fjet(u, 0.0, fr.ORDER + 2)
+    g = Along(germ.sf, F)
+    fu = tuple(c.du().truncate(fr.ORDER) for c in F)
+    fv = tuple(c.dv().truncate(fr.ORDER) for c in F)
+    fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
+    fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
+    nt = fr.normal_jets(germ, u, fr.ORDER - 1)
+    lhs = g.inner(fuu, nt).value()
+    rhs = eps * eps * g.inner(fvv, nt).value()
+    return abs(lhs - rhs) / (1.0 + abs(lhs)), eps
+
+
+def _hexed(x):
+    """x, a float, an int, an array or a tuple or list of them, with each
+    float written as its type and hex string (so -0.0 differs from 0.0) and
+    each array as its shape and the hex strings of its entries."""
+    if isinstance(x, (tuple, list)):
+        return [_hexed(y) for y in x]
+    if isinstance(x, np.ndarray):
+        return x.shape, [float(y).hex() for y in x.ravel()]
+    if isinstance(x, float):
+        return type(x).__name__, x.hex()
+    return x
+
+
+def _route_outcome(fn, *args):
+    try:
+        return _hexed(fn(*args))
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _second_order_germs():
+    """(label, germ, lone): ex217 at a in {-1, 0, 1}, a germ whose edge
+    determinant at u = 0 is a zero that the value route, left as it is,
+    would give as -0.0, a germ extracted from ex217 at a = 0 and a = 1, and
+    a batch over t of ex217 with b scaled by 1 - 2 t, whose jets at an
+    array point are (terms, point, t)."""
+    ex = build(SwallowtailData(xi=("2", "3*u", "0"), b=("0", "0", "1")))
+    out = [(f"ex217 a={a}", build(ex.data, a=a), True) for a in (-1.0, 0.0, 1.0)]
+    out.append(("signed zero", build(SwallowtailData(xi=("0-1", "u", "u^2"),
+                                                     b=("0", "0", "0-1"))), True))
+    out += [(f"extracted a={a}", build(extract_data(build(ex.data, a=a)), a=a), True)
+            for a in (0.0, 1.0)]
+    t = np.array([0.0, 0.25, 1.0])
+    batch = SwallowtailData.of(ex.data.xi, tuple(Scaled(c, 1.0 - 2.0 * t) for c in ex.data.b))
+    out += [(f"batch over t a={a}", build(batch, a=a), False) for a in (0.0, -1.0)]
+    return out
+
+
+def test_second_order_invariants_equal_their_jet_route():
+    """fundamental_forms, gaussian_curvature, sigma_g_C and
+    epsilon_identity_residual, from the values of the 2-jet, give bit for
+    bit (down to the sign of a zero) and type for type what the jet route
+    gives, or raise its error: at scalar points, at a (U, V) array point
+    with the singular axis in it, at an array of axis points with u = 0 in
+    it, on ex217 in the three models, on extracted germs and on a batch over
+    t; a lone germ's forms, K and sigma_g_C value at a point are floats."""
+    pts = [(0.05, 0.1), (-0.07, -0.04), (0.0, 0.12), (0.1, 0.0)]
+    U, V = np.meshgrid([-0.1, 0.0, 0.06], [0.0, 0.05, -0.15], indexing="ij")
+    axis = np.array([-0.06, 0.0, 0.03])
+    for label, germ, lone in _second_order_germs():
+        for p in pts + [(U, V)]:
+            got = _route_outcome(fr.fundamental_forms, germ, p)
+            assert got == _route_outcome(_jet_route_fundamental_forms, germ, p), (label, p)
+            if lone and np.ndim(p[0]) == 0 and not isinstance(got, str):
+                forms = fr.fundamental_forms(germ, p)
+                K, Kext = fr.gaussian_curvature(germ, p)
+                assert all(type(x) is float for x in forms + (K, Kext)), (label, p)
+        for u in list(axis) + [axis]:
+            got = _route_outcome(fr.sigma_g_C, germ, u)
+            assert got == _route_outcome(_jet_route_sigma_g_C, germ, u), (label, u)
+            if lone and np.ndim(u) == 0:
+                assert type(fr.sigma_g_C(germ, u)[1]) is float, (label, u)
+            if lone and np.ndim(u) == 0:
+                assert (_route_outcome(fr.epsilon_identity_residual, germ, u)
+                        == _route_outcome(_jet_route_epsilon_identity_residual, germ, u)), (label, u)
+
+
+def test_second_kind_data_builds_one_metric():
+    """At a second-kind origin of ex217 at a = 1, _second_kind_data builds
+    the model metric once, at order + 2, and hands it to normal_jets, whose
+    normal is bit for bit the one it computes with a metric of its own."""
+    germ = build(SwallowtailData(xi=("2", "3*u", "0"), b=("0", "0", "1")), a=1.0)
+    real, built = Along.__init__, []
+
+    def spy(self, sf, F):
+        built.append(F[0].order)
+        real(self, sf, F)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Along, "__init__", spy)
+        d = fr._second_kind_data(germ, order=4)
+    assert built == [6]
+    for a, b in zip(d["ntilde"], fr.normal_jets(germ, 0.0, 4), strict=True):
+        np.testing.assert_array_equal(a.c.view(np.int64), b.c.view(np.int64))

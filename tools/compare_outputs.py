@@ -98,6 +98,8 @@ CALLS = [
     ["invariants", "sfplus.json"],
     ["classify", "sfplus.json", "--at", "0.05,0.03"],
     ["mesh", "h217.json", "--domain=-0.3,0.3,-0.2,0.2", "--res=30,30", "--out", "h217.obj"],
+    # the K column at a = 1
+    ["mesh", "sfplus.json", "--domain=-0.3,0.3,-0.2,0.2", "--res=30,30", "--out", "sfplus.obj"],
     ["deform", "h217.json", "h217s.json", "--recipe", "A"],
     ["deform", "sfplus.json", "sfplus2.json", "--recipe", "D"],
     # exit 3: a corank-2 origin cannot be made admissible
