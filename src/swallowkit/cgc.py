@@ -18,6 +18,7 @@ curvature derivatives at (0, 1) are the classical swallowtail test values
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ import numpy as np
 from ._jettables import index_of, monomials
 from .fields import DenseOutput, components, horner, rk4_abscissae, rk4_step, step_ends
 from .frontal import MapGerm
-from .jets import Jet2, _apply_series, jet_cosh, jet_exp, jet_sinh, jet_sqrt
+from .jets import Jet2, JetError, _apply_series, jet_cosh, jet_exp, jet_sinh, jet_sqrt
 from .metric import SpaceForm
 
 
@@ -126,7 +127,11 @@ def solve_radial_ode(domain=(0.5, 1.6), step=0.05) -> RadialProfile:
 # ---------------------------------------------------------------------------
 
 class OmegaField:
-    """omega(u, v) = F(sqrt(u^2 + v^2)) with jets of any order."""
+    """omega(u, v) = F(sqrt(u^2 + v^2)).
+
+    The frame sweeps of reconstruct_surface read values and first partials
+    only, and read them from values (terms); the Gauss guard, the
+    swallowtail conditions and the parallel germ read jets (jet)."""
 
     def __init__(self, profile: RadialProfile):
         self.profile = profile
@@ -136,6 +141,22 @@ class OmegaField:
         uj = Jet2.variable("u", u, order, np.shape(u))
         vj = Jet2.variable("v", v, order, np.shape(u))
         return self.profile.jet(jet_sqrt(uj * uj + vj * vj))
+
+    def terms(self, u, v):
+        """(w, w_u, w_v, E = e^{2w}) at (u, v), which may be arrays of any
+        shapes that broadcast: F and F' at r = sqrt(s), s = u^2 + v^2, and
+        the chain rule, in the float expressions of the order-1 jet, so bit
+        for bit the value and first partials of jet(u, v, 1).  The + 0.0 is
+        the jet's too: the value slot of a jet product is summed from 0.0,
+        so it never gives -0.0."""
+        s = u * u + v * v
+        if np.any(s <= 0.0):
+            raise JetError("sqrt of jet with non-positive constant term")
+        r = np.sqrt(s)
+        F0, Fp0 = self.profile.at(r)
+        dr = (r * 0.5) / s
+        w = F0 + 0.0
+        return w, Fp0 * (dr * (u + u)) + 0.0, Fp0 * (dr * (v + v)) + 0.0, np.exp(2 * w)
 
 
 def _principal(w):
@@ -194,20 +215,32 @@ def check_swallowtail_conditions(forms: FundamentalForms):
 # Reconstruction by the frame equations
 # ---------------------------------------------------------------------------
 
-def write_rows(out, fmt, table):
-    """Write a (blocks, rows, columns) table to out, each row formatted by the
-    %-format fmt; one string per block, so the file is never held whole."""
+def format_rows(fmt, table):
+    """The rows of a (blocks, rows, columns) table, each formatted by the
+    %-format fmt: one string per block, made as it is asked for."""
     for block in table:
-        out.write((fmt * len(block)) % tuple(block.ravel().tolist()))
+        yield (fmt * len(block)) % tuple(block.ravel().tolist())
 
 
-def write_obj(path, points):
-    """Write an (m, n, 3) grid of points as an OBJ quad mesh, row by row."""
+def write_rows(out, fmt, table):
+    """Write a table to out by format_rows, so the file is never held whole."""
+    out.writelines(format_rows(fmt, table))
+
+
+def write_obj(path, points, *more):
+    """Write an (m, n, 3) grid of points as an OBJ quad mesh, row by row.
+    more holds further (path, points) pairs, grids of the same shape: each
+    row of the face block is formatted once and written to every file."""
+    grids = [(path, points), *more]
     m, n = points.shape[:2]
     a = np.arange(1, m * n + 1).reshape(m, n)[:-1, :-1]
-    with open(path, "w") as out:
-        write_rows(out, "v %.9g %.9g %.9g\n", points)
-        write_rows(out, "f %d %d %d %d\n", np.stack([a, a + n, a + n + 1, a + 1], axis=-1))
+    with contextlib.ExitStack() as stack:
+        outs = [stack.enter_context(open(p, "w")) for p, _ in grids]
+        for out, (_, pts) in zip(outs, grids):
+            write_rows(out, "v %.9g %.9g %.9g\n", pts)
+        for row in format_rows("f %d %d %d %d\n", np.stack([a, a + n, a + n + 1, a + 1], axis=-1)):
+            for out in outs:
+                out.write(row)
 
 
 @dataclass
@@ -246,12 +279,6 @@ class SurfaceGrid:
             write_rows(out, ",".join(["%.9g"] * 9) + "\n", np.stack(cols, axis=-1))
 
 
-def _omega_terms(j):
-    """(w, w_u, w_v, E = e^{2w}) from a first-order jet of omega."""
-    w = np.asarray(j.value())
-    return w, np.asarray(j.partial(1, 0)), np.asarray(j.partial(0, 1)), np.exp(2 * w)
-
-
 def _base_frame(om, u, v):
     """(f, f_u, f_v, nu) at (u, v) placed at the origin: f_u and f_v of length
     e^w along the first two axes, nu the third."""
@@ -282,22 +309,32 @@ def _sweep(rhs, coeffs, xs, i0, y0):
     """States at every node of xs, marched by RK4 of y' = rhs(y, *coefficients
     at x) from y0 at xs[i0] out to both ends, four steps per interval.
 
-    Each interval lists its steps first; coeffs(x) then gives the
-    coefficients at every abscissa x those steps read, each once, as arrays
-    along the first axis, in one call, and the right-hand side reads that
-    table.  A table per interval, not per sweep, keeps the call small."""
+    The two legs, toward the last node and toward the first, march as one
+    batch on a last axis of legs while both have an interval left, with one
+    step length per leg: rk4_step is elementwise, so each leg steps bit for
+    bit as it would alone.  The rest of the longer leg marches alone, on a
+    leg axis of one.  Each pair of intervals lists its steps first; coeffs(x)
+    then gives the coefficients at every abscissa those steps read, x of
+    shape (abscissae, legs), each once, in one call, as arrays along the
+    first axis with the legs last, and the right-hand side reads that table.
+    A table per pair of intervals, not per sweep, keeps the call small."""
     out = [None] * len(xs)
     out[i0] = y0
-    for end, d in ((len(xs) - 1, 1), (0, -1)):
-        y = y0
-        for i in range(i0, end, d):
-            h = (xs[i + d] - xs[i]) / 4
-            steps = [(xs[i] + k * h, h) for k in range(4)]
-            at = rk4_abscissae(steps)
-            table = dict(zip(at, zip(*coeffs(np.array(at)))))
-            for x, s in steps:
-                y = rk4_step(lambda a, st: rhs(st, *table[a]), x, y, s)
-            out[i + d] = y
+    d = np.array([1, -1])
+    left = np.array([len(xs) - 1 - i0, i0])      # intervals of each leg
+    y = np.stack([y0, y0], axis=-1)
+    for k in range(left.max()):
+        if left.min() == k:                      # the shorter leg is done
+            d, left, y = d[left > k], left[left > k], y[..., left > k]
+        i = i0 + k * d
+        h = (xs[i + d] - xs[i]) / 4
+        steps = [(xs[i] + j * h, h) for j in range(4)]
+        at = rk4_abscissae(steps)
+        table = dict(zip(at, zip(*coeffs(np.array(at)))))
+        for x, s in steps:
+            y = rk4_step(lambda a, st: rhs(st, *table[tuple(a.tolist())]), x, y, s)
+        for leg, dl in enumerate(d):
+            out[i0 + (k + 1) * dl] = y[..., leg]
     return out
 
 
@@ -305,9 +342,11 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
                         res=(201, 201)) -> SurfaceGrid:
     """Integrate the frame equations over the grid: along the spine from the
     grid point nearest SWALLOWTAIL_POINT, then every column from the spine
-    at once, states vectorized over u.  The coefficients (w, w_u, w_v, L or
-    N, E) of each grid interval come from one array call of omega (see
-    _sweep).
+    at once, states vectorized over u; each sweep marches its two legs out
+    of the base as one batch (see _sweep).  The coefficients (w, w_u, w_v,
+    L or N, E) are values: those of each pair of grid intervals come from
+    one array call of OmegaField.terms, and no jet of omega is built for
+    them.  The guard reads jets of omega.
 
     Guard: the Gauss residual, which is the sinh-Gordon residual of omega
     times -e^{-2w}, is sampled first; reconstruction refuses to run on
@@ -331,12 +370,12 @@ def reconstruct_surface(forms: FundamentalForms, window=(-0.5, 0.5, 0.6, 1.4),
     b0 = int(np.argmin(np.abs(us - bu)))
 
     def coeffs_u(u):
-        w, wu, wv, E = _omega_terms(om.jet(u, np.full_like(u, vspine), 1))
+        w, wu, wv, E = om.terms(u, vspine)
         return w, wu, wv, np.exp(w) * np.cosh(w), E
 
     def coeffs_v(v):
-        V, U = np.meshgrid(v, us, indexing="ij")
-        w, wu, wv, E = _omega_terms(om.jet(U, V, 1))
+        # (abscissae, u nodes, legs)
+        w, wu, wv, E = om.terms(us[:, None], v[:, None, :])
         return w, wu, wv, np.exp(w) * np.sinh(w), E
 
     spine = np.stack(_sweep(_gw_rhs_u, coeffs_u, us, b0, _base_frame(om, bu, vspine)),

@@ -215,8 +215,7 @@ def cmd_cgc(args):
     Kdev = float(np.percentile(np.abs(K[mask] - 1.0), 95))
     rep = fr.classify(cgcmod.ParallelGerm(om).as_germ(), at=cgcmod.SWALLOWTAIL_POINT)
     out_prefix = args.out_prefix
-    cgcmod.write_obj(out_prefix + "_cmc.obj", grid.f)
-    cgcmod.write_obj(out_prefix + "_k1.obj", par.f)
+    cgcmod.write_obj(out_prefix + "_cmc.obj", grid.f, (out_prefix + "_k1.obj", par.f))
     l1, l2 = grid.principal
     Ks, Hs = grid.curvatures
     grid.write_csv(out_prefix + "_cmc.csv", K=Ks, H=Hs, l1=l1, l2=l2)

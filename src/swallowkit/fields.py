@@ -126,8 +126,10 @@ def rk4_step(f, x, y, h):
 def rk4_abscissae(steps):
     """The distinct abscissae that rk4_step reads over the steps (x, h), in
     the order it first reads them: x, x + h/2 and x + h, by its own float
-    expressions, so a table keyed by them answers every one of its reads."""
-    return list(dict.fromkeys(a for x, h in steps for a in (x, x + h / 2, x + h)))
+    expressions, so a table keyed by them answers every one of its reads.
+    x and h are 1-D arrays of one shape, one slot per march of a batch, and
+    each abscissa is the tuple of its slots."""
+    return list(dict.fromkeys(tuple(a.tolist()) for x, h in steps for a in (x, x + h / 2, x + h)))
 
 
 def step_count(x0, end, h):

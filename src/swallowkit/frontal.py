@@ -250,8 +250,11 @@ def _kind(fu, fv):
 
 
 def point_kind(germ: MapGerm):
-    """'regular' | 'first' | 'second' at the origin."""
-    return _kind(*_axis_derivatives(germ, 0.0))
+    """'regular' | 'first' | 'second' at the origin, or a list of them, one
+    per slot of a batched germ."""
+    F = germ.fjet(0.0, 0.0, 2)
+    _, fu, fv, *_ = _second_order(F)
+    return _per_slot(_kind, _slots(F), np.array(fu), np.array(fv))
 
 
 def _eps_field_jets(germ: MapGerm, u):
@@ -633,22 +636,31 @@ def _sigma_g_C(det, fu, fuu, fvv):
 
 
 def epsilon_identity_residual(germ: MapGerm, u):
-    """Residual of <f_uu, nu~> = eps^2 <f_vv, nu~> at the singular point (u,0)."""
-    f, fu, fv, fuu, _, fvv = _second_order(germ.fjet(u, 0.0, 2))
-    df = np.array(fu), np.array(fv)
-    if _immersive(*df):
-        raise ClassificationError(f"({u}, 0) is a regular point")
-    k, _ = _kernel(*df)
-    if abs(k[0]) < 1e-9:
-        raise ClassificationError("null field has no d_u component; eps not resolvable")
-    eps = k[1] / k[0]
+    """Residual of <f_uu, nu~> = eps^2 <f_vv, nu~> at the singular point (u,0):
+    (residual, eps), or a list of them, one per slot of a batched germ, each
+    that of the slot's germ alone."""
+    F = germ.fjet(u, 0.0, 2)
+    f, fu, fv, fuu, _, fvv = _second_order(F)
+    slots = _slots(F)
+    # [()]: a float for a lone germ, an array over the slots of a batch
+    eps = np.array(_per_slot(partial(_eps, u), slots, np.array(fu), np.array(fv)))[()]
     g = Along(germ.sf, f)
     fuu = g.nabla(fu, fu, fuu)
     fvv = g.nabla(fv, fv, fvv)
     nt = _vals(normal_jets(germ, u, ORDER - 1))
     lhs = g.inner(fuu, nt)
     rhs = eps * eps * g.inner(fvv, nt)
-    return abs(lhs - rhs) / (1.0 + abs(lhs)), eps
+    return _per_slot(lambda r, e: (r, e), slots, abs(lhs - rhs) / (1.0 + abs(lhs)), eps)
+
+
+def _eps(u, fu, fv):
+    """eps of the null field d_u + eps d_v at the singular point (u, 0)."""
+    if _immersive(fu, fv):
+        raise ClassificationError(f"({u}, 0) is a regular point")
+    k, _ = _kernel(fu, fv)
+    if abs(k[0]) < 1e-9:
+        raise ClassificationError("null field has no d_u component; eps not resolvable")
+    return k[1] / k[0]
 
 
 def limit_normal_at_second_kind(germ: MapGerm, probes=(0.01, -0.01)):
@@ -805,8 +817,15 @@ def make_admissible(germ: MapGerm, at):
     T = np.array([gv, -gu]) / gn
     Nv = np.array([gu, gv]) / gn
 
+    solved = {}
+
     def offset_at(s0):
-        """Value c0 and Taylor series of c about s0 (c_k for k >= 1)."""
+        """Value c0 of c at s0, by Newton's method on lambda along N.  It
+        depends on s0 alone, so it is solved once per s0 (a zero by its sign
+        too) for the life of the change of coordinates."""
+        key = (s0, math.copysign(1.0, s0))
+        if key in solved:
+            return solved[key]
         c0 = 0.0
         for _ in range(80):
             p = (at[0] + s0 * T[0] + c0 * Nv[0], at[1] + s0 * T[1] + c0 * Nv[1])
@@ -818,6 +837,7 @@ def make_admissible(germ: MapGerm, at):
             c0 -= step
             if abs(step) < 1e-15:
                 break
+        solved[key] = c0
         return c0
 
     def change(s0, t0, o):

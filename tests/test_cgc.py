@@ -191,10 +191,43 @@ def test_reconstruction_frame_orthogonality(small_grid):
     assert np.max(np.abs(np.sum(small_grid.fu ** 2, axis=2) - E) / E) < 1e-4
 
 
+def _omega_terms(j):
+    """(w, w_u, w_v, E = e^{2w}) from a first-order jet of omega: the jet
+    route that OmegaField.terms matches bit for bit."""
+    w = np.asarray(j.value())
+    return w, np.asarray(j.partial(1, 0)), np.asarray(j.partial(0, 1)), np.exp(2 * w)
+
+
+def _bits(x):
+    return np.atleast_1d(np.asarray(x, dtype=float)).view(np.int64)
+
+
+def test_omega_terms_equal_the_order_1_jet(omega):
+    """OmegaField.terms, from F and F' at r, is bit for bit (down to the sign
+    of a zero) the value and first partials of omega's order-1 jet: at
+    random points, at u = 0 and u = -0.0, v = +-0.0, scalar, on arrays of one
+    shape and on arrays that broadcast."""
+    rng = np.random.default_rng(32)
+    U, V = rng.uniform(-0.6, 0.6, 400), rng.uniform(0.5, 1.5, 400)
+    U[:20], U[20:40] = 0.0, -0.0
+    U[40:60], V[40:50], V[50:60] = rng.uniform(0.5, 1.2, 20), 0.0, -0.0
+    cases = [(U, V), (U.reshape(20, 20), V.reshape(20, 20))]
+    cases += [(float(u), float(v)) for u, v in zip(U[::10], V[::10])]
+    for u, v in cases:
+        for got, want in zip(omega.terms(u, v), _omega_terms(omega.jet(u, v, 1)), strict=True):
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(_bits(got), _bits(want)), (u, v)
+    u, v = U[:7, None], V[None, 100:103]
+    want = _omega_terms(omega.jet(*np.broadcast_arrays(u, v), 1))
+    for got, w in zip(omega.terms(u, v), want, strict=True):
+        assert np.array_equal(_bits(got), _bits(w))
+
+
 def _reference_march(forms, window, res, base=(0.0, 1.0), nsub=4):
-    """(f, fu, fv, nu) on the grid by RK4 of the frame equations with omega
-    called once per abscissa: a scalar call on the spine v = base[1], one
-    call over the u nodes per v on the columns, memoised by abscissa."""
+    """(f, fu, fv, nu) on the grid by RK4 of the frame equations, each leg of
+    each sweep alone, with the coefficients from omega's order-1 jet called
+    once per abscissa: a scalar call on the spine v = base[1], one call over
+    the u nodes per v on the columns, memoised by abscissa."""
     om = forms.omega
     us = np.linspace(window[0], window[1], res[0])
     vs = np.linspace(window[2], window[3], res[1])
@@ -206,10 +239,10 @@ def _reference_march(forms, window, res, base=(0.0, 1.0), nsub=4):
     def coeffs(x, on_spine):
         if (x, on_spine) not in memo:
             if on_spine:
-                w, wu, wv, E = cgc._omega_terms(om.jet(x, vspine, 1))
+                w, wu, wv, E = _omega_terms(om.jet(x, vspine, 1))
                 memo[x, on_spine] = w, wu, wv, np.exp(w) * np.cosh(w), E
             else:
-                w, wu, wv, E = cgc._omega_terms(om.jet(us, np.full_like(us, x), 1))
+                w, wu, wv, E = _omega_terms(om.jet(us, np.full_like(us, x), 1))
                 memo[x, on_spine] = w, wu, wv, np.exp(w) * np.sinh(w), E
         return memo[x, on_spine]
 
@@ -232,28 +265,52 @@ def _reference_march(forms, window, res, base=(0.0, 1.0), nsub=4):
 
 
 def test_reconstruction_evaluates_omega_once_per_abscissa(forms, monkeypatch):
-    """One omega call per grid interval of each sweep, every abscissa of the
-    interval's RK4 steps in it once; the grid is bit for bit the march that
-    calls omega once per abscissa.  The base is off centre in u and v, so the
-    two legs of each sweep differ in length."""
+    """One OmegaField.terms call per pair of grid intervals of each sweep,
+    the two legs out of the base as one batch while both last, then the
+    longer leg alone, every abscissa pair of the RK4 steps in it once; no
+    order-1 jet of omega; the grid is bit for bit the march of each leg
+    alone that calls omega's jet once per abscissa.  The base is off centre
+    in u and v, so the two legs of each sweep differ in length."""
     window, res = (-0.1, 0.2, 0.92, 1.1), (21, 17)
-    calls = []
-    jet = cgc.OmegaField.jet
+    calls, orders = [], []
+    terms, jet = cgc.OmegaField.terms, cgc.OmegaField.jet
 
-    def counted(self, u, v, order):
-        if order == 1:      # the frame coefficients; the guard reads orders 0 and 2
-            calls.append((np.array(u), np.array(v)))
+    def counted(self, u, v):
+        calls.append(np.broadcast_arrays(u, v))
+        return terms(self, u, v)
+
+    def ordered(self, u, v, order):
+        orders.append(order)
         return jet(self, u, v, order)
 
-    monkeypatch.setattr(cgc.OmegaField, "jet", counted)
+    monkeypatch.setattr(cgc.OmegaField, "terms", counted)
+    monkeypatch.setattr(cgc.OmegaField, "jet", ordered)
     grid = cgc.reconstruct_surface(forms, window=window, res=res)
     monkeypatch.undo()
-    spine = [u for u, v in calls if u.ndim == 1]
-    cols = [v[:, 0] for u, v in calls if u.ndim == 2]
-    assert len(spine) == res[0] - 1 and len(cols) == res[1] - 1
+    # the base (0, 1) is node 7 of 21 in u and node 7 of 17 in v: legs of
+    # 13 and 7 intervals on the spine, 9 and 7 on the columns
+    spine = [u for u, v in calls if u.ndim == 2]
+    cols = [v[:, 0, :] for u, v in calls if u.ndim == 3]
     assert len(calls) == len(spine) + len(cols)
+    assert [x.shape[1] for x in spine] == [2] * 7 + [1] * 6
+    assert [x.shape[1] for x in cols] == [2] * 7 + [1] * 2
     for xs in spine + cols:
-        assert np.unique(xs).size == xs.size
+        assert len(set(map(tuple, xs.tolist()))) == len(xs)
+    assert 1 not in orders
+    for got, want in zip((grid.f, grid.fu, grid.fv, grid.nu), _reference_march(forms, window, res)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("window, res", [
+    ((-0.1, 0.1, 0.9, 1.1), (11, 11)),       # legs of equal length
+    ((-0.2, 0.4, 0.75, 1.3), (33, 57)),      # unequal legs, the u leg longer on the right
+    ((-0.3, 0.3, 1.0, 1.3), (41, 31)),       # base on the edge v = 1: one column leg empty
+    ((0.0, 0.3, 0.7, 1.0), (15, 13)),        # base in a corner: one leg of each sweep empty
+])
+def test_reconstruction_equals_the_march_of_each_leg_alone(forms, window, res):
+    """The batched legs, the longer leg's rest and an empty leg give bit for
+    bit the grid of the march that steps each leg alone."""
+    grid = cgc.reconstruct_surface(forms, window=window, res=res)
     for got, want in zip((grid.f, grid.fu, grid.fv, grid.nu), _reference_march(forms, window, res)):
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
@@ -318,6 +375,51 @@ def test_parallel_germ_classifies_as_swallowtail(omega):
     rep = fr.classify(germ, at=(0.0, 1.0))
     assert rep.kind == "second"
     assert rep.is_wavefront and rep.is_swallowtail
+
+
+def test_make_admissible_solves_the_singular_curve_once_per_s0(omega, monkeypatch):
+    """classify of the parallel germ calls make_admissible's change of
+    coordinates at 15 points with 9 distinct s0; the Newton solve of c(s0),
+    the change's only reads of the germ at order 2, runs at the first call
+    of each s0 only, and the report is that of a fresh solve at every call."""
+    real = fr.make_admissible
+
+    def classified(fresh):
+        germ = cgc.ParallelGerm(omega).as_germ()
+        reads, log = [], []
+        fjet = germ.fjet
+        germ.fjet = lambda u, v, order=fr.ORDER: (reads.append(order), fjet(u, v, order))[1]
+
+        def spied(g, at):
+            work = real(g, at)
+            change = work._change
+
+            def counted(s0, t0, o):
+                n = reads.count(2)
+                out = (real(g, at)._change if fresh else change)(s0, t0, o)
+                log.append((s0, reads.count(2) - n))
+                return out
+            work._change = counted
+            return work
+
+        monkeypatch.setattr(fr, "make_admissible", spied)
+        rep = fr.classify(germ, at=cgc.SWALLOWTAIL_POINT)
+        monkeypatch.undo()
+        return repr(rep), log
+
+    rep, log = classified(fresh=False)
+    first = {}
+    for s0, _ in log:
+        first.setdefault(s0, len(first))
+    assert len(log) == 15 and len(first) == 9
+    seen = set()
+    for s0, solves in log:
+        assert (solves > 0) == (s0 not in seen), s0
+        seen.add(s0)
+    fresh_rep, fresh_log = classified(fresh=True)
+    assert [s0 for s0, _ in fresh_log] == [s0 for s0, _ in log]
+    assert all(n > 0 for _, n in fresh_log)
+    assert rep == fresh_rep
 
 
 def _rk4_frame(omega, base, u, v, step=2e-3):
@@ -402,7 +504,9 @@ def _write_csv_loop(grid, path, K=None, H=None, l1=None, l2=None):
 
 def test_block_writers_equal_the_per_value_loops(tmp_path):
     """write_obj and write_csv are byte for byte the per-value loops on a
-    non-square grid holding nan, +-inf, -0.0 and extreme magnitudes."""
+    non-square grid holding nan, +-inf, -0.0 and extreme magnitudes; so is
+    each file of a write_obj call that writes two grids, sharing the face
+    block."""
     rng = np.random.default_rng(7)
     special = [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, -1e-300, 1e300, -1e300]
 
@@ -423,6 +527,11 @@ def test_block_writers_equal_the_per_value_loops(tmp_path):
     new, old = tmp_path / "new", tmp_path / "old"
     cgc.write_obj(new, f)
     _write_obj_loop(old, f)
+    assert sha(new) == sha(old)
+    other = tmp_path / "other"
+    cgc.write_obj(new, f[::-1], (other, f))
+    assert sha(other) == sha(old)
+    _write_obj_loop(old, f[::-1])
     assert sha(new) == sha(old)
     assert old.read_text().count("\nf ") == (m - 1) * (n - 1)
     for cols in ({"K": K, "H": H, "l1": l1, "l2": l2}, {"H": H, "l2": l2}, {}):

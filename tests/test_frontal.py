@@ -728,6 +728,41 @@ def test_classify_batch_equals_its_slots_alone(at):
     assert repr(classify(_batch_of([germs["swallowtail"]]), at=at)[0]) == alone["swallowtail"]
 
 
+def _hex_results(x):
+    """A result or a list of them, each float as its hex string."""
+    if isinstance(x, (tuple, list)):
+        return [_hex_results(y) for y in x]
+    return float(x).hex() if isinstance(x, float) else x
+
+
+def test_point_kind_and_epsilon_identity_residual_per_slot_of_a_batch():
+    """On a batched germ, point_kind and epsilon_identity_residual give one
+    result per slot, each bit for bit that of the slot's germ alone: a batch
+    of two swallowtail germs (and, for point_kind, a cuspidal edge and an
+    immersion too), and ex217 with b scaled over t at a = 0 and a = -1; a
+    regular slot raises the error of its germ alone."""
+    tails = [MapGerm.from_exprs(e) for e in (("u^2+2*v", "u^3+3*u*v", "v^2"),
+                                             ("u^2+2*v", "u^3+3*u*v", "2*v^2+u*v^2"))]
+    kinds = tails + [MapGerm.from_exprs(_BRANCHES[n]) for n in ("cuspidal edge", "regular")]
+    assert fr.point_kind(_batch_of(kinds)) == [fr.point_kind(g) for g in kinds]
+    assert fr.point_kind(_batch_of(kinds)) == ["second", "second", "first", "regular"]
+    ex = build(SwallowtailData(xi=("2", "3*u", "0"), b=("0", "0", "1"))).data
+    t = np.array([0.0, 0.25, 1.0])
+    scaled = SwallowtailData.of(ex.xi, tuple(Scaled(c, 1.0 - 2.0 * t) for c in ex.b))
+    cases = [(_batch_of(tails), tails)]
+    cases += [(build(scaled, a=a), [build(SwallowtailData.of(ex.xi, tuple(Scaled(c, 1.0 - 2.0 * tt)
+                                                                         for c in ex.b)), a=a)
+                                    for tt in t]) for a in (0.0, -1.0)]
+    for batch, alone in cases:
+        for u in (0.0, 0.05, -0.1):
+            got = fr.epsilon_identity_residual(batch, u)
+            assert len(got) == len(alone)
+            assert (_hex_results(got)
+                    == _hex_results([fr.epsilon_identity_residual(g, u) for g in alone])), u
+    with pytest.raises(fr.ClassificationError, match="regular point"):
+        fr.epsilon_identity_residual(_batch_of(tails + kinds[3:]), 0.0)
+
+
 def test_a_batch_error_is_that_of_its_first_slot_alone():
     """An error that the common-path batch raises as a whole, here the
     model-domain error of a swallowtail outside the a = -1 ball, does not

@@ -61,6 +61,8 @@ CALLS = [
     ["cgc", "--grid", "61,41", "--window=-0.3,0.3,0.8,1.2", "--out-prefix", "small"],
     # base (0, 1) off centre in both directions: each sweep's two legs differ in length
     ["cgc", "--grid", "33,57", "--window=-0.2,0.4,0.75,1.3", "--out-prefix", "asym"],
+    # base (0, 1) on the window's edge v = 1: the column sweep has one leg only
+    ["cgc", "--grid", "41,31", "--window=-0.3,0.3,1.0,1.3", "--out-prefix", "edge"],
     ["mesh", "ex217.json", "--domain=-0.3,0.3,-0.2,0.2", "--res=60,60", "--out", "mesh.obj"],
     ["classify", "ex217.json"],
     ["classify", "ex217.json", "--at", "0.05,0.03"],
