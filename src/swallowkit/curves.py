@@ -332,7 +332,7 @@ FRENET_ORDER = 8        # degree of the Taylor polynomial of one Frenet step
 FRENET_TOL = 1e-8       # bound on the last two terms of a step's frame series
 FRENET_MAX_STEPS = 100_000  # most steps times columns one march may take
 KAPPA_CHECK = 5e-4      # finest spacing of the kappa/tau check grid
-CHECK_BLOCK = 1024      # most check points read by one provider call
+CHECK_BLOCK = 2048      # most check points read by one provider call
 
 
 @dataclass
@@ -348,6 +348,16 @@ class FrenetData:
         if isinstance(self.tau, str):
             self.tau = parse(self.tau)
         self.frame0 = np.asarray(self.frame0, dtype=float)
+
+
+def march_steps(interval, h):
+    """The ends of the steps of h that a FrenetPath on interval marches out
+    of 0 before any split, toward its left end and toward its right one
+    (step_ends), and the starts of those steps, each once: 0 starts both
+    marches."""
+    a, b = interval
+    ends = step_ends(0.0, a, -h), step_ends(0.0, b, h)
+    return ends, np.concatenate([[0.0], ends[0][:-1], ends[1][:-1]])
 
 
 def _frenet_series(Y, kser, tser, u0, order):
@@ -408,8 +418,11 @@ class FrenetPath:
     checked on a grid of spacing max(KAPPA_CHECK, data.step / 50), both ends
     included, by one order-0 array read of (kappa, tau) (fields.vjet) per
     equal block of at most CHECK_BLOCK points, which bound the memory of
-    the check; it is scanned from 0 out to the right end and then to the
-    left one, and an error names the first bad abscissa.
+    the check; the 1,201 points of a default xi-interpolation march
+    (deform.XiInterpolation) are one block, so one read.  The grid is
+    scanned from 0 out to the right end and then to the left one, and an
+    error names the first bad abscissa.  The kappa and tau series at the
+    starts of the steps (march_steps) are one more array read.
 
     Every step is elementwise across the columns, so a column steps bit for
     bit as it would alone when the batch takes the steps it takes alone: a
@@ -439,27 +452,26 @@ class FrenetPath:
                              f"more than {budget}")
         self._check_kappa_tau(a, b, max(KAPPA_CHECK, h / 50))
         Y0 = np.concatenate([frame0[0], frame0[1], frame0[2], np.zeros((6, n))])
-        self.dense = DenseOutput.of_marches(
-            self._march(Y0, (step_ends(0.0, a, -h), step_ends(0.0, b, h)), budget - count))
+        self.dense = DenseOutput.of_marches(self._march(Y0, *march_steps(interval, h),
+                                                        budget - count))
         self._series = BoundedCache()
 
-    def _march(self, Y0, ends, budget):
+    def _march(self, Y0, ends, starts, budget):
         """The (start, end, coefficient rows) of each step of the marches from
-        0 out through ends[0] and through ends[1].  A step longer than its
-        series admits (_admissible_step) is split into equal steps that it
-        does admit, each checked again at its own start.  The kappa and tau
-        series at the starts in ends come from one array read of (kappa,
-        tau), and those at the starts of a split from one more.  A
-        split beyond budget steps, or series that admit no step, is a
-        CurveError."""
+        0 out through ends[0] and through ends[1] (march_steps).  A step
+        longer than its series admits (_admissible_step) is split into equal
+        steps that it does admit, each checked again at its own start.  The
+        kappa and tau series at the starts of the steps come from one array
+        read of (kappa, tau), and those at the starts of a split from one
+        more.  A split beyond budget steps, or series that admit no step, is
+        a CurveError."""
         series = {}
 
         def add_starts(us):
             kser, tser = self._kappa_tau_series(us, FRENET_ORDER - 1)
             series.update((x, (kser[:, i], tser[:, i])) for i, x in enumerate(us.tolist()))
 
-        # the series at the step starts, each once: 0 starts both marches
-        add_starts(np.concatenate([[0.0], ends[0][:-1], ends[1][:-1]]))
+        add_starts(starts)
         marches = []
         for side in ends:
             out, u, Y, todo = [], 0.0, Y0, side.tolist()[::-1]

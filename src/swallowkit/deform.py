@@ -31,8 +31,9 @@ from .builder import (AsymptoticData, SwallowtailData, _derivative, build, discr
                       flip_data, gamma_from_xi, normal_field)
 from ._jettables import term_count
 from .curves import (CurveGerm, FrenetColumn, FrenetData, FrenetPath, HalfArclength,
-                     curvature_torsion_of)
-from .fields import JetFn, Scaled, components, cusp_frame, slot_weight, vjet, xi_frame
+                     curvature_torsion_of, march_steps)
+from .fields import (JetFn, Scaled, _Component, components, cusp_frame, slot_weight, vjet,
+                     xi_frame)
 from .frontal import sgn
 from .jets import Jet2, compose2, parse
 from .metric import det3, dot
@@ -198,9 +199,6 @@ class _UnitXiData:
         self.b = tuple(bcomp(k) for k in range(3))
         self.gamma = self.H.gamma_hat()
 
-    def as_data(self):
-        return SwallowtailData.of(self.xi, self.b, self.gamma)
-
 
 def _normal_split(xi, b):
     """Providers (x3, tangential part) of b = x3 xi x xi' + tangential part:
@@ -234,6 +232,66 @@ def _kappa_tau(xi, u, v, order):
     """The (kappa, tau) jets of the unit field xi at u: the function of an
     endpoint's provider."""
     return curvature_torsion_of(xi, u, order)
+
+
+def _union_us():
+    """The u at which a certificate reads the endpoint fields of an
+    XiInterpolation, each once, ascending: the starts of the march's steps,
+    the axis reads of classify (frontal._AXIS_READ_US and the origin), the
+    AXIS_SAMPLES of sigma_g_C and the u of the PROBES."""
+    starts = march_steps(XiInterpolation.INTERVAL, FrenetData.step)[1]
+    return np.unique(np.concatenate([starts, fr._AXIS_READ_US, AXIS_SAMPLES,
+                                     [u for u, _ in PROBES]]))
+
+
+# the highest order a certificate reads the endpoint (kappa, tau) at:
+# classify's normal_jets reads the germ, so the interior xi, at the origin at
+# fr.ORDER + 2, and the Frenet series memo computes one order above a read
+# (FrenetPath.series); curvature_torsion_of reads xi two orders above that
+_UNION_ORDER = fr.ORDER + 3
+
+
+class _UnionJets(JetFn):
+    """A JetFn of a function of u alone, whatever v it is read at, that reads
+    the union of the points a certificate asks (_union_us()) once.
+
+    Its first read at an order >= 1 computes its jets at every point of the
+    union at the order top, in one array call kept for the life of the
+    provider; a read whose points all lie in the union, at an order up to
+    top, is answered from it by slicing and truncation, which holds the bits
+    of a direct call (fields.BoundedCache).  Any other read is computed at
+    its own order, as a JetFn computes it: the order-0 check grid of a march,
+    the starts of a split step, a point off the union.  A racing thread at
+    worst computes the union twice."""
+
+    def __init__(self, fn, top):
+        super().__init__(fn)
+        self._top = top
+        self._union = None          # ({u: slot}, jets at top)
+
+    def jet(self, u, v, order):
+        union = self._union
+        if union is None and order:
+            us = _union_us()
+            union = self._union = ({x: i for i, x in enumerate(us.tolist())},
+                                   super().jet(us, 0.0, self._top))
+        if union is not None and order <= self._top:
+            slots = [union[0].get(x) for x in np.ravel(u).tolist()]
+            if None not in slots:
+                n = term_count(order)
+                return tuple(Jet2(order, j.c[:n, slots].reshape((n,) + np.shape(u)), j.u_only)
+                             for j in union[1])
+        return super().jet(u, v, order)
+
+
+def _endpoint_providers(xi):
+    """The providers of an endpoint field xi of an XiInterpolation, each
+    reading the union once: the three components of xi, read there two
+    orders above _UNION_ORDER (curvature_torsion_of reads them so), and the
+    (kappa, tau) of those, read there at _UNION_ORDER."""
+    whole = _UnionJets(lambda u, v, order: vjet(xi, u, v, order), _UNION_ORDER + 2)
+    xi_u = tuple(_Component(whole, k) for k in range(3))
+    return xi_u, _UnionJets(partial(_kappa_tau, xi_u), _UNION_ORDER)
 
 
 def _initial_frame(xi):
@@ -282,19 +340,30 @@ class XiInterpolation:
     The kappa and tau of a batch are the two components of one provider,
     which takes a float u or an array of them, with the t axis after the
     axes of u.  The endpoint (kappa, tau) jets behind it do not depend on
-    t, so they come from one JetFn per endpoint field, shared by every
+    t, so they come from one provider per endpoint field, shared by every
     batch, and an array u reads them once for all its points.
+
+    The endpoint fields xi and their (kappa, tau) are read through the
+    union of the points that a certificate asks (_UnionJets): the march's
+    step starts, classify's axis reads, sigma_g_C's AXIS_SAMPLES and the u
+    of the K PROBES.  The first read of each at an order >= 1 computes it at
+    all of them, at the highest order a certificate asks, and every later
+    read there is a slice.  So a certificate reads the (kappa, tau) of each
+    endpoint field in two curvature_torsion_of calls: the order-0 check grid
+    of the march (FrenetPath), one call, and the union.  A stage with no
+    interior t marches nothing and reads no (kappa, tau).  The end stages
+    of Theorem A read their unit fields through the same providers, and the
+    spliced slots t = 0 and t = 1 of every batch read them too.
     """
 
     INTERVAL = (-0.3, 0.3)
 
     def __init__(self, xi1, xi2, gammas=(None, None)):
-        self.xi = (xi1, xi2)
         self.gammas = gammas
-        R1, R2 = (_initial_frame(xi) for xi in self.xi)
+        R1, R2 = (_initial_frame(xi) for xi in (xi1, xi2))
         self.w = _rotation_log(R1.T @ R2)
         self.R1 = R1
-        self.kt = tuple(JetFn(partial(_kappa_tau, xi)) for xi in self.xi)
+        self.xi, self.kt = zip(*(_endpoint_providers(xi) for xi in (xi1, xi2)))
 
     def kappa_tau(self, t):
         """Providers of kappa and tau of the paths at the array t: the two
@@ -374,7 +443,9 @@ def deform_theorem_A(d1: SwallowtailData, d2: SwallowtailData, a: float = 0.0):
         notes.append("both endpoints flipped (u,v) -> (-u,-v) to normalize sigma0_S = +1")
 
     n1, n2 = _UnitXiData(d1), _UnitXiData(d2)
-    e1, e2 = n1.as_data(), n2.as_data()
+    interp = XiInterpolation(n1.xi, n2.xi, gammas=(n1.gamma, n2.gamma))
+    # the end stages read the unit fields through the interpolation's union too
+    e1, e2 = (SwallowtailData.of(xi, n.b, n.gamma) for xi, n in zip(interp.xi, (n1, n2)))
     notes.append("endpoints reparametrized to unit cusp fields (half-arclength)")
 
     x31, tang1 = _normal_split(e1.xi, e1.b)
@@ -387,8 +458,6 @@ def deform_theorem_A(d1: SwallowtailData, d2: SwallowtailData, a: float = 0.0):
     def gen_stage3(t):
         b = tuple(_combine((1.0, e2.b[k]), (-(1.0 - t), tang2[k])) for k in range(3))
         return SwallowtailData.of(e2.xi, b, gamma=e2.gamma)
-
-    interp = XiInterpolation(e1.xi, e2.xi, gammas=(e1.gamma, e2.gamma))
 
     def gen_stage2(t):
         xi_t, gamma_t = interp.fields(t)

@@ -82,12 +82,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import Jet2
+from .jets import CACHE_BOUND, Jet2
 from ._jettables import index_of, monomials
 from .metric import cross
 
 
-CACHE_BOUND = 256
 _MISS = object()
 
 # Gauss-Legendre nodes and weights on [-1, 1]: every integral of the package
@@ -228,7 +227,8 @@ def _truncate(out, order):
 
 class BoundedCache:
     """The one cache policy of the providers: a dict cleared, whole, once it
-    holds more than CACHE_BOUND entries.
+    holds more than CACHE_BOUND entries (jets._FLAT_BINS keeps the same
+    rule).
 
     value() memoises a plain value per key.  put_jets() stores a jet, a
     series array or a tuple of them, computed at some order; jets() answers

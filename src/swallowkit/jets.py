@@ -75,11 +75,16 @@ def backend_name() -> str:
 # Jet arithmetic
 # ---------------------------------------------------------------------------
 
+# the bound of every memo of the package: a memo that holds more entries is
+# cleared whole before it takes the next (fields.BoundedCache)
+CACHE_BOUND = 256
+
 # flat (bin, column) indices of _bin_sum, per (id of a bins table, columns),
 # for batches of up to _FLAT_COLUMNS columns, such as the t of a certificate
 # stage, where building them costs as much as the sum; the tables are the
 # lru-cached arrays of _jettables, alive for good.  Wider arrays (grids of
-# points) build theirs per call, a small share of their sum.
+# points) build theirs per call, a small share of their sum.  Bounded by the
+# rule of fields.BoundedCache.
 _FLAT_BINS = {}
 _FLAT_COLUMNS = 64
 
@@ -99,6 +104,8 @@ def _bin_sum(bins, prod, nbins):
     if flat is None:
         flat = (bins[:, None] * n + np.arange(n)).ravel()
         if n <= _FLAT_COLUMNS:
+            if len(_FLAT_BINS) > CACHE_BOUND:
+                _FLAT_BINS.clear()
             _FLAT_BINS[id(bins), n] = flat
     return np.bincount(flat, prod.ravel(), minlength=nbins * n).reshape((nbins,) + prod.shape[1:])
 

@@ -248,23 +248,25 @@ def test_frenet_dense_output_is_bit_continuous_at_every_node():
             assert np.array_equal(path.state(x).view(np.int64), below.view(np.int64)), x
 
 
+class _Counting:
+    """Provider of an expression that records the (u, order) of each read."""
+
+    def __init__(self, text, calls):
+        self.expr, self.calls = parse(text), calls
+
+    def jet(self, u, v, order):
+        self.calls.append((np.array(u), order))
+        return self.expr.jet(u, v, order)
+
+
 def test_frenet_step_starts_read_one_array_call_of_each_provider():
     """The march reads the check grid at order 0, both providers an equal
     block of at most CHECK_BLOCK points at a time, then the kappa and tau series
     at every step start, each start once, in one array call of each
     provider; the steps, none of them split here, call neither."""
     calls = []
-
-    class Counting:
-        def __init__(self, text):
-            self.expr = parse(text)
-
-        def jet(self, u, v, order):
-            calls.append((np.array(u), order))
-            return self.expr.jet(u, v, order)
-
-    path = integrate_frenet(FrenetData(kappa=Counting("2+u"), tau=Counting("u"), step=0.02),
-                            (-0.3, 0.5)).path
+    path = integrate_frenet(FrenetData(kappa=_Counting("2+u", calls), tau=_Counting("u", calls),
+                                       step=0.02), (-0.3, 0.5)).path
     blocks = [len(b) for b in np.array_split(np.arange(1601), -(-1601 // CHECK_BLOCK))]
     assert [(np.shape(u), o) for u, o in calls] == (
         [((m,), 0) for m in blocks for _ in range(2)] + [((39,), 7)] * 2)
@@ -274,6 +276,21 @@ def test_frenet_step_starts_read_one_array_call_of_each_provider():
     starts = calls[-1][0]
     assert np.unique(starts).size == starts.size
     assert set(starts) == set(path.dense.starts)
+
+
+@pytest.mark.parametrize("interval, blocks", [(XiInterpolation.INTERVAL, [1201]),
+                                             ((-0.6, 0.6), [1201, 1200])])
+def test_frenet_check_grid_is_read_in_equal_blocks(interval, blocks):
+    """The order-0 check grid of spacing 5e-4 is one read of each provider
+    on the interval of an xi-interpolation march, and equal blocks of at
+    most CHECK_BLOCK points, in the order of the grid, on a longer one."""
+    calls = []
+    integrate_frenet(FrenetData(kappa=_Counting("2+u", calls), tau=_Counting("u", calls)),
+                     interval)
+    grid = [u for u, o in calls if o == 0]
+    assert [len(u) for u in grid] == [m for m in blocks for _ in range(2)]
+    assert max(blocks) <= CHECK_BLOCK
+    assert np.array_equal(np.concatenate(grid[::2]), np.concatenate(grid[1::2]))
 
 
 def test_frenet_unit_speed():

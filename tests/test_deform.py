@@ -132,6 +132,94 @@ def test_xi_interpolation_shares_endpoint_jets(monkeypatch):
         np.testing.assert_array_equal(a.c, b.c)
 
 
+def _spy_kappa_tau(monkeypatch):
+    """(id of the field, shape of u, order) of every curvature_torsion_of
+    call of deform, in order."""
+    real, calls = dm.curvature_torsion_of, []
+
+    def spy(xi, u, order=3):
+        calls.append((id(xi), np.shape(u), order))
+        return real(xi, u, order)
+    monkeypatch.setattr(dm, "curvature_torsion_of", spy)
+    return calls
+
+
+def _theorem_families(d217, dplus):
+    """(family, predicate, tracked sign) of one Theorem A and one Theorem D
+    certificate, each with one xi-interpolation stage."""
+    famD = dm.deform_theorem_D(dplus, rotated_asym(0.4, "0.05", 2.0), preserve_sign=True)
+    return [(dm.deform_theorem_A(d217, rotated_scaled_217()), "generic_swallowtail", None),
+            (famD, "asymptotic_swallowtail", famD.kext_sign)]
+
+
+def test_certificate_reads_each_endpoint_field_twice(monkeypatch, d217, dplus):
+    """A certificate of 21 steps reads the (kappa, tau) of each endpoint
+    field of its xi-interpolation in two curvature_torsion_of calls: the
+    march's order-0 check grid, one block, and the union of the points the
+    certificate asks, at the highest order asked."""
+    for fam, predicate, sign in _theorem_families(d217, dplus):
+        calls = _spy_kappa_tau(monkeypatch)
+        cert = dm.certify(fam, predicate, steps=21, track_kext_sign=sign)
+        assert cert.passed, cert.failures
+        fields = sorted({f for f, _, _ in calls})
+        assert len(fields) == 2
+        for f in fields:
+            assert [(s, o) for g, s, o in calls if g == f] == [
+                ((1201,), 0), (dm._union_us().shape, dm._UNION_ORDER)]
+
+
+def test_certify_of_two_steps_reads_no_kappa_tau(monkeypatch, d217, dplus):
+    """A stage with no interior t marches nothing, so a certificate of
+    t = 0 and t = 1 alone makes no curvature_torsion_of call."""
+    calls = _spy_kappa_tau(monkeypatch)
+    for fam, predicate, sign in _theorem_families(d217, dplus):
+        assert dm.certify(fam, predicate, steps=2, track_kext_sign=sign).passed
+    assert calls == []
+
+
+def test_endpoint_union_reads_equal_direct_calls():
+    """Every read of the union of an endpoint field and of its (kappa, tau),
+    at each of its points alone and at all of them as one array, at each
+    order up to the union's, equals bit for bit a direct read on a fresh
+    field at that order: vjet for the field, curvature_torsion_of for its
+    (kappa, tau)."""
+    from swallowkit.curves import curvature_torsion_of
+    from swallowkit.fields import vjet
+    us = dm._union_us()
+    xi, kt = dm._endpoint_providers(_fresh_unit_xi().xi)
+    kt.jet(0.0, 0.0, 1)                         # the first read at order >= 1
+    for read, direct, top in (
+            (lambda u, o: vjet(xi, u, 0.0, o), lambda f, u, o: vjet(f, u, 0.0, o),
+             dm._UNION_ORDER + 2),
+            (lambda u, o: kt.jet(u, 0.0, o), curvature_torsion_of, dm._UNION_ORDER)):
+        for order in range(top + 1):
+            fresh = _fresh_unit_xi().xi
+            arr = read(us, order)
+            for i, u in enumerate(us.tolist()):
+                for got, a, w in zip(read(u, order), arr, direct(fresh, u, order), strict=True):
+                    assert got.order == a.order == order
+                    np.testing.assert_array_equal(_bits(got.c), _bits(w.c), err_msg=f"{u} {order}")
+                    np.testing.assert_array_equal(_bits(a.c[:, i]), _bits(w.c))
+
+
+def test_endpoint_kappa_tau_off_the_union_is_computed_at_its_order(monkeypatch):
+    """A read with a point off the union, or above the union's order, is
+    computed at its own order, and equals a direct call on a fresh field."""
+    from swallowkit.curves import curvature_torsion_of
+    calls = _spy_kappa_tau(monkeypatch)
+    xi, kt = dm._endpoint_providers(_fresh_unit_xi().xi)
+    assert len(kt.jet(0.0, 0.0, 0)) == 2 and calls == [(id(xi), (), 0)]
+    kt.jet(0.0, 0.0, 2)
+    assert calls[1:] == [(id(xi), dm._union_us().shape, dm._UNION_ORDER)]
+    top = dm._UNION_ORDER + 1
+    for u, order in ((0.0123, 3), (np.array([0.0, 0.0123]), 4), (0.0, top)):
+        del calls[:]
+        got = kt.jet(u, 0.0, order)
+        assert calls == [(id(xi), np.shape(u), order)]
+        for a, w in zip(got, curvature_torsion_of(_fresh_unit_xi().xi, u, order), strict=True):
+            np.testing.assert_array_equal(_bits(a.c), _bits(w.c))
+
+
 def _fresh_unit_xi(xi=("2", "3*u", "0"), b=("0", "0", "1")):
     """Half-arclength normalization of the flipped data, with empty memos."""
     from swallowkit.builder import flip_data

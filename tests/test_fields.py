@@ -172,13 +172,18 @@ def _made_admissible():
     return make_admissible(MapGerm.from_exprs(("u", "2*v^3+u*v", "3*v^4+u*v^2")), (0.0, 0.0))
 
 
+def _unit_xi_endpoint():
+    n = dm._UnitXiData(_D217)
+    return build(SwallowtailData.of(n.xi, n.b, n.gamma))
+
+
 _LONE_GERMS = {
     "built": lambda: _extracted(0),
     "extracted-once": lambda: _extracted(1),
     "extracted-twice": lambda: _extracted(2),
     "asymptotic": lambda: build(_DPLUS),
     "asymptotic-of-extracted": _asymptotic_of_extracted,
-    "unit-xi-endpoint": lambda: build(dm._UnitXiData(_D217).as_data()),
+    "unit-xi-endpoint": _unit_xi_endpoint,
     "theorem-A-xi-interpolation": _theorem_A_interpolation,
     "theorem-D-normal-form": lambda: _theorem_D_stage(0),
     "theorem-D-xi-interpolation": lambda: _theorem_D_stage(1),

@@ -44,6 +44,22 @@ def test_flat_sum_depth_bound():
         parse("u" + "*u" * (MAX_NESTING + 1))
 
 
+def test_flat_bins_memo_is_bounded():
+    """The flat indices of batched products are kept for at most
+    CACHE_BOUND + 1 (bins table, width) pairs, cleared whole as a
+    BoundedCache is, and a product after the clear keeps its bits."""
+    from swallowkit.jets import CACHE_BOUND
+    rng = np.random.default_rng(3)
+    a, b = (Jet2(4, rng.standard_normal((15, 3))) for _ in range(2))
+    before = (a * b).c
+    for order in range(1, 9):
+        for width in range(1, 65):
+            x = Jet2(order, np.ones(((order + 1) * (order + 2) // 2, width)))
+            x * x
+            assert len(jets._FLAT_BINS) <= CACHE_BOUND + 1
+    assert np.array_equal((a * b).c.view(np.int64), before.view(np.int64))
+
+
 def test_unknown_identifier():
     with pytest.raises(ParseError, match="unknown identifier 'w'"):
         parse("w + 1")

@@ -3,6 +3,7 @@
     python3 tools/bench_pairs.py --base DIR --head DIR --workload W
                                  --seeds 11-20 --out BENCH_<n>.json [--trace]
     python3 tools/bench_pairs.py --base DIR --head DIR --kernels --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --base DIR --head DIR --tier1 --out BENCH_<n>.json
 
 For each seed it runs the unmodified ``perfbench/run.py --workload W --seed S
 --seconds 10`` once in each checkout, alternating which side runs first, and
@@ -19,8 +20,12 @@ coefficients and for a pair built from ``Jet2.variable("u")``; each the best
 of 11 repeats in a process, and the least of those over KERNEL_RUNS
 processes per side, run alternately, since the host's slow spells last
 longer than one process.  They use the public Jet2 API only, so any checkout
-can be timed.  The file also records the commit of each checkout and the
-host.
+can be timed.  With --tier1 it records, under "tier1", each side's L6: the
+wall time of the tier-1 command (``python -m pytest -q
+--continue-on-collection-errors`` with the checkout's src on the path, run in
+the checkout) over TIER1_RUNS runs per side, run alternately, with each run's
+exit code and pytest summary line, and the least wall time per side.  The
+file also records the commit of each checkout and the host.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 
 import numpy
 
@@ -81,6 +87,32 @@ def _kernels(root):
     return json.loads(out.stdout.strip().splitlines()[-1])
 
 
+TIER1_RUNS = 3
+
+
+def _tier1(root):
+    """Wall time, exit code and pytest summary line of one tier-1 run."""
+    src = os.path.join(os.path.abspath(root), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    t0 = time.perf_counter()
+    out = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"],
+                         cwd=root, env=env, capture_output=True, text=True, timeout=3600)
+    wall = time.perf_counter() - t0
+    lines = out.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit": out.returncode, "summary": lines[-1] if lines else ""}
+
+
+def _alternately(args, measure, n):
+    """{side: [measure(checkout) of each run]}, n runs per side, alternating
+    which side runs first."""
+    runs = {"base": [], "head": []}
+    for i in range(n):
+        for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
+            runs[side].append(measure(getattr(args, side)))
+    return runs
+
+
 def _commit(root):
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=root, capture_output=True, text=True)
     return out.stdout.strip() or None
@@ -102,9 +134,11 @@ def main(argv=None) -> int:
                    help="also record one traced run per side (per-layer metrics)")
     p.add_argument("--kernels", action="store_true",
                    help="record each side's L0 kernel times (microseconds per call)")
+    p.add_argument("--tier1", action="store_true",
+                   help="record each side's tier-1 wall time (L6)")
     args = p.parse_args(argv)
-    if not args.kernels and not (args.workload and args.seeds):
-        p.error("give --workload and --seeds, or --kernels")
+    if not (args.kernels or args.tier1) and not (args.workload and args.seeds):
+        p.error("give --workload and --seeds, --kernels or --tier1")
 
     doc = json.load(open(args.out)) if os.path.exists(args.out) else {}
     doc["base_commit"], doc["head_commit"] = _commit(args.base), _commit(args.head)
@@ -112,12 +146,14 @@ def main(argv=None) -> int:
                    "python": platform.python_version(), "numpy": numpy.__version__,
                    "system": platform.platform()}
     if args.kernels:
-        runs = {"base": [], "head": []}
-        for i in range(KERNEL_RUNS):
-            for side in (("base", "head") if i % 2 == 0 else ("head", "base")):
-                runs[side].append(_kernels(getattr(args, side)))
+        runs = _alternately(args, _kernels, KERNEL_RUNS)
         doc["kernels"] = {"unit": "us per call", "runs": KERNEL_RUNS, **{
             side: {k: min(r[k] for r in rs) for k in rs[0]}
+            for side, rs in runs.items()}}
+    if args.tier1:
+        runs = _alternately(args, _tier1, TIER1_RUNS)
+        doc["tier1"] = {"runs": TIER1_RUNS, **{
+            side: {"wall_s": min(r["wall_s"] for r in rs), "each": rs}
             for side, rs in runs.items()}}
     if args.workload:
         doc.setdefault("workloads", {})[args.workload] = _pairs(args)

@@ -84,6 +84,8 @@ CALLS = [
     # the xi-interpolation marches its 2 and 4 interior t as one batch
     ["deform", "ex217.json", "ex217s.json", "--recipe", "A", "--steps", "4"],
     ["deform", "fplus.json", "fplus2.json", "--recipe", "D", "--steps", "6"],
+    # t = 0 and 1 alone: an xi-interpolation stage with no interior t marches nothing
+    ["deform", "fplus.json", "fplus2.json", "--recipe", "D", "--steps", "2"],
     # negatively curved: the sqrt(1 - t) weights of the to-negative-normal-form stage
     ["deform", "fminus.json", "fminus2.json", "--recipe", "D"],
     ["deform", "fminus.json", "fminus2.json", "--recipe", "D", "--steps", "6"],
