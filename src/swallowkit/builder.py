@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 
 from .fields import (CurveIntegral, DU, FlipU, JetFn, Scaled, components, cusp_frame,
-                     over_u, over_v, vjet, xi_frame)
+                     over_v, vjet, xi_frame, xi_over_u)
 from .frontal import MapGerm, _immersive, sgn
 from .jets import (ZERO, Add, Const, Expr, Jet2, Mul, Pow, V, as_expr, compose2, diff, fold,
                    integrate_u_times, parse)
@@ -108,19 +108,16 @@ class AsymptoticData:
         """Same germ as (xi, b) with b = q xi' + v r."""
         dxi = tuple(_derivative(c) for c in self.xi)
         q, r = self.q, self.r
-
-        def bk(k):
-            def fn(u, v, order):
-                vj = Jet2.variable("v", v, order, np.shape(u))
-                return (q.jet(u, v, order) * dxi[k].jet(u, v, order)
-                        + vj * r[k].jet(u, v, order))
-            return JetFn(fn)
-
         if all(isinstance(c, Expr) for c in (*self.xi, self.q, *self.r)):
             b = tuple(fold(Add(Mul(self.q, dxi[k]), Mul(V, self.r[k]))) for k in range(3))
-        else:
-            b = tuple(bk(k) for k in range(3))
-        return SwallowtailData.of(self.xi, b, self.gamma)
+            return SwallowtailData.of(self.xi, b, self.gamma)
+
+        def fn(u, v, order):
+            vj = Jet2.variable("v", v, order, np.shape(u))
+            qj = q.jet(u, v, order)
+            return tuple(qj * d.jet(u, v, order) + vj * rk
+                         for d, rk in zip(dxi, vjet(r, u, v, order)))
+        return SwallowtailData.of(self.xi, components(fn), self.gamma)
 
 
 def _derivative(comp):
@@ -146,14 +143,13 @@ def build(data, a: float = 0.0) -> MapGerm:
                                Mul(Pow(V, 2), gen.b[k]))) for k in range(3))
         return MapGerm.from_exprs(comps, sf=sf, data=data)
 
-    def comp(k):
-        def fn(u, v, order):
-            vj = Jet2.variable("v", v, order, np.shape(u))
-            return (gamma[k].jet(u, v, order) + vj * gen.xi[k].jet(u, v, order)
-                    + vj * vj * gen.b[k].jet(u, v, order))
-        return JetFn(fn)
+    def fn(u, v, order):
+        vj = Jet2.variable("v", v, order, np.shape(u))
+        vv = vj * vj
+        gj, xj, bj = (vjet(vec, u, v, order) for vec in (gamma, gen.xi, gen.b))
+        return tuple(gj[k] + vj * xj[k] + vv * bj[k] for k in range(3))
 
-    return MapGerm(tuple(comp(k) for k in range(3)), sf=sf, data=data)
+    return MapGerm(components(fn), sf=sf, data=data)
 
 
 def build_asymptotic(data: AsymptoticData, a: float = 0.0,
@@ -228,7 +224,7 @@ def normal_on_axis(data):
 # Inverse problems: extract data, convert to asymptotic form
 # ---------------------------------------------------------------------------
 
-def _gamma_jet(germ, k, f00_k, u, v, order):
+def _gamma_jet(germ, f00, u, v, order):
     """gamma(u) = f(u, 0) - f(0, 0), the germ's own axis curve.
 
     The extraction providers read f(u, 0) at one ledger of orders: b at
@@ -236,12 +232,8 @@ def _gamma_jet(germ, k, f00_k, u, v, order):
     o + 4.  gamma reads f at that top order, so build's first read at a
     point computes f(u, 0) once for gamma, xi, alpha and b; the others are
     answered from the germ's memo by truncation, which is exact."""
-    return germ.fjet(u, 0.0, order + 4)[k].axis_part().truncate(order) - f00_k
-
-
-def _xi_jet(germ, k, u, v, order):
-    """xi(u) = gamma'(u) / u of the germ's axis curve gamma(u) = f(u, 0)."""
-    return over_u(germ.fjet(u, 0.0, order + 2)[k].axis_part().du(), u)
+    return tuple(c.axis_part().truncate(order) - c0
+                 for c, c0 in zip(germ.fjet(u, 0.0, order + 4), f00))
 
 
 def _alpha_jet(germ, xi, u, v, order):
@@ -253,29 +245,31 @@ def _alpha_jet(germ, xi, u, v, order):
     return dot(a_axis, xj) / dot(xj, xj)
 
 
-def _b_jet(germ, alpha, k, u, w, order):
+def _b_jet(germ, alpha, u, w, order):
     """b in the normalized coordinates (v replaced by v alpha(u)).  u and w
     may be arrays of one shape; the points v = 0 are spliced in by over_v."""
     K = order + 2
     aj = alpha.jet(u, 0.0, K)
     v_here = w / aj.value()
-    # b~(u, v) = (a(u,v) - a(u,0)) / v with a = (f - gamma)/v; gamma(u) and
-    # a(u, 0) are u-only, read from the jet at (u, 0)
-    F0 = germ.fjet(u, 0.0, K)[k]
-    gamma = F0.axis_part()
-    a0 = over_v(F0 - gamma, 0.0)
-    if np.ndim(v_here) == 0 and v_here == 0.0:
-        a_full = a0
-    else:
-        a_full = over_v(germ.fjet(u, v_here, K)[k] - gamma, v_here)
-    btilde = over_v(a_full - a0.axis_part(), v_here)
-    # compose with v = w / alpha(u): U = u-var, V = w-var / alpha
-    o = btilde.order
-    uj = Jet2.variable("u", u, o, np.shape(u))
-    wj = Jet2.variable("v", w, o, np.shape(u))
-    Vin = wj / aj.truncate(o)
-    out = compose2(btilde.c, o, uj, Vin)
-    return (out / (aj.truncate(out.order) * aj.truncate(out.order))).truncate(order)
+    on_axis = np.ndim(v_here) == 0 and v_here == 0.0
+    # compose with v = w / alpha(u): U = u-var, V = w-var / alpha, at the
+    # order of b~, two below K (each over_v takes one)
+    a_o = aj.truncate(order)
+    uj = Jet2.variable("u", u, order, np.shape(u))
+    Vin = Jet2.variable("v", w, order, np.shape(u)) / a_o
+    a2 = a_o * a_o
+    F0 = germ.fjet(u, 0.0, K)
+    F = F0 if on_axis else germ.fjet(u, v_here, K)
+    out = []
+    for f0, f in zip(F0, F):
+        # b~(u, v) = (a(u,v) - a(u,0)) / v with a = (f - gamma)/v; gamma(u)
+        # and a(u, 0) are u-only, read from the jet at (u, 0)
+        gamma = f0.axis_part()
+        a0 = over_v(f0 - gamma, 0.0)
+        a_full = a0 if on_axis else over_v(f - gamma, v_here)
+        btilde = over_v(a_full - a0.axis_part(), v_here)
+        out.append(compose2(btilde.c, order, uj, Vin) / a2)
+    return tuple(out)
 
 
 def _dv_du(F):
@@ -315,18 +309,17 @@ def extract_data(germ: MapGerm) -> SwallowtailData:
             raise BuildError(f"not admissible: f_v(u,0) not parallel to xi(u) at u={uu}"
                              f" (residual {np.linalg.norm(c):.3g})")
 
-    xi = tuple(JetFn(partial(_xi_jet, germ, k)) for k in range(3))
+    xi = xi_over_u(germ.fjet)
     alpha = JetFn(partial(_alpha_jet, germ, xi))
     a0val = alpha.jet(0.0, 0.0, 0).value()
     if abs(a0val) < 1e-10:
         raise BuildError("degenerate extraction: alpha(0) = 0")
-    b = tuple(JetFn(partial(_b_jet, germ, alpha, k)) for k in range(3))
-    f00 = [c.value() for c in F0]
-    return SwallowtailData.of(xi, b, tuple(JetFn(partial(_gamma_jet, germ, k, f00[k]))
-                                           for k in range(3)))
+    b = components(partial(_b_jet, germ, alpha))
+    f00 = tuple(c.value() for c in F0)
+    return SwallowtailData.of(xi, b, components(partial(_gamma_jet, germ, f00)))
 
 
-def _r_jet(data, p, q, k, u, w, order):
+def _r_jet(data, p, q, u, w, order):
     """r(u, w) = (f(u, v(w)) - gamma - w xi - w^2 q xi') / w^3, with
     f - gamma = v xi + v^2 b, so gamma is never evaluated.  u and w may be
     arrays of one shape."""
@@ -348,17 +341,17 @@ def _r_jet(data, p, q, k, u, w, order):
         Vj = Vj - (Wv - wj) / dW
     xj = vjet(data.xi, u, 0.0, K)
     dxj = tuple(c.du() for c in vjet(data.xi, u, 0.0, K + 1))
-    # f(u, v(w)) - gamma(u) assembled from the data, with b composed through v(w)
-    bj = data.b[k].jet(u, v0, K)
-    bj = compose2(bj.c, K, uj.truncate(K), Vj.truncate(K))
-    o = bj.order
-    Vo = Vj.truncate(o)
     qj = q.jet(u, 0.0, K)
-    core = (Vo * xj[k].truncate(o) + Vo * Vo * bj - wj.truncate(o) * xj[k].truncate(o)
-            - wj.truncate(o) * wj.truncate(o) * qj.truncate(o) * dxj[k].truncate(o))
-    for _ in range(3):
-        core = over_v(core, w, tol=1e-7)
-    return core.truncate(order)
+    # f(u, v(w)) - gamma(u) assembled from the data, with b composed through
+    # v(w); every jet here is of order K, and each division by w takes one
+    vv, wwq = Vj * Vj, wj * wj * qj
+    out = []
+    for x, dx, b in zip(xj, dxj, vjet(data.b, u, v0, K)):
+        core = Vj * x + vv * compose2(b.c, K, uj, Vj) - wj * x - wwq * dx
+        for _ in range(3):
+            core = over_v(core, w, tol=1e-7)
+        out.append(core)
+    return tuple(out)
 
 
 def convert_to_asymptotic_form(data: SwallowtailData) -> AsymptoticData:
@@ -379,21 +372,14 @@ def convert_to_asymptotic_form(data: SwallowtailData) -> AsymptoticData:
     if worst > 1e-8:
         raise BuildError(f"b(u,0) leaves span(xi, xi') (worst residual {worst:.3g} at u={worst_u})")
 
-    def coef(which):
-        def fn(u, v, order):
-            xj, dx, n = cusp_frame(data.xi, u, order)
-            bj = tuple(c.axis_part() for c in vjet(data.b, u, 0.0, order))
-            den = det3(xj, dx, n)
-            if which == "q":
-                return det3(xj, bj, n) / den
-            return det3(bj, dx, n) / den
-        return JetFn(fn)
+    def qp(u, v, order):
+        xj, dx, n = cusp_frame(data.xi, u, order)
+        bj = tuple(c.axis_part() for c in vjet(data.b, u, 0.0, order))
+        den = det3(xj, dx, n)
+        return det3(xj, bj, n) / den, det3(bj, dx, n) / den
 
-    q = coef("q")
-    p = coef("p")
-
-    r = tuple(JetFn(partial(_r_jet, data, p, q, k)) for k in range(3))
-    return AsymptoticData.of(data.xi, q, r, data.gamma)
+    q, p = components(qp, 2)
+    return AsymptoticData.of(data.xi, q, components(partial(_r_jet, data, p, q)), data.gamma)
 
 
 # ---------------------------------------------------------------------------

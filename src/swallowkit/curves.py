@@ -17,10 +17,10 @@ from functools import partial
 import numpy as np
 
 from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components,
-                     gauss_legendre, horner, over_u, step_count, step_ends, vjet,
-                     xi_frame)
+                     gauss_legendre, horner, step_count, step_ends, vjet, xi_frame,
+                     xi_over_u)
 from .frontal import sgn
-from .jets import Jet2, compose2, jet_sqrt, p1_invert, parse
+from .jets import Jet2, compose2, jet_sqrt, parse
 from .metric import det3, dot
 
 
@@ -63,14 +63,6 @@ class CuspClass:
     indeterminate: bool = False
 
 
-class _XiFromGamma:
-    def __init__(self, curve, k):
-        self.curve, self.k = curve, k
-
-    def jet(self, u, v, order):
-        return over_u(self.curve.gamma[self.k].jet(u, 0.0, order + 2).axis_part().du(), u)
-
-
 def factor_cusp(curve: CurveGerm) -> CuspFactorization:
     """xi with gamma'(u) = u xi(u); requires gamma'(0) = 0."""
     gj = curve.jets(0.0, 2)
@@ -78,7 +70,7 @@ def factor_cusp(curve: CurveGerm) -> CuspFactorization:
     scale = np.linalg.norm([c.partial(2, 0) for c in gj]) + 1.0
     if np.linalg.norm(gp0) > 1e-10 * scale:
         raise CurveError(f"gamma'(0) = {tuple(gp0)} != 0: not a singular curve point")
-    return CuspFactorization(xi=tuple(_XiFromGamma(curve, k) for k in range(3)))
+    return CuspFactorization(xi=xi_over_u(partial(vjet, curve.gamma)))
 
 
 def classify_cusp(fact: CuspFactorization) -> CuspClass:
@@ -131,7 +123,7 @@ class _PhiTable:
     goes through it as a one-element array.  Every method taking u or t
     also takes an array of them (one jet per point).
 
-    The jet of t(u) at u0 is the series reversion (jets.p1_invert) of
+    The jet of t(u) at u0 is the series reversion (Jet2.reversion) of
     u(t0 + s) - u0, whose coefficient k comes from the first k of that
     series only.  So every jet here is truncation-exact: asked at order
     N + 1 and cut to N, it holds the bits of the call at N.  The table
@@ -246,7 +238,7 @@ class _PhiTable:
         t0 = self.t_of_u(u0)
         us = self._u_series(t0, max(order, 1))  # order 0 keeps the domain checks
         us[0] = 0.0                            # shift: series of u(t0+s) - u0
-        tser = p1_invert(us)[:order + 1]
+        tser = Jet2.of_series(us).reversion().series()[:order + 1]
         tser[0] = t0
         return Jet2.of_series(tser)
 
@@ -281,16 +273,14 @@ class HalfArclength:
         return self._t_jets.jet(u0, 0.0, order)
 
     def gamma_hat(self):
-        t_jet, gamma = self.t_jet, self.curve.gamma
+        """The curve in the new parameter, gamma(t(u))."""
+        t_jet, curve = self.t_jet, self.curve
 
-        def comp(k):
-            def fn(u, v, order):
-                tj = t_jet(u, order)
-                gj = gamma[k].jet(tj.value(), 0.0, order)
-                vj = Jet2.constant(0.0, order, np.shape(u))
-                return compose2(gj.c, order, tj, vj)
-            return JetFn(fn)
-        return tuple(comp(k) for k in range(3))
+        def fn(u, v, order):
+            tj = t_jet(u, order)
+            vj = Jet2.constant(0.0, order, np.shape(u))
+            return tuple(compose2(gj.c, order, tj, vj) for gj in curve.jets(tj.value(), order))
+        return components(fn)
 
     def xi_hat_jets(self, u, order):
         """All three components of the unit field at u."""

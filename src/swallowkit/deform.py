@@ -183,20 +183,16 @@ class _UnitXiData:
         self.speed = self.H.speed()
         t_jet, speed, b = self.H.t_jet, self.speed, data.b
 
-        def bcomp(k):
-            def fn(u, w, order):
-                K = order + 2
-                tj = t_jet(u, K)
-                Sj = speed.jet(u, 0.0, K)
-                wj = Jet2.variable("v", w, K, np.shape(u))
-                Vin = wj / Sj
-                bj = b[k].jet(tj.value(), w / Sj.value(), K)
-                out = compose2(bj.c, K, tj, Vin)
-                o = out.order
-                return (out / (Sj.truncate(o) * Sj.truncate(o))).truncate(order)
-            return JetFn(fn)
+        def fn(u, w, order):
+            K = order + 2
+            tj = t_jet(u, K)
+            Sj = speed.jet(u, 0.0, K)
+            Vin = Jet2.variable("v", w, K, np.shape(u)) / Sj
+            S2 = Sj * Sj
+            return tuple((compose2(bj.c, K, tj, Vin) / S2).truncate(order)
+                         for bj in vjet(b, tj.value(), w / Sj.value(), K))
 
-        self.b = tuple(bcomp(k) for k in range(3))
+        self.b = components(fn)
         self.gamma = self.H.gamma_hat()
 
 

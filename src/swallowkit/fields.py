@@ -16,7 +16,11 @@ from here as well: cusp_frame gives the jets of the moving frame
 (xi, xi', xi x xi') of a cusp direction field and xi_frame the values
 (xi, xi', xi'') at a point; over_u and over_v divide a jet by u or v
 through the singular axes; components splits one provider of a vector
-into its component providers, so the vector is built once per point.
+into its component providers, so the vector is built once per point; and
+xi_over_u is the one construction of xi = gamma'/u, for a curve and for a
+germ's axis curve.  The rule: every vector field the package assembles
+from other providers (a built germ, extracted, converted or rescaled data,
+gamma-hat) is one components() vector, read through vjet.
 
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
@@ -382,6 +386,17 @@ def components(fn, n=3):
     component reads its entry, and vjet reads them all from one call."""
     whole = JetFn(fn)
     return tuple(_Component(whole, k) for k in range(n))
+
+
+def xi_over_u(gamma_jets):
+    """The components() vector of xi = gamma'/u, the direction field of a
+    curve gamma(u) with gamma'(0) = 0.  gamma_jets(u, v, order) gives the
+    jets of gamma's three components; they are read at (u, 0), two orders
+    above xi, and only their pure-u part is used, so the jets of a germ f
+    serve for its axis curve f(u, 0)."""
+    def fn(u, v, order):
+        return tuple(over_u(c.axis_part().du(), u) for c in gamma_jets(u, 0.0, order + 2))
+    return components(fn)
 
 
 class DU:

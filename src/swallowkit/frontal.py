@@ -988,16 +988,22 @@ def self_intersection_side(germ: MapGerm):
 
 
 def tail_probes(germ: MapGerm, n=20):
-    """Probe points on the tail side (the side without self-intersections)."""
+    """Probe points on the tail side (the side without self-intersections):
+    n random draws at which the Gaussian curvature is defined.  Once 100 n
+    draws have been rejected, it raises ClassificationError."""
     side = -self_intersection_side(germ)
     rng = np.random.default_rng(7)
-    pts = []
+    pts, rejected = [], 0
     while len(pts) < n:
         u = rng.uniform(-0.1, 0.1)
         v = side * rng.uniform(0.02, 0.2)
         try:
             gaussian_curvature(germ, (u, v))
         except ClassificationError:
+            rejected += 1
+            if rejected == 100 * n:
+                raise ClassificationError(f"no regular point on the tail side: {rejected} "
+                                          f"draws rejected, {len(pts)} of {n} probes found")
             continue
         pts.append((u, v))
     return pts

@@ -26,8 +26,8 @@ alone whose pure-u coefficients are s[0..K], with the coefficients on the
 first axis of s and any batch axes after it, and jet.series() gives them
 back as a new array, so of_series(s).series() equals s.  Series arithmetic
 is jet arithmetic: products, quotients, _apply_series and compose2 of jets
-of u alone, du for the derivative and primitive for the integral.  The one
-series operation without a jet counterpart is the reversion, p1_invert.
+of u alone, du for the derivative, primitive for the integral and reversion
+for the inverse series.
 
 A domain error (zero denominator, square root of a non-positive constant
 term, division by v of a jet that does not vanish on the axis) raises
@@ -312,6 +312,44 @@ class Jet2:
         out[1:] = s / _col(np.arange(1.0, len(s) + 1), s)
         return Jet2.of_series(out)
 
+    def reversion(self):
+        """Jet of u alone, of this order, of the series reversion g of the
+        pure-u part f of this jet: f(g(y)) = y + O(y^(K+1)); needs f[0] = 0
+        and f[1] != 0.
+
+        Direct reversion (Brent & Kung, J. ACM 25, 1978): with pw[j, k] the
+        coefficient of y^k in g^j, the coefficient k >= 2 of f(g) = y reads
+        g_k = -(sum_{j=2..k} f_j pw[j, k]) / f_1, and pw[j, k] =
+        sum_{i=1..k-1} g_i pw[j-1, k-i] needs g_1 .. g_{k-1} only.  The table
+        is filled one column k at a time, by the same steps whatever K is, so
+        the reversion is truncation-exact: the reversion of the jet truncated
+        to m equals the reversion truncated to m, bit for bit.  Every sum is a
+        chain of elementwise adds in a fixed order, so each slot of a batch is
+        its lone call bit for bit.
+        """
+        f = self.series()
+        n = len(f)
+        if np.any(f[0] != 0.0):
+            raise JetError("series reversion requires zero constant term")
+        if np.any(f[1] == 0.0):
+            raise JetError("series not invertible: vanishing linear term")
+        g = np.zeros(np.shape(f))
+        g[1] = 1.0 / f[1]
+        pw = np.zeros((n,) + np.shape(f))
+        pw[1, 1] = g[1]
+        for k in range(2, n):
+            # column k of the powers j = 2..k, from the rows 1..k-1 of earlier columns
+            acc = g[1] * pw[1:k, k - 1]
+            for i in range(2, k):
+                acc = acc + g[i] * pw[1:k, k - i]
+            pw[2:k + 1, k] = acc
+            s = f[2] * pw[2, k]
+            for j in range(3, k + 1):
+                s = s + f[j] * pw[j, k]
+            g[k] = -s / f[1]
+            pw[1, k] = g[k]
+        return Jet2.of_series(g)
+
     def dv(self):
         src, dst, fac = tables.dv_pairs(self.order)
         c = np.zeros((tables.term_count(self.order - 1),) + self.c.shape[1:])
@@ -470,45 +508,6 @@ def compose2(gc, order_g, U: Jet2, V: Jet2) -> Jet2:
         last[i] = j, term
         out = out + term * gc[k]
     return out
-
-
-# ---------------------------------------------------------------------------
-# Series reversion
-# ---------------------------------------------------------------------------
-
-def p1_invert(f):
-    """Series reversion: g with f(g(y)) = y + O(y^n); needs f[0]=0, f[1]!=0.
-
-    Direct reversion (Brent & Kung, J. ACM 25, 1978): with pw[j, k] the
-    coefficient of y^k in g^j, the coefficient k >= 2 of f(g) = y reads
-    g_k = -(sum_{j=2..k} f_j pw[j, k]) / f_1, and pw[j, k] =
-    sum_{i=1..k-1} g_i pw[j-1, k-i] needs g_1 .. g_{k-1} only.  The table
-    is filled one column k at a time, by the same steps whatever n is, so
-    the reversion is truncation-exact: p1_invert(f[:m]) equals
-    p1_invert(f)[:m] bit for bit.  Every sum is a chain of elementwise adds
-    in a fixed order, so each column of a batch is its 1-D call bit for bit.
-    """
-    n = len(f)
-    if np.any(f[0] != 0.0):
-        raise JetError("series reversion requires zero constant term")
-    if np.any(f[1] == 0.0):
-        raise JetError("series not invertible: vanishing linear term")
-    g = np.zeros(np.shape(f))
-    g[1] = 1.0 / f[1]
-    pw = np.zeros((n,) + np.shape(f))
-    pw[1, 1] = g[1]
-    for k in range(2, n):
-        # column k of the powers j = 2..k, from the rows 1..k-1 of earlier columns
-        acc = g[1] * pw[1:k, k - 1]
-        for i in range(2, k):
-            acc = acc + g[i] * pw[1:k, k - i]
-        pw[2:k + 1, k] = acc
-        s = f[2] * pw[2, k]
-        for j in range(3, k + 1):
-            s = s + f[j] * pw[j, k]
-        g[k] = -s / f[1]
-        pw[1, k] = g[k]
-    return g
 
 
 # ---------------------------------------------------------------------------

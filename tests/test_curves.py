@@ -375,7 +375,7 @@ def test_half_arclength_kappa_tau_table_matches_scalar():
 
 
 def test_normalize_half_arclength_array_u():
-    """The unit field of a curve factored through _XiFromGamma, at an array
+    """The unit field of a curve factored through fields.xi_over_u, at an array
     of u holding 0, equals its scalar jets point by point."""
     norm, fact, H = normalize_half_arclength(CurveGerm(gamma=("u^2", "u^3", "0")))
     us = np.array([-0.1, -0.01, 0.0, 0.01, 0.1])

@@ -14,7 +14,7 @@ import pytest
 from swallowkit import deform as dm
 from swallowkit.builder import AsymptoticData, SwallowtailData, build
 from swallowkit.fields import (CACHE_BOUND, BoundedCache, CurveIntegral, JetFn, components,
-                               rk4_step, vjet)
+                               rk4_step, vjet, xi_over_u)
 from swallowkit.frontal import classify
 from swallowkit.jets import jet_sqrt, parse
 
@@ -96,6 +96,38 @@ def test_vjet_of_a_components_vector_makes_one_provider_call():
     one = vjet((vec[2],), us, vs, 3)[0]
     assert len(calls) == 3
     np.testing.assert_array_equal(one.c, whole[2].c)
+
+
+def _assert_one_vector(vec, n=3):
+    """The entries of vec share one whole, which returns its n entries in one
+    call, and vjet reads them from that call."""
+    whole = vec[0].whole
+    assert all(c.whole is whole for c in vec)
+    assert len(whole.jet(0.05, 0.0, 2)) == n
+    for a, b in zip(vjet(vec, 0.05, 0.0, 2), whole.jet(0.05, 0.0, 2)):
+        assert a is b
+
+
+def test_every_assembled_vector_field_is_one_components_vector():
+    """Each 3-vector the package assembles from other providers is one
+    components() vector: a germ built from non-expression data, the
+    extracted xi, b and gamma, the (q, p) and r of the asymptotic form, its
+    b = q xi' + v r, gamma-hat, the rescaled b and the unit xi of the
+    half-arclength normalization, and the xi of a factored curve."""
+    from swallowkit.builder import convert_to_asymptotic_form, extract_data
+    from swallowkit.curves import CurveGerm, factor_cusp
+    data = extract_data(build(_D217))
+    for vec in (data.xi, data.b, data.gamma, build(data)._components):
+        _assert_one_vector(vec)
+    conv = convert_to_asymptotic_form(SwallowtailData(
+        xi=("1", "u", "u^2"), b=("0.5 + u + v*u^2", "(0.5 + u)*u + 0.3 - 2*u*v",
+                                 "(0.5 + u)*u^2 + 0.6*u + v")))
+    _assert_one_vector((conv.q,), 2)
+    for vec in (conv.r, conv.as_general().b):
+        _assert_one_vector(vec)
+    unit = dm._UnitXiData(_D217)
+    for vec in (unit.gamma, unit.b, unit.xi, factor_cusp(CurveGerm(("u^2", "u^3", "0"))).xi):
+        _assert_one_vector(vec)
 
 
 def test_array_calls_of_the_half_arclength_chain_store_nothing():
@@ -314,14 +346,12 @@ def test_curve_integral_array_matches_scalar_bitwise(name):
 
 
 def test_extracted_xi_array_matches_scalar_bitwise():
-    """The extracted xi = gamma'/u at an array u, u = 0 among the points, and
-    the primitive of u xi integrated from it, equal their scalar results."""
-    from functools import partial
-    from swallowkit.builder import _xi_jet
+    """The extracted xi = gamma'/u (fields.xi_over_u of the germ's jets) at an
+    array u, u = 0 among the points, and the primitive of u xi integrated
+    from it, equal their scalar results."""
     for k in range(3):
-        _assert_array_matches_scalar(lambda: JetFn(partial(_xi_jet, _extracted_germ(), k)))
-    _assert_array_matches_scalar(
-        lambda: CurveIntegral(JetFn(partial(_xi_jet, _extracted_germ(), 0))))
+        _assert_array_matches_scalar(lambda: xi_over_u(_extracted_germ().fjet)[k])
+    _assert_array_matches_scalar(lambda: CurveIntegral(xi_over_u(_extracted_germ().fjet)[0]))
 
 
 def _classify_extracted_twice():

@@ -442,6 +442,16 @@ def test_self_intersection_side_refuses_a_non_finite_image():
             fr.tail_probes(germ, n=20)
 
 
+def test_tail_probes_give_up_on_a_germ_without_regular_points():
+    """The image of (u, u^2, u^3) is a curve: every draw on the tail side is
+    singular, so tail_probes raises after 100 n rejected draws instead of
+    drawing forever."""
+    germ = MapGerm.from_exprs(("u", "u^2", "u^3"))
+    assert fr.self_intersection_side(germ) == 1
+    with pytest.raises(fr.ClassificationError, match="300 draws rejected, 0 of 3"):
+        fr.tail_probes(germ, n=3)
+
+
 # -- metric independence -------------------------------------------------------
 
 def test_sigma_signs_metric_independent_at_origin(ex217, ex218, fplus):

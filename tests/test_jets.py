@@ -274,7 +274,7 @@ def test_grid_evaluation_matches_pointwise():
 def _newton_invert(f):
     """Series reversion by Newton steps on f(g) = y over jets of u alone,
     doubling the correct coefficients each step: a reference for
-    p1_invert."""
+    Jet2.reversion."""
     F = Jet2.of_series(f)
     fp = F.du().series()
     y = Jet2.variable("u", 0.0, F.order)
@@ -288,16 +288,23 @@ def _bits(a):
     return np.ascontiguousarray(a).view(np.int64)
 
 
+def _revert(f):
+    """The series of the reversion of the jet of u alone of series f."""
+    return Jet2.of_series(f).reversion().series()
+
+
 def test_series_reversion_batch_matches_columns():
-    """p1_invert with a trailing batch axis equals the 1-D calls column by
-    column, bit for bit; it inverts, f(g(y)) = y, and agrees with Newton's
-    reversion on jets of u alone to 1e-13."""
+    """Jet2.reversion with a trailing batch axis equals the lone calls slot
+    by slot, bit for bit, and gives a jet of u alone; it inverts,
+    f(g(y)) = y, and agrees with Newton's reversion on jets of u alone to
+    1e-13."""
     rng = np.random.default_rng(7)
     f = rng.uniform(0.5, 1.5, (9, 5))
     f[0] = 0.0
-    g = jets.p1_invert(f)
+    assert Jet2.of_series(f).reversion().u_only
+    g = _revert(f)
     for k in range(5):
-        np.testing.assert_array_equal(_bits(g[:, k]), _bits(jets.p1_invert(f[:, k])))
+        np.testing.assert_array_equal(_bits(g[:, k]), _bits(_revert(f[:, k])))
     y = np.zeros_like(f)
     y[1] = 1.0
     np.testing.assert_allclose(jets._apply_series(f, Jet2.of_series(g)).series(), y, atol=1e-10)
@@ -310,9 +317,9 @@ def test_series_reversion_is_truncation_exact():
     rng = np.random.default_rng(19)
     f = rng.uniform(-1.5, 1.5, (13, 4))
     f[0] = 0.0
-    for g, ff in ((jets.p1_invert(f), f), (jets.p1_invert(f[:, 2]), f[:, 2])):
+    for g, ff in ((_revert(f), f), (_revert(f[:, 2]), f[:, 2])):
         for m in range(2, 13):
-            np.testing.assert_array_equal(_bits(jets.p1_invert(ff[:m])), _bits(g[:m]))
+            np.testing.assert_array_equal(_bits(_revert(ff[:m])), _bits(g[:m]))
 
 
 def _naive_mul(a, b, order):

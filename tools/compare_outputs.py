@@ -1,10 +1,15 @@
-"""Run a fixed list of CLI calls in two source checkouts and compare their outputs.
+"""Run a fixed list of CLI and library calls in two source checkouts and compare
+their outputs.
 
     python3 tools/compare_outputs.py --base DIR --head DIR
 
-Each call runs ``python -m swallowkit.cli`` with ``DIR/src`` on the path, in a
+Each CLI call runs ``python -m swallowkit.cli`` and each library call
+``python -c`` with a script of LIBRARY, with ``DIR/src`` on the path, in a
 fresh working directory per checkout that holds the same input specs, so the
-output paths that a command prints are the same on both sides.  For every
+output paths that a command prints are the same on both sides.  A library
+call prints, with repr, the jet coefficients of providers that no CLI command
+prints: the data that extract_data and convert_to_asymptotic_form recover and
+the half-arclength normalization of deform.  For every
 call the script prints the exit code and the sha256 of its stdout, its stderr
 and every file it wrote, base and head side by side, and exits 1 if any of
 them differ.
@@ -113,6 +118,66 @@ CALLS = [
 ]
 
 
+# the setup of every library call: show() prints the jets of a vector of
+# providers, or of a germ, at scalar points and at an array of them
+_PRELUDE = """
+import numpy as np
+from swallowkit import deform
+from swallowkit.builder import SwallowtailData, build, convert_to_asymptotic_form, extract_data
+US = np.array([-0.1, 0.0, 0.05])
+VS = np.array([0.0, 0.02, -0.03])
+EX217 = SwallowtailData(xi=("2", "3*u", "0"), b=("0", "0", "1"))
+# b(u, 0) = p xi + q xi' with p = 0.5 + u and q = 0.3, plus v (u^2, -2u, 1)
+SPAN = SwallowtailData(xi=("1", "u", "u^2"),
+                       b=("0.5 + u + v*u^2", "(0.5 + u)*u + 0.3 - 2*u*v",
+                          "(0.5 + u)*u^2 + 0.6*u + v"))
+
+def show(name, vec, v=0.0, vs=0.0, order=3):
+    def jets(u, v):
+        if hasattr(vec, "fjet"):
+            return vec.fjet(u, v, order)
+        return [c.jet(u, v, order) for c in vec]
+    for u in US.tolist():
+        print(name, u, v, [repr(j.c.tolist()) for j in jets(u, v)])
+    print(name, "array", [repr(j.c.tolist()) for j in jets(US, vs)])
+"""
+
+LIBRARY = [
+    # xi, b and gamma extracted once and twice, and the germ built in between
+    ("extract ex217", """
+d1 = extract_data(build(EX217))
+germ = build(d1)
+d2 = extract_data(germ)
+for tag, d in (("once", d1), ("twice", d2)):
+    show(tag + " xi", d.xi)
+    show(tag + " b", d.b, 0.02, VS)
+    show(tag + " gamma", d.gamma)
+show("germ", germ, 0.02, VS)
+"""),
+    # q, p and r of converted data; p is the second argument of r's provider
+    ("convert span", """
+conv = convert_to_asymptotic_form(SPAN)
+p = getattr(conv.r[0], "whole", conv.r[0])._fn.args[1]
+show("q", [conv.q])
+show("p", [p])
+show("r", conv.r, 0.02, VS)
+show("b = q xi' + v r", conv.as_general().b, 0.02, VS)
+show("germ", build(conv), 0.02, VS)
+"""),
+    # the half-arclength normalization of ex217's data
+    ("unit-xi ex217", """
+n = deform._UnitXiData(EX217)
+show("gamma_hat", n.gamma)
+show("xi_hat", n.xi)
+show("b", n.b, 0.02, VS)
+"""),
+]
+
+COMMANDS = ([("swallowkit " + " ".join(argv), ["-m", "swallowkit.cli", *argv])
+             for argv in CALLS]
+            + [("python -c <" + name + ">", ["-c", _PRELUDE + code]) for name, code in LIBRARY])
+
+
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|\b(?:nan|inf)\b")
 
 
@@ -155,9 +220,9 @@ def _run_all(root):
         for name, doc in SPECS.items():
             with open(os.path.join(work, name), "w") as fh:
                 json.dump(doc, fh)
-        for argv in CALLS:
+        for _, argv in COMMANDS:
             before = set(os.listdir(work))
-            out = subprocess.run([sys.executable, "-m", "swallowkit.cli", *argv],
+            out = subprocess.run([sys.executable, *argv],
                                  cwd=work, env=env, capture_output=True, timeout=600)
             res = {"exit": str(out.returncode).encode(), "stdout": out.stdout,
                    "stderr": out.stderr}
@@ -178,8 +243,8 @@ def main(argv=None) -> int:
     base, head = _run_all(args.base), _run_all(args.head)
     differ = 0
     streams = ("exit", "stdout", "stderr")
-    for argv_, b, h in zip(CALLS, base, head):
-        print("swallowkit " + " ".join(argv_))
+    for (label, _), b, h in zip(COMMANDS, base, head):
+        print(label)
         for key in sorted(set(b) | set(h), key=lambda k: (k not in streams, k)):
             bv, hv = b.get(key), h.get(key)
             bs, hs = ("-" if v is None else v.decode() if key == "exit" else _sha(v)[:16]
