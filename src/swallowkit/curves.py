@@ -125,7 +125,16 @@ class _PhiTable:
 
     The jet of t(u) at u0 is the series reversion (Jet2.reversion) of
     u(t0 + s) - u0, whose coefficient k comes from the first k of that
-    series only.  So every jet here is truncation-exact: asked at order
+    series only.  The series of u to order N at t0 != 0 (a point, or every
+    slot of an array) is sgn(t0) sqrt(2 phi), phi the primitive of t|xi(t)|,
+    so it reads the speed jets at K = N - 1: the primitive adds the order
+    back.  Only the node t0 = 0, where u = t sqrt(2 phi / t^2), reads them
+    at K = N + 2, since dividing by t^2 takes two orders.  Each step (the
+    product, the primitive, the square root, the reversion) fills its
+    coefficient k from coefficients of degree <= k only, by the same float
+    operations whatever the order (Griewank & Walther, Evaluating
+    Derivatives, 2008, ch. 13), so K changes no bit of the first N + 1
+    coefficients, and every jet here is truncation-exact: asked at order
     N + 1 and cut to N, it holds the bits of the call at N.  The table
     holds no memo of t(u)'s jets, so a JetFn over t_jet forms no cycle.
     """
@@ -210,7 +219,8 @@ class _PhiTable:
         return self._t_cache.value(u, lambda: float(self._invert(np.array([u]))[0]))
 
     def _u_series(self, t0, order):
-        """Taylor coefficients of u(t0 + s) about s = 0, shape (order+1,) + shape(t0)."""
+        """Taylor coefficients of u(t0 + s) about s = 0, shape (order+1,) + shape(t0),
+        from the speed jets at order K (see the class docstring)."""
         shape = np.shape(t0)
         at0 = np.asarray(t0) == 0.0
         if shape and at0.any():
@@ -220,12 +230,12 @@ class _PhiTable:
                 ser[:, ~at0] = self._u_series(np.asarray(t0)[~at0], order)
             ser[:, at0] = self._u_series(0.0, order)[:, None]
             return ser
-        K = order + 2
+        away = bool(shape) or t0 != 0.0
+        K = order - 1 if away else order + 2
         sp = self.speed_jets.jet(t0, 0.0, K)
         tj = Jet2.variable("u", t0, K, shape)
-        integrand = tj * sp                       # t |xi(t)|
-        phi = integrand.primitive(self.phi(t0))
-        if shape or t0 != 0.0:
+        phi = (tj * sp).primitive(self.phi(t0))   # of t |xi(t)|, order K + 1
+        if away:
             uj = jet_sqrt(2.0 * phi) * np.sign(t0)
         else:
             psi = phi.divide_by_u().divide_by_u()   # phi / t^2

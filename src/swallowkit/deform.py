@@ -173,15 +173,22 @@ class _UnitXiData:
 
     With u = u(t) the new parameter and S(u) = |xi(t(u))| the old speed,
     b_new(u, w) = b(t(u), w / S(u)) / S(u)^2.
+
+    Its t(u) is a _UnionJets at _UNION_ORDER + 2, the order at which the xi
+    union of an XiInterpolation reads it: the first read at an order >= 1
+    computes t(u) at every point of _union_us(), and every later read there
+    (by xi, gamma-hat, the speed S and b) takes it as a slice; their own
+    compositions with t(u) run at each read.
     """
 
     def __init__(self, data: SwallowtailData):
         self.data = data
         self.curve = CurveGerm(data.gamma or gamma_from_xi(data.xi))
-        self.H = HalfArclength(self.curve, xi=data.xi)
-        self.xi = self.H.xi_hat()
-        self.speed = self.H.speed()
-        t_jet, speed, b = self.H.t_jet, self.speed, data.b
+        self.H = H = HalfArclength(self.curve, xi=data.xi)
+        H._t_jets = _UnionJets(H._table.t_jet, _UNION_ORDER + 2)
+        self.xi = H.xi_hat()
+        self.speed = H.speed()
+        t_jet, speed, b = H.t_jet, self.speed, data.b
 
         def fn(u, w, order):
             K = order + 2
@@ -193,7 +200,7 @@ class _UnitXiData:
                          for bj in vjet(b, tj.value(), w / Sj.value(), K))
 
         self.b = components(fn)
-        self.gamma = self.H.gamma_hat()
+        self.gamma = H.gamma_hat()
 
 
 def _normal_split(xi, b):
@@ -249,7 +256,10 @@ _UNION_ORDER = fr.ORDER + 3
 
 class _UnionJets(JetFn):
     """A JetFn of a function of u alone, whatever v it is read at, that reads
-    the union of the points a certificate asks (_union_us()) once.
+    the union of the points a certificate asks (_union_us()) once.  The
+    function returns a jet or a tuple of jets: an endpoint field of an
+    XiInterpolation, its (kappa, tau), or the half-arclength t(u) of a
+    _UnitXiData.
 
     Its first read at an order >= 1 computes its jets at every point of the
     union at the order top, in one array call kept for the life of the
@@ -275,8 +285,11 @@ class _UnionJets(JetFn):
             slots = [union[0].get(x) for x in np.ravel(u).tolist()]
             if None not in slots:
                 n = term_count(order)
-                return tuple(Jet2(order, j.c[:n, slots].reshape((n,) + np.shape(u)), j.u_only)
-                             for j in union[1])
+
+                def cut(j):
+                    return Jet2(order, j.c[:n, slots].reshape((n,) + np.shape(u)), j.u_only)
+                jets = union[1]
+                return cut(jets) if isinstance(jets, Jet2) else tuple(map(cut, jets))
         return super().jet(u, v, order)
 
 
@@ -286,7 +299,7 @@ def _endpoint_providers(xi):
     orders above _UNION_ORDER (curvature_torsion_of reads them so), and the
     (kappa, tau) of those, read there at _UNION_ORDER."""
     whole = _UnionJets(lambda u, v, order: vjet(xi, u, v, order), _UNION_ORDER + 2)
-    xi_u = tuple(_Component(whole, k) for k in range(3))
+    xi_u = tuple(_Component(whole, k, 3) for k in range(3))
     return xi_u, _UnionJets(partial(_kappa_tau, xi_u), _UNION_ORDER)
 
 
@@ -346,7 +359,10 @@ class XiInterpolation:
     all of them, at the highest order a certificate asks, and every later
     read there is a slice.  So a certificate reads the (kappa, tau) of each
     endpoint field in two curvature_torsion_of calls: the order-0 check grid
-    of the march (FrenetPath), one call, and the union.  A stage with no
+    of the march (FrenetPath), one call, and the union.  The unit fields of
+    Theorems A and D read their half-arclength t(u) through the same union
+    (_UnitXiData), so each endpoint's t(u) is computed in two calls as well:
+    the union, and the check grid at order 2.  A stage with no
     interior t marches nothing and reads no (kappa, tau).  The end stages
     of Theorem A read their unit fields through the same providers, and the
     spliced slots t = 0 and t = 1 of every batch read them too.

@@ -20,7 +20,9 @@ into its component providers, so the vector is built once per point; and
 xi_over_u is the one construction of xi = gamma'/u, for a curve and for a
 germ's axis curve.  The rule: every vector field the package assembles
 from other providers (a built germ, extracted, converted or rescaled data,
-gamma-hat) is one components() vector, read through vjet.
+gamma-hat) is one components() vector, read through vjet; a germ whose
+components are one whole such vector (whole_vector) reads its shared JetFn
+as its own, so each point is memoised once.
 
 Provider contract: jet(u, v, order) is a pure function of (u, v, order),
 and the jets it returns may be shared (with its memo and with every other
@@ -298,6 +300,16 @@ def vjet(vec, u, v, order):
     return tuple(c.jet(u, v, order) for c in vec)
 
 
+def whole_vector(vec):
+    """The shared JetFn of a components() vector when the providers of vec
+    are all of its entries in order, so that its jets are vec's; else None."""
+    whole = getattr(vec[0], "whole", None)
+    if whole is not None and all(getattr(c, "whole", None) is whole and c.k == k and c.n == len(vec)
+                                 for k, c in enumerate(vec)):
+        return whole
+    return None
+
+
 def xi_frame(xi, u, order):
     """Values (xi, xi', xi'') at u of a direction field, read from its jets of
     the given order; order 1 gives (xi, xi') only.  The order is the caller's,
@@ -369,12 +381,12 @@ class JetFn:
 
 
 class _Component:
-    """Entry k of the vector a JetFn returns."""
+    """Entry k of the vector of n entries a JetFn returns."""
 
-    __slots__ = ("whole", "k")
+    __slots__ = ("whole", "k", "n")
 
-    def __init__(self, whole, k):
-        self.whole, self.k = whole, k
+    def __init__(self, whole, k, n):
+        self.whole, self.k, self.n = whole, k, n
 
     def jet(self, u, v, order):
         return self.whole.jet(u, v, order)[self.k]
@@ -385,7 +397,7 @@ def components(fn, n=3):
     jets: the vector is assembled and memoised once per scalar point, each
     component reads its entry, and vjet reads them all from one call."""
     whole = JetFn(fn)
-    return tuple(_Component(whole, k) for k in range(n))
+    return tuple(_Component(whole, k, n) for k in range(n))
 
 
 def xi_over_u(gamma_jets):

@@ -23,7 +23,7 @@ from functools import partial
 
 import numpy as np
 
-from .fields import JetFn, over_v, pointwise
+from .fields import JetFn, over_v, pointwise, whole_vector
 from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, parse
 from .metric import Along, SpaceForm, cross, dot
 
@@ -71,8 +71,11 @@ class MapGerm:
         self.sf = sf
         self.exprs = exprs
         self.data = data
-        # over a module function, not a bound method: no reference cycle
-        self._jets = JetFn(partial(_component_jets, self._components))
+        # a whole components() vector is read through its own JetFn and memo;
+        # other components share a JetFn over a module function, not a bound
+        # method: no reference cycle
+        self._jets = whole_vector(self._components) or JetFn(
+            partial(_component_jets, self._components))
 
     @staticmethod
     def from_exprs(exprs, sf=SpaceForm(0.0), data=None):

@@ -361,6 +361,30 @@ def test_half_arclength_array_matches_scalar_bitwise(name):
     assert H.t_of_u(0.0) == 0.0 and ts[300] == 0.0
 
 
+@pytest.mark.parametrize("name", sorted(_XI_FIELDS))
+def test_u_series_reads_the_speed_to_the_order_asked(name):
+    """The series of u(t0 + s) to order N, whose speed jets are read at
+    N - 1 away from t0 = 0, holds the bits of the series to N + 3 cut to N,
+    for N = 1 to 11: at scalar t0 != 0, and at an array of t0 with a slot
+    t0 = 0, each call on a fresh table.  The t0 are those of u off every
+    table node; -0.071168 and -0.0125 are the points where a Newton
+    reversion was not truncation-exact (tests/test_deform.py)."""
+    t0s = _half_arclength(name)[0].t_of_u(np.array([-0.071168, -0.0125, 0.0123, 0.2]))
+    arr = np.concatenate([t0s, [0.0]])
+    for n in range(1, 12):
+        lo, hi = (_half_arclength(name)[0]._table for _ in range(2))
+        for t0 in t0s.tolist():
+            np.testing.assert_array_equal(_bits(lo._u_series(t0, n)),
+                                          _bits(hi._u_series(t0, n + 3)[:n + 1]), err_msg=f"{t0} {n}")
+        lo, hi = (_half_arclength(name)[0]._table for _ in range(2))
+        np.testing.assert_array_equal(_bits(lo._u_series(arr, n)),
+                                      _bits(hi._u_series(arr, n + 3)[:n + 1]), err_msg=f"{n}")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
 def test_half_arclength_kappa_tau_table_matches_scalar():
     """One array call of curvature_torsion_of on the unit field equals the
     per-node scalar calls, the node u = 0 included."""

@@ -220,6 +220,72 @@ def test_endpoint_kappa_tau_off_the_union_is_computed_at_its_order(monkeypatch):
             np.testing.assert_array_equal(_bits(a.c), _bits(w.c))
 
 
+def _spy_t_jet(monkeypatch):
+    """(id of the table, shape of u, order) of every computation of t(u)
+    (curves._PhiTable.t_jet) by a HalfArclength made after the call, in
+    order."""
+    from swallowkit import curves
+    real, calls = curves._PhiTable.t_jet, []
+
+    def spy(table, u0, v, order):
+        calls.append((id(table), np.shape(u0), order))
+        return real(table, u0, v, order)
+    monkeypatch.setattr(curves._PhiTable, "t_jet", spy)
+    return calls
+
+
+def test_certificate_computes_each_endpoint_t_of_u_twice(monkeypatch, d217, dplus):
+    """Building and certifying a Theorem A and a Theorem D family of 21
+    steps computes the half-arclength t(u) of each endpoint field in two
+    calls: the union of the points the certificate asks, at the order the
+    xi union reads it, and the march's check grid, one block of 1,201
+    points, at order 2 (its order-0 kappa and tau read the unit field two
+    orders up)."""
+    calls = _spy_t_jet(monkeypatch)
+    for fam, predicate, sign in _theorem_families(d217, dplus):
+        cert = dm.certify(fam, predicate, steps=21, track_kext_sign=sign)
+        assert cert.passed, cert.failures
+    tables = sorted({t for t, _, _ in calls})
+    assert len(tables) == 4
+    for t in tables:
+        assert [(s, o) for g, s, o in calls if g == t] == [
+            (dm._union_us().shape, dm._UNION_ORDER + 2), ((1201,), 2)]
+
+
+def test_unit_xi_union_reads_equal_direct_calls(monkeypatch):
+    """t(u), gamma-hat, the speed S and the rescaled b of a _UnitXiData
+    read t(u) through its union: once the first read at an order >= 1 has
+    filled it, a read at each union point alone and at all of them as one
+    array, at every order up to the top (two below it for b, which reads
+    t(u) two orders up), computes no t(u), and equals bit for bit the read
+    on a fresh _UnitXiData whose t(u) is a plain JetFn, computed at each
+    read's own points and order."""
+    from swallowkit.fields import JetFn, vjet
+    calls = _spy_t_jet(monkeypatch)
+    us, top = dm._union_us(), dm._UNION_ORDER + 2
+    n = _fresh_unit_xi()
+    n.H.t_jet(0.0, 1)                           # the first read at order >= 1
+    table = id(n.H._table)
+    readers = {"t": (lambda m, u, o: [m.H.t_jet(u, o)], top),
+               "gamma_hat": (lambda m, u, o: vjet(m.gamma, u, 0.0, o), top),
+               "speed": (lambda m, u, o: [m.speed.jet(u, 0.0, o)], top),
+               "b": (lambda m, u, o: vjet(m.b, u, 0.02, o), top - 2)}
+    for order in range(top + 1):
+        direct = _fresh_unit_xi()
+        direct.H._t_jets = JetFn(direct.H._table.t_jet)
+        for name, (read, high) in readers.items():
+            if order > high:
+                continue
+            arr = read(n, us, order)
+            for i, u in enumerate(us.tolist()):
+                for got, a, w in zip(read(n, u, order), arr, read(direct, u, order), strict=True):
+                    assert got.order == a.order == order
+                    np.testing.assert_array_equal(_bits(got.c), _bits(w.c),
+                                                  err_msg=f"{name} {u} {order}")
+                    np.testing.assert_array_equal(_bits(a.c[:, i]), _bits(w.c))
+    assert [(s, o) for t, s, o in calls if t == table] == [(us.shape, top)]
+
+
 def _fresh_unit_xi(xi=("2", "3*u", "0"), b=("0", "0", "1")):
     """Half-arclength normalization of the flipped data, with empty memos."""
     from swallowkit.builder import flip_data

@@ -143,6 +143,18 @@ def test_array_calls_of_the_half_arclength_chain_store_nothing():
     assert len(H._t_jets._memo) > 0 and len(H._speed_jets._memo) > 0
 
 
+def test_a_germ_of_one_vector_memoises_a_point_once():
+    """A germ built from non-expression data reads its components() vector
+    as its own: after one scalar read, the vector's memo is the one memo of
+    the germ that holds the point."""
+    from swallowkit.builder import extract_data
+    germ = build(extract_data(build(_D217)))
+    germ.fjet(0.05, 0.01, 3)
+    jetfns = {id(p): p for p in (*vars(germ).values(), germ._components[0].whole)
+              if isinstance(p, JetFn)}
+    assert sum((0.05, 0.01) in p._memo._d for p in jetfns.values()) == 1
+
+
 def test_memo_clears_past_its_bound():
     p = JetFn(_composite)
     for k in range(CACHE_BOUND + 1):

@@ -164,12 +164,29 @@ show("r", conv.r, 0.02, VS)
 show("b = q xi' + v r", conv.as_general().b, 0.02, VS)
 show("germ", build(conv), 0.02, VS)
 """),
-    # the half-arclength normalization of ex217's data
+    # the half-arclength normalization of ex217's data; then, once the first
+    # read has filled the union of a certificate's points, t(u), gamma-hat,
+    # the speed and b there at orders 2, 4 and 11, point by point and as one
+    # array, and at the 1,201 points of a march's kappa/tau check grid at 2
     ("unit-xi ex217", """
+from swallowkit.curves import KAPPA_CHECK
+from swallowkit.fields import step_ends
 n = deform._UnitXiData(EX217)
 show("gamma_hat", n.gamma)
 show("xi_hat", n.xi)
 show("b", n.b, 0.02, VS)
+READS = {"t": lambda u, o: [n.H.t_jet(u, o)],
+         "gamma_hat": lambda u, o: [c.jet(u, 0.0, o) for c in n.gamma],
+         "speed": lambda u, o: [n.speed.jet(u, 0.0, o)],
+         "b": lambda u, o: [c.jet(u, 0.02, o) for c in n.b]}
+lo, hi = deform.XiInterpolation.INTERVAL
+GRID = np.concatenate([[0.0], step_ends(0.0, hi, KAPPA_CHECK), step_ends(0.0, lo, -KAPPA_CHECK)])
+for name, read in READS.items():
+    for order in (2, 4, 11):
+        for u in deform._union_us().tolist():
+            print(name, order, u, [repr(j.c.tolist()) for j in read(u, order)])
+        print(name, order, "union", [repr(j.c.tolist()) for j in read(deform._union_us(), order)])
+    print(name, 2, "check grid", [repr(j.c.tolist()) for j in read(GRID, 2)])
 """),
 ]
 
