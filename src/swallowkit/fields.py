@@ -73,11 +73,11 @@ slot, and Scaled and the weights of deform's combinations may be arrays
 over the slots, placed behind the point axes (slot_weight).  A domain error
 of the jet arithmetic (JetError: over_v, jet_sqrt, a division by a zero
 constant term) fails the whole call, in a provider and in a batch alike, so
-no memo keeps a jet with failed slots.  The germ checks still decide per
-slot: whatever a batch raises in frontal.classify (a JetError, a
+no memo keeps a jet with failed slots.  frontal.classify takes each check
+of a batch as one array operation over its slots, each slot getting the
+verdict it gets alone; whatever a batch raises there (a JetError, a
 model-domain error of the metric, a ClassificationError), its slots go
-again one by one, each gets the verdict it gets alone, and the first slot
-that raises alone decides the error.
+again one by one, and the first slot that raises alone decides the error.
 """
 
 from __future__ import annotations

@@ -45,14 +45,14 @@ _AXIS_READ_US = tuple(sorted(uu for uu in AXIS_US + NEAR_US if uu != 0.0))
 
 
 def sgn(x, scale=1.0, tol=None):
-    """Sign with a tolerance band: |x| <= tol*(1+scale) counts as zero.
+    """Sign with a tolerance band: |x| <= tol*(1+|scale|) counts as zero (NaN
+    as -1).  An int, or an int array of the signs of an array x.
 
     tol defaults to SIGN_TOL as it is when called (the CLI's --tol-sign)."""
     if tol is None:
         tol = SIGN_TOL
-    if abs(x) <= tol * (1.0 + abs(scale)):
-        return 0
-    return 1 if x > 0 else -1
+    s = np.where(np.abs(x) <= tol * (1.0 + np.abs(scale)), 0, np.where(x > 0, 1, -1))
+    return int(s) if s.ndim == 0 else s
 
 
 class ClassificationError(ValueError):
@@ -93,11 +93,6 @@ class MapGerm:
         return _ReparamGerm(self, change)
 
 
-def _column(germ, j):
-    """Slot j of a batched germ as a lone germ; the germ itself for j None."""
-    return germ if j is None else _ColumnGerm(germ, j)
-
-
 def _component_jets(components, u, v, order):
     """Jets of the components at (u, v); expressions share one memo."""
     memo = {}
@@ -132,33 +127,71 @@ class _ColumnGerm(MapGerm):
         return tuple(Jet2(c.order, c.c[..., self._j].copy()) for c in self._base.fjet(u, v, order))
 
 
+_column = _ColumnGerm     # slot j of a batched germ, as classify takes it alone
+
+
 # ---------------------------------------------------------------------------
 # Slots: the jets of a germ may carry one trailing batch axis, and every
-# decision below is taken slot by slot, on floats, as for a lone germ
+# decision below is one array operation over that axis, a lone germ being a
+# batch of one.  Each slot holds the bits of its germ decided alone: vectors
+# are rows, their norms np.sqrt(np.vecdot(x, x)) (the 1-D np.linalg.norm;
+# its axis form rounds otherwise) and stacked SVDs are those of each matrix
 # ---------------------------------------------------------------------------
 
-def _slots(jets, point_ndim=0):
-    """Slot keys of jets at a point with point_ndim axes: [None] without a
-    batch axis, else one per slot."""
-    shape = jets[0].c.shape[1 + point_ndim:]
-    return range(shape[0]) if shape else [None]
+def _lone(jets, point_ndim=0):
+    """Whether jets at a point with point_ndim axes carry no batch axis."""
+    return jets[0].c.ndim == 1 + point_ndim
 
 
-def _float(x):
-    """A value read off jets: a float, or an array such as a 3-vector."""
-    return float(x) if x.ndim == 0 else x
+def _batched(x, point_ndim=0):
+    """Values x read off a germ's jets at a point with point_ndim axes, with
+    one slot axis after the point axes: a lone germ's as a batch of one."""
+    return np.reshape(x, np.shape(x)[:point_ndim] + (-1,))
 
 
-def _slot(x, j):
-    """Slot j of values x read off a germ's jets (x itself for j None): a
-    float, or an array such as a 3-vector."""
-    return x if j is None else _float(x[..., j])
+def _rows(vec, point_ndim=0):
+    """The values of a 3-vector of jets (or of values) as rows (point...,
+    slot, 3)."""
+    return np.stack([_batched(c.value() if isinstance(c, Jet2) else c, point_ndim)
+                     for c in vec], axis=-1)
 
 
-def _per_slot(fn, slots, *values):
-    """fn at the values of a lone germ, or the list of fn at every slot."""
-    out = [fn(*(_slot(x, j) for x in values)) for j in slots]
-    return out[0] if slots == [None] else out
+def _norm(x):
+    """The norm of each row of x, as np.linalg.norm gives it for the row."""
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _unbatch(lone, *columns):
+    """Python values per slot of arrays over the slots (a tuple per slot for
+    several): the values of a lone germ, or the list of them of a batch."""
+    out = list(zip(*(c.tolist() for c in columns))) if len(columns) > 1 else columns[0].tolist()
+    return out[0] if lone else out
+
+
+def _raise_first(*checks):
+    """Raise the ClassificationError of the first failing slot: checks are
+    (failing, message) pairs, failing a mask over the slots, in the order in
+    which one slot is checked."""
+    failing = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if np.any(bad)]
+    if failing:
+        raise ClassificationError(checks[min(failing)[1]][1])
+
+
+def _write(reps, slots, **fields):
+    """Write each field's array over the slots, as Python values, into the
+    report of each slot."""
+    for name, x in fields.items():
+        for j, value in zip(slots.tolist(), x.tolist()):
+            setattr(reps[j], name, value)
+
+
+def _verdict(reps, slots, name, ok, note):
+    """Write verdict `name` into the reports of the slots, note it where it
+    fails, and return the slots that pass."""
+    _write(reps, slots, **{name: ok})
+    for j in slots[~ok].tolist():
+        reps[j].notes.append(note)
+    return slots[ok]
 
 
 # ---------------------------------------------------------------------------
@@ -220,36 +253,38 @@ def _second_order(F):
 
 
 def _axis_derivatives(germ, u):
-    """Values of f_u and f_v at the axis point (u, 0), from jets of order 2."""
+    """Values of f_u and f_v at the axis point (u, 0), from jets of order 2,
+    as rows (..., 3): the point axes, then the slot axis of a batch."""
     _, fu, fv, *_ = _second_order(germ.fjet(u, 0.0, 2))
-    return np.array(fu), np.array(fv)
+    return np.stack(fu, axis=-1), np.stack(fv, axis=-1)
+
+
+_RANK0 = "rank-0 differential: corank > 1"
 
 
 def _kernel(fu, fv):
-    """Kernel direction and singular values of the differential [fu fv]."""
-    _, s, vt = np.linalg.svd(np.stack([fu, fv], axis=1))
-    if s[0] == 0.0:
-        raise ClassificationError("rank-0 differential: corank > 1")
-    k = vt[-1]
-    return k / np.linalg.norm(k), s
+    """Unit kernel directions (..., 2) and singular values (..., 2) of the
+    differentials [f_u f_v], rows (..., 3) of values: one stacked SVD.  A
+    rank-0 differential (singular values 0) is the caller's to refuse."""
+    _, s, vt = np.linalg.svd(np.stack([fu, fv], axis=-1))
+    k = vt[..., -1, :]
+    return k / _norm(k)[..., None], s
 
 
 def _immersive(fu, fv):
-    """Whether f_u and f_v (values at a point) span a plane."""
-    # np.cross's products and differences, without its per-call set-up,
-    # which costs several times the rest of the test: the test runs for
-    # every slot and near-axis sample of classify
-    (a0, a1, a2), (b0, b1, b2) = fu.tolist(), fv.tolist()
-    n = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
-    return np.linalg.norm(n) > REGULAR_TOL * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
+    """Whether f_u and f_v span a plane, at each row (..., 3) of values."""
+    # the cross product by hand: np.cross's set-up costs more than the test
+    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(fu, -1, 0), np.moveaxis(fv, -1, 0)
+    n = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    return _norm(n) > REGULAR_TOL * (1.0 + _norm(fu) * _norm(fv))
 
 
-def _kind(fu, fv):
-    """'regular' | 'first' | 'second' at a point with values f_u, f_v."""
-    if _immersive(fu, fv):
-        return "regular"
-    k, _ = _kernel(fu, fv)
-    return "first" if abs(k[1]) > KIND_TOL else "second"
+def _kinds(fu, fv):
+    """'regular' | 'first' | 'second' at each row (..., 3) of values f_u, f_v."""
+    regular = _immersive(fu, fv)
+    k, s = _kernel(fu, fv)
+    _raise_first((~regular & (s[..., 0] == 0.0), _RANK0))
+    return np.where(regular, "regular", np.where(np.abs(k[..., 1]) > KIND_TOL, "first", "second"))
 
 
 def point_kind(germ: MapGerm):
@@ -257,7 +292,7 @@ def point_kind(germ: MapGerm):
     per slot of a batched germ."""
     F = germ.fjet(0.0, 0.0, 2)
     _, fu, fv, *_ = _second_order(F)
-    return _per_slot(_kind, _slots(F), np.array(fu), np.array(fv))
+    return _unbatch(_lone(F), _kinds(_rows(fu), _rows(fv)))
 
 
 def _eps_field_jets(germ: MapGerm, u):
@@ -272,8 +307,7 @@ def _eps_field_jets(germ: MapGerm, u):
     fv = tuple(c.dv() for c in F)
     E = dot(fu, fu)
     Fg = dot(fu, fv)
-    norm = (Fg * Fg + E * E)
-    nrm = jet_sqrt(norm)
+    nrm = jet_sqrt(Fg * Fg + E * E)
     alpha = Fg / nrm
     eps = -E / nrm
     if eps.value() > 0:
@@ -316,7 +350,6 @@ def _second_kind_data(germ: MapGerm, order=ORDER):
     g = Along(germ.sf, F)
     fu = tuple(c.du().truncate(order) for c in F)
     fv = tuple(c.dv().truncate(order) for c in F)
-    fuv = tuple(c.du().dv().truncate(order - 1) for c in F)
     nt = normal_jets(germ, 0.0, order, g)
     nn = g.norm(nt)
     nu = tuple(c / nn for c in nt)
@@ -326,7 +359,7 @@ def _second_kind_data(germ: MapGerm, order=ORDER):
     fvv = g.nabla(fv, fv, tuple(c.dv() for c in fv))
     fuv_cov = g.nabla(fu, fv, tuple(c.du() for c in fv))
     return {
-        "g": g, "fu": fu, "fv": fv, "fuv": fuv_cov, "fuv_plain": fuv,
+        "g": g, "fu": fu, "fv": fv, "fuv": fuv_cov,
         "nu": nu, "nu_u": nu_u, "nu_v": nu_v, "fvv": fvv, "ntilde": nt,
     }
 
@@ -335,70 +368,64 @@ def _vals(vec):
     return np.array([c.value() if isinstance(c, Jet2) else c for c in vec])
 
 
-# Each invariant at the origin is its values, read off the jets of a lone
-# germ or of a batch (_..._values), and a decision on the floats of one slot.
+# Each invariant at the origin is an array over some slots (those classify
+# has left; slice(None) for all) of the second-kind data d.
 
-def _sigma0_S_values(d):
-    return d["g"].inner(d["fuv"], d["nu_u"]).value(), _vals(d["fuv"]), _vals(d["nu_u"])
-
-
-def _sigma0_S(val, fuv, nu_u):
-    return -sgn(val, float(np.linalg.norm(fuv) * np.linalg.norm(nu_u))), -val
+def _sigma0_S(d, slots):
+    val = _batched(d["g"].inner(d["fuv"], d["nu_u"]).value())[slots]
+    return -sgn(val, _norm(_rows(d["fuv"])[slots]) * _norm(_rows(d["nu_u"])[slots])), -val
 
 
 def sigma0_S(germ: MapGerm):
     """Sign invariant whose non-vanishing detects a swallowtail (o 2nd kind):
     (sign, raw value), or a list of them, one per slot of a batched germ."""
     d = _second_kind_data(germ)
-    return _per_slot(_sigma0_S, _slots(d["fu"]), *_sigma0_S_values(d))
+    return _unbatch(_lone(d["fu"]), *_sigma0_S(d, slice(None)))
 
 
-def _sigma_g_S_values(d):
-    return d["g"].inner(d["fvv"], d["nu"]).value(), _vals(d["fvv"])
-
-
-def _sigma_g_S(val, fvv):
-    return sgn(val, float(np.linalg.norm(fvv))), val
+def _sigma_g_S(d, slots):
+    val = _batched(d["g"].inner(d["fvv"], d["nu"]).value())[slots]
+    return sgn(val, _norm(_rows(d["fvv"])[slots])), val
 
 
 def sigma_g_S(germ: MapGerm):
     """Sign of the limiting-normal-curvature numerator (genericity)."""
     d = _second_kind_data(germ)
-    return _per_slot(_sigma_g_S, _slots(d["fu"]), *_sigma_g_S_values(d))
+    return _unbatch(_lone(d["fu"]), *_sigma_g_S(d, slice(None)))
 
 
-def _kappa_nu_values(d):
-    return d["g"].inner(d["fvv"], d["nu"]).value(), d["g"].inner(d["fv"], d["fv"]).value()
-
-
-def _kappa_nu(num, den):
-    if den == 0.0:
-        raise ClassificationError("f_v vanishes at the origin")
+def _kappa_nu(d, slots):
+    num, den = (_batched(d["g"].inner(d[x], d[y]).value())[slots]
+                for x, y in (("fvv", "nu"), ("fv", "fv")))
+    _raise_first((den == 0.0, "f_v vanishes at the origin"))
     return num / den
 
 
 def limiting_normal_curvature(germ: MapGerm):
     d = _second_kind_data(germ)
-    return _per_slot(_kappa_nu, _slots(d["fu"]), *_kappa_nu_values(d))
+    return _unbatch(_lone(d["fu"]), _kappa_nu(d, slice(None)))
 
 
-def _mu_C_values(d):
+_MU_C_DOMAIN = "degenerate: nabla_v f_u(o) x f_v(o) = 0"
+
+
+def _mu_C(d, slots):
+    """(mu_C, NaN where its domain fails; where that is).  The cube is taken
+    on Python floats: numpy's array power may round otherwise."""
     g = d["g"]
-    fv_norm = g.norm(d["fv"]).value()
-    num = g.inner(d["fuv"], d["nu_u"]).value()
-    return fv_norm, num, g.norm(g.cross(d["fuv"], d["fv"])).value()
-
-
-def _mu_C(fv_norm, num, den):
-    if den == 0.0:
-        raise ClassificationError("degenerate: nabla_v f_u(o) x f_v(o) = 0")
-    return -(fv_norm ** 3) * num / den
+    fv_norm, num, den = (_batched(x.value())[slots] for x in (
+        g.norm(d["fv"]), g.inner(d["fuv"], d["nu_u"]), g.norm(g.cross(d["fuv"], d["fv"]))))
+    bad = den == 0.0
+    cube = np.array([x ** 3 for x in fv_norm.tolist()])
+    return np.where(bad, np.nan, -cube * num / np.where(bad, 1.0, den)), bad
 
 
 def normalized_cuspidal_curvature(germ: MapGerm):
     """mu_C; its sign equals sigma0_S."""
     d = _second_kind_data(germ)
-    return _per_slot(_mu_C, _slots(d["fu"]), *_mu_C_values(d))
+    mu, bad = _mu_C(d, slice(None))
+    _raise_first((bad, _MU_C_DOMAIN))
+    return _unbatch(_lone(d["fu"]), mu)
 
 
 def classify(germ: MapGerm, at=(0.0, 0.0)):
@@ -407,177 +434,156 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
     A germ whose jets carry a trailing batch axis (one slot per t of a
     deformation stage, say) gets a list of reports, one per slot, each
     equal to the report of that slot's germ checked alone; a lone germ is a
-    batch of one.  The jets are computed once for the batch, and every
-    threshold, SVD, norm and sign is decided per slot.  The slots singular
-    at the origin along a singular u-axis go on together, as one batch
-    (_on_axis); any other singular slot goes on alone, on its column of the
-    germ, after make_admissible.  One failure rule covers the batch: if it
-    raises (any ValueError), it keeps no partial report, and its slots go
-    alone too, each on its own singular axis.  The slots that go alone run
-    in slot order, so the first of them that raises decides the batch's
-    error; a lone germ raises what it raises."""
+    batch of one.  The jets are computed once for the batch, and each
+    decision (regular, frontal, nondegenerate, kind, the signs, the wave
+    front) is one array operation over the slots it still concerns.  The
+    slots singular at the origin along a singular u-axis go on together, as
+    one batch (_on_axis); any other singular slot goes on alone, on its
+    column of the germ, after make_admissible.  One failure rule covers the
+    batch: if it raises (any ValueError), it keeps no partial report, and its
+    slots go alone too, each on its own singular axis.  The slots that go
+    alone run in slot order, so the first of them that raises decides the
+    batch's error; a lone germ raises what it raises."""
     at = (float(at[0]), float(at[1]))
     F = germ.fjet(at[0], at[1], 3)
     if not all(np.isfinite(c.c).all() for c in F):
         raise ClassificationError(f"the jets of the germ at {at} are not finite")
-    slots = _slots(F)
-    reps = {j: SingularityReport(at=at, a=germ.sf.a) for j in slots}
-    fu = _vals(tuple(c.du() for c in F))
-    fv = _vals(tuple(c.dv() for c in F))
+    lone = _lone(F)
+    regular = _immersive(_rows(tuple(c.du() for c in F)), _rows(tuple(c.dv() for c in F)))
+    reps = [SingularityReport(at=at, a=germ.sf.a, is_frontal=r, is_nondegenerate=r)
+            for r in regular.tolist()]
+    singular = np.flatnonzero(~regular)
+    common, near = singular[:0], None
+    if at == (0.0, 0.0) and singular.size:
+        axis, near = _axis_reads(germ, range(len(reps)))
+        common = singular[np.reshape(axis, -1)[singular]]
     # slot -> mode of the slots that go alone: None through make_admissible,
     # "axis" on their own singular axis
-    axis, near, common, alone = None, None, {}, {}
-    for j, rep in reps.items():
-        if _immersive(_slot(fu, j), _slot(fv, j)):
-            rep.kind = "regular"
-            rep.is_frontal = True
-            rep.is_nondegenerate = True
-            continue
-        if at == (0.0, 0.0):
-            if axis is None:
-                axis, near = _axis_reads(germ, slots)
-            if axis if j is None else axis[j]:
-                common[j] = rep
-                continue
-        alone[j] = None
-    if common:
+    alone = dict.fromkeys(np.setdiff1d(singular, common).tolist())
+    if common.size:
         try:
-            _on_axis(germ, common, mode="axis", near=near)
+            _on_axis(germ, {j: reps[j] for j in common.tolist()}, lone, mode="axis", near=near)
         except ValueError:
-            if None in common:
+            if lone:
                 raise
-            for j in common:
+            for j in common.tolist():
                 reps[j] = SingularityReport(at=at, a=germ.sf.a)
                 alone[j] = "axis"
     for j in sorted(alone):
-        work = _column(germ, j)
+        work = germ if lone else _column(germ, j)
         if alone[j] is None:
             work = make_admissible(work, at)
-        _on_axis(work, {None: reps[j]}, alone[j])
-    return reps[None] if slots == [None] else list(reps.values())
+        _on_axis(work, {0: reps[j]}, True, alone[j])
+    return reps[0] if lone else reps
 
 
-def _on_axis(work, reps, mode=None, near=None):
+def _on_axis(work, reps, lone, mode=None, near=None):
     """The rest of classify at the origin of work, a germ whose singular set
-    is the u-axis: fills in reps (slot -> report, for some slots of work,
-    or {None: report} for a lone germ).  near, if given, holds the values
-    (f_u, f_v) at NEAR_US, else they are read here.  A slot that leaves on
-    a verdict is dropped from the later steps; an exception of any slot is
-    raised for the whole call.  Two rules hold for a lone germ only: a
-    normal field that v does not divide is a note on the report, not an
-    error, and a domain error of mu_C comes after the three sign
-    decisions."""
-    live = dict(reps)
+    is the u-axis: fills in reps (slot -> report, for some slots of work;
+    slot 0 of a lone germ).  near, if given, holds the values (f_u, f_v) at
+    NEAR_US, else they are read here.  A slot that leaves on a verdict is
+    dropped from the later steps; an exception of any slot is raised for the
+    whole call.  One rule holds for a lone germ only: a normal field that v
+    does not divide is a note on the report, not an error."""
     try:
         nt = normal_jets(work, 0.0)
     except JetError as exc:
-        if None not in reps:
+        if not lone:
             raise
-        reps[None].notes.append(f"not admissible / not frontal: {exc}")
+        reps[0].notes.append(f"not admissible / not frontal: {exc}")
         return
-    nt0 = _vals(nt)
-    du0 = _vals(tuple(c.du() for c in work.fjet(0, 0, 3)))
-    for j, rep in list(live.items()):
-        ntscale = max(np.linalg.norm(_slot(du0, j)), 1.0)
-        rep.is_frontal = np.linalg.norm(_slot(nt0, j)) > 1e-9 * ntscale
-        if not rep.is_frontal:
-            rep.notes.append("unnormalized normal vanishes at the point")
-            del live[j]
-    if not live:
+    live = np.array(list(reps))
+    du0 = _rows(tuple(c.du() for c in work.fjet(0, 0, 3)))[live]
+    frontal = _norm(_rows(nt)[live]) > 1e-9 * np.maximum(_norm(du0), 1.0)
+    live = _verdict(reps, live, "is_frontal", frontal, "unnormalized normal vanishes at the point")
+    if not live.size:
         return
 
     lam = lambda_jet(work, 0.0, 0.0, 2, mode)
-    l10, l01, l02 = lam.partial(1, 0), lam.partial(0, 1), lam.partial(0, 2)
-    for j, rep in list(live.items()):
-        rep.lambda_v = _slot(l01, j)
-        dlam = math.hypot(_slot(l10, j), _slot(l01, j))
-        rep.is_nondegenerate = dlam > 1e-9 * (1.0 + abs(_slot(l02, j)))
-        if not rep.is_nondegenerate:
-            rep.notes.append("degenerate singular point (d lambda = 0); invariants suppressed")
-            del live[j]
-    if not live:
+    l10, l01, l02 = (_batched(lam.partial(*ij))[live] for ij in ((1, 0), (0, 1), (0, 2)))
+    _write(reps, live, lambda_v=l01)
+    # math.hypot per slot: np.hypot rounds otherwise
+    dlam = np.array([math.hypot(a, b) for a, b in zip(l10.tolist(), l01.tolist())])
+    live = _verdict(reps, live, "is_nondegenerate", dlam > 1e-9 * (1.0 + np.abs(l02)),
+                    "degenerate singular point (d lambda = 0); invariants suppressed")
+    if not live.size:
         return
 
-    fu, fv = _axis_derivatives(work, 0.0)
-    for j, rep in list(live.items()):
-        k, _ = _kernel(_slot(fu, j), _slot(fv, j))
-        rep.null_vector = (float(k[0]), float(k[1]))
-        rep.kind = "first" if abs(k[1]) > KIND_TOL else "second"
-        if rep.kind == "second":
-            continue
-        s0c, raw = sigma0_C(_column(work, j), 0.0)
-        rep.is_cuspidal_edge = s0c != 0
-        rep.is_wavefront = rep.is_cuspidal_edge
-        rep.raw["sigma0_C"] = raw
-        del live[j]
-    if not live:
+    fu, fv = (x.reshape(-1, 3)[live] for x in _axis_derivatives(work, 0.0))
+    k, s = _kernel(fu, fv)
+    _raise_first((s[:, 0] == 0.0, _RANK0))
+    first = np.abs(k[:, 1]) > KIND_TOL
+    for j, kj in zip(live.tolist(), k.tolist()):
+        reps[j].null_vector = tuple(kj)
+    _write(reps, live, kind=np.where(first, "first", "second"))
+    for j in live[first].tolist():
+        s0c, raw = sigma0_C(work if lone else _column(work, j), 0.0)
+        reps[j].is_cuspidal_edge = reps[j].is_wavefront = s0c != 0
+        reps[j].raw["sigma0_C"] = raw
+    live = live[~first]
+    if not live.size:
         return
 
     # second kind: generalized swallowtail status from nearby axis points
     if near is None:
         near = [_axis_derivatives(work, uu) for uu in NEAR_US]
-    for j, rep in live.items():
-        kinds = [_kind(_slot(a, j), _slot(b, j)) for a, b in near]
-        rep.is_generalized_swallowtail = all(km in ("first", "regular") for km in kinds)
+    nfu, nfv = (np.stack([read[i].reshape(-1, 3)[live] for read in near]) for i in (0, 1))
+    general = (_kinds(nfu, nfv) != "second").all(axis=0)
+    _write(reps, live, is_generalized_swallowtail=general)
 
     shared = _second_kind_data(work, order=4)
-    s0, sg, kn = (f(shared) for f in (_sigma0_S_values, _sigma_g_S_values, _kappa_nu_values))
-    for j, rep in live.items():
-        rep.sigma0_S, rep.raw["sigma0_S"] = _sigma0_S(*(_slot(x, j) for x in s0))
-        rep.sigma_g_S, rep.raw["sigma_g_S"] = _sigma_g_S(*(_slot(x, j) for x in sg))
-        rep.kappa_nu = _kappa_nu(*(_slot(x, j) for x in kn))
+    s0, s0_raw = _sigma0_S(shared, live)
+    sg, sg_raw = _sigma_g_S(shared, live)
+    _write(reps, live, sigma0_S=s0, sigma_g_S=sg, kappa_nu=_kappa_nu(shared, live))
+    for j, a, b in zip(live.tolist(), s0_raw.tolist(), sg_raw.tolist()):
+        reps[j].raw.update(sigma0_S=a, sigma_g_S=b)
 
-    # a domain error of mu_C comes after the three sign decisions
-    mu = _mu_C_values(shared)
+    # a domain error of mu_C is a note, after the three sign decisions
+    mu, bad = _mu_C(shared, live)
+    _write(reps, live, mu_C=mu)
+    for j in live[bad].tolist():
+        reps[j].notes.append(_MU_C_DOMAIN)
     # wave front: (f, nu) immersive, i.e. the stacked 6x2 differential has rank 2
-    dfs = [_vals(shared[key]) for key in ("fu", "fv", "nu_u", "nu_v")]
-    for j, rep in live.items():
-        try:
-            rep.mu_C = _mu_C(*(_slot(x, j) for x in mu))
-        except ClassificationError as exc:
-            rep.notes.append(str(exc))
-        M = np.zeros((6, 2))
-        M[:3, 0], M[:3, 1], M[3:, 0], M[3:, 1] = (_slot(x, j) for x in dfs)
-        sv = np.linalg.svd(M, compute_uv=False)
-        rep.is_wavefront = sv[1] > 1e-8 * (1.0 + sv[0])
-        rep.is_swallowtail = bool(rep.is_wavefront and rep.is_generalized_swallowtail)
+    dfs = [_rows(shared[key])[live] for key in ("fu", "nu_u", "fv", "nu_v")]
+    M = np.stack([np.concatenate(dfs[:2], axis=-1), np.concatenate(dfs[2:], axis=-1)], axis=-1)
+    sv = np.linalg.svd(M, compute_uv=False)
+    wave = sv[:, 1] > 1e-8 * (1.0 + sv[:, 0])
+    _write(reps, live, is_wavefront=wave, is_swallowtail=wave & general)
 
 
 def _axis_reads(germ, slots):
-    """(_axis_is_singular(germ), the values (f_u, f_v) at NEAR_US or None),
-    for a germ singular at the origin in some slot, as classify calls it.
+    """(the verdicts of _axis_is_singular(germ), the values (f_u, f_v) at
+    NEAR_US or None), for a germ singular at the origin in some slot, as
+    classify calls it; slots is the range of the germ's slots, range(1) for
+    a lone germ, and the verdicts are a list over them.
 
     The germ is read at the union of AXIS_US and NEAR_US but the origin,
     whose sample classify has already decided, in one array call of order
     2, the point axis before the slot axis of a batched germ; each point of
-    each slot holds the bits of its scalar read, and the verdict is taken
-    per slot.  If that call raises, the axis is read point by point as
-    _axis_is_singular reads it, and _on_axis reads the near points itself,
-    so no verdict and no error moves."""
+    each slot holds the bits of its scalar read.  If that call raises, the
+    axis is read point by point as _axis_is_singular reads it, and _on_axis
+    reads the near points itself, so no verdict and no error moves."""
     try:
         fu, fv = _axis_derivatives(germ, np.array(_AXIS_READ_US))
     except ValueError:
         return _axis_is_singular(germ), None
-    read = {uu: (fu[:, i], fv[:, i]) for i, uu in enumerate(_AXIS_READ_US)}
-    sing = [all(not _immersive(*(_slot(x, j) for x in read[uu])) for uu in AXIS_US if uu != 0.0)
-            for j in slots]
-    return sing[0] if slots == [None] else sing, [read[uu] for uu in NEAR_US]
+    fu, fv = (x.reshape(len(_AXIS_READ_US), len(slots), 3) for x in (fu, fv))
+    axis = [_AXIS_READ_US.index(uu) for uu in AXIS_US if uu != 0.0]
+    sing = ~_immersive(fu[axis], fv[axis]).any(axis=0)
+    return sing.tolist(), [(fu[i], fv[i]) for i in map(_AXIS_READ_US.index, NEAR_US)]
 
 
 def _axis_is_singular(germ: MapGerm):
     """Whether the u-axis is singular at every sample: a bool, or a list of
-    them, one per slot of a batched germ."""
-    out = None
+    them, one per slot of a batched germ.  The samples are read one by one,
+    in order, until no slot is left singular."""
+    out = True
     for uu in AXIS_US:
         F = germ.fjet(uu, 0.0, 1)
-        fu = _vals(tuple(c.du() for c in F))
-        fv = _vals(tuple(c.dv() for c in F))
-        slots = _slots(F)
-        sing = [not _immersive(_slot(fu, j), _slot(fv, j)) for j in slots]
-        out = sing if out is None else [a and b for a, b in zip(out, sing)]
-        if not any(out):
+        out = out & ~_immersive(_rows(tuple(c.du() for c in F)), _rows(tuple(c.dv() for c in F)))
+        if not out.any():
             break
-    return out[0] if slots == [None] else out
+    return bool(out[0]) if _lone(F) else out.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -619,51 +625,48 @@ def sigma_g_C(germ: MapGerm, u):
     At a 1-D array u, the list of those at its points, from one jet call
     (the point axis before the slot axis), each bit for bit its scalar
     call."""
+    sign, det, lone = _sigma_g_C(germ, u)
+    if np.ndim(u) == 0:
+        return _unbatch(lone, sign, det)
+    return [_unbatch(lone, s, d) for s, d in zip(sign, det)]
+
+
+def _sigma_g_C(germ, u):
+    """(signs, raw values, whether the germ is lone) of sigma_g_C at the
+    axis points u, arrays (point..., slot)."""
     F = germ.fjet(u, 0.0, 2)
     f, fu, fv, fuu, _, fvv = _second_order(F)
     g = Along(germ.sf, f)
     fvv = g.nabla(fv, fv, fvv)
     fuu = g.nabla(fu, fu, fuu)
+    n = np.ndim(u)
     # + 0.0: a zero comes out +0.0, as from the value slot of a jet product
-    values = (g.det(fu, fuu, fvv) + 0.0, np.array(fu), np.array(fuu), np.array(fvv))
-    slots = _slots(F, np.ndim(u))
-    if np.ndim(u) == 0:
-        return _per_slot(_sigma_g_C, slots, *values)
-    after = () if slots == [None] else (slice(None),)
-    return [_per_slot(_sigma_g_C, slots, *(_float(x[(..., i) + after]) for x in values))
-            for i in range(len(u))]
-
-
-def _sigma_g_C(det, fu, fuu, fvv):
-    return sgn(det, np.linalg.norm(fu) * np.linalg.norm(fuu) * np.linalg.norm(fvv)), det
+    det = _batched(g.det(fu, fuu, fvv) + 0.0, n)
+    scale = _norm(_rows(fu, n)) * _norm(_rows(fuu, n)) * _norm(_rows(fvv, n))
+    return sgn(det, scale), det, _lone(F, n)
 
 
 def epsilon_identity_residual(germ: MapGerm, u):
     """Residual of <f_uu, nu~> = eps^2 <f_vv, nu~> at the singular point (u,0):
     (residual, eps), or a list of them, one per slot of a batched germ, each
-    that of the slot's germ alone."""
+    that of the slot's germ alone (numpy floats)."""
     F = germ.fjet(u, 0.0, 2)
     f, fu, fv, fuu, _, fvv = _second_order(F)
-    slots = _slots(F)
-    # [()]: a float for a lone germ, an array over the slots of a batch
-    eps = np.array(_per_slot(partial(_eps, u), slots, np.array(fu), np.array(fv)))[()]
+    # eps of the null field d_u + eps d_v of each slot: the error of the
+    # first slot that has none
+    k, s = _kernel(_rows(fu), _rows(fv))
+    _raise_first((_immersive(_rows(fu), _rows(fv)), f"({u}, 0) is a regular point"),
+                 (s[:, 0] == 0.0, _RANK0),
+                 (np.abs(k[:, 0]) < 1e-9, "null field has no d_u component; eps not resolvable"))
+    eps = k[:, 1] / k[:, 0]
     g = Along(germ.sf, f)
     fuu = g.nabla(fu, fu, fuu)
     fvv = g.nabla(fv, fv, fvv)
     nt = _vals(normal_jets(germ, u, ORDER - 1))
     lhs = g.inner(fuu, nt)
     rhs = eps * eps * g.inner(fvv, nt)
-    return _per_slot(lambda r, e: (r, e), slots, abs(lhs - rhs) / (1.0 + abs(lhs)), eps)
-
-
-def _eps(u, fu, fv):
-    """eps of the null field d_u + eps d_v at the singular point (u, 0)."""
-    if _immersive(fu, fv):
-        raise ClassificationError(f"({u}, 0) is a regular point")
-    k, _ = _kernel(fu, fv)
-    if abs(k[0]) < 1e-9:
-        raise ClassificationError("null field has no d_u component; eps not resolvable")
-    return k[1] / k[0]
+    out = list(zip(_batched(abs(lhs - rhs) / (1.0 + abs(lhs))), eps))
+    return out[0] if _lone(F) else out
 
 
 def limit_normal_at_second_kind(germ: MapGerm, probes=(0.01, -0.01)):
@@ -707,9 +710,8 @@ def project_to_limiting_tangent_plane(germ: MapGerm):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(nu0, e1)
     G = germ.fjet(0.0, 0.0, ORDER)
-    gu = [c for c in G]
-    x = sum(float(e1[k]) * gu[k] for k in range(3))
-    y = sum(float(e2[k]) * gu[k] for k in range(3))
+    x = sum(float(e1[k]) * G[k] for k in range(3))
+    y = sum(float(e2[k]) * G[k] for k in range(3))
     xpp, ypp = x.partial(2, 0), y.partial(2, 0)
     xppp, yppp = x.partial(3, 0), y.partial(3, 0)
     det2 = xpp * yppp - ypp * xppp
@@ -750,7 +752,8 @@ def fundamental_forms(germ: MapGerm, at):
     fvv = g.nabla(fv, fv, fvv)
     forms = (E, Fi, G) + tuple(g.inner(x, nu) for x in (fuu, fuv, fvv))
     # + 0.0: a zero form comes out +0.0, as from the value slot of a jet product
-    return tuple(_float(np.where(singular, np.nan, x + 0.0)) for x in forms)
+    forms = tuple(np.where(singular, np.nan, x + 0.0) for x in forms)
+    return forms if singular.ndim else tuple(map(float, forms))
 
 
 def gaussian_curvature(germ: MapGerm, at):
@@ -784,11 +787,7 @@ def _proxy_direction(germ: MapGerm, at):
     fu = tuple(c.du() for c in F)
     fv = tuple(c.dv() for c in F)
     n = cross(fu, fv)
-    L = np.zeros((3, 2))
-    for k in range(3):
-        L[k, 0] = n[k].partial(1, 0)
-        L[k, 1] = n[k].partial(0, 1)
-    Uw, _, _ = np.linalg.svd(L)
+    Uw, _, _ = np.linalg.svd(np.array([[c.partial(1, 0), c.partial(0, 1)] for c in n]))
     return Uw[:, 0]
 
 

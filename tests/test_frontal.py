@@ -852,12 +852,20 @@ def _jet_route_sigma_g_C(germ, u):
     fuu = g.nabla(fu, fu, tuple(c.du() for c in fu))
     det = g.det(fu, fuu, fvv).value()
     values = (det, fr._vals(fu), fr._vals(fuu), fr._vals(fvv))
-    slots = fr._slots(F, np.ndim(u))
+
+    def decide(det, fu, fuu, fvv):
+        """The sign and raw value of one slot at one point, on floats."""
+        det = float(det)
+        return fr.sgn(det, np.linalg.norm(fu) * np.linalg.norm(fuu) * np.linalg.norm(fvv)), det
+
+    def per_slot(*values):
+        if F[0].c.ndim == 1 + np.ndim(u):
+            return decide(*values)
+        return [decide(*(x[..., j] for x in values)) for j in range(F[0].c.shape[-1])]
     if np.ndim(u) == 0:
-        return fr._per_slot(fr._sigma_g_C, slots, *values)
-    after = () if slots == [None] else (slice(None),)
-    return [fr._per_slot(fr._sigma_g_C, slots, *(fr._float(x[(..., i) + after]) for x in values))
-            for i in range(len(u))]
+        return per_slot(*values)
+    after = () if F[0].c.ndim == 2 else (slice(None),)
+    return [per_slot(*(x[(..., i) + after] for x in values)) for i in range(len(u))]
 
 
 def _jet_route_epsilon_identity_residual(germ, u):
