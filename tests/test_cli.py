@@ -23,6 +23,8 @@ def specs(tmp_path):
                        "q": "0", "r": ["u^2", "0-2*u", "1"], "a": 0.0},
         "dev.json": {"kind": "asymptotic-data", "xi": ["1", "u", "u^2"],
                      "q": "0", "r": ["0", "0", "0"], "a": 0.0},
+        "fminus.json": {"kind": "asymptotic-data", "xi": ["1", "u", "u^2"],
+                        "q": "0", "r": ["0-u^2", "2*u", "0-1"], "a": 0.0},
         "cusp.json": {"kind": "curve", "gamma": ["u^2", "u^3", "0"]},
         "raw.json": {"kind": "raw-germ",
                      "f": ["u", "2*v^3+u*v", "3*v^4+u*v^2"], "a": 0.0},
@@ -227,6 +229,25 @@ def test_deform_certificate_passes(specs, capsys):
     doc = json.loads(out)
     assert doc["pass"] is True
     assert len(doc["t_grid"]) == 5
+
+
+def test_deform_preserve_sign(specs, capsys):
+    """--preserve-sign: recipe D on endpoints whose curvature signs differ
+    is a precondition mismatch (exit 4); without the flag the same pair
+    passes through the general route, which scales (q, r) away.  Recipe A
+    ignores the flag."""
+    pair = (str(specs / "fplus.json"), str(specs / "fminus.json"), "--recipe", "D", "--steps", "3")
+    code, out = run(capsys, "deform", *pair, "--preserve-sign")
+    assert code == 4
+    doc = json.loads(out)
+    assert doc["pass"] is False and "curvature signs do not match" in doc["error"]
+    code, out = run(capsys, "deform", *pair)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["pass"] is True and doc["per_t"][0]["stage"] == "scale-away-1"
+    theorem_a = ("deform", str(specs / "ex217.json"), str(specs / "ex217.json"),
+                 "--recipe", "A", "--steps", "3")
+    assert run(capsys, *theorem_a, "--preserve-sign") == run(capsys, *theorem_a)
 
 
 def test_deform_endpoints_of_different_a_exit_4(specs, capsys, tmp_path):

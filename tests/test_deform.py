@@ -619,6 +619,36 @@ def test_the_axis_read_of_a_stage_batch_gives_the_outcome_of_scalar_reads(
                    for label, g in fresh]
 
 
+def test_sigma_g_C_max_passes_over_a_nan_raw(monkeypatch, dplus):
+    """certify's sigma_g_C_max of a t is the largest |raw| of sigma_g_C at
+    the AXIS_SAMPLES, with a NaN raw passed over as Python's max passes over
+    it (np.max would give NaN): raws made NaN at the first sample of every
+    slot and at every sample of slot 0 give 0.0 there and the largest of the
+    others elsewhere."""
+    from swallowkit import frontal as fr
+    real, seen = fr._sigma_g_C, []
+
+    def with_nans(germ, u):
+        sign, raw, lone = real(germ, u)
+        raw = raw.copy()
+        raw[0, :] = raw[:, 0] = np.nan
+        seen.append(raw)
+        return sign, raw, lone
+    monkeypatch.setattr(fr, "_sigma_g_C", with_nans)
+    fam = dm.deform_theorem_D(dplus, rotated_asym(0.4, "0.05", 2.0), preserve_sign=True)
+    cert = dm.certify(fam, "asymptotic_swallowtail", steps=3, track_kext_sign=fam.kext_sign)
+    expected = []
+    for raw in seen:
+        assert np.isnan(np.max(np.abs(raw), axis=0)).all()
+        for column in raw.T.tolist():
+            worst = 0.0
+            for x in column:
+                worst = max(worst, abs(x))
+            expected.append(worst)
+    assert len(seen) == len(fam.stages) and expected[0] == 0.0 < max(expected)
+    assert [e["sigma_g_C_max"] for e in cert.per_t] == expected
+
+
 def test_certify_reads_of_a_stage_batch_equal_its_point_reads(d217, dplus):
     """sigma_g_C at the AXIS_SAMPLES and gaussian_curvature at the PROBES,
     each one call over (point x t) on the batched germ of every stage, and

@@ -1,5 +1,6 @@
 """Classification and invariants on the example corpus."""
 
+import itertools
 import math
 import re
 import warnings
@@ -621,6 +622,13 @@ _BRANCHES = {
     "normal not divisible by v": ("u", "v^2", "0.000000003*u*v"),
     "normal vanishes": ("u", "v^3", "v^4"),
     "corank 2": ("u^2", "v^2", "u*v"),
+    # lambda = v |nu~|^2 with |nu~(o)| = 2e-6: frontal, but d lambda(o) = 4e-12
+    "degenerate lambda": ("u", "0.000001*v^2", "0.000001*v^3"),
+    # f_u = 0 along the axis: every near-axis sample is of the second kind
+    "second kind along the axis": ("v", "u*v", "v^2"),
+    # nabla_v f_u(o) x f_v(o) = 0: the norm in mu_C raises JetError (jet_sqrt
+    # of a zero), so mu_C's domain-error note is never reached
+    "nabla_v f_u parallel to f_v": ("0.0000005*u+v", "50*v^2", "0"),
 }
 
 
@@ -786,6 +794,51 @@ def test_a_batch_error_is_that_of_its_first_slot_alone():
     for germs, err in (([corank2, outside], first), ([outside, corank2], second)):
         with pytest.raises(type(err), match=re.escape(str(err))):
             classify(_batch_of(germs))
+
+
+def _error_alone(fn, germ, *args):
+    try:
+        fn(germ, *args)
+    except fr.ClassificationError as exc:
+        return str(exc)
+
+
+def test_an_array_check_raises_the_error_of_its_first_failing_slot():
+    """Each check is one array operation over the slots, and a batch still
+    raises the error its first failing slot raises alone: in every order of
+    a cuspidal edge (its null field has no d_u part), a corank-2 germ (a
+    rank-0 differential) and an immersion (a regular point) for
+    epsilon_identity_residual; the rank-0 error of point_kind; and the
+    error of limiting_normal_curvature at a cuspidal edge (f_v(o) = 0)
+    beside a swallowtail."""
+    edge, corank2, regular, tail = (MapGerm.from_exprs(_BRANCHES[n]) for n in (
+        "cuspidal edge", "corank 2", "regular", "swallowtail"))
+    errors = {g: _error_alone(fr.epsilon_identity_residual, g, 0.0) for g in (edge, corank2, regular)}
+    assert len(set(errors.values())) == 3 and None not in errors.values()
+    for germs in itertools.permutations([edge, corank2, regular]):
+        with pytest.raises(fr.ClassificationError, match=re.escape(errors[germs[0]])):
+            fr.epsilon_identity_residual(_batch_of(germs), 0.0)
+    assert _error_alone(fr.point_kind, corank2) == "rank-0 differential: corank > 1"
+    for germs in ([regular, corank2], [corank2, edge]):
+        with pytest.raises(fr.ClassificationError, match="rank-0 differential"):
+            fr.point_kind(_batch_of(germs))
+    assert _error_alone(fr.limiting_normal_curvature, edge) == "f_v vanishes at the origin"
+    assert _error_alone(fr.limiting_normal_curvature, tail) is None
+    for germs in ([tail, edge], [edge, tail]):
+        with pytest.raises(fr.ClassificationError, match="f_v vanishes at the origin"):
+            fr.limiting_normal_curvature(_batch_of(germs))
+
+
+def test_sgn_of_an_array_is_the_sign_of_each_entry():
+    """sgn on an array gives, entry by entry, the int that sgn gives on the
+    float, NaN included (-1: it is neither in the band nor positive)."""
+    x = np.array([np.nan, 0.0, -0.0, 1e-9, -2e-9, 3.0, -np.inf, 1e-300])
+    scale = np.array([0.0, 1.0, 1.0, 0.5, 0.5, 2.0, 1.0, 0.0])
+    got = fr.sgn(x, scale)
+    assert got.dtype.kind == "i"
+    assert got.tolist() == [fr.sgn(float(a), float(b)) for a, b in zip(x, scale)]
+    assert got.tolist() == [-1, 0, 0, 0, -1, 1, -1, 0]
+    assert type(fr.sgn(float("nan"))) is int
 
 
 def test_public_invariants_equal_the_classify_report(ex217, fplus):

@@ -4,6 +4,7 @@
                                  --seeds 11-20 --out BENCH_<n>.json [--trace]
     python3 tools/bench_pairs.py --base DIR --head DIR --kernels --out BENCH_<n>.json
     python3 tools/bench_pairs.py --base DIR --head DIR --tier1 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --trajectory DIR
 
 For each seed it runs the unmodified ``perfbench/run.py --workload W --seed S
 --seconds 10`` once in each checkout, alternating which side runs first, and
@@ -26,6 +27,13 @@ wall time of the tier-1 command (``python -m pytest -q
 the checkout) over TIER1_RUNS runs per side, run alternately, with each run's
 exit code and pytest summary line, and the least wall time per side.  The
 file also records the commit of each checkout and the host.
+
+With --trajectory it runs nothing: it reads every BENCH_<n>.json in DIR in
+the order of n, a held-out file (BENCH_<n>_heldout.json) after its PR's
+own and marked, and prints, for each workload and end-to-end metric, each
+file's base and head medians.  Each file's pairs come from one session on
+a host whose speed drifts, so the base and head of one file compare with
+each other, not with the numbers of another file.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import argparse
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -125,18 +134,25 @@ def _quartiles(xs):
 
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    p.add_argument("--base", required=True, help="checkout of the parent commit")
-    p.add_argument("--head", required=True, help="checkout of the change")
+    p.add_argument("--base", help="checkout of the parent commit")
+    p.add_argument("--head", help="checkout of the change")
     p.add_argument("--workload")
     p.add_argument("--seeds", help="first-last, inclusive")
-    p.add_argument("--out", required=True)
+    p.add_argument("--out")
     p.add_argument("--trace", action="store_true",
                    help="also record one traced run per side (per-layer metrics)")
     p.add_argument("--kernels", action="store_true",
                    help="record each side's L0 kernel times (microseconds per call)")
     p.add_argument("--tier1", action="store_true",
                    help="record each side's tier-1 wall time (L6)")
+    p.add_argument("--trajectory", metavar="DIR",
+                   help="print the medians of every BENCH file in DIR, file by file")
     args = p.parse_args(argv)
+    if args.trajectory:
+        _trajectory(args.trajectory)
+        return 0
+    if not (args.base and args.head and args.out):
+        p.error("give --base, --head and --out, or --trajectory")
     if not (args.kernels or args.tier1) and not (args.workload and args.seeds):
         p.error("give --workload and --seeds, --kernels or --tier1")
 
@@ -161,6 +177,24 @@ def main(argv=None) -> int:
         json.dump(doc, f, indent=1, sort_keys=True)
         f.write("\n")
     return 0
+
+
+def _trajectory(root):
+    """Print each BENCH file's base and head medians, per workload and
+    end-to-end metric, the files in PR order."""
+    files = sorted((int(m[1]), bool(m[2]), m[0]) for m in (
+        re.fullmatch(r"BENCH_(\d+)(_heldout)?\.json", name) for name in os.listdir(root)) if m)
+    docs = [(name, held, json.load(open(os.path.join(root, name)))) for _, held, name in files]
+    rows = {}
+    for name, held, doc in docs:
+        for workload, res in doc.get("workloads", {}).items():
+            for metric, m in res.get("metrics", {}).items():
+                rows.setdefault((workload, metric), []).append(
+                    f"  {name:<24} base {m['base']['median']:<12.6g} head "
+                    f"{m['head']['median']:<12.6g} {m['unit']}" + ("  held out" if held else ""))
+    for (workload, metric), lines in sorted(rows.items()):
+        print(f"{workload} {metric}")
+        print("\n".join(lines))
 
 
 def _pairs(args):
