@@ -307,7 +307,8 @@ def _eps_field_jets(germ: MapGerm, u):
     fv = tuple(c.dv() for c in F)
     E = dot(fu, fu)
     Fg = dot(fu, fv)
-    nrm = jet_sqrt(Fg * Fg + E * E)
+    norm = (Fg * Fg + E * E)
+    nrm = jet_sqrt(norm)
     alpha = Fg / nrm
     eps = -E / nrm
     if eps.value() > 0:
@@ -406,26 +407,20 @@ def limiting_normal_curvature(germ: MapGerm):
     return _unbatch(_lone(d["fu"]), _kappa_nu(d, slice(None)))
 
 
-_MU_C_DOMAIN = "degenerate: nabla_v f_u(o) x f_v(o) = 0"
-
-
 def _mu_C(d, slots):
-    """(mu_C, NaN where its domain fails; where that is).  The cube is taken
-    on Python floats: numpy's array power may round otherwise."""
+    """mu_C at the slots.  Its denominator |nabla_v f_u x f_v|(o) is never
+    0: jet_sqrt raises JetError on a zero.  The cube is taken on Python
+    floats: numpy's array power may round otherwise."""
     g = d["g"]
     fv_norm, num, den = (_batched(x.value())[slots] for x in (
         g.norm(d["fv"]), g.inner(d["fuv"], d["nu_u"]), g.norm(g.cross(d["fuv"], d["fv"]))))
-    bad = den == 0.0
-    cube = np.array([x ** 3 for x in fv_norm.tolist()])
-    return np.where(bad, np.nan, -cube * num / np.where(bad, 1.0, den)), bad
+    return -np.array([x ** 3 for x in fv_norm.tolist()]) * num / den
 
 
 def normalized_cuspidal_curvature(germ: MapGerm):
     """mu_C; its sign equals sigma0_S."""
     d = _second_kind_data(germ)
-    mu, bad = _mu_C(d, slice(None))
-    _raise_first((bad, _MU_C_DOMAIN))
-    return _unbatch(_lone(d["fu"]), mu)
+    return _unbatch(_lone(d["fu"]), _mu_C(d, slice(None)))
 
 
 def classify(germ: MapGerm, at=(0.0, 0.0)):
@@ -534,15 +529,10 @@ def _on_axis(work, reps, lone, mode=None, near=None):
     shared = _second_kind_data(work, order=4)
     s0, s0_raw = _sigma0_S(shared, live)
     sg, sg_raw = _sigma_g_S(shared, live)
-    _write(reps, live, sigma0_S=s0, sigma_g_S=sg, kappa_nu=_kappa_nu(shared, live))
+    _write(reps, live, sigma0_S=s0, sigma_g_S=sg, kappa_nu=_kappa_nu(shared, live),
+           mu_C=_mu_C(shared, live))
     for j, a, b in zip(live.tolist(), s0_raw.tolist(), sg_raw.tolist()):
         reps[j].raw.update(sigma0_S=a, sigma_g_S=b)
-
-    # a domain error of mu_C is a note, after the three sign decisions
-    mu, bad = _mu_C(shared, live)
-    _write(reps, live, mu_C=mu)
-    for j in live[bad].tolist():
-        reps[j].notes.append(_MU_C_DOMAIN)
     # wave front: (f, nu) immersive, i.e. the stacked 6x2 differential has rank 2
     dfs = [_rows(shared[key])[live] for key in ("fu", "nu_u", "fv", "nu_v")]
     M = np.stack([np.concatenate(dfs[:2], axis=-1), np.concatenate(dfs[2:], axis=-1)], axis=-1)
@@ -710,8 +700,9 @@ def project_to_limiting_tangent_plane(germ: MapGerm):
     e1 /= np.linalg.norm(e1)
     e2 = np.cross(nu0, e1)
     G = germ.fjet(0.0, 0.0, ORDER)
-    x = sum(float(e1[k]) * G[k] for k in range(3))
-    y = sum(float(e2[k]) * G[k] for k in range(3))
+    gu = [c for c in G]
+    x = sum(float(e1[k]) * gu[k] for k in range(3))
+    y = sum(float(e2[k]) * gu[k] for k in range(3))
     xpp, ypp = x.partial(2, 0), y.partial(2, 0)
     xppp, yppp = x.partial(3, 0), y.partial(3, 0)
     det2 = xpp * yppp - ypp * xppp
@@ -787,7 +778,11 @@ def _proxy_direction(germ: MapGerm, at):
     fu = tuple(c.du() for c in F)
     fv = tuple(c.dv() for c in F)
     n = cross(fu, fv)
-    Uw, _, _ = np.linalg.svd(np.array([[c.partial(1, 0), c.partial(0, 1)] for c in n]))
+    L = np.zeros((3, 2))
+    for k in range(3):
+        L[k, 0] = n[k].partial(1, 0)
+        L[k, 1] = n[k].partial(0, 1)
+    Uw, _, _ = np.linalg.svd(L)
     return Uw[:, 0]
 
 

@@ -627,7 +627,7 @@ _BRANCHES = {
     # f_u = 0 along the axis: every near-axis sample is of the second kind
     "second kind along the axis": ("v", "u*v", "v^2"),
     # nabla_v f_u(o) x f_v(o) = 0: the norm in mu_C raises JetError (jet_sqrt
-    # of a zero), so mu_C's domain-error note is never reached
+    # of a zero), after the sign decisions
     "nabla_v f_u parallel to f_v": ("0.0000005*u+v", "50*v^2", "0"),
 }
 
@@ -827,6 +827,37 @@ def test_an_array_check_raises_the_error_of_its_first_failing_slot():
     for germs in ([tail, edge], [edge, tail]):
         with pytest.raises(fr.ClassificationError, match="f_v vanishes at the origin"):
             fr.limiting_normal_curvature(_batch_of(germs))
+
+
+def _immersive_per_row(fu, fv):
+    """The regular test on one row of values, on floats, as decided before
+    the checks took arrays: the reference of the array test."""
+    (a0, a1, a2), (b0, b1, b2) = fu.tolist(), fv.tolist()
+    n = np.array([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0])
+    return np.linalg.norm(n) > fr.REGULAR_TOL * (1.0 + np.linalg.norm(fu) * np.linalg.norm(fv))
+
+
+def test_array_checks_equal_their_per_row_reference():
+    """The regular test, the kernel (one stacked SVD) and the row norms of a
+    stack of rows give, bit for bit, what one row alone gives through
+    np.linalg.norm and np.linalg.svd of its 3x2 matrix: random rows over
+    sixteen decades, rank-1 rows and rows near the regular band."""
+    rng = np.random.default_rng(5)
+    fu = rng.standard_normal((400, 3)) * 10.0 ** rng.integers(-8, 8, (400, 1))
+    fv = rng.standard_normal((400, 3)) * 10.0 ** rng.integers(-8, 8, (400, 1))
+    fv[::5] = 3.0 * fu[::5]
+    fu[1::5] = fv[1::5] * 1e-9 + rng.standard_normal((80, 3)) * 1e-12
+    regular = fr._immersive(fu, fv)
+    k, s = fr._kernel(fu, fv)
+    norms = fr._norm(fu)
+    assert 0 < regular.sum() < len(fu)
+    for j in range(len(fu)):
+        assert regular[j] == _immersive_per_row(fu[j], fv[j])
+        _, s1, vt1 = np.linalg.svd(np.stack([fu[j], fv[j]], axis=1))
+        k1 = vt1[-1] / np.linalg.norm(vt1[-1])
+        np.testing.assert_array_equal(k[j].view(np.int64), k1.view(np.int64))
+        np.testing.assert_array_equal(s[j].view(np.int64), s1.view(np.int64))
+        assert norms[j].view(np.int64) == np.linalg.norm(fu[j]).view(np.int64)
 
 
 def test_sgn_of_an_array_is_the_sign_of_each_entry():
