@@ -146,14 +146,16 @@ def _lone(jets, point_ndim=0):
 def _batched(x, point_ndim=0):
     """Values x read off a germ's jets at a point with point_ndim axes, with
     one slot axis after the point axes: a lone germ's as a batch of one."""
-    return np.reshape(x, np.shape(x)[:point_ndim] + (-1,))
+    x = np.asarray(x)
+    return x.reshape(x.shape[:point_ndim] + (-1,))
 
 
 def _rows(vec, point_ndim=0):
     """The values of a 3-vector of jets (or of values) as rows (point...,
-    slot, 3)."""
-    return np.stack([_batched(c.value() if isinstance(c, Jet2) else c, point_ndim)
-                     for c in vec], axis=-1)
+    slot, 3), contiguous."""
+    x = np.array([c.value() if isinstance(c, Jet2) else c for c in vec])
+    x = x.reshape(x.shape[:1 + point_ndim] + (-1,))
+    return np.ascontiguousarray(x.transpose(tuple(range(1, x.ndim)) + (0,)))
 
 
 def _norm(x):
@@ -172,7 +174,7 @@ def _raise_first(*checks):
     """Raise the ClassificationError of the first failing slot: checks are
     (failing, message) pairs, failing a mask over the slots, in the order in
     which one slot is checked."""
-    failing = [(int(np.argmax(bad)), i) for i, (bad, _) in enumerate(checks) if np.any(bad)]
+    failing = [(int(bad.argmax()), i) for i, (bad, _) in enumerate(checks) if bad.any()]
     if failing:
         raise ClassificationError(checks[min(failing)[1]][1])
 
@@ -273,9 +275,9 @@ def _kernel(fu, fv):
 
 def _immersive(fu, fv):
     """Whether f_u and f_v span a plane, at each row (..., 3) of values."""
-    # the cross product by hand: np.cross's set-up costs more than the test
-    (a0, a1, a2), (b0, b1, b2) = np.moveaxis(fu, -1, 0), np.moveaxis(fv, -1, 0)
-    n = np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+    # the cross product by hand (np.cross's set-up costs more than the test):
+    # component i is fu[i+1] fv[i+2] - fu[i+2] fv[i+1]
+    n = fu[..., [1, 2, 0]] * fv[..., [2, 0, 1]] - fu[..., [2, 0, 1]] * fv[..., [1, 2, 0]]
     return _norm(n) > REGULAR_TOL * (1.0 + _norm(fu) * _norm(fv))
 
 
@@ -447,14 +449,14 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
     regular = _immersive(_rows(tuple(c.du() for c in F)), _rows(tuple(c.dv() for c in F)))
     reps = [SingularityReport(at=at, a=germ.sf.a, is_frontal=r, is_nondegenerate=r)
             for r in regular.tolist()]
-    singular = np.flatnonzero(~regular)
-    common, near = singular[:0], None
-    if at == (0.0, 0.0) and singular.size:
+    common, near = ~regular & False, None
+    if at == (0.0, 0.0) and not regular.all():
         axis, near = _axis_reads(germ, range(len(reps)))
-        common = singular[np.reshape(axis, -1)[singular]]
+        common = ~regular & np.array(axis).reshape(-1)
     # slot -> mode of the slots that go alone: None through make_admissible,
     # "axis" on their own singular axis
-    alone = dict.fromkeys(np.setdiff1d(singular, common).tolist())
+    alone = dict.fromkeys(np.flatnonzero(~regular & ~common).tolist())
+    common = np.flatnonzero(common)
     if common.size:
         try:
             _on_axis(germ, {j: reps[j] for j in common.tolist()}, lone, mode="axis", near=near)
