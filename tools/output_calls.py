@@ -165,4 +165,29 @@ for name, read in READS.items():
         print(name, order, "union", [repr(j.c.tolist()) for j in read(deform._union_us(), order)])
     print(name, 2, "check grid", [repr(j.c.tolist()) for j in read(GRID, 2)])
 """),
+    # the Taylor series of a batch of three Frenet paths, the second one's
+    # steps split (kappa near 20), at the starts of the steps and at an array
+    # of points, at orders 3 and 9
+    ("frenet series", """
+from swallowkit.curves import FrenetData, FrenetPath
+from swallowkit.fields import components
+from swallowkit.jets import Jet2, parse
+KAPPA = [parse(e) for e in ("1+u^2", "20+u", "2+sin(u)")]
+TAU = [parse(e) for e in ("0.5*sin(u)", "u", "u^2-0.3")]
+
+def kappa_tau(u, v, order):
+    return tuple(Jet2(order, np.stack([e.jet(u, v, order).c for e in es], axis=-1), True)
+                 for es in (KAPPA, TAU))
+
+c, s = np.cos(0.7), np.sin(0.7)
+FRAMES = [np.eye(3), np.array([[c, s, 0.0], [-s, c, 0.0], [0.0, 0.0, 1.0]]),
+          np.array([[0.0, 0.0, 1.0], [c, s, 0.0], [-s, c, 0.0]])]
+path = FrenetPath(FrenetData(*components(kappa_tau, 2), frame0=np.stack(FRAMES, axis=-1),
+                             step=0.05), interval=(-0.2, 0.35))
+for order in (3, 9):
+    for u in path.dense.starts.tolist():
+        print("series", order, u, [repr(e.tolist()) for e in path.series(u, order)])
+    us = np.linspace(-0.2, 0.35, 8)
+    print("series", order, "array", [repr(e.tolist()) for e in path.series(us, order)])
+"""),
 ]
