@@ -360,26 +360,37 @@ def march_steps(interval, h):
     return ends, np.concatenate([[0.0], ends[0][:-1], ends[1][:-1]])
 
 
+_OPERANDS = [3, 4, 5, 0, 1, 2, 3, 4, 5, 6, 7, 8]   # the rows (N, T, N, B) of a state
+
+
 def _frenet_series(Y, kser, tser, u0, order):
     """Taylor coefficients (order + 1, 15, ...) at u0 of the state
     (T, N, B, Gamma, int u T) from the Frenet relations, given the state Y
     (15, ...) at u0 and the series of kappa and tau there, each with at
-    least order rows (a row per degree, a column per path)."""
+    least order rows (a row per degree, a column per path).
+
+    The four Cauchy products of degree n are one: row m of W[:n + 1] *
+    F[n::-1] is (kappa_m N_{n-m}, kappa_m T_{n-m}, tau_m N_{n-m}, tau_m
+    B_{n-m}), and np.add.reduce sums the rows one by one from 0, as a Python
+    sum over m does, so each coefficient holds the bits of four such sums."""
     S = np.zeros((order + 1,) + Y.shape)
     S[0] = Y
-    T, N, B, G, G2 = (S[:, k:k + 3] for k in range(0, 15, 3))
+    F = np.empty((order + 1, 12) + Y.shape[1:])
+    np.take(Y, _OPERANDS, axis=0, out=F[0])
+    W = np.repeat(np.stack([kser[:order], kser[:order], tser[:order], tser[:order]], 1), 3, 1)
+    deg = np.arange(1.0, order + 1).reshape((order, 1) + (1,) * (Y.ndim - 1))
+    signed = deg * np.repeat([1.0, 1.0, -1.0], 3).reshape((9,) + (1,) * (Y.ndim - 1))
     for n in range(order):
-        conv_kN = sum(kser[m] * N[n - m] for m in range(n + 1))
-        conv_kT = sum(kser[m] * T[n - m] for m in range(n + 1))
-        conv_tB = sum(tser[m] * B[n - m] for m in range(n + 1))
-        conv_tN = sum(tser[m] * N[n - m] for m in range(n + 1))
-        T[n + 1] = conv_kN / (n + 1)
-        N[n + 1] = (-conv_kT + conv_tB) / (n + 1)
-        B[n + 1] = -conv_tN / (n + 1)
-        G[n + 1] = T[n] / (n + 1)
-        # d/du (int u T) = u T: coefficients u0 T_n + T_{n-1}
-        ut = u0 * T[n] + (T[n - 1] if n >= 1 else 0.0)
-        G2[n + 1] = ut / (n + 1)
+        c = np.add.reduce(W[:n + 1] * F[n::-1], axis=0, initial=0.0)  # kN, kT, tN, tB
+        np.subtract(c[9:12], c[3:6], out=c[3:6])
+        np.divide(c[:9], signed[n], out=S[n + 1, :9])   # B' = tN / -(n + 1)
+        np.take(S[n + 1, :9], _OPERANDS, axis=0, out=F[n + 1])
+    T = S[:-1, 0:3]
+    S[1:, 9:12] = T / deg
+    ut = u0 * T             # d/du (int u T) = u T: coefficients u0 T_n + T_{n-1}
+    ut[0] += 0.0
+    ut[1:] += T[:-1]
+    S[1:, 12:15] = ut / deg
     return S
 
 

@@ -248,10 +248,10 @@ def _union_us():
 
 
 # the highest order a certificate reads the endpoint (kappa, tau) at:
-# classify's normal_jets reads the germ, so the interior xi, at the origin at
-# fr.ORDER + 2, and the Frenet series memo computes one order above a read
+# classify reads the germ, so the interior xi, at the origin at
+# fr.TOP_ORDER, and the Frenet series memo computes one order above a read
 # (FrenetPath.series); curvature_torsion_of reads xi two orders above that
-_UNION_ORDER = fr.ORDER + 3
+_UNION_ORDER = fr.TOP_ORDER + 1
 
 
 class _UnionJets(JetFn):

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from contextlib import suppress
 from dataclasses import asdict, dataclass, field
 from functools import partial
 
@@ -29,6 +30,9 @@ from .metric import Along, SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
 ORDER = 6
+# the order classify reads the origin at first: the highest it reads there
+# (normal_jets at ORDER), so that every later read there is a memo truncation
+TOP_ORDER = ORDER + 2
 # a point is regular when |f_u x f_v| > REGULAR_TOL (1 + |f_u||f_v|), and a
 # singular point is of the first kind when the d_v part of its unit kernel
 # exceeds KIND_TOL in size: the one band of each in classify, point_kind and
@@ -410,12 +414,14 @@ def limiting_normal_curvature(germ: MapGerm):
 
 
 def _mu_C(d, slots):
-    """mu_C at the slots.  Its denominator |nabla_v f_u x f_v|(o) is never
-    0: jet_sqrt raises JetError on a zero.  The cube is taken on Python
-    floats: numpy's array power may round otherwise."""
+    """mu_C at the slots.  Its denominator |nabla_v f_u x f_v|(o) is 0 where
+    nabla_v f_u(o) is parallel to f_v(o): a ClassificationError.  The cube is
+    taken on Python floats: numpy's array power may round otherwise."""
     g = d["g"]
+    sq = g.inner(*(g.cross(d["fuv"], d["fv"]),) * 2)
+    _raise_first((_batched(sq.value())[slots] <= 0.0, "nabla_v f_u(o) is parallel to f_v(o)"))
     fv_norm, num, den = (_batched(x.value())[slots] for x in (
-        g.norm(d["fv"]), g.inner(d["fuv"], d["nu_u"]), g.norm(g.cross(d["fuv"], d["fv"]))))
+        g.norm(d["fv"]), g.inner(d["fuv"], d["nu_u"]), jet_sqrt(sq)))
     return -np.array([x ** 3 for x in fv_norm.tolist()]) * num / den
 
 
@@ -440,9 +446,18 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
     batch: if it raises (any ValueError), it keeps no partial report, and its
     slots go alone too, each on its own singular axis.  The slots that go
     alone run in slot order, so the first of them that raises decides the
-    batch's error; a lone germ raises what it raises."""
+    batch's error; a lone germ raises what it raises.
+
+    The origin is read first at TOP_ORDER; each later read there is a
+    truncation by the germ's memo (checks 3, normal field TOP_ORDER, lambda
+    5, kind 2, sigma0_C 7, second-kind data 3).  If the top read raises,
+    the read at order 3 decides."""
     at = (float(at[0]), float(at[1]))
-    F = germ.fjet(at[0], at[1], 3)
+    F = None
+    if at == (0.0, 0.0):
+        with suppress(Exception):
+            F = tuple(c.truncate(3) for c in germ.fjet(0.0, 0.0, TOP_ORDER))
+    F = F or germ.fjet(at[0], at[1], 3)
     if not all(np.isfinite(c.c).all() for c in F):
         raise ClassificationError(f"the jets of the germ at {at} are not finite")
     lone = _lone(F)
@@ -483,7 +498,7 @@ def _on_axis(work, reps, lone, mode=None, near=None):
     whole call.  One rule holds for a lone germ only: a normal field that v
     does not divide is a note on the report, not an error."""
     try:
-        nt = normal_jets(work, 0.0)
+        nt = normal_jets(work, 0.0, TOP_ORDER - 2)
     except JetError as exc:
         if not lone:
             raise
@@ -528,7 +543,7 @@ def _on_axis(work, reps, lone, mode=None, near=None):
     general = (_kinds(nfu, nfv) != "second").all(axis=0)
     _write(reps, live, is_generalized_swallowtail=general)
 
-    shared = _second_kind_data(work, order=4)
+    shared = _second_kind_data(work, order=1)   # values only: nu_u and nu_v need order 1
     s0, s0_raw = _sigma0_S(shared, live)
     sg, sg_raw = _sigma_g_S(shared, live)
     _write(reps, live, sigma0_S=s0, sigma_g_S=sg, kappa_nu=_kappa_nu(shared, live),

@@ -114,6 +114,16 @@ def test_overflowing_jets_give_one_stderr_line(tmp_path, capsys):
     assert err.startswith("domain error:") and err.count("\n") == 1
 
 
+def test_classify_names_nabla_v_f_u_parallel_to_f_v(tmp_path, capsys):
+    """A second-kind origin with nabla_v f_u(o) parallel to f_v(o) exits 3
+    with the one line that names it."""
+    spec = tmp_path / "parallel.json"
+    spec.write_text(json.dumps({"kind": "raw-germ", "f": ["0.0000005*u+v", "50*v^2", "0"],
+                                "a": 0.0}))
+    assert main(["classify", str(spec)]) == 3
+    assert capsys.readouterr().err == "domain error: nabla_v f_u(o) is parallel to f_v(o)\n"
+
+
 def test_deeply_nested_expression_exit_2(tmp_path, capsys):
     spec = tmp_path / "deep.json"
     spec.write_text(json.dumps({"kind": "swallowtail-data",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from swallowkit.curves import (CHECK_BLOCK, CurveError, CurveGerm, FrenetData, FrenetPath,
-                               classify_cusp, curvature_torsion_of, factor_cusp, integrate_frenet,
+                               _frenet_series, classify_cusp, curvature_torsion_of, factor_cusp, integrate_frenet,
                                mirror_properties, normalize_half_arclength)
 from swallowkit.deform import XiInterpolation
 from swallowkit.fields import horner, rk4_step, xi_frame
@@ -291,6 +291,63 @@ def test_frenet_check_grid_is_read_in_equal_blocks(interval, blocks):
     assert [len(u) for u in grid] == [m for m in blocks for _ in range(2)]
     assert max(blocks) <= CHECK_BLOCK
     assert np.array_equal(np.concatenate(grid[::2]), np.concatenate(grid[1::2]))
+
+
+def _frenet_series_by_sums(Y, kser, tser, u0, order):
+    """The Frenet series recurrence with one Python sum per convolution, in
+    the order of its terms: the reference of _frenet_series."""
+    S = np.zeros((order + 1,) + Y.shape)
+    S[0] = Y
+    T, N, B, G, G2 = (S[:, k:k + 3] for k in range(0, 15, 3))
+    for n in range(order):
+        conv_kN = sum(kser[m] * N[n - m] for m in range(n + 1))
+        conv_kT = sum(kser[m] * T[n - m] for m in range(n + 1))
+        conv_tB = sum(tser[m] * B[n - m] for m in range(n + 1))
+        conv_tN = sum(tser[m] * N[n - m] for m in range(n + 1))
+        T[n + 1] = conv_kN / (n + 1)
+        N[n + 1] = (-conv_kT + conv_tB) / (n + 1)
+        B[n + 1] = -conv_tN / (n + 1)
+        G[n + 1] = T[n] / (n + 1)
+        ut = u0 * T[n] + (T[n - 1] if n >= 1 else 0.0)
+        G2[n + 1] = ut / (n + 1)
+    return S
+
+
+def _frenet_inputs(rng, nan=False):
+    """Random (Y, kser, tser, u0, order) of _frenet_series: 1 to 25 columns,
+    with or without an axis of points, orders 1 to 9, kappa and tau with
+    order or order + 1 rows, a tenth of the entries +0.0 and a tenth -0.0,
+    and some NaN if nan."""
+    order, cols = int(rng.integers(1, 10)), int(rng.integers(1, 26))
+    shape = ((int(rng.integers(1, 6)),) if rng.random() < 0.5 else ()) + (cols,)
+
+    def draw(*s):
+        x = rng.standard_normal(s)
+        r = rng.random(s)
+        x[r < 0.2] = 0.0
+        x[r < 0.1] = -0.0
+        if nan:
+            x[rng.random(s) < 0.02] = np.nan
+        return x
+    rows = order + int(rng.integers(0, 2))
+    u0 = draw(*shape[:-1], 1) if len(shape) > 1 else float(draw(1)[0])
+    return draw(15, *shape), draw(rows, *shape), draw(rows, *shape), u0, order
+
+
+def test_frenet_series_holds_the_bits_of_one_sum_per_convolution():
+    """The stacked recurrence of _frenet_series holds, on 400 random finite
+    inputs with signed zeros, the bits of the reference with one sum per
+    convolution; on inputs holding NaN its NaN fall in the same slots."""
+    rng = np.random.default_rng(37)
+    for nan in (False, True):
+        for _ in range(400 if not nan else 100):
+            args = _frenet_inputs(rng, nan)
+            got, want = _frenet_series(*args), _frenet_series_by_sums(*args)
+            assert got.shape == want.shape
+            if nan:
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                got, want = np.nan_to_num(got), np.nan_to_num(want)
+            np.testing.assert_array_equal(_bits(got), _bits(want))
 
 
 def test_frenet_unit_speed():

@@ -397,6 +397,20 @@ def _frenet_memo_reads(monkeypatch, reads, order=3):
     return out
 
 
+def test_a_theorem_D_certificate_computes_the_interior_series_at_0_once(monkeypatch, dplus):
+    """The interior Frenet series of a Theorem D xi-interpolation stage at
+    u = 0 are computed once, one order above TOP_ORDER, the order at which
+    classify reads the origin first."""
+    from swallowkit import frontal as fr
+    computed = []
+    monkeypatch.setattr(FrenetPath, "_series_at", lambda self, u0, o: (
+        computed.append((np.ravel(u0).tolist(), o)) or _SERIES_AT(self, u0, o)))
+    famD = dm.deform_theorem_D(dplus, rotated_asym(0.4, "0.05", 2.0), preserve_sign=True)
+    assert dm.certify(famD, "asymptotic_swallowtail", steps=21,
+                      track_kext_sign=famD.kext_sign).passed
+    assert [o for us, o in computed if 0.0 in us] == [fr.TOP_ORDER + 1]
+
+
 def test_frenet_memo_array_after_its_scalar_point(monkeypatch):
     """An array read after a scalar read at one of its points computes only
     its other distinct points, in one _series_at call, one order up."""

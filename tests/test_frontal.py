@@ -626,8 +626,8 @@ _BRANCHES = {
     "degenerate lambda": ("u", "0.000001*v^2", "0.000001*v^3"),
     # f_u = 0 along the axis: every near-axis sample is of the second kind
     "second kind along the axis": ("v", "u*v", "v^2"),
-    # nabla_v f_u(o) x f_v(o) = 0: the norm in mu_C raises JetError (jet_sqrt
-    # of a zero), after the sign decisions
+    # nabla_v f_u(o) x f_v(o) = 0: mu_C's denominator vanishes, a
+    # ClassificationError after the sign decisions
     "nabla_v f_u parallel to f_v": ("0.0000005*u+v", "50*v^2", "0"),
 }
 
@@ -1055,3 +1055,66 @@ def test_second_kind_data_builds_one_metric():
     assert built == [6]
     for a, b in zip(d["ntilde"], fr.normal_jets(germ, 0.0, 4), strict=True):
         np.testing.assert_array_equal(a.c.view(np.int64), b.c.view(np.int64))
+
+
+_PARALLEL = "nabla_v f_u(o) is parallel to f_v(o)"
+
+
+def test_nabla_v_f_u_parallel_to_f_v_is_a_classification_error():
+    """A second-kind origin with nabla_v f_u(o) parallel to f_v(o) leaves
+    mu_C undefined: classify raises a ClassificationError that names it,
+    alone and in a batch beside a swallowtail, as does
+    normalized_cuspidal_curvature."""
+    germ, tail = (MapGerm.from_exprs(_BRANCHES[n])
+                  for n in ("nabla_v f_u parallel to f_v", "swallowtail"))
+    for g in (germ, _batch_of([tail, germ]), _batch_of([germ, tail])):
+        with pytest.raises(fr.ClassificationError, match=re.escape(_PARALLEL)):
+            classify(g)
+    assert _error_alone(fr.normalized_cuspidal_curvature, germ) == _PARALLEL
+
+
+class _OriginSpy:
+    """Provider of base that records the order of each scalar call at the
+    origin, and raises exc there at orders above top."""
+
+    def __init__(self, base, calls, top=None, exc=JetError):
+        self.base, self.calls, self.top, self.exc = base, calls, top, exc
+
+    def jet(self, u, v, order):
+        if np.ndim(u) == 0 and (u, v) == (0.0, 0.0):
+            self.calls.append(order)
+            if self.top is not None and order > self.top:
+                raise self.exc("too high an order at the origin")
+        return self.base.jet(u, v, order)
+
+
+def _spied(name, calls, top=None, exc=JetError):
+    comps = MapGerm.from_exprs(_BRANCHES[name])._components
+    return MapGerm(tuple(_OriginSpy(c, calls, top, exc) for c in comps))
+
+
+@pytest.mark.parametrize("name", ["swallowtail", "not a front", "cuspidal edge", "regular",
+                                  "second kind along the axis"])
+def test_a_lone_classify_computes_the_origin_jets_once(name):
+    """classify at the origin of a lone germ computes its jets there once,
+    at TOP_ORDER, on every branch that stays on the germ's own axis; every
+    other read there is a truncation of that one."""
+    calls = []
+    classify(_spied(name, calls))
+    assert calls == [fr.TOP_ORDER] * 3
+
+
+def test_a_germ_whose_top_origin_read_raises_keeps_its_outcome():
+    """A germ whose jets at the origin raise above order 5 (so at TOP_ORDER
+    only) gets the outcome of reading the origin at order 3 first: a
+    swallowtail's normal field fails, a note on its report, alone and slot
+    by slot in a batch; a regular germ gets the report of its unfailing
+    germ; an error other than JetError leaves classify as it did."""
+    msg = "not admissible / not frontal: too high an order at the origin"
+    rep = classify(_spied("swallowtail", [], 5))
+    assert not rep.is_frontal and rep.notes == [msg]
+    batch = _batch_of([_spied("swallowtail", [], 5), _spied("swallowtail", [], 5)])
+    assert [r.notes for r in classify(batch)] == [[msg], [msg]]
+    assert repr(classify(_spied("regular", [], 5))) == repr(classify(_spied("regular", [])))
+    with pytest.raises(FloatingPointError, match="too high an order"):
+        classify(_spied("swallowtail", [], 5, FloatingPointError))
