@@ -388,7 +388,7 @@ def _frenet_series(Y, kser, tser, u0, order):
     T = S[:-1, 0:3]
     S[1:, 9:12] = T / deg
     ut = u0 * T             # d/du (int u T) = u T: coefficients u0 T_n + T_{n-1}
-    ut[0] += 0.0
+    ut[0] += 0.0            # T_{-1} = 0: a zero comes out +0.0
     ut[1:] += T[:-1]
     S[1:, 12:15] = ut / deg
     return S

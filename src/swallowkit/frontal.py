@@ -418,7 +418,8 @@ def _mu_C(d, slots):
     nabla_v f_u(o) is parallel to f_v(o): a ClassificationError.  The cube is
     taken on Python floats: numpy's array power may round otherwise."""
     g = d["g"]
-    sq = g.inner(*(g.cross(d["fuv"], d["fv"]),) * 2)
+    cr = g.cross(d["fuv"], d["fv"])
+    sq = g.inner(cr, cr)
     _raise_first((_batched(sq.value())[slots] <= 0.0, "nabla_v f_u(o) is parallel to f_v(o)"))
     fv_norm, num, den = (_batched(x.value())[slots] for x in (
         g.norm(d["fv"]), g.inner(d["fuv"], d["nu_u"]), jet_sqrt(sq)))
@@ -450,12 +451,12 @@ def classify(germ: MapGerm, at=(0.0, 0.0)):
 
     The origin is read first at TOP_ORDER; each later read there is a
     truncation by the germ's memo (checks 3, normal field TOP_ORDER, lambda
-    5, kind 2, sigma0_C 7, second-kind data 3).  If the top read raises,
-    the read at order 3 decides."""
+    5, kind 2, sigma0_C 7, second-kind data 3).  If the top read raises a
+    ValueError or ArithmeticError, the read at order 3 decides."""
     at = (float(at[0]), float(at[1]))
     F = None
     if at == (0.0, 0.0):
-        with suppress(Exception):
+        with suppress(ValueError, ArithmeticError):
             F = tuple(c.truncate(3) for c in germ.fjet(0.0, 0.0, TOP_ORDER))
     F = F or germ.fjet(at[0], at[1], 3)
     if not all(np.isfinite(c.c).all() for c in F):

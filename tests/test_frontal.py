@@ -1109,12 +1109,15 @@ def test_a_germ_whose_top_origin_read_raises_keeps_its_outcome():
     only) gets the outcome of reading the origin at order 3 first: a
     swallowtail's normal field fails, a note on its report, alone and slot
     by slot in a batch; a regular germ gets the report of its unfailing
-    germ; an error other than JetError leaves classify as it did."""
+    germ, whether the top read raises JetError or FloatingPointError; a
+    FloatingPointError of the normal field leaves classify as it did."""
     msg = "not admissible / not frontal: too high an order at the origin"
     rep = classify(_spied("swallowtail", [], 5))
     assert not rep.is_frontal and rep.notes == [msg]
     batch = _batch_of([_spied("swallowtail", [], 5), _spied("swallowtail", [], 5)])
     assert [r.notes for r in classify(batch)] == [[msg], [msg]]
-    assert repr(classify(_spied("regular", [], 5))) == repr(classify(_spied("regular", [])))
+    for exc in (JetError, FloatingPointError):
+        assert (repr(classify(_spied("regular", [], 5, exc)))
+                == repr(classify(_spied("regular", []))))
     with pytest.raises(FloatingPointError, match="too high an order"):
         classify(_spied("swallowtail", [], 5, FloatingPointError))
