@@ -8,7 +8,8 @@ sha256 of each call's exit code, stdout, stderr and every file it writes
 must equal the table's.  The table records the Python and numpy versions
 it was made with; on other versions the test skips.  A change that moves an
 output rewrites the table in the same commit and explains each moved
-digest:
+digest.  Run as a script, the test prints each call label and output key
+whose digest moved against the table (or "none"), then rewrites it:
 
     PYTHONPATH=src python3 tests/test_golden_outputs.py
 """
@@ -77,6 +78,19 @@ def _versions():
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
+def _moved(got, calls):
+    """{label: sorted output keys whose digest differs} of every call that
+    moved between the digests got and the table's calls; a call on one side
+    only moves whole."""
+    moved = {}
+    for label in dict.fromkeys([*got, *calls]):
+        d, e = got.get(label, {}), calls.get(label, {})
+        keys = sorted(k for k in set(d) | set(e) if d.get(k) != e.get(k))
+        if keys:
+            moved[label] = keys
+    return moved
+
+
 def test_every_output_has_its_committed_digest(tmp_path, monkeypatch):
     table = json.loads(TABLE.read_text())
     if table["versions"] != _versions():
@@ -84,15 +98,20 @@ def test_every_output_has_its_committed_digest(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     got = _digests(tmp_path)
     assert list(got) == list(table["calls"])
-    moved = {label: sorted(k for k in set(d) | set(table["calls"][label])
-                           if d.get(k) != table["calls"][label].get(k))
-             for label, d in got.items()}
-    assert {label: keys for label, keys in moved.items() if keys} == {}
+    assert _moved(got, table["calls"]) == {}
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         calls = _digests(Path(work))
+    old = json.loads(TABLE.read_text()) if TABLE.exists() else {"versions": None, "calls": {}}
+    if old["versions"] != _versions():
+        print(f"table made with {old['versions']}, running {_versions()}")
+    moved = _moved(calls, old["calls"])
+    for label, keys in moved.items():
+        print("moved:", label, " ".join(keys))
+    if not moved:
+        print("moved: none")
     TABLE.write_text(json.dumps({"versions": _versions(), "calls": calls}, indent=1) + "\n")
     print(f"wrote {len(calls)} calls to {TABLE}")

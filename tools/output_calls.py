@@ -190,4 +190,22 @@ for order in (3, 9):
     us = np.linspace(-0.2, 0.35, 8)
     print("series", order, "array", [repr(e.tolist()) for e in path.series(us, order)])
 """),
+    # t(u) of cusp3 out to |u| = 1.2, where the Newton iterates read phi far
+    # along its table, and a jet of t(u) there
+    ("half-arclength far", """
+from swallowkit.curves import CurveGerm, HalfArclength
+H = HalfArclength(CurveGerm(("u^2/2", "u^3/3", "u^4/4")))
+print("t", repr(H.t_of_u(np.linspace(-1.2, 1.2, 25)).tolist()))
+print("t_jet 0.9", repr(H.t_jet(0.9, 6).c.tolist()))
+"""),
+    # primitives of u g(u) by quadrature: values at an array of u and jets at
+    # a point
+    ("curve integral", """
+from swallowkit.fields import CurveIntegral
+from swallowkit.jets import parse
+for expr in ("cos(u)", "2 + sin(3*u)"):
+    ci = CurveIntegral(parse(expr))
+    print(expr, "values", repr(ci.jet(np.linspace(-1.2, 1.2, 25), 0.0, 0).c.tolist()))
+    print(expr, "jet 0.1", repr(ci.jet(0.1, 0.0, 3).c.tolist()))
+"""),
 ]
