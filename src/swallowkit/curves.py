@@ -16,9 +16,8 @@ from functools import partial
 
 import numpy as np
 
-from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, Scaled, components,
-                     gauss_legendre, horner, step_count, step_ends, vjet, xi_frame,
-                     xi_over_u)
+from .fields import (BoundedCache, DenseOutput, FlipU, JetFn, PrimitiveTable, Scaled,
+                     components, horner, step_count, step_ends, vjet, xi_frame, xi_over_u)
 from .frontal import sgn
 from .jets import Jet2, compose2, jet_sqrt, parse
 from .metric import det3, dot
@@ -112,16 +111,13 @@ class _PhiTable:
     t(u) (phi(t(u)) = u^2/2, u of the sign of t) and the jets of t(u), for
     HalfArclength.
 
-    phi is tabulated at the nodes i*h of a grid on [-1.5, 1.5] (h = 0.002),
-    cumulated outward from 0, each panel integrated by an 8-point
-    Gauss-Legendre rule; the speed at all the nodes of all the panels comes
-    from one array-valued jet call.  phi(t) at any t is the table value at
-    the nearest node plus the same rule over [node, t], so phi is smooth to
-    rounding across panels.  Past +-1.5 the table doubles in whole panels.
-    t(u) is one vectorized Newton iteration on phi(t) = u^2/2, seeded by
-    interpolating the table and clamped to the side of sign(u); a scalar u
-    goes through it as a one-element array.  Every method taking u or t
-    also takes an array of them (one jet per point).
+    phi is a fields.PrimitiveTable of t|xi(t)|, extended at once over
+    [-T, T] = [-1.5, 1.5] (750 panels a side), whose nodes seed t(u), and
+    past it as far as it is read.  t(u) is one vectorized Newton iteration
+    on phi(t) = u^2/2, seeded by interpolating the table's nodes on
+    [-T, T] and clamped to the side of sign(u); a scalar u goes through it
+    as a one-element array.  Every method taking u or t also takes an array
+    of them (one jet per point).
 
     The jet of t(u) at u0 is the series reversion (Jet2.reversion) of
     u(t0 + s) - u0, whose coefficient k comes from the first k of that
@@ -136,54 +132,17 @@ class _PhiTable:
     Derivatives, 2008, ch. 13), so K changes no bit of the first N + 1
     coefficients, and every jet here is truncation-exact: asked at order
     N + 1 and cut to N, it holds the bits of the call at N.  The table
-    holds no memo of t(u)'s jets, so a JetFn over t_jet forms no cycle.
+    holds no memo of t(u) or of its jets, so a JetFn over t_jet forms no
+    cycle.
     """
 
-    T, PANELS = 1.5, 750          # half-width of the table and panels per side
+    T = 1.5          # half-width of the eager table and of the seeds
 
     def __init__(self, fact):
         self.fact = fact
-        self._h = self.T / self.PANELS
-        # cumulative phi at the nodes 0, h, 2h, ... and 0, -h, -2h, ...
-        self._cum = {1.0: np.zeros(1), -1.0: np.zeros(1)}
-        self._extend(self.PANELS)
-        self._t_cache = BoundedCache()
+        self.phi = PrimitiveTable(partial(_t_speed, fact))
+        self.phi.extend(np.array([-self.T, self.T]))
         self.speed_jets = JetFn(partial(_speed_jet, fact))
-
-    def _speed(self, t):
-        """|xi(t)| at an array of points, from one jet call."""
-        x, y, z = (c.value() for c in self.fact.jets(t, 0))
-        return np.sqrt(x * x + y * y + z * z)
-
-    def _rule(self, a, b):
-        """Gauss-Legendre rule for int_a^b s|xi(s)| ds, elementwise over arrays;
-        every piece of phi is one application of it to an interval no longer
-        than one panel."""
-        return gauss_legendre(lambda s: s * self._speed(s), a, b)
-
-    def _extend(self, n):
-        """Grow the table to at least n panels per side, doubling each time, so
-        that its values never depend on the order of the calls."""
-        have = len(self._cum[1.0]) - 1
-        if n <= have:
-            return
-        new = have or n
-        while have + new < n:
-            new *= 2
-        i = np.arange(have, have + new)
-        ends = np.concatenate([i, -i]) * self._h, np.concatenate([i + 1, -(i + 1)]) * self._h
-        panels = self._rule(*ends)
-        for side, p in ((1.0, panels[:new]), (-1.0, panels[new:])):
-            cum = self._cum[side]
-            self._cum[side] = np.concatenate([cum, cum[-1] + np.cumsum(p)])
-
-    def phi(self, t):
-        """phi(t) = int_0^t s|xi(s)| ds, elementwise over an array of t."""
-        t = np.asarray(t, dtype=float)
-        i = np.rint(t / self._h).astype(int)
-        self._extend(int(np.max(np.abs(i), initial=0)))
-        base = np.where(i >= 0, self._cum[1.0][np.abs(i)], self._cum[-1.0][np.abs(i)])
-        return base + self._rule(i * self._h, t)
 
     def _invert(self, u):
         """t(u) for a 1-D array u: Newton on phi(t) = u^2/2 with phi' = t|xi(t)|.
@@ -193,18 +152,17 @@ class _PhiTable:
         target = 0.5 * u * u
         side = np.where(u > 0, 1.0, -1.0)
         t = np.zeros_like(u)
-        n = self.PANELS + 1          # seeds from [-1.5, 1.5] only, however far the table grew
-        for sd in (1.0, -1.0):
+        for sd in (1, -1):
             on = (side == sd) & (u != 0.0)
-            nodes = sd * self._h * np.arange(n)
-            t[on] = np.interp(np.abs(u[on]), np.sqrt(2.0 * self._cum[sd][:n]), nodes)
+            nodes, phis = self.phi.nodes(sd, self.T)
+            t[on] = np.interp(np.abs(u[on]), np.sqrt(2.0 * phis), nodes)
         active = np.flatnonzero(u != 0.0)
         for _ in range(60):
             if not active.size:
                 break
             ta, sa = t[active], side[active]
             g = self.phi(ta) - target[active]
-            gp = ta * self._speed(ta)
+            gp = _t_speed(self.fact, ta)
             step = np.divide(g, gp, out=np.zeros_like(g), where=gp != 0.0)
             ta = ta - step
             ta = np.where(ta * sa <= 0.0, sa * 1e-12, ta)
@@ -215,8 +173,7 @@ class _PhiTable:
     def t_of_u(self, u):
         if np.ndim(u) != 0:
             return self._invert(np.asarray(u, dtype=float))
-        u = float(u)
-        return self._t_cache.value(u, lambda: float(self._invert(np.array([u]))[0]))
+        return float(self._invert(np.array([float(u)]))[0])
 
     def _u_series(self, t0, order):
         """Taylor coefficients of u(t0 + s) about s = 0, shape (order+1,) + shape(t0),
@@ -251,6 +208,12 @@ class _PhiTable:
         tser = Jet2.of_series(us).reversion().series()[:order + 1]
         tser[0] = t0
         return Jet2.of_series(tser)
+
+
+def _t_speed(fact, t):
+    """t |xi(t)| at an array of points, from one jet call."""
+    x, y, z = (c.value() for c in fact.jets(t, 0))
+    return t * np.sqrt(x * x + y * y + z * z)
 
 
 def _speed_jet(fact, t, v, order):

@@ -2,14 +2,17 @@
 
 Anything with a .jet(u, v, order) method can serve as a germ component or
 a data field; expressions are the parseable case, these wrappers cover
-derivatives, pullbacks, primitives of u*g(u) by a fixed Gauss-Legendre rule
-and ad-hoc formulas.  The package's numeric rules live here too: every
-integral is gauss_legendre; the cgc radial profile and the Frenet paths are
-stepped by their own Taylor series, each module with its own recurrence, on
-the steps of step_ends (the Frenet paths split a step that the last terms
-of its series do not admit), and read between the nodes from the step's
-polynomial (DenseOutput, by horner); the frame equations of the cgc surface
-are marched by rk4_step.
+derivatives, pullbacks, primitives of u*g(u) (CurveIntegral) and ad-hoc
+formulas.  The package's numeric rules live here too: every integral (the
+primitive of CurveIntegral, the half-arclength phi of curves) is a
+PrimitiveTable, the sums of gauss_legendre over the panels between the
+nodes i*H from 0, each side grown only as far as it is read, and read
+between the nodes by the same rule; the cgc radial profile and the Frenet
+paths are stepped by their own Taylor series, each module with its own
+recurrence, on the steps of step_ends (the Frenet paths split a step that
+the last terms of its series do not admit), and read between the nodes
+from the step's polynomial (DenseOutput, by horner); the frame equations
+of the cgc surface are marched by rk4_step.
 
 The constructions every germ gamma + v xi + v^2 b is written in are shared
 from here as well: cusp_frame gives the jets of the moving frame
@@ -43,7 +46,9 @@ truncation too, and dropped when that call returns (JetFn._shared).  So
 no array entry outlives the call that made it, and the memory the entries
 hold is bounded by that call.  The Frenet series of curves.FrenetPath,
 which are not a provider, are memoised per point in a BoundedCache
-whether the point is read alone or in an array.  Composite
+whether the point is read alone or in an array.  No scalar value is
+memoised: a PrimitiveTable keeps the sums at its nodes, and a value
+between them is read from them each time.  Composite
 providers, whose jet assembles a new jet from other providers, are JetFns;
 thin wrappers that only rescale, flip or differentiate a base provider
 (Scaled, FlipU, DU) are not cached.  A vector built by components is
@@ -85,6 +90,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -92,11 +98,8 @@ from .jets import CACHE_BOUND, Jet2
 from ._jettables import index_of, monomials
 from .metric import cross
 
-
-_MISS = object()
-
 # Gauss-Legendre nodes and weights on [-1, 1]: every integral of the package
-# is this rule applied panel by panel.
+# is this rule applied panel by panel, by a PrimitiveTable.
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(8)
 
 
@@ -113,6 +116,55 @@ def gauss_legendre(f, a, b):
     for k in range(1, len(_GL_W)):
         acc = acc + _GL_W[k] * fs[k]
     return half * acc
+
+
+class PrimitiveTable:
+    """F(t) = int_0^t f(s) ds, elementwise over an array of t; f takes an
+    array of points and returns its values there.
+
+    F is tabulated at the nodes i*H, summed outward from 0 on each side over
+    panels integrated by gauss_legendre, the new panels of a read from one
+    call of f.  F(t) is the value at the node nearest to t plus the same
+    rule over [node, t], so F is smooth to rounding across panels and f is
+    read up to H/2 past t.  Each side grows only as far as it is read, its
+    new panels continuing its running sum from its last value, so a node
+    holds the bits of the one-pass sum whatever the order and the size of
+    the reads (Higham, Accuracy and Stability of Numerical Algorithms,
+    2002, ch. 4)."""
+
+    H = 0.002
+
+    def __init__(self, f):
+        self.f = f
+        # cumulative F at the nodes 0, H, 2H, ... and 0, -H, -2H, ...
+        self._cum = {1: np.zeros(1), -1: np.zeros(1)}
+
+    def extend(self, t):
+        """Grow each side to the node nearest to its farthest t; returns the
+        index of the node nearest to each t."""
+        i = np.rint(np.asarray(t, dtype=float) / self.H).astype(int)
+        pos, neg = (np.arange(len(self._cum[side]) - 1, reach) for side, reach in
+                    ((1, np.max(i, initial=0)), (-1, -np.min(i, initial=0))))
+        if pos.size or neg.size:
+            a, b = np.concatenate([pos, -neg]), np.concatenate([pos + 1, -(neg + 1)])
+            panels = gauss_legendre(self.f, a * self.H, b * self.H)
+            for side, p in ((1, panels[:pos.size]), (-1, panels[pos.size:])):
+                cum = self._cum[side]
+                grown = np.cumsum(np.concatenate([cum[-1:], p]))[1:]   # from cum[-1], in order
+                self._cum[side] = np.concatenate([cum, grown])
+        return i
+
+    def nodes(self, side, reach):
+        """(abscissae, table values) of the nodes of a side (1 or -1) from 0
+        to the one nearest to side * reach."""
+        i = self.extend(side * reach)
+        return side * self.H * np.arange(abs(i) + 1), self._cum[side][:abs(i) + 1]
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        i = self.extend(t)
+        base = np.where(i >= 0, self._cum[1][np.maximum(i, 0)], self._cum[-1][np.maximum(-i, 0)])
+        return base + gauss_legendre(self.f, i * self.H, t)
 
 
 def rk4_step(f, x, y, h):
@@ -234,10 +286,10 @@ def _truncate(out, order):
 class BoundedCache:
     """The one cache policy of the providers: a dict cleared, whole, once it
     holds more than CACHE_BOUND entries (jets._FLAT_BINS keeps the same
-    rule).
+    rule).  It holds jets only: no scalar value is memoised anywhere.
 
-    value() memoises a plain value per key.  put_jets() stores a jet, a
-    series array or a tuple of them, computed at some order; jets() answers
+    put_jets() stores a jet, a series array or a tuple of them, computed at
+    some order; jets() answers
     that order and every lower one by truncation.  That is exact: a Taylor
     coefficient of degree k depends only on coefficients of degree <= k, and
     the providers compute it by the same steps whatever the order asked
@@ -260,13 +312,6 @@ class BoundedCache:
         if len(self._d) > CACHE_BOUND:
             self._d.clear()
         self._d[key] = item
-
-    def value(self, key, compute):
-        out = self._d.get(key, _MISS)
-        if out is _MISS:
-            out = compute()
-            self._put(key, out)
-        return out
 
     def jets(self, key, order):
         """The jets at key truncated to order, or None if not computed to it."""
@@ -457,47 +502,26 @@ class FlipU:
         return Jet2(order, c)
 
 
+def _times_values(g, s):
+    """s g(s) at an array of points s, from one jet call of the provider g."""
+    return s * g.jet(s.ravel(), 0.0, 0).value().reshape(s.shape)
+
+
 class CurveIntegral:
     """Primitive of u*g(u) vanishing at u = 0, jets from the integrand.
 
-    The value at u is the 8-point Gauss-Legendre rule on panels of width
-    PANEL laid from 0 toward u, the last one ending at u, with the integrand
-    at all the nodes from one array jet call.  An array u is integrated in
-    the same call, its shorter runs of panels padded with empty ones at u,
-    so each entry equals the scalar result; scalar values are memoised."""
-
-    PANEL = 0.125
+    The value at u is a PrimitiveTable of u*g(u), so it reads g up to H/2
+    past u, and each side of 0 only as far as it is read; an array u is
+    read in one call, each entry equal to the scalar result.  No value is
+    memoised: the table holds the sums at its nodes, and a read adds one
+    panel's rule."""
 
     def __init__(self, g):
         self.g = g
-        self._cache = BoundedCache()
-
-    def _integrand(self, s):
-        return s * self.g.jet(s.ravel(), 0.0, 0).value().reshape(s.shape)
-
-    def _integrate(self, u):
-        """int_0^u t g(t) dt for a 1-D array u."""
-        out = np.zeros_like(u)
-        on = u != 0.0
-        if on.any():
-            r, side = np.abs(u[on]), np.sign(u[on])
-            j = np.arange(int(np.ceil(r / self.PANEL).max())).reshape(-1, 1)
-            panels = gauss_legendre(self._integrand, side * np.minimum(j * self.PANEL, r),
-                                    side * np.minimum((j + 1) * self.PANEL, r))
-            acc = panels[0]
-            for p in panels[1:]:
-                acc = acc + p
-            out[on] = acc
-        return out
-
-    def _value(self, u):
-        if np.ndim(u) != 0:
-            return self._integrate(np.asarray(u, dtype=float).ravel()).reshape(np.shape(u))
-        u = float(u)
-        return self._cache.value(u, lambda: float(self._integrate(np.array([u]))[0]))
+        self._table = PrimitiveTable(partial(_times_values, g))
 
     def jet(self, u, v, order):
-        value = self._value(u)
+        value = self._table(u)
         if order == 0:
             return Jet2.constant(value, 0, np.shape(u))
         uj = Jet2.variable("u", u, order - 1, np.shape(u))

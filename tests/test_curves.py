@@ -397,7 +397,7 @@ def test_half_arclength_inverts_phi(name):
 
 def test_half_arclength_phi_continuous_across_panels():
     H, _ = _half_arclength("rotated")
-    mids = (np.arange(-450, 450) + 0.5) * H._table._h        # includes 0.051, 0.251, 0.901
+    mids = (np.arange(-450, 450) + 0.5) * H._table.phi.H     # includes 0.051, 0.251, 0.901
     jump = np.abs(H.phi(np.nextafter(mids, np.inf)) - H.phi(np.nextafter(mids, -np.inf)))
     assert jump.max() < 1e-14
 

@@ -13,10 +13,10 @@ import pytest
 
 from swallowkit import deform as dm
 from swallowkit.builder import AsymptoticData, SwallowtailData, build
-from swallowkit.fields import (CACHE_BOUND, BoundedCache, CurveIntegral, JetFn, components,
-                               rk4_step, vjet, xi_over_u)
+from swallowkit.fields import (CACHE_BOUND, CurveIntegral, JetFn, components, rk4_step, vjet,
+                               xi_over_u)
 from swallowkit.frontal import classify
-from swallowkit.jets import jet_sqrt, parse
+from swallowkit.jets import JetError, jet_sqrt, parse
 
 _F = parse("u^3 - 2*u*v + exp(u)*sin(v)")
 
@@ -162,9 +162,6 @@ def test_memo_clears_past_its_bound():
     assert len(p._memo) == CACHE_BOUND + 1
     p.jet(-0.5, 0.0, 1)
     assert len(p._memo) == 1
-    cache = BoundedCache()
-    assert cache.value("k", lambda: 1) == 1
-    assert cache.value("k", lambda: 2) == 1
 
 
 def test_classifying_the_same_germ_twice_gives_identical_reports():
@@ -334,6 +331,39 @@ def test_curve_integral_matches_adaptive_quadrature(name):
             ref, _ = quad(lambda t: t * g.jet(t, 0.0, 0).value(), 0.0, u,
                           epsabs=1e-17, epsrel=1e-14, limit=200)
         assert abs(ci.jet(float(u), 0.0, 0).value() - ref) < 1e-13
+
+
+@pytest.mark.parametrize("side", [1, -1])
+def test_primitive_table_does_not_depend_on_the_order_of_growth(side):
+    """The table of a CurveIntegral holds the same bits, at its nodes and
+    at the points read, whether one side grew by one read at 1.2, by reads
+    at 0.3 and then 1.2, or by extend first."""
+    us = side * np.linspace(0.0, 1.2, 97)
+
+    def grown(reads, extend=None):
+        ci = CurveIntegral(parse(_INTEGRANDS["sin"]))
+        if extend is not None:
+            ci._table.extend(extend)
+        for u in reads:
+            ci.jet(side * u, 0.0, 0)
+        return ci._table.nodes(side, 1.2), ci.jet(us, 0.0, 0).c
+
+    ref = grown([1.2])
+    assert len(ref[0][1]) == 601
+    for other in (grown([0.3, 1.2]), grown([], side * 1.2), grown([0.3], np.array([-1.2, 1.2]))):
+        for a, b in zip(ref, other):
+            np.testing.assert_array_equal(np.concatenate(a), np.concatenate(b))
+
+
+def test_curve_integral_grows_each_side_only_as_far_as_it_is_read():
+    """sqrt(1 - 4u) is real for u < 1/4 only: reads at 0.1 and at -0.5 do
+    not reach past it, and the jets at u >= 1/4 raise."""
+    ci = CurveIntegral(parse("sqrt(1 - 4*u)"))
+    for u in (0.1, -0.5):
+        assert np.isfinite(ci.jet(u, 0.0, 2).c).all()
+    for u in (0.25, 0.3):
+        with pytest.raises(JetError):
+            ci.jet(u, 0.0, 2)
 
 
 _US = np.array([-0.7, -0.1, 0.0, 0.05, 0.3, 1.2])
