@@ -24,8 +24,8 @@ from functools import partial
 
 import numpy as np
 
-from .fields import JetFn, over_v, pointwise, whole_vector
-from .jets import Expr, Jet2, JetError, _apply_series, compose2, jet_sqrt, parse
+from .fields import JetFn, over_v, pointwise, vjet, whole_vector
+from .jets import Jet2, JetError, _apply_series, compose2, jet_sqrt, parse
 from .metric import Along, SpaceForm, cross, dot
 
 SIGN_TOL = 1e-9
@@ -76,10 +76,9 @@ class MapGerm:
         self.exprs = exprs
         self.data = data
         # a whole components() vector is read through its own JetFn and memo;
-        # other components share a JetFn over a module function, not a bound
-        # method: no reference cycle
-        self._jets = whole_vector(self._components) or JetFn(
-            partial(_component_jets, self._components))
+        # separate components share a JetFn over a module function, not a
+        # bound method: no reference cycle
+        self._jets = whole_vector(self._components) or JetFn(partial(vjet, self._components))
 
     @staticmethod
     def from_exprs(exprs, sf=SpaceForm(0.0), data=None):
@@ -95,13 +94,6 @@ class MapGerm:
     def reparam(self, change):
         """Germ composed with a coordinate change (jets of (U, V) at a point)."""
         return _ReparamGerm(self, change)
-
-
-def _component_jets(components, u, v, order):
-    """Jets of the components at (u, v); expressions share one memo."""
-    memo = {}
-    return tuple(c.jet(u, v, order, memo) if isinstance(c, Expr) else c.jet(u, v, order)
-                 for c in components)
 
 
 class _ReparamGerm(MapGerm):

@@ -38,10 +38,13 @@ any ValueError of a batch, JetError or not.
 
 Expressions are trees of frozen dataclass nodes (Const, Var, Add, Sub, Mul,
 Div, Neg, Pow, Func): they compare and hash by value and cannot be changed.
-Each node class carries its printing precedence PREC, and _FUNCS is the one
-table of elementary functions, giving each its jet and its symbolic
-derivative.  poly2_coeffs reads an expression as a polynomial in (u, v);
-poly_u_coeffs, behind the closed-form integrals, is its u-only projection.
+A node's jet(u, v, order) is its operation on its children's jets, so a
+tree evaluates in one Python frame per level and keeps no memo.  Each node
+class carries its printing precedence PREC, and _FUNCS is the one table of
+elementary functions, giving each its jet and its symbolic derivative.
+poly2_coeffs reads an expression as a polynomial in (u, v), of total degree
+at most MAX_NESTING in every product and power; poly_u_coeffs, behind the
+closed-form integrals, is its u-only projection.
 """
 
 from __future__ import annotations
@@ -52,8 +55,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _jettables as tables
-
-DEFAULT_ORDER = 4
 
 
 class JetError(ValueError):
@@ -523,50 +524,8 @@ class Expr:
     __slots__ = ()
     PREC = 4
 
-    def jet(self, u, v, order=DEFAULT_ORDER, _memo=None):
-        if _memo is None:
-            _memo = {}
-        key = id(self)
-        hit = _memo.get(key)
-        if hit is not None:
-            return hit
-        out = self._jet(u, v, order, _memo)
-        _memo[key] = out
-        return out
-
     def __call__(self, u, v):
-        return self.jet(u, v, order=0).value()
-
-    # operator sugar used when assembling derived expressions in code
-    def __add__(self, other):
-        return Add(self, as_expr(other))
-
-    def __radd__(self, other):
-        return Add(as_expr(other), self)
-
-    def __sub__(self, other):
-        return Sub(self, as_expr(other))
-
-    def __rsub__(self, other):
-        return Sub(as_expr(other), self)
-
-    def __mul__(self, other):
-        return Mul(self, as_expr(other))
-
-    def __rmul__(self, other):
-        return Mul(as_expr(other), self)
-
-    def __truediv__(self, other):
-        return Div(self, as_expr(other))
-
-    def __rtruediv__(self, other):
-        return Div(as_expr(other), self)
-
-    def __neg__(self):
-        return Neg(self)
-
-    def __pow__(self, n):
-        return Pow(self, n)
+        return self.jet(u, v, 0).value()
 
     def __repr__(self):
         return f"<{type(self).__name__} {to_source(self)}>"
@@ -586,7 +545,7 @@ class Const(Expr):
     def __post_init__(self):
         object.__setattr__(self, "value", float(self.value))
 
-    def _jet(self, u, v, order, memo):
+    def jet(self, u, v, order):
         return Jet2.constant(self.value, order, np.shape(u))
 
 
@@ -599,7 +558,7 @@ class Var(Expr):
         if self.name not in ("u", "v"):
             raise ValueError(f"unknown variable {self.name!r}")
 
-    def _jet(self, u, v, order, memo):
+    def jet(self, u, v, order):
         value = u if self.name == "u" else v
         return Jet2.variable(self.name, value, order, np.shape(u))
 
@@ -615,32 +574,32 @@ class Add(_Binary):
     __slots__ = ()
     PREC = 1
 
-    def _jet(self, u, v, order, memo):
-        return self.a.jet(u, v, order, memo) + self.b.jet(u, v, order, memo)
+    def jet(self, u, v, order):
+        return self.a.jet(u, v, order) + self.b.jet(u, v, order)
 
 
 class Sub(_Binary):
     __slots__ = ()
     PREC = 1
 
-    def _jet(self, u, v, order, memo):
-        return self.a.jet(u, v, order, memo) - self.b.jet(u, v, order, memo)
+    def jet(self, u, v, order):
+        return self.a.jet(u, v, order) - self.b.jet(u, v, order)
 
 
 class Mul(_Binary):
     __slots__ = ()
     PREC = 2
 
-    def _jet(self, u, v, order, memo):
-        return self.a.jet(u, v, order, memo) * self.b.jet(u, v, order, memo)
+    def jet(self, u, v, order):
+        return self.a.jet(u, v, order) * self.b.jet(u, v, order)
 
 
 class Div(_Binary):
     __slots__ = ()
     PREC = 2
 
-    def _jet(self, u, v, order, memo):
-        return self.a.jet(u, v, order, memo) / self.b.jet(u, v, order, memo)
+    def jet(self, u, v, order):
+        return self.a.jet(u, v, order) / self.b.jet(u, v, order)
 
 
 @dataclass(frozen=True, repr=False)
@@ -649,8 +608,8 @@ class Neg(Expr):
     a: Expr
     PREC = 2
 
-    def _jet(self, u, v, order, memo):
-        return -self.a.jet(u, v, order, memo)
+    def jet(self, u, v, order):
+        return -self.a.jet(u, v, order)
 
 
 @dataclass(frozen=True, repr=False)
@@ -664,8 +623,8 @@ class Pow(Expr):
         if not isinstance(self.n, int):
             raise TypeError("exponent must be an integer")
 
-    def _jet(self, u, v, order, memo):
-        return self.a.jet(u, v, order, memo) ** self.n
+    def jet(self, u, v, order):
+        return self.a.jet(u, v, order) ** self.n
 
 
 @dataclass(frozen=True, repr=False)
@@ -678,8 +637,8 @@ class Func(Expr):
         if self.name not in _FUNCS:
             raise ValueError(f"unknown function {self.name!r}")
 
-    def _jet(self, u, v, order, memo):
-        return _FUNCS[self.name][0](self.a.jet(u, v, order, memo))
+    def jet(self, u, v, order):
+        return _FUNCS[self.name][0](self.a.jet(u, v, order))
 
 
 # Each elementary function: its jet, and its derivative as an expression of
@@ -1047,8 +1006,14 @@ def integrate_u_times(e: Expr):
     return poly_to_expr(prim)
 
 
+def _degree(p):
+    return max((i + j for i, j in p), default=0)
+
+
 def poly2_coeffs(e: Expr):
-    """Coefficients {(i, j): c} of e as a polynomial in (u, v), or None."""
+    """Coefficients {(i, j): c} of e as a polynomial in (u, v), or None; also
+    None for a product or a power of total degree above MAX_NESTING, found
+    before it is expanded."""
     if isinstance(e, Const):
         return {(0, 0): e.value} if e.value != 0 else {}
     if isinstance(e, Var):
@@ -1067,7 +1032,7 @@ def poly2_coeffs(e: Expr):
         return {k: c for k, c in out.items() if c != 0.0}
     if isinstance(e, Mul):
         a, b = poly2_coeffs(e.a), poly2_coeffs(e.b)
-        if a is None or b is None:
+        if a is None or b is None or _degree(a) + _degree(b) > MAX_NESTING:
             return None
         out = {}
         for (i1, j1), c1 in a.items():
@@ -1085,7 +1050,7 @@ def poly2_coeffs(e: Expr):
         if e.n < 0:
             return None
         a = poly2_coeffs(e.a)
-        if a is None:
+        if a is None or _degree(a) * e.n > MAX_NESTING:
             return None
         out = {(0, 0): 1.0}
         base = a

@@ -99,6 +99,18 @@ def test_tol_sign_flag_holds_for_its_call_only(specs, capsys, monkeypatch):
     assert (doc["sigma0_S"], doc["sigma_g_S"]) == (-1, 1)
 
 
+def test_tol_sign_flag_leaves_cusp_classify_unchanged(capsys, tmp_path, monkeypatch):
+    """The band of --tol-sign is that of the germ signs; cusp handedness
+    keeps its own."""
+    from swallowkit import frontal
+    monkeypatch.setattr(frontal, "SIGN_TOL", frontal.SIGN_TOL)   # restored after
+    spec = tmp_path / "cusp3.json"
+    spec.write_text(json.dumps({"kind": "curve", "gamma": ["u^2/2", "u^3/3", "u^4/4"]}))
+    code, out = run(capsys, "cusp", "classify", str(spec))
+    assert code == 0 and json.loads(out)["kind"] == "generic"
+    assert run(capsys, "--tol-sign", "1e9", "cusp", "classify", str(spec)) == (code, out)
+
+
 def test_overflowing_jets_give_one_stderr_line(tmp_path, capsys):
     """numpy warns of nothing inside a command: a germ whose jets overflow
     exits 3 with its one-line error, even where warnings are errors."""

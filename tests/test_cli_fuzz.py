@@ -85,6 +85,15 @@ def test_constant_out_of_range_is_a_domain_error(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_high_degree_polynomial_builds_without_closed_form(tmp_path, capsys):
+    """A component of xi past degree MAX_NESTING gets no closed-form gamma, so
+    build prints no f rather than a tree deeper than the nesting bound."""
+    path = _write(tmp_path, "deg.json", dict(SW, xi=["2", "3*u", "(1+u)^1000"]))
+    assert _code("build", path) == 0
+    out, err = capsys.readouterr()
+    assert "f" not in json.loads(out) and "Traceback" not in err
+
+
 def _mutate(rng, doc):
     doc = json.loads(json.dumps(doc))
     key = list(doc)[rng.integers(len(doc))]

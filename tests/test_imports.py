@@ -1,18 +1,19 @@
 """Every module-level import of the package is used by its module, every
-module-level _private function or class is used by the package, every
-local a function assigns is read, every parameter default is overridden by
-some call, no function imports a module, and classifying a germ and
-probing its tail part leave scipy unloaded.
+module-level _private name (a function, a class or an assigned value) is
+used by the package besides its definition, every local a function assigns
+is read, every parameter default is overridden by some call, no function
+imports a module, and classifying a germ and probing its tail part leave
+scipy unloaded.
 
 No linter ships with the package, so this parses each module and fails on
-an imported name that the module never references, on a private helper
-that no module of the package references, on a function-local name that a
-single-target assignment binds and nothing reads, on a parameter default
-that no call in the repository passes (a value with one use is a constant,
-not a parameter), or on an import inside a function.  __init__.py is left
-out of the import check: its imports are the public re-exports.  scipy is a
-test-only dependency: a fresh interpreter that imports swallowkit, then
-runs classify and tail_probes, must not load it.
+an imported name that the module never references, on a private name that
+no other statement of the package references, on a function-local name
+that a single-target assignment binds and nothing reads, on a parameter
+default that no call in the repository passes (a value with one use is a
+constant, not a parameter), or on an import inside a function.  __init__.py
+is left out of the import check: its imports are the public re-exports.
+scipy is a test-only dependency: a fresh interpreter that imports
+swallowkit, then runs classify and tail_probes, must not load it.
 """
 
 import ast
@@ -53,23 +54,43 @@ def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _bound_names(stmt):
+    """The names a module-level statement binds: a def or class, or the
+    plain names an assignment targets."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    return set()
+
+
+def _referenced_names(stmt):
+    """The names a statement reads, as a name, an attribute or an import."""
+    used = set()
+    for n in ast.walk(stmt):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            used.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            used.add(n.attr)
+        elif isinstance(n, ast.alias):
+            used.add(n.name)
+    return used
+
+
 def dead_private_helpers(sources):
-    """(module, name) of each module-level _private function or class of the
-    modules {name: source} that none of them references."""
-    defined, used = [], set()
+    """(module, name) of each module-level _private name (not a dunder) of
+    the modules {name: source}, a function, a class or an assigned value,
+    that no statement of them references besides the one that defines it."""
+    defined, used = [], {}
     for mod, src in sources.items():
-        tree = ast.parse(src)
-        defined += [(mod, node.name) for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.startswith("__")]
-        for n in ast.walk(tree):
-            if isinstance(n, ast.Name):
-                used.add(n.id)
-            elif isinstance(n, ast.Attribute):
-                used.add(n.attr)
-            elif isinstance(n, ast.alias):
-                used.add(n.name)
-    return sorted(d for d in defined if d[1] not in used)
+        for k, stmt in enumerate(ast.parse(src).body):
+            defined += [(mod, k, name) for name in _bound_names(stmt)
+                        if name.startswith("_") and not name.startswith("__")]
+            used[mod, k] = _referenced_names(stmt)
+    return sorted((mod, name) for mod, k, name in defined
+                  if not any(name in names for at, names in used.items() if at != (mod, k)))
 
 
 def test_checker_sees_a_dead_helper():
@@ -78,6 +99,16 @@ def test_checker_sees_a_dead_helper():
                "b": "from .a import _used\n\n\ndef f(m):\n    return _used(), m._kept\n\n\n"
                     "def _kept():\n    pass\n"}
     assert dead_private_helpers(sources) == [("a", "_Gone"), ("a", "_dead")]
+
+
+def test_checker_sees_an_unused_private_name():
+    """An assigned value counts as a definition, and neither a definition's
+    own reads (a recursion, an update) nor a dunder counts as a use."""
+    sources = {"a": "_TABLE = {}\n_LIMIT: int = 3\n_X, _Y = 1, 2\n__all__ = []\n\n\n"
+                    "def _walk(n):\n    return _walk(n - 1) if n else _Y\n\n\n"
+                    "def f():\n    return _TABLE\n",
+               "b": "from .a import _LIMIT\n_LIMIT += 1\n"}
+    assert dead_private_helpers(sources) == [("a", "_X"), ("a", "_walk")]
 
 
 def test_no_dead_private_helpers():

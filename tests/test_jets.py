@@ -44,6 +44,22 @@ def test_flat_sum_depth_bound():
         parse("u" + "*u" * (MAX_NESTING + 1))
 
 
+def test_evaluation_takes_one_frame_per_level():
+    """Each node's jet calls its children's jet itself, with no memo: a
+    99-level chain evaluates within 150 frames above the caller's."""
+    import inspect
+    import sys
+    e = parse("u" + "*u" * 99)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 150)
+    try:
+        j = e.jet(0.5, 0.0, 3)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert j.value() == 0.5 ** 100
+    assert j.coeff(1, 0) == pytest.approx(100 * 0.5 ** 99, rel=1e-14)
+
+
 def test_flat_bins_memo_is_bounded():
     """The flat indices of batched products are kept for at most
     CACHE_BOUND + 1 (bins table, width) pairs, cleared whole as a
@@ -488,6 +504,15 @@ def test_poly_u_coeffs_reads_polynomials_in_u():
     for source in ("u + v", "u*v - 1", "sin(u)", "1/(1 + u)", "u^-1"):
         assert jets.poly_u_coeffs(parse(source)) is None, source
     assert to_source(jets.integrate_u_times(parse("2 + 3*u"))) == "u^2 + u^3"
+
+
+def test_poly2_coeffs_stops_past_the_degree_bound():
+    """A product or a power of total degree above MAX_NESTING is no
+    polynomial to poly2_coeffs, found before it is expanded: the closed-form
+    primitive it feeds is a sum one level per term."""
+    assert len(jets.poly2_coeffs(parse("(1+u)^100"))) == 101
+    for source in ("(1+u)^101", "(1+u)^50*(1+u)^51", "u^1000000"):
+        assert jets.poly2_coeffs(parse(source)) is None, source
 
 
 def test_sqrt_domain_error():
