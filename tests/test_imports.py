@@ -102,13 +102,14 @@ def test_checker_sees_a_dead_helper():
 
 
 def test_checker_sees_an_unused_private_name():
-    """An assigned value counts as a definition, and neither a definition's
-    own reads (a recursion, an update) nor a dunder counts as a use."""
-    sources = {"a": "_TABLE = {}\n_LIMIT: int = 3\n_X, _Y = 1, 2\n__all__ = []\n\n\n"
+    """An assigned value counts as a definition, and neither a write to it,
+    nor a read in the statement that defines it (a recursion), nor a dunder
+    counts as a use."""
+    sources = {"a": "_TABLE = {}\n_LIMIT: int = 3\n_X, _Y = 1, 2\n_COUNT = 0\n__all__ = []\n\n\n"
                     "def _walk(n):\n    return _walk(n - 1) if n else _Y\n\n\n"
-                    "def f():\n    return _TABLE\n",
-               "b": "from .a import _LIMIT\n_LIMIT += 1\n"}
-    assert dead_private_helpers(sources) == [("a", "_X"), ("a", "_walk")]
+                    "def f():\n    global _COUNT\n    _COUNT += 1\n    return _TABLE\n",
+               "b": "from .a import _LIMIT\n"}
+    assert dead_private_helpers(sources) == [("a", "_COUNT"), ("a", "_X"), ("a", "_walk")]
 
 
 def test_no_dead_private_helpers():
